@@ -28,7 +28,7 @@ from .oracle import (Grid, clamp_distance_batch, grid_global_slope,
 from .problems import (Problem, canonical_json, instance_problem,
                        load_problem, parse_problem, problem_to_dict)
 from .regularity import (CoderivativeEstimate, DualPair, InteriorityResult,
-                         ModulusEstimate, RegularityQuery, RegularityReport,
+                         ModulusEstimate, RegularityQuery,
                          SlopeCriterionResult, SweepResult,
                          coderivative_criterion, convex_range_condition,
                          empirical_directional_modulus, modulus_from_slopes,
@@ -48,7 +48,7 @@ __all__ = [
     "KnownTruth", "ModulusEstimate", "MultiMap", "NamedInstance",
     "NoAdmissibleSamples", "NotAffine", "NotInSet", "NotPolyhedral",
     "Polyhedron", "PolynomialMap", "Problem", "ProblemFileError",
-    "ProductSet", "RegcertError", "RegularityQuery", "RegularityReport",
+    "ProductSet", "RegcertError", "RegularityQuery",
     "ScalarField", "SearchRegion", "SimplexIterationLimit", "Singleton",
     "SlopeCriterionResult", "SlopeEstimate", "SmoothMap", "SweepResult",
     "UnknownInstance", "builtin", "canonical_json", "clamp_distance_batch",

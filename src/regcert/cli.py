@@ -19,8 +19,9 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from typing import Callable
 
 import numpy as np
 
@@ -32,9 +33,9 @@ from .geometry import TOL_FEAS, TOL_MEMBER
 from .instances import builtin, registry_names
 from .multimap import default_region, image_distance, image_distance_batch
 from .oracle import Grid, grid_modulus
-from .problems import (SCHEMA_VERSION, Problem, canonical_json,
-                       instance_problem, load_problem, problem_to_dict,
-                       samples_csv)
+from .problems import (ANALYSIS_OPS, SCHEMA_VERSION, Problem,
+                       canonical_json, instance_problem, load_problem,
+                       problem_to_dict, samples_csv)
 from .regularity import (NORM_CHOICE, SLOPE_SLACK, RegularityQuery,
                          coderivative_criterion,
                          empirical_directional_modulus, parametric_sweep,
@@ -101,6 +102,8 @@ def _build_query(problem: Problem, args) -> RegularityQuery:
         region = replace(region, sample_budget=args.budget)
     if getattr(args, "seed", None) is not None:
         region = replace(region, seed=args.seed)
+    if args.threads < 1:
+        raise InvalidParameter("--threads must be at least 1")
     tol = getattr(args, "tol", None)
     tol = TOL_MEMBER if tol is None else tol
     return RegularityQuery(problem.F, problem.x0, problem.y0, dc=problem.dc,
@@ -108,41 +111,11 @@ def _build_query(problem: Problem, args) -> RegularityQuery:
                            tol_member=tol)
 
 
-def _precheck_analyses(problem: Problem) -> None:
-    """Reject unsatisfiable analysis requests before any work starts."""
-    for i, spec in enumerate(problem.analyses):
-        op = spec["op"]
-        path = f"analyses[{i}]"
-        if op == "slope" and "tau" not in spec:
-            raise ProblemFileError(f"{path}.tau", "slope analysis needs tau")
-        if op == "coderivative":
-            if problem.dc is None:
-                raise ProblemFileError(
-                    path, "coderivative analysis needs a direction")
-            if problem.F.K_polyhedron is None:
-                raise ProblemFileError(
-                    path, "coderivative analysis needs a polyhedral "
-                          "constraint set")
-        if op == "perturb":
-            for key in ("tau", "delta", "ybar_norm", "alpha", "L"):
-                if key not in spec:
-                    raise ProblemFileError(f"{path}.{key}",
-                                           "perturb analysis needs " + key)
-        if op == "sweep":
-            if problem.family_kind is None:
-                raise ProblemFileError(path, "sweep analysis needs a family")
-            if not spec.get("p_grid") and not problem.p_grid:
-                raise ProblemFileError(f"{path}.p_grid",
-                                       "sweep analysis needs a p grid")
-        if op == "error_bound" and "xbar" not in spec:
-            raise ProblemFileError(f"{path}.xbar",
-                                   "error_bound analysis needs xbar "
-                                   "(a point outside the solution set)")
-
-
 # ---------------------------------------------------------------------------
-# Analysis runners.  Each returns the result payload and a verdict; verdicts
-# stay None for purely informational runs (no target given).
+# Analysis ops.  Each runner returns the result payload, a verdict and the
+# per-sample records it collected (collect asks for them; only the modulus
+# run has any).  Verdicts stay None for purely informational runs (no target
+# given).
 
 def _residual_field(q: RegularityQuery) -> ScalarField:
     y0 = q.y0
@@ -170,7 +143,7 @@ def _run_modulus(problem, q, params, args, collect):
     return result, holds, est.samples
 
 
-def _run_slope(problem, q, params, args):
+def _run_slope(problem, q, params, args, collect):
     res = slope_criterion(q, params["tau"],
                           n_points=params.get("n_points", 24),
                           slope_budget=params.get("slope_budget", 300),
@@ -180,10 +153,10 @@ def _run_slope(problem, q, params, args):
               "n_violators": len(res.violators),
               "violators": [{"x": x, "y": y, "slope": s}
                             for x, y, s in res.violators[:5]]}
-    return result, bool(res.holds)
+    return result, bool(res.holds), None
 
 
-def _run_robinson(problem, q, params, args):
+def _run_robinson(problem, q, params, args, collect):
     if params.get("ybar") is not None:
         ybar = np.asarray(params["ybar"], dtype=float)
     elif q.dc is not None:
@@ -193,10 +166,10 @@ def _run_robinson(problem, q, params, args):
     res = robinson_condition(q.F, q.x0, ybar)
     result = {"margin": res.margin, "ybar": ybar,
               "lambda_max": res.lambda_max, "u_max": res.u_max}
-    return result, bool(res.holds)
+    return result, bool(res.holds), None
 
 
-def _run_coderivative(problem, q, params, args):
+def _run_coderivative(problem, q, params, args, collect):
     ladder = tuple(params.get("delta_ladder", (0.2, 0.1, 0.05)))
     est = coderivative_criterion(
         q, delta_ladder=ladder,
@@ -208,17 +181,14 @@ def _run_coderivative(problem, q, params, args):
               "bound_direction": est.bound_direction}
     m = params.get("m")
     holds = None if m is None else bool(est.holds_for_m(m))
-    return result, holds
+    return result, holds, None
 
 
-def _run_perturb_op(params):
-    bound = perturbation_bound(params["tau"], params["delta"],
-                               params["ybar_norm"], params["alpha"],
-                               params["L"])
-    return {"bound": bound}, True
+def _run_perturb(problem, q, params, args, collect):
+    return {"bound": perturbation_bound(**params)}, True, None
 
 
-def _run_sweep(problem, q, params, args):
+def _run_sweep(problem, q, params, args, collect):
     family = problem.family()
     grid = params.get("p_grid") or list(problem.p_grid)
     res = parametric_sweep(family, grid, q, threads=args.threads)
@@ -229,10 +199,10 @@ def _run_sweep(problem, q, params, args):
     if target is not None:
         holds = bool(np.isfinite(res.uniform_modulus)
                      and res.uniform_modulus <= target)
-    return result, holds
+    return result, holds, None
 
 
-def _run_error_bound(problem, q, params, args):
+def _run_error_bound(problem, q, params, args, collect):
     cert = error_bound_certificate(
         _residual_field(q), np.asarray(params["xbar"], dtype=float),
         q.region, max_slope_points=params.get("max_slope_points", 16),
@@ -241,7 +211,88 @@ def _run_error_bound(problem, q, params, args):
               "slope_inf": cert.slope_inf,
               "n_slope_points": cert.n_slope_points,
               "boundary_witness": cert.boundary_witness}
-    return result, bool(cert.holds)
+    return result, bool(cert.holds), None
+
+
+def _precheck_coderivative(problem, spec, path):
+    if problem.dc is None:
+        raise ProblemFileError(path,
+                               "coderivative analysis needs a direction")
+    if problem.F.K_polyhedron is None:
+        raise ProblemFileError(
+            path, "coderivative analysis needs a polyhedral constraint set")
+
+
+def _precheck_sweep(problem, spec, path):
+    if problem.family_kind is None:
+        raise ProblemFileError(path, "sweep analysis needs a family")
+    if not spec.get("p_grid") and not problem.p_grid:
+        raise ProblemFileError(f"{path}.p_grid",
+                               "sweep analysis needs a p grid")
+
+
+@dataclass(frozen=True)
+class _Op:
+    """How the report pipeline runs one analysis op and reads its result.
+
+    headline and witness are (report key, result key) pairs: the report
+    summary takes the value of the op's first successful record, the
+    witnesses its first nonempty one.  precheck rejects a request the
+    problem cannot satisfy, before any analysis runs.
+    """
+
+    run: Callable
+    summary: Callable
+    headline: tuple = ()
+    witness: tuple = ()
+    precheck: Callable | None = None
+
+
+_OPS = {
+    "modulus": _Op(
+        _run_modulus,
+        lambda r: (f"sup_ratio={_fmt(r['sup_ratio'])} over "
+                   f"{r['n_admissible']} admissible pairs"),
+        ("modulus_estimate", "sup_ratio"),
+        ("modulus_worst", "worst_witness")),
+    "slope": _Op(
+        _run_slope,
+        lambda r: (f"min_slope={_fmt(r['min_slope'])} vs threshold "
+                   f"{_fmt(r['threshold'])}"),
+        ("min_slope", "min_slope"), ("slope_violators", "violators")),
+    "robinson": _Op(
+        _run_robinson, lambda r: f"margin={_fmt(r['margin'])}",
+        ("robinson_margin", "margin")),
+    "coderivative": _Op(
+        _run_coderivative,
+        lambda r: (f"inf={_fmt(r['inf_value'])} over {r['n_pairs']} dual "
+                   f"pairs ({r['bound_direction']} bound)"),
+        ("coderivative_inf", "inf_value"),
+        precheck=_precheck_coderivative),
+    "perturb": _Op(_run_perturb, lambda r: f"bound={_fmt(r['bound'])}"),
+    "sweep": _Op(
+        _run_sweep,
+        lambda r: f"uniform_modulus={_fmt(r['uniform_modulus'])}",
+        precheck=_precheck_sweep),
+    "error_bound": _Op(
+        _run_error_bound,
+        lambda r: (f"f={_fmt(r['f_value'])} d={_fmt(r['d_sublevel'])} "
+                   f"slope_inf={_fmt(r['slope_inf'])}"),
+        witness=("sublevel_boundary", "boundary_witness")),
+}
+
+
+def _precheck_analyses(problem: Problem) -> None:
+    """Reject unsatisfiable analysis requests before any work starts."""
+    for i, spec in enumerate(problem.analyses):
+        op = spec["op"]
+        path = f"analyses[{i}]"
+        for key in ANALYSIS_OPS[op][0]:
+            if key not in spec:
+                raise ProblemFileError(f"{path}.{key}",
+                                       f"{op} analysis needs {key}")
+        if _OPS[op].precheck is not None:
+            _OPS[op].precheck(problem, spec, path)
 
 
 def _run_analysis(problem, q, spec, args, collect):
@@ -251,31 +302,13 @@ def _run_analysis(problem, q, spec, args, collect):
     samples = None
     guard = False
     try:
-        if spec["op"] == "modulus":
-            record["result"], record["holds"], samples = _run_modulus(
-                problem, q, params, args, collect)
-        elif spec["op"] == "slope":
-            record["result"], record["holds"] = _run_slope(
-                problem, q, params, args)
-        elif spec["op"] == "robinson":
-            record["result"], record["holds"] = _run_robinson(
-                problem, q, params, args)
-        elif spec["op"] == "coderivative":
-            record["result"], record["holds"] = _run_coderivative(
-                problem, q, params, args)
-        elif spec["op"] == "perturb":
-            record["result"], record["holds"] = _run_perturb_op(params)
-        elif spec["op"] == "sweep":
-            record["result"], record["holds"] = _run_sweep(
-                problem, q, params, args)
-        elif spec["op"] == "error_bound":
-            record["result"], record["holds"] = _run_error_bound(
-                problem, q, params, args)
-    except _GUARDS as exc:
-        record["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        guard = True
+        record["result"], record["holds"], samples = _OPS[spec["op"]].run(
+            problem, q, params, args, collect)
     except RegcertError as exc:
         record["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        guard = isinstance(exc, _GUARDS)
+        if guard:
+            print(f"internal guard: {exc}", file=sys.stderr)
     return record, samples, guard
 
 
@@ -284,64 +317,27 @@ def _describe(record: dict) -> str:
     if record["error"] is not None:
         return (f"{op}: ERROR {record['error']['type']}: "
                 f"{record['error']['message']}")
-    res = record["result"]
-    if op == "modulus":
-        body = (f"sup_ratio={_fmt(res['sup_ratio'])} over "
-                f"{res['n_admissible']} admissible pairs")
-    elif op == "slope":
-        body = (f"min_slope={_fmt(res['min_slope'])} vs threshold "
-                f"{_fmt(res['threshold'])}")
-    elif op == "robinson":
-        body = f"margin={_fmt(res['margin'])}"
-    elif op == "coderivative":
-        body = (f"inf={_fmt(res['inf_value'])} over {res['n_pairs']} dual "
-                f"pairs ({res['bound_direction']} bound)")
-    elif op == "perturb":
-        body = f"bound={_fmt(res['bound'])}"
-    elif op == "sweep":
-        body = f"uniform_modulus={_fmt(res['uniform_modulus'])}"
-    else:
-        body = (f"f={_fmt(res['f_value'])} d={_fmt(res['d_sublevel'])} "
-                f"slope_inf={_fmt(res['slope_inf'])}")
     tag = {True: " -> PASS", False: " -> FAIL", None: ""}[record["holds"]]
-    return f"{op}: {body}{tag}"
+    return f"{op}: {_OPS[op].summary(record['result'])}{tag}"
 
 
 # ---------------------------------------------------------------------------
 # Report pipeline shared by analyze and the single-analysis commands.
 
-def _headline(records: list) -> dict:
-    out = {"modulus_estimate": None, "min_slope": None,
-           "coderivative_inf": None, "robinson_margin": None}
+def _summaries(records: list) -> tuple:
+    """The report's summary and witnesses, read off the records."""
+    summary = {op.headline[0]: None for op in _OPS.values() if op.headline}
+    witnesses = {}
     for rec in records:
+        op, res = _OPS[rec["op"]], rec["result"]
         if rec["error"] is not None:
             continue
-        res = rec["result"]
-        if rec["op"] == "modulus" and out["modulus_estimate"] is None:
-            out["modulus_estimate"] = res["sup_ratio"]
-        elif rec["op"] == "slope" and out["min_slope"] is None:
-            out["min_slope"] = res["min_slope"]
-        elif rec["op"] == "coderivative" and out["coderivative_inf"] is None:
-            out["coderivative_inf"] = res["inf_value"]
-        elif rec["op"] == "robinson" and out["robinson_margin"] is None:
-            out["robinson_margin"] = res["margin"]
-    return out
-
-
-def _witnesses(records: list) -> dict:
-    out = {}
-    for rec in records:
-        if rec["error"] is not None or rec["result"] is None:
-            continue
-        if rec["op"] == "modulus" and rec["result"]["worst_witness"]:
-            out.setdefault("modulus_worst", rec["result"]["worst_witness"])
-        if rec["op"] == "slope" and rec["result"]["violators"]:
-            out.setdefault("slope_violators", rec["result"]["violators"])
-        if rec["op"] == "error_bound" and \
-                rec["result"]["boundary_witness"] is not None:
-            out.setdefault("sublevel_boundary",
-                           rec["result"]["boundary_witness"])
-    return out
+        if op.headline and summary[op.headline[0]] is None:
+            summary[op.headline[0]] = res[op.headline[1]]
+        value = res[op.witness[1]] if op.witness else None
+        if value is not None and len(value):
+            witnesses.setdefault(op.witness[0], value)
+    return summary, witnesses
 
 
 def _run_problem(problem: Problem, args) -> int:
@@ -353,9 +349,8 @@ def _run_problem(problem: Problem, args) -> int:
     guard_hit = False
     want_csv = getattr(args, "csv", None) is not None
     for spec in problem.analyses:
-        collect = want_csv and all_samples is None and spec["op"] == "modulus"
-        record, samples, guard = _run_analysis(problem, q, spec, args,
-                                               collect)
+        record, samples, guard = _run_analysis(
+            problem, q, spec, args, want_csv and all_samples is None)
         records.append(record)
         guard_hit = guard_hit or guard
         if samples is not None and all_samples is None:
@@ -367,6 +362,7 @@ def _run_problem(problem: Problem, args) -> int:
     verdicts = {"all_hold": n_failed == 0 and n_errors == 0,
                 "n_analyses": len(records), "n_failed": n_failed,
                 "n_errors": n_errors}
+    summary, witnesses = _summaries(records)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -377,8 +373,8 @@ def _run_problem(problem: Problem, args) -> int:
                   "box": q.region.box, "tol_member": q.tol_member},
         "analyses": records,
         "verdicts": verdicts,
-        "summary": _headline(records),
-        "witnesses": _witnesses(records),
+        "summary": summary,
+        "witnesses": witnesses,
         "seed": q.seed,
         "tolerances": {"tol_member": q.tol_member, "tol_feas": TOL_FEAS,
                        "slope_slack": SLOPE_SLACK},
@@ -412,65 +408,31 @@ def _run_problem(problem: Problem, args) -> int:
 # ---------------------------------------------------------------------------
 # Subcommand entry points.
 
-def _cmd_analyze(args) -> int:
-    return _run_problem(_load_target(args.problem), args)
-
-
-def _cmd_single(args, spec: dict) -> int:
+def _cmd_run(args) -> int:
+    """Run the problem's analyses or, for a single-analysis command, only
+    args.op; each parameter of that op comes from the flag of the same
+    name, comma-separated lists arriving as text."""
     problem = _load_target(args.problem)
-    problem.analyses = (spec,)
+    if args.op is not None:
+        spec = {"op": args.op}
+        for key in sum(ANALYSIS_OPS[args.op], ()):
+            value = getattr(args, key, None)
+            if isinstance(value, str):
+                value = _parse_floats(value, "--" + key.replace("_", "-"))
+            if value is not None:
+                spec[key] = value
+        problem.analyses = (spec,)
     return _run_problem(problem, args)
 
 
-def _cmd_modulus(args) -> int:
-    spec = {"op": "modulus"}
-    if args.tau is not None:
-        spec["tau_target"] = args.tau
-    return _cmd_single(args, spec)
-
-
-def _cmd_slope(args) -> int:
-    spec = {"op": "slope", "tau": args.tau, "n_points": args.n_points,
-            "slope_budget": args.slope_budget}
-    return _cmd_single(args, spec)
-
-
-def _cmd_robinson(args) -> int:
-    spec = {"op": "robinson"}
-    if args.ybar is not None:
-        spec["ybar"] = _parse_floats(args.ybar, "--ybar")
-    return _cmd_single(args, spec)
-
-
-def _cmd_coderivative(args) -> int:
-    spec = {"op": "coderivative",
-            "delta_ladder": _parse_floats(args.delta_ladder,
-                                          "--delta-ladder"),
-            "samples_per_delta": args.samples_per_delta}
-    if args.m is not None:
-        spec["m"] = args.m
-    return _cmd_single(args, spec)
-
-
-def _cmd_sweep(args) -> int:
-    spec = {"op": "sweep"}
-    if args.tau is not None:
-        spec["tau_target"] = args.tau
-    if args.p_grid is not None:
-        spec["p_grid"] = _parse_floats(args.p_grid, "--p-grid")
-    return _cmd_single(args, spec)
-
-
 def _cmd_perturb(args) -> int:
-    bound = perturbation_bound(args.tau, args.delta, args.ybar_norm,
-                               args.alpha, args.L)
+    params = {key: getattr(args, key) for key in ANALYSIS_OPS["perturb"][0]}
+    bound = perturbation_bound(**params)
     print(_fmt(bound))
     if args.out:
         report = {
             "schema_version": SCHEMA_VERSION,
-            "analysis": {"op": "perturb", "tau": args.tau,
-                         "delta": args.delta, "ybar_norm": args.ybar_norm,
-                         "alpha": args.alpha, "L": args.L},
+            "analysis": {"op": "perturb", **params},
             "result": {"bound": bound},
             "generated_at": None if args.no_timestamp
             else datetime.now(timezone.utc).isoformat(),
@@ -582,14 +544,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[common],
                        help="run every analysis listed in the problem")
     p.add_argument("problem", help="problem file path or instance name")
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_run, op=None)
 
     p = sub.add_parser("modulus", parents=[common],
                        help="empirical modulus estimate")
     p.add_argument("problem", help="problem file path or instance name")
-    p.add_argument("--tau", type=float, default=None,
+    p.add_argument("--tau", type=float, default=None, dest="tau_target",
+                   metavar="TAU",
                    help="target modulus; verdict is sup_ratio <= tau")
-    p.set_defaults(func=_cmd_modulus)
+    p.set_defaults(func=_cmd_run, op="modulus")
 
     p = sub.add_parser("slope", parents=[common],
                        help="envelope slope criterion for a given tau")
@@ -600,7 +563,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="admissible pairs to probe")
     p.add_argument("--slope-budget", type=int, default=300,
                    help="samples per slope evaluation")
-    p.set_defaults(func=_cmd_slope)
+    p.set_defaults(func=_cmd_run, op="slope")
 
     p = sub.add_parser("robinson", parents=[common],
                        help="interiority LP certificate")
@@ -608,7 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ybar", metavar="V1,V2,...", default=None,
                    help="direction (defaults to the problem direction, "
                         "else zero for the undirected condition)")
-    p.set_defaults(func=_cmd_robinson)
+    p.set_defaults(func=_cmd_run, op="robinson")
 
     p = sub.add_parser("coderivative", parents=[common],
                        help="dual-pair coderivative criterion")
@@ -619,7 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="dual pairs per delta")
     p.add_argument("--m", type=float, default=None,
                    help="threshold; verdict is inf > m")
-    p.set_defaults(func=_cmd_coderivative)
+    p.set_defaults(func=_cmd_run, op="coderivative")
 
     p = sub.add_parser("perturb",
                        help="stability bound under Lipschitz perturbation")
@@ -638,11 +601,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common],
                        help="uniform modulus over a parameter family")
     p.add_argument("problem", help="problem file path or instance name")
-    p.add_argument("--tau", type=float, default=None,
+    p.add_argument("--tau", type=float, default=None, dest="tau_target",
+                   metavar="TAU",
                    help="target; verdict is uniform modulus <= tau")
     p.add_argument("--p-grid", metavar="P1,P2,...", default=None,
                    help="parameter grid (overrides the problem file)")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_run, op="sweep")
 
     p = sub.add_parser("oracle-check", parents=[common],
                        help="compare the estimator against the grid oracle")

@@ -4,12 +4,12 @@ The set vocabulary is a small tagged family: polyhedra {z : Cz <= d}, closed
 euclidean balls, singletons, finite products, and the conic neighborhood of a
 direction (the union of scaled balls lam * B(ybar, delta) over lam >= 0).
 Every variant supports nearest-point projection and distance; polyhedra
-additionally expose active-row normal cone generators and a deterministic LP.
+additionally expose active-row normal cone generators and an LP.
 
 Projections onto polyhedra use Dykstra's alternating scheme over the
 halfspace rows, which converges to the exact nearest point (not merely a
-feasible one).  The LP is a dense two-phase primal simplex with Bland's
-anti-cycling rule, so its output is reproducible down to the vertex chosen.
+feasible one).  LPs go to the HiGHS solver that scipy ships; only their
+status and optimal value are consumed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
 
 from .errors import (
     DimensionMismatch,
@@ -194,7 +194,7 @@ class Polyhedron(ConvexSet):
     Rows with a zero normal and negative offset would be an implicit
     empty-set encoding and are rejected at construction; zero rows with
     d >= 0 are dropped as vacuous.  Feasibility of the remaining system is
-    decided lazily by a phase-1 LP and cached.
+    decided lazily by a zero-objective LP and cached.
     """
 
     def __init__(self, C, d):
@@ -234,9 +234,9 @@ class Polyhedron(ConvexSet):
         return self.C.shape[0]
 
     def is_feasible(self) -> bool:
-        """Phase-1 LP feasibility, cached after the first call."""
+        """LP feasibility, cached after the first call."""
         if self._feasible is None:
-            res = solve_lp(np.zeros(self.dim), self, _feasibility_probe=True)
+            res = solve_lp(np.zeros(self.dim), self)
             self._feasible = res.status != "infeasible"
         return self._feasible
 
@@ -453,24 +453,7 @@ class ProductSet(ConvexSet):
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation surface.
-
-def project(s: ConvexSet, p) -> np.ndarray:
-    return s.project(p)
-
-
-def distance(s: ConvexSet, p) -> float:
-    return s.distance(p)
-
-
-def cone_distance(dc: DirectionalCone, p) -> float:
-    """Distance from p to the conic neighborhood of dc."""
-    return dc.distance(p)
-
-
-def cone_contains(dc: DirectionalCone, p, tol: float = TOL_MEMBER) -> bool:
-    return cone_distance(dc, p) <= tol
-
+# Normal cones of polyhedra.
 
 def normal_cone_generators(poly: Polyhedron, k,
                            tol_active: float = TOL_ACTIVE) -> np.ndarray:
@@ -501,7 +484,7 @@ def project_onto_generated_cone(G: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic LP: maximize objective . z over a polyhedron.
+# LP: maximize objective . z over a polyhedron.
 
 @dataclass(frozen=True)
 class LpResult:
@@ -513,125 +496,27 @@ class LpResult:
     value: float | None = None
 
 
-def solve_lp(objective, poly: Polyhedron, max_iters: int = 20_000,
-             _feasibility_probe: bool = False) -> LpResult:
+# scipy.optimize.linprog status codes that are results rather than failures
+_LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def solve_lp(objective, poly: Polyhedron) -> LpResult:
     """Maximize objective . z subject to poly.C z <= poly.d, z free.
 
-    Two-phase dense primal simplex.  Free variables are split z = u - w,
-    slacks complete the starting basis, and Bland's smallest-index rule picks
-    both the entering column and the leaving row, so the solve is
-    deterministic and cannot cycle.  Infeasible and unbounded outcomes are
-    ordinary results, not errors.
+    Solved by HiGHS through scipy's linprog (Huangfu & Hall, Math. Prog.
+    Comp. 2018), which is deterministic for a given problem.  Infeasible and
+    unbounded outcomes are ordinary results; a solve that stops for any
+    other reason (iteration limit, numerical trouble) raises
+    SimplexIterationLimit.
     """
     c_obj = as_vector(objective, poly.dim, "objective")
-    A = poly.C
-    b = poly.d.copy()
-    m, n = A.shape
-    if m == 0:
-        if np.linalg.norm(c_obj) <= 1e-15:
-            return LpResult("optimal", np.zeros(n), 0.0)
-        return LpResult("unbounded")
-
-    # columns: u (n), w (n), slacks (m), then any phase-1 artificials
-    ncols = 2 * n + m
-    T = np.zeros((m, ncols))
-    T[:, :n] = A
-    T[:, n:2 * n] = -A
-    T[:, 2 * n:] = np.eye(m)
-    rhs = b.copy()
-    flip = rhs < 0
-    T[flip] *= -1.0
-    rhs[flip] *= -1.0
-
-    basis = np.array([2 * n + i for i in range(m)])
-    art_rows = np.where(flip)[0]
-    if art_rows.size:
-        Art = np.zeros((m, art_rows.size))
-        for j, i in enumerate(art_rows):
-            Art[i, j] = 1.0
-            basis[i] = ncols + j
-        T = np.hstack([T, Art])
-
-    tol = 1e-9
-
-    def run_simplex(T, rhs, basis, cost, iter_budget):
-        """Minimize cost . x in place; returns (iterations, unbounded)."""
-        it = 0
-        mm = T.shape[0]
-        while True:
-            if it >= iter_budget:
-                raise SimplexIterationLimit(
-                    f"simplex exceeded {iter_budget} pivots"
-                )
-            reduced = cost - cost[basis] @ T
-            candidates = np.where(reduced < -tol)[0]
-            if candidates.size == 0:
-                return it, False
-            entering = int(candidates[0])  # Bland: smallest index
-            col = T[:, entering]
-            pos = col > tol
-            if not np.any(pos):
-                return it, True
-            ratios = np.full(mm, np.inf)
-            ratios[pos] = rhs[pos] / col[pos]
-            best = np.min(ratios)
-            ties = np.where(ratios <= best + 1e-12)[0]
-            leave = int(ties[np.argmin(basis[ties])])
-            piv = T[leave, entering]
-            T[leave] /= piv
-            rhs[leave] /= piv
-            fac = T[:, entering].copy()
-            fac[leave] = 0.0
-            T -= np.outer(fac, T[leave])
-            rhs -= fac * rhs[leave]
-            np.copyto(rhs, 0.0, where=(rhs < 0) & (rhs > -1e-11))
-            basis[leave] = entering
-            it += 1
-
-    used = 0
-    if art_rows.size:
-        cost1 = np.zeros(T.shape[1])
-        cost1[ncols:] = 1.0
-        used, unb = run_simplex(T, rhs, basis, cost1, max_iters)
-        if unb:
-            raise SimplexIterationLimit("phase-1 reported an unbounded ray")
-        art_basic = basis >= ncols
-        if float(np.sum(rhs[art_basic])) > 1e-7:
-            return LpResult("infeasible")
-        # pivot leftover artificials out; rows that cannot pivot are
-        # redundant and get dropped
-        drop = []
-        for i in np.where(art_basic)[0]:
-            row = T[i, :ncols]
-            j = int(np.argmax(np.abs(row)))
-            if abs(row[j]) > tol:
-                piv = T[i, j]
-                T[i] /= piv
-                rhs[i] /= piv
-                fac = T[:, j].copy()
-                fac[i] = 0.0
-                T -= np.outer(fac, T[i])
-                rhs -= fac * rhs[i]
-                basis[i] = j
-            else:
-                drop.append(i)
-        if drop:
-            keep = np.setdiff1d(np.arange(T.shape[0]), drop)
-            T = T[keep]
-            rhs = rhs[keep]
-            basis = basis[keep]
-        T = T[:, :ncols]
-
-    if _feasibility_probe:
-        return LpResult("optimal", np.zeros(n), 0.0)
-
-    cost2 = np.zeros(T.shape[1])
-    cost2[:n] = -c_obj          # maximize c.z == minimize -c.(u - w)
-    cost2[n:2 * n] = c_obj
-    _, unb = run_simplex(T, rhs, basis, cost2, max_iters - used)
-    if unb:
-        return LpResult("unbounded")
-    x = np.zeros(T.shape[1])
-    x[basis] = rhs
-    z = x[:n] - x[n:2 * n]
-    return LpResult("optimal", z, float(c_obj @ z))
+    res = linprog(-c_obj, A_ub=poly.C, b_ub=poly.d, bounds=(None, None),
+                  method="highs")
+    status = _LP_STATUS.get(res.status)
+    if status is None:
+        raise SimplexIterationLimit(
+            f"LP solver stopped with status {res.status}: {res.message}")
+    if status != "optimal":
+        return LpResult(status)
+    # + 0.0 turns the -0.0 HiGHS reports on zero-value LPs into 0.0
+    return LpResult(status, res.x, float(c_obj @ res.x) + 0.0)

@@ -357,7 +357,7 @@ def preimage_distance_batch(F: MultiMap, Y: np.ndarray, X: np.ndarray,
     dist = np.linalg.norm(X[live] - U, axis=1)
     bad = resid > 1e-7
     if np.any(bad):
-        # Dykstra stalled: decide emptiness per sample by phase-1 LP
+        # Dykstra stalled: decide emptiness per sample by LP
         idx = np.where(bad)[0]
         for i in idx:
             poly = Polyhedron(Gnz, rhs[live][i, ~zero])

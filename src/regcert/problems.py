@@ -26,8 +26,16 @@ from .multimap import (AffineMap, MultiMap, PolynomialMap, SearchRegion,
 
 SCHEMA_VERSION = 1
 
-ANALYSIS_OPS = ("modulus", "slope", "robinson", "coderivative", "perturb",
-                "sweep", "error_bound")
+# op -> (required parameters, optional parameters); no other key is accepted
+ANALYSIS_OPS = {
+    "modulus": ((), ("tau_target",)),
+    "slope": (("tau",), ("n_points", "slope_budget", "slack")),
+    "robinson": ((), ("ybar",)),
+    "coderivative": ((), ("delta_ladder", "samples_per_delta", "m")),
+    "perturb": (("tau", "delta", "ybar_norm", "alpha", "L"), ()),
+    "sweep": ((), ("tau_target", "p_grid")),
+    "error_bound": (("xbar",), ("max_slope_points", "slope_budget")),
+}
 
 FAMILY_KINDS = ("scale",)
 
@@ -233,6 +241,7 @@ def _parse_analysis(data, path: str) -> dict:
         raise ProblemFileError(f"{path}.op",
                                f"unknown op {op!r}; available: "
                                f"{', '.join(ANALYSIS_OPS)}")
+    accepted = sum(ANALYSIS_OPS[op], ())
     out = {"op": op}
     for key, value in data.items():
         if key == "op":
@@ -244,10 +253,11 @@ def _parse_analysis(data, path: str) -> dict:
                      "ybar_norm", "m", "slack"):
             out[key] = _float(value, kpath)
         elif key in ("n_points", "slope_budget", "samples_per_delta",
-                     "ladder_depth", "pairs_per_level", "max_slope_points"):
+                     "max_slope_points"):
             out[key] = _int(value, kpath, minimum=1)
-        else:
-            raise ProblemFileError(kpath, f"unknown parameter for op {op!r}")
+        if key not in accepted:
+            raise ProblemFileError(kpath, f"unknown parameter for op {op!r}; "
+                                          f"accepted: {', '.join(accepted)}")
     return out
 
 

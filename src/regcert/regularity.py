@@ -12,7 +12,7 @@ and each run is a pure function of (query, seed).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .multimap import (
     image_distance,
     image_distance_batch,
     membership_values,
-    preimage_distance,
     preimage_distance_batch,
 )
 from .slopes import ScalarField, global_slope
@@ -81,6 +80,10 @@ class RegularityQuery:
         self.epsilon = float(self.epsilon)
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise InvalidParameter("epsilon must be positive")
+        self.tol_member = float(self.tol_member)
+        if not (np.isfinite(self.tol_member) and self.tol_member >= 0.0):
+            raise InvalidParameter("tol_member must be finite and "
+                                   "nonnegative")
         if self.dc is not None and self.dc.dim != self.F.dim_out:
             raise DimensionMismatch("direction cone lives in the wrong space")
         gap = image_distance(self.F, self.x0, self.y0)
@@ -125,21 +128,29 @@ def _admissible_mask(q: RegularityQuery, X: np.ndarray, Y: np.ndarray):
     return member & (img > _MIN_IMAGE) & (img < q.epsilon), img
 
 
+def _pair_block(q: RegularityQuery, label: str, index: int, radius: float,
+                count: int):
+    """Pairs of block index of the label's stream in B(x0, radius) x
+    B(y0, radius), with their image distances and admissibility mask.
+
+    A full rng.BLOCK is drawn and the first count pairs kept, so a larger
+    budget only appends pairs.
+    """
+    X = rng.ball_points(rng.stream(q.seed, label + "-x", index),
+                        rng.BLOCK, q.x0, radius)[:count]
+    Y = rng.ball_points(rng.stream(q.seed, label + "-y", index),
+                        rng.BLOCK, q.y0, radius)[:count]
+    adm, img = _admissible_mask(q, X, Y)
+    return X, Y, img, adm
+
+
 def _modulus_block(q: RegularityQuery, bi: int, collect: bool):
     nb = rng.block_size(q.region.sample_budget, bi)
-    X = rng.ball_points(rng.stream(q.seed, "modulus-x", bi),
-                        rng.BLOCK, q.x0, q.epsilon)[:nb]
-    Y = rng.ball_points(rng.stream(q.seed, "modulus-y", bi),
-                        rng.BLOCK, q.y0, q.epsilon)[:nb]
-    adm, img = _admissible_mask(q, X, Y)
+    X, Y, img, adm = _pair_block(q, "modulus", bi, q.epsilon, nb)
     pre = np.full(nb, np.nan)
     need = np.ones(nb, dtype=bool) if collect else adm
     if np.any(need):
-        if q.F.exact_preimage:
-            pre[need] = preimage_distance_batch(q.F, Y[need], X[need])
-        else:
-            pre[need] = [preimage_distance(q.F, yv, xv)
-                         for xv, yv in zip(X[need], Y[need])]
+        pre[need] = preimage_distance_batch(q.F, Y[need], X[need])
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(img > _MIN_IMAGE, pre / img, np.nan)
     return X, Y, img, pre, ratio, adm
@@ -200,17 +211,12 @@ def _admissible_pairs(q: RegularityQuery, label: str, count: int):
     out = []
     budget = q.region.sample_budget
     for bi in range(rng.block_count(budget)):
-        nb = rng.block_size(budget, bi)
-        X = rng.ball_points(rng.stream(q.seed, label + "-x", bi),
-                            rng.BLOCK, q.x0, q.epsilon)[:nb]
-        Y = rng.ball_points(rng.stream(q.seed, label + "-y", bi),
-                            rng.BLOCK, q.y0, q.epsilon)[:nb]
-        adm, _ = _admissible_mask(q, X, Y)
-        for i in np.where(adm)[0]:
-            out.append((X[i].copy(), Y[i].copy()))
-            if len(out) >= count:
-                return out
-    return out
+        X, Y, _, adm = _pair_block(q, label, bi, q.epsilon,
+                                   rng.block_size(budget, bi))
+        out += zip(X[adm], Y[adm])
+        if len(out) >= count:
+            break
+    return out[:count]
 
 
 def _envelope_field(q: RegularityQuery, y: np.ndarray,
@@ -224,6 +230,17 @@ def _envelope_field(q: RegularityQuery, y: np.ndarray,
         return float(batch(np.asarray(u, dtype=float)[None, :])[0])
 
     return ScalarField(F.dim_in, fn, batch)
+
+
+def _envelope_slopes(q: RegularityQuery, pairs, halfwidth: float,
+                     resolution: int, budget: int) -> list:
+    """Global slope of u -> envelope(F, dc, u, y) at x for each (x, y),
+    searched in the box x0 +- halfwidth."""
+    box = np.stack([q.x0 - halfwidth, q.x0 + halfwidth], axis=1)
+    sregion = SearchRegion(box, resolution, budget, q.seed)
+    lip = q.F.lipschitz_bound(box)
+    return [float(global_slope(_envelope_field(q, y, lip), x, sregion).value)
+            for x, y in pairs]
 
 
 @dataclass
@@ -257,16 +274,11 @@ def slope_criterion(q: RegularityQuery, tau: float, n_points: int = 24,
     if not pairs:
         raise NoAdmissibleSamples(
             f"membership filter rejected all {q.region.sample_budget} samples")
-    box = np.stack([q.x0 - 2.5 * q.epsilon, q.x0 + 2.5 * q.epsilon], axis=1)
-    sregion = SearchRegion(box, 7, slope_budget, q.seed)
-    lip = q.F.lipschitz_bound(box)
-    slopes = []
-    for x, yv in pairs:
-        est = global_slope(_envelope_field(q, yv, lip), x, sregion)
-        slopes.append((x, yv, float(est.value)))
-    min_slope = min(s for _, _, s in slopes)
+    slopes = _envelope_slopes(q, pairs, 2.5 * q.epsilon, 7, slope_budget)
+    min_slope = min(slopes)
     threshold = (1.0 / tau) * (1.0 - slack)
-    violators = [t for t in slopes if t[2] < threshold]
+    violators = [(x, y, s) for (x, y), s in zip(pairs, slopes)
+                 if s < threshold]
     return SlopeCriterionResult(min_slope >= threshold, float(min_slope),
                                 violators, threshold, float(tau), slack)
 
@@ -286,20 +298,12 @@ def modulus_from_slopes(q: RegularityQuery, ladder_depth: int = 5,
     levels = []
     for k in range(ladder_depth):
         r = q.epsilon * 0.5 ** k
-        X = rng.ball_points(rng.stream(q.seed, "mfs-x", k),
-                            rng.BLOCK, q.x0, r)
-        Y = rng.ball_points(rng.stream(q.seed, "mfs-y", k),
-                            rng.BLOCK, q.y0, r)
-        adm, img = _admissible_mask(q, X, Y)
-        idx = np.where(adm & (img >= 0.05 * r))[0][:pairs_per_level]
-        if idx.size == 0:
-            continue
-        box = np.stack([q.x0 - 8.0 * r, q.x0 + 8.0 * r], axis=1)
-        sregion = SearchRegion(box, 5, slope_budget, q.seed)
-        lip = q.F.lipschitz_bound(box)
-        vals = [global_slope(_envelope_field(q, Y[i], lip), X[i],
-                             sregion).value for i in idx]
-        levels.append(min(vals))
+        X, Y, img, adm = _pair_block(q, "mfs", k, r, rng.BLOCK)
+        keep = adm & (img >= 0.05 * r)
+        pairs = list(zip(X[keep], Y[keep]))[:pairs_per_level]
+        if pairs:
+            levels.append(min(_envelope_slopes(q, pairs, 8.0 * r, 5,
+                                               slope_budget)))
     if not levels:
         raise NoAdmissibleSamples(
             "membership filter rejected every ladder level")
@@ -624,21 +628,3 @@ def parametric_sweep(family, p_grid, q_template: RegularityQuery,
         per_p.append((p, float(est.sup_ratio)))
         uniform = max(uniform, float(est.sup_ratio))
     return SweepResult(float(uniform), per_p)
-
-
-# ---------------------------------------------------------------------------
-# Aggregate report container (serialized by the cli module).
-
-@dataclass
-class RegularityReport:
-    """Everything a criterion run produced, reproducible from (query, seed)."""
-
-    verdicts: dict = field(default_factory=dict)
-    modulus_estimate: float | None = None
-    min_slope: float | None = None
-    coderivative_inf: float | None = None
-    robinson_margin: float | None = None
-    witnesses: dict = field(default_factory=dict)
-    seed: int = 0
-    tolerances: dict = field(default_factory=dict)
-    norm_choice: str = NORM_CHOICE

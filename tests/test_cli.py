@@ -14,8 +14,8 @@ import regcert
 from regcert.cli import main
 from regcert.geometry import TOL_MEMBER
 from regcert.instances import builtin, registry_names
-from regcert.problems import (instance_problem, load_problem, parse_problem,
-                              samples_csv)
+from regcert.problems import (ANALYSIS_OPS, instance_problem, load_problem,
+                              parse_problem, problem_to_dict, samples_csv)
 from regcert.regularity import RegularityQuery, empirical_directional_modulus
 
 
@@ -244,11 +244,68 @@ def test_lattice_cap_is_guard_exit(capsys):
     assert "internal guard" in err
 
 
+def test_lp_solver_stop_is_guard_exit(capsys, tmp_path, monkeypatch):
+    import regcert.geometry as geometry
+    from scipy.optimize import OptimizeResult
+
+    def stopped(*args, **kwargs):
+        # linprog's status 1: the iteration limit was reached
+        return OptimizeResult(status=1, message="Iteration limit reached.",
+                              x=None, fun=None)
+
+    monkeypatch.setattr(geometry, "linprog", stopped)
+    code, _, err = run(capsys, ["robinson", "identity2", "--no-timestamp"])
+    assert code == 3
+    assert "internal guard" in err
+    rep = tmp_path / "report.json"
+    code, _, _ = run(capsys, ["analyze", "identity2", "--no-timestamp",
+                              "--out", str(rep)])
+    assert code == 3
+    errors = {r["op"]: r["error"]
+              for r in json.loads(rep.read_text())["analyses"]}
+    assert errors["robinson"]["type"] == "SimplexIterationLimit"
+    assert errors["modulus"] is None
+
+
 def test_bad_flag_values_are_input_errors(capsys):
     code, _, err = run(capsys, ["analyze", "identity2", "--budget", "0"])
     assert code == 2
     code, _, err = run(capsys, ["robinson", "identity2", "--ybar", "a,b"])
     assert code == 2
+    for tol in ("-1", "nan", "inf"):
+        code, _, err = run(capsys, ["analyze", "identity2", "--tol", tol])
+        assert code == 2
+        assert "tol_member" in err and "not in F(x0)" not in err
+    for threads in ("0", "-2"):
+        code, _, err = run(capsys, ["analyze", "identity2", "--threads",
+                                    threads])
+        assert code == 2
+        assert "--threads" in err
+
+
+def test_analysis_parameters_follow_the_op_table(capsys, tmp_path):
+    rep = tmp_path / "report.json"
+
+    def analyze(analyses):
+        data = problem_to_dict(instance_problem(builtin("identity2")))
+        data["analyses"] = analyses
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data))
+        return run(capsys, ["analyze", str(path), "--out", str(rep)])
+
+    # a key the op does not read is rejected, not copied into the report
+    code, _, err = analyze([{"op": "robinson", "tau": 3, "ladder_depth": 2}])
+    assert code == 2
+    assert "analyses[0].tau" in err and "unknown parameter" in err
+    assert not rep.exists()
+    # every required key of every op is checked before any analysis runs
+    for op, (required, _) in ANALYSIS_OPS.items():
+        for key in required:
+            spec = {"op": op, **{k: 0.5 for k in required if k != key}}
+            code, _, err = analyze([{"op": "modulus"}, spec])
+            assert code == 2
+            assert f"analyses[1].{key}" in err
+            assert not rep.exists()
 
 
 # ---------------------------------------------------------------------------

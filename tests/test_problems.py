@@ -10,6 +10,7 @@ from regcert.geometry import Ball, Polyhedron, ProductSet, Singleton
 from regcert.instances import builtin, registry_names
 from regcert.multimap import AffineMap, PolynomialMap
 from regcert.problems import (
+    ANALYSIS_OPS,
     canonical_json,
     instance_problem,
     jsonable,
@@ -160,6 +161,25 @@ def test_analysis_validation():
     data["analyses"] = [{"op": "modulus", "n_points": 0}]
     err = raises_at(data, "analyses[0].n_points")
     assert ">= 1" in str(err)
+
+
+def test_each_op_accepts_only_its_own_parameters():
+    values = {"ybar": [1.0, 0.0], "p_grid": [1.0, 2.0],
+              "delta_ladder": [0.1], "xbar": [0.5, 0.5],
+              "n_points": 3, "slope_budget": 3, "samples_per_delta": 3,
+              "max_slope_points": 3}
+    data = minimal_problem_dict()
+    for op, (required, optional) in ANALYSIS_OPS.items():
+        spec = {"op": op}
+        spec.update({k: values.get(k, 0.5) for k in required + optional})
+        data["analyses"] = [spec]
+        assert parse_problem(data).analyses == (spec,)
+        for key in values.keys() | {"tau", "m", "L", "ladder_depth"}:
+            if key in required + optional:
+                continue
+            data["analyses"] = [{"op": op, key: values.get(key, 2)}]
+            err = raises_at(data, f"analyses[0].{key}")
+            assert f"unknown parameter for op {op!r}" in str(err)
 
 
 def test_region_validation():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcert.errors import (
     DimensionMismatch,
@@ -19,6 +21,7 @@ from regcert.regularity import (
     CoderivativeEstimate,
     DualPair,
     RegularityQuery,
+    _admissible_pairs,
     coderivative_criterion,
     convex_range_condition,
     empirical_directional_modulus,
@@ -50,6 +53,9 @@ def test_query_rejects_bad_inputs():
         RegularityQuery(inst.F, inst.x0, np.array([5.0, 5.0]))
     with pytest.raises(InvalidParameter):
         RegularityQuery(inst.F, inst.x0, inst.y0, epsilon=0.0)
+    for tol in (-1.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameter):
+            RegularityQuery(inst.F, inst.x0, inst.y0, tol_member=tol)
     with pytest.raises(DimensionMismatch):
         RegularityQuery(inst.F, inst.x0, inst.y0,
                         dc=DirectionalCone([1.0], 0.1))
@@ -94,6 +100,28 @@ def test_modulus_budget_monotone():
     large = empirical_directional_modulus(query("diag_2_05", budget=2000))
     assert small.sup_ratio <= large.sup_ratio + 1e-15
     assert small.n_admissible <= large.n_admissible
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(300, 1100), st.integers(1, 600), st.integers(1, 40),
+       st.integers(0, 2 ** 31 - 1))
+def test_budget_prefix_on_the_pair_kernel(b1, extra, count, seed):
+    # a larger budget only appends pairs: same draws, same admissibility;
+    # from 300 pairs up an admissible one is all but certain
+    q1 = query("halfplane_directional", seed=seed, budget=b1)
+    q2 = query("halfplane_directional", seed=seed, budget=b1 + extra)
+    r1 = empirical_directional_modulus(q1, collect=True).samples
+    r2 = empirical_directional_modulus(q2, collect=True).samples[:b1]
+    for a, b in zip(r1, r2, strict=True):
+        assert np.array_equal(a["x"], b["x"])
+        assert np.array_equal(a["y"], b["y"])
+        assert a["admissible"] == b["admissible"]
+        assert a["image_dist"] == b["image_dist"]
+    p1 = _admissible_pairs(q1, "slope-crit", count)
+    p2 = _admissible_pairs(q2, "slope-crit", count)[:len(p1)]
+    assert len(p2) == len(p1)
+    for (x1, y1), (x2, y2) in zip(p1, p2):
+        assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
 
 def test_modulus_collect_records():
