@@ -11,8 +11,8 @@ problem files and curated instances.
 
 from .errors import (DimensionMismatch, EmptySet, GridTooCoarse,
                      GridTooLarge, InSet, InvalidParameter,
-                     InvalidPerturbation, NoAdmissibleSamples, NotAffine,
-                     NotInSet, NotPolyhedral, ProblemFileError, RegcertError,
+                     InvalidPerturbation, NoAdmissibleSamples, NotInSet,
+                     NotPolyhedral, ProblemFileError, RegcertError,
                      SimplexIterationLimit, UnknownInstance)
 from .geometry import (Ball, ConvexSet, DirectionalCone, Polyhedron,
                        ProductSet, Singleton, normal_cone_generators,
@@ -30,7 +30,7 @@ from .problems import (Problem, canonical_json, instance_problem,
 from .regularity import (CoderivativeEstimate, DualPair, InteriorityResult,
                          ModulusEstimate, RegularityQuery,
                          SlopeCriterionResult, SweepResult,
-                         coderivative_criterion, convex_range_condition,
+                         coderivative_criterion,
                          empirical_directional_modulus, modulus_from_slopes,
                          parametric_sweep, perturbation_bound,
                          robinson_condition, sample_dual_pairs,
@@ -46,13 +46,13 @@ __all__ = [
     "ErrorBoundCertificate", "Grid", "GridTooCoarse", "GridTooLarge",
     "InSet", "InteriorityResult", "InvalidParameter", "InvalidPerturbation",
     "KnownTruth", "ModulusEstimate", "MultiMap", "NamedInstance",
-    "NoAdmissibleSamples", "NotAffine", "NotInSet", "NotPolyhedral",
+    "NoAdmissibleSamples", "NotInSet", "NotPolyhedral",
     "Polyhedron", "PolynomialMap", "Problem", "ProblemFileError",
     "ProductSet", "RegcertError", "RegularityQuery",
     "ScalarField", "SearchRegion", "SimplexIterationLimit", "Singleton",
     "SlopeCriterionResult", "SlopeEstimate", "SmoothMap", "SweepResult",
     "UnknownInstance", "builtin", "canonical_json", "clamp_distance_batch",
-    "coderivative_criterion", "convex_range_condition", "default_region",
+    "coderivative_criterion", "default_region",
     "empirical_directional_modulus", "envelope_batch",
     "error_bound_certificate", "global_slope", "grid_global_slope",
     "grid_modulus", "grid_preimage_distance", "image_distance",

@@ -27,15 +27,16 @@ import numpy as np
 
 from . import __version__
 from .errors import (DimensionMismatch, GridTooLarge, InvalidParameter,
-                     NotAffine, NotInSet, NotPolyhedral, ProblemFileError,
-                     RegcertError, SimplexIterationLimit, UnknownInstance)
+                     NotInSet, NotPolyhedral, ProblemFileError, RegcertError,
+                     SimplexIterationLimit, UnknownInstance)
 from .geometry import TOL_FEAS, TOL_MEMBER
 from .instances import builtin, registry_names
-from .multimap import default_region, image_distance, image_distance_batch
+from .multimap import (as_polyhedron, default_region, image_distance,
+                       image_distance_batch)
 from .oracle import Grid, grid_modulus
 from .problems import (ANALYSIS_OPS, SCHEMA_VERSION, Problem,
                        canonical_json, instance_problem, load_problem,
-                       problem_to_dict, samples_csv)
+                       parse_analysis, problem_to_dict, samples_csv)
 from .regularity import (NORM_CHOICE, SLOPE_SLACK, RegularityQuery,
                          coderivative_criterion,
                          empirical_directional_modulus, parametric_sweep,
@@ -46,8 +47,7 @@ from .slopes import ScalarField, error_bound_certificate
 _GUARDS = (GridTooLarge, SimplexIterationLimit)
 
 _INPUT_ERRORS = (ProblemFileError, UnknownInstance, NotInSet,
-                 DimensionMismatch, InvalidParameter, NotAffine,
-                 NotPolyhedral)
+                 DimensionMismatch, InvalidParameter, NotPolyhedral)
 
 _EPILOG = """\
 precedence: command-line flags > problem-file values > library defaults.
@@ -76,6 +76,17 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_report(args, report: dict) -> None:
+    """Stamp the report and write it to --out, when one is given."""
+    if not getattr(args, "out", None):
+        return
+    report["schema_version"] = SCHEMA_VERSION
+    report["generated_at"] = (None if args.no_timestamp
+                              else datetime.now(timezone.utc).isoformat())
+    _write_atomic(args.out, canonical_json(report))
+    print(f"report written to {args.out}")
+
+
 def _parse_floats(text: str, flag: str) -> list:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -101,6 +112,8 @@ def _build_query(problem: Problem, args) -> RegularityQuery:
             raise InvalidParameter("--budget must be positive")
         region = replace(region, sample_budget=args.budget)
     if getattr(args, "seed", None) is not None:
+        if not 0 <= args.seed < 2 ** 64:
+            raise InvalidParameter("--seed must lie in [0, 2^64)")
         region = replace(region, seed=args.seed)
     if args.threads < 1:
         raise InvalidParameter("--threads must be at least 1")
@@ -115,7 +128,8 @@ def _build_query(problem: Problem, args) -> RegularityQuery:
 # Analysis ops.  Each runner returns the result payload, a verdict and the
 # per-sample records it collected (collect asks for them; only the modulus
 # run has any).  Verdicts stay None for purely informational runs (no target
-# given).
+# given).  Parameters the library reads pass through as keyword arguments,
+# so an absent one takes the library default.
 
 def _residual_field(q: RegularityQuery) -> ScalarField:
     y0 = q.y0
@@ -128,6 +142,14 @@ def _residual_field(q: RegularityQuery) -> ScalarField:
                        batch=batch)
 
 
+def _within_target(value: float, params) -> bool | None:
+    """Verdict value <= tau_target, or None when no target is given."""
+    target = params.get("tau_target")
+    if target is None:
+        return None
+    return bool(np.isfinite(value) and value <= target)
+
+
 def _run_modulus(problem, q, params, args, collect):
     est = empirical_directional_modulus(q, threads=args.threads,
                                         collect=collect)
@@ -136,18 +158,11 @@ def _run_modulus(problem, q, params, args, collect):
         witness = {"x": est.worst_witness[0], "y": est.worst_witness[1]}
     result = {"sup_ratio": est.sup_ratio, "n_admissible": est.n_admissible,
               "n_checked": est.n_checked, "worst_witness": witness}
-    target = params.get("tau_target")
-    holds = None
-    if target is not None:
-        holds = bool(np.isfinite(est.sup_ratio) and est.sup_ratio <= target)
-    return result, holds, est.samples
+    return result, _within_target(est.sup_ratio, params), est.samples
 
 
 def _run_slope(problem, q, params, args, collect):
-    res = slope_criterion(q, params["tau"],
-                          n_points=params.get("n_points", 24),
-                          slope_budget=params.get("slope_budget", 300),
-                          slack=params.get("slack", SLOPE_SLACK))
+    res = slope_criterion(q, **params)
     result = {"min_slope": res.min_slope, "threshold": res.threshold,
               "tau": res.tau, "slack": res.slack,
               "n_violators": len(res.violators),
@@ -163,17 +178,15 @@ def _run_robinson(problem, q, params, args, collect):
         ybar = q.dc.ybar
     else:
         ybar = np.zeros(q.F.dim_out)
-    res = robinson_condition(q.F, q.x0, ybar)
+    res = robinson_condition(q.F, q.x0, q.y0, ybar)
     result = {"margin": res.margin, "ybar": ybar,
               "lambda_max": res.lambda_max, "u_max": res.u_max}
     return result, bool(res.holds), None
 
 
 def _run_coderivative(problem, q, params, args, collect):
-    ladder = tuple(params.get("delta_ladder", (0.2, 0.1, 0.05)))
     est = coderivative_criterion(
-        q, delta_ladder=ladder,
-        samples_per_delta=params.get("samples_per_delta", 800))
+        q, **{k: v for k, v in params.items() if k != "m"})
     result = {"inf_value": est.inf_value,
               "per_delta": [{"delta": d, "min": v, "n_pairs": n}
                             for d, v, n in est.per_delta],
@@ -194,19 +207,12 @@ def _run_sweep(problem, q, params, args, collect):
     res = parametric_sweep(family, grid, q, threads=args.threads)
     result = {"uniform_modulus": res.uniform_modulus,
               "per_p": [{"p": p, "sup_ratio": s} for p, s in res.per_p]}
-    target = params.get("tau_target")
-    holds = None
-    if target is not None:
-        holds = bool(np.isfinite(res.uniform_modulus)
-                     and res.uniform_modulus <= target)
-    return result, holds, None
+    return result, _within_target(res.uniform_modulus, params), None
 
 
 def _run_error_bound(problem, q, params, args, collect):
-    cert = error_bound_certificate(
-        _residual_field(q), np.asarray(params["xbar"], dtype=float),
-        q.region, max_slope_points=params.get("max_slope_points", 16),
-        slope_budget=params.get("slope_budget", 300))
+    cert = error_bound_certificate(_residual_field(q), region=q.region,
+                                   **params)
     result = {"f_value": cert.f_value, "d_sublevel": cert.d_sublevel,
               "slope_inf": cert.slope_inf,
               "n_slope_points": cert.n_slope_points,
@@ -218,7 +224,7 @@ def _precheck_coderivative(problem, spec, path):
     if problem.dc is None:
         raise ProblemFileError(path,
                                "coderivative analysis needs a direction")
-    if problem.F.K_polyhedron is None:
+    if as_polyhedron(problem.F.K) is None:
         raise ProblemFileError(
             path, "coderivative analysis needs a polyhedral constraint set")
 
@@ -365,7 +371,6 @@ def _run_problem(problem: Problem, args) -> int:
     summary, witnesses = _summaries(records)
 
     report = {
-        "schema_version": SCHEMA_VERSION,
         "problem": problem_to_dict(problem),
         "query": {"epsilon": q.epsilon, "seed": q.seed,
                   "sample_budget": q.region.sample_budget,
@@ -379,8 +384,6 @@ def _run_problem(problem: Problem, args) -> int:
         "tolerances": {"tol_member": q.tol_member, "tol_feas": TOL_FEAS,
                        "slope_slack": SLOPE_SLACK},
         "norm_choice": NORM_CHOICE,
-        "generated_at": None if args.no_timestamp
-        else datetime.now(timezone.utc).isoformat(),
         "wall_time_s": None if args.no_timestamp else round(wall, 3),
     }
 
@@ -389,9 +392,7 @@ def _run_problem(problem: Problem, args) -> int:
           f"{q.region.sample_budget}")
     for record in records:
         print("  " + _describe(record))
-    if getattr(args, "out", None):
-        _write_atomic(args.out, canonical_json(report))
-        print(f"report written to {args.out}")
+    _write_report(args, report)
     if want_csv:
         if all_samples is None:
             print("no modulus samples collected; csv not written",
@@ -411,7 +412,8 @@ def _run_problem(problem: Problem, args) -> int:
 def _cmd_run(args) -> int:
     """Run the problem's analyses or, for a single-analysis command, only
     args.op; each parameter of that op comes from the flag of the same
-    name, comma-separated lists arriving as text."""
+    name, comma-separated lists arriving as text, and is validated like a
+    problem-file value."""
     problem = _load_target(args.problem)
     if args.op is not None:
         spec = {"op": args.op}
@@ -421,7 +423,7 @@ def _cmd_run(args) -> int:
                 value = _parse_floats(value, "--" + key.replace("_", "-"))
             if value is not None:
                 spec[key] = value
-        problem.analyses = (spec,)
+        problem.analyses = (parse_analysis(spec, "flags"),)
     return _run_problem(problem, args)
 
 
@@ -429,16 +431,8 @@ def _cmd_perturb(args) -> int:
     params = {key: getattr(args, key) for key in ANALYSIS_OPS["perturb"][0]}
     bound = perturbation_bound(**params)
     print(_fmt(bound))
-    if args.out:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "analysis": {"op": "perturb", **params},
-            "result": {"bound": bound},
-            "generated_at": None if args.no_timestamp
-            else datetime.now(timezone.utc).isoformat(),
-        }
-        _write_atomic(args.out, canonical_json(report))
-        print(f"report written to {args.out}")
+    _write_report(args, {"analysis": {"op": "perturb", **params},
+                         "result": {"bound": bound}})
     return 0
 
 
@@ -446,8 +440,8 @@ def _cmd_oracle_check(args) -> int:
     problem = _load_target(args.problem)
     q = _build_query(problem, args)
     din, dout = q.F.dim_in, q.F.dim_out
-    px = args.points_x if args.points_x else (201 if din == 1 else 41)
-    py = args.points_y if args.points_y else (201 if dout == 1 else 21)
+    px = (201 if din == 1 else 41) if args.points_x is None else args.points_x
+    py = (201 if dout == 1 else 21) if args.points_y is None else args.points_y
     g_x = Grid(np.stack([q.x0 - 2.5 * q.epsilon, q.x0 + 2.5 * q.epsilon],
                         axis=1), px)
     g_y = Grid(np.stack([q.y0 - q.epsilon, q.y0 + q.epsilon], axis=1), py)
@@ -469,20 +463,14 @@ def _cmd_oracle_check(args) -> int:
     print(f"{name}: estimator={_fmt(emp)} oracle={_fmt(oracle_sup)} "
           f"diff={_fmt(diff)} tol={_fmt(tol)} "
           f"-> {'PASS' if agree else 'FAIL'}")
-    if args.out:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "problem": problem_to_dict(problem),
-            "oracle_check": {"estimator": emp, "oracle": oracle_sup,
-                             "difference": diff, "tolerance": tol,
-                             "grid_step": step, "points_x": px,
-                             "points_y": py, "agree": agree},
-            "seed": q.seed,
-            "generated_at": None if args.no_timestamp
-            else datetime.now(timezone.utc).isoformat(),
-        }
-        _write_atomic(args.out, canonical_json(report))
-        print(f"report written to {args.out}")
+    _write_report(args, {
+        "problem": problem_to_dict(problem),
+        "oracle_check": {"estimator": emp, "oracle": oracle_sup,
+                         "difference": diff, "tolerance": tol,
+                         "grid_step": step, "points_x": px,
+                         "points_y": py, "agree": agree},
+        "seed": q.seed,
+    })
     return 0 if agree else 1
 
 

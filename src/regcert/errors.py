@@ -21,10 +21,6 @@ class NotPolyhedral(RegcertError):
     """Raised when an operation needs a polyhedral set description."""
 
 
-class NotAffine(RegcertError):
-    """Raised when an operation is only defined for affine maps."""
-
-
 class InSet(RegcertError):
     """Raised when a reference point already satisfies the constraint system."""
 

@@ -108,20 +108,25 @@ def _parabola_eb() -> NamedInstance:
                   "bound at 0 still holds with vanishing slope."))
 
 
-def _scale_family(p: float) -> MultiMap:
-    return MultiMap(AffineMap(float(p) * np.eye(2), np.zeros(2)),
-                    Singleton(np.zeros(2)))
+def scale_family(base: MultiMap) -> Callable[[float], MultiMap]:
+    """p -> p f - K for the affine map f of base."""
+    def make(p: float) -> MultiMap:
+        return MultiMap(AffineMap(float(p) * base.f.A, float(p) * base.f.b),
+                        base.K)
+
+    return make
 
 
 def _param_scale() -> NamedInstance:
+    F = MultiMap(AffineMap(np.eye(2), np.zeros(2)), Singleton(np.zeros(2)))
     return NamedInstance(
-        "param_scale", _scale_family(1.0), np.zeros(2), np.zeros(2),
+        "param_scale", F, np.zeros(2), np.zeros(2),
         known=KnownTruth(
             modulus=1.0, robinson=True,
             notes="Family p * x on the grid (1, 1.5, 2); per-p modulus is "
                   "1/p, so the uniform modulus over the sweep is 1, "
                   "attained at p = 1.  Hand derivation."),
-        family=_scale_family, p_grid=(1.0, 1.5, 2.0))
+        family=scale_family(F), p_grid=(1.0, 1.5, 2.0))
 
 
 _REGISTRY: dict[str, Callable[[], NamedInstance]] = {

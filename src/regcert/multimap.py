@@ -214,13 +214,10 @@ class MultiMap:
         return self.f.dim_out
 
     @property
-    def K_polyhedron(self) -> Polyhedron | None:
-        return as_polyhedron(self.K)
-
-    @property
     def exact_preimage(self) -> bool:
         """True when preimage distances follow the exact affine route."""
-        return isinstance(self.f, AffineMap) and self.K_polyhedron is not None
+        return (isinstance(self.f, AffineMap)
+                and as_polyhedron(self.K) is not None)
 
     def lipschitz_bound(self, box: np.ndarray) -> float:
         """Upper estimate of the jacobian spectral norm over a box."""
@@ -321,12 +318,6 @@ def image_distance(F: MultiMap, x, y) -> float:
 # ---------------------------------------------------------------------------
 # Preimage distance.
 
-def _pullback_rows(F: MultiMap):
-    Kp = F.K_polyhedron
-    A, b = F.f.A, F.f.b
-    return Kp.C @ A, Kp.C, Kp.d, b
-
-
 def preimage_distance_batch(F: MultiMap, Y: np.ndarray, X: np.ndarray,
                             region: SearchRegion | None = None) -> np.ndarray:
     """d(x_s, F^{-1}(y_s)) for paired rows of X and Y."""
@@ -336,9 +327,10 @@ def preimage_distance_batch(F: MultiMap, Y: np.ndarray, X: np.ndarray,
         return np.array([
             preimage_distance(F, y, x, region) for x, y in zip(X, Y)
         ])
-    G, C, d, b = _pullback_rows(F)
+    Kp = as_polyhedron(F.K)
+    G = Kp.C @ F.f.A
     # rhs_s = d - C (b - y_s)
-    rhs = d[None, :] - (b[None, :] - Y) @ C.T
+    rhs = Kp.d[None, :] - (F.f.b[None, :] - Y) @ Kp.C.T
     norms = np.linalg.norm(G, axis=1)
     zero = norms <= 1e-12
     out = np.zeros(X.shape[0])
@@ -469,8 +461,7 @@ def _scale_search(K: ConvexSet, Cres: np.ndarray,
         d = K.distance_batch(pts.reshape(-1, m)).reshape(L.shape)
         return np.maximum(d - L * delta, 0.0)
 
-    denom = max(float(np.linalg.norm(ybar)) - delta, 1e-12)
-    lam_hi = 10.0 * (np.linalg.norm(Cres, axis=1) + 1.0) / denom
+    lam_hi = dc._lam_max(np.linalg.norm(Cres, axis=1))
     grid = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, _MEMBERSHIP_GRID - 1)])
     lam = lam_hi[:, None] * grid[None, :]
     vals = h(lam)
@@ -540,15 +531,6 @@ def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
     return vals, certified
 
 
-def directional_membership(F: MultiMap, x, y, dc: DirectionalCone,
-                           tol: float = TOL_MEMBER) -> bool:
-    """True when y lies in F(x) + cone(B(ybar, delta)) within tol."""
-    x = as_vector(x, F.dim_in, "x")
-    y = as_vector(y, F.dim_out, "y")
-    vals, _ = membership_values(F, x[None, :], y[None, :], dc)
-    return bool(vals[0] <= tol)
-
-
 # ---------------------------------------------------------------------------
 # The lower envelope of x -> d(y, F(x)) relative to the membership tube.
 
@@ -598,13 +580,3 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
             out[took] = image_distance_batch(F, X[took], Yt[took])
     return out
 
-
-def envelope(F: MultiMap, dc: DirectionalCone | None, x, y,
-             tol: float = TOL_MEMBER) -> float:
-    """Relative lower envelope of the image distance at (x, y).
-
-    Equals image_distance(F, x, y) when x sits in (the closure of) the set
-    of points whose image tube contains y, +inf outside it.
-    """
-    x = as_vector(x, F.dim_in, "x")
-    return float(envelope_batch(F, dc, x[None, :], y, tol)[0])

@@ -22,6 +22,7 @@ from .errors import (
     GridTooLarge,
     InvalidParameter,
     NoAdmissibleSamples,
+    RegcertError,
 )
 from .geometry import (
     TOL_FEAS,
@@ -193,14 +194,21 @@ def clamp_distance_batch(K: ConvexSet, Z: np.ndarray) -> np.ndarray:
     return np.linalg.norm(Z - W, axis=1) + slack
 
 
-def _image_distance_rows(F: MultiMap, fU: np.ndarray,
-                         v: np.ndarray) -> np.ndarray:
-    # d(v, f(u) - K) = d_K(f(u) - v) row by row
-    return clamp_distance_batch(F.K, fU - v)
-
-
 # ---------------------------------------------------------------------------
 # Preimage distances.
+
+def _warn_if_coarse(F: MultiMap, x: np.ndarray, y: np.ndarray,
+                    what: str) -> None:
+    """Warn GridTooCoarse when the interiority LP at (x, y) toward ybar = 0
+    holds, since solvability then suggests the lattice missed a preimage."""
+    try:
+        holds = robinson_condition(F, x, y, np.zeros(F.dim_out)).holds
+    except RegcertError:
+        return
+    if holds:
+        warnings.warn(f"{what} although the interiority LP holds; the grid "
+                      "is likely too coarse", GridTooCoarse)
+
 
 def _scan_feasible(F: MultiMap, y: np.ndarray, x: np.ndarray, g: Grid,
                    tol: float):
@@ -225,9 +233,8 @@ def grid_preimage_distance(F: MultiMap, y, x, g: Grid,
 
     The query point x joins the candidates, so a feasible x gives 0 even
     off-lattice.  Returns +inf when nothing on the lattice is feasible; in
-    that case a GridTooCoarse warning fires when the interiority LP at x
-    (toward ybar = 0) holds, since solvability then suggests the lattice
-    simply missed the preimage.
+    that case a GridTooCoarse warning fires when the interiority LP at
+    (x, y) holds.
     """
     y = as_vector(y, F.dim_out, "y")
     x = as_vector(x, F.dim_in, "x")
@@ -237,14 +244,7 @@ def grid_preimage_distance(F: MultiMap, y, x, g: Grid,
         return 0.0
     best, _ = _scan_feasible(F, y, x, g, tol_feas)
     if not np.isfinite(best) and warn_coarse:
-        try:
-            rb = robinson_condition(F, x, np.zeros(F.dim_out))
-        except Exception:
-            rb = None
-        if rb is not None and rb.holds:
-            warnings.warn(
-                "no feasible lattice point although the interiority LP "
-                "holds; the grid is likely too coarse", GridTooCoarse)
+        _warn_if_coarse(F, x, y, "no feasible lattice point")
     return best
 
 
@@ -412,7 +412,7 @@ def grid_modulus(F: MultiMap, q: RegularityQuery, g_x: Grid, g_y: Grid,
     coarse_flag = False
     for i in range(V.shape[0]):
         v = V[i]
-        img = _image_distance_rows(F, fU, v)
+        img = clamp_distance_batch(F.K, fU - v)
         ok = (img > min_image) & (img < q.epsilon)
         if q.dc is not None and np.any(ok):
             mv = _oracle_membership(F, fU[ok] - v, q.dc.ybar, q.dc.delta)
@@ -433,13 +433,6 @@ def grid_modulus(F: MultiMap, q: RegularityQuery, g_x: Grid, g_y: Grid,
     if not any_pairs:
         raise NoAdmissibleSamples("no admissible lattice pairs at this step")
     if coarse_flag and isinstance(F.f, AffineMap):
-        try:
-            rb = robinson_condition(F, q.x0, np.zeros(F.dim_out))
-        except Exception:
-            rb = None
-        if rb is not None and rb.holds:
-            warnings.warn(
-                "an admissible pair found no feasible lattice preimage "
-                "although the interiority LP holds; the x grid is likely "
-                "too coarse", GridTooCoarse)
+        _warn_if_coarse(F, q.x0, q.y0, "an admissible pair found no "
+                        "feasible preimage on the x lattice")
     return float(sup)

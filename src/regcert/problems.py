@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ProblemFileError
 from .geometry import (Ball, ConvexSet, DirectionalCone, Polyhedron,
                        ProductSet, Singleton)
-from .instances import NamedInstance
+from .instances import NamedInstance, scale_family
 from .multimap import (AffineMap, MultiMap, PolynomialMap, SearchRegion,
                        SmoothMap)
 
@@ -221,19 +221,13 @@ class Problem:
         if self.family_kind != "scale":
             raise ProblemFileError("family",
                                    "problem declares no sweep family")
-        base = self.F
-        if not isinstance(base.f, AffineMap):
+        if not isinstance(self.F.f, AffineMap):
             raise ProblemFileError("family.kind",
                                    "scale families need an affine map")
-
-        def make(p: float) -> MultiMap:
-            return MultiMap(AffineMap(float(p) * base.f.A,
-                                      float(p) * base.f.b), base.K)
-
-        return make
+        return scale_family(self.F)
 
 
-def _parse_analysis(data, path: str) -> dict:
+def parse_analysis(data, path: str) -> dict:
     if not isinstance(data, dict):
         raise ProblemFileError(path, "expected an object")
     op = _require(data, "op", f"{path}.")
@@ -335,7 +329,7 @@ def parse_problem(data: dict) -> Problem:
     raw_analyses = data.get("analyses", [])
     if not isinstance(raw_analyses, list):
         raise ProblemFileError("analyses", "expected a list")
-    analyses = tuple(_parse_analysis(a, f"analyses[{i}]")
+    analyses = tuple(parse_analysis(a, f"analyses[{i}]")
                      for i, a in enumerate(raw_analyses))
 
     name = data.get("name")

@@ -22,7 +22,6 @@ from .errors import (
     InvalidParameter,
     InvalidPerturbation,
     NoAdmissibleSamples,
-    NotAffine,
     NotInSet,
     NotPolyhedral,
     RegcertError,
@@ -39,7 +38,6 @@ from .geometry import (
     solve_lp,
 )
 from .multimap import (
-    AffineMap,
     MultiMap,
     SearchRegion,
     as_polyhedron,
@@ -441,10 +439,7 @@ def coderivative_criterion(q: RegularityQuery,
             ns = float(np.linalg.norm(s))
             if ns < 1e-9:
                 continue
-            y1s, y2s = y1p / ns, y2p / ns
-            if (np.linalg.norm(y1s) > 1.0 + delta + 1e-9
-                    or float(y1s @ ybar) > delta + 1e-9
-                    or abs(float(y2s @ ybar)) > delta + 1e-9):
+            if not DualPair(y1p / ns, y2p / ns, delta).is_valid(ybar):
                 continue
             val = float(np.linalg.norm(q.F.f.jacobian(X[j]).T @ (s / ns)))
             level_n += 1
@@ -534,33 +529,23 @@ def _interiority_lp(M: np.ndarray, offset: np.ndarray, Kp: Polyhedron,
     return float(u_max)
 
 
-def robinson_condition(F: MultiMap, x0, ybar, lambda_max: float = 10.0,
+def robinson_condition(F: MultiMap, x0, y0, ybar, lambda_max: float = 10.0,
                        u_max: float = 10.0,
                        tol: float = TOL_FEAS) -> InteriorityResult:
-    """LP test that the ray through ybar meets Int(f(x0) + Im J(x0) - K)."""
+    """LP test that the ray through ybar meets Int(f(x0) - y0 + Im J(x0) - K).
+
+    The condition is taken at the graph point (x0, y0): the linearized image
+    set is shifted by y0 before the ray from the origin is tested.  For
+    affine f at x0 = 0 this is the convex range condition, the ray through
+    ybar meeting Int(F(X) - y0).
+    """
     Kp = as_polyhedron(F.K)
     if Kp is None:
         raise NotPolyhedral("K has no halfspace form for the interiority LP")
     x0 = as_vector(x0, F.dim_in, "x0")
-    ybar = as_vector(ybar, F.dim_out, "ybar")
-    margin = _interiority_lp(F.f.jacobian(x0), F.f(x0), Kp, ybar,
-                             float(lambda_max), float(u_max))
-    return InteriorityResult(margin > tol, margin, float(lambda_max),
-                             float(u_max))
-
-
-def convex_range_condition(F: MultiMap, y0, ybar, lambda_max: float = 10.0,
-                           u_max: float = 10.0,
-                           tol: float = TOL_FEAS) -> InteriorityResult:
-    """LP test that the ray through ybar meets Int(F(X) - y0); affine only."""
-    if not isinstance(F.f, AffineMap):
-        raise NotAffine("the convex range condition needs affine f")
-    Kp = as_polyhedron(F.K)
-    if Kp is None:
-        raise NotPolyhedral("K has no halfspace form for the interiority LP")
     y0 = as_vector(y0, F.dim_out, "y0")
     ybar = as_vector(ybar, F.dim_out, "ybar")
-    margin = _interiority_lp(F.f.A, F.f.b - y0, Kp, ybar,
+    margin = _interiority_lp(F.f.jacobian(x0), F.f(x0) - y0, Kp, ybar,
                              float(lambda_max), float(u_max))
     return InteriorityResult(margin > tol, margin, float(lambda_max),
                              float(u_max))

@@ -13,7 +13,8 @@ def vertex_lp_maximum(objective, poly: Polyhedron) -> float | None:
     """Maximum of objective . z over the polyhedron by vertex enumeration.
 
     Only sound for bounded feasible regions; returns None when no row
-    subset yields a feasible vertex.  Independent of the simplex path.
+    subset yields a feasible vertex.  Independent of the HiGHS LP solver
+    that `solve_lp` calls.
     """
     objective = np.asarray(objective, dtype=float)
     C, d = poly.C, poly.d

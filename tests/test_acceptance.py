@@ -152,8 +152,8 @@ def test_criterion_05_coderivative_criterion():
 
 def test_criterion_06_interiority_lp():
     hp = builtin("halfplane_directional")
-    up = robinson_condition(hp.F, hp.x0, np.array([0.0, 1.0]))
-    down = robinson_condition(hp.F, hp.x0, np.array([0.0, -1.0]))
+    up = robinson_condition(hp.F, hp.x0, hp.y0, np.array([0.0, 1.0]))
+    down = robinson_condition(hp.F, hp.x0, hp.y0, np.array([0.0, -1.0]))
     ok = up.holds and up.margin > 0 and not down.holds
 
     ident = builtin("identity2")
@@ -164,7 +164,8 @@ def test_criterion_06_interiority_lp():
     dirs += list(raw / np.linalg.norm(raw, axis=1, keepdims=True))
     n_dirs = 0
     for ybar in dirs:
-        ok = ok and robinson_condition(ident.F, ident.x0, ybar).holds
+        ok = ok and robinson_condition(ident.F, ident.x0, ident.y0,
+                                       ybar).holds
         n_dirs += 1
 
     n_lp = 0

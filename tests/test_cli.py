@@ -267,7 +267,7 @@ def test_lp_solver_stop_is_guard_exit(capsys, tmp_path, monkeypatch):
     assert errors["modulus"] is None
 
 
-def test_bad_flag_values_are_input_errors(capsys):
+def test_bad_flag_values_are_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, ["analyze", "identity2", "--budget", "0"])
     assert code == 2
     code, _, err = run(capsys, ["robinson", "identity2", "--ybar", "a,b"])
@@ -281,6 +281,68 @@ def test_bad_flag_values_are_input_errors(capsys):
                                     threads])
         assert code == 2
         assert "--threads" in err
+    # flags get the validation a problem file gets, and no report is written
+    rep = tmp_path / "report.json"
+    for argv in (["slope", "identity2", "--tau", "1", "--slope-budget", "0"],
+                 ["slope", "identity2", "--tau", "1", "--n-points", "0"],
+                 ["analyze", "identity2", "--seed", "-1"],
+                 ["analyze", "identity2", "--seed", str(2 ** 64)],
+                 ["coderivative", "halfplane_directional",
+                  "--samples-per-delta", "0"],
+                 ["oracle-check", "identity2", "--points-x", "0"],
+                 ["sweep", "param_scale", "--p-grid", ","]):
+        code, _, err = run(capsys, argv + ["--out", str(rep)])
+        assert code == 2, argv
+        assert err.startswith("input error:"), argv
+        assert not rep.exists(), argv
+
+
+def test_every_op_runs_with_every_optional_parameter(capsys, tmp_path):
+    # each runner hands its parameters to the library by keyword, so a
+    # renamed library keyword shows up here as an error, not as a default
+    values = {"tau_target": 1.1, "tau": 1.0, "n_points": 2,
+              "slope_budget": 20, "slack": 0.05, "ybar": [0.0, 1.0],
+              "delta_ladder": [0.1], "samples_per_delta": 20, "m": 0.5,
+              "delta": 0.5, "ybar_norm": 1.0, "alpha": 0.5, "L": 0.05,
+              "p_grid": [1.0, 2.0], "xbar": [0.6], "max_slope_points": 2}
+    assert set(values) == {k for keys in ANALYSIS_OPS.values()
+                           for k in sum(keys, ())}
+    # sweep needs a family, coderivative a direction and a polyhedral K
+    by_instance = {"param_scale": ["sweep"],
+                   "halfplane_directional": [op for op in ANALYSIS_OPS
+                                             if op != "sweep"]}
+    for name, ops in by_instance.items():
+        data = problem_to_dict(instance_problem(builtin(name)))
+        data["analyses"] = [{"op": op, **{k: values[k]
+                                          for k in sum(ANALYSIS_OPS[op], ())}}
+                            for op in ops]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        rep = tmp_path / f"{name}-report.json"
+        code, _, err = run(capsys, ["analyze", str(path), "--budget", "400",
+                                    "--no-timestamp", "--out", str(rep)])
+        assert code in (0, 1), err
+        records = json.loads(rep.read_text())["analyses"]
+        assert [r["op"] for r in records] == ops
+        assert [r["error"] for r in records] == [None] * len(ops)
+
+
+def test_robinson_is_taken_at_the_problem_y0(capsys, tmp_path):
+    exported = tmp_path / "hp.json"
+    code, _, _ = run(capsys, ["instances", "--export",
+                              "halfplane_directional", "--out",
+                              str(exported)])
+    assert code == 0
+    data = json.loads(exported.read_text())
+    # y0 = (0, 1) lies a unit inside F(0) = {0} x [0, inf)
+    data["y0"] = [0, 1]
+    del data["direction"]
+    data["analyses"] = [{"op": "modulus", "tau_target": 1.1},
+                        {"op": "robinson"}]
+    exported.write_text(json.dumps(data))
+    code, out, _ = run(capsys, ["analyze", str(exported), "--no-timestamp"])
+    assert code == 0
+    assert "robinson: margin=1 -> PASS" in out
 
 
 def test_analysis_parameters_follow_the_op_table(capsys, tmp_path):

@@ -81,14 +81,16 @@ def test_oracle_reports_parabola_unbounded():
 def test_robinson_flags_match_lp_verdicts():
     for name in ("identity2", "diag_2_05", "hoffman_2d"):
         inst = builtin(name)
-        res = robinson_condition(inst.F, inst.x0, np.zeros(inst.F.dim_out))
+        res = robinson_condition(inst.F, inst.x0, inst.y0,
+                                 np.zeros(inst.F.dim_out))
         assert res.holds == inst.known.robinson
     half = builtin("halfplane_directional")
     assert half.known.robinson
-    assert robinson_condition(half.F, half.x0, half.dc.ybar).holds
-    assert not robinson_condition(half.F, half.x0, -half.dc.ybar).holds
+    assert robinson_condition(half.F, half.x0, half.y0, half.dc.ybar).holds
+    assert not robinson_condition(half.F, half.x0, half.y0,
+                                  -half.dc.ybar).holds
     para = builtin("parabola_eb")
-    assert robinson_condition(para.F, para.x0,
+    assert robinson_condition(para.F, para.x0, para.y0,
                               np.zeros(1)).holds == para.known.robinson
 
 

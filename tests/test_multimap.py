@@ -19,8 +19,6 @@ from regcert.multimap import (
     SearchRegion,
     as_polyhedron,
     default_region,
-    directional_membership,
-    envelope,
     envelope_batch,
     image_distance,
     image_distance_batch,
@@ -187,14 +185,15 @@ def test_empty_preimage_reported_infinite_for_polynomial():
 def test_membership_plain_cases():
     F = halfplane()
     dc = DirectionalCone([0.0, 1.0], 0.2)
-    # y already in F(x) = {1} x [0, inf)
-    assert directional_membership(F, [1.0], [1.0, 2.0], dc)
-    # lateral offset 1 at height 5: the scaled ball breaches it exactly
-    assert directional_membership(F, [1.0], [2.0, 5.0], dc)
-    # same offset too low: the cone opens at slope 1/0.2
-    assert not directional_membership(F, [1.0], [2.0, 0.5], dc)
-    # against the cone direction
-    assert not directional_membership(F, [1.0], [1.0, -3.0], dc)
+    Y = np.array([
+        [1.0, 2.0],    # y already in F(x) = {1} x [0, inf)
+        [2.0, 5.0],    # lateral offset 1 at height 5: the scaled ball
+                       # breaches it exactly
+        [2.0, 0.5],    # same offset too low: the cone opens at slope 1/0.2
+        [1.0, -3.0],   # against the cone direction
+    ])
+    vals, _ = membership_values(F, np.ones((4, 1)), Y, dc)
+    assert list(vals <= TOL_MEMBER) == [True, True, False, False]
 
 
 def test_membership_whole_space_cone():
@@ -260,14 +259,6 @@ def test_envelope_matches_membership_five_hundred_samples(make, dc):
     assert np.all(finite[vals <= TOL_MEMBER])
     # infinite envelope only happens where membership failed
     assert np.all(vals[~finite] > TOL_MEMBER)
-
-
-def test_envelope_scalar_matches_batch():
-    F = halfplane()
-    dc = DirectionalCone([0.0, 1.0], 0.2)
-    x, y = np.array([0.7]), np.array([0.7, -1.0])
-    assert envelope(F, dc, x, y) == pytest.approx(
-        float(envelope_batch(F, dc, x[None, :], y)[0]))
 
 
 # ---------------------------------------------------------------------------

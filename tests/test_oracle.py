@@ -143,6 +143,17 @@ def test_grid_preimage_warns_when_lattice_misses():
     assert d == np.inf
 
 
+def test_grid_preimage_warning_takes_the_lp_at_the_query_y():
+    # F(x) = {x} x [0, inf): the preimage {0.05} of y = (0.05, 1) falls
+    # between lattice points, and y sits a unit inside the image, so the
+    # LP at (x, y) holds; at y = 0 it would sit on the boundary and fail
+    F = builtin("halfplane_directional").F
+    g = Grid([[-1.0, 1.0]], 11)
+    with pytest.warns(GridTooCoarse):
+        d = grid_preimage_distance(F, [0.05, 1.0], [0.9], g)
+    assert d == np.inf
+
+
 # ---------------------------------------------------------------------------
 # Slopes.
 

@@ -10,7 +10,6 @@ from regcert.errors import (
     InvalidParameter,
     InvalidPerturbation,
     NoAdmissibleSamples,
-    NotAffine,
     NotInSet,
     NotPolyhedral,
 )
@@ -23,7 +22,6 @@ from regcert.regularity import (
     RegularityQuery,
     _admissible_pairs,
     coderivative_criterion,
-    convex_range_condition,
     empirical_directional_modulus,
     modulus_from_slopes,
     parametric_sweep,
@@ -269,41 +267,46 @@ def test_robinson_identity_every_axis():
     inst = builtin("identity2")
     for ybar in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
                  [0.0, 0.0]):
-        res = robinson_condition(inst.F, inst.x0, ybar)
+        res = robinson_condition(inst.F, inst.x0, inst.y0, ybar)
         assert res.holds and res.margin > 0
 
 
 def test_robinson_halfplane_direction_asymmetry():
     inst = builtin("halfplane_directional")
-    up = robinson_condition(inst.F, inst.x0, [0.0, 1.0])
-    down = robinson_condition(inst.F, inst.x0, [0.0, -1.0])
+    up = robinson_condition(inst.F, inst.x0, inst.y0, [0.0, 1.0])
+    down = robinson_condition(inst.F, inst.x0, inst.y0, [0.0, -1.0])
     assert up.holds and up.margin > 0
     assert not down.holds and down.margin == pytest.approx(0.0, abs=1e-9)
 
 
 def test_robinson_degenerate_jacobian_fails():
     inst = builtin("parabola_eb")
-    res = robinson_condition(inst.F, inst.x0, [1.0])
+    res = robinson_condition(inst.F, inst.x0, inst.y0, [1.0])
     assert not res.holds
 
 
 def test_convex_range_matches_robinson_for_affine():
+    # for affine f, the LP at x0 = 0 is the convex range condition
     inst = builtin("halfplane_directional")
-    up = convex_range_condition(inst.F, inst.y0, [0.0, 1.0])
-    down = convex_range_condition(inst.F, inst.y0, [0.0, -1.0])
+    x0 = np.zeros(inst.F.dim_in)
+    up = robinson_condition(inst.F, x0, inst.y0, [0.0, 1.0])
+    down = robinson_condition(inst.F, x0, inst.y0, [0.0, -1.0])
     assert up.holds and not down.holds
 
 
-def test_convex_range_needs_affine():
-    inst = builtin("parabola_eb")
-    with pytest.raises(NotAffine):
-        convex_range_condition(inst.F, inst.y0, [1.0])
+def test_robinson_condition_is_taken_at_y0():
+    # F(x) = {x} x [0, inf): y0 = (0, 1) sits one unit inside F(0), so the
+    # undirected condition holds with the full unit margin
+    inst = builtin("halfplane_directional")
+    res = robinson_condition(inst.F, np.zeros(1), [0.0, 1.0], [0.0, 0.0])
+    assert res.holds
+    assert res.margin == pytest.approx(1.0, abs=1e-9)
 
 
 def test_interiority_needs_polyhedral_k():
     F = MultiMap(AffineMap(np.eye(2), np.zeros(2)), Ball(np.zeros(2), 1.0))
     with pytest.raises(NotPolyhedral):
-        robinson_condition(F, np.zeros(2), [1.0, 0.0])
+        robinson_condition(F, np.zeros(2), np.zeros(2), [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
