@@ -429,10 +429,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_perturb(args) -> int:
     params = {key: getattr(args, key) for key in ANALYSIS_OPS["perturb"][0]}
-    bound = perturbation_bound(**params)
+    spec = parse_analysis({"op": "perturb", **params}, "flags")
+    bound = perturbation_bound(**{key: spec[key] for key in params})
     print(_fmt(bound))
-    _write_report(args, {"analysis": {"op": "perturb", **params},
-                         "result": {"bound": bound}})
+    _write_report(args, {"analysis": spec, "result": {"bound": bound}})
     return 0
 
 

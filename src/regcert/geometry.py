@@ -332,8 +332,7 @@ class Singleton(ConvexSet):
         return self.point.size
 
     def project_batch(self, P: np.ndarray) -> np.ndarray:
-        P = _rows(P)
-        return np.broadcast_to(self.point, P.shape).copy()
+        return np.repeat(self.point[None, :], _rows(P).shape[0], axis=0)
 
     def distance_batch(self, P: np.ndarray) -> np.ndarray:
         return np.linalg.norm(_rows(P) - self.point[None, :], axis=1)

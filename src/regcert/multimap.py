@@ -5,8 +5,11 @@ jacobians), K a closed convex set from the geometry module.  The residual
 identity d(y, F(x)) = d(K, f(x) - y) turns image distances into set
 distances.  Preimage distances are exact for affine f with a
 polyhedrally-representable K (projection onto the pulled-back inequality
-system); for polynomial f they fall back to a multi-start damped
-Gauss-Newton search and are upper bounds, flagged by exact_preimage=False.
+system).  Otherwise they come from a multi-start damped Gauss-Newton search
+and are upper bounds, flagged by exact_preimage=False.  The search runs all
+rows and all starts of a batch as one stack, and each row's arithmetic
+depends only on that row, so a row gives the same value alone as in any
+batch.
 
 Membership in the conic tube F(x) + cone(B(ybar, delta)) is computed twice,
 by alternating minimization over (z, k) and by a one-dimensional search over
@@ -50,12 +53,17 @@ class SmoothMap:
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def jacobian_batch(self, X: np.ndarray) -> np.ndarray:
+        """Jacobians at the rows of X, shape (B, dim_out, dim_in)."""
+        raise NotImplementedError
+
     def __call__(self, x) -> np.ndarray:
         x = as_vector(x, self.dim_in, "x")
         return self.eval_batch(x[None, :])[0]
 
     def jacobian(self, x) -> np.ndarray:
-        raise NotImplementedError
+        x = as_vector(x, self.dim_in, "x")
+        return self.jacobian_batch(x[None, :])[0]
 
 
 class AffineMap(SmoothMap):
@@ -85,8 +93,12 @@ class AffineMap(SmoothMap):
     def eval_batch(self, X):
         return X @ self.A.T + self.b[None, :]
 
-    def jacobian(self, x):
-        return self.A.copy()
+    def jacobian_batch(self, X):
+        X = np.asarray(X, dtype=float)
+        return np.broadcast_to(self.A, (X.shape[0],) + self.A.shape).copy()
+
+    # each class owns its jacobian entry, so it can be wrapped per class
+    jacobian = SmoothMap.jacobian
 
 
 class PolynomialMap(SmoothMap):
@@ -115,6 +127,11 @@ class PolynomialMap(SmoothMap):
         if not clean:
             raise ValueError("need at least one output")
         self.outputs = tuple(clean)
+        # derivative table: per term and variable j with e_j > 0, the term
+        # (output, j, c e_j, exponents with e_j lowered by one)
+        self._dterms = [(i, j, c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:])
+                        for i, row in enumerate(clean) for c, e in row
+                        for j in range(self._dim_in) if e[j]]
 
     def __repr__(self):
         return f"PolynomialMap({self.dim_in}->{self.dim_out})"
@@ -131,29 +148,37 @@ class PolynomialMap(SmoothMap):
         X = np.asarray(X, dtype=float)
         out = np.zeros((X.shape[0], self.dim_out))
         for i, terms in enumerate(self.outputs):
-            acc = out[:, i]
-            for coeff, exps in terms:
-                term = np.full(X.shape[0], coeff)
-                for j, e in enumerate(exps):
-                    if e:
-                        term = term * X[:, j] ** e
-                acc += term
+            for c, e in terms:
+                out[:, i] += _monomial(X, c, e)
         return out
 
-    def jacobian(self, x):
-        x = as_vector(x, self.dim_in, "x")
-        J = np.zeros((self.dim_out, self.dim_in))
-        for i, terms in enumerate(self.outputs):
-            for coeff, exps in terms:
-                for j, e in enumerate(exps):
-                    if e == 0:
-                        continue
-                    val = coeff * e * x[j] ** (e - 1)
-                    for jj, ee in enumerate(exps):
-                        if jj != j and ee:
-                            val *= x[jj] ** ee
-                    J[i, j] += val
+    def jacobian_batch(self, X):
+        X = np.asarray(X, dtype=float)
+        J = np.zeros((X.shape[0], self.dim_out, self.dim_in))
+        for i, j, c, e in self._dterms:
+            J[:, i, j] += _monomial(X, c, e)
         return J
+
+    jacobian = SmoothMap.jacobian
+
+
+def _monomial(X: np.ndarray, coef: float, exps) -> np.ndarray:
+    """coef * prod_j x_j^e_j at the rows of X.
+
+    Powers are repeated products, so each row gets the same elementwise
+    arithmetic whatever the batch holds.
+    """
+    if not any(exps):
+        return np.full(X.shape[0], coef)
+    out = coef
+    for j, e in enumerate(exps):
+        if e:
+            x = X[:, j]
+            power = x
+            for _ in range(e - 1):
+                power = power * x
+            out = out * power
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +254,8 @@ class MultiMap:
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         if pts.shape[0] > 4096:
             pts = pts[:: pts.shape[0] // 4096 + 1]
-        best = 0.0
-        for p in pts:
-            best = max(best, float(np.linalg.norm(self.f.jacobian(p), 2)))
-        return 1.5 * best + 1e-9
+        norms = np.linalg.norm(self.f.jacobian_batch(pts), 2, axis=(1, 2))
+        return 1.5 * float(norms.max(initial=0.0)) + 1e-9
 
 
 @dataclass
@@ -281,14 +304,23 @@ class SearchRegion:
         return np.vstack(blocks)
 
     def grid_nodes(self, cap: int = 200_000) -> np.ndarray:
-        n_nodes = self.grid_resolution ** self.dim
-        res = self.grid_resolution
-        while n_nodes > cap and res > 2:
-            res -= 1
-            n_nodes = res ** self.dim
-        axes = [np.linspace(lo, hi, res) for lo, hi in self.box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _grid_nodes(self.box[None], self.grid_resolution, cap)[0]
+
+
+def _grid_nodes(boxes: np.ndarray, resolution: int,
+                cap: int) -> np.ndarray:
+    """Lattice nodes of each box in a (R, n, 2) stack, shape (R, N, n).
+
+    The resolution drops until at most cap nodes remain (or it reaches 2);
+    nodes run in C order over the axes, the first axis slowest.
+    """
+    n = boxes.shape[1]
+    res = resolution
+    while res ** n > cap and res > 2:
+        res -= 1
+    axes = np.linspace(boxes[..., 0], boxes[..., 1], res, axis=-1)
+    idx = np.indices((res,) * n).reshape(n, -1).T   # (N, n)
+    return axes[:, np.arange(n), idx]
 
 
 def default_region(center, halfwidth: float, sample_budget: int = 2000,
@@ -320,13 +352,19 @@ def image_distance(F: MultiMap, x, y) -> float:
 
 def preimage_distance_batch(F: MultiMap, Y: np.ndarray, X: np.ndarray,
                             region: SearchRegion | None = None) -> np.ndarray:
-    """d(x_s, F^{-1}(y_s)) for paired rows of X and Y."""
+    """d(x_s, F^{-1}(y_s)) for paired rows of X and Y; +inf when the
+    preimage is empty (or, off the exact route, none is found).
+
+    Exact (projection onto the pulled-back polyhedron) for affine f with
+    polyhedral K.  Otherwise a batched multi-start Gauss-Newton upper bound
+    (see _gauss_newton_preimage), searched in region's box, or with
+    region=None in each row's own box x_s +- 2.  MultiMap.exact_preimage
+    tells which route applies.
+    """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if not F.exact_preimage:
-        return np.array([
-            preimage_distance(F, y, x, region) for x, y in zip(X, Y)
-        ])
+        return _gauss_newton_preimage(F, Y, X, region)
     Kp = as_polyhedron(F.K)
     G = Kp.C @ F.f.A
     # rhs_s = d - C (b - y_s)
@@ -359,87 +397,160 @@ def preimage_distance_batch(F: MultiMap, Y: np.ndarray, X: np.ndarray,
     return out
 
 
-def _gauss_newton_starts(F: MultiMap, x, region: SearchRegion):
-    box = region.box
-    corners = np.stack(np.meshgrid(*[box[i] for i in range(box.shape[0])],
-                                   indexing="ij"), axis=-1).reshape(-1, box.shape[0])
-    if corners.shape[0] > 64:
-        corners = corners[:64]
-    center = box.mean(axis=1)
-    return np.vstack([x[None, :], center[None, :], corners])
-
-
-def _gauss_newton_solve(F: MultiMap, y, u0, box, tol):
-    lo = box[:, 0] - (box[:, 1] - box[:, 0])
-    hi = box[:, 1] + (box[:, 1] - box[:, 0])
-    u = np.clip(u0.astype(float, copy=True), lo, hi)
-    r = F.f.eval_batch(u[None, :])[0] - y
-    res = r - F.K.project_batch(r[None, :])[0]
-    rn = np.linalg.norm(res)
-    for _ in range(60):
-        if rn <= tol:
-            return u, True
-        J = F.f.jacobian(u)
-        step, *_ = np.linalg.lstsq(J, -res, rcond=None)
-        t = 1.0
-        improved = False
-        for _ in range(25):
-            un = np.clip(u + t * step, lo, hi)
-            rtrial = F.f.eval_batch(un[None, :])[0] - y
-            rest = rtrial - F.K.project_batch(rtrial[None, :])[0]
-            rnt = np.linalg.norm(rest)
-            if rnt < rn * (1.0 - 1e-4 * t):
-                u, res, rn = un, rest, rnt
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return u, rn <= tol
-
-
 def preimage_distance(F: MultiMap, y, x,
                       region: SearchRegion | None = None) -> float:
     """d(x, F^{-1}(y)); +inf when the preimage is empty (or none is found).
 
-    Exact (projection onto the pulled-back polyhedron) for affine f with
-    polyhedral K.  Otherwise a multi-start Gauss-Newton upper bound; see
-    MultiMap.exact_preimage for which route applies.
+    The one-row case of preimage_distance_batch: exact for affine f with
+    polyhedral K, otherwise the batched, row-independent Gauss-Newton upper
+    bound.
     """
     x = as_vector(x, F.dim_in, "x")
     y = as_vector(y, F.dim_out, "y")
-    if F.exact_preimage:
-        return float(preimage_distance_batch(F, y[None, :], x[None, :])[0])
+    return float(preimage_distance_batch(F, y[None, :], x[None, :],
+                                         region)[0])
+
+
+_GN_TOL = 1e-8
+_GN_ITERS = 60
+_GN_HALVINGS = 25
+_GN_MAX_CORNERS = 64
+_GN_GRID_CAP = 4096
+_GN_PULL = np.geomspace(1.0, 0.02, 12)
+
+
+def _gauss_newton_preimage(F: MultiMap, Y: np.ndarray, X: np.ndarray,
+                           region: SearchRegion | None) -> np.ndarray:
+    """Multi-start Gauss-Newton upper bound on d(x_s, F^{-1}(y_s)).
+
+    Each row starts from x_s, its box center and at most 64 box corners.
+    A row none of whose starts reaches f(u) - y_s in K starts once more
+    from the grid node (cap 4096) of least residual.  The nearest solution
+    found is then pulled toward x_s in 12 rounds along the segment, each
+    round starting from the incumbent the last one left.  Rows share no
+    arithmetic, so each value is the same alone as in any batch.
+    """
+    B, n = X.shape
     if region is None:
-        region = default_region(x, 2.0)
-    tol = 1e-8
-    feasible = []
-    for u0 in _gauss_newton_starts(F, x, region):
-        u, ok = _gauss_newton_solve(F, y, u0, region.box, tol)
-        if ok:
-            feasible.append(u)
-    if not feasible:
-        nodes = region.grid_nodes(cap=4096)
-        r = F.f.eval_batch(nodes) - y[None, :]
-        resid = F.K.distance_batch(r)
-        u, ok = _gauss_newton_solve(F, y, nodes[int(np.argmin(resid))],
-                                    region.box, tol)
-        if ok:
-            feasible.append(u)
-    if not feasible:
-        return np.inf
-    dists = [float(np.linalg.norm(x - u)) for u in feasible]
-    best = int(np.argmin(dists))
-    u_best, d_best = feasible[best], dists[best]
+        # default_region(x_s, 2.0) for each row
+        boxes = np.stack([X - 2.0, X + 2.0], axis=-1)
+        resolution = 9
+    else:
+        boxes = np.broadcast_to(region.box, (B, n, 2))
+        resolution = region.grid_resolution
+    width = boxes[..., 1] - boxes[..., 0]
+    lo, hi = boxes[..., 0] - width, boxes[..., 1] + width
+
+    bits = np.indices((2,) * n).reshape(n, -1).T[:_GN_MAX_CORNERS]
+    corners = boxes[:, np.arange(n), bits]                 # (B, C, n)
+    starts = np.concatenate(
+        [X[:, None, :], boxes.mean(axis=-1)[:, None, :], corners], axis=1)
+    S = starts.shape[1]
+    U, ok = _damped_gauss_newton(F, np.repeat(Y, S, axis=0),
+                                 starts.reshape(-1, n),
+                                 np.repeat(lo, S, axis=0),
+                                 np.repeat(hi, S, axis=0))
+    U, ok = U.reshape(B, S, n), ok.reshape(B, S)
+    dists = np.where(ok, np.linalg.norm(X[:, None, :] - U, axis=-1), np.inf)
+    first = np.argmin(dists, axis=1)
+    rows = np.arange(B)
+    u_best = U[rows, first]
+    d_best = dists[rows, first]
+
+    lost = np.where(~ok.any(axis=1))[0]
+    if lost.size:
+        u0 = _grid_starts(F, Y[lost], boxes[lost], resolution,
+                          shared=region is not None)
+        u, found = _damped_gauss_newton(F, Y[lost], u0, lo[lost], hi[lost])
+        took = lost[found]
+        u_best[took] = u[found]
+        d_best[took] = np.linalg.norm(X[took] - u[found], axis=-1)
+
     # pull the incumbent toward x along the segment; keeps the bound honest
-    for t in np.geomspace(1.0, 0.02, 12):
-        u, ok = _gauss_newton_solve(F, y, x + t * (u_best - x), region.box,
-                                    tol)
-        if ok:
-            dd = float(np.linalg.norm(x - u))
-            if dd < d_best:
-                u_best, d_best = u, dd
+    live = np.where(np.isfinite(d_best))[0]
+    for t in _GN_PULL:
+        x = X[live]
+        u, found = _damped_gauss_newton(F, Y[live],
+                                        x + t * (u_best[live] - x),
+                                        lo[live], hi[live])
+        dd = np.linalg.norm(x - u, axis=-1)
+        better = found & (dd < d_best[live])
+        u_best[live[better]] = u[better]
+        d_best[live[better]] = dd[better]
     return d_best
+
+
+def _grid_starts(F: MultiMap, Y: np.ndarray, boxes: np.ndarray,
+                 resolution: int, shared: bool) -> np.ndarray:
+    """Per row, the node of least d(f(u) - y, K) on its box grid (cap 4096).
+
+    A shared box is gridded and mapped once.  Rows go a few at a time, so
+    at most max(N, 4096) grid nodes are live however many rows are lost.
+    """
+    B, n = Y.shape[0], boxes.shape[1]
+    nodes = _grid_nodes(boxes[:1], resolution, _GN_GRID_CAP)   # (1, N, n)
+    N = nodes.shape[1]
+    if shared:
+        img = F.f.eval_batch(nodes[0])[None]
+    chunk = max(1, _GN_GRID_CAP // N)
+    out = np.empty((B, n))
+    for a in range(0, B, chunk):
+        rows = np.arange(a, min(a + chunk, B))
+        if not shared:
+            nodes = _grid_nodes(boxes[rows], resolution, _GN_GRID_CAP)
+            img = F.f.eval_batch(nodes.reshape(-1, n))
+            img = img.reshape(rows.size, N, -1)
+        r = (img - Y[rows][:, None, :]).reshape(rows.size * N, -1)
+        pick = np.argmin(F.K.distance_batch(r).reshape(rows.size, N), axis=1)
+        at = np.zeros(rows.size, int) if shared else np.arange(rows.size)
+        out[rows] = nodes[at, pick]
+    return out
+
+
+def _residual(F: MultiMap, U: np.ndarray, Y: np.ndarray):
+    R = F.f.eval_batch(U) - Y
+    return R - F.K.project_batch(R)
+
+
+def _damped_gauss_newton(F: MultiMap, Y: np.ndarray, U0: np.ndarray,
+                         lo: np.ndarray, hi: np.ndarray):
+    """Damped Gauss-Newton toward f(u) - y in K, one row per start.
+
+    Each row is clipped to its own [lo, hi], takes the least-squares step of
+    its jacobian (the pseudoinverse with lstsq's cutoff) and backtracks by
+    halving until the residual norm falls below rn (1 - 1e-4 t).  A row
+    retires when it converges or no trial decreases, as in
+    dykstra_halfspaces.  Returns (U, converged).
+    """
+    U = np.clip(U0, lo, hi)
+    R = _residual(F, U, Y)
+    rn = np.linalg.norm(R, axis=-1)
+    rcond = np.finfo(float).eps * max(F.dim_in, F.dim_out)
+    active = np.arange(U.shape[0])
+    for _ in range(_GN_ITERS):
+        active = active[rn[active] > _GN_TOL]
+        if active.size == 0:
+            break
+        J = F.f.jacobian_batch(U[active])
+        step = -(np.linalg.pinv(J, rcond=rcond)
+                 @ R[active][:, :, None])[..., 0]
+        improved = np.zeros(active.size, dtype=bool)
+        trying = np.arange(active.size)
+        t = 1.0
+        for _ in range(_GN_HALVINGS):
+            at = active[trying]
+            Un = np.clip(U[at] + t * step[trying], lo[at], hi[at])
+            Rn = _residual(F, Un, Y[at])
+            rnt = np.linalg.norm(Rn, axis=-1)
+            dec = rnt < rn[at] * (1.0 - 1e-4 * t)
+            U[at[dec]], R[at[dec]], rn[at[dec]] = Un[dec], Rn[dec], rnt[dec]
+            improved[trying[dec]] = True
+            trying = trying[~dec]
+            if trying.size == 0:
+                break
+            t *= 0.5
+        active = active[improved]
+    return U, rn <= _GN_TOL
 
 
 # ---------------------------------------------------------------------------

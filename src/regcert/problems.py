@@ -39,6 +39,10 @@ ANALYSIS_OPS = {
 
 FAMILY_KINDS = ("scale",)
 
+# ranges of the numeric parameters, as the library's own guards state them
+_POSITIVE = ("tau", "tau_target", "delta")
+_NONNEGATIVE = ("ybar_norm", "L")
+
 
 # ---------------------------------------------------------------------------
 # Field-level accessors.  Every failure names the JSON path that caused it.
@@ -245,7 +249,13 @@ def parse_analysis(data, path: str) -> dict:
             out[key] = _vector(value, kpath).tolist()
         elif key in ("tau", "tau_target", "delta", "alpha", "L",
                      "ybar_norm", "m", "slack"):
-            out[key] = _float(value, kpath)
+            out[key] = _float(value, kpath, minimum=0.0
+                              if key in _NONNEGATIVE else None)
+            if key in _POSITIVE and out[key] <= 0.0:
+                raise ProblemFileError(kpath, "must be > 0")
+            if key == "alpha" and not 0.0 < out[key] < 1.0:
+                raise ProblemFileError(kpath, "must lie strictly between "
+                                              "0 and 1")
         elif key in ("n_points", "slope_budget", "samples_per_delta",
                      "max_slope_points"):
             out[key] = _int(value, kpath, minimum=1)

@@ -290,11 +290,29 @@ def test_bad_flag_values_are_input_errors(capsys, tmp_path):
                  ["coderivative", "halfplane_directional",
                   "--samples-per-delta", "0"],
                  ["oracle-check", "identity2", "--points-x", "0"],
-                 ["sweep", "param_scale", "--p-grid", ","]):
+                 ["sweep", "param_scale", "--p-grid", ","],
+                 ["slope", "identity2", "--tau", "-1"],
+                 ["slope", "identity2", "--tau", "0"],
+                 ["modulus", "identity2", "--tau", "-2"],
+                 ["sweep", "param_scale", "--tau", "0"],
+                 ["perturb", "--tau", "1", "--delta", "0.5", "--ybar-norm",
+                  "1", "--alpha", "1.5", "--L", "0.05"]):
         code, _, err = run(capsys, argv + ["--out", str(rep)])
         assert code == 2, argv
         assert err.startswith("input error:"), argv
         assert not rep.exists(), argv
+    # the last case, perturb's --alpha, names its key like the others
+    assert "input error: flags.alpha:" in err
+    # an out-of-range problem-file value is an input error too
+    data = problem_to_dict(instance_problem(builtin("identity2")))
+    data["analyses"] = [{"op": "perturb", "tau": 1.0, "delta": 0.5,
+                         "ybar_norm": 1.0, "alpha": 1.5, "L": 0.05}]
+    path = tmp_path / "perturb.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, ["analyze", str(path), "--out", str(rep)])
+    assert code == 2
+    assert err.startswith("input error: analyses[0].alpha:")
+    assert not rep.exists()
 
 
 def test_every_op_runs_with_every_optional_parameter(capsys, tmp_path):

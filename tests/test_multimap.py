@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcert.errors import DimensionMismatch
 from regcert.geometry import (
@@ -12,6 +14,7 @@ from regcert.geometry import (
     ProductSet,
     Singleton,
 )
+from regcert.instances import builtin
 from regcert.multimap import (
     AffineMap,
     MultiMap,
@@ -63,6 +66,8 @@ def test_affine_eval_and_jacobian():
     x = np.array([0.7, -1.3])
     assert np.allclose(m(x), [2 * 0.7 + 1.3 + 1.0, 0.5 * 0.7 - 3.9 - 2.0])
     assert np.allclose(m.jacobian(x), [[2.0, -1.0], [0.5, 3.0]])
+    assert np.array_equal(m.jacobian_batch(np.zeros((3, 2))),
+                          np.broadcast_to(m.A, (3, 2, 2)))
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
     assert np.allclose(m.eval_batch(X), [[1.0, -2.0], [2.0, 1.5]])
 
@@ -73,11 +78,20 @@ def test_polynomial_eval_and_jacobian_match_finite_differences():
         [(1.0, (2, 1)), (3.0, (0, 1))],
         [(1.0, (1, 0)), (-1.0, (0, 3))],
     ])
-    for x in ([0.5, -1.2], [1.0, 1.0], [-0.3, 0.7]):
-        x = np.array(x)
+    X = np.array([[0.5, -1.2], [1.0, 1.0], [-0.3, 0.7]])
+    J = m.jacobian_batch(X)
+    assert J.shape == (3, 2, 2)
+    for x, Jx in zip(X, J):
         expect = np.array([x[0] ** 2 * x[1] + 3 * x[1], x[0] - x[1] ** 3])
         assert np.allclose(m(x), expect)
+        # one derivative path: a batch row is the single-point jacobian
+        assert np.array_equal(Jx, m.jacobian(x))
+        assert np.allclose(Jx, fd_jacobian(m, x), atol=1e-6)
         assert np.allclose(m.jacobian(x), fd_jacobian(m, x), atol=1e-6)
+    # a term free of x1 adds exactly 0 to d/dx1, even where x0^2 overflows
+    big = PolynomialMap(2, [[(1.0, (2, 0)), (1.0, (0, 1))]])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(big.jacobian([1e200, 1.0]), [[2e200, 1.0]])
 
 
 def test_polynomial_rejects_bad_terms():
@@ -145,9 +159,9 @@ def test_preimage_batch_matches_scalar():
     assert np.allclose(batch, single, atol=1e-8)
 
 
-def test_polynomial_preimage_agrees_with_exact_affine_route():
-    # the same linear map written as a degree-1 polynomial loses the exact
-    # pullback and must fall back to the iterative search
+def linear_as_polynomial():
+    """diag(2, 0.5) x + (0.3, -0.2) - orthant, as an affine map and as the
+    same map written as a degree-1 polynomial."""
     A = np.array([[2.0, 0.0], [0.0, 0.5]])
     b = np.array([0.3, -0.2])
     K = Polyhedron(np.eye(2), np.zeros(2))
@@ -156,6 +170,13 @@ def test_polynomial_preimage_agrees_with_exact_affine_route():
         [(2.0, (1, 0)), (0.3, (0, 0))],
         [(0.5, (0, 1)), (-0.2, (0, 0))],
     ]), K)
+    return exact, poly
+
+
+def test_polynomial_preimage_agrees_with_exact_affine_route():
+    # the same linear map written as a degree-1 polynomial loses the exact
+    # pullback and must fall back to the iterative search
+    exact, poly = linear_as_polynomial()
     assert exact.exact_preimage and not poly.exact_preimage
     gen = np.random.default_rng(11)
     region = default_region(np.zeros(2), 3.0)
@@ -167,6 +188,131 @@ def test_polynomial_preimage_agrees_with_exact_affine_route():
         assert np.isfinite(d_exact)
         # iterative route is an upper bound; here it should be tight
         assert d_poly == pytest.approx(d_exact, abs=1e-5)
+
+
+def scalar_gauss_newton(F, y, x, box):
+    """Reference: the multi-start Gauss-Newton search one start, one trial
+    at a time, with a per-point lstsq step."""
+    lo, hi = box[:, 0] - (box[:, 1] - box[:, 0]), \
+        box[:, 1] + (box[:, 1] - box[:, 0])
+
+    def solve(u0):
+        u = np.clip(u0, lo, hi)
+        r = F.f(u) - y
+        res = r - F.K.project(r)
+        rn = np.linalg.norm(res)
+        for _ in range(60):
+            if rn <= 1e-8:
+                break
+            step = np.linalg.lstsq(F.f.jacobian(u), -res, rcond=None)[0]
+            for k in range(25):
+                t = 0.5 ** k
+                un = np.clip(u + t * step, lo, hi)
+                rt = F.f(un) - y
+                rest = rt - F.K.project(rt)
+                if np.linalg.norm(rest) < rn * (1.0 - 1e-4 * t):
+                    u, res, rn = un, rest, np.linalg.norm(rest)
+                    break
+            else:
+                break
+        return u, rn <= 1e-8
+
+    corners = np.stack(np.meshgrid(*box, indexing="ij"),
+                       axis=-1).reshape(-1, x.size)[:64]
+    found = [u for u, ok in map(solve, [x, box.mean(axis=1), *corners])
+             if ok]
+    if not found:
+        nodes = SearchRegion(box).grid_nodes(cap=4096)
+        resid = F.K.distance_batch(F.f.eval_batch(nodes) - y)
+        u, ok = solve(nodes[np.argmin(resid)])
+        found = [u] if ok else []
+    if not found:
+        return np.inf
+    dists = [np.linalg.norm(x - u) for u in found]
+    u_best, d_best = found[int(np.argmin(dists))], min(dists)
+    for t in np.geomspace(1.0, 0.02, 12):
+        u, ok = solve(x + t * (u_best - x))
+        if ok and np.linalg.norm(x - u) < d_best:
+            u_best, d_best = u, np.linalg.norm(x - u)
+    return d_best
+
+
+def test_gauss_newton_batch_matches_the_scalar_reference():
+    gen = np.random.default_rng(17)
+    cubic = MultiMap(PolynomialMap(1, [[(1.0, (3,)), (-1.0, (1,))]]),
+                     Singleton(np.zeros(1)))
+    for F, exact in ((builtin("parabola_eb").F, True), (cubic, True),
+                     (linear_as_polynomial()[1], False)):
+        X = gen.uniform(-1.5, 1.5, size=(25, F.dim_in))
+        Y = gen.uniform(-1.0, 1.0, size=(25, F.dim_out))
+        shared = default_region(np.full(F.dim_in, 0.5), 1.0)
+        for region in (None, shared):
+            batch = preimage_distance_batch(F, Y, X, region)
+            ref = np.array([
+                scalar_gauss_newton(F, y, x, (region or
+                                              default_region(x, 2.0)).box)
+                for x, y in zip(X, Y)])
+            assert np.array_equal(np.isinf(batch), np.isinf(ref))
+            if exact:
+                # one input and one output: the same arithmetic, bit for bit
+                assert batch.tobytes() == ref.tobytes()
+            else:
+                # row norms sum in another order than a 1-d norm's dot
+                assert np.allclose(batch, ref, rtol=0, atol=1e-12)
+
+
+def _gauss_newton_maps():
+    round_K = MultiMap(PolynomialMap(2, [
+        [(1.0, (2, 0)), (1.0, (0, 2)), (-1.0, (0, 0))],
+        [(1.0, (1, 1)), (-0.5, (0, 3))],
+    ]), ProductSet((Ball(np.zeros(1), 0.3), Singleton(np.zeros(1)))))
+    return {"polynomial_orthant": linear_as_polynomial()[1],
+            "parabola_eb": builtin("parabola_eb").F,
+            "round_K": round_K}
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from(sorted(_gauss_newton_maps())),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_gauss_newton_rows_are_batch_independent(name, seed, shared_region):
+    # each row of the batched search gives, bit for bit, what it gives alone
+    F = _gauss_newton_maps()[name]
+    gen = np.random.default_rng(seed)
+    X = gen.uniform(-1.5, 1.5, size=(20, F.dim_in))
+    Y = gen.uniform(-1.0, 1.0, size=(20, F.dim_out))
+    region = default_region(np.zeros(F.dim_in), 3.0) if shared_region \
+        else None
+    batch = preimage_distance_batch(F, Y, X, region)
+    for i in range(20):
+        alone = preimage_distance_batch(F, Y[i:i + 1], X[i:i + 1], region)
+        assert alone.tobytes() == batch[i:i + 1].tobytes(), i
+        assert preimage_distance(F, Y[i], X[i], region) == alone[0]
+    # reversing the batch moves no row either
+    back = preimage_distance_batch(F, Y[::-1], X[::-1], region)
+    assert back[::-1].tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("dim, rows", [(2, 120), (4, 5)])
+def test_grid_fallback_start_is_each_rows_own_grid_argmin(dim, rows):
+    # the fallback start, taken a few rows at a time (several chunks here:
+    # 81 nodes a box in 2-d, 4096 in 4-d), is the argmin of each row's grid
+    from regcert.multimap import _grid_starts
+    F = MultiMap(PolynomialMap(dim, [[
+        (1.0, tuple(2 * (j == i) for j in range(dim))) for i in range(dim)]
+        + [(-0.5, (0,) * dim)]]), Ball(np.zeros(1), 0.1))
+    gen = np.random.default_rng(7)
+    X = gen.uniform(-1.0, 1.0, size=(rows, dim))
+    Y = gen.uniform(-1.0, 3.0, size=(rows, 1))
+    shared = default_region(np.full(dim, 0.5), 1.5)
+    for region in (None, shared):
+        regions = [region or default_region(x, 2.0) for x in X]
+        boxes = np.stack([r.box for r in regions])
+        starts = _grid_starts(F, Y, boxes, regions[0].grid_resolution,
+                              shared=region is not None)
+        for i, r in enumerate(regions):
+            nodes = r.grid_nodes(cap=4096)
+            resid = F.K.distance_batch(F.f.eval_batch(nodes) - Y[i])
+            assert starts[i].tobytes() == nodes[np.argmin(resid)].tobytes()
 
 
 def test_empty_preimage_reported_infinite_for_polynomial():

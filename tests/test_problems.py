@@ -161,6 +161,29 @@ def test_analysis_validation():
     data["analyses"] = [{"op": "modulus", "n_points": 0}]
     err = raises_at(data, "analyses[0].n_points")
     assert ">= 1" in str(err)
+    # the ranges the library's guards state are checked at parse time
+    perturb = {"op": "perturb", "tau": 1.0, "delta": 0.5, "ybar_norm": 1.0,
+               "alpha": 0.5, "L": 0.05}
+    for op, key, value, message in (
+            ("slope", "tau", -1.0, "> 0"),
+            ("slope", "tau", 0.0, "> 0"),
+            ("modulus", "tau_target", -2.0, "> 0"),
+            ("sweep", "tau_target", 0.0, "> 0"),
+            ("perturb", "tau", 0.0, "> 0"),
+            ("perturb", "delta", 0.0, "> 0"),
+            ("perturb", "ybar_norm", -0.5, ">= 0"),
+            ("perturb", "alpha", 1.5, "between 0 and 1"),
+            ("perturb", "alpha", 1.0, "between 0 and 1"),
+            ("perturb", "alpha", 0.0, "between 0 and 1"),
+            ("perturb", "L", -0.01, ">= 0")):
+        spec = dict(perturb) if op == "perturb" else {"op": op}
+        spec[key] = value
+        data["analyses"] = [spec]
+        err = raises_at(data, f"analyses[0].{key}")
+        assert message in str(err), (op, key, value)
+    # the boundary values the guards admit still parse
+    data["analyses"] = [dict(perturb, ybar_norm=0, L=0)]
+    assert parse_problem(data).analyses[0]["L"] == 0.0
 
 
 def test_each_op_accepts_only_its_own_parameters():

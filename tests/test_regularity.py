@@ -90,6 +90,16 @@ def test_modulus_thread_invariance():
     assert a.n_admissible == b.n_admissible
     assert np.array_equal(a.worst_witness[0], b.worst_witness[0])
     assert np.array_equal(a.worst_witness[1], b.worst_witness[1])
+    # the Gauss-Newton route over three sample blocks: every per-sample
+    # preimage distance, not only the sup, is the same on two threads
+    q = query("parabola_eb", seed=3, budget=1100)
+    a = empirical_directional_modulus(q, threads=1, collect=True)
+    b = empirical_directional_modulus(q, threads=2, collect=True)
+    pre_a = np.array([s["preimage_dist"] for s in a.samples])
+    pre_b = np.array([s["preimage_dist"] for s in b.samples])
+    assert pre_a.size == 1100
+    assert pre_a.tobytes() == pre_b.tobytes()
+    assert a.n_admissible == b.n_admissible
 
 
 def test_modulus_budget_monotone():

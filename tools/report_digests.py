@@ -43,6 +43,12 @@ COMMANDS = (
           "--alpha", "0.5", "--L", "0.05"], "report.json"),
         (["analyze", "identity2", "--seed", "3", "--csv", "samples.csv"],
          "samples.csv"),
+        # the Gauss-Newton preimage route: the CSV holds every per-sample
+        # preimage distance
+        (["modulus", "parabola_eb", "--tau", "10", "--budget", "300",
+          "--seed", "3"], "report.json"),
+        (["modulus", "parabola_eb", "--tau", "10", "--budget", "300",
+          "--seed", "3", "--csv", "samples.csv"], "samples.csv"),
     ]
 )
 
