@@ -69,6 +69,22 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _say(text: str, end: str = "\n") -> None:
+    """Write a line of the summary to stdout.
+
+    A reader that leaves early (`regcert ... | head -1`) costs the rest of
+    the summary, not the run: stdout is pointed at os.devnull, as the
+    signal module's SIGPIPE note advises, and the report is still written
+    and the exit code still follows the verdicts.
+    """
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _write_atomic(path: str, text: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -84,7 +100,7 @@ def _write_report(args, report: dict) -> None:
     report["generated_at"] = (None if args.no_timestamp
                               else datetime.now(timezone.utc).isoformat())
     _write_atomic(args.out, canonical_json(report))
-    print(f"report written to {args.out}")
+    _say(f"report written to {args.out}")
 
 
 def _parse_floats(text: str, flag: str) -> list:
@@ -388,10 +404,10 @@ def _run_problem(problem: Problem, args) -> int:
     }
 
     name = problem.name or "problem"
-    print(f"{name}: {len(records)} analyses, seed {q.seed}, budget "
-          f"{q.region.sample_budget}")
+    _say(f"{name}: {len(records)} analyses, seed {q.seed}, budget "
+         f"{q.region.sample_budget}")
     for record in records:
-        print("  " + _describe(record))
+        _say("  " + _describe(record))
     _write_report(args, report)
     if want_csv:
         if all_samples is None:
@@ -400,7 +416,7 @@ def _run_problem(problem: Problem, args) -> int:
         else:
             _write_atomic(args.csv, samples_csv(all_samples, q.F.dim_in,
                                                 q.F.dim_out))
-            print(f"samples written to {args.csv}")
+            _say(f"samples written to {args.csv}")
     if guard_hit:
         return 3
     return 1 if n_failed or n_errors else 0
@@ -431,7 +447,7 @@ def _cmd_perturb(args) -> int:
     params = {key: getattr(args, key) for key in ANALYSIS_OPS["perturb"][0]}
     spec = parse_analysis({"op": "perturb", **params}, "flags")
     bound = perturbation_bound(**{key: spec[key] for key in params})
-    print(_fmt(bound))
+    _say(_fmt(bound))
     _write_report(args, {"analysis": spec, "result": {"bound": bound}})
     return 0
 
@@ -460,9 +476,9 @@ def _cmd_oracle_check(args) -> int:
         agree = diff <= tol
 
     name = problem.name or "problem"
-    print(f"{name}: estimator={_fmt(emp)} oracle={_fmt(oracle_sup)} "
-          f"diff={_fmt(diff)} tol={_fmt(tol)} "
-          f"-> {'PASS' if agree else 'FAIL'}")
+    _say(f"{name}: estimator={_fmt(emp)} oracle={_fmt(oracle_sup)} "
+         f"diff={_fmt(diff)} tol={_fmt(tol)} "
+         f"-> {'PASS' if agree else 'FAIL'}")
     _write_report(args, {
         "problem": problem_to_dict(problem),
         "oracle_check": {"estimator": emp, "oracle": oracle_sup,
@@ -480,9 +496,9 @@ def _cmd_instances(args) -> int:
         text = canonical_json(problem_to_dict(problem))
         if args.out:
             _write_atomic(args.out, text)
-            print(f"problem written to {args.out}")
+            _say(f"problem written to {args.out}")
         else:
-            sys.stdout.write(text)
+            _say(text, end="")
         return 0
     for name in registry_names():
         inst = builtin(name)
@@ -493,7 +509,7 @@ def _cmd_instances(args) -> int:
             else str(known.robinson)
         dims = f"({inst.F.dim_in}->{inst.F.dim_out})"
         direction = " directional" if inst.dc is not None else ""
-        print(f"{name} {dims}: modulus={mod} robinson={rob}{direction}")
+        _say(f"{name} {dims}: modulus={mod} robinson={rob}{direction}")
     return 0
 
 

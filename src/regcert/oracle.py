@@ -7,6 +7,12 @@ ball formula, plus documented cyclic-sweep upper bounds for skew polyhedra)
 instead of the projection machinery the estimators use, so agreement is an
 independent check rather than a tautology.  Dimension and lattice-size caps
 guard against accidental blowup; no tuning beyond them.
+
+The two hot loops run as stacked array passes: the directional membership
+scan evaluates every (row, scale) pair of its scale grid in one clamp call
+per chunk of about _CHUNK_ROWS rows, and nearest lattice points come from
+blocked distances that keep np.linalg.norm's summation order.  Each row's
+value is the one it would get alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -164,17 +170,25 @@ def clamp_distance_batch(K: ConvexSet, Z: np.ndarray) -> np.ndarray:
     live = sq > 1e-300
     C, d, s = K.C[live], K.d[live], sq[live]
 
+    def dot(W, row):
+        # NumPy sends a one-row product to a different BLAS kernel, which
+        # rounds differently; doubling a lone row keeps every row's value
+        # independent of the batch it arrives in
+        if W.shape[0] == 1:
+            return (np.repeat(W, 2, axis=0) @ row)[:1]
+        return W @ row
+
     def sweep(W, passes):
         for _ in range(passes):
             for row, rhs, ss in zip(C, d, s):
-                viol = np.maximum(W @ row - rhs, 0.0) / ss
+                viol = np.maximum(dot(W, row) - rhs, 0.0) / ss
                 W -= viol[:, None] * row[None, :]
         return W
 
     def max_violation(W):
         out = np.zeros(W.shape[0])
         for row, rhs, ss in zip(C, d, s):
-            np.maximum(out, np.maximum(W @ row - rhs, 0.0) / np.sqrt(ss),
+            np.maximum(out, np.maximum(dot(W, row) - rhs, 0.0) / np.sqrt(ss),
                        out=out)
         return out
 
@@ -248,25 +262,39 @@ def grid_preimage_distance(F: MultiMap, y, x, g: Grid,
     return best
 
 
-def _lattice_feas_tol(F: MultiMap, g: Grid, tol_feas: float) -> float:
-    # a lattice point within step/2 per axis of the preimage manifold moves
-    # the residual by at most L * step * sqrt(n) / 2; 0.6 adds slack
-    L = F.lipschitz_bound(g.box)
-    return max(tol_feas, 0.6 * L * g.step * np.sqrt(g.dim))
+def _nearest(A: np.ndarray, B: np.ndarray) -> tuple:
+    """Index into B of the nearest row, and its distance, for each row of A.
 
-
-def _pairwise_min_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # min over rows of B of ||a - b||, for each row a
-    out = np.full(A.shape[0], np.inf)
-    for start in range(0, B.shape[0], 2048):
-        blk = B[start:start + 2048]
-        d = np.linalg.norm(A[:, None, :] - blk[None, :, :], axis=2)
-        np.minimum(out, d.min(axis=1), out=out)
-    return out
+    Squared coordinate differences are summed left to right before the
+    square root, which is np.linalg.norm's summation order for the
+    dimensions the oracle allows, so distances match norm bit for bit.
+    Work runs on (rows of A, block of B) arrays of at most _CHUNK_ROWS
+    elements; a later block replaces the running best only when strictly
+    nearer, so ties go to the lowest index, as with argmin.
+    """
+    idx = np.zeros(A.shape[0], dtype=np.intp)
+    dist = np.full(A.shape[0], np.inf)
+    rows = max(1, min(A.shape[0], _CHUNK_ROWS))
+    per = _CHUNK_ROWS // rows
+    for a in range(0, A.shape[0], rows):
+        Q = A[a:a + rows]
+        r = np.arange(Q.shape[0])
+        for b in range(0, B.shape[0], per):
+            blk = B[b:b + per]
+            sq = (Q[:, 0, None] - blk[None, :, 0]) ** 2
+            for k in range(1, A.shape[1]):
+                sq += (Q[:, k, None] - blk[None, :, k]) ** 2
+            d = np.sqrt(sq, out=sq)
+            j = np.argmin(d, axis=1)
+            d = d[r, j]
+            better = d < dist[a:a + rows]
+            idx[a:a + rows][better] = j[better] + b
+            dist[a:a + rows][better] = d[better]
+    return idx, dist
 
 
 def _preimage_pool(F: MultiMap, v: np.ndarray, g: Grid, US: np.ndarray,
-                   tol_feas: float, rounds: int = 7,
+                   tol_feas: float, L: float, rounds: int = 7,
                    max_centers: int = 96) -> np.ndarray | None:
     """Refined lattice approximation of the preimage of v, as a point pool.
 
@@ -275,10 +303,19 @@ def _preimage_pool(F: MultiMap, v: np.ndarray, g: Grid, US: np.ndarray,
     from local grids around the points currently nearest to the query
     set US, so the feasibility slack shrinks with the spacing and the
     final distances carry neither the coarse-lattice overestimate nor
-    the tolerance-slack underestimate.  None when stage one is empty.
+    the tolerance-slack underestimate.  L bounds the Lipschitz constant
+    of f over g.box.  None when stage one is empty.
     """
     n = g.dim
-    tol0 = _lattice_feas_tol(F, g, tol_feas)
+
+    def tol_at(spacing):
+        # a lattice point within spacing/2 per axis of the preimage manifold
+        # moves the residual by at most L * spacing * sqrt(n) / 2; 0.6 adds
+        # slack
+        return max(tol_feas, 0.6 * L * float(spacing.max()) * np.sqrt(n))
+
+    spacing = g.spacing
+    tol0 = tol_at(spacing)
     pool = []
     for U in g.chunks():
         resid = clamp_distance_batch(F.K, F.f.eval_batch(U) - v)
@@ -288,21 +325,13 @@ def _preimage_pool(F: MultiMap, v: np.ndarray, g: Grid, US: np.ndarray,
     if not pool:
         return None
     pool = np.concatenate(pool, axis=0)
-    spacing = g.spacing.copy()
-    L = F.lipschitz_bound(g.box)
     offs = np.stack([m.ravel() for m in np.meshgrid(
         *([np.linspace(-4.0, 4.0, 17)] * n), indexing="ij")], axis=1)
     for _ in range(rounds):
-        d = np.linalg.norm(US[:, None, :] - pool[None, :, :], axis=2) \
-            if US.shape[0] * pool.shape[0] <= 4_000_000 else None
-        if d is None:
-            nearest = np.array([
-                int(np.argmin(np.linalg.norm(pool - u, axis=1))) for u in US])
-        else:
-            nearest = np.argmin(d, axis=1)
+        nearest, _ = _nearest(US, pool)
         centers = pool[np.unique(nearest)[:max_centers]]
         spacing = spacing / 2.0
-        tol = max(tol_feas, 0.6 * L * float(spacing.max()) * np.sqrt(n))
+        tol = tol_at(spacing)
         cand = (centers[:, None, :]
                 + offs[None, :, :] * spacing[None, None, :]).reshape(-1, n)
         resid = clamp_distance_batch(F.K, F.f.eval_batch(cand) - v)
@@ -343,12 +372,31 @@ def grid_global_slope(f: ScalarField, x, g: Grid) -> float:
 # ---------------------------------------------------------------------------
 # Modulus.
 
+def _scale_sweep(K: ConvexSet, diff: np.ndarray, ybar: np.ndarray,
+                 delta: float, S: np.ndarray) -> np.ndarray:
+    """[d_K(diff_b + s*ybar) - s*delta]+ for each row b and each scale s in
+    row b of S, as one stacked clamp call per chunk of about _CHUNK_ROWS
+    (row, scale) pairs."""
+    out = np.empty_like(S)
+    per = max(1, _CHUNK_ROWS // S.shape[1])
+    for start in range(0, S.shape[0], per):
+        s = S[start:start + per]
+        Z = diff[start:start + per, None, :] + s[:, :, None] * ybar
+        resid = clamp_distance_batch(K, Z.reshape(-1, diff.shape[1]))
+        out[start:start + per] = np.maximum(
+            resid.reshape(s.shape) - delta * s, 0.0)
+    return out
+
+
 def _oracle_membership(F: MultiMap, diff: np.ndarray, ybar: np.ndarray,
                        delta: float) -> np.ndarray:
     """min over a dense scale grid of [d_K(diff + s*ybar) - s*delta]+.
 
     diff rows are f(u) - v.  One zoom round around the coarse argmin keeps
-    boundary classification honest at lattice tolerances.
+    boundary classification honest at lattice tolerances.  Each stage
+    evaluates every (row, scale) pair stacked, in row chunks, with the
+    same elementwise arithmetic as a per-scale loop, so each row's value
+    is what it would be alone.
     """
     ny = float(np.linalg.norm(ybar))
     B = diff.shape[0]
@@ -356,19 +404,13 @@ def _oracle_membership(F: MultiMap, diff: np.ndarray, ybar: np.ndarray,
     hi = 10.0 * (norms + 1.0) / max(ny - delta, 1e-12)
     base = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 256)])
     S = base[None, :] * hi[:, None]
-    vals = np.empty_like(S)
-    for j in range(S.shape[1]):
-        resid = clamp_distance_batch(F.K, diff + S[:, j, None] * ybar)
-        vals[:, j] = np.maximum(resid - delta * S[:, j], 0.0)
+    vals = _scale_sweep(F.K, diff, ybar, delta, S)
     arg = np.argmin(vals, axis=1)
     best = vals[np.arange(B), arg]
     lo_s = S[np.arange(B), np.maximum(arg - 1, 0)]
     hi_s = S[np.arange(B), np.minimum(arg + 1, S.shape[1] - 1)]
     Z = lo_s[:, None] + (hi_s - lo_s)[:, None] * np.linspace(0, 1, 33)[None, :]
-    for j in range(Z.shape[1]):
-        resid = clamp_distance_batch(F.K, diff + Z[:, j, None] * ybar)
-        np.minimum(best, np.maximum(resid - delta * Z[:, j], 0.0), out=best)
-    return best
+    return np.minimum(best, _scale_sweep(F.K, diff, ybar, delta, Z).min(axis=1))
 
 
 def grid_modulus(F: MultiMap, q: RegularityQuery, g_x: Grid, g_y: Grid,
@@ -407,6 +449,7 @@ def grid_modulus(F: MultiMap, q: RegularityQuery, g_x: Grid, g_y: Grid,
         raise NoAdmissibleSamples("the query balls contain no lattice points")
 
     fU = F.f.eval_batch(U)
+    L = F.lipschitz_bound(g_x.box)
     sup = 0.0
     any_pairs = False
     coarse_flag = False
@@ -423,12 +466,12 @@ def grid_modulus(F: MultiMap, q: RegularityQuery, g_x: Grid, g_y: Grid,
         if idx.size == 0:
             continue
         any_pairs = True
-        pool = _preimage_pool(F, v, g_x, U[idx], tol_feas)
+        pool = _preimage_pool(F, v, g_x, U[idx], tol_feas, L)
         if pool is None:
             coarse_flag = True
             sup = np.inf
             continue
-        pre = _pairwise_min_dist(U[idx], pool)
+        _, pre = _nearest(U[idx], pool)
         sup = max(sup, float((pre / img[idx]).max()))
     if not any_pairs:
         raise NoAdmissibleSamples("no admissible lattice pairs at this step")

@@ -452,6 +452,28 @@ def test_entry_point_subprocess():
     assert proc.stdout.strip() == "regcert 0.1.0"
 
 
+def test_closed_stdout_keeps_report_and_exit_code(tmp_path):
+    """A reader that leaves before the first line (`regcert ... | head -0`)
+    costs the summary, not the report or the verdict's exit code."""
+    src_dir = str(Path(regcert.__file__).resolve().parents[1])
+    pythonpath = filter(None, [src_dir, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "regcert.cli", "analyze", "identity2",
+             "--seed", "3", "--no-timestamp", "--out", "r.json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            cwd=tmp_path, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["verdicts"]["all_hold"] is True
+
+
 @pytest.mark.skipif(shutil.which("regcert") is None,
                     reason="no regcert console script on PATH")
 def test_installed_console_script_on_path():

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from regcert import oracle
 from regcert.errors import (
     DimensionMismatch,
     GridTooCoarse,
@@ -18,9 +21,12 @@ from regcert.geometry import (
     Singleton,
 )
 from regcert.instances import builtin
-from regcert.multimap import default_region
+from regcert.multimap import AffineMap, MultiMap, default_region
 from regcert.oracle import (
+    _CHUNK_ROWS,
     Grid,
+    _nearest,
+    _oracle_membership,
     clamp_distance_batch,
     grid_global_slope,
     grid_modulus,
@@ -109,9 +115,133 @@ def test_clamp_distance_skew_is_certified_upper_bound():
         assert np.all(ub[inside] <= 1e-9)
 
 
+def test_clamp_distance_skew_rows_are_batch_independent():
+    # a lone row must not take a BLAS kernel that rounds differently
+    gen = np.random.default_rng(5)
+    for dim in (2, 3):
+        poly = bounded_random_polyhedron(gen, dim, extra_rows=3)
+        Z = gen.uniform(-20, 20, size=(120, dim))
+        batch = clamp_distance_batch(poly, Z)
+        alone = [clamp_distance_batch(poly, z[None, :])[0] for z in Z]
+        assert batch.tobytes() == np.array(alone).tobytes()
+
+
 def test_clamp_distance_unsupported_set():
     with pytest.raises(InvalidParameter):
         clamp_distance_batch(DirectionalCone([0.0, 1.0], 0.1), [[1.0, 1.0]])
+
+
+# ---------------------------------------------------------------------------
+# Directional membership scan.
+
+# a thin wedge around the negative first axis with a skew cap: the cyclic
+# sweeps, not the box clamp, give its distances
+SKEW = Polyhedron(np.array([[0.1, -1.0], [0.1, 1.0], [-1.0, 0.3]]),
+                  np.array([0.0, 0.0, 1.0]))
+MEMBERSHIP_SETS = {
+    "halfplane box": builtin("halfplane_directional").F.K,
+    "skew": SKEW,
+    "ball x skew": ProductSet((Ball(np.zeros(1), 0.5), SKEW)),
+    "ball": Ball(np.array([0.2, -0.1]), 0.7),
+}
+DIFF6 = np.array([[0.0, -0.5], [0.05, 0.3], [-0.4, -0.05], [1.0, -1.0],
+                  [0.0, 0.0], [-0.7, 0.6]])
+
+
+def _onto(K):
+    return MultiMap(AffineMap(np.eye(K.dim), np.zeros(K.dim)), K)
+
+
+def _membership_by_scale(F, diff, ybar, delta):
+    # reference: one clamp call per scale, the loop the stacked scan replaced
+    ny = float(np.linalg.norm(ybar))
+    B = diff.shape[0]
+    hi = 10.0 * (np.linalg.norm(diff, axis=1) + 1.0) / max(ny - delta, 1e-12)
+    S = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 256)])[None, :] \
+        * hi[:, None]
+    vals = np.empty_like(S)
+    for j in range(S.shape[1]):
+        resid = clamp_distance_batch(F.K, diff + S[:, j, None] * ybar)
+        vals[:, j] = np.maximum(resid - delta * S[:, j], 0.0)
+    arg = np.argmin(vals, axis=1)
+    best = vals[np.arange(B), arg]
+    lo_s = S[np.arange(B), np.maximum(arg - 1, 0)]
+    hi_s = S[np.arange(B), np.minimum(arg + 1, S.shape[1] - 1)]
+    Z = lo_s[:, None] + (hi_s - lo_s)[:, None] * np.linspace(0, 1, 33)[None, :]
+    for j in range(Z.shape[1]):
+        resid = clamp_distance_batch(F.K, diff + Z[:, j, None] * ybar)
+        np.minimum(best, np.maximum(resid - delta * Z[:, j], 0.0), out=best)
+    return best
+
+
+def test_oracle_membership_frozen_values():
+    # the per-scale loop's output on a fixed input, bit for bit
+    inst = builtin("halfplane_directional")
+    box = _oracle_membership(inst.F, DIFF6, inst.dc.ybar, inst.dc.delta)
+    assert np.array_equal(box, [
+        0.0, 0.30413812651491096, 0.3819183617637634, 0.7797967963799353,
+        0.0, 0.9219544457292886])
+    skew = _oracle_membership(_onto(SKEW), DIFF6, np.array([-1.0, 0.0]), 0.05)
+    assert np.array_equal(skew, [
+        0.3448654297658415, 0.1540102608621315, 0.0, 0.7942396481407533,
+        0.0, 0.49441180492200154])
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from(sorted(MEMBERSHIP_SETS)), st.integers(1, 6),
+       st.integers(0, 2 ** 31 - 1))
+def test_oracle_membership_rows_are_batch_independent(name, rows, seed):
+    K = MEMBERSHIP_SETS[name]
+    gen = np.random.default_rng(seed)
+    diff = gen.uniform(-2.0, 2.0, size=(rows, K.dim))
+    ybar = gen.standard_normal(K.dim)
+    ybar /= np.linalg.norm(ybar)
+    delta = float(gen.uniform(0.05, 0.5))
+    F = _onto(K)
+    batch = _oracle_membership(F, diff, ybar, delta)
+    for i in range(rows):
+        alone = _oracle_membership(F, diff[i:i + 1], ybar, delta)
+        assert batch[i].tobytes() == alone[0].tobytes()
+
+
+def test_oracle_membership_splits_large_batches(monkeypatch):
+    # more rows than one chunk of (row, scale) pairs holds
+    inst = builtin("halfplane_directional")
+    gen = np.random.default_rng(4)
+    diff = gen.uniform(-2.0, 2.0, size=(_CHUNK_ROWS // 257 + 40, 2))
+    calls = []
+
+    def counted(K, Z):
+        calls.append(Z.shape[0])
+        return clamp_distance_batch(K, Z)
+
+    monkeypatch.setattr(oracle, "clamp_distance_batch", counted)
+    got = _oracle_membership(inst.F, diff, inst.dc.ybar, inst.dc.delta)
+    # two chunks of the 257-scale grid, one of the 33-point zoom
+    assert len(calls) == 3 and max(calls) <= _CHUNK_ROWS
+    monkeypatch.undo()
+    want = _membership_by_scale(inst.F, diff, inst.dc.ybar, inst.dc.delta)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nearest_matches_broadcast_norm(n):
+    # lattice points with exact ties, every point twice so equal rows sit
+    # in different blocks, and queries on and between lattice points
+    side = {1: 900, 2: 30, 3: 10}[n]
+    lattice = np.stack([m.ravel() for m in np.meshgrid(
+        *([np.arange(side, dtype=float) * 0.1] * n), indexing="ij")], axis=1)
+    B = np.concatenate([lattice, lattice[::-1]])
+    gen = np.random.default_rng(n)
+    A = np.concatenate([
+        lattice[gen.integers(0, lattice.shape[0], 150)],
+        lattice[gen.integers(0, lattice.shape[0], 150)] + 0.05,
+        gen.uniform(-0.5, 0.1 * side + 0.5, size=(200, n))])
+    assert B.shape[0] > _CHUNK_ROWS // A.shape[0]
+    d = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2)
+    idx, dist = _nearest(A, B)
+    assert np.array_equal(idx, np.argmin(d, axis=1))
+    assert dist.tobytes() == d.min(axis=1).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,9 @@ COMMANDS = (
         (["sweep", "param_scale", "--tau", "1.1", "--seed", "3"],
          "report.json"),
         (["oracle-check", "identity2", "--seed", "3"], "report.json"),
+        # the only command whose oracle runs the directional membership scan
+        (["oracle-check", "halfplane_directional", "--seed", "3"],
+         "report.json"),
         (["perturb", "--tau", "1", "--delta", "0.5", "--ybar-norm", "1",
           "--alpha", "0.5", "--L", "0.05"], "report.json"),
         (["analyze", "identity2", "--seed", "3", "--csv", "samples.csv"],
