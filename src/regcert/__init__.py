@@ -35,7 +35,7 @@ from .regularity import (CoderivativeEstimate, DualPair, InteriorityResult,
                          parametric_sweep, perturbation_bound,
                          robinson_condition, sample_dual_pairs,
                          slope_criterion)
-from .slopes import (ErrorBoundCertificate, ScalarField, SlopeEstimate,
+from .slopes import (ErrorBoundCertificate, SlopeEstimate,
                      error_bound_certificate, global_slope, local_slope)
 
 __version__ = "0.1.0"
@@ -49,7 +49,7 @@ __all__ = [
     "NoAdmissibleSamples", "NotInSet", "NotPolyhedral",
     "Polyhedron", "PolynomialMap", "Problem", "ProblemFileError",
     "ProductSet", "RegcertError", "RegularityQuery",
-    "ScalarField", "SearchRegion", "SimplexIterationLimit", "Singleton",
+    "SearchRegion", "SimplexIterationLimit", "Singleton",
     "SlopeCriterionResult", "SlopeEstimate", "SmoothMap", "SweepResult",
     "UnknownInstance", "builtin", "canonical_json", "clamp_distance_batch",
     "coderivative_criterion", "default_region",

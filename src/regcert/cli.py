@@ -31,8 +31,7 @@ from .errors import (DimensionMismatch, GridTooLarge, InvalidParameter,
                      SimplexIterationLimit, UnknownInstance)
 from .geometry import TOL_FEAS, TOL_MEMBER
 from .instances import builtin, registry_names
-from .multimap import (as_polyhedron, default_region, image_distance,
-                       image_distance_batch)
+from .multimap import as_polyhedron, default_region, image_distance_batch
 from .oracle import Grid, grid_modulus
 from .problems import (ANALYSIS_OPS, SCHEMA_VERSION, Problem,
                        canonical_json, instance_problem, load_problem,
@@ -42,7 +41,7 @@ from .regularity import (NORM_CHOICE, SLOPE_SLACK, RegularityQuery,
                          empirical_directional_modulus, parametric_sweep,
                          perturbation_bound, robinson_condition,
                          slope_criterion)
-from .slopes import ScalarField, error_bound_certificate
+from .slopes import Field, error_bound_certificate
 
 _GUARDS = (GridTooLarge, SimplexIterationLimit)
 
@@ -147,15 +146,11 @@ def _build_query(problem: Problem, args) -> RegularityQuery:
 # given).  Parameters the library reads pass through as keyword arguments,
 # so an absent one takes the library default.
 
-def _residual_field(q: RegularityQuery) -> ScalarField:
-    y0 = q.y0
-
+def _residual_field(q: RegularityQuery) -> Field:
     def batch(X: np.ndarray) -> np.ndarray:
-        Y = np.tile(y0, (X.shape[0], 1))
-        return image_distance_batch(q.F, X, Y)
+        return image_distance_batch(q.F, X, np.tile(q.y0, (X.shape[0], 1)))
 
-    return ScalarField(q.F.dim_in, fn=lambda x: image_distance(q.F, x, y0),
-                       batch=batch)
+    return batch
 
 
 def _within_target(value: float, params) -> bool | None:

@@ -83,15 +83,14 @@ class ConvexSet:
         p = as_vector(p, self.dim, "point")
         return float(self.distance_batch(p[None, :])[0])
 
-    def contains(self, p, tol: float = TOL_MEMBER) -> bool:
-        return self.distance(p) <= tol
+    def contains(self, p) -> bool:
+        return self.distance(p) <= TOL_MEMBER
 
 
 # ---------------------------------------------------------------------------
 # Dykstra's alternating projection for halfspace systems.
 
-def dykstra_halfspaces(C, d, P, rhs=None, tol=DYKSTRA_TOL,
-                       max_sweeps=DYKSTRA_MAX_SWEEPS):
+def dykstra_halfspaces(C, d, P, rhs=None):
     """Project each row of P onto {z : Cz <= d} (or a per-point rhs).
 
     rhs, when given, has shape (B, m) and replaces d per point; this is what
@@ -118,7 +117,7 @@ def dykstra_halfspaces(C, d, P, rhs=None, tol=DYKSTRA_TOL,
     active = np.arange(B)
     last_resid = np.full(B, np.inf)
     checkpoint = np.full(B, np.inf)
-    for sweep in range(max_sweeps):
+    for sweep in range(DYKSTRA_MAX_SWEEPS):
         Xa = X[active]
         Ra = rhs[active]
         start = Xa.copy()
@@ -139,7 +138,7 @@ def dykstra_halfspaces(C, d, P, rhs=None, tol=DYKSTRA_TOL,
                       axis=1)
         resid = np.maximum(feas, np.maximum(move, corr))
         last_resid[active] = resid
-        keep = resid > tol
+        keep = resid > DYKSTRA_TOL
         if sweep % 300 == 299:
             # only a persistent feasibility violation marks an empty system;
             # a slow move with feas -> 0 is a thin-angle geometry still
@@ -155,7 +154,7 @@ def dykstra_halfspaces(C, d, P, rhs=None, tol=DYKSTRA_TOL,
     return X, feas_final
 
 
-def golden_min(fn, lo, hi, iters: int = _GOLDEN_ITERS):
+def golden_min(fn, lo, hi):
     """Vectorized golden-section minimizer over per-point brackets.
 
     fn maps abscissae (B,) to values (B,) and must be unimodal on [lo, hi],
@@ -168,7 +167,7 @@ def golden_min(fn, lo, hi, iters: int = _GOLDEN_ITERS):
     x2 = a + _INVPHI * (b - a)
     f1 = fn(x1)
     f2 = fn(x2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         left = f1 < f2
         b = np.where(left, x2, b)
         a = np.where(left, a, x1)
@@ -454,11 +453,10 @@ class ProductSet(ConvexSet):
 # ---------------------------------------------------------------------------
 # Normal cones of polyhedra.
 
-def normal_cone_generators(poly: Polyhedron, k,
-                           tol_active: float = TOL_ACTIVE) -> np.ndarray:
+def normal_cone_generators(poly: Polyhedron, k) -> np.ndarray:
     """Rows of poly.C active at k; these generate the normal cone there.
 
-    Requires k to lie in the polyhedron up to tol_active (NotInSet
+    Requires k to lie in the polyhedron up to TOL_ACTIVE (NotInSet
     otherwise).  Returns the raw active rows, shape (n_active, dim); an
     interior point yields an empty array.
     """
@@ -467,9 +465,9 @@ def normal_cone_generators(poly: Polyhedron, k,
         return np.zeros((0, poly.dim))
     slack = poly.C @ k - poly.d
     norms = np.linalg.norm(poly.C, axis=1)
-    if np.any(slack / norms > tol_active):
+    if np.any(slack / norms > TOL_ACTIVE):
         raise NotInSet("point violates the constraint system")
-    active = slack >= -tol_active * norms
+    active = slack >= -TOL_ACTIVE * norms
     return poly.C[active].copy()
 
 

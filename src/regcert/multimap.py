@@ -290,11 +290,11 @@ class SearchRegion:
     def dim(self):
         return self.box.shape[0]
 
-    def uniform_block(self, label: str, block_index: int,
-                      count: int = rng.BLOCK) -> np.ndarray:
+    def uniform_block(self, label: str, block_index: int) -> np.ndarray:
         gen = rng.stream(self.seed, label, block_index)
         width = self.box[:, 1] - self.box[:, 0]
-        return self.box[:, 0][None, :] + gen.random((count, self.dim)) * width
+        return (self.box[:, 0][None, :]
+                + gen.random((rng.BLOCK, self.dim)) * width)
 
     def uniform_samples(self, label: str, count: int) -> np.ndarray:
         blocks = [
@@ -646,9 +646,9 @@ def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
 # The lower envelope of x -> d(y, F(x)) relative to the membership tube.
 
 @lru_cache(maxsize=16)
-def _probe_directions(dim: int, count: int = 32) -> np.ndarray:
+def _probe_directions(dim: int) -> np.ndarray:
     gen = rng.stream(0x5EED, "envelope-probe", dim)
-    return rng.sphere_points(gen, count, dim)
+    return rng.sphere_points(gen, 32, dim)
 
 
 def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,

@@ -41,7 +41,6 @@ from .geometry import (
 )
 from .multimap import AffineMap, MultiMap
 from .regularity import RegularityQuery, robinson_condition
-from .slopes import ScalarField
 
 _MAX_AXIS_POINTS = 201
 _MAX_LATTICE = 10_000_000
@@ -49,6 +48,8 @@ _MAX_PAIRS = 20_000_000
 _CHUNK_ROWS = 200_000
 _SWEEP_PASSES = 60
 _SWEEP_EXTRA = 6000
+_POOL_ROUNDS = 7
+_POOL_CENTERS = 96
 
 
 class Grid:
@@ -224,26 +225,9 @@ def _warn_if_coarse(F: MultiMap, x: np.ndarray, y: np.ndarray,
                       "is likely too coarse", GridTooCoarse)
 
 
-def _scan_feasible(F: MultiMap, y: np.ndarray, x: np.ndarray, g: Grid,
-                   tol: float):
-    best = np.inf
-    best_u = None
-    for U in g.chunks():
-        resid = clamp_distance_batch(F.K, F.f.eval_batch(U) - y)
-        feas = resid <= tol
-        if np.any(feas):
-            d = np.linalg.norm(U[feas] - x, axis=1)
-            i = int(np.argmin(d))
-            if d[i] < best:
-                best = float(d[i])
-                best_u = U[feas][i]
-    return best, best_u
-
-
 def grid_preimage_distance(F: MultiMap, y, x, g: Grid,
-                           tol_feas: float = TOL_FEAS,
                            warn_coarse: bool = True) -> float:
-    """min ||x - u|| over lattice u with d(K, f(u) - y) <= tol_feas.
+    """min ||x - u|| over lattice u with d(K, f(u) - y) <= TOL_FEAS.
 
     The query point x joins the candidates, so a feasible x gives 0 even
     off-lattice.  Returns +inf when nothing on the lattice is feasible; in
@@ -254,9 +238,13 @@ def grid_preimage_distance(F: MultiMap, y, x, g: Grid,
     x = as_vector(x, F.dim_in, "x")
     if g.dim != F.dim_in:
         raise DimensionMismatch("grid dimension must match dim_in")
-    if float(clamp_distance_batch(F.K, (F.f(x) - y)[None, :])[0]) <= tol_feas:
+    if float(clamp_distance_batch(F.K, (F.f(x) - y)[None, :])[0]) <= TOL_FEAS:
         return 0.0
-    best, _ = _scan_feasible(F, y, x, g, tol_feas)
+    best = np.inf
+    for U in g.chunks():
+        feas = clamp_distance_batch(F.K, F.f.eval_batch(U) - y) <= TOL_FEAS
+        if np.any(feas):
+            best = min(best, float(np.linalg.norm(U[feas] - x, axis=1).min()))
     if not np.isfinite(best) and warn_coarse:
         _warn_if_coarse(F, x, y, "no feasible lattice point")
     return best
@@ -293,9 +281,9 @@ def _nearest(A: np.ndarray, B: np.ndarray) -> tuple:
     return idx, dist
 
 
-def _preimage_pool(F: MultiMap, v: np.ndarray, g: Grid, US: np.ndarray,
-                   tol_feas: float, L: float, rounds: int = 7,
-                   max_centers: int = 96) -> np.ndarray | None:
+def _preimage_pool(F: MultiMap, v: np.ndarray, g: Grid, G: np.ndarray,
+                   fG: np.ndarray, US: np.ndarray,
+                   L: float) -> np.ndarray | None:
     """Refined lattice approximation of the preimage of v, as a point pool.
 
     Stage one keeps every lattice point feasible at the step-scaled
@@ -303,8 +291,9 @@ def _preimage_pool(F: MultiMap, v: np.ndarray, g: Grid, US: np.ndarray,
     from local grids around the points currently nearest to the query
     set US, so the feasibility slack shrinks with the spacing and the
     final distances carry neither the coarse-lattice overestimate nor
-    the tolerance-slack underestimate.  L bounds the Lipschitz constant
-    of f over g.box.  None when stage one is empty.
+    the tolerance-slack underestimate.  G is g's lattice and fG = f(G);
+    L bounds the Lipschitz constant of f over g.box.  None when stage one
+    is empty.
     """
     n = g.dim
 
@@ -312,24 +301,22 @@ def _preimage_pool(F: MultiMap, v: np.ndarray, g: Grid, US: np.ndarray,
         # a lattice point within spacing/2 per axis of the preimage manifold
         # moves the residual by at most L * spacing * sqrt(n) / 2; 0.6 adds
         # slack
-        return max(tol_feas, 0.6 * L * float(spacing.max()) * np.sqrt(n))
+        return max(TOL_FEAS, 0.6 * L * float(spacing.max()) * np.sqrt(n))
 
     spacing = g.spacing
     tol0 = tol_at(spacing)
     pool = []
-    for U in g.chunks():
-        resid = clamp_distance_batch(F.K, F.f.eval_batch(U) - v)
-        hit = resid <= tol0
-        if np.any(hit):
-            pool.append(U[hit])
-    if not pool:
-        return None
+    for a in range(0, G.shape[0], _CHUNK_ROWS):
+        rows = slice(a, a + _CHUNK_ROWS)
+        pool.append(G[rows][clamp_distance_batch(F.K, fG[rows] - v) <= tol0])
     pool = np.concatenate(pool, axis=0)
+    if pool.shape[0] == 0:
+        return None
     offs = np.stack([m.ravel() for m in np.meshgrid(
         *([np.linspace(-4.0, 4.0, 17)] * n), indexing="ij")], axis=1)
-    for _ in range(rounds):
+    for _ in range(_POOL_ROUNDS):
         nearest, _ = _nearest(US, pool)
-        centers = pool[np.unique(nearest)[:max_centers]]
+        centers = pool[np.unique(nearest)[:_POOL_CENTERS]]
         spacing = spacing / 2.0
         tol = tol_at(spacing)
         cand = (centers[:, None, :]
@@ -347,10 +334,11 @@ def _preimage_pool(F: MultiMap, v: np.ndarray, g: Grid, US: np.ndarray,
 # ---------------------------------------------------------------------------
 # Slopes.
 
-def grid_global_slope(f: ScalarField, x, g: Grid) -> float:
-    """Exhaustive max of [f(x) - f(u)]+ / ||x - u|| over lattice u != x."""
+def grid_global_slope(f, x, g: Grid) -> float:
+    """Exhaustive max of [f(x) - f(u)]+ / ||x - u|| over lattice u != x;
+    f maps the rows of a (B, dim) batch to (B,)."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    fx = float(f(x))
+    fx = float(f(x[None, :])[0])
     if not np.isfinite(fx):
         raise InvalidParameter("grid_global_slope needs a finite f(x)")
     if g.dim != x.size:
@@ -361,7 +349,7 @@ def grid_global_slope(f: ScalarField, x, g: Grid) -> float:
         keep = d > 1e-12
         if not np.any(keep):
             continue
-        vals = f.eval_batch(U[keep])
+        vals = f(U[keep])
         num = np.maximum(fx - vals, 0.0)
         pos = num > 0.0
         if np.any(pos):
@@ -413,15 +401,14 @@ def _oracle_membership(F: MultiMap, diff: np.ndarray, ybar: np.ndarray,
     return np.minimum(best, _scale_sweep(F.K, diff, ybar, delta, Z).min(axis=1))
 
 
-def grid_modulus(F: MultiMap, q: RegularityQuery, g_x: Grid, g_y: Grid,
-                 min_image: float | None = None,
-                 tol_feas: float = TOL_FEAS) -> float:
+def grid_modulus(F: MultiMap, q: RegularityQuery, g_x: Grid,
+                 g_y: Grid) -> float:
     """Exhaustive sup of the regularity ratio over admissible lattice pairs.
 
     Pairs run over the x and y lattices clipped to the query balls; the
-    ratio is evaluated for pairs whose image distance clears min_image,
-    which keeps the grid-step error in the ratio bounded.  The default
-    floor is 0.3 * epsilon, scaled down by the cone aperture sin(theta) =
+    ratio is evaluated for pairs whose image distance clears a floor,
+    which keeps the grid-step error in the ratio bounded.  The floor is
+    0.3 * epsilon, scaled down by the cone aperture sin(theta) =
     delta/||ybar|| for directional queries, since membership then admits
     only image distances of that order.  Preimage distances for the
     leading candidates come from locally refined sub-grids.  Capped at
@@ -431,15 +418,16 @@ def grid_modulus(F: MultiMap, q: RegularityQuery, g_x: Grid, g_y: Grid,
         raise InvalidParameter("oracle modulus is capped at dimension 3")
     if g_x.dim != F.dim_in or g_y.dim != F.dim_out:
         raise DimensionMismatch("grid dimensions must match the mapping")
-    if min_image is None:
-        min_image = 0.3 * q.epsilon
-        if q.dc is not None:
-            ny = float(np.linalg.norm(q.dc.ybar))
-            if ny > 0.0:
-                min_image *= min(q.dc.delta / ny, 1.0)
+    min_image = 0.3 * q.epsilon
+    if q.dc is not None:
+        ny = float(np.linalg.norm(q.dc.ybar))
+        if ny > 0.0:
+            min_image *= min(q.dc.delta / ny, 1.0)
 
-    U = g_x.lattice()
-    U = U[np.linalg.norm(U - q.x0, axis=1) <= q.epsilon]
+    G = g_x.lattice()
+    fG = F.f.eval_batch(G)
+    inball = np.linalg.norm(G - q.x0, axis=1) <= q.epsilon
+    U, fU = G[inball], fG[inball]
     V = g_y.lattice()
     V = V[np.linalg.norm(V - q.y0, axis=1) <= q.epsilon]
     if U.shape[0] * V.shape[0] > _MAX_PAIRS:
@@ -448,7 +436,6 @@ def grid_modulus(F: MultiMap, q: RegularityQuery, g_x: Grid, g_y: Grid,
     if U.size == 0 or V.size == 0:
         raise NoAdmissibleSamples("the query balls contain no lattice points")
 
-    fU = F.f.eval_batch(U)
     L = F.lipschitz_bound(g_x.box)
     sup = 0.0
     any_pairs = False
@@ -466,7 +453,7 @@ def grid_modulus(F: MultiMap, q: RegularityQuery, g_x: Grid, g_y: Grid,
         if idx.size == 0:
             continue
         any_pairs = True
-        pool = _preimage_pool(F, v, g_x, U[idx], tol_feas, L)
+        pool = _preimage_pool(F, v, g_x, G, fG, U[idx], L)
         if pool is None:
             coarse_flag = True
             sup = np.inf

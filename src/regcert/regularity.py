@@ -27,7 +27,6 @@ from .errors import (
     RegcertError,
 )
 from .geometry import (
-    TOL_ACTIVE,
     TOL_FEAS,
     TOL_MEMBER,
     DirectionalCone,
@@ -48,12 +47,15 @@ from .multimap import (
     membership_values,
     preimage_distance_batch,
 )
-from .slopes import ScalarField, global_slope
+from .slopes import Field, global_slope
 
 NORM_CHOICE = "max of componentwise euclidean norms on X x Y"
 SLOPE_SLACK = 0.05
 _MIN_IMAGE = 1e-12
 _DUAL_ATTEMPTS = 16
+_DUAL_TOL = 1e-9
+_LAMBDA_MAX = 10.0  # box bounds of the interiority LP
+_U_MAX = 10.0
 
 
 @dataclass
@@ -218,16 +220,12 @@ def _admissible_pairs(q: RegularityQuery, label: str, count: int):
 
 
 def _envelope_field(q: RegularityQuery, y: np.ndarray,
-                    lipschitz: float) -> ScalarField:
-    F, dc, tol = q.F, q.dc, q.tol_member
+                    lipschitz: float) -> Field:
+    def batch(U):
+        return envelope_batch(q.F, q.dc, U, y, q.tol_member, lipschitz,
+                              quick=True)
 
-    def batch(U, y=y):
-        return envelope_batch(F, dc, U, y, tol, lipschitz, quick=True)
-
-    def fn(u, y=y):
-        return float(batch(np.asarray(u, dtype=float)[None, :])[0])
-
-    return ScalarField(F.dim_in, fn, batch)
+    return batch
 
 
 def _envelope_slopes(q: RegularityQuery, pairs, halfwidth: float,
@@ -322,14 +320,14 @@ class DualPair:
     y2star: np.ndarray
     delta: float
 
-    def is_valid(self, ybar, tol: float = 1e-9) -> bool:
+    def is_valid(self, ybar) -> bool:
         ybar = np.asarray(ybar, dtype=float)
         s = self.y1star + self.y2star
         return bool(
-            np.linalg.norm(self.y1star) <= 1.0 + self.delta + tol
-            and float(self.y1star @ ybar) <= self.delta + tol
-            and abs(float(self.y2star @ ybar)) <= self.delta + tol
-            and abs(float(np.linalg.norm(s)) - 1.0) <= tol
+            np.linalg.norm(self.y1star) <= 1.0 + self.delta + _DUAL_TOL
+            and float(self.y1star @ ybar) <= self.delta + _DUAL_TOL
+            and abs(float(self.y2star @ ybar)) <= self.delta + _DUAL_TOL
+            and abs(float(np.linalg.norm(s)) - 1.0) <= _DUAL_TOL
         )
 
 
@@ -431,8 +429,8 @@ def coderivative_criterion(q: RegularityQuery,
         level_min = np.inf
         level_n = 0
         for j, pair in enumerate(pairs):
-            G1 = normal_cone_generators(Kp, K1[j], TOL_ACTIVE)
-            G2 = normal_cone_generators(Kp, K2[j], TOL_ACTIVE)
+            G1 = normal_cone_generators(Kp, K1[j])
+            G2 = normal_cone_generators(Kp, K2[j])
             y1p = project_onto_generated_cone(G1, pair.y1star)
             y2p = project_onto_generated_cone(G2, pair.y2star)
             s = y1p + y2p
@@ -529,9 +527,7 @@ def _interiority_lp(M: np.ndarray, offset: np.ndarray, Kp: Polyhedron,
     return float(u_max)
 
 
-def robinson_condition(F: MultiMap, x0, y0, ybar, lambda_max: float = 10.0,
-                       u_max: float = 10.0,
-                       tol: float = TOL_FEAS) -> InteriorityResult:
+def robinson_condition(F: MultiMap, x0, y0, ybar) -> InteriorityResult:
     """LP test that the ray through ybar meets Int(f(x0) - y0 + Im J(x0) - K).
 
     The condition is taken at the graph point (x0, y0): the linearized image
@@ -546,9 +542,8 @@ def robinson_condition(F: MultiMap, x0, y0, ybar, lambda_max: float = 10.0,
     y0 = as_vector(y0, F.dim_out, "y0")
     ybar = as_vector(ybar, F.dim_out, "ybar")
     margin = _interiority_lp(F.f.jacobian(x0), F.f(x0) - y0, Kp, ybar,
-                             float(lambda_max), float(u_max))
-    return InteriorityResult(margin > tol, margin, float(lambda_max),
-                             float(u_max))
+                             _LAMBDA_MAX, _U_MAX)
+    return InteriorityResult(margin > TOL_FEAS, margin, _LAMBDA_MAX, _U_MAX)
 
 
 # ---------------------------------------------------------------------------

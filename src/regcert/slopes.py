@@ -1,5 +1,8 @@
 """Descent-rate (strong slope) estimators for extended-real scalar fields.
 
+A field is one batch evaluator f(X) -> (B,) over the rows of X, (B, dim);
+a single point is evaluated as a one-row batch.
+
 The local estimator samples spheres on a halving radius ladder and keeps the
 steepest observed descent ratio [f(x) - f(y)]+ / |x - y|; the global variant
 adds region-wide samples, lattice nodes, and a deterministic coordinate
@@ -17,6 +20,7 @@ f at the point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -24,29 +28,24 @@ from . import rng
 from .errors import InSet
 from .multimap import SearchRegion
 
+Field = Callable[[np.ndarray], np.ndarray]
+
 _MIN_STEP_DIST = 1e-10
-DEFAULT_LOCAL_LEVELS = 6
-DEFAULT_LOCAL_SAMPLES = 24
-_POLISH_STEPS = 20
+_LOCAL_LEVELS = 6        # radii r0 * 2^-k of the local ladder
+_LOCAL_SAMPLES = 24      # sphere samples per ladder level
+_ASCENT_STEPS = 20       # coordinate ascent steps per polish
+_SEGMENT_ITERS = 60      # bisection steps on a segment [xbar, u]
+_RAY_ITERS = 45          # bisection steps per direction-descent candidate
+_POLISH_ROUNDS = 8       # gradient re-bisections of a boundary point
+_DESCENT_ROUNDS = 24     # pattern-search rounds over ray directions
+_PROBE_KEEP = 6          # low-slope probes kept per certificate
+_POLISH_FACTORS = (1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 3.0)
+_DESCENT_FACTORS = (1.0 + 1e-9, 1.01, 1.1, 1.3, 2.0)
 
 
-@dataclass
-class ScalarField:
-    """dim plus an evaluator; batch, when given, maps (B, dim) -> (B,)."""
-
-    dim: int
-    fn: object
-    batch: object = None
-
-    def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(self.fn(x))
-
-    def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self.batch is not None:
-            return np.asarray(self.batch(X), dtype=float)
-        return np.array([float(self.fn(x)) for x in X])
+def _at(f: Field, x: np.ndarray) -> float:
+    """f at a single point, as a one-row batch."""
+    return float(f(x[None, :])[0])
 
 
 @dataclass
@@ -60,9 +59,9 @@ class SlopeEstimate:
     mode: str = "local"
 
 
-def _ratios(f: ScalarField, x: np.ndarray, fx: float,
+def _ratios(f: Field, x: np.ndarray, fx: float,
             Y: np.ndarray) -> np.ndarray:
-    fY = f.eval_batch(Y)
+    fY = f(Y)
     dist = np.linalg.norm(Y - x[None, :], axis=1)
     ok = dist >= _MIN_STEP_DIST
     out = np.full(Y.shape[0], -np.inf)
@@ -71,9 +70,8 @@ def _ratios(f: ScalarField, x: np.ndarray, fx: float,
     return out
 
 
-def _coordinate_ascent(f: ScalarField, x: np.ndarray, fx: float,
-                       Y0: np.ndarray, h0: np.ndarray,
-                       steps: int = _POLISH_STEPS):
+def _coordinate_ascent(f: Field, x: np.ndarray, fx: float,
+                       Y0: np.ndarray, h0: np.ndarray):
     """Pattern search on the descent ratio, batched over candidates.
 
     Each step polls every +-h axis move of every candidate in a single
@@ -87,7 +85,7 @@ def _coordinate_ascent(f: ScalarField, x: np.ndarray, fx: float,
     C = Y.shape[0]
     eye = np.eye(n)
     moves = np.concatenate([eye, -eye], axis=0)
-    for _ in range(steps):
+    for _ in range(_ASCENT_STEPS):
         cand = Y[:, None, :] + h[:, None, None] * moves[None, :, :]
         flat = cand.reshape(C * 2 * n, n)
         r = _ratios(f, x, fx, flat).reshape(C, 2 * n)
@@ -100,8 +98,7 @@ def _coordinate_ascent(f: ScalarField, x: np.ndarray, fx: float,
     return Y, best
 
 
-def local_slope(f: ScalarField, x, r0: float = 1e-2, levels: int = DEFAULT_LOCAL_LEVELS,
-                samples_per_level: int = DEFAULT_LOCAL_SAMPLES,
+def local_slope(f: Field, x, r0: float = 1e-2,
                 seed: int = 0) -> SlopeEstimate:
     """Steepest local descent ratio around x on radii r0 * 2^-k.
 
@@ -109,16 +106,16 @@ def local_slope(f: ScalarField, x, r0: float = 1e-2, levels: int = DEFAULT_LOCAL
     an error.  The reported value aggregates the last three ladder levels.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    fx = f(x)
+    fx = _at(f, x)
     if np.isinf(fx):
         return SlopeEstimate(np.inf, [], [], "local")
     ladder = []
     cand_pts = []
     cand_h = []
-    for k in range(levels):
+    for k in range(_LOCAL_LEVELS):
         r = r0 * 0.5 ** k
         dirs = rng.sphere_points(rng.stream(seed, "local-slope", k),
-                                 samples_per_level, x.size)
+                                 _LOCAL_SAMPLES, x.size)
         Y = x[None, :] + r * dirs
         ratios = _ratios(f, x, fx, Y)
         best = int(np.argmax(ratios))
@@ -127,13 +124,11 @@ def local_slope(f: ScalarField, x, r0: float = 1e-2, levels: int = DEFAULT_LOCAL
         cand_h.append(r / 8.0)
     Yp, polished = _coordinate_ascent(f, x, fx, np.array(cand_pts),
                                       np.array(cand_h))
-    for k in range(levels):
+    for k in range(_LOCAL_LEVELS):
         ladder[k][1] = float(max(ladder[k][1], polished[k]))
-    tail = ladder[-3:] if levels >= 3 else ladder
-    value = max(v for _, v in tail)
-    witnesses = []
-    for k in range(max(0, levels - 3), levels):
-        witnesses.append((Yp[k].copy(), float(polished[k])))
+    value = max(v for _, v in ladder[-3:])
+    witnesses = [(Yp[k].copy(), float(polished[k]))
+                 for k in range(_LOCAL_LEVELS - 3, _LOCAL_LEVELS)]
     return SlopeEstimate(float(value), [(r, v) for r, v in ladder],
                          witnesses, "local")
 
@@ -143,7 +138,7 @@ def default_local_r0(region: SearchRegion) -> float:
     return 0.1 * width
 
 
-def global_slope(f: ScalarField, x, region: SearchRegion) -> SlopeEstimate:
+def global_slope(f: Field, x, region: SearchRegion) -> SlopeEstimate:
     """Lower bound of the global descent ratio supremum at x.
 
     Candidates: uniform samples in the region box, all lattice nodes, and a
@@ -153,7 +148,7 @@ def global_slope(f: ScalarField, x, region: SearchRegion) -> SlopeEstimate:
     from prefix argmaxes.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    fx = f(x)
+    fx = _at(f, x)
     if np.isinf(fx):
         return SlopeEstimate(np.inf, [], [], "global")
     samples = region.uniform_samples("global-slope", region.sample_budget)
@@ -206,20 +201,53 @@ class ErrorBoundCertificate:
     n_slope_points: int
 
 
-def _bisect_boundary(f: ScalarField, xbar, u, iters: int = 60):
-    """Closest point with f <= 0 on the segment [xbar, u]; f(u) <= 0."""
-    lo, hi = 0.0, 1.0
-    direction = u - xbar
+def _bisect(f: Field, xbar, D, hi, iters: int):
+    """Per row, bisect the ray xbar + t D on [0, hi] for where f turns
+    nonpositive; f(xbar + hi D) <= 0 must hold.  Returns the feasible end
+    of each final bracket."""
+    lo = np.zeros(D.shape[0])
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if f(xbar + mid * direction) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return xbar + hi * direction, hi * float(np.linalg.norm(direction))
+        feas = f(xbar[None, :] + mid[:, None] * D) <= 0.0
+        hi = np.where(feas, mid, hi)
+        lo = np.where(feas, lo, mid)
+    return hi
 
 
-def _polish_boundary(f: ScalarField, xbar, w, d, iters: int = 8):
+def _segment_hits(f: Field, xbar, D):
+    """(point, distance) of the f <= 0 crossing on each segment
+    [xbar, xbar + D]; f <= 0 at every segment end."""
+    t = _bisect(f, xbar, D, np.ones(D.shape[0]), _SEGMENT_ITERS)
+    return [(xbar + ti * Di, ti * float(np.linalg.norm(Di)))
+            for ti, Di in zip(t, D)]
+
+
+def _reach(f: Field, xbar, D, scale, factors):
+    """Per-row parameter at which f turns nonpositive, inf if never.
+
+    Probes the ladder scale * factors; rows whose ray misses the sublevel
+    set inside the ladder are reported unreachable."""
+    t_hi = np.full(D.shape[0], np.inf)
+    for factor in factors:
+        open_rows = np.where(np.isinf(t_hi))[0]
+        if open_rows.size == 0:
+            break
+        t = scale * factor
+        vals = f(xbar[None, :] + t * D[open_rows])
+        t_hi[open_rows[vals <= 0.0]] = t
+    return t_hi
+
+
+def _fd_gradient(f: Field, P, delta):
+    """Central-difference gradients of f at the rows of P, shape (B, n)."""
+    B, n = P.shape
+    steps = delta * np.eye(n)
+    up = f((P[:, None, :] + steps[None, :, :]).reshape(B * n, n))
+    dn = f((P[:, None, :] - steps[None, :, :]).reshape(B * n, n))
+    return ((up - dn) / (2.0 * delta)).reshape(B, n)
+
+
+def _polish_boundary(f: Field, xbar, w, d):
     """Pull a boundary point toward the normal foot of xbar.
 
     Plain segment bisection lands where its ray happens to meet the
@@ -230,52 +258,26 @@ def _polish_boundary(f: ScalarField, xbar, w, d, iters: int = 8):
     returns a worse point than it was given."""
     best_w = np.asarray(w, dtype=float).copy()
     best_d = float(d)
-    eye = np.eye(xbar.size)
-    for _ in range(iters):
+    for _ in range(_POLISH_ROUNDS):
         delta = 1e-6 * max(best_d, 1.0)
-        up = f.eval_batch(best_w[None, :] + delta * eye)
-        dn = f.eval_batch(best_w[None, :] - delta * eye)
-        g = (up - dn) / (2.0 * delta)
+        g = _fd_gradient(f, best_w[None, :], delta)[0]
         norm_g = float(np.linalg.norm(g))
         if norm_g < 1e-12:
             break
         u = -g / norm_g
-        t_hi = None
-        for factor in (1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 3.0):
-            t = best_d * factor
-            if f(xbar + t * u) <= 0.0:
-                t_hi = t
-                break
-        if t_hi is None:
+        t_hi = _reach(f, xbar, u[None, :], best_d, _POLISH_FACTORS)[0]
+        if np.isinf(t_hi):
             break
-        w2, d2 = _bisect_boundary(f, xbar, xbar + t_hi * u)
-        if d2 < best_d:
-            best_w, best_d = w2, d2
-        else:
+        [(w2, d2)] = _segment_hits(f, xbar, (xbar + t_hi * u - xbar)[None, :])
+        if not d2 < best_d:
             break
+        best_w, best_d = w2, d2
         if best_d <= 1e-15:
             break
     return _direction_descent(f, xbar, best_w, best_d)
 
 
-def _feasible_reach(f: ScalarField, xbar, D, scale):
-    """Per-direction parameter at which f turns nonpositive, inf if never.
-
-    Probes a short factor ladder beyond scale; directions whose ray misses
-    the sublevel set inside the ladder are reported unreachable."""
-    t_hi = np.full(D.shape[0], np.inf)
-    for factor in (1.0 + 1e-9, 1.01, 1.1, 1.3, 2.0):
-        open_rows = np.isinf(t_hi)
-        if not np.any(open_rows):
-            break
-        t = scale * factor
-        vals = f.eval_batch(xbar[None, :] + t * D[open_rows])
-        hit = np.where(open_rows)[0][vals <= 0.0]
-        t_hi[hit] = t
-    return t_hi
-
-
-def _direction_descent(f: ScalarField, xbar, w, d, rounds: int = 24):
+def _direction_descent(f: Field, xbar, w, d):
     """Minimize the boundary distance over ray directions from xbar.
 
     The gradient step stalls at corner feet where the boundary has no
@@ -288,26 +290,18 @@ def _direction_descent(f: ScalarField, xbar, w, d, rounds: int = 24):
         return np.asarray(w, dtype=float), float(d)
     best_u /= norm
     best_d = float(d)
-    n = xbar.size
-    eye = np.eye(n)
+    eye = np.eye(xbar.size)
     h = 0.5
-    for _ in range(rounds):
+    for _ in range(_DESCENT_ROUNDS):
         cand = np.vstack([best_u[None, :] + h * eye,
                           best_u[None, :] - h * eye])
         norms = np.linalg.norm(cand, axis=1)
         cand = cand[norms > 1e-12] / norms[norms > 1e-12, None]
-        t_hi = _feasible_reach(f, xbar, cand, best_d)
+        t_hi = _reach(f, xbar, cand, best_d, _DESCENT_FACTORS)
         reach = np.isfinite(t_hi)
         if np.any(reach):
             cand = cand[reach]
-            lo = np.zeros(cand.shape[0])
-            hi = t_hi[reach]
-            for _ in range(45):
-                mid = 0.5 * (lo + hi)
-                vals = f.eval_batch(xbar[None, :] + mid[:, None] * cand)
-                feas = vals <= 0.0
-                hi = np.where(feas, mid, hi)
-                lo = np.where(feas, lo, mid)
+            hi = _bisect(f, xbar, cand, t_hi[reach], _RAY_ITERS)
             j = int(np.argmin(hi))
             if hi[j] < best_d:
                 best_u = cand[j]
@@ -321,8 +315,7 @@ def _direction_descent(f: ScalarField, xbar, w, d, rounds: int = 24):
     return xbar + best_d * best_u, best_d
 
 
-def _low_slope_probes(f: ScalarField, xbar, f_val, d_S, region: SearchRegion,
-                      keep: int = 6):
+def _low_slope_probes(f: Field, xbar, f_val, d_S, region: SearchRegion):
     """Points inside the strict ball screened for small descent rates.
 
     Uniform draws rarely land where the slope dips (a thin wedge off a
@@ -334,22 +327,19 @@ def _low_slope_probes(f: ScalarField, xbar, f_val, d_S, region: SearchRegion,
     radii = np.array([0.35, 0.65, 0.9]) * d_S * (1.0 - 1e-9)
     probes = (xbar[None, None, :]
               + radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    fp = f.eval_batch(probes)
+    fp = f(probes)
     probes = probes[(fp <= f_val) & (fp > 0.0)]
     if probes.shape[0] == 0:
         return []
-    delta = 1e-6 * max(d_S, 1.0)
+    G = _fd_gradient(f, probes, 1e-6 * max(d_S, 1.0))
     g2 = np.zeros(probes.shape[0])
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = delta
-        gj = (f.eval_batch(probes + e) - f.eval_batch(probes - e)) / (2 * delta)
+    for gj in G.T:
         g2 += gj * gj
-    order = np.argsort(g2, kind="stable")[:keep]
+    order = np.argsort(g2, kind="stable")[:_PROBE_KEEP]
     return [probes[i] for i in order]
 
 
-def error_bound_certificate(f: ScalarField, xbar, region: SearchRegion,
+def error_bound_certificate(f: Field, xbar, region: SearchRegion,
                             max_slope_points: int = 16,
                             slope_budget: int = 300) -> ErrorBoundCertificate:
     """Check the error bound f(xbar) >= slope_inf * d(xbar, {f <= 0}).
@@ -360,23 +350,21 @@ def error_bound_certificate(f: ScalarField, xbar, region: SearchRegion,
     the closed ball shrunk by a 1e-9 relative margin.
     """
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
-    f_val = f(xbar)
+    f_val = _at(f, xbar)
     if f_val <= 0.0:
         raise InSet("reference point already satisfies f <= 0")
 
     U = np.vstack([region.uniform_samples("eb-sublevel", region.sample_budget),
                    region.grid_nodes()])
-    fU = f.eval_batch(U)
+    fU = f(U)
     feas = np.where(fU <= 0.0)[0]
     boundary_witness = None
-    if feas.size == 0:
-        d_S = np.inf
-    else:
+    d_S = np.inf
+    if feas.size:
         dists = np.linalg.norm(U[feas] - xbar[None, :], axis=1)
         near = feas[np.argsort(dists, kind="stable")[:8]]
-        hits = sorted((_bisect_boundary(f, xbar, U[i]) for i in near),
+        hits = sorted(_segment_hits(f, xbar, U[near] - xbar[None, :]),
                       key=lambda pair: pair[1])
-        d_S = np.inf
         for w, d in hits[:3]:
             w2, d2 = _polish_boundary(f, xbar, w, d)
             if d2 < d_S:
@@ -387,27 +375,19 @@ def error_bound_certificate(f: ScalarField, xbar, region: SearchRegion,
                        min(region.grid_resolution, 7),
                        min(region.sample_budget, slope_budget),
                        region.seed)
-    cand = []
-    if np.isfinite(d_S):
-        inside = np.linalg.norm(U - xbar[None, :], axis=1) < d_S * (1 - 1e-9)
-        ok = inside & (fU <= f_val)
-        cand = [U[i] for i in np.where(ok)[0][:max_slope_points]]
-        if boundary_witness is not None:
-            for t in np.linspace(0.15, 0.9, 5):
-                c = xbar + t * (boundary_witness - xbar)
-                if float(f(c)) <= f_val:
-                    cand.append(c)
+    # with no boundary found (d_S = inf) the strict ball is the whole region
+    inside = np.linalg.norm(U - xbar[None, :], axis=1) < d_S * (1 - 1e-9)
+    ok = inside & (fU <= f_val)
+    cand = [U[i] for i in np.where(ok)[0][:max_slope_points]]
+    if boundary_witness is not None:
+        for t in np.linspace(0.15, 0.9, 5):
+            c = xbar + t * (boundary_witness - xbar)
+            if _at(f, c) <= f_val:
+                cand.append(c)
         cand.extend(_low_slope_probes(f, xbar, f_val, d_S, region))
-    else:
-        ok = fU <= f_val
-        cand = [U[i] for i in np.where(ok)[0][:max_slope_points]]
     cand.append(xbar)
 
-    m_hat = np.inf
-    for c in cand:
-        est = global_slope(f, c, sub)
-        if est.value < m_hat:
-            m_hat = est.value
+    m_hat = min([np.inf] + [global_slope(f, c, sub).value for c in cand])
     if np.isinf(m_hat):
         m_hat = 0.0
 

@@ -21,16 +21,14 @@ from regcert.geometry import (Ball, DirectionalCone, Polyhedron, ProductSet,
                               solve_lp)
 from regcert.instances import builtin, registry_names
 from regcert.multimap import (SearchRegion, default_region, envelope_batch,
-                              image_distance, image_distance_batch,
-                              membership_values)
+                              image_distance_batch, membership_values)
 from regcert.oracle import Grid, grid_modulus
 from regcert.regularity import (RegularityQuery, coderivative_criterion,
                                 empirical_directional_modulus,
                                 perturbation_bound, robinson_condition,
                                 sample_dual_pairs, slope_criterion)
-from regcert.slopes import (ScalarField, default_local_r0,
-                            error_bound_certificate, global_slope,
-                            local_slope)
+from regcert.slopes import (default_local_r0, error_bound_certificate,
+                            global_slope, local_slope)
 
 
 def check(num, ok, detail):
@@ -53,8 +51,7 @@ def residual_field(F, y0):
         Yt = np.tile(y0, (X.shape[0], 1))
         return image_distance_batch(F, X, Yt)
 
-    return ScalarField(F.dim_in, fn=lambda x: image_distance(F, x, y0),
-                       batch=batch)
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +102,10 @@ def test_criterion_03_error_bound_certificates():
         F, xbar = orthant_instance(rng)
         A, b = F.f.A, F.f.b
 
-        def fv(x, A=A, b=b):
-            return float(np.linalg.norm(np.maximum(A @ x + b, 0.0)))
-
-        def fb(X, A=A, b=b):
+        def field(X, A=A, b=b):
             return np.linalg.norm(np.maximum(X @ A.T + b[None, :], 0.0),
                                   axis=1)
 
-        field = ScalarField(A.shape[1], fn=fv, batch=fb)
         box = np.stack([xbar - 2.0, xbar + 2.0], axis=1)
         region = SearchRegion(box, 7, 200, 5)
         cert = error_bound_certificate(field, xbar, region,
@@ -286,14 +279,11 @@ def test_criterion_10_invariant_suites():
         a = rng.standard_normal(dim)
         qv = rng.uniform(0.2, 2.0, size=dim)
         if case % 3 == 0:
-            f = ScalarField(dim, fn=lambda x, a=a: float(a @ x) + 3.0,
-                            batch=lambda X, a=a: X @ a + 3.0)
+            f = lambda X, a=a: X @ a + 3.0
         elif case % 3 == 1:
-            f = ScalarField(dim, fn=lambda x, qv=qv: float(qv @ (x * x)),
-                            batch=lambda X, qv=qv: (X * X) @ qv)
+            f = lambda X, qv=qv: (X * X) @ qv
         else:
-            f = ScalarField(dim, fn=lambda x, a=a: abs(float(a @ x)),
-                            batch=lambda X, a=a: np.abs(X @ a))
+            f = lambda X, a=a: np.abs(X @ a)
         center = rng.uniform(-1.0, 1.0, size=dim)
         box = np.stack([center - 1.5, center + 1.5], axis=1)
         region = SearchRegion(box, 4, 60, seed=int(rng.integers(0, 10_000)))

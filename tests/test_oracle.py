@@ -33,7 +33,6 @@ from regcert.oracle import (
     grid_preimage_distance,
 )
 from regcert.regularity import RegularityQuery
-from regcert.slopes import ScalarField
 
 from conftest import bounded_random_polyhedron
 
@@ -288,14 +287,17 @@ def test_grid_preimage_warning_takes_the_lp_at_the_query_y():
 # Slopes.
 
 def test_grid_slope_absolute_value():
-    f = ScalarField(1, lambda u: abs(float(u[0])),
-                    lambda U: np.abs(U[:, 0]))
+    def f(U):
+        return np.abs(U[:, 0])
+
     g = Grid(np.array([[-2.0, 2.0]]), 81)
     assert grid_global_slope(f, [1.0], g) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_slope_parabola_step_accurate():
-    f = ScalarField(1, lambda u: float(u[0]) ** 2, lambda U: U[:, 0] ** 2)
+    def f(U):
+        return U[:, 0] ** 2
+
     # sup of (1 - u^2)/(1 - u) = 1 + u is approached at the lattice point
     # just left of 1, so the value is exactly 2 - step
     for pts in (21, 81):
@@ -305,11 +307,15 @@ def test_grid_slope_parabola_step_accurate():
 
 
 def test_grid_slope_guards():
-    f = ScalarField(1, lambda u: np.inf, lambda U: np.full(U.shape[0], np.inf))
+    def f(U):
+        return np.full(U.shape[0], np.inf)
+
+    def ok(U):
+        return np.zeros(U.shape[0])
+
     g = Grid(np.array([[-1.0, 1.0]]), 11)
     with pytest.raises(InvalidParameter):
         grid_global_slope(f, [0.0], g)
-    ok = ScalarField(1, lambda u: 0.0, lambda U: np.zeros(U.shape[0]))
     with pytest.raises(DimensionMismatch):
         grid_global_slope(ok, [0.0, 0.0], g)
 

@@ -2,25 +2,35 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import orthant_instance
-from regcert import (InSet, ScalarField, error_bound_certificate,
-                     global_slope, local_slope)
-from regcert.multimap import (SearchRegion, image_distance,
+from regcert import (InSet, error_bound_certificate, global_slope,
+                     local_slope)
+from regcert.instances import builtin
+from regcert.multimap import (SearchRegion, default_region,
                               image_distance_batch)
-from regcert.slopes import default_local_r0
+from regcert.slopes import (_DESCENT_FACTORS, _bisect, _fd_gradient, _reach,
+                            default_local_r0)
 
 
 def afield(a, c=0.0):
     a = np.asarray(a, dtype=float)
-    return ScalarField(a.size, fn=lambda x: float(a @ x) + c,
-                       batch=lambda X: X @ a + c)
+    return lambda X: X @ a + c
 
 
-ABS = ScalarField(1, fn=lambda x: abs(float(x[0])),
-                  batch=lambda X: np.abs(X[:, 0]))
-SQ = ScalarField(1, fn=lambda x: float(x[0]) ** 2,
-                 batch=lambda X: X[:, 0] ** 2)
+def ABS(X):
+    return np.abs(X[:, 0])
+
+
+def SQ(X):
+    return X[:, 0] ** 2
+
+
+def at(f, x):
+    """f at one point, as a one-row batch."""
+    return float(f(np.asarray(x, dtype=float)[None, :])[0])
 
 
 def residual_field(F, y0):
@@ -29,8 +39,7 @@ def residual_field(F, y0):
     def batch(X):
         return image_distance_batch(F, X, np.tile(y0, (X.shape[0], 1)))
 
-    return ScalarField(F.dim_in, fn=lambda x: image_distance(F, x, y0),
-                       batch=batch)
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -56,21 +65,73 @@ def test_global_slope_values():
 
 
 def test_infinite_center_short_circuits():
-    f = ScalarField(1, fn=lambda x: np.inf if x[0] > 0 else -x[0],
-                    batch=None)
+    def f(X):
+        return np.where(X[:, 0] > 0, np.inf, -X[:, 0])
+
     assert local_slope(f, [0.5]).value == np.inf
     reg = SearchRegion(np.array([[-1.0, 1.0]]), 5, 50, 0)
     assert global_slope(f, [0.5], reg).value == np.inf
 
 
+def assert_certificate(cert, d_sub, slope_inf, witness, n_points):
+    assert cert.d_sublevel.hex() == d_sub.hex()
+    assert cert.slope_inf.hex() == slope_inf.hex()
+    assert ([float(w).hex() for w in cert.boundary_witness]
+            == [w.hex() for w in witness])
+    assert cert.n_slope_points == n_points
+
+
+def test_error_bound_registry_pair_frozen():
+    # criterion 03's registry certificates, compared bit for bit
+    expect = {
+        "hoffman_2d": ([0.6, 0.8], 1.0, 0.9999999998083279, [0.0, 0.0], 28),
+        "parabola_eb": ([0.75], 0.75, 0.08872857829464846, [0.0], 28),
+    }
+    for name, (xbar, *frozen) in expect.items():
+        inst = builtin(name)
+        region = default_region(inst.x0, 1.25, sample_budget=2000, seed=7,
+                                grid_resolution=7)
+        cert = error_bound_certificate(residual_field(inst.F, inst.y0),
+                                       np.asarray(xbar), region,
+                                       max_slope_points=16, slope_budget=300)
+        assert_certificate(cert, *frozen)
+
+
+def test_error_bound_random_orthant_frozen():
+    # the first three of criterion 03's random orthant certificates, compared
+    # bit for bit; unlike the registry pair, their boundary feet are off the
+    # lattice, so these values move with the bisection and the polish
+    expect = [
+        (0.9802029365168176, 0.9999999999146097,
+         [1.9918156485771255, -0.9092269150570673, 0.35341102377864186], 20),
+        (0.10193449685457764, 1.0, [-0.4416340151834828], 19),
+        (1.1871203203758198, 0.9999999999999867,
+         [0.5406122747558834, 0.21648963272173516], 20),
+    ]
+    rng = np.random.default_rng(100)
+    for frozen in expect:
+        F, xbar = orthant_instance(rng)
+        A, b = F.f.A, F.f.b
+
+        def field(X, A=A, b=b):
+            return np.linalg.norm(np.maximum(X @ A.T + b[None, :], 0.0),
+                                  axis=1)
+
+        box = np.stack([xbar - 2.0, xbar + 2.0], axis=1)
+        cert = error_bound_certificate(field, xbar,
+                                       SearchRegion(box, 7, 200, 5),
+                                       max_slope_points=8, slope_budget=150)
+        assert_certificate(cert, *frozen)
+
+
 def test_witnesses_reproduce_reported_ratios():
     x = np.array([1.0])
-    fx = SQ(x)
+    fx = at(SQ, x)
     for est in (local_slope(SQ, x), global_slope(
             SQ, x, SearchRegion(np.array([[-2.0, 2.0]]), 9, 300, 0))):
         assert est.witnesses
         for point, ratio in est.witnesses:
-            drop = max(fx - SQ(point), 0.0)
+            drop = max(fx - at(SQ, point), 0.0)
             again = drop / np.linalg.norm(x - point)
             assert again == pytest.approx(ratio, abs=1e-9)
 
@@ -79,8 +140,9 @@ def test_witnesses_reproduce_reported_ratios():
 # Invariants.
 
 def test_slope_scales_linearly():
-    scaled = ScalarField(1, fn=lambda x: 2.5 * float(x[0]) ** 2,
-                         batch=lambda X: 2.5 * X[:, 0] ** 2)
+    def scaled(X):
+        return 2.5 * X[:, 0] ** 2
+
     base = local_slope(SQ, [0.7]).value
     assert local_slope(scaled, [0.7]).value == pytest.approx(2.5 * base,
                                                              rel=1e-9)
@@ -100,12 +162,9 @@ def test_local_below_global_thousand_samples():
         if kind == 0:
             f = afield(a)
         elif kind == 1:
-            f = ScalarField(dim, fn=lambda x, q=q: float(q @ (x * x)),
-                            batch=lambda X, q=q: (X * X) @ q)
+            f = lambda X, q=q: (X * X) @ q
         else:
-            f = ScalarField(
-                dim, fn=lambda x, a=a: abs(float(a @ x)),
-                batch=lambda X, a=a: np.abs(X @ a))
+            f = lambda X, a=a: np.abs(X @ a)
         center = rng.uniform(-1.0, 1.0, size=dim)
         box = np.stack([center - 1.5, center + 1.5], axis=1)
         region = SearchRegion(box, 4, 60, seed=int(rng.integers(0, 10_000)))
@@ -117,6 +176,44 @@ def test_local_below_global_thousand_samples():
             assert lo <= hi + 1e-9
             checked += 1
     assert checked >= 1000
+
+
+# fields whose rows evaluate independently of each other:
+# (field, dim, sampler of points with f <= 0)
+ROW_FIELDS = {
+    "parabola_eb": (residual_field(builtin("parabola_eb").F, np.zeros(1)), 1,
+                    lambda gen, size: np.zeros(size)),
+    "hoffman_2d": (residual_field(builtin("hoffman_2d").F, np.zeros(2)), 2,
+                   lambda gen, size: -gen.uniform(0.0, 1.0, size)),
+    "polynomial": (lambda X: X[:, 0] ** 2 + X[:, -1] ** 3 - 0.5, 3,
+                   lambda gen, size: gen.uniform(-0.5, 0.5, size)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ROW_FIELDS)), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_ray_kernels_rows_are_batch_independent(name, rows, seed):
+    f, n, feasible = ROW_FIELDS[name]
+    gen = np.random.default_rng(seed)
+    xbar = gen.uniform(0.2, 1.5, n)
+    # rays from xbar through feasible points, stretched so that the reach
+    # ladder meets the sublevel set at different factors on different rows
+    D = feasible(gen, (rows, n)) - xbar
+    hi = np.ones(rows)
+    stretch = gen.uniform(0.5, 1.5, (rows, 1))
+    P = gen.uniform(-1.5, 1.5, (rows, n))
+
+    def kernels(i):
+        return (_bisect(f, xbar, D[i], hi[i], 45),
+                _reach(f, xbar, stretch[i] * D[i], 0.9, _DESCENT_FACTORS),
+                _fd_gradient(f, P[i], 1e-6))
+
+    batch = kernels(slice(None))
+    for i in range(rows):
+        alone = kernels(slice(i, i + 1))
+        for b, a in zip(batch, alone):
+            assert b[i].tobytes() == a[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +232,7 @@ def test_error_bound_orthant_residual():
     assert cert.slope_inf == pytest.approx(1.0, rel=1e-6)
     assert cert.n_slope_points >= 1
     assert cert.boundary_witness is not None
-    assert field(cert.boundary_witness) <= 1e-6
+    assert at(field, cert.boundary_witness) <= 1e-6
 
 
 def test_error_bound_vanishing_slope():

@@ -32,6 +32,9 @@ COMMANDS = (
          "report.json"),
         (["slope", "diag_2_05", "--tau", "2", "--n-points", "8", "--seed",
           "3"], "report.json"),
+        # the only command whose slopes read the cone envelope field
+        (["slope", "halfplane_directional", "--tau", "1.1", "--n-points",
+          "6", "--slope-budget", "100", "--seed", "3"], "report.json"),
         (["robinson", "halfplane_directional", "--ybar", "0,-1", "--seed",
           "3"], "report.json"),
         (["coderivative", "halfplane_directional", "--delta-ladder", "0.1",
