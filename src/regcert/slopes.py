@@ -14,7 +14,14 @@ ordering of the quantities they approximate.
 The error-bound certificate combines the two: an upper estimate of the
 distance to the sublevel set {f <= 0} and a lower estimate of the slope
 infimum over the strict ball around the reference point, checked against
-f at the point.
+f at the point.  It batches both halves: all its slope candidates go
+through one global-slope pass (_global_slopes: the region samples and
+lattice nodes evaluated once, one stacked coordinate ascent over every
+centre), and its boundary hits descend in lockstep (_direction_descent).
+Each candidate and each hit gets the same bits as it would alone, as long
+as the field's multi-row batches evaluate rows independently; one-row
+calls stay one-row, because a field such as X @ A.T with a skew A rounds
+a lone row differently.
 """
 
 from __future__ import annotations
@@ -59,36 +66,36 @@ class SlopeEstimate:
     mode: str = "local"
 
 
-def _ratios(f: Field, x: np.ndarray, fx: float,
-            Y: np.ndarray) -> np.ndarray:
-    fY = f(Y)
-    dist = np.linalg.norm(Y - x[None, :], axis=1)
-    ok = dist >= _MIN_STEP_DIST
-    out = np.full(Y.shape[0], -np.inf)
-    drop = np.maximum(fx - fY[ok], 0.0)
-    out[ok] = drop / dist[ok]
-    return out
+def _ratios(x, fx, Y, fY):
+    """Descent ratios [fx - fY]+ / |x - Y| over the last axis of Y.
+
+    x and fx broadcast against Y and fY, so one call scores one centre or a
+    stack of them; a Y within _MIN_STEP_DIST of its x scores -inf."""
+    dist = np.linalg.norm(Y - x, axis=-1)
+    drop = np.maximum(fx - fY, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dist >= _MIN_STEP_DIST, drop / dist, -np.inf)
 
 
-def _coordinate_ascent(f: Field, x: np.ndarray, fx: float,
+def _coordinate_ascent(f: Field, X: np.ndarray, fx: np.ndarray,
                        Y0: np.ndarray, h0: np.ndarray):
     """Pattern search on the descent ratio, batched over candidates.
 
-    Each step polls every +-h axis move of every candidate in a single
-    batched evaluation, takes the best move per candidate, and halves the
-    step where nothing improved.
+    Row i of Y0 climbs the ratio about its own centre X[i] (value fx[i]), so
+    the candidates of many centres run as one stack.  Each step polls every
+    +-h axis move of every candidate in a single batched evaluation, takes
+    the best move per candidate, and halves the step where nothing improved.
     """
     Y = Y0.copy()
     h = h0.copy()
-    best = _ratios(f, x, fx, Y)
-    n = x.size
-    C = Y.shape[0]
+    best = _ratios(X, fx, Y, f(Y))
+    C, n = Y.shape
     eye = np.eye(n)
     moves = np.concatenate([eye, -eye], axis=0)
     for _ in range(_ASCENT_STEPS):
         cand = Y[:, None, :] + h[:, None, None] * moves[None, :, :]
-        flat = cand.reshape(C * 2 * n, n)
-        r = _ratios(f, x, fx, flat).reshape(C, 2 * n)
+        fc = f(cand.reshape(C * 2 * n, n)).reshape(C, 2 * n)
+        r = _ratios(X[:, None, :], fx[:, None], cand, fc)
         bi = np.argmax(r, axis=1)
         bv = r[np.arange(C), bi]
         gain = bv > best
@@ -96,6 +103,38 @@ def _coordinate_ascent(f: Field, x: np.ndarray, fx: float,
         best[gain] = bv[gain]
         h = np.where(gain, h, 0.5 * h)
     return Y, best
+
+
+def _ladder_starts(f: Field, X: np.ndarray, fx: np.ndarray, r0: float,
+                   seed: int):
+    """Sphere samples on the radii r0 * 2^-k around every centre (row of X).
+
+    The sphere directions depend only on (seed, level), so all centres share
+    them.  Returns the radii (L,), each centre's steepest sampled ratio per
+    level (C, L) and the points that reach it (C, L, n), the ascent starts.
+    """
+    C, n = X.shape
+    radii = r0 * 0.5 ** np.arange(_LOCAL_LEVELS)
+    dirs = np.stack([rng.sphere_points(rng.stream(seed, "local-slope", k),
+                                       _LOCAL_SAMPLES, n)
+                     for k in range(_LOCAL_LEVELS)])
+    Y = X[:, None, None, :] + radii[:, None, None] * dirs
+    fY = f(Y.reshape(-1, n)).reshape(Y.shape[:3])
+    ratios = _ratios(X[:, None, None, :], fx[:, None, None], Y, fY)
+    best = np.argmax(ratios, axis=2)
+    sampled = np.take_along_axis(ratios, best[:, :, None], axis=2)[:, :, 0]
+    starts = np.take_along_axis(Y, best[:, :, None, None], axis=2)[:, :, 0]
+    return radii, sampled, starts
+
+
+def _ladder_estimate(radii, sampled, Yp, polished) -> SlopeEstimate:
+    """One centre's local estimate from its ladder and polished starts."""
+    ladder = [(float(r), float(max(float(s), p)))
+              for r, s, p in zip(radii, sampled, polished)]
+    value = max(v for _, v in ladder[-3:])
+    witnesses = [(Yp[k].copy(), float(polished[k]))
+                 for k in range(_LOCAL_LEVELS - 3, _LOCAL_LEVELS)]
+    return SlopeEstimate(float(value), ladder, witnesses, "local")
 
 
 def local_slope(f: Field, x, r0: float = 1e-2,
@@ -109,28 +148,12 @@ def local_slope(f: Field, x, r0: float = 1e-2,
     fx = _at(f, x)
     if np.isinf(fx):
         return SlopeEstimate(np.inf, [], [], "local")
-    ladder = []
-    cand_pts = []
-    cand_h = []
-    for k in range(_LOCAL_LEVELS):
-        r = r0 * 0.5 ** k
-        dirs = rng.sphere_points(rng.stream(seed, "local-slope", k),
-                                 _LOCAL_SAMPLES, x.size)
-        Y = x[None, :] + r * dirs
-        ratios = _ratios(f, x, fx, Y)
-        best = int(np.argmax(ratios))
-        ladder.append([r, float(ratios[best])])
-        cand_pts.append(Y[best])
-        cand_h.append(r / 8.0)
-    Yp, polished = _coordinate_ascent(f, x, fx, np.array(cand_pts),
-                                      np.array(cand_h))
-    for k in range(_LOCAL_LEVELS):
-        ladder[k][1] = float(max(ladder[k][1], polished[k]))
-    value = max(v for _, v in ladder[-3:])
-    witnesses = [(Yp[k].copy(), float(polished[k]))
-                 for k in range(_LOCAL_LEVELS - 3, _LOCAL_LEVELS)]
-    return SlopeEstimate(float(value), [(r, v) for r, v in ladder],
-                         witnesses, "local")
+    radii, sampled, starts = _ladder_starts(f, x[None, :], np.array([fx]),
+                                            r0, seed)
+    Yp, polished = _coordinate_ascent(
+        f, np.tile(x, (_LOCAL_LEVELS, 1)), np.full(_LOCAL_LEVELS, fx),
+        starts[0], radii / 8.0)
+    return _ladder_estimate(radii, sampled[0], Yp, polished)
 
 
 def default_local_r0(region: SearchRegion) -> float:
@@ -147,41 +170,72 @@ def global_slope(f: Field, x, region: SearchRegion) -> SlopeEstimate:
     fixed seed because samples extend (never reshuffle) and polish starts
     from prefix argmaxes.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    fx = _at(f, x)
-    if np.isinf(fx):
-        return SlopeEstimate(np.inf, [], [], "global")
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    return _global_slopes(f, x, region)[0]
+
+
+def _global_slopes(f: Field, X: np.ndarray,
+                   region: SearchRegion) -> list[SlopeEstimate]:
+    """global_slope at every row of X, in one pass.
+
+    The region samples, the lattice nodes and their f values do not depend
+    on the centre, so they are evaluated once.  The coordinate ascents of
+    every centre, from its prefix argmaxes and from its local ladder, run as
+    one stack with an owner index per row.  Each centre keeps its one-row
+    f(x) and the sampling streams of a lone call, so for a field whose rows
+    evaluate independently a centre gets the same estimate alone and in
+    any batch.
+    """
+    fx = np.array([_at(f, x) for x in X])
+    out = [SlopeEstimate(np.inf, [], [], "global") for _ in X]
+    live = np.flatnonzero(~np.isinf(fx))
+    if live.size == 0:
+        return out
+    X, fx = X[live], fx[live]
+    C, n = X.shape
     samples = region.uniform_samples("global-slope", region.sample_budget)
     nodes = region.grid_nodes()
-    ratios_s = _ratios(f, x, fx, samples)
-    ratios_n = _ratios(f, x, fx, nodes)
-    raw = max(float(np.max(ratios_s, initial=-np.inf)),
-              float(np.max(ratios_n, initial=-np.inf)))
+    ratios_s = _ratios(X[:, None, :], fx[:, None], samples, f(samples))
+    ratios_n = _ratios(X[:, None, :], fx[:, None], nodes, f(nodes))
 
-    idx = set()
-    p = 1
-    while p <= samples.shape[0]:
-        idx.add(int(np.argmax(ratios_s[:p])))
-        p *= 2
-    idx.add(int(np.argmax(ratios_s)))
-    order = np.argsort(-ratios_s, kind="stable")[:10]
-    idx.update(int(i) for i in order)
-    all_pts = [samples[i] for i in sorted(idx)]
-    if nodes.shape[0]:
-        all_pts.append(nodes[int(np.argmax(ratios_n))])
-    cand = np.array(all_pts)
+    S = samples.shape[0]
+    prefix = [np.argmax(ratios_s[:, :2 ** k], axis=1)
+              for k in range(S.bit_length())]
+    picks = np.column_stack(
+        prefix + [np.argmax(ratios_s, axis=1),
+                  np.argsort(-ratios_s, axis=1, kind="stable")[:, :10]])
+    best_node = np.argmax(ratios_n, axis=1)
+    starts = [np.vstack([samples[sorted(set(picks[c].tolist()))],
+                         nodes[best_node[c]][None, :]]) for c in range(C)]
+    counts = [s.shape[0] for s in starts]
+    G = sum(counts)
     width = float(np.min(region.box[:, 1] - region.box[:, 0]))
-    h0 = np.full(cand.shape[0], 0.05 * width)
-    Yp, polished = _coordinate_ascent(f, x, fx, cand, h0)
 
-    lad = local_slope(f, x, r0=default_local_r0(region), seed=region.seed)
-    value = max(raw, float(np.max(polished, initial=-np.inf)), lad.value)
+    radii, sampled, lstarts = _ladder_starts(
+        f, X, fx, default_local_r0(region), region.seed)
+    owner = np.concatenate([np.repeat(np.arange(C), counts),
+                            np.repeat(np.arange(C), _LOCAL_LEVELS)])
+    h0 = np.concatenate([np.full(G, 0.05 * width),
+                         np.tile(radii / 8.0, C)])
+    Yp, polished = _coordinate_ascent(
+        f, X[owner], fx[owner],
+        np.vstack(starts + [lstarts.reshape(-1, n)]), h0)
 
-    top = int(np.argmax(polished))
-    witnesses = [(Yp[top].copy(), float(polished[top]))]
-    witnesses.extend(lad.witnesses[-1:])
-    return SlopeEstimate(float(max(value, 0.0)), lad.radius_ladder,
-                         witnesses, "global")
+    Yl = Yp[G:].reshape(C, _LOCAL_LEVELS, n)
+    pl = polished[G:].reshape(C, _LOCAL_LEVELS)
+    cuts = np.cumsum(counts)[:-1]
+    for c, (Yg, pg) in enumerate(zip(np.split(Yp[:G], cuts),
+                                     np.split(polished[:G], cuts))):
+        lad = _ladder_estimate(radii, sampled[c], Yl[c], pl[c])
+        raw = max(float(np.max(ratios_s[c], initial=-np.inf)),
+                  float(np.max(ratios_n[c], initial=-np.inf)))
+        value = max(raw, float(np.max(pg)), lad.value)
+        top = int(np.argmax(pg))
+        witnesses = [(Yg[top].copy(), float(pg[top]))]
+        witnesses.extend(lad.witnesses[-1:])
+        out[live[c]] = SlopeEstimate(float(max(value, 0.0)),
+                                     lad.radius_ladder, witnesses, "global")
+    return out
 
 
 @dataclass
@@ -225,16 +279,18 @@ def _segment_hits(f: Field, xbar, D):
 def _reach(f: Field, xbar, D, scale, factors):
     """Per-row parameter at which f turns nonpositive, inf if never.
 
-    Probes the ladder scale * factors; rows whose ray misses the sublevel
-    set inside the ladder are reported unreachable."""
+    Probes the ladder scale * factors, with one scale for all rows or one
+    per row; rows whose ray misses the sublevel set inside the ladder are
+    reported unreachable."""
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), D.shape[:1])
     t_hi = np.full(D.shape[0], np.inf)
     for factor in factors:
-        open_rows = np.where(np.isinf(t_hi))[0]
+        open_rows = np.flatnonzero(np.isinf(t_hi))
         if open_rows.size == 0:
             break
-        t = scale * factor
-        vals = f(xbar[None, :] + t * D[open_rows])
-        t_hi[open_rows[vals <= 0.0]] = t
+        t = scale[open_rows] * factor
+        hit = f(xbar[None, :] + t[:, None] * D[open_rows]) <= 0.0
+        t_hi[open_rows[hit]] = t[hit]
     return t_hi
 
 
@@ -254,8 +310,10 @@ def _polish_boundary(f: Field, xbar, w, d):
     boundary, which overestimates the distance by the ray angle.  The foot
     direction is the negated field gradient, so re-bisecting along the
     finite-difference gradient at the current boundary point converges in
-    one step on flat boundaries; corners get a capped iteration.  Never
-    returns a worse point than it was given."""
+    one step on flat boundaries; corners are left to _direction_descent.
+    Never returns a worse point than it was given.  Runs on one hit at a
+    time: its reach and bisection calls are one-row batches, and a field
+    such as X @ A.T with a skew A rounds a one-row batch differently."""
     best_w = np.asarray(w, dtype=float).copy()
     best_d = float(d)
     for _ in range(_POLISH_ROUNDS):
@@ -274,45 +332,61 @@ def _polish_boundary(f: Field, xbar, w, d):
         best_w, best_d = w2, d2
         if best_d <= 1e-15:
             break
-    return _direction_descent(f, xbar, best_w, best_d)
+    return best_w, best_d
 
 
-def _direction_descent(f: Field, xbar, w, d):
-    """Minimize the boundary distance over ray directions from xbar.
+def _direction_descent(f: Field, xbar, W, d):
+    """Minimize each boundary distance over ray directions from xbar.
 
     The gradient step stalls at corner feet where the boundary has no
     single normal; a pattern search over unit directions with a vectorized
     re-bisection per candidate does not, because each trial direction is
-    re-anchored to the boundary exactly."""
-    best_u = (np.asarray(w, dtype=float) - xbar)
-    norm = float(np.linalg.norm(best_u))
-    if norm <= 0.0 or d <= 0.0:
-        return np.asarray(w, dtype=float), float(d)
-    best_u /= norm
-    best_d = float(d)
+    re-anchored to the boundary exactly.  The hits (rows of W, at distances
+    d) run in lockstep: each round stacks the trial directions of every
+    open hit into one reach ladder and one bisection, while each hit keeps
+    its own step, its argmin in row order and its retirement.  Returns the
+    descended points and distances, in the order of the hits."""
+    W = np.array(W, dtype=float)
+    best_d = np.array(d, dtype=float)
+    U = W - xbar[None, :]
+    open_ = np.zeros(best_d.size, dtype=bool)
+    for i, u in enumerate(U):
+        # a 1-D norm, as for a lone hit; the axis=1 norm rounds differently
+        norm = float(np.linalg.norm(u))
+        if not (norm <= 0.0 or best_d[i] <= 0.0):
+            u /= norm
+            open_[i] = True
+    started = open_.copy()
+    h = np.full(best_d.size, 0.5)
     eye = np.eye(xbar.size)
-    h = 0.5
     for _ in range(_DESCENT_ROUNDS):
-        cand = np.vstack([best_u[None, :] + h * eye,
-                          best_u[None, :] - h * eye])
-        norms = np.linalg.norm(cand, axis=1)
-        cand = cand[norms > 1e-12] / norms[norms > 1e-12, None]
-        t_hi = _reach(f, xbar, cand, best_d, _DESCENT_FACTORS)
-        reach = np.isfinite(t_hi)
-        if np.any(reach):
-            cand = cand[reach]
-            hi = _bisect(f, xbar, cand, t_hi[reach], _RAY_ITERS)
-            j = int(np.argmin(hi))
-            if hi[j] < best_d:
-                best_u = cand[j]
-                best_d = float(hi[j])
-            else:
-                h *= 0.5
-        else:
-            h *= 0.5
-        if h < 1e-9:
+        rows = np.flatnonzero(open_)
+        if rows.size == 0:
             break
-    return xbar + best_d * best_u, best_d
+        step = h[rows, None, None] * eye
+        cand = np.concatenate([U[rows, None, :] + step,
+                               U[rows, None, :] - step], axis=1)
+        norms = np.linalg.norm(cand, axis=2)
+        keep = norms > 1e-12
+        owner = np.broadcast_to(rows[:, None], keep.shape)[keep]
+        cand = cand[keep] / norms[keep][:, None]
+        t_hi = _reach(f, xbar, cand, best_d[owner], _DESCENT_FACTORS)
+        reach = np.isfinite(t_hi)
+        cand, owner = cand[reach], owner[reach]
+        hi = (_bisect(f, xbar, cand, t_hi[reach], _RAY_ITERS)
+              if cand.shape[0] else np.empty(0))
+        for i in rows:
+            mine = np.flatnonzero(owner == i)
+            j = mine[np.argmin(hi[mine])] if mine.size else None
+            if j is not None and hi[j] < best_d[i]:
+                U[i] = cand[j]
+                best_d[i] = hi[j]
+            else:
+                h[i] *= 0.5
+            if h[i] < 1e-9:
+                open_[i] = False
+    W[started] = xbar[None, :] + best_d[started, None] * U[started]
+    return W, best_d
 
 
 def _low_slope_probes(f: Field, xbar, f_val, d_S, region: SearchRegion):
@@ -365,10 +439,12 @@ def error_bound_certificate(f: Field, xbar, region: SearchRegion,
         near = feas[np.argsort(dists, kind="stable")[:8]]
         hits = sorted(_segment_hits(f, xbar, U[near] - xbar[None, :]),
                       key=lambda pair: pair[1])
-        for w, d in hits[:3]:
-            w2, d2 = _polish_boundary(f, xbar, w, d)
+        polished = [_polish_boundary(f, xbar, w, d) for w, d in hits[:3]]
+        W, D = _direction_descent(f, xbar, [w for w, _ in polished],
+                                  [d for _, d in polished])
+        for w2, d2 in zip(W, D):
             if d2 < d_S:
-                d_S = d2
+                d_S = float(d2)
                 boundary_witness = w2
 
     sub = SearchRegion(region.box,
@@ -387,7 +463,8 @@ def error_bound_certificate(f: Field, xbar, region: SearchRegion,
         cand.extend(_low_slope_probes(f, xbar, f_val, d_S, region))
     cand.append(xbar)
 
-    m_hat = min([np.inf] + [global_slope(f, c, sub).value for c in cand])
+    m_hat = min([np.inf] + [est.value for est in
+                            _global_slopes(f, np.array(cand), sub)])
     if np.isinf(m_hat):
         m_hat = 0.0
 

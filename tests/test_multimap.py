@@ -72,6 +72,27 @@ def test_affine_eval_and_jacobian():
     assert np.allclose(m.eval_batch(X), [[1.0, -2.0], [2.0, 1.5]])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 69),
+       st.integers(0, 2 ** 32 - 1))
+def test_affine_rows_are_batch_independent(dim_in, dim_out, rows, seed):
+    # a lone row of a skew X @ A.T must not take a BLAS kernel that rounds
+    # differently from the one a batch takes
+    gen = np.random.default_rng(seed)
+    F = MultiMap(AffineMap(gen.standard_normal((dim_out, dim_in)),
+                           gen.standard_normal(dim_out)),
+                 Polyhedron(np.eye(dim_out), np.zeros(dim_out)))
+    X = gen.uniform(-2.0, 2.0, (rows, dim_in))
+    Y = gen.uniform(-1.0, 1.0, (rows, dim_out))
+    image = F.f.eval_batch(X)
+    dist = image_distance_batch(F, X, Y)
+    for i in range(rows):
+        one = slice(i, i + 1)
+        assert F.f.eval_batch(X[one]).tobytes() == image[one].tobytes(), i
+        assert (image_distance_batch(F, X[one], Y[one]).tobytes()
+                == dist[one].tobytes()), i
+
+
 def test_polynomial_eval_and_jacobian_match_finite_differences():
     # outputs: (x0^2 x1 + 3 x1, x0 - x1^3)
     m = PolynomialMap(2, [

@@ -11,8 +11,9 @@ from regcert import (InSet, error_bound_certificate, global_slope,
 from regcert.instances import builtin
 from regcert.multimap import (SearchRegion, default_region,
                               image_distance_batch)
-from regcert.slopes import (_DESCENT_FACTORS, _bisect, _fd_gradient, _reach,
-                            default_local_r0)
+from regcert.slopes import (_DESCENT_FACTORS, _bisect, _direction_descent,
+                            _fd_gradient, _global_slopes, _reach,
+                            _segment_hits, default_local_r0)
 
 
 def afield(a, c=0.0):
@@ -214,6 +215,49 @@ def test_ray_kernels_rows_are_batch_independent(name, rows, seed):
         alone = kernels(slice(i, i + 1))
         for b, a in zip(batch, alone):
             assert b[i].tobytes() == a[0].tobytes()
+
+
+def bits(est):
+    """Every number of a slope estimate, bit for bit."""
+    return (est.value.hex(), est.mode,
+            [(r.hex(), v.hex()) for r, v in est.radius_ladder],
+            [(p.tobytes(), v.hex()) for p, v in est.witnesses])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(ROW_FIELDS)), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_global_slopes_centres_are_batch_independent(name, centres, seed):
+    # the certificate scores all its candidates in one _global_slopes call;
+    # each centre must get what global_slope gives it alone
+    f, n, _ = ROW_FIELDS[name]
+    gen = np.random.default_rng(seed)
+    X = gen.uniform(-1.0, 1.0, (centres, n))
+    box = np.tile([-1.5, 1.5], (n, 1))
+    region = SearchRegion(box, 4, 60, seed=int(gen.integers(0, 10_000)))
+    batch = _global_slopes(f, X, region)
+    assert len(batch) == centres
+    for x, est in zip(X, batch):
+        assert bits(global_slope(f, x, region)) == bits(est)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(ROW_FIELDS)), st.integers(0, 2 ** 32 - 1))
+def test_direction_descent_hits_are_batch_independent(name, seed):
+    # the certificate descends its three boundary hits in lockstep; each
+    # hit must end where it ends alone, although the hits retire in
+    # different rounds
+    f, n, feasible = ROW_FIELDS[name]
+    gen = np.random.default_rng(seed)
+    xbar = gen.uniform(1.0, 1.5, n)
+    hits = _segment_hits(f, xbar, feasible(gen, (3, n)) - xbar)
+    W = np.array([w for w, _ in hits])
+    d = np.array([d for _, d in hits])
+    W3, d3 = _direction_descent(f, xbar, W, d)
+    for i in range(3):
+        Wi, di = _direction_descent(f, xbar, W[i:i + 1], d[i:i + 1])
+        assert Wi.tobytes() == W3[i:i + 1].tobytes(), i
+        assert di.tobytes() == d3[i:i + 1].tobytes(), i
 
 
 # ---------------------------------------------------------------------------
