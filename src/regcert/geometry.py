@@ -62,6 +62,17 @@ def _rows(P) -> np.ndarray:
     return P
 
 
+def row_matmul(P: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """P @ M with each row rounded the same whatever the batch holds.
+
+    NumPy sends a one-row product to a different BLAS kernel, which rounds
+    differently; a lone row is doubled so it takes the batch kernel.
+    """
+    if P.shape[0] == 1:
+        return (np.repeat(P, 2, axis=0) @ M)[:1]
+    return P @ M
+
+
 class ConvexSet:
     """Common interface: dim, project, distance, contains (all batched)."""
 
@@ -124,12 +135,13 @@ def dykstra_halfspaces(C, d, P, rhs=None):
         alpha_start = alpha[active].copy()
         for i in range(m):
             Y = Xa + alpha[active, i, None] * C[i]
-            mu = np.maximum((Y @ C[i] - Ra[:, i]) / row_sq[i], 0.0)
+            mu = np.maximum((row_matmul(Y, C[i]) - Ra[:, i]) / row_sq[i],
+                            0.0)
             Xa = Y - mu[:, None] * C[i]
             alpha[active, i] = mu
         X[active] = Xa
-        feas = np.max(np.maximum(Xa @ C.T - Ra, 0.0) / row_norm[None, :],
-                      axis=1)
+        feas = np.max(np.maximum(row_matmul(Xa, C.T) - Ra, 0.0)
+                      / row_norm[None, :], axis=1)
         move = np.max(np.abs(Xa - start), axis=1)
         # the iterate can park on a false plateau while the corrections keep
         # inflating toward a constraint-status flip, so convergence must be
@@ -149,8 +161,8 @@ def dykstra_halfspaces(C, d, P, rhs=None):
         active = active[keep]
         if active.size == 0:
             break
-    feas_final = np.max(np.maximum(X @ C.T - rhs, 0.0) / row_norm[None, :],
-                        axis=1)
+    feas_final = np.max(np.maximum(row_matmul(X, C.T) - rhs, 0.0)
+                        / row_norm[None, :], axis=1)
     return X, feas_final
 
 
@@ -395,7 +407,7 @@ class DirectionalCone(ConvexSet):
         u = self.ybar / nrm
         sin_t = min(self.delta / nrm, 1.0)
         cos_t = np.sqrt(max(1.0 - sin_t * sin_t, 0.0))
-        a = P @ u
+        a = row_matmul(P, u)
         perp = P - a[:, None] * u[None, :]
         t = np.linalg.norm(perp, axis=1)
         inside = (t * cos_t <= a * sin_t) & (a >= 0.0)

@@ -13,7 +13,32 @@ batch.
 
 Membership in the conic tube F(x) + cone(B(ybar, delta)) is computed twice,
 by alternating minimization over (z, k) and by a one-dimensional search over
-the cone scale, and marked certified when the two agree.
+the cone scale, and marked certified when the two agree.  Both routes are
+row-independent: their products go through geometry.row_matmul, so a row
+gets the same value and flag alone as in any batch.
+
+A caller that needs only the decision value <= tol (the admissibility
+filter) uses _member_mask, which rules most rows out with a lower bound
+before either route runs.  With c = f(x) - y, the membership value is the
+minimum over lam >= 0 of [phi(lam)]+, phi(lam) = d(K, c + lam ybar) -
+lam delta.  phi is convex (a convex distance along a line minus a linear
+term; Rockafellar, Convex Analysis, sec. 24), so outside an interval of
+the lam grid it lies above the secant line through that interval's ends.
+On each grid interval phi is therefore above the larger of the secants of
+its two neighbours, and the least value of that max (at the lines' kink or
+an interval end) bounds phi from below there.  Past the last grid point
+phi stays above the last secant, which gives a bound only where that
+secant does not fall: a K that holds the ray along ybar makes phi fall
+without end.  The grid is 0 and 8 log-spaced points up to the scale cap
+_lam_max, so a secant is extrapolated at most q = 10^(6/7) ~ 7.2 times its
+own width, and an evaluation error e moves the bound by at most
+(1 + 2q) e ~ 15.4 e.  The screen rejects a row only when its bound exceeds
+tol by the margin 1e-6 (1 + |c| + lam_max (|ybar| + delta)), where the
+bracket bounds the size of every point the grid evaluates.  So it covers
+any e up to 6e-8 times that size: 600 times Dykstra's stopping tolerance
+DYKSTRA_TOL = 1e-10, and far above the rounding of a distance.  Both
+routes of membership_values are then above tol too, so the decision is
+the same bit.
 """
 
 from __future__ import annotations
@@ -35,12 +60,15 @@ from .geometry import (
     Singleton,
     as_vector,
     dykstra_halfspaces,
+    row_matmul,
 )
 
 _MEMBERSHIP_GRID = 64
 _ZOOM_POINTS = 17
 _ZOOM_ROUNDS = 4
 _ALTERNATION_CAP = 120
+_SCREEN_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 8)])
+_SCREEN_MARGIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +119,7 @@ class AffineMap(SmoothMap):
         return self.A.shape[0]
 
     def eval_batch(self, X):
-        # NumPy sends a one-row product to a different BLAS kernel, which
-        # rounds differently; doubling a lone row keeps every row's value
-        # independent of the batch it arrives in
-        if X.shape[0] == 1:
-            return (np.repeat(X, 2, axis=0) @ self.A.T + self.b[None, :])[:1]
-        return X @ self.A.T + self.b[None, :]
+        return row_matmul(X, self.A.T) + self.b[None, :]
 
     def jacobian_batch(self, X):
         X = np.asarray(X, dtype=float)
@@ -604,8 +627,9 @@ def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
     Returns (values, certified): the value is the smaller of the alternating
     estimate and the scale-search estimate, certified where they agree.
     quick=True keeps only the scale search (used by inner probing loops
-    where the certification flag is never consumed); every caller that makes
-    a membership decision runs the full dual route.
+    where the certification flag is never consumed).  Callers that need
+    only the decision value <= tol use _member_mask, which gives the same
+    bits.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -645,6 +669,85 @@ def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
     vals = np.minimum(v_grid, v_alt)
     certified = np.abs(v_grid - v_alt) <= 1e-6 * (1.0 + vals)
     return vals, certified
+
+
+def _screen_bound(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone):
+    """Certified lower bound on min over lam >= 0 of
+    phi(lam) = d(K, c + lam ybar) - lam delta, per row c of Cres.
+
+    Returns (lb, margin): lb is -inf where the bound does not reach past
+    the grid, and margin bounds how far evaluation error can lift lb above
+    the true minimum.  See the module docstring for the argument.
+    """
+    ybar, delta = dc.ybar, dc.delta
+    m = Cres.shape[1]
+    c_norm = np.linalg.norm(Cres, axis=1)
+    lam_hi = dc._lam_max(c_norm)
+    lam = lam_hi[:, None] * _SCREEN_GRID[None, :]
+    pts = Cres[:, None, :] + lam[..., None] * ybar[None, None, :]
+    phi = K.distance_batch(pts.reshape(-1, m)).reshape(lam.shape) - lam * delta
+    margin = _SCREEN_MARGIN * (1.0 + c_norm
+                               + lam_hi * (np.linalg.norm(ybar) + delta))
+    gap = np.diff(lam, axis=1)                       # (B, 8) interval widths
+    slope = np.diff(phi, axis=1) / gap               # secant slopes
+    # on interval [l_i, l_i+1], with u = lam - l_i, phi lies above the
+    # secant of the interval to its left, a + b u, and of the one to its
+    # right; an end interval has one neighbour, which stands for both
+    a_left, b_left = phi[:, 1:-1], slope[:, :-1]     # intervals 1..7
+    a_right = phi[:, 1:-1] - slope[:, 1:] * gap[:, :-1]  # intervals 0..6
+    b_right = slope[:, 1:]
+    a_l = np.concatenate([a_right[:, :1], a_left], axis=1)
+    b_l = np.concatenate([b_right[:, :1], b_left], axis=1)
+    a_r = np.concatenate([a_right, a_left[:, -1:]], axis=1)
+    b_r = np.concatenate([b_right, b_left[:, -1:]], axis=1)
+    # the max of two lines is least at an end of the interval or where
+    # they cross; the clipped crossing is in the interval, so the least of
+    # the three is the exact minimum of the max
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (a_l - a_r) / (b_r - b_l)
+    cross = np.clip(np.nan_to_num(cross, nan=0.0), 0.0, gap)
+    lb = np.full(a_l.shape, np.inf)
+    for u in (np.zeros_like(gap), gap, cross):
+        lb = np.minimum(lb, np.maximum(a_l + b_l * u, a_r + b_r * u))
+    # past lam_hi phi stays above the last secant, so above phi(lam_hi)
+    # where that secant rises; it must rise by more than twice the largest
+    # evaluation error the margin allows for (margin / 15.4)
+    rising = phi[:, -1] - phi[:, -2] >= margin / 4.0
+    tail = np.where(rising, phi[:, -1], -np.inf)
+    return np.minimum(lb.min(axis=1), tail), margin
+
+
+def _member_mask(F: MultiMap, X: np.ndarray, Y: np.ndarray,
+                 dc: DirectionalCone, tol: float) -> np.ndarray:
+    """membership_values(F, X, Y, dc)[0] <= tol, bit for bit, with each
+    row decided as soon as its decision is certain.
+
+    1. Rows whose screen bound (_screen_bound) exceeds tol + margin are
+       rejected: both routes of membership_values stay above tol there.
+    2. The scale search runs on the rest, and v_grid <= tol admits a row,
+       because membership_values takes the smaller of the two routes.
+    3. Only rows still above tol run membership_values, whose alternating
+       route then decides them.
+
+    Every route is row-independent, so a row gets the same value in a
+    subset as in the full batch.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if dc.whole_space:
+        return membership_values(F, X, Y, dc)[0] <= tol
+    Cres = F.f.eval_batch(X) - Y
+    member = np.zeros(Cres.shape[0], dtype=bool)
+    lb, margin = _screen_bound(F.K, Cres, dc)
+    idx = np.where(lb <= tol + margin)[0]
+    if idx.size == 0:
+        return member
+    v_grid = _scale_search(F.K, Cres[idx], dc)
+    member[idx] = v_grid <= tol
+    rest = idx[v_grid > tol]
+    if rest.size:
+        member[rest] = membership_values(F, X[rest], Y[rest], dc)[0] <= tol
+    return member
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ from .multimap import (
     envelope_batch,
     image_distance,
     image_distance_batch,
-    membership_values,
     preimage_distance_batch,
+    _member_mask,
 )
 from .slopes import Field, global_slope
 
@@ -120,12 +120,10 @@ class ModulusEstimate:
 
 def _admissible_mask(q: RegularityQuery, X: np.ndarray, Y: np.ndarray):
     img = image_distance_batch(q.F, X, Y)
-    if q.dc is None:
-        member = np.ones(X.shape[0], dtype=bool)
-    else:
-        mv, _ = membership_values(q.F, X, Y, q.dc)
-        member = mv <= q.tol_member
-    return member & (img > _MIN_IMAGE) & (img < q.epsilon), img
+    adm = (img > _MIN_IMAGE) & (img < q.epsilon)
+    if q.dc is not None and np.any(adm):
+        adm[adm] = _member_mask(q.F, X[adm], Y[adm], q.dc, q.tol_member)
+    return adm, img
 
 
 def _pair_block(q: RegularityQuery, label: str, index: int, radius: float,

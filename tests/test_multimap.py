@@ -25,6 +25,8 @@ from regcert.multimap import (
     envelope_batch,
     image_distance,
     image_distance_batch,
+    _member_mask,
+    _screen_bound,
     membership_values,
     preimage_distance,
     preimage_distance_batch,
@@ -389,6 +391,90 @@ def test_membership_dual_routes_agree():
     assert np.all(quick >= vals - 1e-12)
     assert np.all(quick[certified] - vals[certified]
                   <= 1e-6 * (1.0 + vals[certified]))
+
+
+def _membership_cases():
+    """(F, dc) pairs for the decision kernel: the registry's halfplane, a
+    skew polyhedron, a ball, a product, and a K that contains the ray along
+    ybar (phi keeps falling past the grid, so the screen gives no bound)."""
+    gen = np.random.default_rng(2024)
+    halfplane_dir = builtin("halfplane_directional")
+    skew = Polyhedron(gen.standard_normal((4, 2)), gen.uniform(0.2, 1.0, 4))
+    slab = ProductSet([Ball(np.zeros(1), 0.3),
+                       Polyhedron(np.array([[1.0, 1.0], [-1.0, 0.5]]),
+                                  np.zeros(2))])
+    return {
+        "halfplane_directional": (halfplane_dir.F, halfplane_dir.dc),
+        "skew_polyhedron": (MultiMap(AffineMap(gen.standard_normal((2, 2)),
+                                               np.zeros(2)), skew),
+                            DirectionalCone([0.6, 0.8], 0.3)),
+        "ball": (MultiMap(AffineMap(np.eye(2), np.zeros(2)),
+                          Ball([0.5, -0.2], 0.7)),
+                 DirectionalCone([1.0, 0.2], 0.5)),
+        "product": (MultiMap(AffineMap(np.eye(3), np.zeros(3)), slab),
+                    DirectionalCone([0.3, 1.0, 0.2], 0.4)),
+        "ray_along_ybar": (MultiMap(AffineMap(np.eye(2), np.zeros(2)),
+                                    Polyhedron(np.array([[0.0, -1.0],
+                                                         [1.0, 0.0]]),
+                                               np.array([0.0, 1.0]))),
+                           DirectionalCone([0.0, 1.0], 0.1)),
+    }
+
+
+def _membership_rows(F, gen, rows):
+    # half the rows anywhere, half within 1e-8 .. 1e-4 of F(x), so that
+    # rows near the tolerance reach every stage of the kernel
+    X = gen.uniform(-2.0, 2.0, (rows, F.dim_in))
+    Y = gen.uniform(-2.0, 2.0, (rows, F.dim_out))
+    near = np.arange(rows) % 2 == 1
+    scale = 10.0 ** gen.integers(-8, -3, near.sum())
+    Y[near] = (F.f.eval_batch(X[near]) - F.K.project_batch(Y[near])
+               + scale[:, None] * gen.standard_normal((near.sum(),
+                                                       F.dim_out)))
+    return X, Y
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(_membership_cases())),
+       st.integers(0, 2 ** 32 - 1))
+def test_member_mask_is_the_membership_decision(name, seed):
+    F, dc = _membership_cases()[name]
+    gen = np.random.default_rng(seed)
+    X, Y = _membership_rows(F, gen, 60)
+    vals, _ = membership_values(F, X, Y, dc)
+    quick, _ = membership_values(F, X, Y, dc, quick=True)
+    # a tol between the two routes of a row where the alternating route is
+    # lower leaves that row's decision to the last stage
+    split = np.where(vals < quick)[0][:3]
+    for tol in [TOL_MEMBER, 1e-5, 1e-2, *(vals[split] + quick[split]) / 2]:
+        mask = _member_mask(F, X, Y, dc, tol)
+        assert mask.tobytes() == (vals <= tol).tobytes(), tol
+    # the screen's bound never exceeds the full value by more than its
+    # stated margin, and it gives no bound where phi falls past the grid
+    lb, margin = _screen_bound(F.K, F.f.eval_batch(X) - Y, dc)
+    assert np.all(lb <= vals + margin)
+    if name == "ray_along_ybar":
+        assert np.all(lb == -np.inf)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(sorted(_membership_cases())),
+       st.integers(0, 2 ** 32 - 1))
+def test_membership_rows_are_batch_independent(name, seed):
+    # each row, run alone, gets the bits of its value and of its certified
+    # flag that it gets in the batch, on both routes and on the quick one
+    F, dc = _membership_cases()[name]
+    gen = np.random.default_rng(seed)
+    X, Y = _membership_rows(F, gen, 12)
+    vals, certified = membership_values(F, X, Y, dc)
+    quick, _ = membership_values(F, X, Y, dc, quick=True)
+    for i in range(12):
+        one = slice(i, i + 1)
+        v, c = membership_values(F, X[one], Y[one], dc)
+        assert v.tobytes() == vals[one].tobytes(), i
+        assert c.tobytes() == certified[one].tobytes(), i
+        q, _ = membership_values(F, X[one], Y[one], dc, quick=True)
+        assert q.tobytes() == quick[one].tobytes(), i
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,26 @@ def test_modulus_halfplane_directional():
     assert est.n_admissible == 87
 
 
+def test_directional_modulus_frozen():
+    # criterion 02's query and two one-block-plus budgets, bit for bit: the
+    # membership decision of every pair feeds n_admissible and the witness
+    expect = {
+        (42, 20000): (827, [-0.2017731899294683],
+                      [-0.14931705497542122, 0.2960387678156607]),
+        (1, 520): (15, [0.37469354577133984],
+                   [0.385909480469865, 0.29076272213070775]),
+        (7, 520): (23, [0.14101340081187586],
+                   [0.15540583373922845, 0.4604352748243018]),
+    }
+    for (seed, budget), (n_adm, x, y) in expect.items():
+        est = empirical_directional_modulus(
+            query("halfplane_directional", seed=seed, budget=budget))
+        assert est.sup_ratio == 1.0
+        assert est.n_admissible == n_adm
+        assert est.worst_witness[0].tolist() == x
+        assert est.worst_witness[1].tolist() == y
+
+
 def test_modulus_thread_invariance():
     a = empirical_directional_modulus(query("diag_2_05"), threads=1)
     b = empirical_directional_modulus(query("diag_2_05"), threads=4)

@@ -49,6 +49,10 @@ COMMANDS = (
           "--alpha", "0.5", "--L", "0.05"], "report.json"),
         (["analyze", "identity2", "--seed", "3", "--csv", "samples.csv"],
          "samples.csv"),
+        # the directional membership decision: the CSV holds the admissible
+        # flag of every sampled pair
+        (["modulus", "halfplane_directional", "--tau", "1.1", "--budget",
+          "2000", "--seed", "3", "--csv", "samples.csv"], "samples.csv"),
         # the Gauss-Newton preimage route: the CSV holds every per-sample
         # preimage distance
         (["modulus", "parabola_eb", "--tau", "10", "--budget", "300",
