@@ -6,16 +6,25 @@ direction (the union of scaled balls lam * B(ybar, delta) over lam >= 0).
 Every variant supports nearest-point projection and distance; polyhedra
 additionally expose active-row normal cone generators and an LP.
 
-Projections onto polyhedra use Dykstra's alternating scheme over the
-halfspace rows, which converges to the exact nearest point (not merely a
-feasible one).  LPs go to the HiGHS solver that scipy ships; only their
-status and optimal value are consumed.
+Projections onto polyhedra are exact where the system is small: the
+nearest point is the KKT point of one active set of at most dim independent
+rows (Nocedal & Wright, Numerical Optimization, ch. 16), and
+project_halfspaces solves every such set at once and keeps, per point, the
+first whose point and nonnegative multipliers one Dykstra sweep leaves in
+place, with no tolerance.  Points no set passes (rounding on skew or
+paired rows, an empty system) and systems with more than _MAX_ACTIVE_SETS
+candidate sets fall back to Dykstra's alternating scheme, which converges
+to the nearest point to DYKSTRA_TOL.  LPs go to the HiGHS solver that
+scipy ships; only their status and optimal value are consumed.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog, nnls
@@ -34,8 +43,18 @@ TOL_FEAS = 1e-9
 TOL_MEMBER = 1e-7
 TOL_ACTIVE = 1e-7
 
+# the Dykstra fallback's stopping tolerance and sweep cap
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_SWEEPS = 10_000
+
+# systems with more candidate active sets than this go to Dykstra whole
+_MAX_ACTIVE_SETS = 256
+# sets whose unit rows have a singular value below this are left out: their
+# multipliers would be mostly rounding, so such points take the fallback
+_SET_SV_FLOOR = 1e-3
+# doubles of temporaries that one chunk of the active-set pass may hold, so
+# that large batches do not grow the peak memory
+_ACTIVE_SET_CHUNK = 1 << 16
 
 _GOLDEN_ITERS = 48
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -166,6 +185,131 @@ def dykstra_halfspaces(C, d, P, rhs=None):
     return X, feas_final
 
 
+# ---------------------------------------------------------------------------
+# Exact projection by active-set enumeration, with Dykstra as the fallback.
+
+@dataclass(frozen=True)
+class _ActiveSets:
+    """The candidate active sets of one system C, in enumeration order.
+
+    At a point p, lam = (v / row_sq) @ M with v = C p - rhs holds k
+    multipliers per set, and set t's point is p - sum_l lam[t k + l]
+    rows[t, l] (sets below the largest size k are padded with zeros).
+    spread[t, i] is the position in lam of row i's multiplier in set t,
+    or one past the end, where a 0 is appended, when row i is off set t.
+    """
+
+    C: np.ndarray
+    CT: np.ndarray
+    row_sq: np.ndarray
+    M: np.ndarray
+    rows: np.ndarray
+    spread: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _active_sets(shape: tuple, data: bytes) -> _ActiveSets | None:
+    """Every set of at most dim independent rows, the empty set first;
+    None when there are more than _MAX_ACTIVE_SETS candidates."""
+    C = np.frombuffer(data).reshape(shape)
+    m, n = shape
+    k = min(m, n)
+    if sum(math.comb(m, j) for j in range(k + 1)) > _MAX_ACTIVE_SETS:
+        return None
+    row_sq = np.einsum("ij,ij->i", C, C)
+    unit = C / np.sqrt(row_sq)[:, None]
+    sets = [list(S) for j in range(k + 1) for S in combinations(range(m), j)
+            if j == 0 or np.linalg.svd(unit[list(S)], compute_uv=False)[-1]
+            >= _SET_SV_FLOOR]
+    M = np.zeros((m, len(sets), k))
+    rows = np.zeros((len(sets), k, n))
+    spread = np.full((len(sets), m), len(sets) * k)
+    for t, S in enumerate(sets[1:], start=1):
+        G = C[S] @ C[S].T
+        G[np.diag_indices(len(S))] = row_sq[S]
+        # lam = v_S G^-1 = (v_S / row_sq_S) (D G^-1) with D = diag(row_sq_S);
+        # solving for D G^-1 gives exactly I on orthogonal rows, so such a
+        # set takes the same steps as a Dykstra sweep
+        M[S, t, :len(S)] = np.linalg.solve(G, np.diag(row_sq[S])).T
+        rows[t, :len(S)] = C[S]
+        spread[t, S] = t * k + np.arange(len(S))
+    return _ActiveSets(C, np.ascontiguousarray(C.T), row_sq,
+                       M.reshape(m, -1), rows[..., None], spread)
+
+
+def _active_set_pass(sets: _ActiveSets, P: np.ndarray, rhs: np.ndarray):
+    """Every candidate set on every row of P at once; returns (Q, exact).
+
+    A set passes when its point z and multipliers alpha (0 off the set)
+    are a fixed point of one Dykstra sweep: every row i maps z + alpha_i
+    c_i back to z with multiplier alpha_i.  That is the KKT system in
+    Dykstra's own arithmetic: rows off the set hold with no tolerance,
+    rows on it bind, and alpha >= 0.  Each row of P takes the first set
+    that passes.  On orthogonal rows the first sweep of Dykstra reaches
+    that same state, so the point is the one Dykstra stops at, bit for bit.
+
+    The work runs with the batch on the last axis, so every elementwise
+    step and every reduction sweeps the batch contiguously.
+    """
+    count, k = sets.spread.shape[0], sets.rows.shape[1]
+    B = P.shape[0]
+    lam = row_matmul((row_matmul(P, sets.CT) - rhs) / sets.row_sq, sets.M)
+    L = np.zeros((count * k + 1, B))
+    L[:-1] = lam.T
+    Lk = L[:-1].reshape(count, k, 1, B)
+    Z = np.ascontiguousarray(P.T) - Lk[:, 0] * sets.rows[:, 0]
+    for l in range(1, k):
+        Z -= Lk[:, l] * sets.rows[:, l]
+    A = L[sets.spread]
+    C = sets.C[:, :, None]
+    Y = Z[:, None] + A[:, :, None] * C
+    mu = np.maximum(((Y * C).sum(axis=2) - rhs.T) / sets.row_sq[:, None],
+                    0.0)
+    fixed = ((mu == A) & (Y - mu[:, :, None] * C == Z[:, None]).all(axis=2)
+             ).all(axis=1)
+    return Z[fixed.argmax(axis=0), :, np.arange(B)], fixed.any(axis=0)
+
+
+def project_halfspaces(C, rhs, P):
+    """Project each row of P onto {z : C z <= rhs}; rhs is (m,) or (B, m).
+
+    Returns (Q, residual, exact).  A row is exact when a candidate active
+    set S (independent rows, |S| <= dim) gives z = p - lam C_S that one
+    Dykstra sweep leaves in place (see _active_set_pass): z is then the
+    nearest point up to rounding, lam >= 0 is its KKT certificate, and its
+    residual is 0.  Every other row, and every row of a system with more
+    than _MAX_ACTIVE_SETS candidate sets, goes to dykstra_halfspaces,
+    whose residual it returns.  Products go through row_matmul or are
+    elementwise, so a row gets the same bits alone as in any batch.
+    """
+    C = np.ascontiguousarray(C, dtype=float)
+    P = _rows(P)
+    B, n = P.shape
+    m = C.shape[0]
+    Q = P.astype(float, copy=True)
+    if m == 0:
+        return Q, np.zeros(B), np.ones(B, dtype=bool)
+    rhs = np.asarray(rhs, dtype=float).reshape(-1, m)
+    exact = np.zeros(B, dtype=bool)
+    sets = _active_sets(C.shape, C.tobytes())
+    if sets is not None:
+        # per point and set: the (m, n) sweep arrays and their temporaries,
+        # the point and the multipliers
+        count, k = sets.spread.shape[0], sets.rows.shape[1]
+        step = max(1, _ACTIVE_SET_CHUNK // (count * (m * (4 * n + 6)
+                                                     + 2 * n + k)))
+        for a in range(0, B, step):
+            Q[a:a + step], exact[a:a + step] = _active_set_pass(
+                sets, P[a:a + step],
+                rhs if rhs.shape[0] == 1 else rhs[a:a + step])
+    resid = np.zeros(B)
+    back = ~exact
+    if np.any(back):
+        Q[back], resid[back] = dykstra_halfspaces(
+            C, None, P[back], rhs=np.broadcast_to(rhs, (B, m))[back])
+    return Q, resid, exact
+
+
 def golden_min(fn, lo, hi):
     """Vectorized golden-section minimizer over per-point brackets.
 
@@ -252,16 +396,18 @@ class Polyhedron(ConvexSet):
         return self._feasible
 
     def project_batch(self, P: np.ndarray) -> np.ndarray:
-        P = _rows(P)
-        if self.n_rows == 0:
-            return P.copy()
-        Q, resid = dykstra_halfspaces(self.C, self.d, P)
+        return self._project(P)[0]
+
+    def _project(self, P):
+        """(Q, exact); only rows that fell back to Dykstra can carry a
+        residual, so only they can raise EmptySet or warn."""
+        Q, resid, exact = project_halfspaces(self.C, self.d, _rows(P))
         if np.any(resid > 1e-7):
             if not self.is_feasible():
                 raise EmptySet("cannot project onto an empty polyhedron")
             warnings.warn("Dykstra projection left residual above 1e-7",
-                          stacklevel=3)
-        return Q
+                          stacklevel=4)
+        return Q, exact
 
     def distance_batch(self, P: np.ndarray) -> np.ndarray:
         P = _rows(P)
@@ -277,9 +423,11 @@ class Polyhedron(ConvexSet):
 
     def project(self, p) -> np.ndarray:
         p = as_vector(p, self.dim, "point")
-        q = self.project_batch(p[None, :])[0]
-        self._validate_kkt(p, q)
-        return q
+        Q, exact = self._project(p[None, :])
+        # an exact row carries its KKT certificate already
+        if not exact[0]:
+            self._validate_kkt(p, Q[0])
+        return Q[0]
 
     def _validate_kkt(self, p, q):
         # the step p - q must be a nonnegative combination of active rows

@@ -35,10 +35,11 @@ own width, and an evaluation error e moves the bound by at most
 (1 + 2q) e ~ 15.4 e.  The screen rejects a row only when its bound exceeds
 tol by the margin 1e-6 (1 + |c| + lam_max (|ybar| + delta)), where the
 bracket bounds the size of every point the grid evaluates.  So it covers
-any e up to 6e-8 times that size: 600 times Dykstra's stopping tolerance
-DYKSTRA_TOL = 1e-10, and far above the rounding of a distance.  Both
-routes of membership_values are then above tol too, so the decision is
-the same bit.
+any e up to 6e-8 times that size, on both routes of a polyhedral
+projection: a point of the exact active-set route meets its KKT conditions
+up to rounding, and the Dykstra fallback stops within DYKSTRA_TOL = 1e-10,
+600 times below the budget.  Both routes of membership_values are then
+above tol too, so the decision is the same bit.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ from .geometry import (
     ProductSet,
     Singleton,
     as_vector,
-    dykstra_halfspaces,
+    dykstra_halfspaces,  # noqa: F401  (traced by name in this namespace)
+    project_halfspaces,
     row_matmul,
 )
 
@@ -396,7 +398,7 @@ def preimage_distance_batch(F: MultiMap, Y: np.ndarray, X: np.ndarray,
     Kp = as_polyhedron(F.K)
     G = Kp.C @ F.f.A
     # rhs_s = d - C (b - y_s)
-    rhs = Kp.d[None, :] - (F.f.b[None, :] - Y) @ Kp.C.T
+    rhs = Kp.d[None, :] - row_matmul(F.f.b[None, :] - Y, Kp.C.T)
     norms = np.linalg.norm(G, axis=1)
     zero = norms <= 1e-12
     out = np.zeros(X.shape[0])
@@ -410,12 +412,11 @@ def preimage_distance_batch(F: MultiMap, Y: np.ndarray, X: np.ndarray,
     Gnz = G[~zero]
     if Gnz.shape[0] == 0 or not np.any(live):
         return out
-    U, resid = dykstra_halfspaces(Gnz, None, X[live],
-                                  rhs=rhs[live][:, ~zero])
+    U, resid, _ = project_halfspaces(Gnz, rhs[live][:, ~zero], X[live])
     dist = np.linalg.norm(X[live] - U, axis=1)
     bad = resid > 1e-7
     if np.any(bad):
-        # Dykstra stalled: decide emptiness per sample by LP
+        # the Dykstra fallback stalled: decide emptiness per sample by LP
         idx = np.where(bad)[0]
         for i in idx:
             poly = Polyhedron(Gnz, rhs[live][i, ~zero])

@@ -9,7 +9,10 @@ from conftest import bounded_random_polyhedron, vertex_lp_maximum
 from regcert import (Ball, DirectionalCone, EmptySet, Polyhedron, ProductSet,
                      Singleton, normal_cone_generators,
                      project_onto_generated_cone, solve_lp)
-from regcert.geometry import dykstra_halfspaces, golden_min
+from regcert import geometry
+from regcert.geometry import (TOL_FEAS, dykstra_halfspaces, golden_min,
+                              project_halfspaces)
+from regcert.multimap import as_polyhedron
 
 
 def box2(lo=-1.0, hi=1.0):
@@ -63,6 +66,131 @@ def test_dykstra_matches_polyhedron_project():
     assert np.max(resid) < 1e-7
     for row, want in zip(proj, P.project_batch(pts)):
         assert np.allclose(row, want, atol=1e-6)
+
+
+def test_empty_polyhedron_still_raises_and_has_infinite_distance():
+    # no active set passes on an empty system, so every row falls back to
+    # Dykstra, whose residual triggers the feasibility LP
+    P = Polyhedron(np.array([[1.0], [-1.0]]), np.array([-2.0, -2.0]))
+    with pytest.raises(EmptySet):
+        P.project_batch(np.array([[0.5], [3.0]]))
+    assert np.all(np.isinf(P.distance_batch(np.array([[0.5], [3.0]]))))
+
+
+# ---------------------------------------------------------------------------
+# The exact active-set projection against Dykstra.
+
+def _axis_form(name, gen):
+    """(C, rhs) of a registry-style axis-aligned system, rhs per row.
+
+    The forms are the nonpositive orthant, the halfplane K, the +-e_i
+    pairs of a singleton, and their pullbacks through identity and
+    diagonal maps, with the right-hand sides the preimage route builds.
+    """
+    halfplane = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    pairs = as_polyhedron(Singleton(gen.uniform(-1.0, 1.0, 2)))
+    diag = np.diag(gen.choice([0.5, 2.0, 3.0, 0.7], size=2))
+    Y = gen.uniform(-1.0, 1.0, (40, 2))
+    if name == "orthant":
+        return np.eye(2), np.zeros((40, 2))
+    if name == "halfplane":
+        return halfplane, np.zeros((40, 3))
+    if name == "singleton":
+        return pairs.C, np.broadcast_to(pairs.d, (40, 4))
+    if name == "orthant_pullback":
+        return np.eye(2) @ diag, Y
+    if name == "halfplane_pullback":
+        # f(x) = (x, 0) drops the zero row, leaving the pair +-e_1
+        return halfplane[:2, :1], Y[:, :1] @ np.array([[1.0, -1.0]])
+    return pairs.C @ diag, pairs.d - (gen.uniform(-1.0, 1.0, 2) - Y) \
+        @ pairs.C.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["orthant", "halfplane", "singleton",
+                        "orthant_pullback", "halfplane_pullback",
+                        "singleton_pullback"]),
+       st.sampled_from([1e-3, 1.0, 100.0]), st.integers(0, 2 ** 32 - 1))
+def test_exact_projection_is_dykstra_bit_for_bit_on_axis_forms(name, scale,
+                                                               seed):
+    # the property that keeps the registry reports: on axis-aligned rows an
+    # accepted set is the state Dykstra stops at, and the rest fall back
+    gen = np.random.default_rng(seed)
+    C, rhs = _axis_form(name, gen)
+    P = scale * gen.standard_normal((40, C.shape[1]))
+    rhs = scale * rhs
+    Q, resid, _ = project_halfspaces(C, rhs, P)
+    want, want_resid = dykstra_halfspaces(C, None, P, rhs=np.array(rhs))
+    assert Q.tobytes() == want.tobytes()
+    assert np.all(resid <= want_resid)
+
+
+def _skew_system(gen, max_rows=4, max_dim=3):
+    """Random rows through a feasible anchor, so the system is nonempty."""
+    dim = int(gen.integers(1, max_dim + 1))
+    rows = int(gen.integers(1, max_rows + 1))
+    C = gen.standard_normal((rows, dim))
+    anchor = gen.uniform(-1.0, 1.0, dim)
+    d = C @ anchor + gen.uniform(0.0, 1.0, rows)
+    return C, d
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_exact_projection_on_skew_polyhedra(seed):
+    # exact rows are feasible, idempotent and agree with a converged
+    # Dykstra; the rows no set certifies are Dykstra's own, stalls included
+    gen = np.random.default_rng(seed)
+    C, d = _skew_system(gen)
+    P = 3.0 * gen.standard_normal((50, C.shape[1]))
+    Q, resid, exact = project_halfspaces(C, d, P)
+    want, want_resid = dykstra_halfspaces(C, d, P)
+    assert Q[~exact].tobytes() == want[~exact].tobytes()
+    assert resid[~exact].tobytes() == want_resid[~exact].tobytes()
+    assert np.all(resid[exact] == 0.0)
+    norms = np.linalg.norm(C, axis=1)
+    assert np.all((Q[exact] @ C.T - d) / norms <= TOL_FEAS)
+    again, _, _ = project_halfspaces(C, d, Q[exact])
+    assert np.all(np.abs(again - Q[exact]) <= 1e-9)
+    converged = exact & (want_resid <= 1e-10)
+    assert np.all(np.abs(Q[converged] - want[converged]) <= 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.sampled_from([1 << 17, 600, 50]))
+def test_exact_projection_rows_are_batch_independent(seed, per_row_rhs,
+                                                     chunk):
+    # alone, in a 30-row batch, and across chunk boundaries of any size
+    gen = np.random.default_rng(seed)
+    C, d = _skew_system(gen)
+    P = 3.0 * gen.standard_normal((30, C.shape[1]))
+    rhs = d + gen.uniform(-0.5, 0.5, (30, d.size)) if per_row_rhs else d
+    old = geometry._ACTIVE_SET_CHUNK
+    geometry._ACTIVE_SET_CHUNK = chunk
+    try:
+        Q, resid, exact = project_halfspaces(C, rhs, P)
+    finally:
+        geometry._ACTIVE_SET_CHUNK = old
+    for i in range(30):
+        one = rhs[i:i + 1] if per_row_rhs else d
+        alone = project_halfspaces(C, one, P[i:i + 1])
+        assert alone[0].tobytes() == Q[i:i + 1].tobytes(), i
+        assert alone[1][0] == resid[i] and alone[2][0] == exact[i], i
+
+
+def test_system_above_the_set_cap_takes_dykstra():
+    # 12 rows in 3-d have 1 + 12 + 66 + 220 = 299 candidate sets
+    gen = np.random.default_rng(4)
+    C = gen.standard_normal((12, 3))
+    d = gen.uniform(0.5, 1.0, 12)
+    assert geometry._active_sets(C.shape, C.tobytes()) is None
+    P = 3.0 * gen.standard_normal((25, 3))
+    Q, resid, exact = project_halfspaces(C, d, P)
+    want, want_resid = dykstra_halfspaces(C, d, P)
+    assert not np.any(exact)
+    assert Q.tobytes() == want.tobytes()
+    assert resid.tobytes() == want_resid.tobytes()
 
 
 def test_golden_min_on_parabola():

@@ -172,6 +172,20 @@ def test_preimage_distance_exact_affine():
     assert preimage_distance(F, [2.0, -1.0], [0.0]) == np.inf
 
 
+def test_preimage_of_an_empty_pulled_back_system_is_infinite():
+    # f(x) = (x, x) into {z1 <= 0, z2 >= 1}: the pulled-back rows x <= y1
+    # and x >= 1 + y2 are nonzero, and empty whenever y1 < 1 + y2; no
+    # active set certifies a point, Dykstra stalls, and the LP decides
+    F = MultiMap(AffineMap(np.ones((2, 1)), np.zeros(2)),
+                 Polyhedron(np.array([[1.0, 0.0], [0.0, -1.0]]),
+                            np.array([0.0, -1.0])))
+    Y = np.array([[0.0, 0.0], [2.0, 0.0], [0.5, -0.5]])
+    got = preimage_distance_batch(F, Y, np.array([[0.3], [0.3], [0.3]]))
+    assert got[0] == np.inf
+    assert got[1] == pytest.approx(0.7, abs=1e-9)
+    assert got[2] == pytest.approx(0.2, abs=1e-9)
+
+
 def test_preimage_batch_matches_scalar():
     F = orthant2()
     gen = np.random.default_rng(3)
@@ -180,6 +194,26 @@ def test_preimage_batch_matches_scalar():
     batch = preimage_distance_batch(F, Y, X)
     single = np.array([preimage_distance(F, y, x) for x, y in zip(X, Y)])
     assert np.allclose(batch, single, atol=1e-8)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_exact_preimage_rows_are_batch_independent(dim_in, seed):
+    # a skew affine map pulls a skew 3-row polyhedron back to a skew
+    # system whose right-hand side varies with y; each row, alone, gets the
+    # bits it gets in its 30-row batch
+    gen = np.random.default_rng(seed)
+    C = gen.standard_normal((3, 2))
+    K = Polyhedron(C, C @ gen.uniform(-1.0, 1.0, 2)
+                   + gen.uniform(0.0, 1.0, 3))
+    F = MultiMap(AffineMap(gen.standard_normal((2, dim_in)),
+                           gen.standard_normal(2)), K)
+    X = gen.uniform(-2.0, 2.0, (30, dim_in))
+    Y = gen.uniform(-2.0, 2.0, (30, 2))
+    batch = preimage_distance_batch(F, Y, X)
+    for i in range(30):
+        alone = preimage_distance_batch(F, Y[i:i + 1], X[i:i + 1])
+        assert alone.tobytes() == batch[i:i + 1].tobytes(), i
 
 
 def linear_as_polynomial():

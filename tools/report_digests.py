@@ -14,10 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# a problem file next to this script, copied into each working directory
+PROBLEM = Path(__file__).resolve().parent / "rotated_halfplane.json"
 
 INSTANCES = ("diag_2_05", "halfplane_directional", "hoffman_2d", "identity2",
              "parabola_eb", "param_scale")
@@ -59,6 +63,10 @@ COMMANDS = (
           "--seed", "3"], "report.json"),
         (["modulus", "parabola_eb", "--tau", "10", "--budget", "300",
           "--seed", "3", "--csv", "samples.csv"], "samples.csv"),
+        # halfplane_directional turned by 30 degrees: a K with skew rows,
+        # where most projections fall back from the exact active-set route
+        # to Dykstra
+        (["analyze", PROBLEM.name, "--seed", "3"], "report.json"),
     ]
 )
 
@@ -73,6 +81,7 @@ def digest_lines(checkout: Path) -> list[str]:
     for argv, output in COMMANDS:
         argv = argv + ["--no-timestamp", "--out", "report.json"]
         with tempfile.TemporaryDirectory() as tmp:
+            shutil.copy(PROBLEM, tmp)
             proc = subprocess.run(
                 [sys.executable, "-m", "regcert.cli", *argv], cwd=tmp,
                 env=env, capture_output=True)
