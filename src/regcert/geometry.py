@@ -6,25 +6,25 @@ direction (the union of scaled balls lam * B(ybar, delta) over lam >= 0).
 Every variant supports nearest-point projection and distance; polyhedra
 additionally expose active-row normal cone generators and an LP.
 
-Projections onto polyhedra are exact where the system is small: the
-nearest point is the KKT point of one active set of at most dim independent
-rows (Nocedal & Wright, Numerical Optimization, ch. 16), and
-project_halfspaces solves every such set at once and keeps, per point, the
-first whose point and nonnegative multipliers one Dykstra sweep leaves in
-place, with no tolerance.  Points no set passes (rounding on skew or
-paired rows, an empty system) and systems with more than _MAX_ACTIVE_SETS
-candidate sets fall back to Dykstra's alternating scheme, which converges
-to the nearest point to DYKSTRA_TOL.  LPs go to the HiGHS solver that
-scipy ships; only their status and optimal value are consumed.
+Projections onto polyhedra are exact where the rows are axis-aligned, as
+every registry K and its pullbacks through diagonal maps are: the nearest
+point is the KKT point of one active set (Nocedal & Wright, Numerical
+Optimization, ch. 16), such a set binds at most one row per axis, and
+project_halfspaces tries every candidate of every axis at once and keeps,
+per axis, the first whose point and nonnegative multiplier one Dykstra
+sweep leaves in place, with no tolerance.  Points no candidate passes
+(rounding on paired rows, an empty system), systems with skew rows, and
+systems too large for the chunked pass fall back to Dykstra's alternating
+scheme, which converges to the nearest point to DYKSTRA_TOL.  LPs go to
+the HiGHS solver that scipy ships; only their status and optimal value are
+consumed.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog, nnls
@@ -47,14 +47,13 @@ TOL_ACTIVE = 1e-7
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_SWEEPS = 10_000
 
-# systems with more candidate active sets than this go to Dykstra whole
-_MAX_ACTIVE_SETS = 256
-# sets whose unit rows have a singular value below this are left out: their
-# multipliers would be mostly rounding, so such points take the fallback
-_SET_SV_FLOOR = 1e-3
 # doubles of temporaries that one chunk of the active-set pass may hold, so
 # that large batches do not grow the peak memory
 _ACTIVE_SET_CHUNK = 1 << 16
+# a system whose chunks would hold fewer points than this goes to Dykstra
+# whole, so the chunk loop never degrades to a few points a step (the pass
+# grows with the square of the rows on one axis)
+_MIN_CHUNK_POINTS = 64
 
 _GOLDEN_ITERS = 48
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -189,118 +188,135 @@ def dykstra_halfspaces(C, d, P, rhs=None):
 # Exact projection by active-set enumeration, with Dykstra as the fallback.
 
 @dataclass(frozen=True)
-class _ActiveSets:
-    """The candidate active sets of one system C, in enumeration order.
+class _AxisSystem:
+    """An axis-aligned system: row i reads c[i] z[axis[i]] <= rhs_i.
 
-    At a point p, lam = (v / row_sq) @ M with v = C p - rhs holds k
-    multipliers per set, and set t's point is p - sum_l lam[t k + l]
-    rows[t, l] (sets below the largest size k are padded with zeros).
-    spread[t, i] is the position in lam of row i's multiplier in set t,
-    or one past the end, where a 0 is appended, when row i is off set t.
+    Its active sets factor over the axes that hold rows: a KKT point binds
+    at most one row per axis, and the rows of one axis see no other
+    coordinate.  So each such axis (axes[a]) has its own candidates: no
+    row first, then its rows in order.  slot[a, v] is the v-th row of axis
+    a, and pad[a, v] marks the slots past the rows of an axis with fewer
+    than the most (they hold row 0 and are not checked).  Candidate u of
+    axis a takes row slot[a, u - 1] (same[a, u, v] when that is slot v),
+    and z_index[a, u] is where its coordinate sits among the row
+    candidates (0..m-1) and the untouched coordinates (m + axis); the
+    padded candidates repeat "no row".
     """
 
-    C: np.ndarray
-    CT: np.ndarray
+    axes: np.ndarray
+    axis: np.ndarray
+    c: np.ndarray
     row_sq: np.ndarray
-    M: np.ndarray
-    rows: np.ndarray
-    spread: np.ndarray
+    slot: np.ndarray
+    pad: np.ndarray
+    same: np.ndarray
+    z_index: np.ndarray
+
+    def doubles_per_point(self) -> int:
+        """Doubles of temporaries the pass holds per projected point: about
+        six of the (axis, candidate, slot) arrays and three per row."""
+        A, G = self.slot.shape
+        return 6 * A * (G + 1) * G + 3 * (self.c.size + A)
 
 
 @lru_cache(maxsize=64)
-def _active_sets(shape: tuple, data: bytes) -> _ActiveSets | None:
-    """Every set of at most dim independent rows, the empty set first;
-    None when there are more than _MAX_ACTIVE_SETS candidates."""
+def _axis_system(shape: tuple, data: bytes) -> _AxisSystem | None:
+    """The candidates of C, or None when some row of C is not a nonzero
+    multiple of a coordinate vector."""
     C = np.frombuffer(data).reshape(shape)
-    m, n = shape
-    k = min(m, n)
-    if sum(math.comb(m, j) for j in range(k + 1)) > _MAX_ACTIVE_SETS:
+    m, _ = shape
+    nonzero = C != 0.0
+    if not np.all(nonzero.sum(axis=1) == 1):
         return None
-    row_sq = np.einsum("ij,ij->i", C, C)
-    unit = C / np.sqrt(row_sq)[:, None]
-    sets = [list(S) for j in range(k + 1) for S in combinations(range(m), j)
-            if j == 0 or np.linalg.svd(unit[list(S)], compute_uv=False)[-1]
-            >= _SET_SV_FLOOR]
-    M = np.zeros((m, len(sets), k))
-    rows = np.zeros((len(sets), k, n))
-    spread = np.full((len(sets), m), len(sets) * k)
-    for t, S in enumerate(sets[1:], start=1):
-        G = C[S] @ C[S].T
-        G[np.diag_indices(len(S))] = row_sq[S]
-        # lam = v_S G^-1 = (v_S / row_sq_S) (D G^-1) with D = diag(row_sq_S);
-        # solving for D G^-1 gives exactly I on orthogonal rows, so such a
-        # set takes the same steps as a Dykstra sweep
-        M[S, t, :len(S)] = np.linalg.solve(G, np.diag(row_sq[S])).T
-        rows[t, :len(S)] = C[S]
-        spread[t, S] = t * k + np.arange(len(S))
-    return _ActiveSets(C, np.ascontiguousarray(C.T), row_sq,
-                       M.reshape(m, -1), rows[..., None], spread)
+    axis = nonzero.argmax(axis=1)
+    c = C[np.arange(m), axis]
+    axes = np.unique(axis)
+    groups = [np.flatnonzero(axis == a) for a in axes]
+    G = max(g.size for g in groups)
+    slot = np.zeros((axes.size, G), dtype=int)
+    pad = np.ones((axes.size, G), dtype=bool)
+    z_index = m + np.repeat(axes[:, None], G + 1, axis=1)
+    for a, g in enumerate(groups):
+        slot[a, :g.size] = g
+        pad[a, :g.size] = False
+        z_index[a, 1:g.size + 1] = g
+    same = np.zeros((axes.size, G + 1, G), dtype=bool)
+    same[:, 1:] = np.eye(G, dtype=bool) & ~pad[:, None, :]
+    # every caller of the cache shares these arrays
+    arrays = (axes, axis, c, c * c, slot, pad, same, z_index)
+    for a in arrays:
+        a.setflags(write=False)
+    return _AxisSystem(*arrays)
 
 
-def _active_set_pass(sets: _ActiveSets, P: np.ndarray, rhs: np.ndarray):
-    """Every candidate set on every row of P at once; returns (Q, exact).
+def _active_set_pass(s: _AxisSystem, P: np.ndarray, rhs: np.ndarray):
+    """Every candidate on every row of P at once; returns (Q, exact).
 
-    A set passes when its point z and multipliers alpha (0 off the set)
-    are a fixed point of one Dykstra sweep: every row i maps z + alpha_i
-    c_i back to z with multiplier alpha_i.  That is the KKT system in
-    Dykstra's own arithmetic: rows off the set hold with no tolerance,
-    rows on it bind, and alpha >= 0.  Each row of P takes the first set
-    that passes.  On orthogonal rows the first sweep of Dykstra reaches
-    that same state, so the point is the one Dykstra stops at, bit for bit.
+    With lam_i = (c_i p - rhs_i) / c_i^2, row i as candidate moves its
+    coordinate to p - lam_i c_i.  A candidate passes when that coordinate
+    z and the multipliers alpha (lam_i on the candidate row, 0 on the
+    other rows of its axis) are a fixed point of one Dykstra sweep: every
+    row i maps z + alpha_i c_i back to z with multiplier alpha_i.  That is
+    the KKT system in Dykstra's own arithmetic: rows off the active set
+    hold with no tolerance, the active row binds, and alpha >= 0.  Each
+    axis takes its first candidate that passes, and a point is exact when
+    every axis has one.  Without two rows on one side of an axis, the
+    first sweep of Dykstra reaches that same state, so the point is the
+    one Dykstra stops at, bit for bit.
 
     The work runs with the batch on the last axis, so every elementwise
     step and every reduction sweeps the batch contiguously.
     """
-    count, k = sets.spread.shape[0], sets.rows.shape[1]
     B = P.shape[0]
-    lam = row_matmul((row_matmul(P, sets.CT) - rhs) / sets.row_sq, sets.M)
-    L = np.zeros((count * k + 1, B))
-    L[:-1] = lam.T
-    Lk = L[:-1].reshape(count, k, 1, B)
-    Z = np.ascontiguousarray(P.T) - Lk[:, 0] * sets.rows[:, 0]
-    for l in range(1, k):
-        Z -= Lk[:, l] * sets.rows[:, l]
-    A = L[sets.spread]
-    C = sets.C[:, :, None]
-    Y = Z[:, None] + A[:, :, None] * C
-    mu = np.maximum(((Y * C).sum(axis=2) - rhs.T) / sets.row_sq[:, None],
-                    0.0)
-    fixed = ((mu == A) & (Y - mu[:, :, None] * C == Z[:, None]).all(axis=2)
-             ).all(axis=1)
-    return Z[fixed.argmax(axis=0), :, np.arange(B)], fixed.any(axis=0)
+    # + 0.0 turns -0.0 into 0.0, as the first step of a Dykstra sweep does
+    PT = P.T + 0.0
+    Pa = PT[s.axis]
+    R = rhs.T
+    lam = (Pa * s.c[:, None] - R) / s.row_sq[:, None]
+    Z = np.concatenate([Pa - lam * s.c[:, None], PT])[s.z_index]
+    alpha = np.where(s.same[..., None], lam[s.slot][:, None], 0.0)
+    c = s.c[s.slot][:, None, :, None]
+    Y = Z[:, :, None] + alpha * c
+    mu = np.maximum((Y * c - R[s.slot][:, None])
+                    / s.row_sq[s.slot][:, None, :, None], 0.0)
+    ok = ((mu == alpha) & (Y - mu * c == Z[:, :, None])
+          | s.pad[:, None, :, None]).all(axis=2)
+    Q = PT.T.copy()
+    Q[:, s.axes] = Z[np.arange(s.axes.size)[:, None], ok.argmax(axis=1),
+                     np.arange(B)].T
+    return Q, ok.any(axis=1).all(axis=0)
 
 
 def project_halfspaces(C, rhs, P):
     """Project each row of P onto {z : C z <= rhs}; rhs is (m,) or (B, m).
 
-    Returns (Q, residual, exact).  A row is exact when a candidate active
-    set S (independent rows, |S| <= dim) gives z = p - lam C_S that one
-    Dykstra sweep leaves in place (see _active_set_pass): z is then the
-    nearest point up to rounding, lam >= 0 is its KKT certificate, and its
-    residual is 0.  Every other row, and every row of a system with more
-    than _MAX_ACTIVE_SETS candidate sets, goes to dykstra_halfspaces,
-    whose residual it returns.  Products go through row_matmul or are
-    elementwise, so a row gets the same bits alone as in any batch.
+    Returns (Q, residual, exact).  On an axis-aligned C (every row a
+    nonzero multiple of a coordinate vector) a row is exact when each
+    axis has a candidate active row, or none, that one Dykstra sweep
+    leaves in place (see _active_set_pass): the point is then the nearest
+    point up to rounding, lam >= 0 is its KKT certificate, and its
+    residual is 0.  Every other row goes to dykstra_halfspaces, whose
+    residual it returns, and so does the whole batch when C is not
+    axis-aligned, where the binding rows round and most points would fail
+    the test, or when a chunk of _ACTIVE_SET_CHUNK doubles would hold
+    fewer than _MIN_CHUNK_POINTS points.  Every step is elementwise per
+    point, so a row gets the same bits alone as in any batch.
     """
     C = np.ascontiguousarray(C, dtype=float)
     P = _rows(P)
-    B, n = P.shape
+    B = P.shape[0]
     m = C.shape[0]
     Q = P.astype(float, copy=True)
     if m == 0:
         return Q, np.zeros(B), np.ones(B, dtype=bool)
     rhs = np.asarray(rhs, dtype=float).reshape(-1, m)
     exact = np.zeros(B, dtype=bool)
-    sets = _active_sets(C.shape, C.tobytes())
-    if sets is not None:
-        # per point and set: the (m, n) sweep arrays and their temporaries,
-        # the point and the multipliers
-        count, k = sets.spread.shape[0], sets.rows.shape[1]
-        step = max(1, _ACTIVE_SET_CHUNK // (count * (m * (4 * n + 6)
-                                                     + 2 * n + k)))
+    s = _axis_system(C.shape, C.tobytes())
+    step = 0 if s is None else _ACTIVE_SET_CHUNK // s.doubles_per_point()
+    if step >= _MIN_CHUNK_POINTS:
         for a in range(0, B, step):
             Q[a:a + step], exact[a:a + step] = _active_set_pass(
-                sets, P[a:a + step],
+                s, P[a:a + step],
                 rhs if rhs.shape[0] == 1 else rhs[a:a + step])
     resid = np.zeros(B)
     back = ~exact

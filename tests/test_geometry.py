@@ -113,11 +113,14 @@ def _axis_form(name, gen):
        st.sampled_from([1e-3, 1.0, 100.0]), st.integers(0, 2 ** 32 - 1))
 def test_exact_projection_is_dykstra_bit_for_bit_on_axis_forms(name, scale,
                                                                seed):
-    # the property that keeps the registry reports: on axis-aligned rows an
-    # accepted set is the state Dykstra stops at, and the rest fall back
+    # the property that keeps the registry reports: on these rows an
+    # accepted point is the one Dykstra stops at, signed zeros included
+    # (the estimators project points with exact zeros, such as x0 = 0)
     gen = np.random.default_rng(seed)
     C, rhs = _axis_form(name, gen)
     P = scale * gen.standard_normal((40, C.shape[1]))
+    P[gen.random(P.shape) < 0.2] = 0.0
+    P[gen.random(P.shape) < 0.1] = -0.0
     rhs = scale * rhs
     Q, resid, _ = project_halfspaces(C, rhs, P)
     want, want_resid = dykstra_halfspaces(C, None, P, rhs=np.array(rhs))
@@ -125,23 +128,34 @@ def test_exact_projection_is_dykstra_bit_for_bit_on_axis_forms(name, scale,
     assert np.all(resid <= want_resid)
 
 
-def _skew_system(gen, max_rows=4, max_dim=3):
-    """Random rows through a feasible anchor, so the system is nonempty."""
+def _axis_system(gen, max_rows=4, max_dim=3):
+    """Random axis-aligned rows, several to an axis and to a side, with any
+    nonzero coefficient, through a feasible anchor."""
     dim = int(gen.integers(1, max_dim + 1))
     rows = int(gen.integers(1, max_rows + 1))
+    C = np.zeros((rows, dim))
+    C[np.arange(rows), gen.integers(0, dim, rows)] = \
+        gen.choice([-1.0, 1.0], rows) * gen.uniform(0.2, 3.0, rows)
+    d = C @ gen.uniform(-1.0, 1.0, dim) + gen.uniform(0.0, 1.0, rows)
+    return C, d
+
+
+def _skew_system(gen, max_rows=4, max_dim=3):
+    """Random rows in dimension 2 or more through a feasible anchor."""
+    dim = int(gen.integers(2, max_dim + 1))
+    rows = int(gen.integers(1, max_rows + 1))
     C = gen.standard_normal((rows, dim))
-    anchor = gen.uniform(-1.0, 1.0, dim)
-    d = C @ anchor + gen.uniform(0.0, 1.0, rows)
+    d = C @ gen.uniform(-1.0, 1.0, dim) + gen.uniform(0.0, 1.0, rows)
     return C, d
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
-def test_exact_projection_on_skew_polyhedra(seed):
+def test_exact_projection_on_axis_aligned_polyhedra(seed):
     # exact rows are feasible, idempotent and agree with a converged
-    # Dykstra; the rows no set certifies are Dykstra's own, stalls included
+    # Dykstra; the rows no candidate certifies are Dykstra's own
     gen = np.random.default_rng(seed)
-    C, d = _skew_system(gen)
+    C, d = _axis_system(gen)
     P = 3.0 * gen.standard_normal((50, C.shape[1]))
     Q, resid, exact = project_halfspaces(C, d, P)
     want, want_resid = dykstra_halfspaces(C, d, P)
@@ -157,40 +171,58 @@ def test_exact_projection_on_skew_polyhedra(seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.booleans(),
-       st.sampled_from([1 << 17, 600, 50]))
-def test_exact_projection_rows_are_batch_independent(seed, per_row_rhs,
-                                                     chunk):
-    # alone, in a 30-row batch, and across chunk boundaries of any size
+@given(st.integers(0, 2 ** 32 - 1))
+def test_skew_polyhedra_take_dykstra(seed):
+    # off the axes the binding rows round, so the whole batch goes to
+    # Dykstra before any candidate is tried
     gen = np.random.default_rng(seed)
     C, d = _skew_system(gen)
-    P = 3.0 * gen.standard_normal((30, C.shape[1]))
-    rhs = d + gen.uniform(-0.5, 0.5, (30, d.size)) if per_row_rhs else d
-    old = geometry._ACTIVE_SET_CHUNK
-    geometry._ACTIVE_SET_CHUNK = chunk
-    try:
-        Q, resid, exact = project_halfspaces(C, rhs, P)
-    finally:
-        geometry._ACTIVE_SET_CHUNK = old
-    for i in range(30):
-        one = rhs[i:i + 1] if per_row_rhs else d
-        alone = project_halfspaces(C, one, P[i:i + 1])
-        assert alone[0].tobytes() == Q[i:i + 1].tobytes(), i
-        assert alone[1][0] == resid[i] and alone[2][0] == exact[i], i
-
-
-def test_system_above_the_set_cap_takes_dykstra():
-    # 12 rows in 3-d have 1 + 12 + 66 + 220 = 299 candidate sets
-    gen = np.random.default_rng(4)
-    C = gen.standard_normal((12, 3))
-    d = gen.uniform(0.5, 1.0, 12)
-    assert geometry._active_sets(C.shape, C.tobytes()) is None
-    P = 3.0 * gen.standard_normal((25, 3))
+    P = 3.0 * gen.standard_normal((20, C.shape[1]))
     Q, resid, exact = project_halfspaces(C, d, P)
     want, want_resid = dykstra_halfspaces(C, d, P)
     assert not np.any(exact)
     assert Q.tobytes() == want.tobytes()
     assert resid.tobytes() == want_resid.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans(),
+       st.sampled_from([1 << 16, 2000, 300]))
+def test_exact_projection_rows_are_batch_independent(seed, skew, per_row_rhs,
+                                                     chunk):
+    # alone, in a 30-row batch, and across chunk boundaries of any size
+    gen = np.random.default_rng(seed)
+    C, d = (_skew_system if skew else _axis_system)(gen)
+    P = 3.0 * gen.standard_normal((30, C.shape[1]))
+    rhs = d + gen.uniform(-0.5, 0.5, (30, d.size)) if per_row_rhs else d
+    saved = geometry._ACTIVE_SET_CHUNK, geometry._MIN_CHUNK_POINTS
+    geometry._ACTIVE_SET_CHUNK, geometry._MIN_CHUNK_POINTS = chunk, 1
+    try:
+        Q, resid, exact = project_halfspaces(C, rhs, P)
+        for i in range(30):
+            one = rhs[i:i + 1] if per_row_rhs else d
+            alone = project_halfspaces(C, one, P[i:i + 1])
+            assert alone[0].tobytes() == Q[i:i + 1].tobytes(), i
+            assert alone[1][0] == resid[i] and alone[2][0] == exact[i], i
+    finally:
+        geometry._ACTIVE_SET_CHUNK, geometry._MIN_CHUNK_POINTS = saved
+
+
+def test_system_past_the_chunk_floor_takes_dykstra():
+    # 13 rows on one axis: 13 candidates besides "no row", each checked
+    # against all 13 rows, need more than _ACTIVE_SET_CHUNK doubles for
+    # _MIN_CHUNK_POINTS points
+    gen = np.random.default_rng(4)
+    C = gen.choice([-1.0, 1.0], (13, 1)) * gen.uniform(0.5, 2.0, (13, 1))
+    d = gen.uniform(0.5, 1.0, 13)
+    P = 3.0 * gen.standard_normal((25, 1))
+    Q, resid, exact = project_halfspaces(C, d, P)
+    want, want_resid = dykstra_halfspaces(C, d, P)
+    assert not np.any(exact)
+    assert Q.tobytes() == want.tobytes()
+    assert resid.tobytes() == want_resid.tobytes()
+    # the same system cut to 12 rows fits, and is solved exactly
+    assert np.any(project_halfspaces(C[:12], d[:12], P)[2])
 
 
 def test_golden_min_on_parabola():

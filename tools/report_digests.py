@@ -64,8 +64,7 @@ COMMANDS = (
         (["modulus", "parabola_eb", "--tau", "10", "--budget", "300",
           "--seed", "3", "--csv", "samples.csv"], "samples.csv"),
         # halfplane_directional turned by 30 degrees: a K with skew rows,
-        # where most projections fall back from the exact active-set route
-        # to Dykstra
+        # which the exact active-set route leaves to Dykstra
         (["analyze", PROBLEM.name, "--seed", "3"], "report.json"),
     ]
 )
