@@ -17,29 +17,33 @@ the cone scale, and marked certified when the two agree.  Both routes are
 row-independent: their products go through geometry.row_matmul, so a row
 gets the same value and flag alone as in any batch.
 
-A caller that needs only the decision value <= tol (the admissibility
-filter) uses _member_mask, which rules most rows out with a lower bound
-before either route runs.  With c = f(x) - y, the membership value is the
-minimum over lam >= 0 of [phi(lam)]+, phi(lam) = d(K, c + lam ybar) -
-lam delta.  phi is convex (a convex distance along a line minus a linear
-term; Rockafellar, Convex Analysis, sec. 24), so outside an interval of
-the lam grid it lies above the secant line through that interval's ends.
-On each grid interval phi is therefore above the larger of the secants of
-its two neighbours, and the least value of that max (at the lines' kink or
-an interval end) bounds phi from below there.  Past the last grid point
-phi stays above the last secant, which gives a bound only where that
-secant does not fall: a K that holds the ray along ybar makes phi fall
-without end.  The grid is 0 and 8 log-spaced points up to the scale cap
-_lam_max, so a secant is extrapolated at most q = 10^(6/7) ~ 7.2 times its
-own width, and an evaluation error e moves the bound by at most
-(1 + 2q) e ~ 15.4 e.  The screen rejects a row only when its bound exceeds
-tol by the margin 1e-6 (1 + |c| + lam_max (|ybar| + delta)), where the
-bracket bounds the size of every point the grid evaluates.  So it covers
-any e up to 6e-8 times that size, on both routes of a polyhedral
-projection: a point of the exact active-set route meets its KKT conditions
-up to rounding, and the Dykstra fallback stops within DYKSTRA_TOL = 1e-10,
-600 times below the budget.  Both routes of membership_values are then
-above tol too, so the decision is the same bit.
+A caller that needs only decisions value <= thr rules most rows out with
+a lower bound before either route runs (_screen_open): the admissibility
+filter at thr = tol (_member_mask), and the envelope at its shell
+threshold and at tol on its probes (_screened_values).  With
+c = f(x) - y, the membership value is the minimum over lam >= 0 of
+[phi(lam)]+, phi(lam) = d(K, c + lam ybar) - lam delta.  phi is convex (a
+convex distance along a line minus a linear term; Rockafellar, Convex
+Analysis, sec. 24), so outside an interval of the lam grid it lies above
+the secant line through that interval's ends.  On each grid interval phi
+is therefore above the larger of the secants of its two neighbours, and
+the least value of that max (at the lines' kink or an interval end)
+bounds phi from below there.  Past the last grid point phi stays above the
+last secant, which gives a bound only where that secant does not fall: a
+K that holds the ray along ybar makes phi fall without end.  The grid is 0
+and 8 log-spaced points up to the scale cap _lam_max, so a secant is
+extrapolated at most q = 10^(6/7) ~ 7.2 times its own width, and an
+evaluation error e moves the bound by at most (1 + 2q) e ~ 15.4 e.  The
+screen rejects a row only when its bound exceeds thr by the margin
+1e-6 (1 + |c| + lam_max (|ybar| + delta)), where the bracket bounds the
+size of every point the grid evaluates.  So it covers any e up to 6e-8
+times that size, on both routes of a polyhedral projection: a point of the
+exact active-set route meets its KKT conditions up to rounding, and the
+Dykstra fallback stops within DYKSTRA_TOL = 1e-10, 600 times below the
+budget.  Both routes of membership_values are then above thr too, and so
+is the quick route, which is the scale search alone, so every decision
+value <= t with t <= thr is the same bit.  Nothing in the argument depends
+on the value of thr.
 """
 
 from __future__ import annotations
@@ -73,6 +77,10 @@ _ZOOM_ROUNDS = 4
 _ALTERNATION_CAP = 120
 _SCREEN_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 8)])
 _SCREEN_MARGIN = 1e-6
+# rows per pass of the scale search and of the screen, which bound their
+# temporaries (row-independent code, so the bits do not depend on them)
+_SCALE_ROWS = 128
+_SCREEN_ROWS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +601,19 @@ def _scale_search(K: ConvexSet, Cres: np.ndarray,
 
     Exact up to the 1d search: shrinking the lam-ball around lam*ybar turns
     the cone minimization into this scalar problem.  A log-spaced grid
-    brackets the minimizer and batched zoom rounds refine the bracket.
+    brackets the minimizer and batched zoom rounds refine the bracket.  The
+    rows go _SCALE_ROWS at a time, each chunk's temporaries freed before the
+    next one starts.
     """
+    out = np.empty(Cres.shape[0])
+    for a in range(0, Cres.shape[0], _SCALE_ROWS):
+        rows = slice(a, a + _SCALE_ROWS)
+        out[rows] = _scale_search_rows(K, Cres[rows], dc)
+    return out
+
+
+def _scale_search_rows(K: ConvexSet, Cres: np.ndarray,
+                       dc: DirectionalCone) -> np.ndarray:
     ybar, delta = dc.ybar, dc.delta
     B, m = Cres.shape
 
@@ -720,13 +739,29 @@ def _screen_bound(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone):
     return np.minimum(lb.min(axis=1), tail), margin
 
 
+def _screen_open(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
+                 thr: float) -> np.ndarray:
+    """Rows whose screen bound (_screen_bound) does not exceed thr + margin,
+    _SCREEN_ROWS rows at a time.
+
+    On every other row both routes of membership_values, and so the quick
+    route too, stay above thr (see the module docstring), so a decision
+    value <= t for any t <= thr is False there.
+    """
+    out = np.empty(Cres.shape[0], dtype=bool)
+    for a in range(0, Cres.shape[0], _SCREEN_ROWS):
+        rows = slice(a, a + _SCREEN_ROWS)
+        lb, margin = _screen_bound(K, Cres[rows], dc)
+        out[rows] = lb <= thr + margin
+    return out
+
+
 def _member_mask(F: MultiMap, X: np.ndarray, Y: np.ndarray,
                  dc: DirectionalCone, tol: float) -> np.ndarray:
     """membership_values(F, X, Y, dc)[0] <= tol, bit for bit, with each
     row decided as soon as its decision is certain.
 
-    1. Rows whose screen bound (_screen_bound) exceeds tol + margin are
-       rejected: both routes of membership_values stay above tol there.
+    1. Rows the screen rules out at tol (_screen_open) are rejected.
     2. The scale search runs on the rest, and v_grid <= tol admits a row,
        because membership_values takes the smaller of the two routes.
     3. Only rows still above tol run membership_values, whose alternating
@@ -741,8 +776,7 @@ def _member_mask(F: MultiMap, X: np.ndarray, Y: np.ndarray,
         return membership_values(F, X, Y, dc)[0] <= tol
     Cres = F.f.eval_batch(X) - Y
     member = np.zeros(Cres.shape[0], dtype=bool)
-    lb, margin = _screen_bound(F.K, Cres, dc)
-    idx = np.where(lb <= tol + margin)[0]
+    idx = np.flatnonzero(_screen_open(F.K, Cres, dc, tol))
     if idx.size == 0:
         return member
     v_grid = _scale_search(F.K, Cres[idx], dc)
@@ -751,6 +785,22 @@ def _member_mask(F: MultiMap, X: np.ndarray, Y: np.ndarray,
     if rest.size:
         member[rest] = membership_values(F, X[rest], Y[rest], dc)[0] <= tol
     return member
+
+
+def _screened_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
+                     dc: DirectionalCone, thr: float,
+                     quick: bool) -> np.ndarray:
+    """membership_values(F, X, Y, dc, quick=quick)[0] on the rows the screen
+    leaves open at thr, +inf on the others: value <= t is the same bit as
+    the unscreened value's for every t <= thr."""
+    if dc.whole_space:
+        return membership_values(F, X, Y, dc, quick=quick)[0]
+    vals = np.full(X.shape[0], np.inf)
+    idx = np.flatnonzero(_screen_open(F.K, F.f.eval_batch(X) - Y, dc, thr))
+    if idx.size:
+        vals[idx] = membership_values(F, X[idx], Y[idx], dc,
+                                      quick=quick)[0]
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -766,39 +816,47 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
                    y, tol: float = TOL_MEMBER,
                    lipschitz: float | None = None,
                    quick: bool = False) -> np.ndarray:
-    """Envelope values at the rows of X for a fixed y.
+    """Envelope values at the rows of X, for one y of shape (m,) or one y
+    per row, shape (B, m).
 
     Membership failures within probing reach of the tube boundary get a
-    closure probe: 32 directions at radii tol * 2^-k, k = 0..4.  Points whose
-    membership residual already exceeds what a tol-step could close are
-    rejected without probing.
+    closure probe: 32 directions at radii tol * 2^-k, k = 0..4, each with
+    the y of the row it probes.  Points whose membership residual already
+    exceeds what a tol-step could close are rejected without probing.
+    Membership is screened first (_screened_values), at the shell threshold
+    on the rows of X and at tol on the probes, so the rows the screen rules
+    out skip the scale search and take the decisions the full values give.
     """
     X = np.asarray(X, dtype=float)
-    y = as_vector(y, F.dim_out, "y")
-    Yt = np.broadcast_to(y, (X.shape[0], y.size))
+    Y = np.asarray(y, dtype=float)
+    shape = (X.shape[0], F.dim_out)
+    if Y.ndim < 2:
+        Y = np.broadcast_to(as_vector(Y, F.dim_out, "y"), shape)
+    elif Y.shape != shape:
+        raise DimensionMismatch(f"y: expected shape {shape}, got {Y.shape}")
     if dc is None:
-        return image_distance_batch(F, X, Yt)
-    vals, _ = membership_values(F, X, Yt, dc, quick=quick)
-    member = vals <= tol
-    out = np.full(X.shape[0], np.inf)
-    if np.any(member):
-        out[member] = image_distance_batch(F, X[member], Yt[member])
+        return image_distance_batch(F, X, Y)
     if lipschitz is None:
         lipschitz = F.lipschitz_bound(
             np.stack([X.min(axis=0) - tol, X.max(axis=0) + tol], axis=1)
         )
-    shell = (~member) & (vals <= tol * (1.0 + lipschitz) * 1.001)
+    reach = tol * (1.0 + lipschitz) * 1.001
+    vals = _screened_values(F, X, Y, dc, np.fmax(tol, reach), quick)
+    member = vals <= tol
+    out = np.full(X.shape[0], np.inf)
+    if np.any(member):
+        out[member] = image_distance_batch(F, X[member], Y[member])
+    shell = (~member) & (vals <= reach)
     if np.any(shell):
         dirs = _probe_directions(F.dim_in)
         radii = tol * 0.5 ** np.arange(5)
         offs = (dirs[None, :, :] * radii[:, None, None]).reshape(-1, F.dim_in)
         idx = np.where(shell)[0]
         P = (X[idx][:, None, :] + offs[None, :, :]).reshape(-1, F.dim_in)
-        Yp = np.broadcast_to(y, (P.shape[0], y.size))
-        pv, _ = membership_values(F, P, Yp, dc, quick=quick)
+        Yp = np.repeat(Y[idx], offs.shape[0], axis=0)
+        pv = _screened_values(F, P, Yp, dc, tol, quick)
         hit = np.any(pv.reshape(idx.size, -1) <= tol, axis=1)
         if np.any(hit):
             took = idx[hit]
-            out[took] = image_distance_batch(F, X[took], Yt[took])
+            out[took] = image_distance_batch(F, X[took], Y[took])
     return out
-

@@ -47,7 +47,7 @@ from .multimap import (
     preimage_distance_batch,
     _member_mask,
 )
-from .slopes import Field, global_slope
+from .slopes import _global_slopes
 
 NORM_CHOICE = "max of componentwise euclidean norms on X x Y"
 SLOPE_SLACK = 0.05
@@ -217,24 +217,26 @@ def _admissible_pairs(q: RegularityQuery, label: str, count: int):
     return out[:count]
 
 
-def _envelope_field(q: RegularityQuery, y: np.ndarray,
-                    lipschitz: float) -> Field:
-    def batch(U):
-        return envelope_batch(q.F, q.dc, U, y, q.tol_member, lipschitz,
-                              quick=True)
-
-    return batch
-
-
 def _envelope_slopes(q: RegularityQuery, pairs, halfwidth: float,
                      resolution: int, budget: int) -> list:
     """Global slope of u -> envelope(F, dc, u, y) at x for each (x, y),
-    searched in the box x0 +- halfwidth."""
+    searched in the box x0 +- halfwidth.
+
+    The pairs run as one global-slope pass whose field gives each row the
+    y of its pair, so each slope has the bits of its pair run alone.
+    """
     box = np.stack([q.x0 - halfwidth, q.x0 + halfwidth], axis=1)
     sregion = SearchRegion(box, resolution, budget, q.seed)
     lip = q.F.lipschitz_bound(box)
-    return [float(global_slope(_envelope_field(q, y, lip), x, sregion).value)
-            for x, y in pairs]
+    X = np.array([x for x, _ in pairs])
+    Y = np.array([y for _, y in pairs])
+
+    def field(U, owner):
+        return envelope_batch(q.F, q.dc, U, Y[owner], q.tol_member, lip,
+                              quick=True)
+
+    return [float(est.value)
+            for est in _global_slopes(field, X, sregion, per_centre=True)]
 
 
 @dataclass

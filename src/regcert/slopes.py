@@ -1,7 +1,11 @@
 """Descent-rate (strong slope) estimators for extended-real scalar fields.
 
 A field is one batch evaluator f(X) -> (B,) over the rows of X, (B, dim);
-a single point is evaluated as a one-row batch.
+a single point is evaluated as a one-row batch.  Where each centre has a
+field of its own (the envelope slopes of regularity, one y per pair), the
+global-slope pass takes a per-centre field g(U, owner) -> (B,), owner[i]
+being the centre whose field evaluates row i of U, and still scores every
+centre in one stack.
 
 The local estimator samples spheres on a halving radius ladder and keeps the
 steepest observed descent ratio [f(x) - f(y)]+ / |x - y|; the global variant
@@ -36,6 +40,9 @@ from .errors import InSet
 from .multimap import SearchRegion
 
 Field = Callable[[np.ndarray], np.ndarray]
+# one field per centre: row i of U is evaluated with the field of centre
+# owner[i]
+CentreField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _MIN_STEP_DIST = 1e-10
 _LOCAL_LEVELS = 6        # radii r0 * 2^-k of the local ladder
@@ -53,6 +60,11 @@ _DESCENT_FACTORS = (1.0 + 1e-9, 1.01, 1.1, 1.3, 2.0)
 def _at(f: Field, x: np.ndarray) -> float:
     """f at a single point, as a one-row batch."""
     return float(f(x[None, :])[0])
+
+
+def _shared(f: Field) -> CentreField:
+    """f as the field of every centre."""
+    return lambda U, owner: f(U)
 
 
 @dataclass
@@ -77,24 +89,27 @@ def _ratios(x, fx, Y, fY):
         return np.where(dist >= _MIN_STEP_DIST, drop / dist, -np.inf)
 
 
-def _coordinate_ascent(f: Field, X: np.ndarray, fx: np.ndarray,
-                       Y0: np.ndarray, h0: np.ndarray):
+def _coordinate_ascent(g: CentreField, X: np.ndarray, fx: np.ndarray,
+                       owner: np.ndarray, Y0: np.ndarray, h0: np.ndarray):
     """Pattern search on the descent ratio, batched over candidates.
 
-    Row i of Y0 climbs the ratio about its own centre X[i] (value fx[i]), so
-    the candidates of many centres run as one stack.  Each step polls every
-    +-h axis move of every candidate in a single batched evaluation, takes
-    the best move per candidate, and halves the step where nothing improved.
+    Row i of Y0 climbs the ratio of centre owner[i] (row X[owner[i]], value
+    fx[owner[i]]), so the candidates of many centres run as one stack.  Each
+    step polls every +-h axis move of every candidate in a single batched
+    evaluation, takes the best move per candidate, and halves the step
+    where nothing improved.
     """
     Y = Y0.copy()
     h = h0.copy()
-    best = _ratios(X, fx, Y, f(Y))
+    X, fx = X[owner], fx[owner]
+    best = _ratios(X, fx, Y, g(Y, owner))
     C, n = Y.shape
     eye = np.eye(n)
     moves = np.concatenate([eye, -eye], axis=0)
+    cand_owner = np.repeat(owner, 2 * n)
     for _ in range(_ASCENT_STEPS):
         cand = Y[:, None, :] + h[:, None, None] * moves[None, :, :]
-        fc = f(cand.reshape(C * 2 * n, n)).reshape(C, 2 * n)
+        fc = g(cand.reshape(C * 2 * n, n), cand_owner).reshape(C, 2 * n)
         r = _ratios(X[:, None, :], fx[:, None], cand, fc)
         bi = np.argmax(r, axis=1)
         bv = r[np.arange(C), bi]
@@ -105,9 +120,10 @@ def _coordinate_ascent(f: Field, X: np.ndarray, fx: np.ndarray,
     return Y, best
 
 
-def _ladder_starts(f: Field, X: np.ndarray, fx: np.ndarray, r0: float,
+def _ladder_starts(g: CentreField, X: np.ndarray, fx: np.ndarray, r0: float,
                    seed: int):
-    """Sphere samples on the radii r0 * 2^-k around every centre (row of X).
+    """Sphere samples on the radii r0 * 2^-k around every centre (row c of
+    X, owner c).
 
     The sphere directions depend only on (seed, level), so all centres share
     them.  Returns the radii (L,), each centre's steepest sampled ratio per
@@ -119,7 +135,8 @@ def _ladder_starts(f: Field, X: np.ndarray, fx: np.ndarray, r0: float,
                                        _LOCAL_SAMPLES, n)
                      for k in range(_LOCAL_LEVELS)])
     Y = X[:, None, None, :] + radii[:, None, None] * dirs
-    fY = f(Y.reshape(-1, n)).reshape(Y.shape[:3])
+    owner = np.repeat(np.arange(C), _LOCAL_LEVELS * _LOCAL_SAMPLES)
+    fY = g(Y.reshape(-1, n), owner).reshape(Y.shape[:3])
     ratios = _ratios(X[:, None, None, :], fx[:, None, None], Y, fY)
     best = np.argmax(ratios, axis=2)
     sampled = np.take_along_axis(ratios, best[:, :, None], axis=2)[:, :, 0]
@@ -148,11 +165,12 @@ def local_slope(f: Field, x, r0: float = 1e-2,
     fx = _at(f, x)
     if np.isinf(fx):
         return SlopeEstimate(np.inf, [], [], "local")
-    radii, sampled, starts = _ladder_starts(f, x[None, :], np.array([fx]),
-                                            r0, seed)
+    g = _shared(f)
+    X, fX = x[None, :], np.array([fx])
+    radii, sampled, starts = _ladder_starts(g, X, fX, r0, seed)
     Yp, polished = _coordinate_ascent(
-        f, np.tile(x, (_LOCAL_LEVELS, 1)), np.full(_LOCAL_LEVELS, fx),
-        starts[0], radii / 8.0)
+        g, X, fX, np.zeros(_LOCAL_LEVELS, dtype=int), starts[0],
+        radii / 8.0)
     return _ladder_estimate(radii, sampled[0], Yp, polished)
 
 
@@ -174,29 +192,47 @@ def global_slope(f: Field, x, region: SearchRegion) -> SlopeEstimate:
     return _global_slopes(f, x, region)[0]
 
 
-def _global_slopes(f: Field, X: np.ndarray,
-                   region: SearchRegion) -> list[SlopeEstimate]:
+def _global_slopes(f: Field | CentreField, X: np.ndarray,
+                   region: SearchRegion,
+                   per_centre: bool = False) -> list[SlopeEstimate]:
     """global_slope at every row of X, in one pass.
 
-    The region samples, the lattice nodes and their f values do not depend
-    on the centre, so they are evaluated once.  The coordinate ascents of
-    every centre, from its prefix argmaxes and from its local ladder, run as
-    one stack with an owner index per row.  Each centre keeps its one-row
-    f(x) and the sampling streams of a lone call, so for a field whose rows
+    f is one Field shared by every centre, or with per_centre=True a
+    CentreField f(U, owner), owner[i] being the row of X whose field
+    evaluates row i of U.  A shared field evaluates the region samples and
+    lattice nodes once, a per-centre field for every centre in one stacked
+    call.  The coordinate ascents of every
+    centre, from its prefix argmaxes and from its local ladder, run as one
+    stack with an owner index per row.  Each centre keeps its one-row f(x)
+    and the sampling streams of a lone call, so for a field whose rows
     evaluate independently a centre gets the same estimate alone and in
     any batch.
     """
-    fx = np.array([_at(f, x) for x in X])
+    g = f if per_centre else _shared(f)
+    fx = np.array([float(g(x[None, :], np.array([c]))[0])
+                   for c, x in enumerate(X)])
     out = [SlopeEstimate(np.inf, [], [], "global") for _ in X]
     live = np.flatnonzero(~np.isinf(fx))
     if live.size == 0:
         return out
     X, fx = X[live], fx[live]
     C, n = X.shape
+
+    def g_live(U, owner):
+        return g(U, live[owner])
+
+    def everywhere(P):
+        """The field of every live centre at every row of P, (C or 1, N)."""
+        if not per_centre:
+            return f(P)[None, :]
+        owner = np.repeat(np.arange(C), P.shape[0])
+        return g_live(np.tile(P, (C, 1)), owner).reshape(C, -1)
+
     samples = region.uniform_samples("global-slope", region.sample_budget)
     nodes = region.grid_nodes()
-    ratios_s = _ratios(X[:, None, :], fx[:, None], samples, f(samples))
-    ratios_n = _ratios(X[:, None, :], fx[:, None], nodes, f(nodes))
+    ratios_s = _ratios(X[:, None, :], fx[:, None], samples,
+                       everywhere(samples))
+    ratios_n = _ratios(X[:, None, :], fx[:, None], nodes, everywhere(nodes))
 
     S = samples.shape[0]
     prefix = [np.argmax(ratios_s[:, :2 ** k], axis=1)
@@ -212,13 +248,13 @@ def _global_slopes(f: Field, X: np.ndarray,
     width = float(np.min(region.box[:, 1] - region.box[:, 0]))
 
     radii, sampled, lstarts = _ladder_starts(
-        f, X, fx, default_local_r0(region), region.seed)
+        g_live, X, fx, default_local_r0(region), region.seed)
     owner = np.concatenate([np.repeat(np.arange(C), counts),
                             np.repeat(np.arange(C), _LOCAL_LEVELS)])
     h0 = np.concatenate([np.full(G, 0.05 * width),
                          np.tile(radii / 8.0, C)])
     Yp, polished = _coordinate_ascent(
-        f, X[owner], fx[owner],
+        g_live, X, fx, owner,
         np.vstack(starts + [lstarts.reshape(-1, n)]), h0)
 
     Yl = Yp[G:].reshape(C, _LOCAL_LEVELS, n)

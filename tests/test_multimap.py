@@ -26,6 +26,7 @@ from regcert.multimap import (
     image_distance,
     image_distance_batch,
     _member_mask,
+    _probe_directions,
     _screen_bound,
     membership_values,
     preimage_distance,
@@ -546,6 +547,87 @@ def test_envelope_matches_membership_five_hundred_samples(make, dc):
     assert np.all(finite[vals <= TOL_MEMBER])
     # infinite envelope only happens where membership failed
     assert np.all(vals[~finite] > TOL_MEMBER)
+
+
+def _unscreened_envelope(F, dc, X, Y, tol, lipschitz, quick):
+    """The envelope built from the unscreened membership values of every
+    row and every probe.  Returns it with the shell and hit row counts."""
+    vals, _ = membership_values(F, X, Y, dc, quick=quick)
+    member = vals <= tol
+    out = np.full(X.shape[0], np.inf)
+    out[member] = image_distance_batch(F, X[member], Y[member])
+    shell = np.flatnonzero(~member
+                           & (vals <= tol * (1.0 + lipschitz) * 1.001))
+    if shell.size == 0:
+        return out, 0, 0
+    radii = tol * 0.5 ** np.arange(5)
+    offs = (_probe_directions(F.dim_in)[None, :, :]
+            * radii[:, None, None]).reshape(-1, F.dim_in)
+    P = (X[shell][:, None, :] + offs[None, :, :]).reshape(-1, F.dim_in)
+    pv, _ = membership_values(F, P, np.repeat(Y[shell], len(offs), axis=0),
+                              dc, quick=quick)
+    hit = shell[np.any(pv.reshape(shell.size, -1) <= tol, axis=1)]
+    out[hit] = image_distance_batch(F, X[hit], Y[hit])
+    return out, shell.size, hit.size
+
+
+def _envelope_rows(F, gen, rows, tol):
+    # half the rows anywhere, half within 0.1 .. 4 tol of F(x), so that
+    # rows just outside the tube reach the shell and its probes
+    X = gen.uniform(-2.0, 2.0, (rows, F.dim_in))
+    Y = gen.uniform(-2.0, 2.0, (rows, F.dim_out))
+    near = np.arange(rows) % 2 == 1
+    scale = tol * 10.0 ** gen.uniform(-1.0, 0.6, near.sum())
+    Y[near] = (F.f.eval_batch(X[near]) - F.K.project_batch(Y[near])
+               + scale[:, None] * gen.standard_normal((near.sum(),
+                                                       F.dim_out)))
+    return X, Y
+
+
+@pytest.mark.parametrize("quick", [True, False])
+def test_screened_envelope_is_the_unscreened_envelope(quick):
+    # the screen only skips the scale search on rows whose decisions it
+    # has already settled, so the envelope keeps every bit; one y per row.
+    # Across the cases some rows must reach the shell, and some of those
+    # must stay outside after probing.
+    shells = hits = 0
+    for name, (F, dc) in sorted(_membership_cases().items()):
+        gen = np.random.default_rng(17)
+        for tol in (TOL_MEMBER, 1e-3):
+            X, Y = _envelope_rows(F, gen, 100, tol)
+            env = envelope_batch(F, dc, X, Y, tol, 1.5, quick=quick)
+            ref, n_shell, n_hit = _unscreened_envelope(F, dc, X, Y, tol,
+                                                       1.5, quick)
+            assert env.tobytes() == ref.tobytes(), (name, tol)
+            shells += n_shell
+            hits += n_hit
+    assert shells > hits > 0
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(sorted(_membership_cases())), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_envelope_rows_are_batch_independent(name, quick, seed):
+    # a (B, m) y pairs row s of X with row s of y; each row gets the bits
+    # that one-row call with the matching 1-d y gives it
+    F, dc = _membership_cases()[name]
+    gen = np.random.default_rng(seed)
+    X, Y = _envelope_rows(F, gen, 10, 1e-3)
+    env = envelope_batch(F, dc, X, Y, 1e-3, 1.5, quick=quick)
+    for i in range(10):
+        one = envelope_batch(F, dc, X[i:i + 1], Y[i], 1e-3, 1.5,
+                             quick=quick)
+        assert one.tobytes() == env[i:i + 1].tobytes(), i
+
+
+def test_envelope_rejects_y_of_the_wrong_shape():
+    F, dc = _membership_cases()["halfplane_directional"]
+    X = np.zeros((4, F.dim_in))
+    for Y in (np.zeros((3, 2)), np.zeros((4, 3)), np.zeros((4, 1))):
+        with pytest.raises(DimensionMismatch):
+            envelope_batch(F, dc, X, Y)
+    with pytest.raises(DimensionMismatch):
+        envelope_batch(F, dc, X, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from regcert.regularity import (
     DualPair,
     RegularityQuery,
     _admissible_pairs,
+    _envelope_slopes,
     coderivative_criterion,
     empirical_directional_modulus,
     modulus_from_slopes,
@@ -207,6 +208,23 @@ def test_slope_criterion_rejects_small_tau():
 def test_slope_criterion_bad_tau():
     with pytest.raises(InvalidParameter):
         slope_criterion(query("identity2"), tau=0.0)
+
+
+@pytest.mark.parametrize("name", ["halfplane_directional", "hoffman_2d",
+                                  "parabola_eb"])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_envelope_slopes_pairs_are_batch_independent(name, seed):
+    # the envelope slopes of all pairs run as one stacked global-slope
+    # pass; each pair must get the bits it gets run alone.  Only
+    # halfplane_directional has a cone, so the others read d(y, F(x)).
+    q = query(name, seed=seed, budget=512)
+    pairs = _admissible_pairs(q, "slope-crit", 5)
+    assert len(pairs) >= 2
+    stacked = _envelope_slopes(q, pairs, 2.5 * q.epsilon, 5, 60)
+    assert len(stacked) == len(pairs)
+    for pair, s in zip(pairs, stacked):
+        [alone] = _envelope_slopes(q, [pair], 2.5 * q.epsilon, 5, 60)
+        assert alone.hex() == s.hex()
 
 
 def test_modulus_from_slopes_matches_empirical():

@@ -39,6 +39,10 @@ COMMANDS = (
         # the only command whose slopes read the cone envelope field
         (["slope", "halfplane_directional", "--tau", "1.1", "--n-points",
           "6", "--slope-budget", "100", "--seed", "3"], "report.json"),
+        # the same at the default slope budget, with enough pairs that the
+        # stacked envelope field and its probe shell carry the work
+        (["slope", "halfplane_directional", "--tau", "1.1", "--n-points",
+          "24", "--seed", "3"], "report.json"),
         (["robinson", "halfplane_directional", "--ybar", "0,-1", "--seed",
           "3"], "report.json"),
         (["coderivative", "halfplane_directional", "--delta-ladder", "0.1",
