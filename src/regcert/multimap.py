@@ -29,7 +29,7 @@ the secant line through that interval's ends.  On each grid interval phi
 is therefore above the larger of the secants of its two neighbours, and
 the least value of that max (at the lines' kink or an interval end)
 bounds phi from below there.  Past the last grid point phi stays above the
-last secant, which gives a bound only where that secant does not fall: a
+last secant, which gives a bound only where that secant rises: a
 K that holds the ray along ybar makes phi fall without end.  The grid is 0
 and 8 log-spaced points up to the scale cap _lam_max, so a secant is
 extrapolated at most q = 10^(6/7) ~ 7.2 times its own width, and an
@@ -44,6 +44,26 @@ budget.  Both routes of membership_values are then above thr too, and so
 is the quick route, which is the scale search alone, so every decision
 value <= t with t <= thr is the same bit.  Nothing in the argument depends
 on the value of thr.
+
+The admissibility filter bounds the rows the screen leaves open a second
+time, from the evaluations its scale search makes anyway (_scale_search
+with bound=True): its 64-point grid and each of its four 17-point zoom
+rounds give a secant bound by the same argument (_secant_bound), the best
+of the five is kept, and a row whose bound exceeds tol + margin, with the
+margin above, is rejected before the alternating route runs.  A zoom round
+covers only its bracket [l_0, l_16] by intervals.  Below l_0 phi stays above
+the round's first secant, so above phi(l_0) where that secant falls, and
+past l_16 above phi(l_16) where the last secant rises.  A zoom round is
+evenly spaced (q = 1), so an evaluation error e moves its bound by at most
+3 e.  The grid's first interval borrows the secant of its right neighbour,
+about a quarter of its width (q ~ 4), so about 9 e there, and 3.5 e on
+the rest of the grid, whose widths grow by 10^(6/62) ~ 1.25 a step.  Both
+stay inside the 15.4 e the margin covers; the zoom points lie in
+[0, lam_max] like the screen's, so the margin's size bound holds for them.
+The head and tail rules move the bound by e alone, but only where the end
+secant really falls or rises, which its measured values show when they
+move by more than 2 e; the rules ask for margin / 4 ~ 3.85 e.  A zero-width
+or NaN interval gives no bound (-inf), never a rejection.
 """
 
 from __future__ import annotations
@@ -76,7 +96,7 @@ _ZOOM_POINTS = 17
 _ZOOM_ROUNDS = 4
 _ALTERNATION_CAP = 120
 _SCREEN_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 8)])
-_SCREEN_MARGIN = 1e-6
+_SECANT_MARGIN = 1e-6
 # rows per pass of the scale search and of the screen, which bound their
 # temporaries (row-independent code, so the bits do not depend on them)
 _SCALE_ROWS = 128
@@ -595,37 +615,43 @@ def _damped_gauss_newton(F: MultiMap, Y: np.ndarray, U0: np.ndarray,
 # ---------------------------------------------------------------------------
 # Directional membership: is y in F(x) + cone(B(ybar, delta))?
 
-def _scale_search(K: ConvexSet, Cres: np.ndarray,
-                  dc: DirectionalCone) -> np.ndarray:
+def _scale_search(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
+                  bound: bool = False):
     """min over lam >= 0 of [d(K, c + lam ybar) - lam delta]+, per row of Cres.
 
     Exact up to the 1d search: shrinking the lam-ball around lam*ybar turns
     the cone minimization into this scalar problem.  A log-spaced grid
     brackets the minimizer and batched zoom rounds refine the bracket.  The
     rows go _SCALE_ROWS at a time, each chunk's temporaries freed before the
-    next one starts.
+    next one starts.  bound=True returns (values, lb, margin), with the best
+    secant bound (_secant_bound) of the grid and of the zoom rounds.
     """
-    out = np.empty(Cres.shape[0])
+    out = np.empty((3 if bound else 1, Cres.shape[0]))
     for a in range(0, Cres.shape[0], _SCALE_ROWS):
         rows = slice(a, a + _SCALE_ROWS)
-        out[rows] = _scale_search_rows(K, Cres[rows], dc)
-    return out
+        out[:, rows] = _scale_search_rows(K, Cres[rows], dc, bound)
+    return tuple(out) if bound else out[0]
 
 
-def _scale_search_rows(K: ConvexSet, Cres: np.ndarray,
-                       dc: DirectionalCone) -> np.ndarray:
+def _scale_search_rows(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
+                       bound: bool):
     ybar, delta = dc.ybar, dc.delta
     B, m = Cres.shape
 
-    def h(L):
+    def phi(L):
         pts = Cres[:, None, :] + L[..., None] * ybar[None, None, :]
         d = K.distance_batch(pts.reshape(-1, m)).reshape(L.shape)
-        return np.maximum(d - L * delta, 0.0)
+        return d - L * delta
 
-    lam_hi = dc._lam_max(np.linalg.norm(Cres, axis=1))
+    c_norm = np.linalg.norm(Cres, axis=1)
+    lam_hi = dc._lam_max(c_norm)
     grid = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, _MEMBERSHIP_GRID - 1)])
     lam = lam_hi[:, None] * grid[None, :]
-    vals = h(lam)
+    p = phi(lam)
+    if bound:
+        margin = _secant_margin(c_norm, lam_hi, dc)
+        lb = _secant_bound(lam, p, margin)
+    vals = np.maximum(p, 0.0)
     rows = np.arange(B)
     a = np.argmin(vals, axis=1)
     best = vals[rows, a]
@@ -634,12 +660,15 @@ def _scale_search_rows(K: ConvexSet, Cres: np.ndarray,
     t = np.linspace(0.0, 1.0, _ZOOM_POINTS)
     for _ in range(_ZOOM_ROUNDS):
         L = lo[:, None] + (hi - lo)[:, None] * t[None, :]
-        v = h(L)
+        p = phi(L)
+        if bound:
+            lb = np.maximum(lb, _secant_bound(L, p, margin))
+        v = np.maximum(p, 0.0)
         a = np.argmin(v, axis=1)
         best = np.minimum(best, v[rows, a])
         lo, hi = (L[rows, np.maximum(a - 1, 0)],
                   L[rows, np.minimum(a + 1, _ZOOM_POINTS - 1)])
-    return best
+    return (best, lb, margin) if bound else (best,)
 
 
 def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
@@ -693,30 +722,32 @@ def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
     return vals, certified
 
 
-def _screen_bound(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone):
-    """Certified lower bound on min over lam >= 0 of
-    phi(lam) = d(K, c + lam ybar) - lam delta, per row c of Cres.
+def _secant_margin(c_norm: np.ndarray, lam_hi: np.ndarray,
+                   dc: DirectionalCone) -> np.ndarray:
+    """How far evaluation error can lift a secant bound (_secant_bound)
+    above the true minimum, for rows of size c_norm searched up to lam_hi.
+    See the module docstring for the argument."""
+    return _SECANT_MARGIN * (1.0 + c_norm
+                             + lam_hi * (np.linalg.norm(dc.ybar) + dc.delta))
 
-    Returns (lb, margin): lb is -inf where the bound does not reach past
-    the grid, and margin bounds how far evaluation error can lift lb above
-    the true minimum.  See the module docstring for the argument.
+
+def _secant_bound(lam: np.ndarray, phi: np.ndarray,
+                  margin: np.ndarray) -> np.ndarray:
+    """Lower bound on min over lam >= 0 of a convex phi, per row, from its
+    values phi at the increasing points lam, both of shape (B, N), N >= 3.
+
+    -inf where the bound does not reach past the points at either end, and
+    where an interval has zero width or a value is NaN.  See the module
+    docstring for the argument.
     """
-    ybar, delta = dc.ybar, dc.delta
-    m = Cres.shape[1]
-    c_norm = np.linalg.norm(Cres, axis=1)
-    lam_hi = dc._lam_max(c_norm)
-    lam = lam_hi[:, None] * _SCREEN_GRID[None, :]
-    pts = Cres[:, None, :] + lam[..., None] * ybar[None, None, :]
-    phi = K.distance_batch(pts.reshape(-1, m)).reshape(lam.shape) - lam * delta
-    margin = _SCREEN_MARGIN * (1.0 + c_norm
-                               + lam_hi * (np.linalg.norm(ybar) + delta))
-    gap = np.diff(lam, axis=1)                       # (B, 8) interval widths
-    slope = np.diff(phi, axis=1) / gap               # secant slopes
+    gap = np.diff(lam, axis=1)                       # (B, N-1) widths
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.diff(phi, axis=1) / gap           # secant slopes
     # on interval [l_i, l_i+1], with u = lam - l_i, phi lies above the
     # secant of the interval to its left, a + b u, and of the one to its
     # right; an end interval has one neighbour, which stands for both
-    a_left, b_left = phi[:, 1:-1], slope[:, :-1]     # intervals 1..7
-    a_right = phi[:, 1:-1] - slope[:, 1:] * gap[:, :-1]  # intervals 0..6
+    a_left, b_left = phi[:, 1:-1], slope[:, :-1]     # intervals 1..N-2
+    a_right = phi[:, 1:-1] - slope[:, 1:] * gap[:, :-1]  # intervals 0..N-3
     b_right = slope[:, 1:]
     a_l = np.concatenate([a_right[:, :1], a_left], axis=1)
     b_l = np.concatenate([b_right[:, :1], b_left], axis=1)
@@ -731,12 +762,39 @@ def _screen_bound(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone):
     lb = np.full(a_l.shape, np.inf)
     for u in (np.zeros_like(gap), gap, cross):
         lb = np.minimum(lb, np.maximum(a_l + b_l * u, a_r + b_r * u))
-    # past lam_hi phi stays above the last secant, so above phi(lam_hi)
-    # where that secant rises; it must rise by more than twice the largest
-    # evaluation error the margin allows for (margin / 15.4)
+    # past the last point phi stays above the last secant, so above its
+    # last value where that secant rises, and before the first point above
+    # its first value where the first secant falls; each must move by more
+    # than twice the largest evaluation error the margin allows for
+    # (margin / 15.4).  Nothing lies before a first point at lam = 0.
     rising = phi[:, -1] - phi[:, -2] >= margin / 4.0
+    falling = phi[:, 0] - phi[:, 1] >= margin / 4.0
     tail = np.where(rising, phi[:, -1], -np.inf)
-    return np.minimum(lb.min(axis=1), tail), margin
+    head = np.where(lam[:, 0] <= 0.0, np.inf,
+                    np.where(falling, phi[:, 0], -np.inf))
+    lb = np.minimum(np.minimum(lb.min(axis=1), tail), head)
+    undefined = np.isnan(lb) | ~np.all(gap > 0.0, axis=1)
+    return np.where(undefined, -np.inf, lb)
+
+
+def _screen_bound(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone):
+    """Certified lower bound on min over lam >= 0 of
+    phi(lam) = d(K, c + lam ybar) - lam delta, per row c of Cres, from
+    _SCREEN_GRID alone.
+
+    Returns (lb, margin): lb is the secant bound (_secant_bound) and
+    margin bounds how far evaluation error can lift lb above the true
+    minimum (_secant_margin).
+    """
+    m = Cres.shape[1]
+    c_norm = np.linalg.norm(Cres, axis=1)
+    lam_hi = dc._lam_max(c_norm)
+    lam = lam_hi[:, None] * _SCREEN_GRID[None, :]
+    pts = Cres[:, None, :] + lam[..., None] * dc.ybar[None, None, :]
+    phi = (K.distance_batch(pts.reshape(-1, m)).reshape(lam.shape)
+           - lam * dc.delta)
+    margin = _secant_margin(c_norm, lam_hi, dc)
+    return _secant_bound(lam, phi, margin), margin
 
 
 def _screen_open(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
@@ -764,7 +822,9 @@ def _member_mask(F: MultiMap, X: np.ndarray, Y: np.ndarray,
     1. Rows the screen rules out at tol (_screen_open) are rejected.
     2. The scale search runs on the rest, and v_grid <= tol admits a row,
        because membership_values takes the smaller of the two routes.
-    3. Only rows still above tol run membership_values, whose alternating
+    3. A row still above tol whose secant bound from the search's own
+       evaluations exceeds tol + margin is rejected, as in step 1.
+    4. Only rows still undecided run membership_values, whose alternating
        route then decides them.
 
     Every route is row-independent, so a row gets the same value in a
@@ -779,9 +839,9 @@ def _member_mask(F: MultiMap, X: np.ndarray, Y: np.ndarray,
     idx = np.flatnonzero(_screen_open(F.K, Cres, dc, tol))
     if idx.size == 0:
         return member
-    v_grid = _scale_search(F.K, Cres[idx], dc)
+    v_grid, lb, margin = _scale_search(F.K, Cres[idx], dc, bound=True)
     member[idx] = v_grid <= tol
-    rest = idx[v_grid > tol]
+    rest = idx[(v_grid > tol) & (lb <= tol + margin)]
     if rest.size:
         member[rest] = membership_values(F, X[rest], Y[rest], dc)[0] <= tol
     return member

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regcert.errors import DimensionMismatch
@@ -14,6 +14,7 @@ from regcert.geometry import (
     ProductSet,
     Singleton,
 )
+from regcert import multimap
 from regcert.instances import builtin
 from regcert.multimap import (
     AffineMap,
@@ -27,7 +28,9 @@ from regcert.multimap import (
     image_distance_batch,
     _member_mask,
     _probe_directions,
+    _scale_search,
     _screen_bound,
+    _secant_bound,
     membership_values,
     preimage_distance,
     preimage_distance_batch,
@@ -472,10 +475,19 @@ def _membership_rows(F, gen, rows):
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(sorted(_membership_cases())),
        st.integers(0, 2 ** 32 - 1))
+# the two cases with assertions of their own run on every test run
+@example("halfplane_directional", 0)
+@example("ray_along_ybar", 0)
 def test_member_mask_is_the_membership_decision(name, seed):
     F, dc = _membership_cases()[name]
     gen = np.random.default_rng(seed)
     X, Y = _membership_rows(F, gen, 60)
+    if name == "halfplane_directional":
+        # c = f(x) - y = (-0.3, -1.4) lies below K = {0} x (-inf, 0]: phi
+        # falls at slope delta up to lam = 1.4, then bottoms out at
+        # 0.3 sqrt(1 - delta^2) - 1.4 delta ~ 0.0139, a dip the screen's
+        # nine points straddle and the scale search's points resolve
+        X, Y = np.vstack([X, [[1.0]]]), np.vstack([Y, [[1.3, 1.4]]])
     vals, _ = membership_values(F, X, Y, dc)
     quick, _ = membership_values(F, X, Y, dc, quick=True)
     # a tol between the two routes of a row where the alternating route is
@@ -484,12 +496,70 @@ def test_member_mask_is_the_membership_decision(name, seed):
     for tol in [TOL_MEMBER, 1e-5, 1e-2, *(vals[split] + quick[split]) / 2]:
         mask = _member_mask(F, X, Y, dc, tol)
         assert mask.tobytes() == (vals <= tol).tobytes(), tol
-    # the screen's bound never exceeds the full value by more than its
-    # stated margin, and it gives no bound where phi falls past the grid
-    lb, margin = _screen_bound(F.K, F.f.eval_batch(X) - Y, dc)
+    # neither the screen's bound nor the scale search's exceeds the full
+    # value by more than the stated margin, and neither gives a bound where
+    # phi falls without end
+    Cres = F.f.eval_batch(X) - Y
+    lb, margin = _screen_bound(F.K, Cres, dc)
+    _, search_lb, search_margin = _scale_search(F.K, Cres, dc, bound=True)
+    assert search_margin.tobytes() == margin.tobytes()
     assert np.all(lb <= vals + margin)
+    assert np.all(search_lb <= vals + margin)
     if name == "ray_along_ybar":
-        assert np.all(lb == -np.inf)
+        assert np.all(lb == -np.inf) and np.all(search_lb == -np.inf)
+    if name == "halfplane_directional":
+        # the search's bound rejects the row added above, which the screen
+        # leaves open
+        thr = TOL_MEMBER + margin[-1]
+        assert lb[-1] <= thr < search_lb[-1]
+
+
+def test_secant_bound_on_a_parabola():
+    # phi(lam) = (lam - 1)^2 - 0.5, least value -0.5 at lam = 1, sampled
+    # on nine even points of a bracket per row
+    brackets = {"from zero, holds the minimizer": (0.0, 3.0, True),
+                "above zero, holds the minimizer": (0.5, 1.5, True),
+                "right of the minimizer: the head rises": (1.5, 3.0, False),
+                "left of the minimizer: the tail falls": (0.2, 0.8, False),
+                "of zero width": (1.0, 1.0, False)}
+    lam = np.array([np.linspace(lo, hi, 9) for lo, hi, _ in
+                    brackets.values()])
+    phi = (lam - 1.0) ** 2 - 0.5
+    lb = _secant_bound(lam, phi, np.full(lam.shape[0], 1e-9))
+    # with spacing h the neighbours' secants sit within h^2 of phi
+    for (name, (lo, hi, bounded)), b in zip(brackets.items(), lb):
+        h = (hi - lo) / 8
+        assert (-0.5 - h * h < b <= -0.5) if bounded else b == -np.inf, name
+    # an end secant that moves by less than margin / 4 gives no bound, and
+    # neither does a NaN value
+    assert _secant_bound(lam[1:2], phi[1:2], np.array([1.0]))[0] == -np.inf
+    phi[0, 4] = np.nan
+    assert _secant_bound(lam[:1], phi[:1], np.array([1e-9]))[0] == -np.inf
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(sorted(_membership_cases())),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 5]))
+def test_scale_search_bound_rows_are_batch_independent(name, seed, chunk):
+    # a row's value, bound and margin are the same bits alone, in a batch
+    # and across chunk boundaries, and asking for the bound leaves the
+    # values as they are
+    F, dc = _membership_cases()[name]
+    gen = np.random.default_rng(seed)
+    X, Y = _membership_rows(F, gen, 12)
+    Cres = F.f.eval_batch(X) - Y
+    whole = _scale_search(F.K, Cres, dc, bound=True)
+    assert whole[0].tobytes() == _scale_search(F.K, Cres, dc).tobytes()
+    saved = multimap._SCALE_ROWS
+    multimap._SCALE_ROWS = chunk
+    try:
+        chunked = _scale_search(F.K, Cres, dc, bound=True)
+    finally:
+        multimap._SCALE_ROWS = saved
+    for i in range(12):
+        alone = _scale_search(F.K, Cres[i:i + 1], dc, bound=True)
+        for a, w, c in zip(alone, whole, chunked):
+            assert a.tobytes() == w[i:i + 1].tobytes() == c[i:i + 1].tobytes()
 
 
 @settings(max_examples=8, deadline=None)

@@ -70,6 +70,11 @@ COMMANDS = (
         # halfplane_directional turned by 30 degrees: a K with skew rows,
         # which the exact active-set route leaves to Dykstra
         (["analyze", PROBLEM.name, "--seed", "3"], "report.json"),
+        # the admissible flag of every pair on the skew K, where the
+        # Dykstra fallback's stopping error is the largest evaluation error
+        # the membership bounds' margin must cover
+        (["analyze", PROBLEM.name, "--seed", "3", "--csv", "samples.csv"],
+         "samples.csv"),
     ]
 )
 
