@@ -11,6 +11,15 @@ rows and all starts of a batch as one stack, and each row's arithmetic
 depends only on that row, so a row gives the same value alone as in any
 batch.
 
+For a polynomial f the search screens its rows first (_no_preimage_rows).
+Every iterate is clipped to the row's clip box, so when an interval
+enclosure of f over that box (Moore, Interval Analysis, 1966) stays
+farther from y + box(K), a coordinate box around K, than the search's
+tolerance plus a rounding margin, no iterate can pass the search's test.
+Such a row gets +inf, the value the search returns it, without running
+it, so the screen moves no bit.  A +inf from this route thus means either
+"certified: no preimage in the clip box" or "the search found none".
+
 Membership in the conic tube F(x) + cone(B(ybar, delta)) is computed twice,
 by alternating minimization over (z, k) and by a one-dimensional search over
 the cone scale, and marked certified when the two agree.  Both routes are
@@ -78,6 +87,7 @@ from .errors import DimensionMismatch
 from .geometry import (
     TOL_FEAS,
     TOL_MEMBER,
+    Ball,
     ConvexSet,
     DirectionalCone,
     Polyhedron,
@@ -305,7 +315,13 @@ class MultiMap:
                 and as_polyhedron(self.K) is not None)
 
     def lipschitz_bound(self, box: np.ndarray) -> float:
-        """Upper estimate of the jacobian spectral norm over a box."""
+        """Estimate of the jacobian spectral norm over a box, not a bound.
+
+        Exact for an affine map.  Otherwise 1.5 times the largest norm at
+        the points of a 5-point-per-axis grid (thinned to at most 4,096),
+        plus 1e-9: the factor guesses at what the grid misses, so a
+        steeper point between nodes can exceed the value.
+        """
         if isinstance(self.f, AffineMap):
             return float(np.linalg.norm(self.f.A, 2))
         box = np.asarray(box, dtype=float)
@@ -418,8 +434,12 @@ def preimage_distance_batch(F: MultiMap, Y: np.ndarray, X: np.ndarray,
     Exact (projection onto the pulled-back polyhedron) for affine f with
     polyhedral K.  Otherwise a batched multi-start Gauss-Newton upper bound
     (see _gauss_newton_preimage), searched in region's box, or with
-    region=None in each row's own box x_s +- 2.  MultiMap.exact_preimage
-    tells which route applies.
+    region=None in each row's own box x_s +- 2.  There +inf means either
+    "certified: no preimage in the clip box", for a polynomial f whose
+    interval range over that box misses y_s + box(K) by more than the
+    search's tolerance and a rounding margin, or "the search found none".
+    The screen gives only rows the search gives +inf too, so it moves no
+    bit.  MultiMap.exact_preimage tells which route applies.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -482,12 +502,13 @@ def _gauss_newton_preimage(F: MultiMap, Y: np.ndarray, X: np.ndarray,
                            region: SearchRegion | None) -> np.ndarray:
     """Multi-start Gauss-Newton upper bound on d(x_s, F^{-1}(y_s)).
 
-    Each row starts from x_s, its box center and at most 64 box corners.
-    A row none of whose starts reaches f(u) - y_s in K starts once more
-    from the grid node (cap 4096) of least residual.  The nearest solution
-    found is then pulled toward x_s in 12 rounds along the segment, each
-    round starting from the incumbent the last one left.  Rows share no
-    arithmetic, so each value is the same alone as in any batch.
+    Every iterate of the search is clipped to the row's clip box [lo, hi],
+    its search box widened by its width on each side.  For a polynomial f
+    the rows whose clip box provably holds no u with d(K, f(u) - y_s) <=
+    _GN_TOL (_no_preimage_rows) get +inf, the value the search gives them,
+    without running it.  The other rows run _gauss_newton_rows.  So +inf
+    means either "certified: no preimage in the clip box" or "the search
+    found none".
     """
     B, n = X.shape
     if region is None:
@@ -499,7 +520,122 @@ def _gauss_newton_preimage(F: MultiMap, Y: np.ndarray, X: np.ndarray,
         resolution = region.grid_resolution
     width = boxes[..., 1] - boxes[..., 0]
     lo, hi = boxes[..., 0] - width, boxes[..., 1] + width
+    out = np.full(B, np.inf)
+    open_ = np.flatnonzero(~_no_preimage_rows(F, Y, lo, hi))
+    if open_.size:
+        out[open_] = _gauss_newton_rows(F, Y[open_], X[open_], boxes[open_],
+                                        lo[open_], hi[open_], resolution,
+                                        shared=region is not None)
+    return out
 
+
+def _no_preimage_rows(F: MultiMap, Y: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray) -> np.ndarray:
+    """Rows where no u in [lo, hi] can pass the search's test rn <= _GN_TOL.
+
+    For a polynomial f, [flo, fhi] encloses f over the row's box
+    (_polynomial_range) and box(K) holds every point K.project_batch
+    returns (_outer_box).  A row is excluded when, for some output i, the
+    gap between [flo_i, fhi_i] and y_i + box(K)_i exceeds _GN_TOL +
+    1e-12 (1 + size_i + |y_i| + |box(K)_i|), size_i the sum of the term
+    bounds and |box(K)_i| the larger finite end.  The residual norm is at
+    least its component i, and that is at least the gap of the computed
+    f_i(u) - y_i from box(K)_i.  A product of d factors rounds by at most
+    d u relative (u = 2^-53) and a sum of T terms by (T - 1) u times the
+    sum of their magnitudes, so the computed f_i(u) and the computed
+    enclosure each lie within (D + T) u size_i of the true ones, for degree
+    D.  The margin covers both, and the subtractions against y_i and
+    box(K)_i, for D + T up to 4000 per output.  An overflow gives NaN or
+    an infinite size, which excludes nothing.  Any other map excludes
+    nothing.
+    """
+    if not isinstance(F.f, PolynomialMap):
+        return np.zeros(Y.shape[0], dtype=bool)
+    blo, bhi = _outer_box(F.K)
+    ends = np.maximum(*(np.where(np.isfinite(b), np.abs(b), 0.0)
+                        for b in (blo, bhi)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        flo, fhi, size = _polynomial_range(F.f, lo, hi)
+        gap = np.maximum(flo - (Y + bhi), (Y + blo) - fhi)
+        margin = 1e-12 * (1.0 + size + np.abs(Y) + ends)
+    return np.any(gap > _GN_TOL + margin, axis=1)
+
+
+def _polynomial_range(f: PolynomialMap, lo: np.ndarray, hi: np.ndarray):
+    """Interval enclosure (flo, fhi) of f over each row's box [lo, hi], and
+    size, the sum of |term| bounds, all of shape (B, dim_out).
+
+    Interval arithmetic (Moore, Interval Analysis, 1966): each term is its
+    coefficient times the product of interval powers, and an even power of
+    an interval that straddles 0 is [0, max^e].
+    """
+    B = lo.shape[0]
+    flo, fhi, size = (np.zeros((B, f.dim_out)) for _ in range(3))
+    for i, terms in enumerate(f.outputs):
+        for c, exps in terms:
+            tlo, thi = np.full(B, c), np.full(B, c)
+            for j, e in enumerate(exps):
+                if not e:
+                    continue
+                a, b = lo[:, j] ** e, hi[:, j] ** e
+                plo, phi = np.minimum(a, b), np.maximum(a, b)
+                if e % 2 == 0:
+                    plo = np.where((lo[:, j] < 0.0) & (hi[:, j] > 0.0),
+                                   0.0, plo)
+                ends = (tlo * plo, tlo * phi, thi * plo, thi * phi)
+                tlo, thi = np.minimum.reduce(ends), np.maximum.reduce(ends)
+            flo[:, i] += tlo
+            fhi[:, i] += thi
+            size[:, i] += np.maximum(np.abs(tlo), np.abs(thi))
+    return flo, fhi, size
+
+
+def _outer_box(K: ConvexSet):
+    """Coordinate box (blo, bhi) that holds every point K.project_batch
+    returns, up to rounding; an unbounded side is infinite.
+
+    Exact for a Singleton and a Ball, per factor for a ProductSet.  A
+    Polyhedron gets the bounds of its axis-aligned rows, widened by 1e-7:
+    an exact projection meets them up to rounding, and the Dykstra
+    fallback warns when it leaves a larger violation.  Other rows are
+    ignored, so the box stays outer, and bounds that cross give no box at
+    all (an empty K is left to the projection to report).  Any other set
+    is unbounded.
+    """
+    if isinstance(K, Singleton):
+        return K.point, K.point
+    if isinstance(K, Ball):
+        return K.center - K.radius, K.center + K.radius
+    if isinstance(K, ProductSet):
+        return tuple(np.concatenate(p)
+                     for p in zip(*(_outer_box(f) for f in K.factors)))
+    blo, bhi = np.full(K.dim, -np.inf), np.full(K.dim, np.inf)
+    if isinstance(K, Polyhedron):
+        rows = np.flatnonzero(np.count_nonzero(K.C, axis=1) == 1)
+        axis = np.argmax(K.C[rows] != 0.0, axis=1)
+        c = K.C[rows, axis]
+        bound = K.d[rows] / c
+        np.minimum.at(bhi, axis[c > 0], bound[c > 0] + 1e-7)
+        np.maximum.at(blo, axis[c < 0], bound[c < 0] - 1e-7)
+        if np.any(blo > bhi):
+            blo, bhi = np.full(K.dim, -np.inf), np.full(K.dim, np.inf)
+    return blo, bhi
+
+
+def _gauss_newton_rows(F: MultiMap, Y: np.ndarray, X: np.ndarray,
+                       boxes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                       resolution: int, shared: bool) -> np.ndarray:
+    """The search itself, on rows with search boxes (B, n, 2), clip boxes
+    [lo, hi] and grid resolution for the fallback start.
+
+    Each row starts from x_s, its box center and at most 64 box corners.
+    A row none of whose starts reaches f(u) - y_s in K starts once more
+    from the grid node (cap 4096) of least residual.  The nearest solution
+    found is then pulled toward x_s in 12 rounds along the segment, each
+    round starting from the incumbent the last one left.  Rows share no
+    arithmetic, so each value is the same alone as in any batch.
+    """
+    B, n = X.shape
     bits = np.indices((2,) * n).reshape(n, -1).T[:_GN_MAX_CORNERS]
     corners = boxes[:, np.arange(n), bits]                 # (B, C, n)
     starts = np.concatenate(
@@ -518,8 +654,7 @@ def _gauss_newton_preimage(F: MultiMap, Y: np.ndarray, X: np.ndarray,
 
     lost = np.where(~ok.any(axis=1))[0]
     if lost.size:
-        u0 = _grid_starts(F, Y[lost], boxes[lost], resolution,
-                          shared=region is not None)
+        u0 = _grid_starts(F, Y[lost], boxes[lost], resolution, shared)
         u, found = _damped_gauss_newton(F, Y[lost], u0, lo[lost], hi[lost])
         took = lost[found]
         u_best[took] = u[found]

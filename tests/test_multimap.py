@@ -386,6 +386,131 @@ def test_empty_preimage_reported_infinite_for_polynomial():
         1.0, abs=1e-6)
 
 
+def _random_polynomial(gen, dim_in, dim_out, max_terms=4):
+    """Signed coefficients, total degree at most 4, a constant per output."""
+    outputs = []
+    for _ in range(dim_out):
+        terms = [(gen.uniform(-1.0, 1.0), (0,) * dim_in)]
+        for _ in range(gen.integers(1, max_terms + 1)):
+            left, exps = 4, []
+            for _ in range(dim_in):
+                exps.append(int(gen.integers(0, left + 1)))
+                left -= exps[-1]
+            terms.append((gen.uniform(-2.0, 2.0), tuple(exps)))
+        outputs.append(terms)
+    return PolynomialMap(dim_in, outputs)
+
+
+def _random_polynomial_problem(gen, kind):
+    dim_in = int(gen.integers(1, 4))
+    dim_out = 2 if kind == "product" else int(gen.integers(1, 3))
+    c = gen.uniform(-1.0, 1.0, dim_out)
+    K = {"singleton": lambda: Singleton(c),
+         "ball": lambda: Ball(c, gen.uniform(0.0, 0.5)),
+         "product": lambda: ProductSet((Ball(c[:1], gen.uniform(0.0, 0.5)),
+                                        Singleton(c[1:]))),
+         "orthant": lambda: Polyhedron(np.eye(dim_out), np.zeros(dim_out)),
+         }[kind]()
+    return MultiMap(_random_polynomial(gen, dim_in, dim_out), K)
+
+
+def _unscreened(F, Y, X, region):
+    """preimage_distance_batch with the range screen switched off, so every
+    row runs the search (_gauss_newton_rows)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multimap, "_no_preimage_rows",
+                   lambda F, Y, lo, hi: np.zeros(Y.shape[0], dtype=bool))
+        return preimage_distance_batch(F, Y, X, region)
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from(sorted(_gauss_newton_maps())
+                       + ["singleton", "ball", "product", "orthant"]),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_range_screen_moves_no_bit(name, seed, shared_region):
+    # a row the screen excludes is one the search gives +inf, so the
+    # screened batch is the unscreened one bit for bit
+    gen = np.random.default_rng(seed)
+    F = _gauss_newton_maps().get(name) or _random_polynomial_problem(gen,
+                                                                     name)
+    X = gen.uniform(-1.5, 1.5, size=(10, F.dim_in))
+    Y = gen.uniform(-3.0, 3.0, size=(10, F.dim_out))
+    region = default_region(np.zeros(F.dim_in), 1.0) if shared_region \
+        else None
+    batch = preimage_distance_batch(F, Y, X, region)
+    assert batch.tobytes() == _unscreened(F, Y, X, region).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_polynomial_range_encloses_the_map(seed):
+    from regcert.multimap import _polynomial_range
+    gen = np.random.default_rng(seed)
+    f = _random_polynomial(gen, int(gen.integers(1, 4)),
+                           int(gen.integers(1, 3)))
+    B, n = 8, f.dim_in
+    lo = gen.uniform(-2.0, 1.0, (B, n))
+    hi = lo + gen.uniform(0.0, 2.0, (B, n))
+    flo, fhi, size = _polynomial_range(f, lo, hi)
+    assert np.all(flo <= fhi) and np.all(size >= np.abs(flo))
+    # random points, every corner, and the point nearest 0, where an even
+    # power of a box that straddles 0 is least
+    t = gen.random((B, 16, n))
+    bits = np.indices((2,) * n).reshape(n, -1).T
+    pts = np.concatenate([lo[:, None] + t * (hi - lo)[:, None],
+                          np.where(bits[None], hi[:, None], lo[:, None]),
+                          np.clip(0.0, lo, hi)[:, None]], axis=1)
+    vals = f.eval_batch(pts.reshape(-1, n)).reshape(B, pts.shape[1], -1)
+    slack = 1e-12 * (1.0 + size[:, None])
+    assert np.all(vals >= flo[:, None] - slack)
+    assert np.all(vals <= fhi[:, None] + slack)
+
+
+@pytest.mark.parametrize("K", [
+    Singleton(np.array([0.5, -1.0])),
+    Ball(np.array([0.5, -1.0]), 0.7),
+    ProductSet((Ball(np.zeros(1), 0.3), Singleton(np.ones(1)))),
+    Polyhedron(np.eye(2), np.zeros(2)),
+    # skew rows send every projection to the Dykstra fallback, which here
+    # leaves z_0 up to 1e-11 past its axis-aligned bound
+    Polyhedron(np.array([[1.0, 1.0], [2.0, 0.0], [0.0, -1.0], [1.0, -3.0]]),
+               np.array([1.5, 1.0, 2.0, 1.0])),
+], ids=["singleton", "ball", "product", "orthant", "skew"])
+def test_outer_box_holds_every_projection(K):
+    from regcert.multimap import _outer_box
+    gen = np.random.default_rng(5)
+    far = 10.0 * np.concatenate([np.eye(2), -np.eye(2)])
+    P = np.concatenate([gen.normal(scale=10.0, size=(200, 2)), far])
+    Q = K.project_batch(P)
+    blo, bhi = _outer_box(K)
+    assert np.all(Q >= blo - 1e-12) and np.all(Q <= bhi + 1e-12)
+
+
+def test_range_screen_skips_rows_without_a_preimage():
+    # parabola_eb, f(x) = x^2 into {0}: y < 0 has no preimage.  A row with
+    # y <= -1e-6 never reaches the search; y = -5e-9 lies inside the
+    # search's tolerance, so it runs and keeps its finite value
+    F = builtin("parabola_eb").F
+    X = np.linspace(-1.0, 1.0, 12)[:, None]
+    Y = np.concatenate([-np.geomspace(1e-6, 2.0, 6), [-5e-9] * 3,
+                        [0.0, 0.25, 1.0]])[:, None]
+    seen = []
+    search = multimap._damped_gauss_newton
+
+    def counting(F, Yrows, *args):
+        seen.append(Yrows.copy())
+        return search(F, Yrows, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multimap, "_damped_gauss_newton", counting)
+        batch = preimage_distance_batch(F, Y, X)
+    seen = np.concatenate(seen)
+    assert seen.size and np.all(seen > -1e-6)
+    assert np.any(seen == -5e-9)
+    assert np.all(np.isinf(batch[:6])) and np.all(np.isfinite(batch[6:]))
+    assert batch.tobytes() == _unscreened(F, Y, X, None).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Directional membership.
 

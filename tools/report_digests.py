@@ -20,8 +20,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-# a problem file next to this script, copied into each working directory
-PROBLEM = Path(__file__).resolve().parent / "rotated_halfplane.json"
+# problem files next to this script, copied into each working directory
+PROBLEM, ROUND_K = (Path(__file__).resolve().parent / name
+                    for name in ("rotated_halfplane.json", "round_k.json"))
 
 INSTANCES = ("diag_2_05", "halfplane_directional", "hoffman_2d", "identity2",
              "parabola_eb", "param_scale")
@@ -75,6 +76,11 @@ COMMANDS = (
         # the membership bounds' margin must cover
         (["analyze", PROBLEM.name, "--seed", "3", "--csv", "samples.csv"],
          "samples.csv"),
+        # a polynomial map into a ball times a point: the Gauss-Newton
+        # route's range screen on a product K; the CSV holds every
+        # per-sample preimage distance
+        (["modulus", ROUND_K.name, "--seed", "3", "--csv", "samples.csv"],
+         "samples.csv"),
     ]
 )
 
@@ -89,7 +95,8 @@ def digest_lines(checkout: Path) -> list[str]:
     for argv, output in COMMANDS:
         argv = argv + ["--no-timestamp", "--out", "report.json"]
         with tempfile.TemporaryDirectory() as tmp:
-            shutil.copy(PROBLEM, tmp)
+            for problem in (PROBLEM, ROUND_K):
+                shutil.copy(problem, tmp)
             proc = subprocess.run(
                 [sys.executable, "-m", "regcert.cli", *argv], cwd=tmp,
                 env=env, capture_output=True)
