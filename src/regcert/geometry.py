@@ -52,7 +52,7 @@ DYKSTRA_MAX_SWEEPS = 10_000
 _ACTIVE_SET_CHUNK = 1 << 16
 # a system whose chunks would hold fewer points than this goes to Dykstra
 # whole, so the chunk loop never degrades to a few points a step (the pass
-# grows with the square of the rows on one axis)
+# grows linearly in the rows, plus one check per pair of rows on one axis)
 _MIN_CHUNK_POINTS = 64
 
 _GOLDEN_ITERS = 48
@@ -193,30 +193,29 @@ class _AxisSystem:
 
     Its active sets factor over the axes that hold rows: a KKT point binds
     at most one row per axis, and the rows of one axis see no other
-    coordinate.  So each such axis (axes[a]) has its own candidates: no
-    row first, then its rows in order.  slot[a, v] is the v-th row of axis
-    a, and pad[a, v] marks the slots past the rows of an axis with fewer
-    than the most (they hold row 0 and are not checked).  Candidate u of
-    axis a takes row slot[a, u - 1] (same[a, u, v] when that is slot v),
-    and z_index[a, u] is where its coordinate sits among the row
-    candidates (0..m-1) and the untouched coordinates (m + axis); the
-    padded candidates repeat "no row".
+    coordinate.  The rows are kept sorted by axis, stably (order[r] is the
+    row of C at position r; c and row_sq are columns), so each axis holds a
+    run of positions, in row order.  Each axis has its own candidates: no
+    row first, then its rows in order.  A row candidate is checked against
+    every other row of its axis: pair p puts row pair_i[p] against row
+    pair_j[p], grouped by axis and then by pair_i.  groups holds, per axis,
+    (axis, first row, end of rows, first pair, end of pairs).
     """
 
-    axes: np.ndarray
+    order: np.ndarray
     axis: np.ndarray
     c: np.ndarray
     row_sq: np.ndarray
-    slot: np.ndarray
-    pad: np.ndarray
-    same: np.ndarray
-    z_index: np.ndarray
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    groups: tuple
 
     def doubles_per_point(self) -> int:
-        """Doubles of temporaries the pass holds per projected point: about
-        six of the (axis, candidate, slot) arrays and three per row."""
-        A, G = self.slot.shape
-        return 6 * A * (G + 1) * G + 3 * (self.c.size + A)
+        """Doubles of temporaries the pass holds per projected point, at
+        most: about five per row, three per same-axis pair and four per
+        axis."""
+        return (5 * self.c.size + 3 * self.pair_i.size
+                + 4 * len(self.groups))
 
 
 @lru_cache(maxsize=64)
@@ -229,62 +228,74 @@ def _axis_system(shape: tuple, data: bytes) -> _AxisSystem | None:
     if not np.all(nonzero.sum(axis=1) == 1):
         return None
     axis = nonzero.argmax(axis=1)
-    c = C[np.arange(m), axis]
-    axes = np.unique(axis)
-    groups = [np.flatnonzero(axis == a) for a in axes]
-    G = max(g.size for g in groups)
-    slot = np.zeros((axes.size, G), dtype=int)
-    pad = np.ones((axes.size, G), dtype=bool)
-    z_index = m + np.repeat(axes[:, None], G + 1, axis=1)
-    for a, g in enumerate(groups):
-        slot[a, :g.size] = g
-        pad[a, :g.size] = False
-        z_index[a, 1:g.size + 1] = g
-    same = np.zeros((axes.size, G + 1, G), dtype=bool)
-    same[:, 1:] = np.eye(G, dtype=bool) & ~pad[:, None, :]
+    order = np.argsort(axis, kind="stable")
+    axis = axis[order]
+    c = C[order, axis][:, None]
+    pair_i, pair_j = np.nonzero((axis[:, None] == axis[None, :])
+                                & ~np.eye(m, dtype=bool))
+    axes, sizes = np.unique(axis, return_counts=True)
+    rows = np.cumsum(np.concatenate([[0], sizes])).tolist()
+    pairs = np.cumsum(np.concatenate([[0], sizes * (sizes - 1)])).tolist()
+    groups = tuple(zip(axes.tolist(), rows[:-1], rows[1:], pairs[:-1],
+                       pairs[1:]))
     # every caller of the cache shares these arrays
-    arrays = (axes, axis, c, c * c, slot, pad, same, z_index)
+    arrays = (order, axis, c, c * c, pair_i, pair_j)
     for a in arrays:
         a.setflags(write=False)
-    return _AxisSystem(*arrays)
+    return _AxisSystem(*arrays, groups)
 
 
 def _active_set_pass(s: _AxisSystem, P: np.ndarray, rhs: np.ndarray):
     """Every candidate on every row of P at once; returns (Q, exact).
 
     With lam_i = (c_i p - rhs_i) / c_i^2, row i as candidate moves its
-    coordinate to p - lam_i c_i.  A candidate passes when that coordinate
-    z and the multipliers alpha (lam_i on the candidate row, 0 on the
-    other rows of its axis) are a fixed point of one Dykstra sweep: every
-    row i maps z + alpha_i c_i back to z with multiplier alpha_i.  That is
-    the KKT system in Dykstra's own arithmetic: rows off the active set
-    hold with no tolerance, the active row binds, and alpha >= 0.  Each
-    axis takes its first candidate that passes, and a point is exact when
-    every axis has one.  Without two rows on one side of an axis, the
+    coordinate to z_i = p - lam_i c_i.  A candidate passes when that
+    coordinate and the multipliers alpha (lam_i on the candidate row, 0 on
+    the other rows of its axis) are a fixed point of one Dykstra sweep:
+    every row j maps z + alpha_j c_j back to z with multiplier alpha_j.
+    That is the KKT system in Dykstra's own arithmetic: rows off the
+    active set hold with no tolerance, the active row binds, and
+    alpha >= 0.  Spelled out, row i's own round trip is Y = z_i + lam_i c_i,
+    mu = max((c_i Y - rhs_i) / c_i^2, 0), mu == lam_i and Y - mu c_i ==
+    z_i; another row j of the axis keeps z_i iff (c_j z_i - rhs_j) / c_j^2
+    <= 0, one check per same-axis pair; and "no row" keeps p iff every row
+    of the axis has lam_j <= 0.  Each axis takes its first candidate that
+    passes, and a point is exact when every axis has one; Q means nothing
+    on the other points.  Without two rows on one side of an axis, the
     first sweep of Dykstra reaches that same state, so the point is the
     one Dykstra stops at, bit for bit.
 
-    The work runs with the batch on the last axis, so every elementwise
-    step and every reduction sweeps the batch contiguously.
+    The work runs on (rows, batch) arrays, so every elementwise step and
+    every reduction sweeps the batch contiguously; only the pick of each
+    axis's candidate loops, over the axes.
     """
     B = P.shape[0]
     # + 0.0 turns -0.0 into 0.0, as the first step of a Dykstra sweep does
     PT = P.T + 0.0
     Pa = PT[s.axis]
-    R = rhs.T
-    lam = (Pa * s.c[:, None] - R) / s.row_sq[:, None]
-    Z = np.concatenate([Pa - lam * s.c[:, None], PT])[s.z_index]
-    alpha = np.where(s.same[..., None], lam[s.slot][:, None], 0.0)
-    c = s.c[s.slot][:, None, :, None]
-    Y = Z[:, :, None] + alpha * c
-    mu = np.maximum((Y * c - R[s.slot][:, None])
-                    / s.row_sq[s.slot][:, None, :, None], 0.0)
-    ok = ((mu == alpha) & (Y - mu * c == Z[:, :, None])
-          | s.pad[:, None, :, None]).all(axis=2)
-    Q = PT.T.copy()
-    Q[:, s.axes] = Z[np.arange(s.axes.size)[:, None], ok.argmax(axis=1),
-                     np.arange(B)].T
-    return Q, ok.any(axis=1).all(axis=0)
+    R = rhs.T[s.order]
+    lam = (Pa * s.c - R) / s.row_sq
+    z = Pa - lam * s.c
+    Y = z + lam * s.c
+    mu = np.maximum((Y * s.c - R) / s.row_sq, 0.0)
+    ok = (mu == lam) & (Y - mu * s.c == z)
+    if s.pair_i.size:
+        j = s.pair_j
+        held = (z[s.pair_i] * s.c[j] - R[j]) / s.row_sq[j] <= 0.0
+    exact = np.ones(B, dtype=bool)
+    for a, r0, r1, p0, p1 in s.groups:
+        if r1 - r0 == 1:
+            none = lam[r0] <= 0.0
+            exact &= none | ok[r0]
+            PT[a] = np.where(none, PT[a], z[r0])
+            continue
+        mine = ok[r0:r1] & np.logical_and.reduce(
+            held[p0:p1].reshape(r1 - r0, -1, B), axis=1)
+        none = np.logical_and.reduce(lam[r0:r1] <= 0.0, axis=0)
+        exact &= none | np.logical_or.reduce(mine, axis=0)
+        first = r0 + mine.argmax(axis=0)
+        PT[a] = np.where(none, PT[a], z[first, np.arange(B)])
+    return PT.T, exact
 
 
 def project_halfspaces(C, rhs, P):
@@ -299,7 +310,10 @@ def project_halfspaces(C, rhs, P):
     residual it returns, and so does the whole batch when C is not
     axis-aligned, where the binding rows round and most points would fail
     the test, or when a chunk of _ACTIVE_SET_CHUNK doubles would hold
-    fewer than _MIN_CHUNK_POINTS points.  Every step is elementwise per
+    fewer than _MIN_CHUNK_POINTS points.  The pass checks each row against
+    every other row of its axis, so its temporaries grow with the square
+    of the rows on one axis (_AxisSystem.doubles_per_point): 18 rows on a
+    single axis still fit, 19 do not.  Every step is elementwise per
     point, so a row gets the same bits alone as in any batch.
     """
     C = np.ascontiguousarray(C, dtype=float)

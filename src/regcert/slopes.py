@@ -50,6 +50,7 @@ _LOCAL_SAMPLES = 24      # sphere samples per ladder level
 _ASCENT_STEPS = 20       # coordinate ascent steps per polish
 _SEGMENT_ITERS = 60      # bisection steps on a segment [xbar, u]
 _RAY_ITERS = 45          # bisection steps per direction-descent candidate
+_TREE_LEVELS = 5         # bisection steps per field call on a batch
 _POLISH_ROUNDS = 8       # gradient re-bisections of a boundary point
 _DESCENT_ROUNDS = 24     # pattern-search rounds over ray directions
 _PROBE_KEEP = 6          # low-slope probes kept per certificate
@@ -294,13 +295,46 @@ class ErrorBoundCertificate:
 def _bisect(f: Field, xbar, D, hi, iters: int):
     """Per row, bisect the ray xbar + t D on [0, hi] for where f turns
     nonpositive; f(xbar + hi D) <= 0 must hold.  Returns the feasible end
-    of each final bracket."""
-    lo = np.zeros(D.shape[0])
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        feas = f(xbar[None, :] + mid[:, None] * D) <= 0.0
-        hi = np.where(feas, mid, hi)
-        lo = np.where(feas, lo, mid)
+    of each final bracket.
+
+    A lone row takes one step a call.  More rows take _TREE_LEVELS steps a
+    call: the call evaluates every midpoint those steps can reach, each
+    built by the same 0.5 * (lo + hi) chain from its parent bracket, and
+    the path is walked afterwards, so each row gets the bits of the step-
+    by-step loop.  The lone row stays out of the tree because its one-row
+    field calls would become many-row calls, which some fields (X @ A.T
+    with a skew A) round differently."""
+    B, n = D.shape
+    lo = np.zeros(B)
+    if B == 1:
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            feas = f(xbar[None, :] + mid[:, None] * D) <= 0.0
+            hi = np.where(feas, mid, hi)
+            lo = np.where(feas, lo, mid)
+        return hi
+    rows = np.arange(B)
+    done = 0
+    while done < iters:
+        k = min(_TREE_LEVELS, iters - done)
+        # E holds lo, every midpoint the next k steps can reach, and hi, in
+        # ray order: a bracket of level l spans 2w columns, w = 2^(k-l-1),
+        # and its midpoint sits w columns in
+        E = np.empty((B, (1 << k) + 1))
+        E[:, 0], E[:, -1] = lo, hi
+        for level in range(k):
+            w = 1 << (k - level - 1)
+            E[:, w::2 * w] = 0.5 * (E[:, :-1:2 * w] + E[:, 2 * w::2 * w])
+        T = E[:, 1:-1]
+        P = xbar + T[:, :, None] * D[:, None, :]
+        infeas = ~(f(P.reshape(-1, n)) <= 0.0).reshape(T.shape)
+        # walk each row's path from the bracket at column 0
+        at = np.zeros(B, dtype=int)
+        for level in range(k):
+            w = 1 << (k - level - 1)
+            at += w * infeas[rows, at + w - 1]
+        lo, hi = E[rows, at], E[rows, at + 1]
+        done += k
     return hi
 
 

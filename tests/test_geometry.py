@@ -209,20 +209,91 @@ def test_exact_projection_rows_are_batch_independent(seed, skew, per_row_rhs,
 
 
 def test_system_past_the_chunk_floor_takes_dykstra():
-    # 13 rows on one axis: 13 candidates besides "no row", each checked
-    # against all 13 rows, need more than _ACTIVE_SET_CHUNK doubles for
+    # 19 rows on one axis: 19 * 18 ordered pairs of rows, each checked per
+    # point, need more than _ACTIVE_SET_CHUNK doubles for
     # _MIN_CHUNK_POINTS points
     gen = np.random.default_rng(4)
-    C = gen.choice([-1.0, 1.0], (13, 1)) * gen.uniform(0.5, 2.0, (13, 1))
-    d = gen.uniform(0.5, 1.0, 13)
+    C = gen.choice([-1.0, 1.0], (19, 1)) * gen.uniform(0.5, 2.0, (19, 1))
+    d = gen.uniform(0.5, 1.0, 19)
     P = 3.0 * gen.standard_normal((25, 1))
     Q, resid, exact = project_halfspaces(C, d, P)
     want, want_resid = dykstra_halfspaces(C, d, P)
     assert not np.any(exact)
     assert Q.tobytes() == want.tobytes()
     assert resid.tobytes() == want_resid.tobytes()
-    # the same system cut to 12 rows fits, and is solved exactly
-    assert np.any(project_halfspaces(C[:12], d[:12], P)[2])
+    # the same system cut to 18 rows fits, and is solved exactly
+    assert np.any(project_halfspaces(C[:18], d[:18], P)[2])
+
+
+def _broadcast_pass(C, P, rhs):
+    """The active-set pass as one (axes, candidates, slots, batch)
+    broadcast, the reference for geometry._active_set_pass: candidate u of
+    axis a takes row slot[a, u - 1] (u = 0 is no row), and every candidate
+    is checked against every slot of its axis, padded slots passing."""
+    m = C.shape[0]
+    nonzero = C != 0.0
+    axis = nonzero.argmax(axis=1)
+    c = C[np.arange(m), axis]
+    row_sq = c * c
+    axes = np.unique(axis)
+    groups = [np.flatnonzero(axis == a) for a in axes]
+    G = max(g.size for g in groups)
+    slot = np.zeros((axes.size, G), dtype=int)
+    pad = np.ones((axes.size, G), dtype=bool)
+    z_index = m + np.repeat(axes[:, None], G + 1, axis=1)
+    for a, g in enumerate(groups):
+        slot[a, :g.size] = g
+        pad[a, :g.size] = False
+        z_index[a, 1:g.size + 1] = g
+    same = np.zeros((axes.size, G + 1, G), dtype=bool)
+    same[:, 1:] = np.eye(G, dtype=bool) & ~pad[:, None, :]
+
+    B = P.shape[0]
+    PT = P.T + 0.0
+    Pa = PT[axis]
+    R = rhs.T
+    lam = (Pa * c[:, None] - R) / row_sq[:, None]
+    Z = np.concatenate([Pa - lam * c[:, None], PT])[z_index]
+    alpha = np.where(same[..., None], lam[slot][:, None], 0.0)
+    cs = c[slot][:, None, :, None]
+    Y = Z[:, :, None] + alpha * cs
+    mu = np.maximum((Y * cs - R[slot][:, None])
+                    / row_sq[slot][:, None, :, None], 0.0)
+    ok = ((mu == alpha) & (Y - mu * cs == Z[:, :, None])
+          | pad[:, None, :, None]).all(axis=2)
+    Q = PT.T.copy()
+    Q[:, axes] = Z[np.arange(axes.size)[:, None], ok.argmax(axis=1),
+                   np.arange(B)].T
+    return Q, ok.any(axis=1).all(axis=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 8),
+       st.booleans())
+def test_active_set_pass_matches_the_broadcast_reference(seed, dim, rows,
+                                                         per_row_rhs):
+    # several rows to an axis and to a side, coefficients that round,
+    # points on the bounds, signed zeros, and systems empty on some axis
+    gen = np.random.default_rng(seed)
+    B = 40
+    C = np.zeros((rows, dim))
+    axis = gen.integers(0, dim, rows)
+    C[np.arange(rows), axis] = (gen.choice([-1.0, 1.0], rows)
+                                * gen.choice([1.0, 3.0, 0.7, 0.1, 2.5], rows))
+    rhs = gen.uniform(-0.5, 1.0, (B if per_row_rhs else 1, rows))
+    rhs[gen.random(rhs.shape) < 0.2] = 0.0
+    P = 2.0 * gen.standard_normal((B, dim))
+    on = np.flatnonzero(gen.random(B) < 0.3)
+    row = gen.integers(0, rows, on.size)
+    P[on, axis[row]] = (rhs[on if per_row_rhs else 0, row]
+                        / C[row, axis[row]])
+    P[gen.random(P.shape) < 0.15] = 0.0
+    P[gen.random(P.shape) < 0.15] = -0.0
+    s = geometry._axis_system(C.shape, C.tobytes())
+    Q, exact = geometry._active_set_pass(s, P, rhs)
+    want, want_exact = _broadcast_pass(C, P, rhs)
+    assert exact.tobytes() == want_exact.tobytes()
+    assert np.ascontiguousarray(Q[exact]).tobytes() == want[exact].tobytes()
 
 
 def test_golden_min_on_parabola():

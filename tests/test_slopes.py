@@ -11,9 +11,9 @@ from regcert import (InSet, error_bound_certificate, global_slope,
 from regcert.instances import builtin
 from regcert.multimap import (SearchRegion, default_region,
                               image_distance_batch)
-from regcert.slopes import (_DESCENT_FACTORS, _bisect, _direction_descent,
-                            _fd_gradient, _global_slopes, _reach,
-                            _segment_hits, default_local_r0)
+from regcert.slopes import (_DESCENT_FACTORS, _TREE_LEVELS, _bisect,
+                            _direction_descent, _fd_gradient, _global_slopes,
+                            _reach, _segment_hits, default_local_r0)
 
 
 def afield(a, c=0.0):
@@ -215,6 +215,53 @@ def test_ray_kernels_rows_are_batch_independent(name, rows, seed):
         alone = kernels(slice(i, i + 1))
         for b, a in zip(batch, alone):
             assert b[i].tobytes() == a[0].tobytes()
+
+
+def _bisect_steps(f, xbar, D, hi, iters):
+    """Ray bisection one step a field call, the reference for _bisect."""
+    lo = np.zeros(D.shape[0])
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        feas = f(xbar[None, :] + mid[:, None] * D) <= 0.0
+        hi = np.where(feas, mid, hi)
+        lo = np.where(feas, lo, mid)
+    return hi
+
+
+# the row fields plus one that is NaN on a band, which bisection must read
+# as f > 0
+BISECT_FIELDS = {
+    **ROW_FIELDS,
+    "nan_band": (lambda X: np.where(np.abs(X[:, 0] - 0.3) < 0.1, np.nan,
+                                    X[:, 0] - X[:, 1] ** 2), 2,
+                 lambda gen, size: gen.uniform(-1.0, 0.0, size)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BISECT_FIELDS)), st.integers(1, 6),
+       st.sampled_from([1, 4, 5, 7, 45, 60]), st.integers(0, 2 ** 32 - 1))
+def test_bisection_tree_is_the_step_loop_bit_for_bit(name, rows, iters,
+                                                     seed):
+    f, n, feasible = BISECT_FIELDS[name]
+    gen = np.random.default_rng(seed)
+    xbar = gen.uniform(0.2, 1.5, n)
+    D = feasible(gen, (rows, n)) - xbar
+    hi = gen.uniform(0.5, 1.5, rows)
+    calls = []
+
+    def counted(X):
+        calls.append(X.shape[0])
+        return f(X)
+
+    got = _bisect(counted, xbar, D, hi, iters)
+    assert got.tobytes() == _bisect_steps(f, xbar, D, hi, iters).tobytes()
+    # a lone row steps once a call; more rows take _TREE_LEVELS steps a
+    # call, 9 calls for the 45 steps of a descent ray
+    k = 1 if rows == 1 else _TREE_LEVELS
+    assert len(calls) == -(-iters // k)
+    if rows > 1 and iters == 45:
+        assert len(calls) == 9
 
 
 def bits(est):
