@@ -8,11 +8,16 @@ instead of the projection machinery the estimators use, so agreement is an
 independent check rather than a tautology.  Dimension and lattice-size caps
 guard against accidental blowup; no tuning beyond them.
 
-The two hot loops run as stacked array passes: the directional membership
-scan evaluates every (row, scale) pair of its scale grid in one clamp call
-per chunk of about _CHUNK_ROWS rows, and nearest lattice points come from
-blocked distances that keep np.linalg.norm's summation order.  Each row's
-value is the one it would get alone, bit for bit.
+grid_modulus makes one pass over the y lattice in blocks of targets, each
+holding at most _CHUNK_ROWS (target, u) pairs.  A block's image distances,
+directional membership scan and preimage-pool rounds run as stacked array
+passes over all of its targets, a few clamp calls per step instead of one
+per target.  That one row budget, _CHUNK_ROWS, bounds every stacked array:
+the clamp calls, the membership scan's scale grids, the pool rounds'
+candidate groups and the blocked distances of the nearest-point search,
+which keep np.linalg.norm's summation order.  Each row's value is the one
+it would get alone, bit for bit, and the sup takes the targets' ratios in
+lattice order, so max sees them in the order a per-target loop would.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .regularity import RegularityQuery, robinson_condition
 _MAX_AXIS_POINTS = 201
 _MAX_LATTICE = 10_000_000
 _MAX_PAIRS = 20_000_000
-_CHUNK_ROWS = 200_000
+_CHUNK_ROWS = 8_192
 _SWEEP_PASSES = 60
 _SWEEP_EXTRA = 6000
 _POOL_ROUNDS = 7
@@ -281,19 +286,40 @@ def _nearest(A: np.ndarray, B: np.ndarray) -> tuple:
     return idx, dist
 
 
-def _preimage_pool(F: MultiMap, v: np.ndarray, g: Grid, G: np.ndarray,
-                   fG: np.ndarray, US: np.ndarray,
-                   L: float) -> np.ndarray | None:
-    """Refined lattice approximation of the preimage of v, as a point pool.
+def _clamp_rows(K: ConvexSet, Z: np.ndarray) -> np.ndarray:
+    """clamp_distance_batch on the rows of Z, in calls of at most
+    _CHUNK_ROWS rows."""
+    return np.concatenate([clamp_distance_batch(K, Z[a:a + _CHUNK_ROWS])
+                           for a in range(0, Z.shape[0], _CHUNK_ROWS)])
+
+
+def _target_distances(K: ConvexSet, fX: np.ndarray,
+                      V: np.ndarray) -> np.ndarray:
+    """d_K(fX[j] - V[t]) as a (targets, rows) array, built for as many
+    targets at a time as _CHUNK_ROWS (target, row) pairs hold."""
+    per = max(1, _CHUNK_ROWS // fX.shape[0])
+    return np.concatenate([
+        _clamp_rows(K, (fX[None, :, :] - V[a:a + per, None, :])
+                    .reshape(-1, fX.shape[1])).reshape(-1, fX.shape[0])
+        for a in range(0, V.shape[0], per)])
+
+
+def _preimage_pool(F: MultiMap, V: np.ndarray, g: Grid, G: np.ndarray,
+                   fG: np.ndarray, US: list, L: float) -> list:
+    """Refined lattice approximations of the preimages of the rows of V, as
+    one point pool per target (None where stage one is empty).
 
     Stage one keeps every lattice point feasible at the step-scaled
-    tolerance; each round then halves the spacing and rebuilds the pool
-    from local grids around the points currently nearest to the query
-    set US, so the feasibility slack shrinks with the spacing and the
+    tolerance; each round then halves the spacing and rebuilds a target's
+    pool from local grids around its points currently nearest to its query
+    set US[t], so the feasibility slack shrinks with the spacing and the
     final distances carry neither the coarse-lattice overestimate nor
-    the tolerance-slack underestimate.  G is g's lattice and fG = f(G);
-    L bounds the Lipschitz constant of f over g.box.  None when stage one
-    is empty.
+    the tolerance-slack underestimate.  A target whose round finds no
+    feasible candidate keeps its pool and leaves the rounds.  Each round
+    stacks the live targets' local grids, one per center, and evaluates
+    as many whole grids at a time as _CHUNK_ROWS rows hold; only a hit
+    mask is kept for all of them.  G is g's lattice and fG = f(G); L
+    bounds the Lipschitz constant of f over g.box.
     """
     n = g.dim
 
@@ -304,31 +330,46 @@ def _preimage_pool(F: MultiMap, v: np.ndarray, g: Grid, G: np.ndarray,
         return max(TOL_FEAS, 0.6 * L * float(spacing.max()) * np.sqrt(n))
 
     spacing = g.spacing
-    tol0 = tol_at(spacing)
-    pool = []
-    for a in range(0, G.shape[0], _CHUNK_ROWS):
-        rows = slice(a, a + _CHUNK_ROWS)
-        pool.append(G[rows][clamp_distance_batch(F.K, fG[rows] - v) <= tol0])
-    pool = np.concatenate(pool, axis=0)
-    if pool.shape[0] == 0:
-        return None
+    feas = _target_distances(F.K, fG, V) <= tol_at(spacing)
+    pools = [G[row] if row.any() else None for row in feas]
+    live = [t for t, pool in enumerate(pools) if pool is not None]
     offs = np.stack([m.ravel() for m in np.meshgrid(
         *([np.linspace(-4.0, 4.0, 17)] * n), indexing="ij")], axis=1)
+    per = offs.shape[0]
+    group = max(1, _CHUNK_ROWS // per)
     for _ in range(_POOL_ROUNDS):
-        nearest, _ = _nearest(US, pool)
-        centers = pool[np.unique(nearest)[:_POOL_CENTERS]]
+        if not live:
+            break
+        centers = []
+        for t in live:
+            nearest, _ = _nearest(US[t], pools[t])
+            centers.append(pools[t][np.unique(nearest)[:_POOL_CENTERS]])
+        sizes = [c.shape[0] for c in centers]
+        owner = np.repeat(live, sizes)
+        ends = np.cumsum(sizes)
+        centers = np.concatenate(centers, axis=0)
         spacing = spacing / 2.0
         tol = tol_at(spacing)
-        cand = (centers[:, None, :]
-                + offs[None, :, :] * spacing[None, None, :]).reshape(-1, n)
-        resid = clamp_distance_batch(F.K, F.f.eval_batch(cand) - v)
-        hit = cand[resid <= tol]
-        if hit.shape[0] == 0:
-            break
-        if hit.shape[0] > 4096:
-            hit = hit[:: hit.shape[0] // 4096 + 1]
-        pool = hit
-    return pool
+        step = offs * spacing
+        # hit[c, o]: is center c moved by step o feasible at tol
+        hit = np.empty((centers.shape[0], per), dtype=bool)
+        for c in range(0, centers.shape[0], group):
+            cand = (centers[c:c + group, None, :] + step).reshape(-1, n)
+            diff = (F.f.eval_batch(cand).reshape(-1, per, F.dim_out)
+                    - V[owner[c:c + group], None, :])
+            hit[c:c + group] = (_clamp_rows(F.K, diff.reshape(-1, F.dim_out))
+                                <= tol).reshape(-1, per)
+        kept = []
+        for t, lo, hi in zip(live, ends - sizes, ends):
+            k = np.flatnonzero(hit[lo:hi])
+            if k.size == 0:
+                continue
+            if k.size > 4096:
+                k = k[:: k.size // 4096 + 1]
+            pools[t] = centers[lo + k // per] + step[k % per]
+            kept.append(t)
+        live = kept
+    return pools
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +404,11 @@ def grid_global_slope(f, x, g: Grid) -> float:
 def _scale_sweep(K: ConvexSet, diff: np.ndarray, ybar: np.ndarray,
                  delta: float, S: np.ndarray) -> np.ndarray:
     """[d_K(diff_b + s*ybar) - s*delta]+ for each row b and each scale s in
-    row b of S, as one stacked clamp call per chunk of about _CHUNK_ROWS
-    (row, scale) pairs."""
-    out = np.empty_like(S)
-    per = max(1, _CHUNK_ROWS // S.shape[1])
-    for start in range(0, S.shape[0], per):
-        s = S[start:start + per]
-        Z = diff[start:start + per, None, :] + s[:, :, None] * ybar
-        resid = clamp_distance_batch(K, Z.reshape(-1, diff.shape[1]))
-        out[start:start + per] = np.maximum(
-            resid.reshape(s.shape) - delta * s, 0.0)
-    return out
+    row b of S, as stacked clamp calls of at most _CHUNK_ROWS (row, scale)
+    pairs."""
+    Z = diff[:, None, :] + S[:, :, None] * ybar
+    resid = _clamp_rows(K, Z.reshape(-1, diff.shape[1]))
+    return np.maximum(resid.reshape(S.shape) - delta * S, 0.0)
 
 
 def _oracle_membership(F: MultiMap, diff: np.ndarray, ybar: np.ndarray,
@@ -381,24 +416,32 @@ def _oracle_membership(F: MultiMap, diff: np.ndarray, ybar: np.ndarray,
     """min over a dense scale grid of [d_K(diff + s*ybar) - s*delta]+.
 
     diff rows are f(u) - v.  One zoom round around the coarse argmin keeps
-    boundary classification honest at lattice tolerances.  Each stage
-    evaluates every (row, scale) pair stacked, in row chunks, with the
-    same elementwise arithmetic as a per-scale loop, so each row's value
-    is what it would be alone.
+    boundary classification honest at lattice tolerances.  Rows run in
+    chunks of _CHUNK_ROWS // 257, each through both stages, so the scale
+    grids and their values stay within the row budget; each stage
+    evaluates every (row, scale) pair of its chunk stacked, with the same
+    elementwise arithmetic as a per-scale loop, so each row's value is
+    what it would be alone.
     """
     ny = float(np.linalg.norm(ybar))
-    B = diff.shape[0]
-    norms = np.linalg.norm(diff, axis=1)
-    hi = 10.0 * (norms + 1.0) / max(ny - delta, 1e-12)
     base = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 256)])
-    S = base[None, :] * hi[:, None]
-    vals = _scale_sweep(F.K, diff, ybar, delta, S)
-    arg = np.argmin(vals, axis=1)
-    best = vals[np.arange(B), arg]
-    lo_s = S[np.arange(B), np.maximum(arg - 1, 0)]
-    hi_s = S[np.arange(B), np.minimum(arg + 1, S.shape[1] - 1)]
-    Z = lo_s[:, None] + (hi_s - lo_s)[:, None] * np.linspace(0, 1, 33)[None, :]
-    return np.minimum(best, _scale_sweep(F.K, diff, ybar, delta, Z).min(axis=1))
+    zoom = np.linspace(0, 1, 33)
+    out = np.empty(diff.shape[0])
+    per = max(1, _CHUNK_ROWS // base.size)
+    for a in range(0, diff.shape[0], per):
+        d = diff[a:a + per]
+        r = np.arange(d.shape[0])
+        hi = 10.0 * (np.linalg.norm(d, axis=1) + 1.0) / max(ny - delta, 1e-12)
+        S = base[None, :] * hi[:, None]
+        vals = _scale_sweep(F.K, d, ybar, delta, S)
+        arg = np.argmin(vals, axis=1)
+        best = vals[r, arg]
+        lo_s = S[r, np.maximum(arg - 1, 0)]
+        hi_s = S[r, np.minimum(arg + 1, S.shape[1] - 1)]
+        Z = lo_s[:, None] + (hi_s - lo_s)[:, None] * zoom[None, :]
+        out[a:a + per] = np.minimum(
+            best, _scale_sweep(F.K, d, ybar, delta, Z).min(axis=1))
+    return out
 
 
 def grid_modulus(F: MultiMap, q: RegularityQuery, g_x: Grid,
@@ -440,26 +483,31 @@ def grid_modulus(F: MultiMap, q: RegularityQuery, g_x: Grid,
     sup = 0.0
     any_pairs = False
     coarse_flag = False
-    for i in range(V.shape[0]):
-        v = V[i]
-        img = clamp_distance_batch(F.K, fU - v)
+    per = max(1, _CHUNK_ROWS // U.shape[0])
+    for a in range(0, V.shape[0], per):
+        Vb = V[a:a + per]
+        img = _target_distances(F.K, fU, Vb)
         ok = (img > min_image) & (img < q.epsilon)
         if q.dc is not None and np.any(ok):
-            mv = _oracle_membership(F, fU[ok] - v, q.dc.ybar, q.dc.delta)
-            sel = np.where(ok)[0][mv <= q.tol_member]
+            t, j = np.nonzero(ok)
+            mv = _oracle_membership(F, fU[j] - Vb[t], q.dc.ybar, q.dc.delta)
+            keep = mv <= q.tol_member
             ok = np.zeros_like(ok)
-            ok[sel] = True
-        idx = np.where(ok)[0]
-        if idx.size == 0:
+            ok[t[keep], j[keep]] = True
+        live = np.flatnonzero(ok.any(axis=1))
+        if live.size == 0:
             continue
         any_pairs = True
-        pool = _preimage_pool(F, v, g_x, G, fG, U[idx], L)
-        if pool is None:
-            coarse_flag = True
-            sup = np.inf
-            continue
-        _, pre = _nearest(U[idx], pool)
-        sup = max(sup, float((pre / img[idx]).max()))
+        US = [U[ok[t]] for t in live]
+        pools = _preimage_pool(F, Vb[live], g_x, G, fG, US, L)
+        # in V order, as max(sup, nan) depends on which value comes first
+        for t, us, pool in zip(live, US, pools):
+            if pool is None:
+                coarse_flag = True
+                sup = np.inf
+                continue
+            _, pre = _nearest(us, pool)
+            sup = max(sup, float((pre / img[t, ok[t]]).max()))
     if not any_pairs:
         raise NoAdmissibleSamples("no admissible lattice pairs at this step")
     if coarse_flag and isinstance(F.f, AffineMap):

@@ -1,5 +1,8 @@
 """Ground-truth lattice oracle: distances, slopes, modulus, guard rails."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,10 +207,10 @@ def test_oracle_membership_rows_are_batch_independent(name, rows, seed):
 
 
 def test_oracle_membership_splits_large_batches(monkeypatch):
-    # more rows than one chunk of (row, scale) pairs holds
+    # three row chunks, the last one short, of _CHUNK_ROWS // 257 rows each
     inst = builtin("halfplane_directional")
     gen = np.random.default_rng(4)
-    diff = gen.uniform(-2.0, 2.0, size=(_CHUNK_ROWS // 257 + 40, 2))
+    diff = gen.uniform(-2.0, 2.0, size=(2 * (_CHUNK_ROWS // 257) + 9, 2))
     calls = []
 
     def counted(K, Z):
@@ -216,8 +219,8 @@ def test_oracle_membership_splits_large_batches(monkeypatch):
 
     monkeypatch.setattr(oracle, "clamp_distance_batch", counted)
     got = _oracle_membership(inst.F, diff, inst.dc.ybar, inst.dc.delta)
-    # two chunks of the 257-scale grid, one of the 33-point zoom
-    assert len(calls) == 3 and max(calls) <= _CHUNK_ROWS
+    # each chunk runs the 257-scale grid and then the 33-point zoom
+    assert len(calls) == 6 and max(calls) <= _CHUNK_ROWS
     monkeypatch.undo()
     want = _membership_by_scale(inst.F, diff, inst.dc.ybar, inst.dc.delta)
     assert np.array_equal(got, want)
@@ -360,3 +363,220 @@ def test_grid_modulus_guards():
         grid_modulus(inst.F, q,
                      Grid(np.tile([[-1.25, 1.25]], (2, 1)), 201),
                      Grid(np.tile([[-0.5, 0.5]], (2, 1)), 201))
+
+
+# ---------------------------------------------------------------------------
+# Blocked modulus pass against the per-target loop it replaced.
+
+def _pool_per_target(F, v, g, G, fG, US, L):
+    # reference: one target's preimage pool, one clamp call per round
+    n = g.dim
+
+    def tol_at(spacing):
+        return max(oracle.TOL_FEAS,
+                   0.6 * L * float(spacing.max()) * np.sqrt(n))
+
+    spacing = g.spacing
+    pool = G[clamp_distance_batch(F.K, fG - v) <= tol_at(spacing)]
+    if pool.shape[0] == 0:
+        return None
+    offs = np.stack([m.ravel() for m in np.meshgrid(
+        *([np.linspace(-4.0, 4.0, 17)] * n), indexing="ij")], axis=1)
+    for _ in range(oracle._POOL_ROUNDS):
+        nearest, _ = _nearest(US, pool)
+        centers = pool[np.unique(nearest)[:oracle._POOL_CENTERS]]
+        spacing = spacing / 2.0
+        tol = tol_at(spacing)
+        cand = (centers[:, None, :]
+                + offs[None, :, :] * spacing[None, None, :]).reshape(-1, n)
+        resid = clamp_distance_batch(F.K, F.f.eval_batch(cand) - v)
+        hit = cand[resid <= tol]
+        if hit.shape[0] == 0:
+            break
+        if hit.shape[0] > 4096:
+            hit = hit[:: hit.shape[0] // 4096 + 1]
+        pool = hit
+    return pool
+
+
+@pytest.mark.parametrize("name", ["parabola_eb", "hoffman_2d"])
+def test_preimage_pools_match_per_target_pools(name):
+    # targets below the parabola's range leave the rounds early or have
+    # no stage-one pool; the whole lattice as query set needs more than
+    # _POOL_CENTERS centers
+    F = builtin(name).F
+    g = Grid(np.tile([[-1.0, 1.0]], (F.dim_in, 1)), 21 if name == "hoffman_2d"
+             else 201)
+    G = g.lattice()
+    fG = F.f.eval_batch(G)
+    V = np.array([-0.3, -0.012, -0.006, 0.0, 0.05, 0.3, 0.6])[:, None] \
+        * np.ones(F.dim_out)
+    L = F.lipschitz_bound(g.box)
+    US = [G[i::2] for i in range(V.shape[0])]
+    got = oracle._preimage_pool(F, V, g, G, fG, US, L)
+    want = [_pool_per_target(F, v, g, G, fG, us, L) for v, us in zip(V, US)]
+    assert [None if p is None else p.tobytes() for p in got] == [
+        None if p is None else p.tobytes() for p in want]
+
+
+def _modulus_per_target(F, q, g_x, g_y):
+    # reference: the loop over y targets the blocked pass replaced, with
+    # one image clamp, one membership scan and one pool per target
+    min_image = 0.3 * q.epsilon
+    if q.dc is not None:
+        ny = float(np.linalg.norm(q.dc.ybar))
+        if ny > 0.0:
+            min_image *= min(q.dc.delta / ny, 1.0)
+    G = g_x.lattice()
+    fG = F.f.eval_batch(G)
+    inball = np.linalg.norm(G - q.x0, axis=1) <= q.epsilon
+    U, fU = G[inball], fG[inball]
+    V = g_y.lattice()
+    V = V[np.linalg.norm(V - q.y0, axis=1) <= q.epsilon]
+    if U.size == 0 or V.size == 0:
+        raise NoAdmissibleSamples("the query balls contain no lattice points")
+    L = F.lipschitz_bound(g_x.box)
+    sup, any_pairs, coarse_flag = 0.0, False, False
+    for v in V:
+        img = clamp_distance_batch(F.K, fU - v)
+        ok = (img > min_image) & (img < q.epsilon)
+        if q.dc is not None and np.any(ok):
+            mv = _oracle_membership(F, fU[ok] - v, q.dc.ybar, q.dc.delta)
+            sel = np.where(ok)[0][mv <= q.tol_member]
+            ok = np.zeros_like(ok)
+            ok[sel] = True
+        idx = np.where(ok)[0]
+        if idx.size == 0:
+            continue
+        any_pairs = True
+        pool = _pool_per_target(F, v, g_x, G, fG, U[idx], L)
+        if pool is None:
+            coarse_flag = True
+            sup = np.inf
+            continue
+        _, pre = _nearest(U[idx], pool)
+        sup = max(sup, float((pre / img[idx]).max()))
+    if not any_pairs:
+        raise NoAdmissibleSamples("no admissible lattice pairs at this step")
+    if coarse_flag and isinstance(F.f, AffineMap):
+        oracle._warn_if_coarse(F, q.x0, q.y0, "coarse")
+    return float(sup)
+
+
+def _cube_map():
+    # a skewed affine map of R^3 onto a box cone
+    A = np.array([[1.0, 0.3, 0.0], [-0.2, 0.9, 0.1], [0.0, 0.4, 1.1]])
+    K = Polyhedron(np.vstack([np.eye(3), -np.eye(3)])[:4],
+                   np.array([0.2, 0.1, 0.3, 0.2]))
+    return MultiMap(AffineMap(A, np.zeros(3)), K)
+
+
+# name -> (registry instance or (F, x0, y0, dc), x points, y points); the
+# lattice sizes keep a case within a fraction of a second
+MODULUS_CASES = {
+    "identity2": ("identity2", 9, 5),
+    "hoffman_2d": ("hoffman_2d", 11, 5),
+    "parabola_eb": ("parabola_eb", 41, 15),
+    "halfplane_directional": ("halfplane_directional", 25, 5),
+    "skew": ((_onto(SKEW), [0.0, 0.0], [0.5, 0.0], None), 5, 3),
+    "skew directional": ((_onto(SKEW), [0.0, 0.0], [0.5, 0.0],
+                          DirectionalCone([-1.0, 0.2], 0.3)), 7, 3),
+    "cube": ((_cube_map(), [0.0] * 3, [0.0] * 3, None), 5, 3),
+    "cube directional": ((_cube_map(), [0.0] * 3, [0.0] * 3,
+                          DirectionalCone([0.0, 1.0, 0.3], 0.4)), 5, 3),
+}
+
+
+def modulus_case(name, epsilon=0.5, x_halfwidth=2.5, shift=0, points=None):
+    """(F, q, g_x, g_y) for a case; the x lattice spans x_halfwidth *
+    epsilon around x0, and shift adds points per axis to both lattices
+    unless points gives both counts."""
+    spec, px, py = MODULUS_CASES[name]
+    if points is not None:
+        px, py = points
+    if isinstance(spec, str):
+        inst = builtin(spec)
+        spec = (inst.F, inst.x0, inst.y0, inst.dc)
+    F, x0, y0, dc = spec
+    q = RegularityQuery(F, x0, y0, dc=dc, epsilon=epsilon,
+                        region=default_region(np.asarray(x0, dtype=float),
+                                              1.0, 10, seed=0))
+    w = x_halfwidth * epsilon
+    g_x = Grid(np.stack([q.x0 - w, q.x0 + w], axis=1), px + shift)
+    g_y = Grid(np.stack([q.y0 - epsilon, q.y0 + epsilon], axis=1),
+               py + shift)
+    return F, q, g_x, g_y
+
+
+def _outcome(fn, *args):
+    """(value bits or exception type, warning categories) of one call."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            got = float(fn(*args)).hex()
+        except NoAdmissibleSamples:
+            got = "NoAdmissibleSamples"
+    return got, [w.category for w in seen]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(MODULUS_CASES)), st.sampled_from([0.3, 0.5]),
+       st.sampled_from([2.5, 0.1]), st.integers(0, 1))
+def test_grid_modulus_matches_per_target_loop(name, epsilon, x_halfwidth,
+                                              shift):
+    case = modulus_case(name, epsilon, x_halfwidth, shift)
+    assert _outcome(grid_modulus, *case) == _outcome(_modulus_per_target,
+                                                     *case)
+
+
+@pytest.mark.parametrize("name, kwargs, expected", [
+    # no x lattice point maps near the targets: sup = inf, and the
+    # interiority LP holds, so the coarse-lattice warning fires
+    ("identity2", {"x_halfwidth": 0.1}, ("inf", [GridTooCoarse])),
+    ("halfplane_directional", {"points": (15, 7)},
+     ("NoAdmissibleSamples", [])),
+    ("parabola_eb", {}, ("inf", [])),
+])
+def test_grid_modulus_edge_outcomes_match_per_target_loop(name, kwargs,
+                                                          expected):
+    case = modulus_case(name, **kwargs)
+    got = _outcome(grid_modulus, *case)
+    assert got == _outcome(_modulus_per_target, *case) == expected
+
+
+@pytest.mark.parametrize("rows", [7, 257, 300])
+@pytest.mark.parametrize("name", ["hoffman_2d", "halfplane_directional",
+                                  "skew", "cube"])
+def test_grid_modulus_blocks_keep_bits_and_row_budget(monkeypatch, name,
+                                                      rows):
+    # budgets that split a target's pairs into several blocks, a local
+    # grid of 289 candidates across groups and the 257-scale grid
+    case = modulus_case(name)
+    want = grid_modulus(*case)
+    calls = []
+
+    def counted(K, Z):
+        calls.append(Z.shape[0])
+        return clamp_distance_batch(K, Z)
+
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", rows)
+    monkeypatch.setattr(oracle, "clamp_distance_batch", counted)
+    assert grid_modulus(*case).hex() == want.hex()
+    assert calls and max(calls) <= rows
+
+
+def test_grid_modulus_memory_stays_blocked():
+    # oracle-check's default lattices on hoffman_2d; holding every
+    # target's pairs and pools at once peaked near 11 MB
+    inst = builtin("hoffman_2d")
+    q = RegularityQuery(inst.F, inst.x0, inst.y0, epsilon=0.5,
+                        region=default_region(inst.x0, 1.25, 10, seed=0))
+    g_x = Grid(np.stack([q.x0 - 1.25, q.x0 + 1.25], axis=1), 41)
+    g_y = Grid(np.stack([q.y0 - 0.5, q.y0 + 0.5], axis=1), 21)
+    tracemalloc.start()
+    try:
+        grid_modulus(inst.F, q, g_x, g_y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
