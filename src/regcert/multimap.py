@@ -21,17 +21,18 @@ it, so the screen moves no bit.  A +inf from this route thus means either
 "certified: no preimage in the clip box" or "the search found none".
 
 Membership in the conic tube F(x) + cone(B(ybar, delta)) is computed twice,
-by alternating minimization over (z, k) and by a one-dimensional search over
-the cone scale, and marked certified when the two agree.  Both routes are
-row-independent: their products go through geometry.row_matmul, so a row
-gets the same value and flag alone as in any batch.
+by alternating minimization over (z, k) (_alternate) and by a
+one-dimensional search over the cone scale (_scale_search), and marked
+certified when the two agree.  Both routes are row-independent: their
+products go through geometry.row_matmul, so a row gets the same value and
+flag alone as in any batch.
 
-A caller that needs only decisions value <= thr rules most rows out with
-a lower bound before either route runs (_screen_open): the admissibility
-filter at thr = tol (_member_mask), and the envelope at its shell
-threshold and at tol on its probes (_screened_values).  With
-c = f(x) - y, the membership value is the minimum over lam >= 0 of
-[phi(lam)]+, phi(lam) = d(K, c + lam ybar) - lam delta.  phi is convex (a
+One kernel runs the scale search (_screened_search), first ruling out
+with a lower bound most rows that cannot meet value <= thr: the
+admissibility filter at thr = tol (_member_mask), and the envelope at its
+shell threshold and at tol on its probes.  With c = f(x) - y, the
+membership value is the minimum over lam >= 0 of [phi(lam)]+,
+phi(lam) = d(K, c + lam ybar) - lam delta (_phi).  phi is convex (a
 convex distance along a line minus a linear term; Rockafellar, Convex
 Analysis, sec. 24), so outside an interval of the lam grid it lies above
 the secant line through that interval's ends.  On each grid interval phi
@@ -49,17 +50,17 @@ size of every point the grid evaluates.  So it covers any e up to 6e-8
 times that size, on both routes of a polyhedral projection: a point of the
 exact active-set route meets its KKT conditions up to rounding, and the
 Dykstra fallback stops within DYKSTRA_TOL = 1e-10, 600 times below the
-budget.  Both routes of membership_values are then above thr too, and so
-is the quick route, which is the scale search alone, so every decision
-value <= t with t <= thr is the same bit.  Nothing in the argument depends
-on the value of thr.
+budget.  Both routes of membership_values are then above thr too, so
+every decision value <= t with t <= thr is the same bit.  Nothing in the
+argument depends on the value of thr.
 
 The admissibility filter bounds the rows the screen leaves open a second
 time, from the evaluations its scale search makes anyway (_scale_search
 with bound=True): its 64-point grid and each of its four 17-point zoom
 rounds give a secant bound by the same argument (_secant_bound), the best
 of the five is kept, and a row whose bound exceeds tol + margin, with the
-margin above, is rejected before the alternating route runs.  A zoom round
+margin above, is rejected.  Only the rows still undecided run the
+alternating route, whose value alone then decides them.  A zoom round
 covers only its bracket [l_0, l_16] by intervals.  Below l_0 phi stays above
 the round's first secant, so above phi(l_0) where that secant falls, and
 past l_16 above phi(l_16) where the last secant rises.  A zoom round is
@@ -101,16 +102,16 @@ from .geometry import (
     row_matmul,
 )
 
-_MEMBERSHIP_GRID = 64
+_SCREEN_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 8)])
+_SEARCH_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 63)])
 _ZOOM_POINTS = 17
 _ZOOM_ROUNDS = 4
 _ALTERNATION_CAP = 120
-_SCREEN_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 8)])
 _SECANT_MARGIN = 1e-6
-# rows per pass of the scale search and of the screen, which bound their
-# temporaries (row-independent code, so the bits do not depend on them)
-_SCALE_ROWS = 128
-_SCREEN_ROWS = 512
+# phi evaluations per pass of the screen and of the scale search, which
+# bound their temporaries (row-independent code, so the bits do not depend
+# on it): 910 rows a screen pass, 128 a search pass
+_MEMBERSHIP_POINTS = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -750,120 +751,57 @@ def _damped_gauss_newton(F: MultiMap, Y: np.ndarray, U0: np.ndarray,
 # ---------------------------------------------------------------------------
 # Directional membership: is y in F(x) + cone(B(ybar, delta))?
 
+def _phi(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
+         lam: np.ndarray) -> np.ndarray:
+    """phi(lam) = d(K, c + lam ybar) - lam delta on a (B, N) lam array,
+    row c of Cres with row of lam."""
+    pts = Cres[:, None, :] + lam[..., None] * dc.ybar[None, None, :]
+    d = K.distance_batch(pts.reshape(-1, Cres.shape[1])).reshape(lam.shape)
+    return d - lam * dc.delta
+
+
 def _scale_search(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
-                  bound: bool = False):
-    """min over lam >= 0 of [d(K, c + lam ybar) - lam delta]+, per row of Cres.
+                  bound: bool = False, grid: np.ndarray = _SEARCH_GRID,
+                  zooms: int = _ZOOM_ROUNDS):
+    """min over lam >= 0 of [phi(lam)]+ (_phi), per row of Cres.
 
     Exact up to the 1d search: shrinking the lam-ball around lam*ybar turns
-    the cone minimization into this scalar problem.  A log-spaced grid
-    brackets the minimizer and batched zoom rounds refine the bracket.  The
-    rows go _SCALE_ROWS at a time, each chunk's temporaries freed before the
-    next one starts.  bound=True returns (values, lb, margin), with the best
-    secant bound (_secant_bound) of the grid and of the zoom rounds.
+    the cone minimization into this scalar problem.  The grid, scaled to
+    each row's cap _lam_max, brackets the minimizer and batched zoom rounds
+    refine the bracket.  The rows go in passes of at most _MEMBERSHIP_POINTS
+    grid points, each pass's temporaries freed before the next one starts.
+    bound=True returns (values, lb, margin), with the best secant bound
+    (_secant_bound) of the grid and of the zoom rounds; the screen is this
+    bound on _SCREEN_GRID with no zoom round.
     """
     out = np.empty((3 if bound else 1, Cres.shape[0]))
-    for a in range(0, Cres.shape[0], _SCALE_ROWS):
-        rows = slice(a, a + _SCALE_ROWS)
-        out[:, rows] = _scale_search_rows(K, Cres[rows], dc, bound)
-    return tuple(out) if bound else out[0]
-
-
-def _scale_search_rows(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
-                       bound: bool):
-    ybar, delta = dc.ybar, dc.delta
-    B, m = Cres.shape
-
-    def phi(L):
-        pts = Cres[:, None, :] + L[..., None] * ybar[None, None, :]
-        d = K.distance_batch(pts.reshape(-1, m)).reshape(L.shape)
-        return d - L * delta
-
-    c_norm = np.linalg.norm(Cres, axis=1)
-    lam_hi = dc._lam_max(c_norm)
-    grid = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, _MEMBERSHIP_GRID - 1)])
-    lam = lam_hi[:, None] * grid[None, :]
-    p = phi(lam)
-    if bound:
-        margin = _secant_margin(c_norm, lam_hi, dc)
-        lb = _secant_bound(lam, p, margin)
-    vals = np.maximum(p, 0.0)
-    rows = np.arange(B)
-    a = np.argmin(vals, axis=1)
-    best = vals[rows, a]
-    lo = lam[rows, np.maximum(a - 1, 0)]
-    hi = lam[rows, np.minimum(a + 1, grid.size - 1)]
+    step = max(1, _MEMBERSHIP_POINTS // grid.size)
     t = np.linspace(0.0, 1.0, _ZOOM_POINTS)
-    for _ in range(_ZOOM_ROUNDS):
-        L = lo[:, None] + (hi - lo)[:, None] * t[None, :]
-        p = phi(L)
-        if bound:
-            lb = np.maximum(lb, _secant_bound(L, p, margin))
-        v = np.maximum(p, 0.0)
-        a = np.argmin(v, axis=1)
-        best = np.minimum(best, v[rows, a])
-        lo, hi = (L[rows, np.maximum(a - 1, 0)],
-                  L[rows, np.minimum(a + 1, _ZOOM_POINTS - 1)])
-    return (best, lb, margin) if bound else (best,)
-
-
-def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
-                      dc: DirectionalCone, quick: bool = False):
-    """min over z in the cone of d(K, f(x) - y + z), batched.
-
-    Returns (values, certified): the value is the smaller of the alternating
-    estimate and the scale-search estimate, certified where they agree.
-    quick=True keeps only the scale search (used by inner probing loops
-    where the certification flag is never consumed).  Callers that need
-    only the decision value <= tol use _member_mask, which gives the same
-    bits.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Cres = F.f.eval_batch(X) - Y
-    B = Cres.shape[0]
-    if dc.whole_space:
-        feasible = True
-        if isinstance(F.K, Polyhedron):
-            feasible = F.K.is_feasible()
-        vals = np.zeros(B) if feasible else np.full(B, np.inf)
-        return vals, np.ones(B, dtype=bool)
-
-    v_grid = _scale_search(F.K, Cres, dc)
-    if quick:
-        return v_grid, np.zeros(B, dtype=bool)
-
-    # route 2: alternate the K-step and the cone-step; both steps keep the
-    # running residual an upper bound, so any cap is sound.  Points whose
-    # residual stalls are frozen to keep per-point results independent of
-    # the batch composition.
-    Z = np.zeros_like(Cres)
-    resid = np.full(B, np.inf)
-    active = np.ones(B, dtype=bool)
-    for _ in range(_ALTERNATION_CAP):
-        idx = np.where(active)[0]
-        if idx.size == 0:
-            break
-        Kpts = F.K.project_batch(Cres[idx] + Z[idx])
-        Za = dc.project_batch(Kpts - Cres[idx])
-        nr = np.linalg.norm(Cres[idx] + Za - Kpts, axis=1)
-        Z[idx] = Za
-        stalled = np.abs(nr - resid[idx]) < 1e-12
-        resid[idx] = nr
-        active[idx[stalled]] = False
-    v_alt = resid
-
-    vals = np.minimum(v_grid, v_alt)
-    certified = np.abs(v_grid - v_alt) <= 1e-6 * (1.0 + vals)
-    return vals, certified
-
-
-def _secant_margin(c_norm: np.ndarray, lam_hi: np.ndarray,
-                   dc: DirectionalCone) -> np.ndarray:
-    """How far evaluation error can lift a secant bound (_secant_bound)
-    above the true minimum, for rows of size c_norm searched up to lam_hi.
-    See the module docstring for the argument."""
-    return _SECANT_MARGIN * (1.0 + c_norm
-                             + lam_hi * (np.linalg.norm(dc.ybar) + dc.delta))
+    for a in range(0, Cres.shape[0], step):
+        C = Cres[a:a + step]
+        rows = np.arange(C.shape[0])
+        c_norm = np.linalg.norm(C, axis=1)
+        lam_hi = dc._lam_max(c_norm)
+        # how far evaluation error can lift a secant bound above the true
+        # minimum (see the module docstring)
+        margin = _SECANT_MARGIN * (
+            1.0 + c_norm + lam_hi * (np.linalg.norm(dc.ybar) + dc.delta))
+        best = np.full(rows.size, np.inf)
+        lb = np.full(rows.size, -np.inf)
+        lam = lam_hi[:, None] * grid[None, :]
+        for zoom in range(zooms + 1):
+            if zoom:
+                lam = lo[:, None] + (hi - lo)[:, None] * t[None, :]
+            p = _phi(K, C, dc, lam)
+            if bound:
+                lb = np.maximum(lb, _secant_bound(lam, p, margin))
+            v = np.maximum(p, 0.0)
+            i = np.argmin(v, axis=1)
+            best = np.minimum(best, v[rows, i])
+            lo = lam[rows, np.maximum(i - 1, 0)]
+            hi = lam[rows, np.minimum(i + 1, lam.shape[1] - 1)]
+        out[:, a:a + step] = (best, lb, margin) if bound else (best,)
+    return tuple(out) if bound else out[0]
 
 
 def _secant_bound(lam: np.ndarray, phi: np.ndarray,
@@ -912,41 +850,90 @@ def _secant_bound(lam: np.ndarray, phi: np.ndarray,
     return np.where(undefined, -np.inf, lb)
 
 
-def _screen_bound(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone):
-    """Certified lower bound on min over lam >= 0 of
-    phi(lam) = d(K, c + lam ybar) - lam delta, per row c of Cres, from
-    _SCREEN_GRID alone.
+def _screened_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
+                     dc: DirectionalCone, thr: float, bound: bool = False):
+    """The scale search (_scale_search) on the rows c = f(x) - y that the
+    screen leaves open at thr, +inf on the others.
 
-    Returns (lb, margin): lb is the secant bound (_secant_bound) and
-    margin bounds how far evaluation error can lift lb above the true
-    minimum (_secant_margin).
+    The screen is the secant bound (_secant_bound) of phi on _SCREEN_GRID.
+    A row whose bound exceeds thr + margin has both membership routes above
+    thr (see the module docstring), so value <= t for any t <= thr is the
+    bit the unscreened value gives.  thr = inf screens nothing.
+
+    Returns (Cres, values), and with bound=True (Cres, values, lb, margin):
+    the search's secant bound and margin on the rows it ran, the screen's
+    on the others.  Only _member_mask asks for the bounds: computing them
+    on the envelope path too raised perfbench's certify_mix wall_s in 3 of
+    4 alternating pairs on a 2-vCPU VM (medians 0.394 s against 0.343 s).
+    On a whole-space cone the value is exact, 0 or +inf for an empty K, lb
+    is the value and Cres is None.
     """
-    m = Cres.shape[1]
-    c_norm = np.linalg.norm(Cres, axis=1)
-    lam_hi = dc._lam_max(c_norm)
-    lam = lam_hi[:, None] * _SCREEN_GRID[None, :]
-    pts = Cres[:, None, :] + lam[..., None] * dc.ybar[None, None, :]
-    phi = (K.distance_batch(pts.reshape(-1, m)).reshape(lam.shape)
-           - lam * dc.delta)
-    margin = _secant_margin(c_norm, lam_hi, dc)
-    return _secant_bound(lam, phi, margin), margin
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    Cres = F.f.eval_batch(X) - Y
+    B = Cres.shape[0]
+    if dc.whole_space:
+        empty = isinstance(F.K, Polyhedron) and not F.K.is_feasible()
+        vals = np.full(B, np.inf if empty else 0.0)
+        return (None, vals, vals, np.zeros(B)) if bound else (None, vals)
+    vals = np.full(B, np.inf)
+    lb, margin = np.full(B, -np.inf), np.zeros(B)
+    idx = np.arange(B)
+    if thr < np.inf:
+        _, lb, margin = _scale_search(F.K, Cres, dc, bound=True,
+                                      grid=_SCREEN_GRID, zooms=0)
+        idx = np.flatnonzero(lb <= thr + margin)
+    if not bound:
+        vals[idx] = _scale_search(F.K, Cres[idx], dc)
+        return Cres, vals
+    vals[idx], lb[idx], margin[idx] = _scale_search(F.K, Cres[idx], dc,
+                                                    bound=True)
+    return Cres, vals, lb, margin
 
 
-def _screen_open(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
-                 thr: float) -> np.ndarray:
-    """Rows whose screen bound (_screen_bound) does not exceed thr + margin,
-    _SCREEN_ROWS rows at a time.
+def _alternate(K: ConvexSet, Cres: np.ndarray,
+               dc: DirectionalCone) -> np.ndarray:
+    """min over z in the cone of d(K, c + z), per row c of Cres, by
+    alternating the K-step and the cone-step.
 
-    On every other row both routes of membership_values, and so the quick
-    route too, stay above thr (see the module docstring), so a decision
-    value <= t for any t <= thr is False there.
+    Both steps keep the running residual an upper bound, so any cap is
+    sound.  Rows whose residual stalls are frozen to keep per-row results
+    independent of the batch composition.
     """
-    out = np.empty(Cres.shape[0], dtype=bool)
-    for a in range(0, Cres.shape[0], _SCREEN_ROWS):
-        rows = slice(a, a + _SCREEN_ROWS)
-        lb, margin = _screen_bound(K, Cres[rows], dc)
-        out[rows] = lb <= thr + margin
-    return out
+    B = Cres.shape[0]
+    Z = np.zeros_like(Cres)
+    resid = np.full(B, np.inf)
+    active = np.ones(B, dtype=bool)
+    for _ in range(_ALTERNATION_CAP):
+        idx = np.where(active)[0]
+        if idx.size == 0:
+            break
+        Kpts = K.project_batch(Cres[idx] + Z[idx])
+        Za = dc.project_batch(Kpts - Cres[idx])
+        nr = np.linalg.norm(Cres[idx] + Za - Kpts, axis=1)
+        Z[idx] = Za
+        stalled = np.abs(nr - resid[idx]) < 1e-12
+        resid[idx] = nr
+        active[idx[stalled]] = False
+    return resid
+
+
+def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
+                      dc: DirectionalCone):
+    """min over z in the cone of d(K, f(x) - y + z), batched.
+
+    Returns (values, certified): the value is the smaller of the alternating
+    estimate and the scale-search estimate, certified where they agree.
+    Callers that need only the decision value <= tol use _member_mask, which
+    gives the same bits.
+    """
+    Cres, v_grid = _screened_search(F, X, Y, dc, np.inf)
+    if Cres is None:
+        return v_grid, np.ones(v_grid.size, dtype=bool)
+    v_alt = _alternate(F.K, Cres, dc)
+    vals = np.minimum(v_grid, v_alt)
+    certified = np.abs(v_grid - v_alt) <= 1e-6 * (1.0 + vals)
+    return vals, certified
 
 
 def _member_mask(F: MultiMap, X: np.ndarray, Y: np.ndarray,
@@ -954,48 +941,23 @@ def _member_mask(F: MultiMap, X: np.ndarray, Y: np.ndarray,
     """membership_values(F, X, Y, dc)[0] <= tol, bit for bit, with each
     row decided as soon as its decision is certain.
 
-    1. Rows the screen rules out at tol (_screen_open) are rejected.
-    2. The scale search runs on the rest, and v_grid <= tol admits a row,
-       because membership_values takes the smaller of the two routes.
-    3. A row still above tol whose secant bound from the search's own
-       evaluations exceeds tol + margin is rejected, as in step 1.
-    4. Only rows still undecided run membership_values, whose alternating
-       route then decides them.
+    1. The screened search at tol (_screened_search) admits a row whose
+       scale-search value is <= tol, because membership_values takes the
+       smaller of the two routes.
+    2. A row above tol whose secant bound, the screen's or the search's,
+       exceeds tol + margin is rejected.
+    3. Only rows still undecided run the alternating route (_alternate),
+       whose value then decides them.
 
     Every route is row-independent, so a row gets the same value in a
     subset as in the full batch.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if dc.whole_space:
-        return membership_values(F, X, Y, dc)[0] <= tol
-    Cres = F.f.eval_batch(X) - Y
-    member = np.zeros(Cres.shape[0], dtype=bool)
-    idx = np.flatnonzero(_screen_open(F.K, Cres, dc, tol))
-    if idx.size == 0:
-        return member
-    v_grid, lb, margin = _scale_search(F.K, Cres[idx], dc, bound=True)
-    member[idx] = v_grid <= tol
-    rest = idx[(v_grid > tol) & (lb <= tol + margin)]
+    Cres, vals, lb, margin = _screened_search(F, X, Y, dc, tol, bound=True)
+    member = vals <= tol
+    rest = np.flatnonzero((vals > tol) & (lb <= tol + margin))
     if rest.size:
-        member[rest] = membership_values(F, X[rest], Y[rest], dc)[0] <= tol
+        member[rest] = _alternate(F.K, Cres[rest], dc) <= tol
     return member
-
-
-def _screened_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
-                     dc: DirectionalCone, thr: float,
-                     quick: bool) -> np.ndarray:
-    """membership_values(F, X, Y, dc, quick=quick)[0] on the rows the screen
-    leaves open at thr, +inf on the others: value <= t is the same bit as
-    the unscreened value's for every t <= thr."""
-    if dc.whole_space:
-        return membership_values(F, X, Y, dc, quick=quick)[0]
-    vals = np.full(X.shape[0], np.inf)
-    idx = np.flatnonzero(_screen_open(F.K, F.f.eval_batch(X) - Y, dc, thr))
-    if idx.size:
-        vals[idx] = membership_values(F, X[idx], Y[idx], dc,
-                                      quick=quick)[0]
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -1009,8 +971,7 @@ def _probe_directions(dim: int) -> np.ndarray:
 
 def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
                    y, tol: float = TOL_MEMBER,
-                   lipschitz: float | None = None,
-                   quick: bool = False) -> np.ndarray:
+                   lipschitz: float | None = None) -> np.ndarray:
     """Envelope values at the rows of X, for one y of shape (m,) or one y
     per row, shape (B, m).
 
@@ -1018,9 +979,10 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
     closure probe: 32 directions at radii tol * 2^-k, k = 0..4, each with
     the y of the row it probes.  Points whose membership residual already
     exceeds what a tol-step could close are rejected without probing.
-    Membership is screened first (_screened_values), at the shell threshold
-    on the rows of X and at tol on the probes, so the rows the screen rules
-    out skip the scale search and take the decisions the full values give.
+    Membership is the screened scale search (_screened_search), at the
+    shell threshold on the rows of X and at tol on the probes, so the rows
+    the screen rules out skip the search and take the decisions the
+    unscreened values give.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(y, dtype=float)
@@ -1036,11 +998,8 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
             np.stack([X.min(axis=0) - tol, X.max(axis=0) + tol], axis=1)
         )
     reach = tol * (1.0 + lipschitz) * 1.001
-    vals = _screened_values(F, X, Y, dc, np.fmax(tol, reach), quick)
+    _, vals = _screened_search(F, X, Y, dc, np.fmax(tol, reach))
     member = vals <= tol
-    out = np.full(X.shape[0], np.inf)
-    if np.any(member):
-        out[member] = image_distance_batch(F, X[member], Y[member])
     shell = (~member) & (vals <= reach)
     if np.any(shell):
         dirs = _probe_directions(F.dim_in)
@@ -1049,9 +1008,9 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
         idx = np.where(shell)[0]
         P = (X[idx][:, None, :] + offs[None, :, :]).reshape(-1, F.dim_in)
         Yp = np.repeat(Y[idx], offs.shape[0], axis=0)
-        pv = _screened_values(F, P, Yp, dc, tol, quick)
-        hit = np.any(pv.reshape(idx.size, -1) <= tol, axis=1)
-        if np.any(hit):
-            took = idx[hit]
-            out[took] = image_distance_batch(F, X[took], Y[took])
+        _, pv = _screened_search(F, P, Yp, dc, tol)
+        member[idx] = np.any(pv.reshape(idx.size, -1) <= tol, axis=1)
+    out = np.full(X.shape[0], np.inf)
+    if np.any(member):
+        out[member] = image_distance_batch(F, X[member], Y[member])
     return out

@@ -232,8 +232,7 @@ def _envelope_slopes(q: RegularityQuery, pairs, halfwidth: float,
     Y = np.array([y for _, y in pairs])
 
     def field(U, owner):
-        return envelope_batch(q.F, q.dc, U, Y[owner], q.tol_member, lip,
-                              quick=True)
+        return envelope_batch(q.F, q.dc, U, Y[owner], q.tol_member, lip)
 
     return [float(est.value)
             for est in _global_slopes(field, X, sregion, per_centre=True)]

@@ -29,7 +29,7 @@ from regcert.multimap import (
     _member_mask,
     _probe_directions,
     _scale_search,
-    _screen_bound,
+    _screened_search,
     _secant_bound,
     membership_values,
     preimage_distance,
@@ -547,12 +547,11 @@ def test_membership_dual_routes_agree():
     # the alternating route can hit its iteration cap on near-boundary
     # points, leaving them uncertified; the bulk must still agree
     assert np.mean(certified) > 0.9
-    quick, flag = membership_values(F, X, Y, dc, quick=True)
-    assert not flag.any()
-    # quick route keeps only one of the two estimates, so it can only be
+    # the scale search is only one of the two estimates, so it can only be
     # larger than the combined value
-    assert np.all(quick >= vals - 1e-12)
-    assert np.all(quick[certified] - vals[certified]
+    v_grid = _scale_search(F.K, F.f.eval_batch(X) - Y, dc)
+    assert np.all(v_grid >= vals - 1e-12)
+    assert np.all(v_grid[certified] - vals[certified]
                   <= 1e-6 * (1.0 + vals[certified]))
 
 
@@ -584,6 +583,13 @@ def _membership_cases():
     }
 
 
+def _screen_bound(K, Cres, dc):
+    """The screen's secant bound and its margin, per row of Cres."""
+    _, lb, margin = _scale_search(K, Cres, dc, bound=True,
+                                  grid=multimap._SCREEN_GRID, zooms=0)
+    return lb, margin
+
+
 def _membership_rows(F, gen, rows):
     # half the rows anywhere, half within 1e-8 .. 1e-4 of F(x), so that
     # rows near the tolerance reach every stage of the kernel
@@ -595,6 +601,16 @@ def _membership_rows(F, gen, rows):
                + scale[:, None] * gen.standard_normal((near.sum(),
                                                        F.dim_out)))
     return X, Y
+
+
+def _split_tolerances(F, X, Y, dc):
+    """Tolerances halfway between the two routes on up to three rows where
+    the alternating route is lower: each leaves that row's decision to the
+    alternating route."""
+    vals, _ = membership_values(F, X, Y, dc)
+    v_grid = _scale_search(F.K, F.f.eval_batch(X) - Y, dc)
+    split = np.flatnonzero(vals < v_grid)[:3]
+    return list((vals[split] + v_grid[split]) / 2)
 
 
 @settings(max_examples=15, deadline=None)
@@ -614,20 +630,24 @@ def test_member_mask_is_the_membership_decision(name, seed):
         # nine points straddle and the scale search's points resolve
         X, Y = np.vstack([X, [[1.0]]]), np.vstack([Y, [[1.3, 1.4]]])
     vals, _ = membership_values(F, X, Y, dc)
-    quick, _ = membership_values(F, X, Y, dc, quick=True)
-    # a tol between the two routes of a row where the alternating route is
-    # lower leaves that row's decision to the last stage
-    split = np.where(vals < quick)[0][:3]
-    for tol in [TOL_MEMBER, 1e-5, 1e-2, *(vals[split] + quick[split]) / 2]:
+    Cres = F.f.eval_batch(X) - Y
+    for tol in [TOL_MEMBER, 1e-5, 1e-2, *_split_tolerances(F, X, Y, dc)]:
         mask = _member_mask(F, X, Y, dc, tol)
         assert mask.tobytes() == (vals <= tol).tobytes(), tol
     # neither the screen's bound nor the scale search's exceeds the full
     # value by more than the stated margin, and neither gives a bound where
     # phi falls without end
-    Cres = F.f.eval_batch(X) - Y
     lb, margin = _screen_bound(F.K, Cres, dc)
-    _, search_lb, search_margin = _scale_search(F.K, Cres, dc, bound=True)
+    searched = _scale_search(F.K, Cres, dc, bound=True)
+    _, search_lb, search_margin = searched
     assert search_margin.tobytes() == margin.tobytes()
+    # the kernel gives the search's outputs on the rows the screen leaves
+    # open, and +inf with the screen's bound on the others
+    kernel = _screened_search(F, X, Y, dc, TOL_MEMBER, bound=True)[1:]
+    shut = lb > TOL_MEMBER + margin
+    screened = (np.inf, lb, margin)
+    for k, s, ref in zip(kernel, searched, screened):
+        assert k.tobytes() == np.where(shut, ref, s).tobytes()
     assert np.all(lb <= vals + margin)
     assert np.all(search_lb <= vals + margin)
     if name == "ray_along_ybar":
@@ -637,6 +657,38 @@ def test_member_mask_is_the_membership_decision(name, seed):
         # leaves open
         thr = TOL_MEMBER + margin[-1]
         assert lb[-1] <= thr < search_lb[-1]
+
+
+def test_undecided_rows_skip_a_second_scale_search():
+    # at a split tolerance the scale search runs once, on the rows the
+    # screen leaves open, and the alternating route alone decides the rows
+    # it leaves undecided
+    searched = []
+    search = multimap._scale_search
+
+    def counting(K, Cres, dc, **kw):
+        searched.append((kw.get("zooms", multimap._ZOOM_ROUNDS),
+                         Cres.shape[0]))
+        return search(K, Cres, dc, **kw)
+
+    n_split = 0
+    for name, (F, dc) in sorted(_membership_cases().items()):
+        for seed in (0, 1):
+            X, Y = _membership_rows(F, np.random.default_rng(seed), 60)
+            vals, _ = membership_values(F, X, Y, dc)
+            lb, margin = _screen_bound(F.K, F.f.eval_batch(X) - Y, dc)
+            for tol in _split_tolerances(F, X, Y, dc):
+                n_split += 1
+                searched.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(multimap, "_scale_search", counting)
+                    mask = _member_mask(F, X, Y, dc, tol)
+                # the screen, with no zoom round, sees every row once
+                assert searched == [(0, len(X)),
+                                    (multimap._ZOOM_ROUNDS,
+                                     np.sum(lb <= tol + margin))], name
+                assert mask.tobytes() == (vals <= tol).tobytes(), name
+    assert n_split > 0
 
 
 def test_secant_bound_on_a_parabola():
@@ -675,12 +727,10 @@ def test_scale_search_bound_rows_are_batch_independent(name, seed, chunk):
     Cres = F.f.eval_batch(X) - Y
     whole = _scale_search(F.K, Cres, dc, bound=True)
     assert whole[0].tobytes() == _scale_search(F.K, Cres, dc).tobytes()
-    saved = multimap._SCALE_ROWS
-    multimap._SCALE_ROWS = chunk
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multimap, "_MEMBERSHIP_POINTS",
+                   chunk * multimap._SEARCH_GRID.size)
         chunked = _scale_search(F.K, Cres, dc, bound=True)
-    finally:
-        multimap._SCALE_ROWS = saved
     for i in range(12):
         alone = _scale_search(F.K, Cres[i:i + 1], dc, bound=True)
         for a, w, c in zip(alone, whole, chunked):
@@ -692,19 +742,19 @@ def test_scale_search_bound_rows_are_batch_independent(name, seed, chunk):
        st.integers(0, 2 ** 32 - 1))
 def test_membership_rows_are_batch_independent(name, seed):
     # each row, run alone, gets the bits of its value and of its certified
-    # flag that it gets in the batch, on both routes and on the quick one
+    # flag that it gets in the batch, and of its scale-search value
     F, dc = _membership_cases()[name]
     gen = np.random.default_rng(seed)
     X, Y = _membership_rows(F, gen, 12)
     vals, certified = membership_values(F, X, Y, dc)
-    quick, _ = membership_values(F, X, Y, dc, quick=True)
+    v_grid = _scale_search(F.K, F.f.eval_batch(X) - Y, dc)
     for i in range(12):
         one = slice(i, i + 1)
         v, c = membership_values(F, X[one], Y[one], dc)
         assert v.tobytes() == vals[one].tobytes(), i
         assert c.tobytes() == certified[one].tobytes(), i
-        q, _ = membership_values(F, X[one], Y[one], dc, quick=True)
-        assert q.tobytes() == quick[one].tobytes(), i
+        g = _scale_search(F.K, F.f.eval_batch(X[one]) - Y[one], dc)
+        assert g.tobytes() == v_grid[one].tobytes(), i
 
 
 # ---------------------------------------------------------------------------
@@ -744,10 +794,10 @@ def test_envelope_matches_membership_five_hundred_samples(make, dc):
     assert np.all(vals[~finite] > TOL_MEMBER)
 
 
-def _unscreened_envelope(F, dc, X, Y, tol, lipschitz, quick):
-    """The envelope built from the unscreened membership values of every
+def _unscreened_envelope(F, dc, X, Y, tol, lipschitz):
+    """The envelope built from the unscreened scale-search values of every
     row and every probe.  Returns it with the shell and hit row counts."""
-    vals, _ = membership_values(F, X, Y, dc, quick=quick)
+    vals = _scale_search(F.K, F.f.eval_batch(X) - Y, dc)
     member = vals <= tol
     out = np.full(X.shape[0], np.inf)
     out[member] = image_distance_batch(F, X[member], Y[member])
@@ -759,8 +809,8 @@ def _unscreened_envelope(F, dc, X, Y, tol, lipschitz, quick):
     offs = (_probe_directions(F.dim_in)[None, :, :]
             * radii[:, None, None]).reshape(-1, F.dim_in)
     P = (X[shell][:, None, :] + offs[None, :, :]).reshape(-1, F.dim_in)
-    pv, _ = membership_values(F, P, np.repeat(Y[shell], len(offs), axis=0),
-                              dc, quick=quick)
+    pv = _scale_search(F.K, F.f.eval_batch(P)
+                       - np.repeat(Y[shell], len(offs), axis=0), dc)
     hit = shell[np.any(pv.reshape(shell.size, -1) <= tol, axis=1)]
     out[hit] = image_distance_batch(F, X[hit], Y[hit])
     return out, shell.size, hit.size
@@ -779,8 +829,7 @@ def _envelope_rows(F, gen, rows, tol):
     return X, Y
 
 
-@pytest.mark.parametrize("quick", [True, False])
-def test_screened_envelope_is_the_unscreened_envelope(quick):
+def test_screened_envelope_is_the_unscreened_envelope():
     # the screen only skips the scale search on rows whose decisions it
     # has already settled, so the envelope keeps every bit; one y per row.
     # Across the cases some rows must reach the shell, and some of those
@@ -790,9 +839,9 @@ def test_screened_envelope_is_the_unscreened_envelope(quick):
         gen = np.random.default_rng(17)
         for tol in (TOL_MEMBER, 1e-3):
             X, Y = _envelope_rows(F, gen, 100, tol)
-            env = envelope_batch(F, dc, X, Y, tol, 1.5, quick=quick)
+            env = envelope_batch(F, dc, X, Y, tol, 1.5)
             ref, n_shell, n_hit = _unscreened_envelope(F, dc, X, Y, tol,
-                                                       1.5, quick)
+                                                       1.5)
             assert env.tobytes() == ref.tobytes(), (name, tol)
             shells += n_shell
             hits += n_hit
@@ -800,19 +849,46 @@ def test_screened_envelope_is_the_unscreened_envelope(quick):
 
 
 @settings(max_examples=8, deadline=None)
-@given(st.sampled_from(sorted(_membership_cases())), st.booleans(),
+@given(st.sampled_from(sorted(_membership_cases())),
        st.integers(0, 2 ** 32 - 1))
-def test_envelope_rows_are_batch_independent(name, quick, seed):
+def test_envelope_rows_are_batch_independent(name, seed):
     # a (B, m) y pairs row s of X with row s of y; each row gets the bits
     # that one-row call with the matching 1-d y gives it
     F, dc = _membership_cases()[name]
     gen = np.random.default_rng(seed)
     X, Y = _envelope_rows(F, gen, 10, 1e-3)
-    env = envelope_batch(F, dc, X, Y, 1e-3, 1.5, quick=quick)
+    env = envelope_batch(F, dc, X, Y, 1e-3, 1.5)
     for i in range(10):
-        one = envelope_batch(F, dc, X[i:i + 1], Y[i], 1e-3, 1.5,
-                             quick=quick)
+        one = envelope_batch(F, dc, X[i:i + 1], Y[i], 1e-3, 1.5)
         assert one.tobytes() == env[i:i + 1].tobytes(), i
+
+
+@pytest.mark.parametrize("points", [9, 320],
+                         ids=["screen1-search1", "screen35-search5"])
+def test_membership_chunk_boundaries_move_no_bit(points):
+    # passes of _MEMBERSHIP_POINTS grid points split the screen after every
+    # 1 or 35 rows and the scale search after every 1 or 5; the searched
+    # values and bounds, the decisions and the envelope keep the bits of
+    # the default passes
+    for name, (F, dc) in sorted(_membership_cases().items()):
+        gen = np.random.default_rng(29)
+        X, Y = _membership_rows(F, gen, 30)
+        Xe, Ye = _envelope_rows(F, gen, 40, 1e-3)
+        tols = [TOL_MEMBER, 1e-2, *_split_tolerances(F, X, Y, dc)]
+        searched = _screened_search(F, X, Y, dc, TOL_MEMBER, bound=True)[1:]
+        masks = [_member_mask(F, X, Y, dc, tol) for tol in tols]
+        env = envelope_batch(F, dc, Xe, Ye, 1e-3, 1.5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multimap, "_MEMBERSHIP_POINTS", points)
+            chunked = _screened_search(F, X, Y, dc, TOL_MEMBER,
+                                       bound=True)[1:]
+            for a, b in zip(chunked, searched):
+                assert a.tobytes() == b.tobytes(), name
+            for tol, mask in zip(tols, masks):
+                chunked = _member_mask(F, X, Y, dc, tol)
+                assert chunked.tobytes() == mask.tobytes(), (name, tol)
+            chunked = envelope_batch(F, dc, Xe, Ye, 1e-3, 1.5)
+            assert chunked.tobytes() == env.tobytes(), name
 
 
 def test_envelope_rejects_y_of_the_wrong_shape():
