@@ -427,15 +427,15 @@ def image_distance(F: MultiMap, x, y) -> float:
 # ---------------------------------------------------------------------------
 # Preimage distance.
 
-def preimage_distance_batch(F: MultiMap, Y: np.ndarray, X: np.ndarray,
-                            region: SearchRegion | None = None) -> np.ndarray:
+def preimage_distance_batch(F: MultiMap, Y: np.ndarray,
+                            X: np.ndarray) -> np.ndarray:
     """d(x_s, F^{-1}(y_s)) for paired rows of X and Y; +inf when the
     preimage is empty (or, off the exact route, none is found).
 
     Exact (projection onto the pulled-back polyhedron) for affine f with
     polyhedral K.  Otherwise a batched multi-start Gauss-Newton upper bound
-    (see _gauss_newton_preimage), searched in region's box, or with
-    region=None in each row's own box x_s +- 2.  There +inf means either
+    (see _gauss_newton_preimage), searched in each row's own box x_s +- 2,
+    the same for a row alone as in any batch.  There +inf means either
     "certified: no preimage in the clip box", for a polynomial f whose
     interval range over that box misses y_s + box(K) by more than the
     search's tolerance and a rounding margin, or "the search found none".
@@ -445,7 +445,7 @@ def preimage_distance_batch(F: MultiMap, Y: np.ndarray, X: np.ndarray,
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if not F.exact_preimage:
-        return _gauss_newton_preimage(F, Y, X, region)
+        return _gauss_newton_preimage(F, Y, X)
     Kp = as_polyhedron(F.K)
     G = Kp.C @ F.f.A
     # rhs_s = d - C (b - y_s)
@@ -477,8 +477,7 @@ def preimage_distance_batch(F: MultiMap, Y: np.ndarray, X: np.ndarray,
     return out
 
 
-def preimage_distance(F: MultiMap, y, x,
-                      region: SearchRegion | None = None) -> float:
+def preimage_distance(F: MultiMap, y, x) -> float:
     """d(x, F^{-1}(y)); +inf when the preimage is empty (or none is found).
 
     The one-row case of preimage_distance_batch: exact for affine f with
@@ -487,8 +486,7 @@ def preimage_distance(F: MultiMap, y, x,
     """
     x = as_vector(x, F.dim_in, "x")
     y = as_vector(y, F.dim_out, "y")
-    return float(preimage_distance_batch(F, y[None, :], x[None, :],
-                                         region)[0])
+    return float(preimage_distance_batch(F, y[None, :], x[None, :])[0])
 
 
 _GN_TOL = 1e-8
@@ -496,37 +494,30 @@ _GN_ITERS = 60
 _GN_HALVINGS = 25
 _GN_MAX_CORNERS = 64
 _GN_GRID_CAP = 4096
+_GN_GRID_RESOLUTION = 9   # nodes per axis of the fallback start's grid
 _GN_PULL = np.geomspace(1.0, 0.02, 12)
 
 
-def _gauss_newton_preimage(F: MultiMap, Y: np.ndarray, X: np.ndarray,
-                           region: SearchRegion | None) -> np.ndarray:
+def _gauss_newton_preimage(F: MultiMap, Y: np.ndarray,
+                           X: np.ndarray) -> np.ndarray:
     """Multi-start Gauss-Newton upper bound on d(x_s, F^{-1}(y_s)).
 
-    Every iterate of the search is clipped to the row's clip box [lo, hi],
-    its search box widened by its width on each side.  For a polynomial f
-    the rows whose clip box provably holds no u with d(K, f(u) - y_s) <=
-    _GN_TOL (_no_preimage_rows) get +inf, the value the search gives them,
-    without running it.  The other rows run _gauss_newton_rows.  So +inf
-    means either "certified: no preimage in the clip box" or "the search
-    found none".
+    Each row searches its own box x_s +- 2, and every iterate is clipped to
+    the row's clip box [lo, hi], its search box widened by its width on
+    each side.  For a polynomial f the rows whose clip box provably holds
+    no u with d(K, f(u) - y_s) <= _GN_TOL (_no_preimage_rows) get +inf, the
+    value the search gives them, without running it.  The other rows run
+    _gauss_newton_rows.  So +inf means either "certified: no preimage in
+    the clip box" or "the search found none".
     """
-    B, n = X.shape
-    if region is None:
-        # default_region(x_s, 2.0) for each row
-        boxes = np.stack([X - 2.0, X + 2.0], axis=-1)
-        resolution = 9
-    else:
-        boxes = np.broadcast_to(region.box, (B, n, 2))
-        resolution = region.grid_resolution
+    boxes = np.stack([X - 2.0, X + 2.0], axis=-1)
     width = boxes[..., 1] - boxes[..., 0]
     lo, hi = boxes[..., 0] - width, boxes[..., 1] + width
-    out = np.full(B, np.inf)
+    out = np.full(X.shape[0], np.inf)
     open_ = np.flatnonzero(~_no_preimage_rows(F, Y, lo, hi))
     if open_.size:
         out[open_] = _gauss_newton_rows(F, Y[open_], X[open_], boxes[open_],
-                                        lo[open_], hi[open_], resolution,
-                                        shared=region is not None)
+                                        lo[open_], hi[open_])
     return out
 
 
@@ -624,10 +615,10 @@ def _outer_box(K: ConvexSet):
 
 
 def _gauss_newton_rows(F: MultiMap, Y: np.ndarray, X: np.ndarray,
-                       boxes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                       resolution: int, shared: bool) -> np.ndarray:
-    """The search itself, on rows with search boxes (B, n, 2), clip boxes
-    [lo, hi] and grid resolution for the fallback start.
+                       boxes: np.ndarray, lo: np.ndarray,
+                       hi: np.ndarray) -> np.ndarray:
+    """The search itself, on rows with search boxes (B, n, 2) and clip
+    boxes [lo, hi].
 
     Each row starts from x_s, its box center and at most 64 box corners.
     A row none of whose starts reaches f(u) - y_s in K starts once more
@@ -649,56 +640,46 @@ def _gauss_newton_rows(F: MultiMap, Y: np.ndarray, X: np.ndarray,
     U, ok = U.reshape(B, S, n), ok.reshape(B, S)
     dists = np.where(ok, np.linalg.norm(X[:, None, :] - U, axis=-1), np.inf)
     first = np.argmin(dists, axis=1)
-    rows = np.arange(B)
-    u_best = U[rows, first]
-    d_best = dists[rows, first]
+    u_best, d_best = U[np.arange(B), first], dists[np.arange(B), first]
 
-    lost = np.where(~ok.any(axis=1))[0]
+    def take_nearer(rows, U0):
+        """Search the rows from U0; keep a converged point where it is
+        nearer x_s than the incumbent (any point, for a row at +inf)."""
+        u, found = _damped_gauss_newton(F, Y[rows], U0, lo[rows], hi[rows])
+        dd = np.linalg.norm(X[rows] - u, axis=-1)
+        better = found & (dd < d_best[rows])
+        u_best[rows[better]] = u[better]
+        d_best[rows[better]] = dd[better]
+
+    lost = np.flatnonzero(~ok.any(axis=1))
     if lost.size:
-        u0 = _grid_starts(F, Y[lost], boxes[lost], resolution, shared)
-        u, found = _damped_gauss_newton(F, Y[lost], u0, lo[lost], hi[lost])
-        took = lost[found]
-        u_best[took] = u[found]
-        d_best[took] = np.linalg.norm(X[took] - u[found], axis=-1)
-
+        take_nearer(lost, _grid_starts(F, Y[lost], boxes[lost]))
     # pull the incumbent toward x along the segment; keeps the bound honest
-    live = np.where(np.isfinite(d_best))[0]
+    live = np.flatnonzero(np.isfinite(d_best))
     for t in _GN_PULL:
         x = X[live]
-        u, found = _damped_gauss_newton(F, Y[live],
-                                        x + t * (u_best[live] - x),
-                                        lo[live], hi[live])
-        dd = np.linalg.norm(x - u, axis=-1)
-        better = found & (dd < d_best[live])
-        u_best[live[better]] = u[better]
-        d_best[live[better]] = dd[better]
+        take_nearer(live, x + t * (u_best[live] - x))
     return d_best
 
 
-def _grid_starts(F: MultiMap, Y: np.ndarray, boxes: np.ndarray,
-                 resolution: int, shared: bool) -> np.ndarray:
-    """Per row, the node of least d(f(u) - y, K) on its box grid (cap 4096).
+def _grid_starts(F: MultiMap, Y: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Per row, the node of least d(f(u) - y, K) on its box grid
+    (_GN_GRID_RESOLUTION nodes an axis, cap 4096).
 
-    A shared box is gridded and mapped once.  Rows go a few at a time, so
-    at most max(N, 4096) grid nodes are live however many rows are lost.
+    Rows go a few at a time, so at most max(N, 4096) grid nodes are live
+    however many rows are lost.
     """
     B, n = Y.shape[0], boxes.shape[1]
-    nodes = _grid_nodes(boxes[:1], resolution, _GN_GRID_CAP)   # (1, N, n)
-    N = nodes.shape[1]
-    if shared:
-        img = F.f.eval_batch(nodes[0])[None]
+    N = _grid_nodes(boxes[:1], _GN_GRID_RESOLUTION, _GN_GRID_CAP).shape[1]
     chunk = max(1, _GN_GRID_CAP // N)
     out = np.empty((B, n))
     for a in range(0, B, chunk):
         rows = np.arange(a, min(a + chunk, B))
-        if not shared:
-            nodes = _grid_nodes(boxes[rows], resolution, _GN_GRID_CAP)
-            img = F.f.eval_batch(nodes.reshape(-1, n))
-            img = img.reshape(rows.size, N, -1)
+        nodes = _grid_nodes(boxes[rows], _GN_GRID_RESOLUTION, _GN_GRID_CAP)
+        img = F.f.eval_batch(nodes.reshape(-1, n)).reshape(rows.size, N, -1)
         r = (img - Y[rows][:, None, :]).reshape(rows.size * N, -1)
         pick = np.argmin(F.K.distance_batch(r).reshape(rows.size, N), axis=1)
-        at = np.zeros(rows.size, int) if shared else np.arange(rows.size)
-        out[rows] = nodes[at, pick]
+        out[rows] = nodes[np.arange(rows.size), pick]
     return out
 
 

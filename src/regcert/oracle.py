@@ -43,6 +43,7 @@ from .geometry import (
     ProductSet,
     Singleton,
     as_vector,
+    row_matmul,
 )
 from .multimap import AffineMap, MultiMap
 from .regularity import RegularityQuery, robinson_condition
@@ -176,26 +177,18 @@ def clamp_distance_batch(K: ConvexSet, Z: np.ndarray) -> np.ndarray:
     live = sq > 1e-300
     C, d, s = K.C[live], K.d[live], sq[live]
 
-    def dot(W, row):
-        # NumPy sends a one-row product to a different BLAS kernel, which
-        # rounds differently; doubling a lone row keeps every row's value
-        # independent of the batch it arrives in
-        if W.shape[0] == 1:
-            return (np.repeat(W, 2, axis=0) @ row)[:1]
-        return W @ row
-
     def sweep(W, passes):
         for _ in range(passes):
             for row, rhs, ss in zip(C, d, s):
-                viol = np.maximum(dot(W, row) - rhs, 0.0) / ss
+                viol = np.maximum(row_matmul(W, row) - rhs, 0.0) / ss
                 W -= viol[:, None] * row[None, :]
         return W
 
     def max_violation(W):
         out = np.zeros(W.shape[0])
         for row, rhs, ss in zip(C, d, s):
-            np.maximum(out, np.maximum(dot(W, row) - rhs, 0.0) / np.sqrt(ss),
-                       out=out)
+            viol = np.maximum(row_matmul(W, row) - rhs, 0.0)
+            np.maximum(out, viol / np.sqrt(ss), out=out)
         return out
 
     W = sweep(Z.copy(), _SWEEP_PASSES)
@@ -230,8 +223,7 @@ def _warn_if_coarse(F: MultiMap, x: np.ndarray, y: np.ndarray,
                       "is likely too coarse", GridTooCoarse)
 
 
-def grid_preimage_distance(F: MultiMap, y, x, g: Grid,
-                           warn_coarse: bool = True) -> float:
+def grid_preimage_distance(F: MultiMap, y, x, g: Grid) -> float:
     """min ||x - u|| over lattice u with d(K, f(u) - y) <= TOL_FEAS.
 
     The query point x joins the candidates, so a feasible x gives 0 even
@@ -250,7 +242,7 @@ def grid_preimage_distance(F: MultiMap, y, x, g: Grid,
         feas = clamp_distance_batch(F.K, F.f.eval_batch(U) - y) <= TOL_FEAS
         if np.any(feas):
             best = min(best, float(np.linalg.norm(U[feas] - x, axis=1).min()))
-    if not np.isfinite(best) and warn_coarse:
+    if not np.isfinite(best):
         _warn_if_coarse(F, x, y, "no feasible lattice point")
     return best
 

@@ -7,6 +7,13 @@ global-slope pass takes a per-centre field g(U, owner) -> (B,), owner[i]
 being the centre whose field evaluates row i of U, and still scores every
 centre in one stack.
 
+The field contract: a field evaluates each row the same, bit for bit,
+whatever else its batch holds, a one-row batch included.  regcert's fields
+meet it, since their affine maps multiply through geometry.row_matmul and
+the rest is elementwise or per row.  Under a field such as X @ A.T, whose
+one-row product NumPy rounds differently, the estimates stay valid bounds
+but a point's bits may depend on its batch.
+
 The local estimator samples spheres on a halving radius ladder and keeps the
 steepest observed descent ratio [f(x) - f(y)]+ / |x - y|; the global variant
 adds region-wide samples, lattice nodes, and a deterministic coordinate
@@ -22,10 +29,8 @@ f at the point.  It batches both halves: all its slope candidates go
 through one global-slope pass (_global_slopes: the region samples and
 lattice nodes evaluated once, one stacked coordinate ascent over every
 centre), and its boundary hits descend in lockstep (_direction_descent).
-Each candidate and each hit gets the same bits as it would alone, as long
-as the field's multi-row batches evaluate rows independently; one-row
-calls stay one-row, because a field such as X @ A.T with a skew A rounds
-a lone row differently.
+Under the field contract each candidate and each hit gets the same bits as
+it would alone.
 """
 
 from __future__ import annotations
@@ -202,16 +207,14 @@ def _global_slopes(f: Field | CentreField, X: np.ndarray,
     CentreField f(U, owner), owner[i] being the row of X whose field
     evaluates row i of U.  A shared field evaluates the region samples and
     lattice nodes once, a per-centre field for every centre in one stacked
-    call.  The coordinate ascents of every
-    centre, from its prefix argmaxes and from its local ladder, run as one
-    stack with an owner index per row.  Each centre keeps its one-row f(x)
-    and the sampling streams of a lone call, so for a field whose rows
-    evaluate independently a centre gets the same estimate alone and in
-    any batch.
+    call.  The coordinate ascents of every centre, from its prefix argmaxes
+    and from its local ladder, run as one stack with an owner index per
+    row.  Each centre keeps the sampling streams of a lone call, so under
+    the field contract a centre gets the same estimate alone and in any
+    batch.
     """
     g = f if per_centre else _shared(f)
-    fx = np.array([float(g(x[None, :], np.array([c]))[0])
-                   for c, x in enumerate(X)])
+    fx = g(X, np.arange(X.shape[0]))
     out = [SlopeEstimate(np.inf, [], [], "global") for _ in X]
     live = np.flatnonzero(~np.isinf(fx))
     if live.size == 0:
@@ -297,22 +300,12 @@ def _bisect(f: Field, xbar, D, hi, iters: int):
     nonpositive; f(xbar + hi D) <= 0 must hold.  Returns the feasible end
     of each final bracket.
 
-    A lone row takes one step a call.  More rows take _TREE_LEVELS steps a
-    call: the call evaluates every midpoint those steps can reach, each
-    built by the same 0.5 * (lo + hi) chain from its parent bracket, and
-    the path is walked afterwards, so each row gets the bits of the step-
-    by-step loop.  The lone row stays out of the tree because its one-row
-    field calls would become many-row calls, which some fields (X @ A.T
-    with a skew A) round differently."""
+    Each field call takes _TREE_LEVELS steps: it evaluates every midpoint
+    those steps can reach, each built by the same 0.5 * (lo + hi) chain
+    from its parent bracket, and the path is walked afterwards, so under
+    the field contract each row gets the bits of the step-by-step loop."""
     B, n = D.shape
     lo = np.zeros(B)
-    if B == 1:
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            feas = f(xbar[None, :] + mid[:, None] * D) <= 0.0
-            hi = np.where(feas, mid, hi)
-            lo = np.where(feas, lo, mid)
-        return hi
     rows = np.arange(B)
     done = 0
     while done < iters:
@@ -382,8 +375,7 @@ def _polish_boundary(f: Field, xbar, w, d):
     finite-difference gradient at the current boundary point converges in
     one step on flat boundaries; corners are left to _direction_descent.
     Never returns a worse point than it was given.  Runs on one hit at a
-    time: its reach and bisection calls are one-row batches, and a field
-    such as X @ A.T with a skew A rounds a one-row batch differently."""
+    time."""
     best_w = np.asarray(w, dtype=float).copy()
     best_d = float(d)
     for _ in range(_POLISH_ROUNDS):
@@ -526,10 +518,9 @@ def error_bound_certificate(f: Field, xbar, region: SearchRegion,
     ok = inside & (fU <= f_val)
     cand = [U[i] for i in np.where(ok)[0][:max_slope_points]]
     if boundary_witness is not None:
-        for t in np.linspace(0.15, 0.9, 5):
-            c = xbar + t * (boundary_witness - xbar)
-            if _at(f, c) <= f_val:
-                cand.append(c)
+        t = np.linspace(0.15, 0.9, 5)
+        seg = xbar + t[:, None] * (boundary_witness - xbar)
+        cand.extend(seg[f(seg) <= f_val])
         cand.extend(_low_slope_probes(f, xbar, f_val, d_S, region))
     cand.append(xbar)
 

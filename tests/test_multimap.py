@@ -240,12 +240,11 @@ def test_polynomial_preimage_agrees_with_exact_affine_route():
     exact, poly = linear_as_polynomial()
     assert exact.exact_preimage and not poly.exact_preimage
     gen = np.random.default_rng(11)
-    region = default_region(np.zeros(2), 3.0)
     for _ in range(12):
         x = gen.uniform(-1.5, 1.5, size=2)
         y = gen.uniform(-1.0, 1.0, size=2)
         d_exact = preimage_distance(exact, y, x)
-        d_poly = preimage_distance(poly, y, x, region)
+        d_poly = preimage_distance(poly, y, x)
         assert np.isfinite(d_exact)
         # iterative route is an upper bound; here it should be tight
         assert d_poly == pytest.approx(d_exact, abs=1e-5)
@@ -306,20 +305,17 @@ def test_gauss_newton_batch_matches_the_scalar_reference():
                      (linear_as_polynomial()[1], False)):
         X = gen.uniform(-1.5, 1.5, size=(25, F.dim_in))
         Y = gen.uniform(-1.0, 1.0, size=(25, F.dim_out))
-        shared = default_region(np.full(F.dim_in, 0.5), 1.0)
-        for region in (None, shared):
-            batch = preimage_distance_batch(F, Y, X, region)
-            ref = np.array([
-                scalar_gauss_newton(F, y, x, (region or
-                                              default_region(x, 2.0)).box)
-                for x, y in zip(X, Y)])
-            assert np.array_equal(np.isinf(batch), np.isinf(ref))
-            if exact:
-                # one input and one output: the same arithmetic, bit for bit
-                assert batch.tobytes() == ref.tobytes()
-            else:
-                # row norms sum in another order than a 1-d norm's dot
-                assert np.allclose(batch, ref, rtol=0, atol=1e-12)
+        batch = preimage_distance_batch(F, Y, X)
+        ref = np.array([
+            scalar_gauss_newton(F, y, x, default_region(x, 2.0).box)
+            for x, y in zip(X, Y)])
+        assert np.array_equal(np.isinf(batch), np.isinf(ref))
+        if exact:
+            # one input and one output: the same arithmetic, bit for bit
+            assert batch.tobytes() == ref.tobytes()
+        else:
+            # row norms sum in another order than a 1-d norm's dot
+            assert np.allclose(batch, ref, rtol=0, atol=1e-12)
 
 
 def _gauss_newton_maps():
@@ -334,22 +330,20 @@ def _gauss_newton_maps():
 
 @settings(max_examples=6, deadline=None)
 @given(st.sampled_from(sorted(_gauss_newton_maps())),
-       st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_gauss_newton_rows_are_batch_independent(name, seed, shared_region):
+       st.integers(0, 2 ** 32 - 1))
+def test_gauss_newton_rows_are_batch_independent(name, seed):
     # each row of the batched search gives, bit for bit, what it gives alone
     F = _gauss_newton_maps()[name]
     gen = np.random.default_rng(seed)
     X = gen.uniform(-1.5, 1.5, size=(20, F.dim_in))
     Y = gen.uniform(-1.0, 1.0, size=(20, F.dim_out))
-    region = default_region(np.zeros(F.dim_in), 3.0) if shared_region \
-        else None
-    batch = preimage_distance_batch(F, Y, X, region)
+    batch = preimage_distance_batch(F, Y, X)
     for i in range(20):
-        alone = preimage_distance_batch(F, Y[i:i + 1], X[i:i + 1], region)
+        alone = preimage_distance_batch(F, Y[i:i + 1], X[i:i + 1])
         assert alone.tobytes() == batch[i:i + 1].tobytes(), i
-        assert preimage_distance(F, Y[i], X[i], region) == alone[0]
+        assert preimage_distance(F, Y[i], X[i]) == alone[0]
     # reversing the batch moves no row either
-    back = preimage_distance_batch(F, Y[::-1], X[::-1], region)
+    back = preimage_distance_batch(F, Y[::-1], X[::-1])
     assert back[::-1].tobytes() == batch.tobytes()
 
 
@@ -364,25 +358,20 @@ def test_grid_fallback_start_is_each_rows_own_grid_argmin(dim, rows):
     gen = np.random.default_rng(7)
     X = gen.uniform(-1.0, 1.0, size=(rows, dim))
     Y = gen.uniform(-1.0, 3.0, size=(rows, 1))
-    shared = default_region(np.full(dim, 0.5), 1.5)
-    for region in (None, shared):
-        regions = [region or default_region(x, 2.0) for x in X]
-        boxes = np.stack([r.box for r in regions])
-        starts = _grid_starts(F, Y, boxes, regions[0].grid_resolution,
-                              shared=region is not None)
-        for i, r in enumerate(regions):
-            nodes = r.grid_nodes(cap=4096)
-            resid = F.K.distance_batch(F.f.eval_batch(nodes) - Y[i])
-            assert starts[i].tobytes() == nodes[np.argmin(resid)].tobytes()
+    regions = [default_region(x, 2.0) for x in X]
+    starts = _grid_starts(F, Y, np.stack([r.box for r in regions]))
+    for i, r in enumerate(regions):
+        nodes = r.grid_nodes(cap=4096)
+        resid = F.K.distance_batch(F.f.eval_batch(nodes) - Y[i])
+        assert starts[i].tobytes() == nodes[np.argmin(resid)].tobytes()
 
 
 def test_empty_preimage_reported_infinite_for_polynomial():
     # x^2 - 1 = y has no solution for y < -1
     F = MultiMap(PolynomialMap(1, [[(1.0, (2,)), (-1.0, (0,))]]),
                  Singleton(np.zeros(1)))
-    region = default_region(np.zeros(1), 2.0)
-    assert preimage_distance(F, [-2.0], [0.0], region) == np.inf
-    assert preimage_distance(F, [0.0], [0.0], region) == pytest.approx(
+    assert preimage_distance(F, [-2.0], [0.0]) == np.inf
+    assert preimage_distance(F, [0.0], [0.0]) == pytest.approx(
         1.0, abs=1e-6)
 
 
@@ -414,20 +403,20 @@ def _random_polynomial_problem(gen, kind):
     return MultiMap(_random_polynomial(gen, dim_in, dim_out), K)
 
 
-def _unscreened(F, Y, X, region):
+def _unscreened(F, Y, X):
     """preimage_distance_batch with the range screen switched off, so every
     row runs the search (_gauss_newton_rows)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multimap, "_no_preimage_rows",
                    lambda F, Y, lo, hi: np.zeros(Y.shape[0], dtype=bool))
-        return preimage_distance_batch(F, Y, X, region)
+        return preimage_distance_batch(F, Y, X)
 
 
 @settings(max_examples=16, deadline=None)
 @given(st.sampled_from(sorted(_gauss_newton_maps())
                        + ["singleton", "ball", "product", "orthant"]),
-       st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_range_screen_moves_no_bit(name, seed, shared_region):
+       st.integers(0, 2 ** 32 - 1))
+def test_range_screen_moves_no_bit(name, seed):
     # a row the screen excludes is one the search gives +inf, so the
     # screened batch is the unscreened one bit for bit
     gen = np.random.default_rng(seed)
@@ -435,10 +424,8 @@ def test_range_screen_moves_no_bit(name, seed, shared_region):
                                                                      name)
     X = gen.uniform(-1.5, 1.5, size=(10, F.dim_in))
     Y = gen.uniform(-3.0, 3.0, size=(10, F.dim_out))
-    region = default_region(np.zeros(F.dim_in), 1.0) if shared_region \
-        else None
-    batch = preimage_distance_batch(F, Y, X, region)
-    assert batch.tobytes() == _unscreened(F, Y, X, region).tobytes()
+    batch = preimage_distance_batch(F, Y, X)
+    assert batch.tobytes() == _unscreened(F, Y, X).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -508,7 +495,7 @@ def test_range_screen_skips_rows_without_a_preimage():
     assert seen.size and np.all(seen > -1e-6)
     assert np.any(seen == -5e-9)
     assert np.all(np.isinf(batch[:6])) and np.all(np.isfinite(batch[6:]))
-    assert batch.tobytes() == _unscreened(F, Y, X, None).tobytes()
+    assert batch.tobytes() == _unscreened(F, Y, X).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -254,8 +254,11 @@ def test_grid_preimage_frozen_values():
     g = Grid(np.array([[-5.0, 5.0]]), 101)
     assert grid_preimage_distance(F, [2.0, 1.0], [0.0], g) == pytest.approx(
         2.0, abs=1e-12)
-    assert grid_preimage_distance(F, [2.0, -1.0], [0.0], g,
-                                  warn_coarse=False) == np.inf
+    # no lattice point is feasible, and the interiority LP fails at this y,
+    # so no GridTooCoarse warning fires
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert grid_preimage_distance(F, [2.0, -1.0], [0.0], g) == np.inf
     # a feasible query point wins regardless of the lattice
     assert grid_preimage_distance(F, [0.3, 5.0], [0.3], g) == 0.0
 

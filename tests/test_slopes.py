@@ -1,5 +1,7 @@
 """Slope estimators and the sublevel error-bound certificate."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 from conftest import orthant_instance
 from regcert import (InSet, error_bound_certificate, global_slope,
                      local_slope)
-from regcert.instances import builtin
-from regcert.multimap import (SearchRegion, default_region,
+from regcert.geometry import row_matmul
+from regcert.instances import builtin, registry_names
+from regcert.multimap import (SearchRegion, default_region, envelope_batch,
                               image_distance_batch)
+from regcert.problems import load_problem
 from regcert.slopes import (_DESCENT_FACTORS, _TREE_LEVELS, _bisect,
                             _direction_descent, _fd_gradient, _global_slopes,
                             _reach, _segment_hits, default_local_r0)
@@ -101,10 +105,12 @@ def test_error_bound_registry_pair_frozen():
 def test_error_bound_random_orthant_frozen():
     # the first three of criterion 03's random orthant certificates, compared
     # bit for bit; unlike the registry pair, their boundary feet are off the
-    # lattice, so these values move with the bisection and the polish
+    # lattice, so these values move with the bisection and the polish.  The
+    # field multiplies through row_matmul, as regcert's affine maps do, so
+    # it meets the field contract of the slopes module
     expect = [
-        (0.9802029365168176, 0.9999999999146097,
-         [1.9918156485771255, -0.9092269150570673, 0.35341102377864186], 20),
+        (0.9802029365168176, 0.9999999999146102,
+         [1.9918156486170238, -0.9092269151175363, 0.3534110237939684], 20),
         (0.10193449685457764, 1.0, [-0.4416340151834828], 19),
         (1.1871203203758198, 0.9999999999999867,
          [0.5406122747558834, 0.21648963272173516], 20),
@@ -115,8 +121,8 @@ def test_error_bound_random_orthant_frozen():
         A, b = F.f.A, F.f.b
 
         def field(X, A=A, b=b):
-            return np.linalg.norm(np.maximum(X @ A.T + b[None, :], 0.0),
-                                  axis=1)
+            return np.linalg.norm(
+                np.maximum(row_matmul(X, A.T) + b[None, :], 0.0), axis=1)
 
         box = np.stack([xbar - 2.0, xbar + 2.0], axis=1)
         cert = error_bound_certificate(field, xbar,
@@ -256,11 +262,10 @@ def test_bisection_tree_is_the_step_loop_bit_for_bit(name, rows, iters,
 
     got = _bisect(counted, xbar, D, hi, iters)
     assert got.tobytes() == _bisect_steps(f, xbar, D, hi, iters).tobytes()
-    # a lone row steps once a call; more rows take _TREE_LEVELS steps a
-    # call, 9 calls for the 45 steps of a descent ray
-    k = 1 if rows == 1 else _TREE_LEVELS
-    assert len(calls) == -(-iters // k)
-    if rows > 1 and iters == 45:
+    # _TREE_LEVELS steps a call at every row count, a lone row included:
+    # 9 calls for the 45 steps of a descent ray
+    assert len(calls) == -(-iters // _TREE_LEVELS)
+    if iters == 45:
         assert len(calls) == 9
 
 
@@ -305,6 +310,48 @@ def test_direction_descent_hits_are_batch_independent(name, seed):
         Wi, di = _direction_descent(f, xbar, W[i:i + 1], d[i:i + 1])
         assert Wi.tobytes() == W3[i:i + 1].tobytes(), i
         assert di.tobytes() == d3[i:i + 1].tobytes(), i
+
+
+PROBLEM_FILES = ("rotated_halfplane.json", "round_k.json")
+
+
+def _contract_problem(name):
+    """(F, x0, y0, dc) of a registry instance, or of one of the two problem
+    files the report digests run: a skew K and a polynomial map into a
+    product K."""
+    if name in PROBLEM_FILES:
+        p = load_problem(str(Path(__file__).resolve().parents[1] / "tools"
+                             / name))
+    else:
+        p = builtin(name)
+    return p.F, p.x0, p.y0, p.dc
+
+
+@pytest.mark.parametrize("name", registry_names() + PROBLEM_FILES)
+def test_regcert_fields_meet_the_field_contract(name):
+    # the slope estimators assume that a field evaluates each row the same
+    # whatever else its batch holds, a lone row included; every row of a
+    # 40-row image distance and envelope call is its one-row call, bit for
+    # bit.  Odd rows put y within a few tolerances of F(x), where the
+    # envelope's closure probes run
+    F, x0, y0, dc = _contract_problem(name)
+    gen = np.random.default_rng(41)
+    tol = 1e-3
+    X = x0 + gen.uniform(-1.25, 1.25, (40, F.dim_in))
+    Y = y0 + gen.uniform(-1.5, 1.5, (40, F.dim_out))
+    near = np.arange(40) % 2 == 1
+    Y[near] = (F.f.eval_batch(X[near]) - F.K.project_batch(Y[near])
+               + tol * gen.uniform(0.1, 4.0, (20, 1))
+               * gen.standard_normal((20, F.dim_out)))
+    lip = F.lipschitz_bound(np.stack([x0 - 1.25, x0 + 1.25], axis=1))
+    fields = [lambda X, Y: image_distance_batch(F, X, Y)]
+    if dc is not None:
+        fields.append(lambda X, Y: envelope_batch(F, dc, X, Y, tol, lip))
+    for field in fields:
+        batch = field(X, Y)
+        for i in range(40):
+            one = field(X[i:i + 1], Y[i:i + 1])
+            assert one.tobytes() == batch[i:i + 1].tobytes(), (name, i)
 
 
 # ---------------------------------------------------------------------------

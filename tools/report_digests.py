@@ -37,11 +37,17 @@ COMMANDS = (
          "report.json"),
         (["slope", "diag_2_05", "--tau", "2", "--n-points", "8", "--seed",
           "3"], "report.json"),
-        # the only command whose slopes read the cone envelope field
+        # slopes of the cone envelope field; no row of this run reaches the
+        # envelope's probe shell
         (["slope", "halfplane_directional", "--tau", "1.1", "--n-points",
           "6", "--slope-budget", "100", "--seed", "3"], "report.json"),
+        # the same with a tube tolerance of 1e-3: the only command whose
+        # envelope rows reach the probe shell (the closure probes)
+        (["slope", "halfplane_directional", "--tau", "1.1", "--n-points",
+          "6", "--slope-budget", "100", "--tol", "1e-3", "--seed", "3"],
+         "report.json"),
         # the same at the default slope budget, with enough pairs that the
-        # stacked envelope field and its probe shell carry the work
+        # stacked envelope field carries the work; no shell row either
         (["slope", "halfplane_directional", "--tau", "1.1", "--n-points",
           "24", "--seed", "3"], "report.json"),
         (["robinson", "halfplane_directional", "--ybar", "0,-1", "--seed",
