@@ -18,11 +18,22 @@ candidate groups and the blocked distances of the nearest-point search,
 which keep np.linalg.norm's summation order.  Each row's value is the one
 it would get alone, bit for bit, and the sup takes the targets' ratios in
 lattice order, so max sees them in the order a per-target loop would.
+
+The stacked callers (the image distances, the membership scan and the
+pool rounds' hit test) build their points axis-major, as C-contiguous
+(dim, rows) arrays, and pass the transposed view to clamp_distance_batch.
+Its box path then clamps one contiguous column per axis against scalar
+bounds and sums the squares left to right, which is the order
+np.linalg.norm(axis=1) sums at most 3 axes in, so the distances are the
+row-wise norm's bit for bit.  A polyhedron's box form is derived once per
+(C, d) and cached here, apart from geometry's caches, so the oracle's
+routes stay independent of the estimators'.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,25 +138,45 @@ class Grid:
 # ---------------------------------------------------------------------------
 # Independent set distances.
 
+def _axis_bounds(C: np.ndarray, d: np.ndarray):
+    """(lo, hi) bounds when every row of C z <= d bounds one coordinate,
+    else None."""
+    lo = np.full(C.shape[1], -np.inf)
+    hi = np.full(C.shape[1], np.inf)
+    for row, rhs in zip(C, d):
+        nz = np.nonzero(row)[0]
+        if nz.size != 1:
+            return None
+        j = nz[0]
+        if row[j] > 0:
+            hi[j] = min(hi[j], rhs / row[j])
+        else:
+            lo[j] = max(lo[j], rhs / row[j])
+    if np.any(lo > hi + 1e-12):
+        raise EmptySet("box form of K has crossing bounds")
+    return lo, np.maximum(hi, lo)
+
+
+@lru_cache(maxsize=64)
+def _polyhedron_box(shape: tuple, C_data: bytes, d_data: bytes):
+    """_axis_bounds of the system C z <= d that the bytes hold.  An
+    EmptySet is raised, not cached, so crossing bounds raise every call."""
+    form = _axis_bounds(np.frombuffer(C_data).reshape(shape),
+                        np.frombuffer(d_data))
+    if form is not None:
+        # every caller of the cache shares these arrays
+        for a in form:
+            a.setflags(write=False)
+    return form
+
+
 def _box_form(K: ConvexSet):
-    """(lo, hi) bounds when K is an axis-aligned box, else None."""
+    """(lo, hi) bounds when K is an axis-aligned box, else None.  A
+    polyhedron's form is derived once per (C, d) and returned read-only."""
     if isinstance(K, Singleton):
         return K.point.copy(), K.point.copy()
     if isinstance(K, Polyhedron):
-        lo = np.full(K.dim, -np.inf)
-        hi = np.full(K.dim, np.inf)
-        for row, rhs in zip(K.C, K.d):
-            nz = np.nonzero(row)[0]
-            if nz.size != 1:
-                return None
-            j = nz[0]
-            if row[j] > 0:
-                hi[j] = min(hi[j], rhs / row[j])
-            else:
-                lo[j] = max(lo[j], rhs / row[j])
-        if np.any(lo > hi + 1e-12):
-            raise EmptySet("box form of K has crossing bounds")
-        return lo, np.maximum(hi, lo)
+        return _polyhedron_box(K.C.shape, K.C.tobytes(), K.d.tobytes())
     return None
 
 
@@ -155,6 +186,16 @@ def clamp_distance_batch(K: ConvexSet, Z: np.ndarray) -> np.ndarray:
     Exact for boxes (clamp), singletons, balls, and products of those; for
     a polyhedron with skew rows it falls back to cyclic halfspace sweeps
     and returns a certified upper bound (travel plus residual slack).
+
+    A box distance runs one axis at a time with scalar bounds: w = z_j -
+    min(max(z_j, lo_j), hi_j), squared in place and summed over j left to
+    right, then sqrt.  np.linalg.norm(axis=1) is sqrt(add.reduce(x * x)),
+    and for the at most 3 axes the oracle allows that reduce also sums left
+    to right, so the value is norm(Z - clip(Z, lo, hi)) bit for bit; the
+    sign of a zero dies in the square, and NaN and inf propagate the same
+    way.  Z may be the transpose of a C-contiguous (dim, rows) array, as
+    the oracle's stacked callers pass it, so each axis is one contiguous
+    column.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if isinstance(K, Ball):
@@ -170,7 +211,15 @@ def clamp_distance_batch(K: ConvexSet, Z: np.ndarray) -> np.ndarray:
     form = _box_form(K)
     if form is not None:
         lo, hi = form
-        return np.linalg.norm(Z - np.clip(Z, lo, hi), axis=1)
+        acc = np.zeros(Z.shape[0])
+        for j in range(Z.shape[1]):
+            z = Z[:, j]
+            w = np.maximum(z, lo[j])
+            np.minimum(w, hi[j], out=w)
+            np.subtract(z, w, out=w)
+            w *= w
+            acc += w
+        return np.sqrt(acc, out=acc)
     if not isinstance(K, Polyhedron):
         raise InvalidParameter(f"no oracle distance for {type(K).__name__}")
     sq = np.einsum("ij,ij->i", K.C, K.C)
@@ -288,11 +337,15 @@ def _clamp_rows(K: ConvexSet, Z: np.ndarray) -> np.ndarray:
 def _target_distances(K: ConvexSet, fX: np.ndarray,
                       V: np.ndarray) -> np.ndarray:
     """d_K(fX[j] - V[t]) as a (targets, rows) array, built for as many
-    targets at a time as _CHUNK_ROWS (target, row) pairs hold."""
-    per = max(1, _CHUNK_ROWS // fX.shape[0])
+    targets at a time as _CHUNK_ROWS (target, row) pairs hold.  The pairs
+    are stacked axis-major, as a C-contiguous (dim, pairs) array."""
+    n, dim = fX.shape
+    per = max(1, _CHUNK_ROWS // n)
+    VT = V.T[:, :, None]
     return np.concatenate([
-        _clamp_rows(K, (fX[None, :, :] - V[a:a + per, None, :])
-                    .reshape(-1, fX.shape[1])).reshape(-1, fX.shape[0])
+        _clamp_rows(K, np.subtract(fX.T[:, None, :], VT[:, a:a + per],
+                                   order="C").reshape(dim, -1).T)
+        .reshape(-1, n)
         for a in range(0, V.shape[0], per)])
 
 
@@ -347,9 +400,10 @@ def _preimage_pool(F: MultiMap, V: np.ndarray, g: Grid, G: np.ndarray,
         hit = np.empty((centers.shape[0], per), dtype=bool)
         for c in range(0, centers.shape[0], group):
             cand = (centers[c:c + group, None, :] + step).reshape(-1, n)
-            diff = (F.f.eval_batch(cand).reshape(-1, per, F.dim_out)
-                    - V[owner[c:c + group], None, :])
-            hit[c:c + group] = (_clamp_rows(F.K, diff.reshape(-1, F.dim_out))
+            diff = np.subtract(
+                F.f.eval_batch(cand).T.reshape(F.dim_out, -1, per),
+                V[owner[c:c + group]].T[:, :, None], order="C")
+            hit[c:c + group] = (_clamp_rows(F.K, diff.reshape(F.dim_out, -1).T)
                                 <= tol).reshape(-1, per)
         kept = []
         for t, lo, hi in zip(live, ends - sizes, ends):
@@ -397,9 +451,10 @@ def _scale_sweep(K: ConvexSet, diff: np.ndarray, ybar: np.ndarray,
                  delta: float, S: np.ndarray) -> np.ndarray:
     """[d_K(diff_b + s*ybar) - s*delta]+ for each row b and each scale s in
     row b of S, as stacked clamp calls of at most _CHUNK_ROWS (row, scale)
-    pairs."""
-    Z = diff[:, None, :] + S[:, :, None] * ybar
-    resid = _clamp_rows(K, Z.reshape(-1, diff.shape[1]))
+    pairs.  The points are stacked axis-major, as a C-contiguous
+    (dim, pairs) array."""
+    Z = np.add(diff.T[:, :, None], S * ybar[:, None, None], order="C")
+    resid = _clamp_rows(K, Z.reshape(diff.shape[1], -1).T)
     return np.maximum(resid.reshape(S.shape) - delta * S, 0.0)
 
 

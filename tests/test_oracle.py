@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from regcert import oracle
 from regcert.errors import (
     DimensionMismatch,
+    EmptySet,
     GridTooCoarse,
     GridTooLarge,
     InvalidParameter,
@@ -99,6 +100,133 @@ def test_clamp_distance_box_rows():
     assert clamp_distance_batch(K, [[2.0, 3.0]])[0] == pytest.approx(
         np.sqrt(2.0))
     assert clamp_distance_batch(K, [[0.5, -7.0]])[0] == 0.0
+
+
+def _clamp_reference(K, Z):
+    # reference: the row-wise box line the per-axis box path replaced
+    if isinstance(K, Ball):
+        return np.maximum(
+            np.linalg.norm(Z - K.center, axis=1) - K.radius, 0.0)
+    if isinstance(K, ProductSet):
+        acc = np.zeros(Z.shape[0])
+        ofs = 0
+        for blk in K.factors:
+            acc += _clamp_reference(blk, Z[:, ofs:ofs + blk.dim]) ** 2
+            ofs += blk.dim
+        return np.sqrt(acc)
+    lo, hi = oracle._box_form(K)
+    return np.linalg.norm(Z - np.clip(Z, lo, hi), axis=1)
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300,
+            -1e-300, 1.7e308, -4.9e-324]
+_FINITE = st.floats(-1e3, 1e3) | st.sampled_from([1e300, -1e300, 1e-300,
+                                                   -0.0])
+
+
+@st.composite
+def _box_polyhedron(draw, dim):
+    # per axis: unbounded, one-sided either way, two-sided or lo == hi,
+    # the axis's rows scaled alike, so the bound rhs / coefficient keeps
+    # lo <= hi through the rounding
+    C, d = [], []
+    for j in range(dim):
+        kind = draw(st.sampled_from(["free", "upper", "lower", "both",
+                                     "equal"]))
+        a, b = sorted([draw(_FINITE), draw(_FINITE)])
+        if kind == "equal":
+            b = a
+        scale = draw(st.sampled_from([1.0, 0.5, 3.0]))
+        for sign, bound in (("upper", b), ("lower", a)):
+            if kind in (sign, "both", "equal"):
+                row = np.zeros(dim)
+                row[j] = scale if sign == "upper" else -scale
+                C.append(row)
+                d.append(row[j] * bound)
+    if not C:
+        return Polyhedron(np.zeros((0, dim)), np.zeros(0))
+    return Polyhedron(np.array(C), np.array(d))
+
+
+@st.composite
+def _clamp_set(draw, dim, product=True):
+    kind = draw(st.sampled_from(["singleton", "box", "ball"]
+                                + (["product"] if product and dim > 1
+                                   else [])))
+    if kind == "singleton":
+        return Singleton([draw(_FINITE) for _ in range(dim)])
+    if kind == "ball":
+        return Ball([draw(_FINITE) for _ in range(dim)],
+                    draw(st.floats(0.0, 10.0)))
+    if kind == "box":
+        return draw(_box_polyhedron(dim))
+    split = draw(st.integers(1, dim - 1))
+    return ProductSet((draw(_clamp_set(split, False)),
+                       draw(_clamp_set(dim - split))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 40), st.booleans(),
+       st.integers(0, 2 ** 31 - 1))
+def test_clamp_distance_is_the_row_norm_bit_for_bit(data, dim, rows,
+                                                    axis_major, seed):
+    # the per-axis box path against np.linalg.norm(Z - np.clip(Z, lo, hi)),
+    # on rows or on the transposed view of an axis-major stack, as the
+    # oracle's stacked callers pass it; a lone row gets its batch's bits.
+    # Coordinates spread over six decades, so a sum taken in another order
+    # rounds differently, with drawn entries written over some of them.
+    K = data.draw(_clamp_set(dim))
+    gen = np.random.default_rng(seed)
+    Z = (gen.standard_normal((rows, dim))
+         * 10.0 ** gen.uniform(-3.0, 3.0, (rows, dim)))
+    for i, v in data.draw(st.lists(st.tuples(
+            st.integers(0, rows * dim - 1),
+            st.sampled_from(_SPECIAL) | st.floats(allow_nan=False)),
+            max_size=rows * dim)):
+        Z.flat[i] = v
+    arg = np.ascontiguousarray(Z.T).T if axis_major else Z
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = clamp_distance_batch(K, arg)
+        want = _clamp_reference(K, Z)
+        alone = [clamp_distance_batch(K, arg[i:i + 1]) for i in range(rows)]
+    assert got.tobytes() == want.tobytes()
+    assert np.concatenate(alone).tobytes() == got.tobytes()
+
+
+def test_box_form_is_keyed_by_the_whole_system():
+    C = np.array([[1.0, 0.0], [0.0, -2.0]])
+    lo1, hi1 = oracle._box_form(Polyhedron(C, np.array([1.0, 2.0])))
+    lo2, hi2 = oracle._box_form(Polyhedron(C, np.array([3.0, 4.0])))
+    assert np.array_equal(hi1, [1.0, np.inf]) and np.array_equal(
+        lo1, [-np.inf, -1.0])
+    assert np.array_equal(hi2, [3.0, np.inf]) and np.array_equal(
+        lo2, [-np.inf, -2.0])
+    # every caller shares the cached arrays, so they refuse writes
+    with pytest.raises(ValueError):
+        hi1[0] = 0.0
+    with pytest.raises(ValueError):
+        lo2[1] = 0.0
+
+
+def test_box_form_crossing_bounds_raise_every_call():
+    K = Polyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
+    for _ in range(3):
+        with pytest.raises(EmptySet):
+            clamp_distance_batch(K, [[0.5]])
+
+
+def test_grid_modulus_derives_the_box_form_once(monkeypatch):
+    calls = []
+
+    def counted(C, d):
+        calls.append(C.shape)
+        return bounds(C, d)
+
+    bounds = oracle._axis_bounds
+    monkeypatch.setattr(oracle, "_axis_bounds", counted)
+    oracle._polyhedron_box.cache_clear()
+    grid_modulus(*modulus_case("hoffman_2d"))
+    assert calls == [(2, 2)]
 
 
 def test_clamp_distance_skew_is_certified_upper_bound():

@@ -57,9 +57,16 @@ COMMANDS = (
         (["sweep", "param_scale", "--tau", "1.1", "--seed", "3"],
          "report.json"),
         (["oracle-check", "identity2", "--seed", "3"], "report.json"),
-        # the only command whose oracle runs the directional membership scan
+        # the oracle's directional membership scan on an axis box
         (["oracle-check", "halfplane_directional", "--seed", "3"],
          "report.json"),
+        # the oracle's preimage-pool hit test on a full-dimensional preimage
+        (["oracle-check", "hoffman_2d", "--points-x", "15", "--points-y",
+          "7", "--seed", "3"], "report.json"),
+        # the oracle's directional membership scan on a skew K, where the
+        # cyclic halfspace sweeps give the set distances
+        (["oracle-check", PROBLEM.name, "--points-x", "15", "--points-y",
+          "7", "--seed", "3"], "report.json"),
         (["perturb", "--tau", "1", "--delta", "0.5", "--ybar-norm", "1",
           "--alpha", "0.5", "--L", "0.05"], "report.json"),
         (["analyze", "identity2", "--seed", "3", "--csv", "samples.csv"],
