@@ -74,6 +74,18 @@ The head and tail rules move the bound by e alone, but only where the end
 secant really falls or rises, which its measured values show when they
 move by more than 2 e; the rules ask for margin / 4 ~ 3.85 e.  A zero-width
 or NaN interval gives no bound (-inf), never a rejection.
+
+A row leaves the scale search before a zoom round as soon as its decision
+is settled, given the caller's decision threshold tol (the filter's tol,
+and the envelope's tol on its rows and its probes).  The search value only
+falls from round to round, so a row whose value is already <= tol stays
+admitted whatever the later rounds find.  The secant bound only rises, so,
+with bound=True, a row whose bound already exceeds tol + margin stays
+rejected, and by the argument above its value stays above tol.  Such a
+row's value and bound are then partial, and its callers read only these
+decisions.  The rows still open run the rounds with the same arithmetic,
+row by row, as in the full search, so they keep its bits, and every
+decision is the full search's bit.
 """
 
 from __future__ import annotations
@@ -110,7 +122,8 @@ _ALTERNATION_CAP = 120
 _SECANT_MARGIN = 1e-6
 # phi evaluations per pass of the screen and of the scale search, which
 # bound their temporaries (row-independent code, so the bits do not depend
-# on it): 910 rows a screen pass, 128 a search pass
+# on it): 910 rows a screen pass, 128 a search pass, whose zoom rounds then
+# run only on the rows of the pass whose decision is still open
 _MEMBERSHIP_POINTS = 8192
 
 
@@ -743,7 +756,7 @@ def _phi(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
 
 def _scale_search(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
                   bound: bool = False, grid: np.ndarray = _SEARCH_GRID,
-                  zooms: int = _ZOOM_ROUNDS):
+                  zooms: int = _ZOOM_ROUNDS, tol: float | None = None):
     """min over lam >= 0 of [phi(lam)]+ (_phi), per row of Cres.
 
     Exact up to the 1d search: shrinking the lam-ball around lam*ybar turns
@@ -754,31 +767,47 @@ def _scale_search(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
     bound=True returns (values, lb, margin), with the best secant bound
     (_secant_bound) of the grid and of the zoom rounds; the screen is this
     bound on _SCREEN_GRID with no zoom round.
+
+    With a threshold tol, a row leaves the search before a zoom round once
+    its value is <= tol or, with bound=True, its bound exceeds tol + margin
+    (see the module docstring).  Such a row's value and bound are those of
+    the rounds it ran, so they are partial: only the decisions value <= tol
+    and lb > tol + margin are the full search's, and those are all its
+    callers read.  A row that runs every round gets the full search's bits.
     """
     out = np.empty((3 if bound else 1, Cres.shape[0]))
     step = max(1, _MEMBERSHIP_POINTS // grid.size)
     t = np.linspace(0.0, 1.0, _ZOOM_POINTS)
     for a in range(0, Cres.shape[0], step):
         C = Cres[a:a + step]
-        rows = np.arange(C.shape[0])
         c_norm = np.linalg.norm(C, axis=1)
         lam_hi = dc._lam_max(c_norm)
         # how far evaluation error can lift a secant bound above the true
         # minimum (see the module docstring)
         margin = _SECANT_MARGIN * (
             1.0 + c_norm + lam_hi * (np.linalg.norm(dc.ybar) + dc.delta))
-        best = np.full(rows.size, np.inf)
-        lb = np.full(rows.size, -np.inf)
+        best = np.full(C.shape[0], np.inf)
+        lb = np.full(C.shape[0], -np.inf)
+        live = np.arange(C.shape[0])
         lam = lam_hi[:, None] * grid[None, :]
         for zoom in range(zooms + 1):
             if zoom:
+                if tol is not None:
+                    keep = ~(best[live] <= tol)
+                    if bound:
+                        keep &= ~(lb[live] > tol + margin[live])
+                    live, lo, hi = live[keep], lo[keep], hi[keep]
+                    if not live.size:
+                        break
                 lam = lo[:, None] + (hi - lo)[:, None] * t[None, :]
-            p = _phi(K, C, dc, lam)
+            p = _phi(K, C[live], dc, lam)
             if bound:
-                lb = np.maximum(lb, _secant_bound(lam, p, margin))
+                lb[live] = np.maximum(lb[live],
+                                      _secant_bound(lam, p, margin[live]))
             v = np.maximum(p, 0.0)
+            rows = np.arange(live.size)
             i = np.argmin(v, axis=1)
-            best = np.minimum(best, v[rows, i])
+            best[live] = np.minimum(best[live], v[rows, i])
             lo = lam[rows, np.maximum(i - 1, 0)]
             hi = lam[rows, np.minimum(i + 1, lam.shape[1] - 1)]
         out[:, a:a + step] = (best, lb, margin) if bound else (best,)
@@ -832,7 +861,8 @@ def _secant_bound(lam: np.ndarray, phi: np.ndarray,
 
 
 def _screened_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
-                     dc: DirectionalCone, thr: float, bound: bool = False):
+                     dc: DirectionalCone, thr: float, bound: bool = False,
+                     tol: float | None = None):
     """The scale search (_scale_search) on the rows c = f(x) - y that the
     screen leaves open at thr, +inf on the others.
 
@@ -843,9 +873,13 @@ def _screened_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
 
     Returns (Cres, values), and with bound=True (Cres, values, lb, margin):
     the search's secant bound and margin on the rows it ran, the screen's
-    on the others.  Only _member_mask asks for the bounds: computing them
-    on the envelope path too raised perfbench's certify_mix wall_s in 3 of
-    4 alternating pairs on a 2-vCPU VM (medians 0.394 s against 0.343 s).
+    on the others.  With a decision threshold tol the search retires a row
+    once value <= tol or lb > tol + margin settles it (_scale_search), so a
+    retired row's value and bound are partial and callers read only those
+    decisions; tol=None runs the full search.  Only _member_mask asks for
+    the bounds: computing them on the envelope path too raised perfbench's
+    certify_mix wall_s in 3 of 4 alternating pairs on a 2-vCPU VM (medians
+    0.394 s against 0.343 s).
     On a whole-space cone the value is exact, 0 or +inf for an empty K, lb
     is the value and Cres is None.
     """
@@ -865,10 +899,10 @@ def _screened_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
                                       grid=_SCREEN_GRID, zooms=0)
         idx = np.flatnonzero(lb <= thr + margin)
     if not bound:
-        vals[idx] = _scale_search(F.K, Cres[idx], dc)
+        vals[idx] = _scale_search(F.K, Cres[idx], dc, tol=tol)
         return Cres, vals
     vals[idx], lb[idx], margin[idx] = _scale_search(F.K, Cres[idx], dc,
-                                                    bound=True)
+                                                    bound=True, tol=tol)
     return Cres, vals, lb, margin
 
 
@@ -926,14 +960,16 @@ def _member_mask(F: MultiMap, X: np.ndarray, Y: np.ndarray,
        scale-search value is <= tol, because membership_values takes the
        smaller of the two routes.
     2. A row above tol whose secant bound, the screen's or the search's,
-       exceeds tol + margin is rejected.
+       exceeds tol + margin is rejected.  The search stops refining a row
+       once 1 or 2 holds, so only open rows run its zoom rounds.
     3. Only rows still undecided run the alternating route (_alternate),
        whose value then decides them.
 
     Every route is row-independent, so a row gets the same value in a
     subset as in the full batch.
     """
-    Cres, vals, lb, margin = _screened_search(F, X, Y, dc, tol, bound=True)
+    Cres, vals, lb, margin = _screened_search(F, X, Y, dc, tol, bound=True,
+                                              tol=tol)
     member = vals <= tol
     rest = np.flatnonzero((vals > tol) & (lb <= tol + margin))
     if rest.size:
@@ -979,7 +1015,7 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
             np.stack([X.min(axis=0) - tol, X.max(axis=0) + tol], axis=1)
         )
     reach = tol * (1.0 + lipschitz) * 1.001
-    _, vals = _screened_search(F, X, Y, dc, np.fmax(tol, reach))
+    _, vals = _screened_search(F, X, Y, dc, np.fmax(tol, reach), tol=tol)
     member = vals <= tol
     shell = (~member) & (vals <= reach)
     if np.any(shell):
@@ -989,7 +1025,7 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
         idx = np.where(shell)[0]
         P = (X[idx][:, None, :] + offs[None, :, :]).reshape(-1, F.dim_in)
         Yp = np.repeat(Y[idx], offs.shape[0], axis=0)
-        _, pv = _screened_search(F, P, Yp, dc, tol)
+        _, pv = _screened_search(F, P, Yp, dc, tol, tol=tol)
         member[idx] = np.any(pv.reshape(idx.size, -1) <= tol, axis=1)
     out = np.full(X.shape[0], np.inf)
     if np.any(member):

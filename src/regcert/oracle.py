@@ -196,8 +196,20 @@ def clamp_distance_batch(K: ConvexSet, Z: np.ndarray) -> np.ndarray:
     way.  Z may be the transpose of a C-contiguous (dim, rows) array, as
     the oracle's stacked callers pass it, so each axis is one contiguous
     column.
+
+    The sign bit of a NaN distance is cleared.  NaN + NaN keeps the sign
+    of one operand, and which one numpy's add keeps depends on the array's
+    length (the second for one element, the first for more), so a row
+    holding inf - inf (a negative NaN) and a positive NaN would otherwise
+    get different bits alone and in a batch.  Every other distance is
+    >= +0, so the clearing leaves it as it is.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    d = _clamp_distance(K, np.atleast_2d(np.asarray(Z, dtype=float)))
+    return np.abs(d, out=d)
+
+
+def _clamp_distance(K: ConvexSet, Z: np.ndarray) -> np.ndarray:
+    """clamp_distance_batch on a 2-D float Z, NaN signs as they fall."""
     if isinstance(K, Ball):
         return np.maximum(
             np.linalg.norm(Z - K.center, axis=1) - K.radius, 0.0)

@@ -646,6 +646,94 @@ def test_member_mask_is_the_membership_decision(name, seed):
         assert lb[-1] <= thr < search_lb[-1]
 
 
+def _full_search_member_mask(F, X, Y, dc, tol):
+    """_member_mask as it was before rows left the scale search once their
+    decision was settled: every row the screen leaves open runs every zoom
+    round, the reference the retiring search must match bit for bit."""
+    Cres, vals, lb, margin = _screened_search(F, X, Y, dc, tol, bound=True)
+    member = vals <= tol
+    rest = np.flatnonzero((vals > tol) & (lb <= tol + margin))
+    if rest.size:
+        member[rest] = multimap._alternate(F.K, Cres[rest], dc) <= tol
+    return member
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(_membership_cases())),
+       st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([multimap._MEMBERSHIP_POINTS, 320]))
+@example("halfplane_directional", 0, 320)
+def test_member_mask_is_the_full_search_mask(name, seed, points):
+    # rows that leave the scale search once settled take the decisions
+    # of the full search, whether a pass holds the default 128 rows or 5
+    F, dc = _membership_cases()[name]
+    X, Y = _membership_rows(F, np.random.default_rng(seed), 60)
+    tols = [TOL_MEMBER, 1e-5, 1e-2, *_split_tolerances(F, X, Y, dc)]
+    refs = [_full_search_member_mask(F, X, Y, dc, tol) for tol in tols]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multimap, "_MEMBERSHIP_POINTS", points)
+        for tol, ref in zip(tols, refs):
+            mask = _member_mask(F, X, Y, dc, tol)
+            assert mask.tobytes() == ref.tobytes(), (name, tol)
+
+
+def test_zoom_rounds_run_only_open_rows():
+    # _phi passes counted by lam width: 9 the screen, 64 the scale search's
+    # grid, 17 a zoom round
+    F, dc = _membership_cases()["halfplane_directional"]
+    X, Y = _membership_rows(F, np.random.default_rng(0), 60)
+    vals, _ = membership_values(F, X, Y, dc)
+    passes, alternated = [], []
+    phi, alternate = multimap._phi, multimap._alternate
+
+    def counting_phi(K, Cres, dc, lam):
+        passes.append(lam.shape)
+        return phi(K, Cres, dc, lam)
+
+    def counting_alternate(K, Cres, dc):
+        alternated.append(Cres.shape[0])
+        return alternate(K, Cres, dc)
+
+    def run(rows, tol):
+        """Grid and zoom pass sizes of _member_mask on the given rows."""
+        passes.clear()
+        alternated.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multimap, "_phi", counting_phi)
+            mp.setattr(multimap, "_alternate", counting_alternate)
+            mask = _member_mask(F, X[rows], Y[rows], dc, tol)
+        assert mask.tobytes() == (vals[rows] <= tol).tobytes(), tol
+        return ([n for n, width in passes if width == 64],
+                [n for n, width in passes if width == 17])
+
+    # each zoom round sees no more rows than the pass before it, and all
+    # four together see fewer than the grid pass, where the full search
+    # gives each of them every row of the grid pass
+    grid, zoom = run(np.arange(60), TOL_MEMBER)
+    assert len(grid) == 1 and len(zoom) == multimap._ZOOM_ROUNDS
+    assert all(a >= b for a, b in zip(grid + zoom, zoom))
+    assert 0 < sum(zoom) < grid[0]
+    # rows the grid pass settles, some admitted and some rejected by its
+    # bound, make no 17-point pass and never reach the alternating route
+    Cres = F.f.eval_batch(X) - Y
+    v, lb, margin = _scale_search(F.K, Cres, dc, bound=True, zooms=0)
+    admit = v <= TOL_MEMBER
+    reject = ~admit & (lb > TOL_MEMBER + margin)
+    screen_lb, screen_margin = _screen_bound(F.K, Cres, dc)
+    open_ = screen_lb <= TOL_MEMBER + screen_margin
+    assert np.any(admit & open_) and np.any(reject & open_)
+    settled = np.flatnonzero((admit | reject) & open_)
+    grid, zoom = run(settled, TOL_MEMBER)
+    assert grid == [settled.size] and zoom == [] and alternated == []
+    # at a split tolerance the alternating route decides the rows the
+    # search leaves open
+    tols = _split_tolerances(F, X, Y, dc)
+    assert tols
+    for tol in tols:
+        run(np.arange(60), tol)
+        assert len(alternated) == 1 and alternated[0] > 0, tol
+
+
 def test_undecided_rows_skip_a_second_scale_search():
     # at a split tolerance the scale search runs once, on the rows the
     # screen leaves open, and the alternating route alone decides the rows
@@ -701,27 +789,52 @@ def test_secant_bound_on_a_parabola():
     assert _secant_bound(lam[:1], phi[:1], np.array([1e-9]))[0] == -np.inf
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=15, deadline=None)
 @given(st.sampled_from(sorted(_membership_cases())),
-       st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 5]))
-def test_scale_search_bound_rows_are_batch_independent(name, seed, chunk):
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 5]),
+       st.sampled_from([None, TOL_MEMBER, 1e-2]))
+@example("halfplane_directional", 0, 5, 1e-2)
+def test_scale_search_bound_rows_are_batch_independent(name, seed, chunk,
+                                                       tol):
     # a row's value, bound and margin are the same bits alone, in a batch
     # and across chunk boundaries, and asking for the bound leaves the
-    # values as they are
+    # values as they are.  With a threshold tol a row leaves the search
+    # once settled: one that runs every pass gets the full search's bits,
+    # and every row gets the full search's decisions
     F, dc = _membership_cases()[name]
     gen = np.random.default_rng(seed)
     X, Y = _membership_rows(F, gen, 12)
     Cres = F.f.eval_batch(X) - Y
-    whole = _scale_search(F.K, Cres, dc, bound=True)
-    assert whole[0].tobytes() == _scale_search(F.K, Cres, dc).tobytes()
+    full = _scale_search(F.K, Cres, dc, bound=True)
+    whole = _scale_search(F.K, Cres, dc, bound=True, tol=tol)
+    if tol is None:
+        assert whole[0].tobytes() == _scale_search(F.K, Cres, dc).tobytes()
+    else:
+        decisions = [(v <= tol, (v > tol) & (lb > tol + margin))
+                     for v, lb, margin in (full, whole)]
+        for a, b in zip(*decisions):
+            assert a.tobytes() == b.tobytes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multimap, "_MEMBERSHIP_POINTS",
                    chunk * multimap._SEARCH_GRID.size)
-        chunked = _scale_search(F.K, Cres, dc, bound=True)
+        chunked = _scale_search(F.K, Cres, dc, bound=True, tol=tol)
+    passes = []
+    phi = multimap._phi
+
+    def counting(K, C, dc, lam):
+        passes.append(lam.shape)
+        return phi(K, C, dc, lam)
+
     for i in range(12):
-        alone = _scale_search(F.K, Cres[i:i + 1], dc, bound=True)
+        passes.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multimap, "_phi", counting)
+            alone = _scale_search(F.K, Cres[i:i + 1], dc, bound=True, tol=tol)
         for a, w, c in zip(alone, whole, chunked):
             assert a.tobytes() == w[i:i + 1].tobytes() == c[i:i + 1].tobytes()
+        if len(passes) == 1 + multimap._ZOOM_ROUNDS:
+            for a, f in zip(alone, full):
+                assert a.tobytes() == f[i:i + 1].tobytes(), i
 
 
 @settings(max_examples=8, deadline=None)

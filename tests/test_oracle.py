@@ -103,7 +103,13 @@ def test_clamp_distance_box_rows():
 
 
 def _clamp_reference(K, Z):
-    # reference: the row-wise box line the per-axis box path replaced
+    # reference: the row-wise box line the per-axis box path replaced, with
+    # the sign bit of a NaN cleared as clamp_distance_batch clears it (the
+    # sign that NaN + NaN keeps depends on the batch length)
+    return np.abs(_clamp_reference_signed(K, Z))
+
+
+def _clamp_reference_signed(K, Z):
     if isinstance(K, Ball):
         return np.maximum(
             np.linalg.norm(Z - K.center, axis=1) - K.radius, 0.0)
@@ -111,7 +117,7 @@ def _clamp_reference(K, Z):
         acc = np.zeros(Z.shape[0])
         ofs = 0
         for blk in K.factors:
-            acc += _clamp_reference(blk, Z[:, ofs:ofs + blk.dim]) ** 2
+            acc += _clamp_reference_signed(blk, Z[:, ofs:ofs + blk.dim]) ** 2
             ofs += blk.dim
         return np.sqrt(acc)
     lo, hi = oracle._box_form(K)
@@ -191,6 +197,22 @@ def test_clamp_distance_is_the_row_norm_bit_for_bit(data, dim, rows,
         alone = [clamp_distance_batch(K, arg[i:i + 1]) for i in range(rows)]
     assert got.tobytes() == want.tobytes()
     assert np.concatenate(alone).tobytes() == got.tobytes()
+
+
+def test_clamp_distance_nan_sign_does_not_depend_on_the_batch():
+    # a free axis at inf gives inf - inf, a negative NaN, and a singleton
+    # axis at NaN a positive one; numpy's add keeps the second operand's
+    # NaN for one element and the first's for more
+    K = ProductSet((Polyhedron(np.zeros((0, 1)), np.zeros(0)),
+                    Singleton([0.0, 0.0])))
+    box = Polyhedron(np.zeros((0, 2)), np.zeros(0))
+    for S, row in ((K, [np.inf, np.nan, 1.0]), (box, [np.inf, np.nan])):
+        Z = np.array([np.ones(len(row)), row])
+        with np.errstate(invalid="ignore"):
+            batch = clamp_distance_batch(S, Z)
+            alone = clamp_distance_batch(S, Z[1:])
+        assert np.isnan(batch[1]) and not np.signbit(batch[1])
+        assert alone.tobytes() == batch[1:].tobytes()
 
 
 def test_box_form_is_keyed_by_the_whole_system():
