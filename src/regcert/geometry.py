@@ -14,15 +14,16 @@ project_halfspaces tries every candidate of every axis at once and keeps,
 per axis, the first whose point and nonnegative multiplier one Dykstra
 sweep leaves in place, with no tolerance.  Points no candidate passes
 (rounding on paired rows, an empty system), systems with skew rows, and
-systems too large for the chunked pass fall back to Dykstra's alternating
-scheme, which converges to the nearest point to DYKSTRA_TOL.  LPs go to
-the HiGHS solver that scipy ships; only their status and optimal value are
-consumed.
+systems too large for the chunked pass go to Dykstra's alternating scheme
+(Boyle & Dykstra, 1986) for at most DYKSTRA_MAX_SWEEPS sweeps, and a row it
+leaves above DYKSTRA_TOL to one least-distance solve (Lawson & Hanson,
+1974, ch. 23), exact, or a certificate that its system is empty.  LPs go
+to the HiGHS solver that scipy ships; only their status and optimal value
+are consumed.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,9 +44,9 @@ TOL_FEAS = 1e-9
 TOL_MEMBER = 1e-7
 TOL_ACTIVE = 1e-7
 
-# the Dykstra fallback's stopping tolerance and sweep cap
+# Dykstra's stopping tolerance and sweep cap
 DYKSTRA_TOL = 1e-10
-DYKSTRA_MAX_SWEEPS = 10_000
+DYKSTRA_MAX_SWEEPS = 300
 
 # doubles of temporaries that one chunk of the active-set pass may hold, so
 # that large batches do not grow the peak memory
@@ -117,17 +118,17 @@ class ConvexSet:
 
 
 # ---------------------------------------------------------------------------
-# Dykstra's alternating projection for halfspace systems.
+# Dykstra's alternating projection and the least-distance solve.
 
 def dykstra_halfspaces(C, d, P, rhs=None):
     """Project each row of P onto {z : Cz <= d} (or a per-point rhs).
 
     rhs, when given, has shape (B, m) and replaces d per point; this is what
     the pulled-back preimage systems need, where the right-hand side varies
-    with the sampled y.  Returns (Q, residual) where residual is the final
-    per-point feasibility violation in normalized row units.  Points whose
-    residual stops improving are retired early; an infeasible system would
-    otherwise burn the whole sweep cap for every point.
+    with the sampled y.  Returns (Q, residual): a point's residual is the
+    largest of its last sweep's feasibility violation in normalized row
+    units, its movement and the change of its corrections, and the point
+    retires once that is at most DYKSTRA_TOL or at DYKSTRA_MAX_SWEEPS.
     """
     C = np.asarray(C, dtype=float)
     P = _rows(P).astype(float, copy=True)
@@ -144,9 +145,8 @@ def dykstra_halfspaces(C, d, P, rhs=None):
     X = P
     alpha = np.zeros((B, m))  # Dykstra's per-row scalar corrections
     active = np.arange(B)
-    last_resid = np.full(B, np.inf)
-    checkpoint = np.full(B, np.inf)
-    for sweep in range(DYKSTRA_MAX_SWEEPS):
+    resid = np.zeros(B)
+    for _ in range(DYKSTRA_MAX_SWEEPS):
         Xa = X[active]
         Ra = rhs[active]
         start = Xa.copy()
@@ -166,22 +166,46 @@ def dykstra_halfspaces(C, d, P, rhs=None):
         # read off the corrections, never the iterate movement alone
         corr = np.max(np.abs(alpha[active] - alpha_start) * row_norm[None, :],
                       axis=1)
-        resid = np.maximum(feas, np.maximum(move, corr))
-        last_resid[active] = resid
-        keep = resid > DYKSTRA_TOL
-        if sweep % 300 == 299:
-            # only a persistent feasibility violation marks an empty system;
-            # a slow move with feas -> 0 is a thin-angle geometry still
-            # converging toward the projection and must keep running
-            stalled = (feas > 1e-5) & (feas > 0.9 * checkpoint[active])
-            keep &= ~stalled
-            checkpoint[active] = feas
-        active = active[keep]
+        resid[active] = np.maximum(feas, np.maximum(move, corr))
+        active = active[resid[active] > DYKSTRA_TOL]
         if active.size == 0:
             break
-    feas_final = np.max(np.maximum(row_matmul(X, C.T) - rhs, 0.0)
-                        / row_norm[None, :], axis=1)
-    return X, feas_final
+    return X, resid
+
+
+def _least_distance(C, rhs, P):
+    """Nearest points of {z : C z <= rhs_s} to the rows p_s of P, each row
+    on its own; returns (Q, empty), Q NaN on empty rows.
+
+    With unit rows C and h = C p - rhs, the step w = z - p solves
+    min |w| subject to -C w >= h, which Lawson & Hanson solve by one NNLS,
+    [-C^T; h^T] u ~ e_{n+1}.  A zero residual leaves u >= 0 with C^T u = 0
+    and rhs . u = -1, which certifies the system empty; a residual r gives
+    the nearest point p - r[:n] / r[n].  That quotient loses digits as the
+    distance grows, so h is divided by its largest violation when that
+    exceeds 1, and the point is taken instead as the projection of p onto
+    the affine hull of the rows with u > 0, which are active there (a
+    least-norm solve).
+    """
+    m, n = C.shape
+    norm = np.linalg.norm(C, axis=1)
+    Cn = C / norm[:, None]
+    H = row_matmul(P, Cn.T) - rhs / norm
+    E = np.vstack([-Cn.T, np.zeros(m)])
+    e = np.eye(n + 1)[n]
+    Q = P.astype(float, copy=True)
+    empty = np.zeros(P.shape[0], dtype=bool)
+    for s, h in enumerate(H):
+        E[n] = h / max(h.max(), 1.0)
+        u, rnorm = nnls(E, e)
+        # the residual is 1 / sqrt(1 + D^2) on a set D scaled units away
+        if rnorm <= 1e-12:
+            empty[s] = True
+            Q[s] = np.nan
+            continue
+        act = u > 0.0
+        Q[s] -= np.linalg.lstsq(Cn[act], h[act], rcond=None)[0]
+    return Q, empty
 
 
 # ---------------------------------------------------------------------------
@@ -301,28 +325,31 @@ def _active_set_pass(s: _AxisSystem, P: np.ndarray, rhs: np.ndarray):
 def project_halfspaces(C, rhs, P):
     """Project each row of P onto {z : C z <= rhs}; rhs is (m,) or (B, m).
 
-    Returns (Q, residual, exact).  On an axis-aligned C (every row a
-    nonzero multiple of a coordinate vector) a row is exact when each
-    axis has a candidate active row, or none, that one Dykstra sweep
-    leaves in place (see _active_set_pass): the point is then the nearest
-    point up to rounding, lam >= 0 is its KKT certificate, and its
-    residual is 0.  Every other row goes to dykstra_halfspaces, whose
-    residual it returns, and so does the whole batch when C is not
+    Returns (Q, empty): the nearest points, and the rows whose system is
+    empty, where Q is NaN.  On an axis-aligned C (every row a nonzero
+    multiple of a coordinate vector) a row is exact when each axis has a
+    candidate active row, or none, that one Dykstra sweep leaves in place
+    (see _active_set_pass): the point is then the nearest point up to
+    rounding, and lam >= 0 is its KKT certificate.  Every other row goes to
+    dykstra_halfspaces, and so does the whole batch when C is not
     axis-aligned, where the binding rows round and most points would fail
     the test, or when a chunk of _ACTIVE_SET_CHUNK doubles would hold
     fewer than _MIN_CHUNK_POINTS points.  The pass checks each row against
     every other row of its axis, so its temporaries grow with the square
     of the rows on one axis (_AxisSystem.doubles_per_point): 18 rows on a
-    single axis still fit, 19 do not.  Every step is elementwise per
-    point, so a row gets the same bits alone as in any batch.
+    single axis still fit, 19 do not.  A row Dykstra leaves above
+    DYKSTRA_TOL, as every row of an empty system, goes to _least_distance.
+    Every step is per point, so a row gets the same bits alone as in any
+    batch.
     """
     C = np.ascontiguousarray(C, dtype=float)
     P = _rows(P)
     B = P.shape[0]
     m = C.shape[0]
     Q = P.astype(float, copy=True)
+    empty = np.zeros(B, dtype=bool)
     if m == 0:
-        return Q, np.zeros(B), np.ones(B, dtype=bool)
+        return Q, empty
     rhs = np.asarray(rhs, dtype=float).reshape(-1, m)
     exact = np.zeros(B, dtype=bool)
     s = _axis_system(C.shape, C.tobytes())
@@ -332,12 +359,14 @@ def project_halfspaces(C, rhs, P):
             Q[a:a + step], exact[a:a + step] = _active_set_pass(
                 s, P[a:a + step],
                 rhs if rhs.shape[0] == 1 else rhs[a:a + step])
-    resid = np.zeros(B)
-    back = ~exact
-    if np.any(back):
-        Q[back], resid[back] = dykstra_halfspaces(
-            C, None, P[back], rhs=np.broadcast_to(rhs, (B, m))[back])
-    return Q, resid, exact
+    back = np.flatnonzero(~exact)
+    if back.size:
+        rhs = np.broadcast_to(rhs, (B, m))
+        Q[back], resid = dykstra_halfspaces(C, None, P[back], rhs=rhs[back])
+        left = back[resid > DYKSTRA_TOL]
+        if left.size:
+            Q[left], empty[left] = _least_distance(C, rhs[left], P[left])
+    return Q, empty
 
 
 def golden_min(fn, lo, hi):
@@ -379,7 +408,8 @@ class Polyhedron(ConvexSet):
     Rows with a zero normal and negative offset would be an implicit
     empty-set encoding and are rejected at construction; zero rows with
     d >= 0 are dropped as vacuous.  Feasibility of the remaining system is
-    decided lazily by a zero-objective LP and cached.
+    decided lazily by a zero-objective LP and cached, and so is a
+    projection's certificate that the system is empty.
     """
 
     def __init__(self, C, d):
@@ -426,18 +456,11 @@ class Polyhedron(ConvexSet):
         return self._feasible
 
     def project_batch(self, P: np.ndarray) -> np.ndarray:
-        return self._project(P)[0]
-
-    def _project(self, P):
-        """(Q, exact); only rows that fell back to Dykstra can carry a
-        residual, so only they can raise EmptySet or warn."""
-        Q, resid, exact = project_halfspaces(self.C, self.d, _rows(P))
-        if np.any(resid > 1e-7):
-            if not self.is_feasible():
-                raise EmptySet("cannot project onto an empty polyhedron")
-            warnings.warn("Dykstra projection left residual above 1e-7",
-                          stacklevel=4)
-        return Q, exact
+        Q, empty = project_halfspaces(self.C, self.d, _rows(P))
+        if np.any(empty):
+            self._feasible = False
+            raise EmptySet("cannot project onto an empty polyhedron")
+        return Q
 
     def distance_batch(self, P: np.ndarray) -> np.ndarray:
         P = _rows(P)
@@ -450,31 +473,6 @@ class Polyhedron(ConvexSet):
         except EmptySet:
             return np.full(P.shape[0], np.inf)
         return np.linalg.norm(P - Q, axis=1)
-
-    def project(self, p) -> np.ndarray:
-        p = as_vector(p, self.dim, "point")
-        Q, exact = self._project(p[None, :])
-        # an exact row carries its KKT certificate already
-        if not exact[0]:
-            self._validate_kkt(p, Q[0])
-        return Q[0]
-
-    def _validate_kkt(self, p, q):
-        # the step p - q must be a nonnegative combination of active rows
-        r = p - q
-        rn = np.linalg.norm(r)
-        if rn <= 10 * DYKSTRA_TOL or self.n_rows == 0:
-            return
-        act = self.C @ q >= self.d - TOL_ACTIVE * (1.0 + np.abs(self.d))
-        if not np.any(act):
-            warnings.warn("projection step with no active rows", stacklevel=3)
-            return
-        _, res = nnls(self.C[act].T, r)
-        if res > 1e-6 * (1.0 + rn):
-            warnings.warn(
-                f"projection KKT residual {res:.2e} exceeds tolerance",
-                stacklevel=3,
-            )
 
 
 class Ball(ConvexSet):

@@ -1,16 +1,20 @@
 """Projections, the LP solver, and cone calculus against independent checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from conftest import bounded_random_polyhedron, vertex_lp_maximum
 from regcert import (Ball, DirectionalCone, EmptySet, Polyhedron, ProductSet,
                      Singleton, normal_cone_generators,
                      project_onto_generated_cone, solve_lp)
 from regcert import geometry
-from regcert.geometry import (TOL_FEAS, dykstra_halfspaces, golden_min,
+from regcert.geometry import (DYKSTRA_TOL, TOL_ACTIVE, TOL_FEAS,
+                              dykstra_halfspaces, golden_min,
                               project_halfspaces)
 from regcert.multimap import as_polyhedron
 
@@ -69,8 +73,9 @@ def test_dykstra_matches_polyhedron_project():
 
 
 def test_empty_polyhedron_still_raises_and_has_infinite_distance():
-    # no active set passes on an empty system, so every row falls back to
-    # Dykstra, whose residual triggers the feasibility LP
+    # no active set passes on an empty system, and Dykstra cannot converge
+    # on it, so every row goes to the least-distance solve, which
+    # certifies the system empty
     P = Polyhedron(np.array([[1.0], [-1.0]]), np.array([-2.0, -2.0]))
     with pytest.raises(EmptySet):
         P.project_batch(np.array([[0.5], [3.0]]))
@@ -115,17 +120,62 @@ def test_exact_projection_is_dykstra_bit_for_bit_on_axis_forms(name, scale,
                                                                seed):
     # the property that keeps the registry reports: on these rows an
     # accepted point is the one Dykstra stops at, signed zeros included
-    # (the estimators project points with exact zeros, such as x0 = 0)
+    # (the estimators project points with exact zeros, such as x0 = 0),
+    # and Dykstra converges on every row the pass leaves to it
     gen = np.random.default_rng(seed)
     C, rhs = _axis_form(name, gen)
     P = scale * gen.standard_normal((40, C.shape[1]))
     P[gen.random(P.shape) < 0.2] = 0.0
     P[gen.random(P.shape) < 0.1] = -0.0
     rhs = scale * rhs
-    Q, resid, _ = project_halfspaces(C, rhs, P)
+    Q, empty = project_halfspaces(C, rhs, P)
     want, want_resid = dykstra_halfspaces(C, None, P, rhs=np.array(rhs))
     assert Q.tobytes() == want.tobytes()
-    assert np.all(resid <= want_resid)
+    assert not np.any(empty)
+    assert np.all(want_resid <= DYKSTRA_TOL)
+
+
+def _exact_rows(C, rhs, P):
+    """The rows project_halfspaces's active-set pass certifies."""
+    s = geometry._axis_system(C.shape, C.tobytes())
+    if s is None:
+        return np.zeros(P.shape[0], dtype=bool)
+    return geometry._active_set_pass(
+        s, P, np.broadcast_to(rhs, (P.shape[0], C.shape[0])))[1]
+
+
+def _routed_to_dykstra(C, rhs, P):
+    """project_halfspaces(C, rhs, P), and how many of the points it sent
+    to dykstra_halfspaces."""
+    sent = []
+
+    def recording(C, d, P, rhs=None):
+        sent.append(P.shape[0])
+        return dykstra_halfspaces(C, d, P, rhs=rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "dykstra_halfspaces", recording)
+        Q, empty = project_halfspaces(C, rhs, P)
+    return Q, empty, sum(sent)
+
+
+def _kkt_residual(C, rhs, p, q, slack):
+    """The part of the step p - q that no nonnegative combination of the
+    rows of C active at q gives (nnls), a row active when C q >= rhs -
+    slack; the whole step when no row is active."""
+    act = C @ q >= rhs - slack
+    if not np.any(act):
+        return float(np.linalg.norm(p - q))
+    return nnls(C[act].T, p - q)[1]
+
+
+def _is_projection(C, rhs, p, q):
+    """q meets C q <= rhs and the KKT conditions of the nearest point to
+    p, both within 1e-7 (1 + |q|) in normalized row units."""
+    norms = np.linalg.norm(C, axis=1)
+    tol = 1e-7 * (1.0 + np.linalg.norm(q))
+    return (np.all((C @ q - rhs) / norms <= tol)
+            and _kkt_residual(C, rhs, p, q, tol * norms) <= tol)
 
 
 def _axis_system(gen, max_rows=4, max_dim=3):
@@ -153,20 +203,24 @@ def _skew_system(gen, max_rows=4, max_dim=3):
 @given(st.integers(0, 2 ** 32 - 1))
 def test_exact_projection_on_axis_aligned_polyhedra(seed):
     # exact rows are feasible, idempotent and agree with a converged
-    # Dykstra; the rows no candidate certifies are Dykstra's own
+    # Dykstra; the rows no candidate certifies are Dykstra's own where it
+    # converges, and certified least-distance points elsewhere
     gen = np.random.default_rng(seed)
     C, d = _axis_system(gen)
     P = 3.0 * gen.standard_normal((50, C.shape[1]))
-    Q, resid, exact = project_halfspaces(C, d, P)
+    exact = _exact_rows(C, d, P)
+    Q, empty = project_halfspaces(C, d, P)
     want, want_resid = dykstra_halfspaces(C, d, P)
-    assert Q[~exact].tobytes() == want[~exact].tobytes()
-    assert resid[~exact].tobytes() == want_resid[~exact].tobytes()
-    assert np.all(resid[exact] == 0.0)
+    assert not np.any(empty)
+    kept = ~exact & (want_resid <= DYKSTRA_TOL)
+    assert Q[kept].tobytes() == want[kept].tobytes()
+    for i in np.flatnonzero(~exact & ~kept):
+        assert _is_projection(C, d, P[i], Q[i]), i
     norms = np.linalg.norm(C, axis=1)
-    assert np.all((Q[exact] @ C.T - d) / norms <= TOL_FEAS)
-    again, _, _ = project_halfspaces(C, d, Q[exact])
+    assert np.all((Q @ C.T - d) / norms <= TOL_FEAS)
+    again, _ = project_halfspaces(C, d, Q[exact])
     assert np.all(np.abs(again - Q[exact]) <= 1e-9)
-    converged = exact & (want_resid <= 1e-10)
+    converged = exact & (want_resid <= DYKSTRA_TOL)
     assert np.all(np.abs(Q[converged] - want[converged]) <= 1e-9)
 
 
@@ -174,15 +228,19 @@ def test_exact_projection_on_axis_aligned_polyhedra(seed):
 @given(st.integers(0, 2 ** 32 - 1))
 def test_skew_polyhedra_take_dykstra(seed):
     # off the axes the binding rows round, so the whole batch goes to
-    # Dykstra before any candidate is tried
+    # Dykstra before any candidate is tried, and keeps its points where it
+    # converges
     gen = np.random.default_rng(seed)
     C, d = _skew_system(gen)
     P = 3.0 * gen.standard_normal((20, C.shape[1]))
-    Q, resid, exact = project_halfspaces(C, d, P)
+    Q, empty, sent = _routed_to_dykstra(C, d, P)
     want, want_resid = dykstra_halfspaces(C, d, P)
-    assert not np.any(exact)
-    assert Q.tobytes() == want.tobytes()
-    assert resid.tobytes() == want_resid.tobytes()
+    assert sent == 20
+    assert not np.any(empty)
+    kept = want_resid <= DYKSTRA_TOL
+    assert Q[kept].tobytes() == want[kept].tobytes()
+    for i in np.flatnonzero(~kept):
+        assert _is_projection(C, d, P[i], Q[i]), i
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,12 +256,12 @@ def test_exact_projection_rows_are_batch_independent(seed, skew, per_row_rhs,
     saved = geometry._ACTIVE_SET_CHUNK, geometry._MIN_CHUNK_POINTS
     geometry._ACTIVE_SET_CHUNK, geometry._MIN_CHUNK_POINTS = chunk, 1
     try:
-        Q, resid, exact = project_halfspaces(C, rhs, P)
+        Q, empty = project_halfspaces(C, rhs, P)
         for i in range(30):
             one = rhs[i:i + 1] if per_row_rhs else d
             alone = project_halfspaces(C, one, P[i:i + 1])
             assert alone[0].tobytes() == Q[i:i + 1].tobytes(), i
-            assert alone[1][0] == resid[i] and alone[2][0] == exact[i], i
+            assert alone[1][0] == empty[i], i
     finally:
         geometry._ACTIVE_SET_CHUNK, geometry._MIN_CHUNK_POINTS = saved
 
@@ -216,13 +274,71 @@ def test_system_past_the_chunk_floor_takes_dykstra():
     C = gen.choice([-1.0, 1.0], (19, 1)) * gen.uniform(0.5, 2.0, (19, 1))
     d = gen.uniform(0.5, 1.0, 19)
     P = 3.0 * gen.standard_normal((25, 1))
-    Q, resid, exact = project_halfspaces(C, d, P)
+    Q, empty, sent = _routed_to_dykstra(C, d, P)
     want, want_resid = dykstra_halfspaces(C, d, P)
-    assert not np.any(exact)
-    assert Q.tobytes() == want.tobytes()
-    assert resid.tobytes() == want_resid.tobytes()
+    assert sent == 25
+    assert not np.any(empty)
+    # Dykstra converges slowly on these rows: 8 of the 25 points are still
+    # 3e-3 to 1.5e-2 from their limit after 300 sweeps
+    kept = want_resid <= DYKSTRA_TOL
+    assert Q[kept].tobytes() == want[kept].tobytes()
+    for i in np.flatnonzero(~kept):
+        assert _is_projection(C, d, P[i], Q[i]), i
     # the same system cut to 18 rows fits, and is solved exactly
-    assert np.any(project_halfspaces(C[:18], d[:18], P)[2])
+    assert _routed_to_dykstra(C[:18], d[:18], P)[2] < 25
+
+
+# ---------------------------------------------------------------------------
+# Dykstra's exit rule and the least-distance solve.
+
+def test_least_distance_takes_the_rows_dykstra_leaves():
+    # a skew system on which Dykstra leaves points 20, 25 and 48 5.5e-3
+    # outside K after its 300 sweeps: the least-distance solve projects
+    # them, with no warning
+    gen = np.random.default_rng(234)
+    gen.integers(1, 4), gen.integers(1, 5)
+    C = gen.standard_normal((4, 2))
+    d = C @ gen.uniform(-1.0, 1.0, 2) + gen.uniform(0.0, 1.0, 4)
+    P = 3.0 * gen.standard_normal((50, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Q = Polyhedron(C, d).project_batch(P)
+    size = 1.0 + np.linalg.norm(P, axis=1)
+    assert np.all(np.max(Q @ C.T - d, axis=1) <= 1e-9 * size)
+    for p, q in zip(P, Q):
+        # p - q is a nonnegative combination of the rows active at q
+        slack = TOL_ACTIVE * (1.0 + np.abs(d))
+        step = np.linalg.norm(p - q)
+        assert _kkt_residual(C, d, p, q, slack) <= 1e-6 * (1.0 + step)
+    _, resid = dykstra_halfspaces(C, d, P)
+    assert np.flatnonzero(resid > DYKSTRA_TOL).tolist() == [20, 25, 48]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.sampled_from([1.0, 100.0, 1e4]))
+def test_every_row_is_projected_or_certified_empty(seed, anchored, scale):
+    # per-row right-hand sides through a common anchor (feasible) or drawn
+    # at random (often empty); the checks are certificates, not NNLS bits
+    gen = np.random.default_rng(seed)
+    dim, rows, B = int(gen.integers(1, 4)), int(gen.integers(1, 6)), 4
+    C = gen.standard_normal((rows, dim))
+    if anchored:
+        rhs = C @ gen.uniform(-1.0, 1.0, dim) + gen.uniform(0.0, 1.0,
+                                                            (B, rows))
+    else:
+        rhs = gen.standard_normal((B, rows))
+    P = scale * gen.standard_normal((B, dim))
+    Q, empty = project_halfspaces(C, rhs, P)
+    want, want_resid = dykstra_halfspaces(C, None, P, rhs=rhs)
+    kept = ~_exact_rows(C, rhs, P) & (want_resid <= DYKSTRA_TOL)
+    assert Q[kept].tobytes() == want[kept].tobytes()
+    for i in range(B):
+        assert empty[i] == (not Polyhedron(C, rhs[i]).is_feasible()), i
+        alone = project_halfspaces(C, rhs[i], P[i])
+        assert alone[0].tobytes() == Q[i:i + 1].tobytes(), i
+        assert alone[1][0] == empty[i], i
+        assert empty[i] or _is_projection(C, rhs[i], P[i], Q[i]), i
 
 
 def _broadcast_pass(C, P, rhs):

@@ -179,7 +179,8 @@ def test_preimage_distance_exact_affine():
 def test_preimage_of_an_empty_pulled_back_system_is_infinite():
     # f(x) = (x, x) into {z1 <= 0, z2 >= 1}: the pulled-back rows x <= y1
     # and x >= 1 + y2 are nonzero, and empty whenever y1 < 1 + y2; no
-    # active set certifies a point, Dykstra stalls, and the LP decides
+    # active set certifies a point, Dykstra cannot converge, and the
+    # least-distance solve certifies the system empty
     F = MultiMap(AffineMap(np.ones((2, 1)), np.zeros(2)),
                  Polyhedron(np.array([[1.0, 0.0], [0.0, -1.0]]),
                             np.array([0.0, -1.0])))

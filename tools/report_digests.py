@@ -82,11 +82,12 @@ COMMANDS = (
         (["modulus", "parabola_eb", "--tau", "10", "--budget", "300",
           "--seed", "3", "--csv", "samples.csv"], "samples.csv"),
         # halfplane_directional turned by 30 degrees: a K with skew rows,
-        # which the exact active-set route leaves to Dykstra
+        # which the exact active-set route leaves to Dykstra (every row
+        # converges there; none reaches the least-distance solve)
         (["analyze", PROBLEM.name, "--seed", "3"], "report.json"),
-        # the admissible flag of every pair on the skew K, where the
-        # Dykstra fallback's stopping error is the largest evaluation error
-        # the membership bounds' margin must cover
+        # the admissible flag of every pair on the skew K, where Dykstra's
+        # stopping error, DYKSTRA_TOL, is the largest evaluation error the
+        # membership bounds' margin must cover
         (["analyze", PROBLEM.name, "--seed", "3", "--csv", "samples.csv"],
          "samples.csv"),
         # a polynomial map into a ball times a point: the Gauss-Newton
