@@ -20,6 +20,14 @@ leaves above DYKSTRA_TOL to one least-distance solve (Lawson & Hanson,
 1974, ch. 23), exact, or a certificate that its system is empty.  LPs go
 to the HiGHS solver that scipy ships; only their status and optimal value
 are consumed.
+
+scipy.optimize takes longer to import than most commands take to run, so
+it is imported inside the three functions that call it: solve_lp (the
+robinson LP, and so every analyze, and Polyhedron.is_feasible, which the
+membership search asks on a whole-space cone with a polyhedral K),
+project_onto_generated_cone (the coderivative's cone projections) and
+_least_distance (the rows Dykstra leaves unconverged).  modulus, slope,
+sweep, perturb and oracle-check on the registry never load it.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .errors import (
     DimensionMismatch,
@@ -187,6 +194,8 @@ def _least_distance(C, rhs, P):
     the affine hull of the rows with u > 0, which are active there (a
     least-norm solve).
     """
+    from scipy.optimize import nnls
+
     m, n = C.shape
     norm = np.linalg.norm(C, axis=1)
     Cn = C / norm[:, None]
@@ -661,6 +670,8 @@ def normal_cone_generators(poly: Polyhedron, k) -> np.ndarray:
 
 def project_onto_generated_cone(G: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Nearest point of cone{rows of G} to y, via nonnegative least squares."""
+    from scipy.optimize import nnls
+
     y = np.asarray(y, dtype=float)
     if G.shape[0] == 0:
         return np.zeros_like(y)
@@ -694,6 +705,8 @@ def solve_lp(objective, poly: Polyhedron) -> LpResult:
     other reason (iteration limit, numerical trouble) raises
     SimplexIterationLimit.
     """
+    from scipy.optimize import linprog
+
     c_obj = as_vector(objective, poly.dim, "objective")
     res = linprog(-c_obj, A_ub=poly.C, b_ub=poly.d, bounds=(None, None),
                   method="highs")

@@ -245,7 +245,7 @@ def test_lattice_cap_is_guard_exit(capsys):
 
 
 def test_lp_solver_stop_is_guard_exit(capsys, tmp_path, monkeypatch):
-    import regcert.geometry as geometry
+    import scipy.optimize
     from scipy.optimize import OptimizeResult
 
     def stopped(*args, **kwargs):
@@ -253,7 +253,9 @@ def test_lp_solver_stop_is_guard_exit(capsys, tmp_path, monkeypatch):
         return OptimizeResult(status=1, message="Iteration limit reached.",
                               x=None, fun=None)
 
-    monkeypatch.setattr(geometry, "linprog", stopped)
+    # solve_lp imports linprog when it is called, so the patch goes where
+    # that import reads it
+    monkeypatch.setattr(scipy.optimize, "linprog", stopped)
     code, _, err = run(capsys, ["robinson", "identity2", "--no-timestamp"])
     assert code == 3
     assert "internal guard" in err
@@ -432,6 +434,14 @@ def _pyproject():
         return tomllib.load(fh)
 
 
+def _subprocess_env():
+    """The environment for a subprocess that imports regcert from the
+    directory this test process imported it from."""
+    src_dir = str(Path(regcert.__file__).resolve().parents[1])
+    pythonpath = filter(None, [src_dir, os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+
+
 def test_entry_point_subprocess():
     """Run `[project.scripts].regcert` through the wrapper an installer writes.
 
@@ -443,21 +453,48 @@ def test_entry_point_subprocess():
     module, _, attr = project["scripts"]["regcert"].partition(":")
     wrapper = (f"import sys; from {module} import {attr}; "
                f"sys.argv[0] = 'regcert'; sys.exit({attr}())")
-    src_dir = str(Path(regcert.__file__).resolve().parents[1])
-    pythonpath = filter(None, [src_dir, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    env = _subprocess_env()
     proc = subprocess.run([sys.executable, "-c", wrapper, "--version"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "regcert 0.1.0"
 
 
+def test_scipy_optimize_loads_only_for_an_lp_or_nnls():
+    """Commands that solve no LP and no NNLS never import scipy.optimize;
+    the first robinson LP does.  One fresh process runs them in turn, since
+    this one has imported scipy.optimize already."""
+    steps = [["modulus", "identity2"],
+             ["modulus", "parabola_eb"],
+             ["slope", "diag_2_05", "--tau", "2", "--n-points", "8"],
+             ["sweep", "param_scale", "--tau", "1.1"],
+             ["oracle-check", "identity2", "--points-x", "5",
+              "--points-y", "5"],
+             ["perturb", "--tau", "1", "--delta", "0.5", "--ybar-norm", "1",
+              "--alpha", "0.5", "--L", "0.05"],
+             ["robinson", "identity2"]]
+    probe = ("import contextlib, io, json, sys\n"
+             "import regcert\n"
+             "from regcert.cli import main\n"
+             "loaded = []\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = main(argv)\n"
+             "    loaded.append([argv[0], code,\n"
+             "                   'scipy.optimize' in sys.modules])\n"
+             "print(json.dumps(loaded))\n")
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(steps)],
+                          capture_output=True, text=True,
+                          env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded == [[argv[0], 0, argv[0] == "robinson"] for argv in steps]
+
+
 def test_closed_stdout_keeps_report_and_exit_code(tmp_path):
     """A reader that leaves before the first line (`regcert ... | head -0`)
     costs the summary, not the report or the verdict's exit code."""
-    src_dir = str(Path(regcert.__file__).resolve().parents[1])
-    pythonpath = filter(None, [src_dir, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    env = _subprocess_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
