@@ -27,8 +27,8 @@ certified when the two agree.  Both routes are row-independent: their
 products go through geometry.row_matmul, so a row gets the same value and
 flag alone as in any batch.
 
-One kernel runs the scale search (_screened_search), first ruling out
-with a lower bound most rows that cannot meet value <= thr: the
+One kernel runs the scale search (_screened_search), after a nine-point
+screen whose own values admit and whose lower bound rejects: the
 admissibility filter at thr = tol (_member_mask), and the envelope at its
 shell threshold and at tol on its probes.  With c = f(x) - y, the
 membership value is the minimum over lam >= 0 of [phi(lam)]+,
@@ -56,6 +56,17 @@ within 6e-8 times its size; the property tests hold those points to 1e-7
 dimensions gave at most 1e-12 (1 + |p|).  Both routes of membership_values
 are then above thr too, so every decision value <= t with t <= thr is the
 same bit.  Nothing in the argument depends on the value of thr.
+
+The screen admits as well as rejects.  Given the caller's decision
+threshold tol, a row the screen does not reject and whose least [phi]+ on
+the screen's nine points is <= tol is admitted with that value, and it
+runs no scale search.  phi(lam) <= tol at a concrete lam >= 0 is itself a
+certificate: a point k of K has |c + lam ybar - k| <= tol + lam delta, so
+y lies within tol of f(x) - k + lam B(ybar, delta), a subset of
+F(x) + cone(B(ybar, delta)), and the membership value is <= tol.  A
+decision can thus only move toward a certified member, and only on a row
+where the screen finds such a lam and both routes of membership_values
+miss it; the decision tests hold the kernel to their bits.
 
 The admissibility filter bounds the rows the screen leaves open a second
 time, from the evaluations its scale search makes anyway (_scale_search
@@ -85,10 +96,11 @@ falls from round to round, so a row whose value is already <= tol stays
 admitted whatever the later rounds find.  The secant bound only rises, so,
 with bound=True, a row whose bound already exceeds tol + margin stays
 rejected, and by the argument above its value stays above tol.  Such a
-row's value and bound are then partial, and its callers read only these
-decisions.  The rows still open run the rounds with the same arithmetic,
-row by row, as in the full search, so they keep its bits, and every
-decision is the full search's bit.
+row's value and bound are then partial, as are those of a row the screen
+admits, and its callers read only these decisions.  The rows still open
+run the rounds with the same arithmetic, row by row, as in the full
+search, so they keep its bits, and every decision of a searched row is the
+full search's bit.
 """
 
 from __future__ import annotations
@@ -860,22 +872,25 @@ def _screened_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
                      dc: DirectionalCone, thr: float, bound: bool = False,
                      tol: float | None = None):
     """The scale search (_scale_search) on the rows c = f(x) - y that the
-    screen leaves open at thr, +inf on the others.
+    screen leaves open at thr, +inf on the rows it rejects.
 
-    The screen is the secant bound (_secant_bound) of phi on _SCREEN_GRID.
-    A row whose bound exceeds thr + margin has both membership routes above
-    thr (see the module docstring), so value <= t for any t <= thr is the
-    bit the unscreened value gives.  thr = inf screens nothing.
+    The screen evaluates phi on _SCREEN_GRID and takes its secant bound
+    (_secant_bound).  A row whose bound exceeds thr + margin has both
+    membership routes above thr (see the module docstring), so value <= t
+    for any t <= thr is the bit the unscreened value gives.  Given a
+    decision threshold tol, a row the screen does not reject and whose
+    screen value, its least [phi]+ on the nine points, is <= tol is
+    admitted with that value and skips the search: phi(lam) <= tol at one
+    lam >= 0 is itself a certificate of membership at tol (see the module
+    docstring).  thr = inf screens nothing.
 
     Returns (Cres, values), and with bound=True (Cres, values, lb, margin):
     the search's secant bound and margin on the rows it ran, the screen's
-    on the others.  With a decision threshold tol the search retires a row
-    once value <= tol or lb > tol + margin settles it (_scale_search), so a
-    retired row's value and bound are partial and callers read only those
-    decisions; tol=None runs the full search.  Only _member_mask asks for
-    the bounds: computing them on the envelope path too raised perfbench's
-    certify_mix wall_s in 3 of 4 alternating pairs on a 2-vCPU VM (medians
-    0.394 s against 0.343 s).
+    on the others.  With tol the search also retires a row once value <=
+    tol or lb > tol + margin settles it (_scale_search).  So the value and
+    bound of an admitted or retired row are partial, and callers read only
+    those decisions; tol=None runs the full search on every row the screen
+    leaves open.  Only _member_mask asks for the bounds.
     On a whole-space cone the value is exact, 0 or +inf for an empty K, lb
     is the value and Cres is None.
     """
@@ -891,15 +906,20 @@ def _screened_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
     lb, margin = np.full(B, -np.inf), np.zeros(B)
     idx = np.arange(B)
     if thr < np.inf:
-        _, lb, margin = _scale_search(F.K, Cres, dc, bound=True,
-                                      grid=_SCREEN_GRID, zooms=0)
-        idx = np.flatnonzero(lb <= thr + margin)
-    if not bound:
+        screen, lb, margin = _scale_search(F.K, Cres, dc, bound=True,
+                                           grid=_SCREEN_GRID, zooms=0)
+        open_ = lb <= thr + margin
+        if tol is not None:
+            admit = open_ & (screen <= tol)
+            vals[admit] = screen[admit]
+            open_ &= ~admit
+        idx = np.flatnonzero(open_)
+    if idx.size and bound:
+        vals[idx], lb[idx], margin[idx] = _scale_search(F.K, Cres[idx], dc,
+                                                        bound=True, tol=tol)
+    elif idx.size:
         vals[idx] = _scale_search(F.K, Cres[idx], dc, tol=tol)
-        return Cres, vals
-    vals[idx], lb[idx], margin[idx] = _scale_search(F.K, Cres[idx], dc,
-                                                    bound=True, tol=tol)
-    return Cres, vals, lb, margin
+    return (Cres, vals, lb, margin) if bound else (Cres, vals)
 
 
 def _alternate(K: ConvexSet, Cres: np.ndarray,
@@ -935,8 +955,12 @@ def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
 
     Returns (values, certified): the value is the smaller of the alternating
     estimate and the scale-search estimate, certified where they agree.
-    Callers that need only the decision value <= tol use _member_mask, which
-    gives the same bits.
+    Every row runs both routes in full, with no screen (thr = inf), so this
+    is the reference the decision kernel is tested against.  Callers that
+    need only the decision value <= tol use _member_mask, which gives the
+    same bits, except that it also admits a row on the screen's own
+    certificate (a screen point with phi <= tol) should both routes here
+    miss it.
     """
     Cres, v_grid = _screened_search(F, X, Y, dc, np.inf)
     if Cres is None:
@@ -950,15 +974,20 @@ def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
 def _member_mask(F: MultiMap, X: np.ndarray, Y: np.ndarray,
                  dc: DirectionalCone, tol: float) -> np.ndarray:
     """membership_values(F, X, Y, dc)[0] <= tol, bit for bit, with each
-    row decided as soon as its decision is certain.
+    row decided as soon as its decision is certain; only the screen's own
+    certificate (1) could admit a row that both of those routes miss.
 
-    1. The screened search at tol (_screened_search) admits a row whose
-       scale-search value is <= tol, because membership_values takes the
-       smaller of the two routes.
-    2. A row above tol whose secant bound, the screen's or the search's,
-       exceeds tol + margin is rejected.  The search stops refining a row
-       once 1 or 2 holds, so only open rows run its zoom rounds.
-    3. Only rows still undecided run the alternating route (_alternate),
+    1. The screen (_screened_search at tol) rejects a row whose secant
+       bound on its nine points exceeds tol + margin, and admits one whose
+       least [phi]+ there is <= tol: phi(lam) <= tol at one lam >= 0
+       certifies membership, so such a row runs no scale search.
+    2. The scale search, on the rows the screen leaves open, admits a row
+       whose value is <= tol, because membership_values takes the smaller
+       of the two routes.
+    3. A searched row above tol whose secant bound exceeds tol + margin is
+       rejected.  The search stops refining a row once 2 or 3 holds, so
+       only open rows run its zoom rounds.
+    4. Only rows still undecided run the alternating route (_alternate),
        whose value then decides them.
 
     Every route is row-independent, so a row gets the same value in a
@@ -995,7 +1024,8 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
     Membership is the screened scale search (_screened_search), at the
     shell threshold on the rows of X and at tol on the probes, so the rows
     the screen rules out skip the search and take the decisions the
-    unscreened values give.
+    unscreened values give, and the rows whose screen values already
+    certify membership at tol skip it as members.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(y, dtype=float)
@@ -1006,6 +1036,8 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
         raise DimensionMismatch(f"y: expected shape {shape}, got {Y.shape}")
     if dc is None:
         return image_distance_batch(F, X, Y)
+    if X.shape[0] == 0:
+        return np.full(0, np.inf)
     if lipschitz is None:
         lipschitz = F.lipschitz_bound(
             np.stack([X.min(axis=0) - tol, X.max(axis=0) + tol], axis=1)

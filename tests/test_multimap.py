@@ -678,12 +678,21 @@ def test_member_mask_is_the_full_search_mask(name, seed, points):
             assert mask.tobytes() == ref.tobytes(), (name, tol)
 
 
+def _screen_decisions(K, Cres, dc, thr, tol):
+    """Rows the screen at thr admits at tol and rows it rejects."""
+    v, lb, margin = _scale_search(K, Cres, dc, bound=True,
+                                  grid=multimap._SCREEN_GRID, zooms=0)
+    reject = lb > thr + margin
+    return ~reject & (v <= tol), reject
+
+
 def test_zoom_rounds_run_only_open_rows():
     # _phi passes counted by lam width: 9 the screen, 64 the scale search's
     # grid, 17 a zoom round
     F, dc = _membership_cases()["halfplane_directional"]
     X, Y = _membership_rows(F, np.random.default_rng(0), 60)
     vals, _ = membership_values(F, X, Y, dc)
+    Cres = F.f.eval_batch(X) - Y
     passes, alternated = [], []
     phi, alternate = multimap._phi, multimap._alternate
 
@@ -696,7 +705,7 @@ def test_zoom_rounds_run_only_open_rows():
         return alternate(K, Cres, dc)
 
     def run(rows, tol):
-        """Grid and zoom pass sizes of _member_mask on the given rows."""
+        """Screen, grid and zoom pass sizes of _member_mask on the rows."""
         passes.clear()
         alternated.clear()
         with pytest.MonkeyPatch.context() as mp:
@@ -704,28 +713,39 @@ def test_zoom_rounds_run_only_open_rows():
             mp.setattr(multimap, "_alternate", counting_alternate)
             mask = _member_mask(F, X[rows], Y[rows], dc, tol)
         assert mask.tobytes() == (vals[rows] <= tol).tobytes(), tol
-        return ([n for n, width in passes if width == 64],
-                [n for n, width in passes if width == 17])
+        return tuple([n for n, width in passes if width == w]
+                     for w in (9, 64, 17))
 
-    # each zoom round sees no more rows than the pass before it, and all
-    # four together see fewer than the grid pass, where the full search
-    # gives each of them every row of the grid pass
-    grid, zoom = run(np.arange(60), TOL_MEMBER)
-    assert len(grid) == 1 and len(zoom) == multimap._ZOOM_ROUNDS
-    assert all(a >= b for a, b in zip(grid + zoom, zoom))
-    assert 0 < sum(zoom) < grid[0]
+    def open_after(rows, zooms, tol):
+        """How many of the rows the full search leaves undecided after
+        the given number of zoom rounds."""
+        v, lb, margin = _scale_search(F.K, Cres[rows], dc, bound=True,
+                                      zooms=zooms)
+        return int(np.sum((v > tol) & (lb <= tol + margin)))
+
+    # the grid pass sees exactly the rows the screen neither admits nor
+    # rejects, and each zoom round exactly the rows the rounds before it
+    # leave undecided, where the full search gives each of them every row
+    # of the grid pass
+    admit, reject = _screen_decisions(F.K, Cres, dc, TOL_MEMBER, TOL_MEMBER)
+    searched = np.flatnonzero(~admit & ~reject)
+    assert admit.sum() > 0 and reject.sum() > 0 and searched.size > 0
+    screen, grid, zoom = run(np.arange(60), TOL_MEMBER)
+    assert screen == [60] and grid == [searched.size]
+    expected = [open_after(searched, k, TOL_MEMBER)
+                for k in range(multimap._ZOOM_ROUNDS)]
+    assert zoom == [n for n in expected if n] and sum(zoom) > 0
     # rows the grid pass settles, some admitted and some rejected by its
     # bound, make no 17-point pass and never reach the alternating route
-    Cres = F.f.eval_batch(X) - Y
-    v, lb, margin = _scale_search(F.K, Cres, dc, bound=True, zooms=0)
-    admit = v <= TOL_MEMBER
-    reject = ~admit & (lb > TOL_MEMBER + margin)
-    screen_lb, screen_margin = _screen_bound(F.K, Cres, dc)
-    open_ = screen_lb <= TOL_MEMBER + screen_margin
-    assert np.any(admit & open_) and np.any(reject & open_)
-    settled = np.flatnonzero((admit | reject) & open_)
-    grid, zoom = run(settled, TOL_MEMBER)
-    assert grid == [settled.size] and zoom == [] and alternated == []
+    v, lb, margin = _scale_search(F.K, Cres[searched], dc, bound=True,
+                                  zooms=0)
+    grid_admit = v <= TOL_MEMBER
+    grid_reject = ~grid_admit & (lb > TOL_MEMBER + margin)
+    assert np.any(grid_admit) and np.any(grid_reject)
+    settled = searched[grid_admit | grid_reject]
+    screen, grid, zoom = run(settled, TOL_MEMBER)
+    assert (screen, grid, zoom) == ([settled.size], [settled.size], [])
+    assert alternated == []
     # at a split tolerance the alternating route decides the rows the
     # search leaves open
     tols = _split_tolerances(F, X, Y, dc)
@@ -737,8 +757,8 @@ def test_zoom_rounds_run_only_open_rows():
 
 def test_undecided_rows_skip_a_second_scale_search():
     # at a split tolerance the scale search runs once, on the rows the
-    # screen leaves open, and the alternating route alone decides the rows
-    # it leaves undecided
+    # screen neither admits nor rejects, and the alternating route alone
+    # decides the rows it leaves undecided
     searched = []
     search = multimap._scale_search
 
@@ -747,24 +767,100 @@ def test_undecided_rows_skip_a_second_scale_search():
                          Cres.shape[0]))
         return search(K, Cres, dc, **kw)
 
-    n_split = 0
+    n_split = n_searched = 0
     for name, (F, dc) in sorted(_membership_cases().items()):
         for seed in (0, 1):
             X, Y = _membership_rows(F, np.random.default_rng(seed), 60)
             vals, _ = membership_values(F, X, Y, dc)
-            lb, margin = _screen_bound(F.K, F.f.eval_batch(X) - Y, dc)
+            Cres = F.f.eval_batch(X) - Y
             for tol in _split_tolerances(F, X, Y, dc):
                 n_split += 1
+                admit, reject = _screen_decisions(F.K, Cres, dc, tol, tol)
+                n_open = int(np.sum(~admit & ~reject))
+                n_searched += n_open
                 searched.clear()
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(multimap, "_scale_search", counting)
                     mask = _member_mask(F, X, Y, dc, tol)
                 # the screen, with no zoom round, sees every row once
-                assert searched == [(0, len(X)),
-                                    (multimap._ZOOM_ROUNDS,
-                                     np.sum(lb <= tol + margin))], name
+                expected = [(0, len(X))]
+                if n_open:
+                    expected.append((multimap._ZOOM_ROUNDS, n_open))
+                assert searched == expected, name
                 assert mask.tobytes() == (vals <= tol).tobytes(), name
-    assert n_split > 0
+    assert n_split > 0 and n_searched > 0
+
+
+def test_screen_admitted_rows_skip_the_scale_search():
+    # a batch made only of rows the screen admits makes one _scale_search
+    # call, the screen, and no 64-point or 17-point _phi pass, in
+    # _member_mask and in envelope_batch on its rows and on its probes
+    calls, widths, alternated = [], [], []
+    search, phi = multimap._scale_search, multimap._phi
+    alternate = multimap._alternate
+
+    def counting_search(K, Cres, dc, **kw):
+        calls.append(Cres.shape[0])
+        return search(K, Cres, dc, **kw)
+
+    def counting_phi(K, Cres, dc, lam):
+        widths.append(lam.shape[1])
+        return phi(K, Cres, dc, lam)
+
+    def counted(fn, *args):
+        calls.clear()
+        widths.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multimap, "_scale_search", counting_search)
+            mp.setattr(multimap, "_phi", counting_phi)
+            mp.setattr(multimap, "_alternate",
+                       lambda *a: alternated.append(a) or alternate(*a))
+            return fn(*args)
+
+    def certified_alone(F, dc, X, Y, tol):
+        # each admitted row, alone, has a screen point with phi <= tol
+        Cres = F.f.eval_batch(X) - Y
+        lam = dc._lam_max(np.linalg.norm(Cres, axis=1))[:, None]
+        for i in range(len(X)):
+            p = phi(F.K, Cres[i:i + 1], dc, lam[i:i + 1]
+                    * multimap._SCREEN_GRID[None, :])
+            assert p.min() <= tol, i
+
+    lip = 1.5
+    for name, (F, dc) in sorted(_membership_cases().items()):
+        X, Y = _membership_rows(F, np.random.default_rng(3), 60)
+        Cres = F.f.eval_batch(X) - Y
+        for tol, thr in ((TOL_MEMBER, TOL_MEMBER),
+                         (1e-3, 1e-3 * (1.0 + lip) * 1.001)):
+            admit, _ = _screen_decisions(F.K, Cres, dc, thr, tol)
+            rows = np.flatnonzero(admit)
+            assert rows.size > 0, (name, tol)
+            if tol == TOL_MEMBER:
+                mask = counted(_member_mask, F, X[rows], Y[rows], dc, tol)
+                assert np.all(mask) and alternated == []
+            else:
+                env = counted(envelope_batch, F, dc, X[rows], Y[rows], tol,
+                              lip)
+                assert env.tobytes() == image_distance_batch(
+                    F, X[rows], Y[rows]).tobytes()
+            assert calls == [rows.size], (name, tol)
+            assert widths == [9], (name, tol)
+            certified_alone(F, dc, X[rows], Y[rows], tol)
+    # the probes: y = 1.5 tol lies outside the tube at the local maximum
+    # x = 0 of f(x) = -1e6 x^2, while f falls far below y at every probe,
+    # and with delta near |ybar| the screen's nine points admit each of
+    # them.  The row runs the search, its 160 probes only the screen.
+    tol = 1e-3
+    F = MultiMap(PolynomialMap(1, [[(-1e6, (2,))]]), Singleton([0.0]))
+    dc = DirectionalCone([1.0], 0.99)
+    X, Y = np.zeros((1, 1)), np.full((1, 1), -1.5 * tol)
+    env = counted(envelope_batch, F, dc, X, Y, tol, lip)
+    assert calls == [1, 1, 160]
+    assert widths == [9, 64] + [17] * multimap._ZOOM_ROUNDS + [9]
+    assert env.tobytes() == image_distance_batch(F, X, Y).tobytes()
+    offs = (_probe_directions(1)[None, :, :]
+            * (tol * 0.5 ** np.arange(5))[:, None, None]).reshape(-1, 1)
+    certified_alone(F, dc, X + offs, np.repeat(Y, len(offs), axis=0), tol)
 
 
 def test_secant_bound_on_a_parabola():
@@ -1000,6 +1096,18 @@ def test_envelope_rejects_y_of_the_wrong_shape():
             envelope_batch(F, dc, X, Y)
     with pytest.raises(DimensionMismatch):
         envelope_batch(F, dc, X, np.zeros(3))
+
+
+def test_envelope_of_zero_rows_is_empty():
+    # like _member_mask, membership_values and image_distance_batch, and
+    # without a lipschitz bound to estimate over an empty box
+    F, dc = _membership_cases()["halfplane_directional"]
+    X, Y = np.zeros((0, F.dim_in)), np.zeros((0, F.dim_out))
+    for y in (Y, np.zeros(F.dim_out)):
+        env = envelope_batch(F, dc, X, y)
+        assert env.shape == (0,) and env.dtype == float
+    assert _member_mask(F, X, Y, dc, TOL_MEMBER).shape == (0,)
+    assert membership_values(F, X, Y, dc)[0].shape == (0,)
 
 
 # ---------------------------------------------------------------------------
