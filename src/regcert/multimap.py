@@ -517,6 +517,7 @@ _GN_MAX_CORNERS = 64
 _GN_GRID_CAP = 4096
 _GN_GRID_RESOLUTION = 9   # nodes per axis of the fallback start's grid
 _GN_PULL = np.geomspace(1.0, 0.02, 12)
+_GN_PULL_ROWS = 256       # starts a pull wave aims at
 
 
 def _gauss_newton_preimage(F: MultiMap, Y: np.ndarray,
@@ -641,15 +642,24 @@ def _gauss_newton_rows(F: MultiMap, Y: np.ndarray, X: np.ndarray,
     """The search itself, on rows with search boxes (B, n, 2) and clip
     boxes [lo, hi].
 
-    Each row starts from x_s, its box center and at most 64 box corners.
-    A row none of whose starts reaches f(u) - y_s in K starts once more
-    from the grid node (cap 4096) of least residual.  The nearest solution
-    found is then pulled toward x_s in 12 rounds along the segment, each
-    round starting from the incumbent the last one left.  Rows share no
-    arithmetic, so each value is the same alone as in any batch.
+    Each row starts from x_s, its box center and the first 64 of its box
+    corners (in np.indices order).  A row none of whose starts reaches
+    f(u) - y_s in K starts once more from the grid node (cap 4096) of least
+    residual.  The nearest solution found is then pulled toward x_s in 12
+    rounds along the segment, each round starting from the incumbent the
+    last one left.  The rounds run in waves: each live row runs its next L
+    rounds in one search, all from its incumbent, with L the rounds left
+    but at most max(1, _GN_PULL_ROWS // live), so a wave searches about
+    256 starts and over 128 live rows go one round a wave.  A row keeps its
+    rounds up to its first that improves and resumes after it; the later
+    ones started from a stale incumbent and are dropped.  So every kept
+    round starts where the one-round-at-a-time loop would, and since rows
+    share no arithmetic, each value is the same alone as in any batch and
+    at any L.
     """
     B, n = X.shape
-    bits = np.indices((2,) * n).reshape(n, -1).T[:_GN_MAX_CORNERS]
+    bits = (np.arange(min(1 << n, _GN_MAX_CORNERS))[:, None]
+            >> np.arange(n - 1, -1, -1)) & 1
     corners = boxes[:, np.arange(n), bits]                 # (B, C, n)
     starts = np.concatenate(
         [X[:, None, :], boxes.mean(axis=-1)[:, None, :], corners], axis=1)
@@ -663,23 +673,38 @@ def _gauss_newton_rows(F: MultiMap, Y: np.ndarray, X: np.ndarray,
     first = np.argmin(dists, axis=1)
     u_best, d_best = U[np.arange(B), first], dists[np.arange(B), first]
 
-    def take_nearer(rows, U0):
-        """Search the rows from U0; keep a converged point where it is
-        nearer x_s than the incumbent (any point, for a row at +inf)."""
+    def nearer(rows, U0):
+        """Search the rows from U0: the points, their distances to x_s, and
+        where each converged nearer x_s than its row's incumbent (any
+        point, for a row at +inf)."""
         u, found = _damped_gauss_newton(F, Y[rows], U0, lo[rows], hi[rows])
         dd = np.linalg.norm(X[rows] - u, axis=-1)
-        better = found & (dd < d_best[rows])
-        u_best[rows[better]] = u[better]
-        d_best[rows[better]] = dd[better]
+        return u, dd, found & (dd < d_best[rows])
 
     lost = np.flatnonzero(~ok.any(axis=1))
     if lost.size:
-        take_nearer(lost, _grid_starts(F, Y[lost], boxes[lost]))
+        u, dd, better = nearer(lost, _grid_starts(F, Y[lost], boxes[lost]))
+        u_best[lost[better]], d_best[lost[better]] = u[better], dd[better]
     # pull the incumbent toward x along the segment; keeps the bound honest
     live = np.flatnonzero(np.isfinite(d_best))
-    for t in _GN_PULL:
-        x = X[live]
-        take_nearer(live, x + t * (u_best[live] - x))
+    k = np.zeros(live.size, dtype=int)                     # next round
+    while live.size:
+        L = min(_GN_PULL.size - k.min(), max(1, _GN_PULL_ROWS // live.size))
+        rounds = k[:, None] + np.arange(L)                 # (live, L)
+        tried = rounds < _GN_PULL.size
+        rows = np.broadcast_to(live[:, None], rounds.shape)[tried]
+        x = X[rows]
+        t = _GN_PULL[rounds[tried]][:, None]
+        u, dd, hits = nearer(rows, x + t * (u_best[rows] - x))
+        better = np.zeros(rounds.shape, dtype=bool)
+        better[tried] = hits
+        j = np.argmax(better, axis=1)                      # first improving
+        hit = better[np.arange(live.size), j]
+        pick = (np.cumsum(tried) - 1).reshape(tried.shape)[hit, j[hit]]
+        u_best[live[hit]], d_best[live[hit]] = u[pick], dd[pick]
+        k = np.where(hit, k + j + 1, k + L)
+        go = k < _GN_PULL.size
+        live, k = live[go], k[go]
     return d_best
 
 

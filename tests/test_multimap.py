@@ -348,6 +348,166 @@ def test_gauss_newton_rows_are_batch_independent(name, seed):
     assert back[::-1].tobytes() == batch.tobytes()
 
 
+def _search_boxes(X):
+    """The search and clip boxes _gauss_newton_preimage gives rows X."""
+    boxes = np.stack([X - 2.0, X + 2.0], axis=-1)
+    width = boxes[..., 1] - boxes[..., 0]
+    return boxes, boxes[..., 0] - width, boxes[..., 1] + width
+
+
+def sequential_gauss_newton_rows(F, Y, X, boxes, lo, hi, improved=None):
+    """Reference: _gauss_newton_rows as it was before the pull rounds ran
+    in waves, one round at a time over every live row, corners from
+    np.indices.  Appends each round's improving rows to improved."""
+    B, n = X.shape
+    bits = np.indices((2,) * n).reshape(n, -1).T[:multimap._GN_MAX_CORNERS]
+    corners = boxes[:, np.arange(n), bits]
+    starts = np.concatenate(
+        [X[:, None, :], boxes.mean(axis=-1)[:, None, :], corners], axis=1)
+    S = starts.shape[1]
+    U, ok = multimap._damped_gauss_newton(
+        F, np.repeat(Y, S, axis=0), starts.reshape(-1, n),
+        np.repeat(lo, S, axis=0), np.repeat(hi, S, axis=0))
+    U, ok = U.reshape(B, S, n), ok.reshape(B, S)
+    dists = np.where(ok, np.linalg.norm(X[:, None, :] - U, axis=-1), np.inf)
+    first = np.argmin(dists, axis=1)
+    u_best, d_best = U[np.arange(B), first], dists[np.arange(B), first]
+
+    def take_nearer(rows, U0):
+        u, found = multimap._damped_gauss_newton(F, Y[rows], U0, lo[rows],
+                                                 hi[rows])
+        dd = np.linalg.norm(X[rows] - u, axis=-1)
+        better = found & (dd < d_best[rows])
+        u_best[rows[better]] = u[better]
+        d_best[rows[better]] = dd[better]
+        return rows[better]
+
+    lost = np.flatnonzero(~ok.any(axis=1))
+    if lost.size:
+        take_nearer(lost, multimap._grid_starts(F, Y[lost], boxes[lost]))
+    live = np.flatnonzero(np.isfinite(d_best))
+    for t in multimap._GN_PULL:
+        x = X[live]
+        rows = take_nearer(live, x + t * (u_best[live] - x))
+        if improved is not None:
+            improved.append(rows)
+    return d_best
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(sorted(_gauss_newton_maps())
+                       + ["singleton", "ball", "product", "orthant"]),
+       st.sampled_from([1, 20, 300]), st.integers(0, 2 ** 32 - 1))
+@example("parabola_eb", 300, 0)
+@example("round_K", 20, 0)
+def test_pull_waves_match_the_sequential_rounds(name, rows, seed):
+    # 20 rows run every round in one 12-round wave, 300 rows (over 128
+    # live) one round a wave; either way the bits of the sequential loop
+    gen = np.random.default_rng(seed)
+    F = _gauss_newton_maps().get(name) or _random_polynomial_problem(gen,
+                                                                     name)
+    X = gen.uniform(-1.5, 1.5, size=(rows, F.dim_in))
+    Y = gen.uniform(-1.0, 1.0, size=(rows, F.dim_out))
+    args = (F, Y, X, *_search_boxes(X))
+    ref = sequential_gauss_newton_rows(*args)
+    assert multimap._gauss_newton_rows(*args).tobytes() == ref.tobytes()
+
+
+# rows whose pull rounds improve: rounds 3-11 in a row, rounds 1 and 4-11,
+# and only the last round
+_IMPROVING_ROWS = (
+    ("parabola_eb", [-0.5343918267721736], [0.18784840322633656],
+     [3, 4, 5, 6, 7, 8, 9, 10, 11]),
+    ("parabola_eb", [-1.1835141612893114], [0.021413011087290545],
+     [1, 4, 5, 6, 7, 8, 9, 10, 11]),
+    ("polynomial_orthant", [-0.04249392350463266, 1.1684635030470005],
+     [-0.6055301054082629, 0.6162735036271363], [11]),
+)
+
+
+@pytest.mark.parametrize("name, x, y, rounds", _IMPROVING_ROWS)
+def test_pull_waves_keep_each_improving_round(name, x, y, rounds):
+    # alone (one 12-round wave) and among 299 other rows (one round a
+    # wave), the row takes the sequential loop's value; the loop shows it
+    # improves at exactly these rounds
+    F = _gauss_newton_maps()[name]
+    gen = np.random.default_rng(3)
+    X = np.concatenate([[x], gen.uniform(-1.5, 1.5, (299, F.dim_in))])
+    Y = np.concatenate([[y], gen.uniform(0.0, 1.0, (299, F.dim_out))])
+    for B in (1, 300):
+        args = (F, Y[:B], X[:B], *_search_boxes(X[:B]))
+        improved = []
+        ref = sequential_gauss_newton_rows(*args, improved=improved)
+        assert [r for r, rows in enumerate(improved) if 0 in rows] == rounds
+        assert multimap._gauss_newton_rows(*args).tobytes() == ref.tobytes()
+
+
+def test_small_batch_pulls_in_one_wave():
+    # 21 rows with y = x^2 on parabola_eb: every row converges at its
+    # first start and no pull round improves, so the search is the first
+    # stage (4 starts a row) and one 12-round wave
+    F = _gauss_newton_maps()["parabola_eb"]
+    X = np.linspace(0.5, 1.5, 21)[:, None]
+    Y = X ** 2
+    calls = []
+    search = multimap._damped_gauss_newton
+
+    def counting(F, Yrows, *args):
+        calls.append(Yrows.shape[0])
+        return search(F, Yrows, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multimap, "_damped_gauss_newton", counting)
+        d = multimap._gauss_newton_rows(F, Y, X, *_search_boxes(X))
+    assert calls == [21 * 4, 21 * 12]
+    assert np.all(d == 0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_start_corners_are_the_first_np_indices_patterns(n):
+    # the first stage's starts: x, the box center, then the first
+    # min(2^n, 64) corners in np.indices order
+    F = MultiMap(PolynomialMap(n, [[(1.0, (1,) * n)]]),
+                 Singleton(np.zeros(1)))
+    X = np.random.default_rng(n).uniform(-1.0, 1.0, (1, n))
+    boxes, lo, hi = _search_boxes(X)
+    starts = []
+    search = multimap._damped_gauss_newton
+
+    def recording(F, Yrows, U0, *args):
+        starts.append(U0.copy())
+        return search(F, Yrows, U0, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multimap, "_damped_gauss_newton", recording)
+        multimap._gauss_newton_rows(F, np.zeros((1, 1)), X, boxes, lo, hi)
+    bits = np.indices((2,) * n).reshape(n, -1).T[:64]
+    want = np.concatenate([X, boxes.mean(axis=-1), boxes[0, np.arange(n),
+                                                         bits]])
+    assert starts[0].tobytes() == want.tobytes()
+
+
+def test_many_input_row_builds_only_the_corners_it_starts_from():
+    # 40 inputs: all 40 * 2^40 corner entries would take 350 TB; the 64
+    # corners the search starts from take 20 KB
+    import tracemalloc
+    n = 40
+    F = MultiMap(PolynomialMap(n, [[(1.0, tuple(int(j == i)
+                                                 for j in range(n)))
+                                    for i in range(n)]]),
+                 Singleton(np.zeros(1)))
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        d = preimage_distance(F, [0.5], x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # f is the sum of the inputs: a hyperplane at distance |sum x - 0.5|
+    assert d == pytest.approx(abs(x.sum() - 0.5) / np.sqrt(n), abs=1e-8)
+    assert peak < 5e6
+
+
 @pytest.mark.parametrize("dim, rows", [(2, 120), (4, 5)])
 def test_grid_fallback_start_is_each_rows_own_grid_argmin(dim, rows):
     # the fallback start, taken a few rows at a time (several chunks here:

@@ -81,6 +81,10 @@ COMMANDS = (
           "--seed", "3"], "report.json"),
         (["modulus", "parabola_eb", "--tau", "10", "--budget", "300",
           "--seed", "3", "--csv", "samples.csv"], "samples.csv"),
+        # a small batch of the same route: few enough live rows that each
+        # runs all 12 pull rounds in one wave from the start
+        (["modulus", "parabola_eb", "--budget", "24", "--seed", "3"],
+         "report.json"),
         # halfplane_directional turned by 30 degrees: a K with skew rows,
         # which the exact active-set route leaves to Dykstra (every row
         # converges there; none reaches the least-distance solve)
