@@ -27,80 +27,74 @@ certified when the two agree.  Both routes are row-independent: their
 products go through geometry.row_matmul, so a row gets the same value and
 flag alone as in any batch.
 
-One kernel runs the scale search (_screened_search), after a nine-point
-screen whose own values admit and whose lower bound rejects: the
-admissibility filter at thr = tol (_member_mask), and the envelope at its
-shell threshold and at tol on its probes.  With c = f(x) - y, the
-membership value is the minimum over lam >= 0 of [phi(lam)]+,
-phi(lam) = d(K, c + lam ybar) - lam delta (_phi).  phi is convex (a
-convex distance along a line minus a linear term; Rockafellar, Convex
-Analysis, sec. 24), so outside an interval of the lam grid it lies above
-the secant line through that interval's ends.  On each grid interval phi
-is therefore above the larger of the secants of its two neighbours, and
-the least value of that max (at the lines' kink or an interval end)
-bounds phi from below there.  Past the last grid point phi stays above the
-last secant, which gives a bound only where that secant rises: a
-K that holds the ray along ybar makes phi fall without end.  The grid is 0
-and 8 log-spaced points up to the scale cap _lam_max, so a secant is
-extrapolated at most q = 10^(6/7) ~ 7.2 times its own width, and an
-evaluation error e moves the bound by at most (1 + 2q) e ~ 15.4 e.  The
-screen rejects a row only when its bound exceeds thr by the margin
-1e-6 (1 + |c| + lam_max (|ybar| + delta)), where the bracket bounds the
-size of every point the grid evaluates.  So it covers any e up to 6e-8
-times that size, on every route of a polyhedral projection.  A point of
-the exact active-set route meets its KKT conditions up to rounding, and a
-row Dykstra converges stops within DYKSTRA_TOL = 1e-10, 600 times below
-the budget.  A row it hands to the least-distance solve needs its distance
-within 6e-8 times its size; the property tests hold those points to 1e-7
-(1 + |q|) in feasibility and KKT residual, and 3,000 random systems in 1-3
-dimensions gave at most 1e-12 (1 + |p|).  Both routes of membership_values
-are then above thr too, so every decision value <= t with t <= thr is the
-same bit.  Nothing in the argument depends on the value of thr.
+The scale search runs in stages.  With c = f(x) - y, the membership value
+is the minimum over lam >= 0 of [phi(lam)]+, phi(lam) = d(K, c + lam ybar)
+- lam delta (_phi).  Each stage evaluates phi on a set of lam points per
+row: a nine-point screen (0 and 8 log-spaced points up to the row's scale
+cap _lam_max), the 64-point grid (0 and 63 such points), then four zoom
+rounds of 17 even points on the bracket around the previous stage's least
+value.  The screen runs only for a caller with a threshold, and the grid
+starts afresh after it, so a row that runs every later stage gets the bits
+of the unscreened search (membership_values).
 
-The screen admits as well as rejects.  Given the caller's decision
-threshold tol, a row the screen does not reject and whose least [phi]+ on
-the screen's nine points is <= tol is admitted with that value, and it
-runs no scale search.  phi(lam) <= tol at a concrete lam >= 0 is itself a
-certificate: a point k of K has |c + lam ybar - k| <= tol + lam delta, so
-y lies within tol of f(x) - k + lam B(ybar, delta), a subset of
-F(x) + cone(B(ybar, delta)), and the membership value is <= tol.  A
-decision can thus only move toward a certified member, and only on a row
-where the screen finds such a lam and both routes of membership_values
-miss it; the decision tests hold the kernel to their bits.
+One bound serves every stage.  phi is convex (a convex distance along a
+line minus a linear term; Rockafellar, Convex Analysis, sec. 24), so
+outside an interval of a stage's points it lies above the secant line
+through that interval's ends.  On each interval phi is therefore above the
+larger of the secants of its two neighbours, and the least value of that
+max (at the lines' kink or an interval end) bounds phi from below there
+(_secant_bound).  Below the first point phi stays above the first secant,
+so above the first value where that secant falls, and past the last point
+above the last value where the last secant rises; nothing lies below a
+first point at lam = 0, and a K that holds the ray along ybar makes phi
+fall without end, with no bound.  A secant extrapolated q times its own
+width moves the bound by at most (1 + 2q) e for an evaluation error e: the
+screen's points are 10^(6/7) ~ 7.2 apart in ratio, so 15.4 e; the grid's
+first interval borrows about a quarter of its neighbour (q ~ 4), so 9 e,
+and 3.5 e on the rest, whose widths grow by 10^(6/62) ~ 1.25 a step; an
+even zoom round has q = 1, so 3 e.  The head and tail rules move the bound
+by e alone, but only where the end secant really falls or rises, which its
+measured values show when they move by more than 2 e; the rules ask for
+margin / 4 ~ 3.85 e.  A zero-width or NaN interval gives no bound (-inf),
+never a rejection.  A row keeps the best bound of its stages.
 
-The admissibility filter bounds the rows the screen leaves open a second
-time, from the evaluations its scale search makes anyway (_scale_search
-with bound=True): its 64-point grid and each of its four 17-point zoom
-rounds give a secant bound by the same argument (_secant_bound), the best
-of the five is kept, and a row whose bound exceeds tol + margin, with the
-margin above, is rejected.  Only the rows still undecided run the
-alternating route, whose value alone then decides them.  A zoom round
-covers only its bracket [l_0, l_16] by intervals.  Below l_0 phi stays above
-the round's first secant, so above phi(l_0) where that secant falls, and
-past l_16 above phi(l_16) where the last secant rises.  A zoom round is
-evenly spaced (q = 1), so an evaluation error e moves its bound by at most
-3 e.  The grid's first interval borrows the secant of its right neighbour,
-about a quarter of its width (q ~ 4), so about 9 e there, and 3.5 e on
-the rest of the grid, whose widths grow by 10^(6/62) ~ 1.25 a step.  Both
-stay inside the 15.4 e the margin covers; the zoom points lie in
-[0, lam_max] like the screen's, so the margin's size bound holds for them.
-The head and tail rules move the bound by e alone, but only where the end
-secant really falls or rises, which its measured values show when they
-move by more than 2 e; the rules ask for margin / 4 ~ 3.85 e.  A zero-width
-or NaN interval gives no bound (-inf), never a rejection.
+The margin is 1e-6 (1 + |c| + lam_max (|ybar| + delta)), where the bracket
+[0, lam_max] bounds the size of every point a stage evaluates.  So it
+covers any e up to 6e-8 times that size, on every route of a polyhedral
+projection.  A point of the exact active-set route meets its KKT
+conditions up to rounding, and a row Dykstra converges stops within
+DYKSTRA_TOL = 1e-10, 600 times below the budget.  A row it hands to the
+least-distance solve needs its distance within 6e-8 times its size; the
+property tests hold those points to 1e-7 (1 + |q|) in feasibility and KKT
+residual, and 3,000 random systems in 1-3 dimensions gave at most 1e-12
+(1 + |p|).
 
-A row leaves the scale search before a zoom round as soon as its decision
-is settled, given the caller's decision threshold tol (the filter's tol,
-and the envelope's tol on its rows and its probes).  The search value only
-falls from round to round, so a row whose value is already <= tol stays
-admitted whatever the later rounds find.  The secant bound only rises, so,
-with bound=True, a row whose bound already exceeds tol + margin stays
-rejected, and by the argument above its value stays above tol.  Such a
-row's value and bound are then partial, as are those of a row the screen
-admits, and its callers read only these decisions.  The rows still open
-run the rounds with the same arithmetic, row by row, as in the full
-search, so they keep its bits, and every decision of a searched row is the
-full search's bit.
+One exit rule follows every stage, given the caller's threshold thr and
+decision threshold tol <= thr.  A row whose bound exceeds thr + margin is
+rejected and its value becomes +inf: both routes of membership_values are
+above thr, so every decision value <= t with t <= thr is the bit the full
+value gives, and nothing in the argument depends on the value of thr.
+Otherwise a row whose value is <= tol is admitted.  On the screen that is
+a certificate of its own: phi(lam) <= tol at a concrete lam >= 0 gives a
+point k of K with |c + lam ybar - k| <= tol + lam delta, so y lies within
+tol of f(x) - k + lam B(ybar, delta), a subset of F(x) + cone(B(ybar,
+delta)), and the membership value is <= tol.  A decision can thus only
+move toward a certified member, and only on a row where the screen finds
+such a lam and both routes miss it.  Later stages admit on the search
+value, which membership_values would take too.  The value only falls and
+the bound only rises from stage to stage, so a settled row stays settled
+and leaves the search with a partial value; its callers read only its
+decision.  Rejection wins a tie, which needs measured phi values that break
+convexity by more than the margin.  The rows no stage settles come back
+open.
+
+The callers.  The admissibility filter (_member_mask) runs the search at
+thr = tol and the alternating route on its open rows only.
+membership_values runs it with no threshold, so with no screen and no
+exit.  The envelope needs two bits of each row, value <= tol and value <=
+reach, the radius of its probing shell: its rows run at thr = max(tol,
+reach), its closure probes at thr = tol, both admitting at tol.  A row
+above tol and below reach never meets the bound, so it runs every stage.
 """
 
 from __future__ import annotations
@@ -131,14 +125,13 @@ from .geometry import (
 
 _SCREEN_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 8)])
 _SEARCH_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 63)])
-_ZOOM_POINTS = 17
+_ZOOM_GRID = np.linspace(0.0, 1.0, 17)
 _ZOOM_ROUNDS = 4
 _ALTERNATION_CAP = 120
 _SECANT_MARGIN = 1e-6
-# phi evaluations per pass of the screen and of the scale search, which
-# bound their temporaries (row-independent code, so the bits do not depend
-# on it): 910 rows a screen pass, 128 a search pass, whose zoom rounds then
-# run only on the rows of the pass whose decision is still open
+# phi evaluations per pass of a scale-search stage, which bound its
+# temporaries (row-independent code, so the bits do not depend on it): 910
+# rows a screen pass, 128 a grid pass, 481 a zoom pass
 _MEMBERSHIP_POINTS = 8192
 
 
@@ -417,14 +410,20 @@ def _grid_nodes(boxes: np.ndarray, resolution: int,
     """Lattice nodes of each box in a (R, n, 2) stack, shape (R, N, n).
 
     The resolution drops until at most cap nodes remain (or it reaches 2);
-    nodes run in C order over the axes, the first axis slowest.
+    nodes run in C order over the axes, the first axis slowest.  Where even
+    the 2^n corners exceed cap, only the first cap of them in that order
+    are kept, so the leading axes stay at their lower ends; the nodes are
+    built from the digits of their index, never as the whole lattice.
     """
     n = boxes.shape[1]
     res = resolution
     while res ** n > cap and res > 2:
         res -= 1
     axes = np.linspace(boxes[..., 0], boxes[..., 1], res, axis=-1)
-    idx = np.indices((res,) * n).reshape(n, -1).T   # (N, n)
+    idx = np.empty((min(res ** n, cap), n), dtype=int)
+    k = np.arange(idx.shape[0])
+    for j in range(n - 1, -1, -1):                  # the last axis fastest
+        k, idx[:, j] = np.divmod(k, res)
     return axes[:, np.arange(n), idx]
 
 
@@ -788,63 +787,60 @@ def _phi(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
 
 
 def _scale_search(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
-                  bound: bool = False, grid: np.ndarray = _SEARCH_GRID,
-                  zooms: int = _ZOOM_ROUNDS, tol: float | None = None):
-    """min over lam >= 0 of [phi(lam)]+ (_phi), per row of Cres.
+                  thr: float = np.inf, tol: float | None = None):
+    """min over lam >= 0 of [phi(lam)]+ (_phi), per row of Cres, as one
+    staged search.  Returns (values, open_).
 
     Exact up to the 1d search: shrinking the lam-ball around lam*ybar turns
-    the cone minimization into this scalar problem.  The grid, scaled to
-    each row's cap _lam_max, brackets the minimizer and batched zoom rounds
-    refine the bracket.  The rows go in passes of at most _MEMBERSHIP_POINTS
-    grid points, each pass's temporaries freed before the next one starts.
-    bound=True returns (values, lb, margin), with the best secant bound
-    (_secant_bound) of the grid and of the zoom rounds; the screen is this
-    bound on _SCREEN_GRID with no zoom round.
-
-    With a threshold tol, a row leaves the search before a zoom round once
-    its value is <= tol or, with bound=True, its bound exceeds tol + margin
-    (see the module docstring).  Such a row's value and bound are those of
-    the rounds it ran, so they are partial: only the decisions value <= tol
-    and lb > tol + margin are the full search's, and those are all its
-    callers read.  A row that runs every round gets the full search's bits.
+    the cone minimization into this scalar problem.  The stages are the
+    screen (_SCREEN_GRID, only when thr < inf), the grid (_SEARCH_GRID) and
+    _ZOOM_ROUNDS zoom rounds (_ZOOM_GRID) on the bracket the stage before
+    leaves around its least value; the two grids span [0, _lam_max] afresh.
+    Each stage takes its secant bound (_secant_bound) and runs its live rows
+    in passes of at most _MEMBERSHIP_POINTS points.  After every stage one
+    exit rule applies (see the module docstring): a row whose bound exceeds
+    thr + margin is rejected, with value +inf, else one whose value is <=
+    tol is admitted.  open_ marks the rows neither rule settled; a row
+    that runs every stage after the screen gets the full search's bits.
     """
-    out = np.empty((3 if bound else 1, Cres.shape[0]))
-    step = max(1, _MEMBERSHIP_POINTS // grid.size)
-    t = np.linspace(0.0, 1.0, _ZOOM_POINTS)
-    for a in range(0, Cres.shape[0], step):
-        C = Cres[a:a + step]
-        c_norm = np.linalg.norm(C, axis=1)
-        lam_hi = dc._lam_max(c_norm)
-        # how far evaluation error can lift a secant bound above the true
-        # minimum (see the module docstring)
-        margin = _SECANT_MARGIN * (
-            1.0 + c_norm + lam_hi * (np.linalg.norm(dc.ybar) + dc.delta))
-        best = np.full(C.shape[0], np.inf)
-        lb = np.full(C.shape[0], -np.inf)
-        live = np.arange(C.shape[0])
-        lam = lam_hi[:, None] * grid[None, :]
-        for zoom in range(zooms + 1):
-            if zoom:
-                if tol is not None:
-                    keep = ~(best[live] <= tol)
-                    if bound:
-                        keep &= ~(lb[live] > tol + margin[live])
-                    live, lo, hi = live[keep], lo[keep], hi[keep]
-                    if not live.size:
-                        break
-                lam = lo[:, None] + (hi - lo)[:, None] * t[None, :]
-            p = _phi(K, C[live], dc, lam)
-            if bound:
-                lb[live] = np.maximum(lb[live],
-                                      _secant_bound(lam, p, margin[live]))
+    B = Cres.shape[0]
+    c_norm = np.linalg.norm(Cres, axis=1)
+    lam_hi = dc._lam_max(c_norm)
+    # how far evaluation error can lift a secant bound above the true
+    # minimum (see the module docstring)
+    margin = _SECANT_MARGIN * (
+        1.0 + c_norm + lam_hi * (np.linalg.norm(dc.ybar) + dc.delta))
+    best, lb = np.full(B, np.inf), np.full(B, -np.inf)
+    lo, hi = np.zeros(B), np.zeros(B)
+    live = np.arange(B)
+    stages = [_SEARCH_GRID] + [_ZOOM_GRID] * _ZOOM_ROUNDS
+    if thr < np.inf:
+        stages.insert(0, _SCREEN_GRID)
+    for grid in stages:
+        if grid is not _ZOOM_GRID:           # afresh over [0, _lam_max]
+            best[live], lo[live], hi[live] = np.inf, 0.0, lam_hi[live]
+        step = max(1, _MEMBERSHIP_POINTS // grid.size)
+        for a in range(0, live.size, step):
+            r = live[a:a + step]
+            lam = lo[r, None] + (hi[r] - lo[r])[:, None] * grid[None, :]
+            p = _phi(K, Cres[r], dc, lam)
+            lb[r] = np.maximum(lb[r], _secant_bound(lam, p, margin[r]))
             v = np.maximum(p, 0.0)
-            rows = np.arange(live.size)
+            rows = np.arange(r.size)
             i = np.argmin(v, axis=1)
-            best[live] = np.minimum(best[live], v[rows, i])
-            lo = lam[rows, np.maximum(i - 1, 0)]
-            hi = lam[rows, np.minimum(i + 1, lam.shape[1] - 1)]
-        out[:, a:a + step] = (best, lb, margin) if bound else (best,)
-    return tuple(out) if bound else out[0]
+            best[r] = np.minimum(best[r], v[rows, i])
+            lo[r] = lam[rows, np.maximum(i - 1, 0)]
+            hi[r] = lam[rows, np.minimum(i + 1, grid.size - 1)]
+        out = lb[live] > thr + margin[live]
+        best[live[out]] = np.inf
+        if tol is not None:
+            out |= best[live] <= tol
+        live = live[~out]
+        if not live.size:
+            break
+    open_ = np.zeros(B, dtype=bool)
+    open_[live] = True
+    return best, open_
 
 
 def _secant_bound(lam: np.ndarray, phi: np.ndarray,
@@ -893,58 +889,22 @@ def _secant_bound(lam: np.ndarray, phi: np.ndarray,
     return np.where(undefined, -np.inf, lb)
 
 
-def _screened_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
-                     dc: DirectionalCone, thr: float, bound: bool = False,
-                     tol: float | None = None):
-    """The scale search (_scale_search) on the rows c = f(x) - y that the
-    screen leaves open at thr, +inf on the rows it rejects.
+def _membership_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
+                       dc: DirectionalCone, thr: float = np.inf,
+                       tol: float | None = None):
+    """The staged scale search (_scale_search) on the rows c = f(x) - y.
 
-    The screen evaluates phi on _SCREEN_GRID and takes its secant bound
-    (_secant_bound).  A row whose bound exceeds thr + margin has both
-    membership routes above thr (see the module docstring), so value <= t
-    for any t <= thr is the bit the unscreened value gives.  Given a
-    decision threshold tol, a row the screen does not reject and whose
-    screen value, its least [phi]+ on the nine points, is <= tol is
-    admitted with that value and skips the search: phi(lam) <= tol at one
-    lam >= 0 is itself a certificate of membership at tol (see the module
-    docstring).  thr = inf screens nothing.
-
-    Returns (Cres, values), and with bound=True (Cres, values, lb, margin):
-    the search's secant bound and margin on the rows it ran, the screen's
-    on the others.  With tol the search also retires a row once value <=
-    tol or lb > tol + margin settles it (_scale_search).  So the value and
-    bound of an admitted or retired row are partial, and callers read only
-    those decisions; tol=None runs the full search on every row the screen
-    leaves open.  Only _member_mask asks for the bounds.
-    On a whole-space cone the value is exact, 0 or +inf for an empty K, lb
-    is the value and Cres is None.
+    Returns (Cres, values, open_).  On a whole-space cone the value is
+    exact, 0 or +inf for an empty K, no row is open and Cres is None.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     Cres = F.f.eval_batch(X) - Y
-    B = Cres.shape[0]
     if dc.whole_space:
         empty = isinstance(F.K, Polyhedron) and not F.K.is_feasible()
-        vals = np.full(B, np.inf if empty else 0.0)
-        return (None, vals, vals, np.zeros(B)) if bound else (None, vals)
-    vals = np.full(B, np.inf)
-    lb, margin = np.full(B, -np.inf), np.zeros(B)
-    idx = np.arange(B)
-    if thr < np.inf:
-        screen, lb, margin = _scale_search(F.K, Cres, dc, bound=True,
-                                           grid=_SCREEN_GRID, zooms=0)
-        open_ = lb <= thr + margin
-        if tol is not None:
-            admit = open_ & (screen <= tol)
-            vals[admit] = screen[admit]
-            open_ &= ~admit
-        idx = np.flatnonzero(open_)
-    if idx.size and bound:
-        vals[idx], lb[idx], margin[idx] = _scale_search(F.K, Cres[idx], dc,
-                                                        bound=True, tol=tol)
-    elif idx.size:
-        vals[idx] = _scale_search(F.K, Cres[idx], dc, tol=tol)
-    return (Cres, vals, lb, margin) if bound else (Cres, vals)
+        B = Cres.shape[0]
+        return None, np.full(B, np.inf if empty else 0.0), np.zeros(B, bool)
+    return (Cres, *_scale_search(F.K, Cres, dc, thr, tol))
 
 
 def _alternate(K: ConvexSet, Cres: np.ndarray,
@@ -987,7 +947,7 @@ def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
     certificate (a screen point with phi <= tol) should both routes here
     miss it.
     """
-    Cres, v_grid = _screened_search(F, X, Y, dc, np.inf)
+    Cres, v_grid, _ = _membership_search(F, X, Y, dc)
     if Cres is None:
         return v_grid, np.ones(v_grid.size, dtype=bool)
     v_alt = _alternate(F.K, Cres, dc)
@@ -1002,28 +962,21 @@ def _member_mask(F: MultiMap, X: np.ndarray, Y: np.ndarray,
     row decided as soon as its decision is certain; only the screen's own
     certificate (1) could admit a row that both of those routes miss.
 
-    1. The screen (_screened_search at tol) rejects a row whose secant
-       bound on its nine points exceeds tol + margin, and admits one whose
-       least [phi]+ there is <= tol: phi(lam) <= tol at one lam >= 0
-       certifies membership, so such a row runs no scale search.
-    2. The scale search, on the rows the screen leaves open, admits a row
-       whose value is <= tol, because membership_values takes the smaller
-       of the two routes.
-    3. A searched row above tol whose secant bound exceeds tol + margin is
-       rejected.  The search stops refining a row once 2 or 3 holds, so
-       only open rows run its zoom rounds.
-    4. Only rows still undecided run the alternating route (_alternate),
-       whose value then decides them.
+    1. The staged scale search (_scale_search at thr = tol) rejects a row
+       once its secant bound exceeds tol + margin, and admits one once its
+       value is <= tol: on the screen, phi(lam) <= tol at one lam >= 0
+       certifies membership; after it, the full search reaches that value
+       too, and membership_values takes the smaller of the two routes.
+    2. Only the rows the search leaves open run the alternating route
+       (_alternate), whose value then decides them.
 
     Every route is row-independent, so a row gets the same value in a
     subset as in the full batch.
     """
-    Cres, vals, lb, margin = _screened_search(F, X, Y, dc, tol, bound=True,
-                                              tol=tol)
+    Cres, vals, open_ = _membership_search(F, X, Y, dc, tol, tol)
     member = vals <= tol
-    rest = np.flatnonzero((vals > tol) & (lb <= tol + margin))
-    if rest.size:
-        member[rest] = _alternate(F.K, Cres[rest], dc) <= tol
+    if open_.any():
+        member[open_] = _alternate(F.K, Cres[open_], dc) <= tol
     return member
 
 
@@ -1046,11 +999,10 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
     closure probe: 32 directions at radii tol * 2^-k, k = 0..4, each with
     the y of the row it probes.  Points whose membership residual already
     exceeds what a tol-step could close are rejected without probing.
-    Membership is the screened scale search (_screened_search), at the
-    shell threshold on the rows of X and at tol on the probes, so the rows
-    the screen rules out skip the search and take the decisions the
-    unscreened values give, and the rows whose screen values already
-    certify membership at tol skip it as members.
+    Membership is the staged scale search (_scale_search), admitting at
+    tol, and rejecting at thr = max(tol, reach) on the rows of X and at
+    thr = tol on the probes: a rejected row's routes both lie above thr,
+    so its member and shell bits are those its full value gives.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(y, dtype=float)
@@ -1068,7 +1020,7 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
             np.stack([X.min(axis=0) - tol, X.max(axis=0) + tol], axis=1)
         )
     reach = tol * (1.0 + lipschitz) * 1.001
-    _, vals = _screened_search(F, X, Y, dc, np.fmax(tol, reach), tol=tol)
+    _, vals, _ = _membership_search(F, X, Y, dc, np.fmax(tol, reach), tol)
     member = vals <= tol
     shell = (~member) & (vals <= reach)
     if np.any(shell):
@@ -1078,7 +1030,7 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
         idx = np.where(shell)[0]
         P = (X[idx][:, None, :] + offs[None, :, :]).reshape(-1, F.dim_in)
         Yp = np.repeat(Y[idx], offs.shape[0], axis=0)
-        _, pv = _screened_search(F, P, Yp, dc, tol, tol=tol)
+        _, pv, _ = _membership_search(F, P, Yp, dc, tol, tol)
         member[idx] = np.any(pv.reshape(idx.size, -1) <= tol, axis=1)
     out = np.full(X.shape[0], np.inf)
     if np.any(member):

@@ -256,6 +256,8 @@ def parse_analysis(data, path: str) -> dict:
             if key == "alpha" and not 0.0 < out[key] < 1.0:
                 raise ProblemFileError(kpath, "must lie strictly between "
                                               "0 and 1")
+            if key == "slack" and not 0.0 <= out[key] < 1.0:
+                raise ProblemFileError(kpath, "must lie in [0, 1)")
         elif key in ("n_points", "slope_budget", "samples_per_delta",
                      "max_slope_points"):
             out[key] = _int(value, kpath, minimum=1)

@@ -261,10 +261,13 @@ def slope_criterion(q: RegularityQuery, tau: float, n_points: int = 24,
 
     For each admissible (x, y) the slope of u -> envelope(F, dc, u, y) at x
     is estimated globally; the criterion holds when the minimum stays above
-    (1/tau)(1 - slack).
+    (1/tau)(1 - slack), with slack in [0, 1): a slack of 1 or more makes
+    the threshold 0 or negative, which every slope passes.
     """
     if tau <= 0:
         raise InvalidParameter("tau must be positive")
+    if not 0.0 <= slack < 1.0:
+        raise InvalidParameter("slack must lie in [0, 1)")
     pairs = _admissible_pairs(q, "slope-crit", n_points)
     if not pairs:
         raise NoAdmissibleSamples(

@@ -29,7 +29,6 @@ from regcert.multimap import (
     _member_mask,
     _probe_directions,
     _scale_search,
-    _screened_search,
     _secant_bound,
     membership_values,
     preimage_distance,
@@ -662,6 +661,130 @@ def test_range_screen_skips_rows_without_a_preimage():
 # ---------------------------------------------------------------------------
 # Directional membership.
 
+def reference_scale_search(K, Cres, dc, bound=False,
+                           grid=multimap._SEARCH_GRID,
+                           zooms=multimap._ZOOM_ROUNDS, tol=None):
+    """The scale search as it was before its stages ran as one loop, the
+    reference the staged search (_scale_search) must match bit for bit.
+
+    One call runs one grid and its zoom rounds, the rows in passes of at
+    most _MEMBERSHIP_POINTS grid points.  bound=True returns (values, lb,
+    margin), the best secant bound of the grid and its rounds; the screen
+    is this bound on _SCREEN_GRID with no zoom round.  With tol a row leaves
+    before a zoom round once its value is <= tol or, with bound=True, its
+    bound exceeds tol + margin.
+    """
+    out = np.empty((3 if bound else 1, Cres.shape[0]))
+    step = max(1, multimap._MEMBERSHIP_POINTS // grid.size)
+    t = np.linspace(0.0, 1.0, 17)
+    for a in range(0, Cres.shape[0], step):
+        C = Cres[a:a + step]
+        c_norm = np.linalg.norm(C, axis=1)
+        lam_hi = dc._lam_max(c_norm)
+        margin = multimap._SECANT_MARGIN * (
+            1.0 + c_norm + lam_hi * (np.linalg.norm(dc.ybar) + dc.delta))
+        best = np.full(C.shape[0], np.inf)
+        lb = np.full(C.shape[0], -np.inf)
+        live = np.arange(C.shape[0])
+        lam = lam_hi[:, None] * grid[None, :]
+        for zoom in range(zooms + 1):
+            if zoom:
+                if tol is not None:
+                    keep = ~(best[live] <= tol)
+                    if bound:
+                        keep &= ~(lb[live] > tol + margin[live])
+                    live, lo, hi = live[keep], lo[keep], hi[keep]
+                    if not live.size:
+                        break
+                lam = lo[:, None] + (hi - lo)[:, None] * t[None, :]
+            p = multimap._phi(K, C[live], dc, lam)
+            if bound:
+                lb[live] = np.maximum(lb[live],
+                                      _secant_bound(lam, p, margin[live]))
+            v = np.maximum(p, 0.0)
+            rows = np.arange(live.size)
+            i = np.argmin(v, axis=1)
+            best[live] = np.minimum(best[live], v[rows, i])
+            lo = lam[rows, np.maximum(i - 1, 0)]
+            hi = lam[rows, np.minimum(i + 1, lam.shape[1] - 1)]
+        out[:, a:a + step] = (best, lb, margin) if bound else (best,)
+    return tuple(out) if bound else out[0]
+
+
+def reference_screened_search(F, X, Y, dc, thr, bound=False, tol=None):
+    """The membership kernel as it was before its stages ran as one loop:
+    the screen at thr (admitting at tol), then reference_scale_search on
+    the rows it leaves open.  Returns (Cres, values), with bound=True
+    (Cres, values, lb, margin).  thr = inf screens nothing."""
+    Cres = F.f.eval_batch(np.asarray(X, float)) - np.asarray(Y, float)
+    B = Cres.shape[0]
+    if dc.whole_space:
+        empty = isinstance(F.K, Polyhedron) and not F.K.is_feasible()
+        vals = np.full(B, np.inf if empty else 0.0)
+        return (None, vals, vals, np.zeros(B)) if bound else (None, vals)
+    vals = np.full(B, np.inf)
+    lb, margin = np.full(B, -np.inf), np.zeros(B)
+    idx = np.arange(B)
+    if thr < np.inf:
+        screen, lb, margin = reference_scale_search(
+            F.K, Cres, dc, bound=True, grid=multimap._SCREEN_GRID, zooms=0)
+        open_ = lb <= thr + margin
+        if tol is not None:
+            admit = open_ & (screen <= tol)
+            vals[admit] = screen[admit]
+            open_ &= ~admit
+        idx = np.flatnonzero(open_)
+    if idx.size and bound:
+        vals[idx], lb[idx], margin[idx] = reference_scale_search(
+            F.K, Cres[idx], dc, bound=True, tol=tol)
+    elif idx.size:
+        vals[idx] = reference_scale_search(F.K, Cres[idx], dc, tol=tol)
+    return (Cres, vals, lb, margin) if bound else (Cres, vals)
+
+
+def reference_member_mask(F, X, Y, dc, tol, retire=True):
+    """_member_mask on the reference kernel; retire=False runs every zoom
+    round on every row the screen leaves open."""
+    Cres, vals, lb, margin = reference_screened_search(
+        F, X, Y, dc, tol, bound=True, tol=tol if retire else None)
+    member = vals <= tol
+    rest = np.flatnonzero((vals > tol) & (lb <= tol + margin))
+    if rest.size:
+        member[rest] = multimap._alternate(F.K, Cres[rest], dc) <= tol
+    return member
+
+
+def _probe_points(F, X, Y, tol):
+    """The closure probes of envelope_batch around the rows of X, each
+    with the y of its row."""
+    offs = (_probe_directions(F.dim_in)[None, :, :]
+            * (tol * 0.5 ** np.arange(5))[:, None, None]).reshape(-1,
+                                                                  F.dim_in)
+    P = (X[:, None, :] + offs[None, :, :]).reshape(-1, F.dim_in)
+    return P, np.repeat(Y, len(offs), axis=0)
+
+
+def reference_envelope_batch(F, dc, X, Y, tol, lipschitz):
+    """envelope_batch (one y per row) on the reference kernel, whose rows
+    never retired on the bound.  Returns the values, the shell rows and the
+    membership bits of their probes."""
+    reach = tol * (1.0 + lipschitz) * 1.001
+    _, vals = reference_screened_search(F, X, Y, dc, np.fmax(tol, reach),
+                                        tol=tol)
+    member = vals <= tol
+    shell = ~member & (vals <= reach)
+    probes = np.zeros(0, dtype=bool)
+    if np.any(shell):
+        P, Yp = _probe_points(F, X[shell], Y[shell], tol)
+        _, pv = reference_screened_search(F, P, Yp, dc, tol, tol=tol)
+        probes = pv <= tol
+        member[shell] = np.any(probes.reshape(shell.sum(), -1), axis=1)
+    out = np.full(X.shape[0], np.inf)
+    if np.any(member):
+        out[member] = image_distance_batch(F, X[member], Y[member])
+    return out, shell, probes
+
+
 def test_membership_plain_cases():
     F = halfplane()
     dc = DirectionalCone([0.0, 1.0], 0.2)
@@ -697,7 +820,7 @@ def test_membership_dual_routes_agree():
     assert np.mean(certified) > 0.9
     # the scale search is only one of the two estimates, so it can only be
     # larger than the combined value
-    v_grid = _scale_search(F.K, F.f.eval_batch(X) - Y, dc)
+    v_grid, _ = _scale_search(F.K, F.f.eval_batch(X) - Y, dc)
     assert np.all(v_grid >= vals - 1e-12)
     assert np.all(v_grid[certified] - vals[certified]
                   <= 1e-6 * (1.0 + vals[certified]))
@@ -733,8 +856,9 @@ def _membership_cases():
 
 def _screen_bound(K, Cres, dc):
     """The screen's secant bound and its margin, per row of Cres."""
-    _, lb, margin = _scale_search(K, Cres, dc, bound=True,
-                                  grid=multimap._SCREEN_GRID, zooms=0)
+    _, lb, margin = reference_scale_search(K, Cres, dc, bound=True,
+                                           grid=multimap._SCREEN_GRID,
+                                           zooms=0)
     return lb, margin
 
 
@@ -756,7 +880,7 @@ def _split_tolerances(F, X, Y, dc):
     the alternating route is lower: each leaves that row's decision to the
     alternating route."""
     vals, _ = membership_values(F, X, Y, dc)
-    v_grid = _scale_search(F.K, F.f.eval_batch(X) - Y, dc)
+    v_grid = reference_scale_search(F.K, F.f.eval_batch(X) - Y, dc)
     split = np.flatnonzero(vals < v_grid)[:3]
     return list((vals[split] + v_grid[split]) / 2)
 
@@ -786,16 +910,17 @@ def test_member_mask_is_the_membership_decision(name, seed):
     # value by more than the stated margin, and neither gives a bound where
     # phi falls without end
     lb, margin = _screen_bound(F.K, Cres, dc)
-    searched = _scale_search(F.K, Cres, dc, bound=True)
-    _, search_lb, search_margin = searched
+    full, search_lb, search_margin = reference_scale_search(F.K, Cres, dc,
+                                                            bound=True)
     assert search_margin.tobytes() == margin.tobytes()
-    # the kernel gives the search's outputs on the rows the screen leaves
-    # open, and +inf with the screen's bound on the others
-    kernel = _screened_search(F, X, Y, dc, TOL_MEMBER, bound=True)[1:]
-    shut = lb > TOL_MEMBER + margin
-    screened = (np.inf, lb, margin)
-    for k, s, ref in zip(kernel, searched, screened):
-        assert k.tobytes() == np.where(shut, ref, s).tobytes()
+    # with no tol the kernel gives the full search's values on the rows
+    # that no stage's bound rejects at thr, and +inf on the others, which
+    # alone it leaves settled
+    thr = TOL_MEMBER
+    shut = (lb > thr + margin) | (search_lb > thr + margin)
+    kernel, open_ = _scale_search(F.K, Cres, dc, thr)
+    assert kernel.tobytes() == np.where(shut, np.inf, full).tobytes()
+    assert open_.tobytes() == (~shut).tobytes()
     assert np.all(lb <= vals + margin)
     assert np.all(search_lb <= vals + margin)
     if name == "ray_along_ybar":
@@ -803,20 +928,7 @@ def test_member_mask_is_the_membership_decision(name, seed):
     if name == "halfplane_directional":
         # the search's bound rejects the row added above, which the screen
         # leaves open
-        thr = TOL_MEMBER + margin[-1]
-        assert lb[-1] <= thr < search_lb[-1]
-
-
-def _full_search_member_mask(F, X, Y, dc, tol):
-    """_member_mask as it was before rows left the scale search once their
-    decision was settled: every row the screen leaves open runs every zoom
-    round, the reference the retiring search must match bit for bit."""
-    Cres, vals, lb, margin = _screened_search(F, X, Y, dc, tol, bound=True)
-    member = vals <= tol
-    rest = np.flatnonzero((vals > tol) & (lb <= tol + margin))
-    if rest.size:
-        member[rest] = multimap._alternate(F.K, Cres[rest], dc) <= tol
-    return member
+        assert lb[-1] <= thr + margin[-1] < search_lb[-1]
 
 
 @settings(max_examples=12, deadline=None)
@@ -826,11 +938,13 @@ def _full_search_member_mask(F, X, Y, dc, tol):
 @example("halfplane_directional", 0, 320)
 def test_member_mask_is_the_full_search_mask(name, seed, points):
     # rows that leave the scale search once settled take the decisions
-    # of the full search, whether a pass holds the default 128 rows or 5
+    # of the full search, whether a grid pass holds the default 128 rows
+    # or 5
     F, dc = _membership_cases()[name]
     X, Y = _membership_rows(F, np.random.default_rng(seed), 60)
     tols = [TOL_MEMBER, 1e-5, 1e-2, *_split_tolerances(F, X, Y, dc)]
-    refs = [_full_search_member_mask(F, X, Y, dc, tol) for tol in tols]
+    refs = [reference_member_mask(F, X, Y, dc, tol, retire=False)
+            for tol in tols]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multimap, "_MEMBERSHIP_POINTS", points)
         for tol, ref in zip(tols, refs):
@@ -838,10 +952,51 @@ def test_member_mask_is_the_full_search_mask(name, seed, points):
             assert mask.tobytes() == ref.tobytes(), (name, tol)
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(_membership_cases())),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([TOL_MEMBER, 1e-3]))
+@example("halfplane_directional", 0, 1e-3)
+def test_staged_search_keeps_the_reference_bits(name, seed, tol):
+    # the decisions of _member_mask at tol, the envelope's row and probe
+    # bits at its shell threshold, and the unscreened values of
+    # membership_values are the reference kernel's, bit for bit
+    F, dc = _membership_cases()[name]
+    gen = np.random.default_rng(seed)
+    X, Y = _membership_rows(F, gen, 30)
+    Xe, Ye = _envelope_rows(F, gen, 30, tol)
+    X, Y = np.vstack([X, Xe]), np.vstack([Y, Ye])
+    Cres = F.f.eval_batch(X) - Y
+    vals, certified = membership_values(F, X, Y, dc)
+    v_grid = reference_scale_search(F.K, Cres, dc)
+    v_alt = multimap._alternate(F.K, Cres, dc)
+    assert vals.tobytes() == np.minimum(v_grid, v_alt).tobytes()
+    assert certified.tobytes() == (np.abs(v_grid - v_alt)
+                                   <= 1e-6 * (1.0 + vals)).tobytes()
+    mask = _member_mask(F, X, Y, dc, tol)
+    assert mask.tobytes() == reference_member_mask(F, X, Y, dc,
+                                                   tol).tobytes()
+    lip = 1.5
+    reach = tol * (1.0 + lip) * 1.001
+    _, ref_rows = reference_screened_search(F, X, Y, dc, max(tol, reach),
+                                            tol=tol)
+    _, rows, _ = multimap._membership_search(F, X, Y, dc, max(tol, reach),
+                                             tol)
+    for t in (tol, reach):
+        assert (rows <= t).tobytes() == (ref_rows <= t).tobytes()
+    env = envelope_batch(F, dc, X, Y, tol, lip)
+    ref, shell, probes = reference_envelope_batch(F, dc, X, Y, tol, lip)
+    assert env.tobytes() == ref.tobytes()
+    if shell.any():
+        P, Yp = _probe_points(F, X[shell], Y[shell], tol)
+        _, pv, _ = multimap._membership_search(F, P, Yp, dc, tol, tol)
+        assert (pv <= tol).tobytes() == probes.tobytes()
+
+
 def _screen_decisions(K, Cres, dc, thr, tol):
     """Rows the screen at thr admits at tol and rows it rejects."""
-    v, lb, margin = _scale_search(K, Cres, dc, bound=True,
-                                  grid=multimap._SCREEN_GRID, zooms=0)
+    v, lb, margin = reference_scale_search(K, Cres, dc, bound=True,
+                                           grid=multimap._SCREEN_GRID,
+                                           zooms=0)
     reject = lb > thr + margin
     return ~reject & (v <= tol), reject
 
@@ -879,8 +1034,8 @@ def test_zoom_rounds_run_only_open_rows():
     def open_after(rows, zooms, tol):
         """How many of the rows the full search leaves undecided after
         the given number of zoom rounds."""
-        v, lb, margin = _scale_search(F.K, Cres[rows], dc, bound=True,
-                                      zooms=zooms)
+        v, lb, margin = reference_scale_search(F.K, Cres[rows], dc,
+                                               bound=True, zooms=zooms)
         return int(np.sum((v > tol) & (lb <= tol + margin)))
 
     # the grid pass sees exactly the rows the screen neither admits nor
@@ -897,8 +1052,8 @@ def test_zoom_rounds_run_only_open_rows():
     assert zoom == [n for n in expected if n] and sum(zoom) > 0
     # rows the grid pass settles, some admitted and some rejected by its
     # bound, make no 17-point pass and never reach the alternating route
-    v, lb, margin = _scale_search(F.K, Cres[searched], dc, bound=True,
-                                  zooms=0)
+    v, lb, margin = reference_scale_search(F.K, Cres[searched], dc,
+                                           bound=True, zooms=0)
     grid_admit = v <= TOL_MEMBER
     grid_reject = ~grid_admit & (lb > TOL_MEMBER + margin)
     assert np.any(grid_admit) and np.any(grid_reject)
@@ -916,16 +1071,20 @@ def test_zoom_rounds_run_only_open_rows():
 
 
 def test_undecided_rows_skip_a_second_scale_search():
-    # at a split tolerance the scale search runs once, on the rows the
-    # screen neither admits nor rejects, and the alternating route alone
-    # decides the rows it leaves undecided
-    searched = []
-    search = multimap._scale_search
+    # at a split tolerance the scale search runs once: its screen sees
+    # every row, its grid exactly the rows the screen neither admits nor
+    # rejects, and the alternating route alone decides the rows it leaves
+    # undecided
+    searched, passes = [], []
+    search, phi = multimap._scale_search, multimap._phi
 
-    def counting(K, Cres, dc, **kw):
-        searched.append((kw.get("zooms", multimap._ZOOM_ROUNDS),
-                         Cres.shape[0]))
-        return search(K, Cres, dc, **kw)
+    def counting(K, Cres, dc, *args):
+        searched.append(Cres.shape[0])
+        return search(K, Cres, dc, *args)
+
+    def counting_phi(K, Cres, dc, lam):
+        passes.append(lam.shape)
+        return phi(K, Cres, dc, lam)
 
     n_split = n_searched = 0
     for name, (F, dc) in sorted(_membership_cases().items()):
@@ -939,29 +1098,31 @@ def test_undecided_rows_skip_a_second_scale_search():
                 n_open = int(np.sum(~admit & ~reject))
                 n_searched += n_open
                 searched.clear()
+                passes.clear()
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(multimap, "_scale_search", counting)
+                    mp.setattr(multimap, "_phi", counting_phi)
                     mask = _member_mask(F, X, Y, dc, tol)
-                # the screen, with no zoom round, sees every row once
-                expected = [(0, len(X))]
+                assert searched == [len(X)], name
+                expected = [(len(X), 9)]
                 if n_open:
-                    expected.append((multimap._ZOOM_ROUNDS, n_open))
-                assert searched == expected, name
+                    expected.append((n_open, 64))
+                assert [p for p in passes if p[1] != 17] == expected, name
                 assert mask.tobytes() == (vals <= tol).tobytes(), name
     assert n_split > 0 and n_searched > 0
 
 
 def test_screen_admitted_rows_skip_the_scale_search():
     # a batch made only of rows the screen admits makes one _scale_search
-    # call, the screen, and no 64-point or 17-point _phi pass, in
-    # _member_mask and in envelope_batch on its rows and on its probes
+    # call and no 64-point or 17-point _phi pass, in _member_mask and in
+    # envelope_batch on its rows and on its probes
     calls, widths, alternated = [], [], []
     search, phi = multimap._scale_search, multimap._phi
     alternate = multimap._alternate
 
-    def counting_search(K, Cres, dc, **kw):
+    def counting_search(K, Cres, dc, *args):
         calls.append(Cres.shape[0])
-        return search(K, Cres, dc, **kw)
+        return search(K, Cres, dc, *args)
 
     def counting_phi(K, Cres, dc, lam):
         widths.append(lam.shape[1])
@@ -1009,18 +1170,92 @@ def test_screen_admitted_rows_skip_the_scale_search():
     # the probes: y = 1.5 tol lies outside the tube at the local maximum
     # x = 0 of f(x) = -1e6 x^2, while f falls far below y at every probe,
     # and with delta near |ybar| the screen's nine points admit each of
-    # them.  The row runs the search, its 160 probes only the screen.
+    # them.  The row runs every stage, its 160 probes only the screen.
     tol = 1e-3
     F = MultiMap(PolynomialMap(1, [[(-1e6, (2,))]]), Singleton([0.0]))
     dc = DirectionalCone([1.0], 0.99)
     X, Y = np.zeros((1, 1)), np.full((1, 1), -1.5 * tol)
     env = counted(envelope_batch, F, dc, X, Y, tol, lip)
-    assert calls == [1, 1, 160]
+    assert calls == [1, 160]
     assert widths == [9, 64] + [17] * multimap._ZOOM_ROUNDS + [9]
     assert env.tobytes() == image_distance_batch(F, X, Y).tobytes()
-    offs = (_probe_directions(1)[None, :, :]
-            * (tol * 0.5 ** np.arange(5))[:, None, None]).reshape(-1, 1)
-    certified_alone(F, dc, X + offs, np.repeat(Y, len(offs), axis=0), tol)
+    P, Yp = _probe_points(F, X, Y, tol)
+    certified_alone(F, dc, P, Yp, tol)
+
+
+def test_envelope_rows_retire_on_the_shell_threshold():
+    # on the ball case, c = f(x) - y = (-0.5, -2.2) has membership value
+    # ~0.165, far above the shell radius reach ~2.5e-3 at tol 1e-3.  The
+    # screen's nine points leave it open; the 64-point grid's bound rejects
+    # it at max(tol, reach), so it runs no 17-point pass and no probe, and
+    # its envelope value is +inf, as the reference's full search gives it
+    F, dc = _membership_cases()["ball"]
+    X, Y = np.zeros((1, 2)), np.array([[0.5, 2.2]])
+    tol, lip = 1e-3, 1.5
+    reach = tol * (1.0 + lip) * 1.001
+    Cres = F.f.eval_batch(X) - Y
+    lb, margin = _screen_bound(F.K, Cres, dc)
+    v, grid_lb, _ = reference_scale_search(F.K, Cres, dc, bound=True,
+                                           zooms=0)
+    assert lb[0] <= reach + margin[0] < grid_lb[0] and v[0] > reach
+    widths = []
+    phi = multimap._phi
+
+    def counting_phi(K, Cres, dc, lam):
+        widths.append(lam.shape[1])
+        return phi(K, Cres, dc, lam)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multimap, "_phi", counting_phi)
+        env = envelope_batch(F, dc, X, Y, tol, lip)
+    assert widths == [9, 64]
+    ref, shell, _ = reference_envelope_batch(F, dc, X, Y, tol, lip)
+    assert env.tobytes() == ref.tobytes() and env[0] == np.inf
+    assert not shell.any()
+
+
+def _synthetic_phi(values):
+    """A stand-in for _phi: values(lam, lam_star) per row, with lam_star
+    the row's fifth screen point, which lies between two grid points."""
+    def phi(K, Cres, dc, lam):
+        lam_hi = dc._lam_max(np.linalg.norm(Cres, axis=1))[:, None]
+        return values(lam, lam_hi * multimap._SCREEN_GRID[4])
+    return phi
+
+
+def test_grid_starts_afresh_after_the_screen():
+    # phi = |lam - lam_star| + 0.5 has its least value, 0.5, on a screen
+    # point that no later stage evaluates.  The row stays open (value above
+    # tol, bound below thr), and the grid starts with a fresh value, so the
+    # screened search returns the unscreened search's value, not 0.5
+    F, dc = _membership_cases()["halfplane_directional"]
+    Cres = np.array([[0.3, -1.0], [-0.2, 0.5]])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multimap, "_phi", _synthetic_phi(
+            lambda lam, star: np.abs(lam - star) + 0.5))
+        vals, open_ = _scale_search(F.K, Cres, dc, 1.0, 0.1)
+        ref = reference_scale_search(F.K, Cres, dc)
+    assert np.all(open_) and np.all(ref > 0.5)
+    assert vals.tobytes() == ref.tobytes()
+
+
+def test_rejection_wins_a_tie():
+    # measured phi values that break convexity: 1 + lam / lam_max but 0 on
+    # one screen point.  The neighbours' secants put the bound near 1,
+    # above thr + margin, while the value 0 is within tol; the row is
+    # rejected
+    F, dc = _membership_cases()["halfplane_directional"]
+    Cres = np.array([[0.3, -1.0]])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multimap, "_phi", _synthetic_phi(
+            lambda lam, star: np.where(
+                lam == star, 0.0,
+                1.0 + lam / (star / multimap._SCREEN_GRID[4]))))
+        _, lb, margin = reference_scale_search(
+            F.K, Cres, dc, bound=True, grid=multimap._SCREEN_GRID, zooms=0)
+        assert lb[0] > 0.5 + margin[0]
+        vals, open_ = _scale_search(F.K, Cres, dc, 0.5, 0.1)
+    assert vals[0] == np.inf and not open_[0]
 
 
 def test_secant_bound_on_a_parabola():
@@ -1053,28 +1288,32 @@ def test_secant_bound_on_a_parabola():
 @example("halfplane_directional", 0, 5, 1e-2)
 def test_scale_search_bound_rows_are_batch_independent(name, seed, chunk,
                                                        tol):
-    # a row's value, bound and margin are the same bits alone, in a batch
-    # and across chunk boundaries, and asking for the bound leaves the
-    # values as they are.  With a threshold tol a row leaves the search
-    # once settled: one that runs every pass gets the full search's bits,
-    # and every row gets the full search's decisions
+    # a row's value and open bit are the same bits alone, in a batch and
+    # across chunk boundaries.  With no tol (thr = inf) every row runs
+    # every stage but the screen and gets the full search's value.  With a
+    # tol (thr = tol) a row leaves the search once settled: one that runs
+    # every stage and is not rejected gets the full search's bits, and
+    # every row gets the reference kernel's decisions
     F, dc = _membership_cases()[name]
     gen = np.random.default_rng(seed)
     X, Y = _membership_rows(F, gen, 12)
     Cres = F.f.eval_batch(X) - Y
-    full = _scale_search(F.K, Cres, dc, bound=True)
-    whole = _scale_search(F.K, Cres, dc, bound=True, tol=tol)
+    thr = np.inf if tol is None else tol
+    full = reference_scale_search(F.K, Cres, dc)
+    whole = _scale_search(F.K, Cres, dc, thr, tol)
     if tol is None:
-        assert whole[0].tobytes() == _scale_search(F.K, Cres, dc).tobytes()
+        assert whole[0].tobytes() == full.tobytes() and whole[1].all()
     else:
-        decisions = [(v <= tol, (v > tol) & (lb > tol + margin))
-                     for v, lb, margin in (full, whole)]
-        for a, b in zip(*decisions):
-            assert a.tobytes() == b.tobytes()
+        _, vals, lb, margin = reference_screened_search(
+            F, X, Y, dc, tol, bound=True, tol=tol)
+        admit = vals <= tol
+        reject = ~admit & (lb > tol + margin)
+        assert (whole[0] <= tol).tobytes() == admit.tobytes()
+        assert (~whole[1] & ~(whole[0] <= tol)).tobytes() == reject.tobytes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multimap, "_MEMBERSHIP_POINTS",
                    chunk * multimap._SEARCH_GRID.size)
-        chunked = _scale_search(F.K, Cres, dc, bound=True, tol=tol)
+        chunked = _scale_search(F.K, Cres, dc, thr, tol)
     passes = []
     phi = multimap._phi
 
@@ -1082,16 +1321,16 @@ def test_scale_search_bound_rows_are_batch_independent(name, seed, chunk,
         passes.append(lam.shape)
         return phi(K, C, dc, lam)
 
+    stages = 1 + multimap._ZOOM_ROUNDS + (tol is not None)
     for i in range(12):
         passes.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(multimap, "_phi", counting)
-            alone = _scale_search(F.K, Cres[i:i + 1], dc, bound=True, tol=tol)
+            alone = _scale_search(F.K, Cres[i:i + 1], dc, thr, tol)
         for a, w, c in zip(alone, whole, chunked):
             assert a.tobytes() == w[i:i + 1].tobytes() == c[i:i + 1].tobytes()
-        if len(passes) == 1 + multimap._ZOOM_ROUNDS:
-            for a, f in zip(alone, full):
-                assert a.tobytes() == f[i:i + 1].tobytes(), i
+        if len(passes) == stages and alone[0][0] < np.inf:
+            assert alone[0].tobytes() == full[i:i + 1].tobytes(), i
 
 
 @settings(max_examples=8, deadline=None)
@@ -1104,13 +1343,13 @@ def test_membership_rows_are_batch_independent(name, seed):
     gen = np.random.default_rng(seed)
     X, Y = _membership_rows(F, gen, 12)
     vals, certified = membership_values(F, X, Y, dc)
-    v_grid = _scale_search(F.K, F.f.eval_batch(X) - Y, dc)
+    v_grid, _ = _scale_search(F.K, F.f.eval_batch(X) - Y, dc)
     for i in range(12):
         one = slice(i, i + 1)
         v, c = membership_values(F, X[one], Y[one], dc)
         assert v.tobytes() == vals[one].tobytes(), i
         assert c.tobytes() == certified[one].tobytes(), i
-        g = _scale_search(F.K, F.f.eval_batch(X[one]) - Y[one], dc)
+        g, _ = _scale_search(F.K, F.f.eval_batch(X[one]) - Y[one], dc)
         assert g.tobytes() == v_grid[one].tobytes(), i
 
 
@@ -1154,7 +1393,7 @@ def test_envelope_matches_membership_five_hundred_samples(make, dc):
 def _unscreened_envelope(F, dc, X, Y, tol, lipschitz):
     """The envelope built from the unscreened scale-search values of every
     row and every probe.  Returns it with the shell and hit row counts."""
-    vals = _scale_search(F.K, F.f.eval_batch(X) - Y, dc)
+    vals = reference_scale_search(F.K, F.f.eval_batch(X) - Y, dc)
     member = vals <= tol
     out = np.full(X.shape[0], np.inf)
     out[member] = image_distance_batch(F, X[member], Y[member])
@@ -1162,12 +1401,8 @@ def _unscreened_envelope(F, dc, X, Y, tol, lipschitz):
                            & (vals <= tol * (1.0 + lipschitz) * 1.001))
     if shell.size == 0:
         return out, 0, 0
-    radii = tol * 0.5 ** np.arange(5)
-    offs = (_probe_directions(F.dim_in)[None, :, :]
-            * radii[:, None, None]).reshape(-1, F.dim_in)
-    P = (X[shell][:, None, :] + offs[None, :, :]).reshape(-1, F.dim_in)
-    pv = _scale_search(F.K, F.f.eval_batch(P)
-                       - np.repeat(Y[shell], len(offs), axis=0), dc)
+    P, Yp = _probe_points(F, X[shell], Y[shell], tol)
+    pv = reference_scale_search(F.K, F.f.eval_batch(P) - Yp, dc)
     hit = shell[np.any(pv.reshape(shell.size, -1) <= tol, axis=1)]
     out[hit] = image_distance_batch(F, X[hit], Y[hit])
     return out, shell.size, hit.size
@@ -1223,22 +1458,22 @@ def test_envelope_rows_are_batch_independent(name, seed):
 @pytest.mark.parametrize("points", [9, 320],
                          ids=["screen1-search1", "screen35-search5"])
 def test_membership_chunk_boundaries_move_no_bit(points):
-    # passes of _MEMBERSHIP_POINTS grid points split the screen after every
-    # 1 or 35 rows and the scale search after every 1 or 5; the searched
-    # values and bounds, the decisions and the envelope keep the bits of
-    # the default passes
+    # passes of _MEMBERSHIP_POINTS points split the screen after every 1
+    # or 35 rows, the grid after every 1 or 5 and a zoom round after every
+    # 1 or 18; the values and open bits, the decisions and the envelope
+    # keep the bits of the default passes
     for name, (F, dc) in sorted(_membership_cases().items()):
         gen = np.random.default_rng(29)
         X, Y = _membership_rows(F, gen, 30)
         Xe, Ye = _envelope_rows(F, gen, 40, 1e-3)
         tols = [TOL_MEMBER, 1e-2, *_split_tolerances(F, X, Y, dc)]
-        searched = _screened_search(F, X, Y, dc, TOL_MEMBER, bound=True)[1:]
+        searched = multimap._membership_search(F, X, Y, dc, TOL_MEMBER)[1:]
         masks = [_member_mask(F, X, Y, dc, tol) for tol in tols]
         env = envelope_batch(F, dc, Xe, Ye, 1e-3, 1.5)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(multimap, "_MEMBERSHIP_POINTS", points)
-            chunked = _screened_search(F, X, Y, dc, TOL_MEMBER,
-                                       bound=True)[1:]
+            chunked = multimap._membership_search(F, X, Y, dc,
+                                                  TOL_MEMBER)[1:]
             for a, b in zip(chunked, searched):
                 assert a.tobytes() == b.tobytes(), name
             for tol, mask in zip(tols, masks):
@@ -1289,6 +1524,54 @@ def test_region_grid_cap_downshifts_resolution():
     nodes = r.grid_nodes(cap=1000)
     # 9^4 = 6561 > 1000, 5^4 = 625 fits
     assert nodes.shape == (625, 4)
+
+
+def reference_grid_nodes(boxes, resolution, cap):
+    """_grid_nodes as it was before it built nodes from index digits: the
+    whole lattice through np.indices, 2^n nodes past the cap."""
+    n = boxes.shape[1]
+    res = resolution
+    while res ** n > cap and res > 2:
+        res -= 1
+    axes = np.linspace(boxes[..., 0], boxes[..., 1], res, axis=-1)
+    idx = np.indices((res,) * n).reshape(n, -1).T
+    return axes[:, np.arange(n), idx]
+
+
+def _boxes(gen, rows, n):
+    lo = gen.uniform(-2.0, 1.0, (rows, n))
+    return np.stack([lo, lo + gen.uniform(0.1, 2.0, (rows, n))], axis=-1)
+
+
+@pytest.mark.parametrize("n,resolution,cap", [
+    (1, 9, 4096), (2, 9, 4096), (3, 9, 4096), (4, 9, 4096), (4, 9, 1000),
+    (3, 5, 200_000), (6, 3, 729), (6, 9, 700), (12, 9, 4096), (3, 2, 8)])
+def test_grid_nodes_that_fit_the_cap_keep_their_bytes(n, resolution, cap):
+    boxes = _boxes(np.random.default_rng(n), 3, n)
+    nodes = multimap._grid_nodes(boxes, resolution, cap)
+    ref = reference_grid_nodes(boxes, resolution, cap)
+    assert nodes.shape == ref.shape and nodes.shape[1] <= cap
+    assert nodes.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [13, 16, 40])
+def test_grid_nodes_past_the_cap_are_the_first_corners(n):
+    # 2^n corners exceed the cap of 4096: the first 4096 in C order, built
+    # without the whole lattice (2^40 corners would need 350 TB)
+    import tracemalloc
+    boxes = _boxes(np.random.default_rng(n), 2, n)
+    tracemalloc.start()
+    try:
+        nodes = multimap._grid_nodes(boxes, 9, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nodes.shape == (2, 4096, n) and peak < 8e6
+    bits = (np.arange(4096)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    assert nodes.tobytes() == boxes[:, np.arange(n), bits].tobytes()
+    if n <= 16:
+        ref = reference_grid_nodes(boxes, 9, 4096)
+        assert nodes.tobytes() == ref[:, :4096].tobytes()
 
 
 def test_region_validation():

@@ -186,6 +186,18 @@ def test_analysis_validation():
     assert parse_problem(data).analyses[0]["L"] == 0.0
 
 
+def test_slope_slack_outside_zero_one_is_rejected():
+    # (1/tau)(1 - slack) must stay positive for the slope verdict to say
+    # anything, so slack lies in [0, 1)
+    data = minimal_problem_dict()
+    for value in (1.0, 5.0, -0.1):
+        data["analyses"] = [{"op": "slope", "tau": 0.01, "slack": value}]
+        err = raises_at(data, "analyses[0].slack")
+        assert "[0, 1)" in str(err), value
+    data["analyses"] = [{"op": "slope", "tau": 0.01, "slack": 0}]
+    assert parse_problem(data).analyses[0]["slack"] == 0.0
+
+
 def test_each_op_accepts_only_its_own_parameters():
     values = {"ybar": [1.0, 0.0], "p_grid": [1.0, 2.0],
               "delta_ladder": [0.1], "xbar": [0.5, 0.5],

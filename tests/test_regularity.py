@@ -210,6 +210,15 @@ def test_slope_criterion_bad_tau():
         slope_criterion(query("identity2"), tau=0.0)
 
 
+def test_slope_criterion_bad_slack():
+    # a slack of 1 or more puts the threshold at or below 0, which every
+    # slope passes: at slack 5, diag_2_05 (modulus 2) would pass tau = 0.01
+    # with threshold -400
+    for slack in (1.0, 5.0, -0.1, np.nan):
+        with pytest.raises(InvalidParameter, match="slack"):
+            slope_criterion(query("diag_2_05"), tau=0.01, slack=slack)
+
+
 @pytest.mark.parametrize("name", ["halfplane_directional", "hoffman_2d",
                                   "parabola_eb"])
 @pytest.mark.parametrize("seed", [0, 3, 11])
