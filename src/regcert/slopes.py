@@ -28,9 +28,19 @@ infimum over the strict ball around the reference point, checked against
 f at the point.  It batches both halves: all its slope candidates go
 through one global-slope pass (_global_slopes: the region samples and
 lattice nodes evaluated once, one stacked coordinate ascent over every
-centre), and its boundary hits descend in lockstep (_direction_descent).
+centre), and its boundary hits descend together (_direction_descent).
 Under the field contract each candidate and each hit gets the same bits as
 it would alone.
+
+The descent is a pattern search whose rounds run in speculative waves: a
+hit runs several rounds at once, each assuming the ones before it found
+nothing, and keeps them up to its first that improves.  Each wave costs
+one reach ladder, all its factors in one field call (_reach), and one
+bisection that retires rays which can no longer be their round's winner
+(_bisect).  The rounds kept poll the same rays as a round-at-a-time loop,
+each ray's reach and bisection points are built by the same arithmetic,
+and a retired ray could not have won, so every bit of the certificate is
+what the round-at-a-time loop gives.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .errors import InSet
+from .errors import DimensionMismatch, InSet, InvalidParameter
 from .multimap import SearchRegion
 
 Field = Callable[[np.ndarray], np.ndarray]
@@ -58,6 +68,7 @@ _RAY_ITERS = 45          # bisection steps per direction-descent candidate
 _TREE_LEVELS = 5         # bisection steps per field call on a batch
 _POLISH_ROUNDS = 8       # gradient re-bisections of a boundary point
 _DESCENT_ROUNDS = 24     # pattern-search rounds over ray directions
+_DESCENT_ROWS = 48       # trial directions a descent wave aims at
 _PROBE_KEEP = 6          # low-slope probes kept per certificate
 _POLISH_FACTORS = (1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 3.0)
 _DESCENT_FACTORS = (1.0 + 1e-9, 1.01, 1.1, 1.3, 2.0)
@@ -295,7 +306,7 @@ class ErrorBoundCertificate:
     n_slope_points: int
 
 
-def _bisect(f: Field, xbar, D, hi, iters: int):
+def _bisect(f: Field, xbar, D, hi, iters: int, best=None, group=None):
     """Per row, bisect the ray xbar + t D on [0, hi] for where f turns
     nonpositive; f(xbar + hi D) <= 0 must hold.  Returns the feasible end
     of each final bracket.
@@ -303,32 +314,51 @@ def _bisect(f: Field, xbar, D, hi, iters: int):
     Each field call takes _TREE_LEVELS steps: it evaluates every midpoint
     those steps can reach, each built by the same 0.5 * (lo + hi) chain
     from its parent bracket, and the path is walked afterwards, so under
-    the field contract each row gets the bits of the step-by-step loop."""
+    the field contract each row gets the bits of the step-by-step loop.
+
+    With best and group given (per row: a bar to beat and a group label),
+    the caller wants only each group's first argmin, and only if it lies
+    below its bar.  Between field calls a row then retires, and returns +inf,
+    once its bracket's low end reaches its bar or lies strictly above the
+    least high end in its group.  A row's final end lies in its current
+    bracket, so a retired row could not have been that argmin; the
+    strict test keeps a tie with a lower row possible.  The rows kept get
+    the bits of the unpruned bisection."""
     B, n = D.shape
+    out = np.full(B, np.inf)
+    live = np.arange(B)
     lo = np.zeros(B)
-    rows = np.arange(B)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (B,))
     done = 0
-    while done < iters:
+    while done < iters and live.size:
         k = min(_TREE_LEVELS, iters - done)
+        m = live.size
         # E holds lo, every midpoint the next k steps can reach, and hi, in
         # ray order: a bracket of level l spans 2w columns, w = 2^(k-l-1),
         # and its midpoint sits w columns in
-        E = np.empty((B, (1 << k) + 1))
+        E = np.empty((m, (1 << k) + 1))
         E[:, 0], E[:, -1] = lo, hi
         for level in range(k):
             w = 1 << (k - level - 1)
             E[:, w::2 * w] = 0.5 * (E[:, :-1:2 * w] + E[:, 2 * w::2 * w])
         T = E[:, 1:-1]
-        P = xbar + T[:, :, None] * D[:, None, :]
+        P = xbar + T[:, :, None] * D[live][:, None, :]
         infeas = ~(f(P.reshape(-1, n)) <= 0.0).reshape(T.shape)
         # walk each row's path from the bracket at column 0
-        at = np.zeros(B, dtype=int)
+        rows = np.arange(m)
+        at = np.zeros(m, dtype=int)
         for level in range(k):
             w = 1 << (k - level - 1)
             at += w * infeas[rows, at + w - 1]
         lo, hi = E[rows, at], E[rows, at + 1]
         done += k
-    return hi
+        if best is not None and done < iters:
+            least = np.full(int(group.max()) + 1, np.inf)
+            np.minimum.at(least, group[live], hi)
+            keep = (lo < best[live]) & (lo <= least[group[live]])
+            live, lo, hi = live[keep], lo[keep], hi[keep]
+    out[live] = hi
+    return out
 
 
 def _segment_hits(f: Field, xbar, D):
@@ -343,18 +373,21 @@ def _reach(f: Field, xbar, D, scale, factors):
     """Per-row parameter at which f turns nonpositive, inf if never.
 
     Probes the ladder scale * factors, with one scale for all rows or one
-    per row; rows whose ray misses the sublevel set inside the ladder are
-    reported unreachable."""
-    scale = np.broadcast_to(np.asarray(scale, dtype=float), D.shape[:1])
-    t_hi = np.full(D.shape[0], np.inf)
-    for factor in factors:
-        open_rows = np.flatnonzero(np.isinf(t_hi))
-        if open_rows.size == 0:
-            break
-        t = scale[open_rows] * factor
-        hit = f(xbar[None, :] + t[:, None] * D[open_rows]) <= 0.0
-        t_hi[open_rows[hit]] = t[hit]
-    return t_hi
+    per row, and takes each row's first factor whose point has f <= 0;
+    rows whose ray misses the sublevel set inside the ladder are reported
+    unreachable.  Every (row, factor) point goes in one field call, built
+    as t = scale * factor and xbar + t D like a factor-at-a-time ladder, so
+    under the field contract each row gets that ladder's bits.  No rows,
+    no call."""
+    B = D.shape[0]
+    if B == 0:
+        return np.empty(0)
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), (B,))
+    T = scale[:, None] * np.asarray(factors, dtype=float)[None, :]
+    P = xbar + T[:, :, None] * D[:, None, :]
+    hit = (f(P.reshape(-1, D.shape[1])) <= 0.0).reshape(T.shape)
+    first = np.argmax(hit, axis=1)
+    return np.where(hit[np.arange(B), first], T[np.arange(B), first], np.inf)
 
 
 def _fd_gradient(f: Field, P, delta):
@@ -403,11 +436,23 @@ def _direction_descent(f: Field, xbar, W, d):
     The gradient step stalls at corner feet where the boundary has no
     single normal; a pattern search over unit directions with a vectorized
     re-bisection per candidate does not, because each trial direction is
-    re-anchored to the boundary exactly.  The hits (rows of W, at distances
-    d) run in lockstep: each round stacks the trial directions of every
-    open hit into one reach ladder and one bisection, while each hit keeps
-    its own step, its argmin in row order and its retirement.  Returns the
-    descended points and distances, in the order of the hits."""
+    re-anchored to the boundary exactly.  A round polls the 2n directions
+    U +- h e_k of a hit (row of W, at distance d), moves to the first
+    nearest one that beats d, and halves h if none does; the hit retires
+    after _DESCENT_ROUNDS rounds or once h falls below 1e-9.
+
+    The rounds run in speculative waves.  Each open hit runs its next L
+    rounds in one reach ladder and one pruned bisection, stacked with the
+    other hits', with L the rounds left but at most
+    max(1, _DESCENT_ROWS // (live * 2n)), and no round past the one where
+    h would fall below 1e-9.  Round l of a wave assumes that the rounds
+    before it improved nothing: the same U and d, and h halved l times.  A
+    hit keeps its rounds up to its first that improves and resumes after
+    it; the later ones assumed wrong and are dropped.  So each kept round
+    polls what the round-at-a-time loop would, and with a round counter
+    of its own each hit gets the same bits alone as among the others, at
+    any L.  Returns the descended points and distances, in the order of
+    the hits."""
     W = np.array(W, dtype=float)
     best_d = np.array(d, dtype=float)
     U = W - xbar[None, :]
@@ -418,36 +463,48 @@ def _direction_descent(f: Field, xbar, W, d):
         if not (norm <= 0.0 or best_d[i] <= 0.0):
             u /= norm
             open_[i] = True
-    started = open_.copy()
+    live = np.flatnonzero(open_)
     h = np.full(best_d.size, 0.5)
-    eye = np.eye(xbar.size)
-    for _ in range(_DESCENT_ROUNDS):
-        rows = np.flatnonzero(open_)
-        if rows.size == 0:
-            break
-        step = h[rows, None, None] * eye
-        cand = np.concatenate([U[rows, None, :] + step,
-                               U[rows, None, :] - step], axis=1)
+    k = np.zeros(best_d.size, dtype=int)                   # next round
+    n = xbar.size
+    eye = np.eye(n)
+    while live.size:
+        L = min(_DESCENT_ROUNDS - int(k[live].min()),
+                max(1, _DESCENT_ROWS // (live.size * 2 * n)))
+        steps = h[live, None] * 0.5 ** np.arange(L)        # (live, L)
+        tried = ((k[live, None] + np.arange(L) < _DESCENT_ROUNDS)
+                 & (steps >= 1e-9))
+        owner = np.broadcast_to(live[:, None], tried.shape)[tried]
+        step = steps[tried][:, None, None] * eye
+        cand = np.concatenate([U[owner, None, :] + step,
+                               U[owner, None, :] - step], axis=1)
         norms = np.linalg.norm(cand, axis=2)
         keep = norms > 1e-12
-        owner = np.broadcast_to(rows[:, None], keep.shape)[keep]
+        group, slot = np.nonzero(keep)
         cand = cand[keep] / norms[keep][:, None]
-        t_hi = _reach(f, xbar, cand, best_d[owner], _DESCENT_FACTORS)
-        reach = np.isfinite(t_hi)
-        cand, owner = cand[reach], owner[reach]
-        hi = (_bisect(f, xbar, cand, t_hi[reach], _RAY_ITERS)
-              if cand.shape[0] else np.empty(0))
-        for i in rows:
-            mine = np.flatnonzero(owner == i)
-            j = mine[np.argmin(hi[mine])] if mine.size else None
-            if j is not None and hi[j] < best_d[i]:
-                U[i] = cand[j]
-                best_d[i] = hi[j]
-            else:
-                h[i] *= 0.5
-            if h[i] < 1e-9:
-                open_[i] = False
-    W[started] = xbar[None, :] + best_d[started, None] * U[started]
+        t_hi = _reach(f, xbar, cand, best_d[owner[group]], _DESCENT_FACTORS)
+        reach = np.flatnonzero(np.isfinite(t_hi))
+        group, slot = group[reach], slot[reach]
+        vals = np.full(keep.shape, np.inf)
+        vals[group, slot] = _bisect(f, xbar, cand[reach], t_hi[reach],
+                                    _RAY_ITERS, best_d[owner[group]], group)
+        row = np.full(keep.shape, -1)
+        row[group, slot] = reach
+        # each round's first argmin, and each hit's first round it improves
+        j = np.argmin(vals, axis=1)
+        better = np.zeros(tried.shape, dtype=bool)
+        better[tried] = vals[np.arange(j.size), j] < best_d[owner]
+        first = np.argmax(better, axis=1)
+        won = better[np.arange(live.size), first]
+        pick = (np.cumsum(tried) - 1).reshape(tried.shape)[won, first[won]]
+        U[live[won]] = cand[row[pick, j[pick]]]
+        best_d[live[won]] = vals[pick, j[pick]]
+        # a round halves h unless it improves
+        ran = np.where(won, first + 1, tried.sum(axis=1))
+        h[live] *= 0.5 ** (ran - won)
+        k[live] += ran
+        live = live[(k[live] < _DESCENT_ROUNDS) & (h[live] >= 1e-9)]
+    W[open_] = xbar[None, :] + best_d[open_, None] * U[open_]
     return W, best_d
 
 
@@ -481,11 +538,19 @@ def error_bound_certificate(f: Field, xbar, region: SearchRegion,
     """Check the error bound f(xbar) >= slope_inf * d(xbar, {f <= 0}).
 
     Raises InSet when f(xbar) <= 0 (the bound is about points outside the
-    sublevel set).  The slope infimum runs over sampled points strictly
-    closer to xbar than the sublevel set, with the strict ball realized as
-    the closed ball shrunk by a 1e-9 relative margin.
+    sublevel set), DimensionMismatch when xbar does not live in the
+    region's space and InvalidParameter when max_slope_points < 1.  The
+    slope infimum runs over sampled points strictly closer to xbar than the
+    sublevel set, with the strict ball realized as the closed ball shrunk
+    by a 1e-9 relative margin.
     """
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
+    dim = region.box.shape[0]
+    if xbar.size != dim:
+        raise DimensionMismatch(f"xbar: expected length {dim}, got "
+                                f"{xbar.size}")
+    if max_slope_points < 1:
+        raise InvalidParameter("max_slope_points must be at least 1")
     f_val = _at(f, xbar)
     if f_val <= 0.0:
         raise InSet("reference point already satisfies f <= 0")

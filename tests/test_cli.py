@@ -365,6 +365,27 @@ def test_robinson_is_taken_at_the_problem_y0(capsys, tmp_path):
     assert "robinson: margin=1 -> PASS" in out
 
 
+def test_wrong_length_error_bound_point_is_a_reported_error(capsys,
+                                                            tmp_path):
+    exported = tmp_path / "hoffman.json"
+    code, _, _ = run(capsys, ["instances", "--export", "hoffman_2d", "--out",
+                              str(exported)])
+    assert code == 0
+    data = json.loads(exported.read_text())
+    data["analyses"] = [{"op": "robinson"},
+                        {"op": "error_bound", "xbar": [0.6]}]
+    exported.write_text(json.dumps(data))
+    rep = tmp_path / "report.json"
+    code, out, _ = run(capsys, ["analyze", str(exported), "--budget", "100",
+                                "--no-timestamp", "--out", str(rep)])
+    assert code == 1
+    assert ("error_bound: ERROR DimensionMismatch: xbar: expected length 2, "
+            "got 1") in out
+    records = json.loads(rep.read_text())["analyses"]
+    assert records[0]["error"] is None
+    assert records[1]["error"]["type"] == "DimensionMismatch"
+
+
 def test_analysis_parameters_follow_the_op_table(capsys, tmp_path):
     rep = tmp_path / "report.json"
 

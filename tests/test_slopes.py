@@ -1,6 +1,7 @@
 """Slope estimators and the sublevel error-bound certificate."""
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +16,12 @@ from regcert.instances import builtin, registry_names
 from regcert.multimap import (SearchRegion, default_region, envelope_batch,
                               image_distance_batch)
 from regcert.problems import load_problem
-from regcert.slopes import (_DESCENT_FACTORS, _TREE_LEVELS, _bisect,
-                            _direction_descent, _fd_gradient, _global_slopes,
-                            _reach, _segment_hits, default_local_r0)
+from regcert import slopes
+from regcert.errors import DimensionMismatch, InvalidParameter
+from regcert.slopes import (_DESCENT_FACTORS, _DESCENT_ROUNDS, _RAY_ITERS,
+                            _TREE_LEVELS, _bisect, _direction_descent,
+                            _fd_gradient, _global_slopes, _reach,
+                            _segment_hits, default_local_r0)
 
 
 def afield(a, c=0.0):
@@ -312,6 +316,214 @@ def test_direction_descent_hits_are_batch_independent(name, seed):
         assert di.tobytes() == d3[i:i + 1].tobytes(), i
 
 
+def _reach_ladder(f, xbar, D, scale, factors):
+    """The reach ladder one factor a field call, the reference for
+    _reach."""
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), D.shape[:1])
+    t_hi = np.full(D.shape[0], np.inf)
+    for factor in factors:
+        open_rows = np.flatnonzero(np.isinf(t_hi))
+        if open_rows.size == 0:
+            break
+        t = scale[open_rows] * factor
+        hit = f(xbar[None, :] + t[:, None] * D[open_rows]) <= 0.0
+        t_hi[open_rows[hit]] = t[hit]
+    return t_hi
+
+
+def _descent_rounds(f, xbar, W, d):
+    """The direction descent one round a reach ladder and an unpruned
+    bisection, all open hits in lockstep, the reference for
+    _direction_descent."""
+    W = np.array(W, dtype=float)
+    best_d = np.array(d, dtype=float)
+    U = W - xbar[None, :]
+    open_ = np.zeros(best_d.size, dtype=bool)
+    for i, u in enumerate(U):
+        norm = float(np.linalg.norm(u))
+        if not (norm <= 0.0 or best_d[i] <= 0.0):
+            u /= norm
+            open_[i] = True
+    started = open_.copy()
+    h = np.full(best_d.size, 0.5)
+    eye = np.eye(xbar.size)
+    for _ in range(_DESCENT_ROUNDS):
+        rows = np.flatnonzero(open_)
+        if rows.size == 0:
+            break
+        step = h[rows, None, None] * eye
+        cand = np.concatenate([U[rows, None, :] + step,
+                               U[rows, None, :] - step], axis=1)
+        norms = np.linalg.norm(cand, axis=2)
+        keep = norms > 1e-12
+        owner = np.broadcast_to(rows[:, None], keep.shape)[keep]
+        cand = cand[keep] / norms[keep][:, None]
+        t_hi = _reach_ladder(f, xbar, cand, best_d[owner], _DESCENT_FACTORS)
+        reach = np.isfinite(t_hi)
+        cand, owner = cand[reach], owner[reach]
+        hi = (_bisect(f, xbar, cand, t_hi[reach], _RAY_ITERS)
+              if cand.shape[0] else np.empty(0))
+        for i in rows:
+            mine = np.flatnonzero(owner == i)
+            j = mine[np.argmin(hi[mine])] if mine.size else None
+            if j is not None and hi[j] < best_d[i]:
+                U[i] = cand[j]
+                best_d[i] = hi[j]
+            else:
+                h[i] *= 0.5
+            if h[i] < 1e-9:
+                open_[i] = False
+    W[started] = xbar[None, :] + best_d[started, None] * U[started]
+    return W, best_d
+
+
+def counting(f, log):
+    """f, appending the row count of every call to log."""
+    def counted(X):
+        log.append(X.shape[0])
+        return f(X)
+    return counted
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BISECT_FIELDS)), st.integers(1, 8),
+       st.integers(0, 2 ** 32 - 1))
+def test_reach_is_the_factor_ladder_bit_for_bit(name, rows, seed):
+    f, n, feasible = BISECT_FIELDS[name]
+    gen = np.random.default_rng(seed)
+    xbar = gen.uniform(0.2, 1.5, n)
+    # stretched rays meet the sublevel set at different factors, or miss it
+    D = gen.uniform(0.2, 1.5, (rows, 1)) * (feasible(gen, (rows, n)) - xbar)
+    scale = gen.uniform(0.5, 1.0, rows)
+    log = []
+    got = _reach(counting(f, log), xbar, D, scale, _DESCENT_FACTORS)
+    assert got.tobytes() == _reach_ladder(f, xbar, D, scale,
+                                          _DESCENT_FACTORS).tobytes()
+    assert log == [rows * len(_DESCENT_FACTORS)]
+
+
+def _orthant_field(gen):
+    """The residual field of a random orthant instance, multiplied through
+    row_matmul, and its probe point."""
+    F, xbar = orthant_instance(gen)
+    A, b = F.f.A, F.f.b
+
+    def field(X):
+        return np.linalg.norm(
+            np.maximum(row_matmul(X, A.T) + b[None, :], 0.0), axis=1)
+
+    return field, xbar
+
+
+def _descent_case(name, gen):
+    """(field, xbar, W, d) for one to three boundary hits."""
+    if name == "orthant":
+        f, xbar = _orthant_field(gen)
+        n = xbar.size
+        box = np.stack([xbar - 2.0, xbar + 2.0], axis=1)
+        U = SearchRegion(box, 5, 60, 0).uniform_samples("descent", 60)
+        feas = U[f(U) <= 0.0]
+        targets = feas[gen.permutation(feas.shape[0])[:3]]
+    elif name == "hoffman_corner":
+        # hit 0 sits at the exact corner foot (0, 0) and never improves
+        f, n, feasible = ROW_FIELDS["hoffman_2d"]
+        xbar = gen.uniform(0.2, 1.5, n)
+        targets = feasible(gen, (int(gen.integers(0, 3)), n))
+    else:
+        f, n, feasible = BISECT_FIELDS[name]
+        xbar = gen.uniform(1.0, 1.5, n)
+        targets = feasible(gen, (int(gen.integers(1, 4)), n))
+    hits = _segment_hits(f, xbar, targets - xbar) if targets.size else []
+    W = np.array([w for w, _ in hits]).reshape(-1, n)
+    d = np.array([d for _, d in hits])
+    if name == "hoffman_corner":
+        W = np.vstack([np.zeros((1, n)), W])
+        d = np.concatenate([[float(np.linalg.norm(xbar))], d])
+    return f, xbar, W, d
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BISECT_FIELDS) + ["orthant", "hoffman_corner"]),
+       st.sampled_from([1, 12, 48, 10 ** 6]), st.integers(0, 2 ** 32 - 1))
+def test_descent_waves_are_the_round_loop_bit_for_bit(name, target, seed):
+    # a target of one trial direction runs one round a wave (L = 1); the
+    # larger ones run several, up to every round left in one wave
+    f, xbar, W, d = _descent_case(name, np.random.default_rng(seed))
+    with mock.patch.object(slopes, "_DESCENT_ROWS", target):
+        Wg, dg = _direction_descent(f, xbar, W, d)
+    Wr, dr = _descent_rounds(f, xbar, W, d)
+    assert Wg.tobytes() == Wr.tobytes()
+    assert dg.tobytes() == dr.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BISECT_FIELDS)), st.integers(1, 12),
+       st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_pruned_bisection_keeps_the_unpruned_bits(name, rows, groups, seed):
+    f, n, feasible = BISECT_FIELDS[name]
+    gen = np.random.default_rng(seed)
+    xbar = gen.uniform(0.2, 1.5, n)
+    D = feasible(gen, (rows, n)) - xbar
+    hi = gen.uniform(0.5, 1.5, rows)
+    group = np.sort(gen.integers(0, groups, rows))
+    full = _bisect(f, xbar, D, hi, _RAY_ITERS)
+    # each group's bar lies near the ends its rows reach
+    bar = full[gen.integers(0, rows, groups)] * gen.uniform(0.9, 1.1, groups)
+    best = bar[group]
+    got = _bisect(f, xbar, D, hi, _RAY_ITERS, best, group)
+    kept = np.isfinite(got)
+    assert got[kept].tobytes() == full[kept].tobytes()
+    for g in np.unique(group):
+        mine = np.flatnonzero(group == g)
+        j = mine[np.argmin(full[mine])]
+        if full[j] < bar[g]:
+            # the group's first argmin below its bar is kept, so the
+            # first argmin of the pruned ends is the same row
+            assert mine[np.argmin(got[mine])] == j
+        else:
+            assert not np.any(got[mine] < bar[g])
+        # a retired row could not have been that argmin
+        gone = mine[~kept[mine]]
+        assert np.all((full[gone] >= bar[g]) | (full[gone] > full[j]))
+
+
+def test_registry_certificate_descent_calls_the_field_less():
+    # hoffman_2d's certificate on a 300-sample region: its three hits run
+    # 24 rounds apiece, and hit 0 starts at the exact corner foot (0, 0)
+    inst = builtin("hoffman_2d")
+    region = default_region(inst.x0, 1.25, sample_budget=300, seed=12345,
+                            grid_resolution=7)
+    f = residual_field(inst.F, inst.y0)
+    seen = []
+
+    def grab(*args):
+        seen.append(args)
+        return _direction_descent(*args)
+
+    with mock.patch.object(slopes, "_direction_descent", grab):
+        error_bound_certificate(f, [0.6, 0.8], region)
+    [(_, xbar, W, d)] = seen
+    assert W[0].tobytes() == np.zeros(2).tobytes()
+    waves, rounds = [], []
+    Wg, dg = _direction_descent(counting(f, waves), xbar, W, d)
+    Wr, dr = _descent_rounds(counting(f, rounds), xbar, W, d)
+    assert (Wg.tobytes(), dg.tobytes()) == (Wr.tobytes(), dr.tobytes())
+    # 85 calls over 38,378 rows against 278 over 80,177
+    assert 3 * len(waves) < len(rounds)
+    assert sum(waves) < sum(rounds)
+
+
+def test_ray_kernels_call_nothing_on_zero_rows():
+    def refuse(X):
+        raise AssertionError("field called on zero rows")
+
+    xbar, D = np.ones(2), np.empty((0, 2))
+    assert _reach(refuse, xbar, D, 1.0, _DESCENT_FACTORS).shape == (0,)
+    assert _bisect(refuse, xbar, D, np.empty(0), _RAY_ITERS).shape == (0,)
+    assert _bisect(refuse, xbar, D, np.empty(0), _RAY_ITERS, np.empty(0),
+                   np.empty(0, dtype=int)).shape == (0,)
+
+
 PROBLEM_FILES = ("rotated_halfplane.json", "round_k.json")
 
 
@@ -409,3 +621,18 @@ def test_error_bound_random_orthant_sample():
                                        max_slope_points=8, slope_budget=150)
         assert cert.holds
         assert cert.f_value > 0.0
+
+
+def test_error_bound_checks_its_point_and_slope_points():
+    inst = builtin("hoffman_2d")
+    field = residual_field(inst.F, inst.y0)
+    region = default_region(inst.x0, 1.25, sample_budget=100, seed=0)
+    with pytest.raises(DimensionMismatch, match="xbar"):
+        error_bound_certificate(field, [0.6], region)
+    for bad in (0, -1):
+        with pytest.raises(InvalidParameter, match="max_slope_points"):
+            error_bound_certificate(field, [0.6, 0.8], region,
+                                    max_slope_points=bad)
+    cert = error_bound_certificate(field, [0.6, 0.8], region,
+                                   max_slope_points=1)
+    assert cert.holds

@@ -69,6 +69,10 @@ COMMANDS = (
           "7", "--seed", "3"], "report.json"),
         (["perturb", "--tau", "1", "--delta", "0.5", "--ybar-norm", "1",
           "--alpha", "0.5", "--L", "0.05"], "report.json"),
+        # the error-bound certificate the slope tests replay: a 300-sample
+        # region, on which the boundary hits improve inside descent waves
+        (["analyze", "hoffman_2d", "--budget", "300", "--seed", "12345"],
+         "report.json"),
         (["analyze", "identity2", "--seed", "3", "--csv", "samples.csv"],
          "samples.csv"),
         # the directional membership decision: the CSV holds the admissible
