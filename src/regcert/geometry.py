@@ -24,7 +24,7 @@ are consumed.
 scipy.optimize takes longer to import than most commands take to run, so
 it is imported inside the three functions that call it: solve_lp (the
 robinson LP, and so every analyze, and Polyhedron.is_feasible, which the
-membership search asks on a whole-space cone with a polyhedral K),
+membership search asks on a whole-space cone over a polyhedral factor),
 project_onto_generated_cone (the coderivative's cone projections) and
 _least_distance (the rows Dykstra leaves unconverged).  modulus, slope,
 sweep, perturb and oracle-check on the registry never load it.
@@ -32,6 +32,8 @@ sweep, perturb and oracle-check on the registry never load it.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,7 +65,7 @@ _ACTIVE_SET_CHUNK = 1 << 16
 # grows linearly in the rows, plus one check per pair of rows on one axis)
 _MIN_CHUNK_POINTS = 64
 
-_GOLDEN_ITERS = 48
+GOLDEN_ITERS = 48
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -109,7 +111,10 @@ class ConvexSet:
 
     def distance_batch(self, P: np.ndarray) -> np.ndarray:
         P = _rows(P)
-        Q = self.project_batch(P)
+        try:
+            Q = self.project_batch(P)
+        except EmptySet:   # an empty factor empties a product
+            return np.full(P.shape[0], np.inf)
         return np.linalg.norm(P - Q, axis=1)
 
     def project(self, p) -> np.ndarray:
@@ -378,6 +383,28 @@ def project_halfspaces(C, rhs, P):
     return Q, empty
 
 
+def golden_start(fn, lo, hi):
+    """Golden-section state on per-row brackets: (a, b, x1, x2, f1, f2)."""
+    a = np.asarray(lo, dtype=float).copy()
+    b = np.asarray(hi, dtype=float).copy()
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    return a, b, x1, x2, fn(x1), fn(x2)
+
+
+def golden_step(fn, a, b, x1, x2, f1, f2):
+    """One golden-section step on the state of golden_start, evaluating one
+    new point per row with fn; returns the new state."""
+    left = f1 < f2
+    b = np.where(left, x2, b)
+    a = np.where(left, a, x1)
+    x1_new = np.where(left, b - _INVPHI * (b - a), x2)
+    x2_new = np.where(left, x1, a + _INVPHI * (b - a))
+    fv = fn(np.where(left, x1_new, x2_new))
+    return (a, b, x1_new, x2_new, np.where(left, fv, f2),
+            np.where(left, f1, fv))
+
+
 def golden_min(fn, lo, hi):
     """Vectorized golden-section minimizer over per-point brackets.
 
@@ -385,27 +412,11 @@ def golden_min(fn, lo, hi):
     which holds for the convex sections this is used on.  Fixed iteration
     count, so identical inputs give identical outputs.  Returns (argmin, min).
     """
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = fn(x1)
-    f2 = fn(x2)
-    for _ in range(_GOLDEN_ITERS):
-        left = f1 < f2
-        b = np.where(left, x2, b)
-        a = np.where(left, a, x1)
-        x1_new = np.where(left, b - _INVPHI * (b - a), x2)
-        x2_new = np.where(left, x1, a + _INVPHI * (b - a))
-        fresh = np.where(left, x1_new, x2_new)
-        fv = fn(fresh)
-        f1_old = f1
-        f1 = np.where(left, fv, f2)
-        f2 = np.where(left, f1_old, fv)
-        x1, x2 = x1_new, x2_new
-    xs = np.where(f1 < f2, x1, x2)
-    vals = np.minimum(f1, f2)
-    return xs, vals
+    state = golden_start(fn, lo, hi)
+    for _ in range(GOLDEN_ITERS):
+        state = golden_step(fn, *state)
+    _, _, x1, x2, f1, f2 = state
+    return np.where(f1 < f2, x1, x2), np.minimum(f1, f2)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +656,57 @@ class ProductSet(ConvexSet):
             f.project_batch(block)
             for f, block in zip(self.factors, self._split(P))
         ])
+
+
+
+# ---------------------------------------------------------------------------
+# Faces of polyhedra.
+
+# row subsets a face table may count, before any rank test
+FACE_CAP = 256
+# rows count as dependent where det(C_J C_J^T) is at most this share of
+# the product of their squared norms, where the Gram solve loses most digits
+_FACE_DEPENDENT = 1e-12
+
+
+@dataclass(frozen=True)
+class FaceTable:
+    """The active sets J of {z : C z <= d} with at most k = min(m, dim)
+    independent rows, by size, then in itertools.combinations order.  rows
+    (F, k) lists J padded with -1; M (F, dim, k) holds C_J^T (C_J C_J^T)^-1
+    padded with zeros, so P_J z = z - M_J (C_J z - d_J) is the nearest point
+    of {C_J z = d_J}.  The nearest point of the polyhedron is P_J z for some
+    J, as its multipliers can be taken on independent rows."""
+
+    rows: np.ndarray
+    M: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def face_table(shape: tuple, data: bytes) -> FaceTable | None:
+    """The face table of the C with these bytes, cached like _axis_system
+    (M does not depend on d), or None past FACE_CAP subsets."""
+    m, n = shape
+    k = min(m, n)
+    if sum(math.comb(m, size) for size in range(k + 1)) > FACE_CAP:
+        return None
+    C = np.frombuffer(data).reshape(shape)
+    rows, M = [], []
+    for size in range(k + 1):
+        for J in itertools.combinations(range(m), size):
+            CJ = C[list(J)]
+            G = CJ @ CJ.T
+            if np.linalg.det(G) <= _FACE_DEPENDENT * np.prod(np.diag(G)):
+                continue
+            MJ = np.zeros((n, k))
+            MJ[:, :size] = np.linalg.solve(G, CJ).T
+            rows.append(list(J) + [-1] * (k - size))
+            M.append(MJ)
+    # every caller of the cache shares these arrays
+    table = FaceTable(np.array(rows, dtype=int).reshape(-1, k), np.array(M))
+    for a in (table.rows, table.M):
+        a.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------

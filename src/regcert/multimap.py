@@ -5,11 +5,11 @@ jacobians), K a closed convex set from the geometry module.  The residual
 identity d(y, F(x)) = d(K, f(x) - y) turns image distances into set
 distances.  Preimage distances are exact for affine f with a
 polyhedrally-representable K (projection onto the pulled-back inequality
-system).  Otherwise they come from a multi-start damped Gauss-Newton search
-and are upper bounds, flagged by exact_preimage=False.  The search runs all
-rows and all starts of a batch as one stack, and each row's arithmetic
-depends only on that row, so a row gives the same value alone as in any
-batch.
+system).  Otherwise they are estimates from a multi-start damped
+Gauss-Newton search, which bound it neither way (exact_preimage=False).
+The search runs all rows and all starts of a batch as one stack, and each
+row's arithmetic depends only on that row, so a row gives the same value
+alone as in any batch.
 
 For a polynomial f the search screens its rows first (_no_preimage_rows).
 Every iterate is clipped to the row's clip box, so when an interval
@@ -21,80 +21,35 @@ it, so the screen moves no bit.  A +inf from this route thus means either
 "certified: no preimage in the clip box" or "the search found none".
 
 Membership in the conic tube F(x) + cone(B(ybar, delta)) is computed twice,
-by alternating minimization over (z, k) (_alternate) and by a
-one-dimensional search over the cone scale (_scale_search), and marked
-certified when the two agree.  Both routes are row-independent: their
-products go through geometry.row_matmul, so a row gets the same value and
-flag alone as in any batch.
+by the kernel (_membership_search) and by alternating minimization over
+(z, k) (_alternate), an upper bound, and marked certified when the two
+agree.  Both are row-independent (products go through row_matmul), so a
+row gets the same value and flag alone as in any batch.
 
-The scale search runs in stages.  With c = f(x) - y, the membership value
-is the minimum over lam >= 0 of [phi(lam)]+, phi(lam) = d(K, c + lam ybar)
-- lam delta (_phi).  Each stage evaluates phi on a set of lam points per
-row: a nine-point screen (0 and 8 log-spaced points up to the row's scale
-cap _lam_max), the 64-point grid (0 and 63 such points), then four zoom
-rounds of 17 even points on the bracket around the previous stage's least
-value.  The screen runs only for a caller with a threshold, and the grid
-starts afresh after it, so a row that runs every later stage gets the bits
-of the unscreened search (membership_values).
+With c = f(x) - y the value is [min over lam >= 0 of phi(lam)]+, phi(lam)
+= d(K, c + lam ybar) - lam delta.  For polyhedral K with a face table the
+kernel is exact (_face_values; the parametric projection of Best, An
+algorithm for the solution of the parametric quadratic programming
+problem, 1996, over K's faces).  d(K, z) is the least |z - P_J z| over the
+faces J whose projection P_J z lies in K (geometry.FaceTable).  Along the
+ray P_J z is affine in lam, it lies in K on an interval that one ratio
+test over K's rows finds, and there phi is sqrt(quadratic) - delta lam,
+least at its stationary point clipped to the interval.  The ratio test
+holds a row within _FACE_FEAS = 1e-12 times the size of its terms, or
+rounding fails every face of opposite rows; the value can fall below the
+distance by about as much.  Every other K runs a golden-section search on
+[0, _lam_max] (_golden_values), where phi is convex (Rockafellar, Convex
+Analysis, sec. 24), so the bracket keeps a minimizer, and (|ybar| +
+delta)-Lipschitz, so best - (|ybar| + delta) * width bounds the minimum.
 
-One bound serves every stage.  phi is convex (a convex distance along a
-line minus a linear term; Rockafellar, Convex Analysis, sec. 24), so
-outside an interval of a stage's points it lies above the secant line
-through that interval's ends.  On each interval phi is therefore above the
-larger of the secants of its two neighbours, and the least value of that
-max (at the lines' kink or an interval end) bounds phi from below there
-(_secant_bound).  Below the first point phi stays above the first secant,
-so above the first value where that secant falls, and past the last point
-above the last value where the last secant rises; nothing lies below a
-first point at lam = 0, and a K that holds the ray along ybar makes phi
-fall without end, with no bound.  A secant extrapolated q times its own
-width moves the bound by at most (1 + 2q) e for an evaluation error e: the
-screen's points are 10^(6/7) ~ 7.2 apart in ratio, so 15.4 e; the grid's
-first interval borrows about a quarter of its neighbour (q ~ 4), so 9 e,
-and 3.5 e on the rest, whose widths grow by 10^(6/62) ~ 1.25 a step; an
-even zoom round has q = 1, so 3 e.  The head and tail rules move the bound
-by e alone, but only where the end secant really falls or rises, which its
-measured values show when they move by more than 2 e; the rules ask for
-margin / 4 ~ 3.85 e.  A zero-width or NaN interval gives no bound (-inf),
-never a rejection.  A row keeps the best bound of its stages.
-
-The margin is 1e-6 (1 + |c| + lam_max (|ybar| + delta)), where the bracket
-[0, lam_max] bounds the size of every point a stage evaluates.  So it
-covers any e up to 6e-8 times that size, on every route of a polyhedral
-projection.  A point of the exact active-set route meets its KKT
-conditions up to rounding, and a row Dykstra converges stops within
-DYKSTRA_TOL = 1e-10, 600 times below the budget.  A row it hands to the
-least-distance solve needs its distance within 6e-8 times its size; the
-property tests hold those points to 1e-7 (1 + |q|) in feasibility and KKT
-residual, and 3,000 random systems in 1-3 dimensions gave at most 1e-12
-(1 + |p|).
-
-One exit rule follows every stage, given the caller's threshold thr and
-decision threshold tol <= thr.  A row whose bound exceeds thr + margin is
-rejected and its value becomes +inf: both routes of membership_values are
-above thr, so every decision value <= t with t <= thr is the bit the full
-value gives, and nothing in the argument depends on the value of thr.
-Otherwise a row whose value is <= tol is admitted.  On the screen that is
-a certificate of its own: phi(lam) <= tol at a concrete lam >= 0 gives a
-point k of K with |c + lam ybar - k| <= tol + lam delta, so y lies within
-tol of f(x) - k + lam B(ybar, delta), a subset of F(x) + cone(B(ybar,
-delta)), and the membership value is <= tol.  A decision can thus only
-move toward a certified member, and only on a row where the screen finds
-such a lam and both routes miss it.  Later stages admit on the search
-value, which membership_values would take too.  The value only falls and
-the bound only rises from stage to stage, so a settled row stays settled
-and leaves the search with a partial value; its callers read only its
-decision.  Rejection wins a tie, which needs measured phi values that break
-convexity by more than the margin.  The rows no stage settles come back
-open.
-
-The callers.  The admissibility filter (_member_mask) runs the search at
-thr = tol and the alternating route on its open rows only.
-membership_values runs it with no threshold, so with no screen and no
-exit.  The envelope needs two bits of each row, value <= tol and value <=
-reach, the radius of its probing shell: its rows run at thr = max(tol,
-reach), its closure probes at thr = tol, both admitting at tol.  A row
-above tol and below reach never meets the bound, so it runs every stage.
+The margin, 1e-6 (1 + |c| + lam_max (|ybar| + delta)), covers that
+tolerance and an evaluation error of phi up to about 1e-7 times that size
+on every route of a polyhedral projection (Dykstra stops within
+DYKSTRA_TOL = 1e-10; the tests hold least-distance points to 1e-7).
+_member_mask admits a row whose value is <= tol, rejects one whose value
+exceeds tol + margin, and lets the alternating route decide the rows
+between.  The envelope reads value <= tol and value <= reach straight from
+the kernel.
 """
 
 from __future__ import annotations
@@ -107,11 +62,13 @@ import numpy as np
 from . import rng
 from .errors import DimensionMismatch
 from .geometry import (
+    GOLDEN_ITERS,
     TOL_FEAS,
     TOL_MEMBER,
     Ball,
     ConvexSet,
     DirectionalCone,
+    FaceTable,
     Polyhedron,
     ProductSet,
     Singleton,
@@ -119,20 +76,20 @@ from .geometry import (
     # unused here; perfbench's test_restore_puts_back_every_patched_name
     # checks that tracing patches this name in multimap too
     dykstra_halfspaces,  # noqa: F401
+    face_table,
+    golden_start,
+    golden_step,
     project_halfspaces,
     row_matmul,
 )
 
-_SCREEN_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 8)])
-_SEARCH_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 63)])
-_ZOOM_GRID = np.linspace(0.0, 1.0, 17)
-_ZOOM_ROUNDS = 4
 _ALTERNATION_CAP = 120
-_SECANT_MARGIN = 1e-6
-# phi evaluations per pass of a scale-search stage, which bound its
-# temporaries (row-independent code, so the bits do not depend on it): 910
-# rows a screen pass, 128 a grid pass, 481 a zoom pass
-_MEMBERSHIP_POINTS = 8192
+_MEMBER_MARGIN = 1e-6
+# the ratio test's feasibility tolerance, relative to the size of its terms
+_FACE_FEAS = 1e-12
+# (row, face, column) entries of one pass of the face kernel, which bound
+# its temporaries (row-independent code, so the bits do not depend on it)
+_FACE_POINTS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +417,10 @@ def preimage_distance_batch(F: MultiMap, Y: np.ndarray,
     preimage is empty (or, off the exact route, none is found).
 
     Exact (projection onto the pulled-back polyhedron) for affine f with
-    polyhedral K.  Otherwise a batched multi-start Gauss-Newton upper bound
+    polyhedral K.  Otherwise a batched multi-start Gauss-Newton estimate
     (see _gauss_newton_preimage), searched in each row's own box x_s +- 2,
-    the same for a row alone as in any batch.  There +inf means either
+    the same for a row alone as in any batch; it bounds the distance
+    neither way.  There +inf means either
     "certified: no preimage in the clip box", for a polynomial f whose
     interval range over that box misses y_s + box(K) by more than the
     search's tolerance and a rounding margin, or "the search found none".
@@ -501,8 +459,8 @@ def preimage_distance(F: MultiMap, y, x) -> float:
     """d(x, F^{-1}(y)); +inf when the preimage is empty (or none is found).
 
     The one-row case of preimage_distance_batch: exact for affine f with
-    polyhedral K, otherwise the batched, row-independent Gauss-Newton upper
-    bound.
+    polyhedral K, otherwise the batched, row-independent Gauss-Newton
+    estimate.
     """
     x = as_vector(x, F.dim_in, "x")
     y = as_vector(y, F.dim_out, "y")
@@ -521,7 +479,10 @@ _GN_PULL_ROWS = 256       # starts a pull wave aims at
 
 def _gauss_newton_preimage(F: MultiMap, Y: np.ndarray,
                            X: np.ndarray) -> np.ndarray:
-    """Multi-start Gauss-Newton upper bound on d(x_s, F^{-1}(y_s)).
+    """Multi-start Gauss-Newton estimate of d(x_s, F^{-1}(y_s)), a bound
+    neither way: a start converges at d(K, f(u) - y_s) <= _GN_TOL, so u may
+    be nearer than F^{-1}(y_s) or exist where it is empty, and the starts
+    can miss the nearest preimage.
 
     Each row searches its own box x_s +- 2, and every iterate is clipped to
     the row's clip box [lo, hi], its search box widened by its width on
@@ -777,134 +738,124 @@ def _damped_gauss_newton(F: MultiMap, Y: np.ndarray, U0: np.ndarray,
 # ---------------------------------------------------------------------------
 # Directional membership: is y in F(x) + cone(B(ybar, delta))?
 
-def _phi(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
-         lam: np.ndarray) -> np.ndarray:
-    """phi(lam) = d(K, c + lam ybar) - lam delta on a (B, N) lam array,
-    row c of Cres with row of lam."""
-    pts = Cres[:, None, :] + lam[..., None] * dc.ybar[None, None, :]
-    d = K.distance_batch(pts.reshape(-1, Cres.shape[1])).reshape(lam.shape)
-    return d - lam * dc.delta
+def _membership_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
+                       dc: DirectionalCone, cuts: tuple = ()):
+    """Membership values of the rows c = f(x) - y: (Cres, values, margin).
 
-
-def _scale_search(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
-                  thr: float = np.inf, tol: float | None = None):
-    """min over lam >= 0 of [phi(lam)]+ (_phi), per row of Cres, as one
-    staged search.  Returns (values, open_).
-
-    Exact up to the 1d search: shrinking the lam-ball around lam*ybar turns
-    the cone minimization into this scalar problem.  The stages are the
-    screen (_SCREEN_GRID, only when thr < inf), the grid (_SEARCH_GRID) and
-    _ZOOM_ROUNDS zoom rounds (_ZOOM_GRID) on the bracket the stage before
-    leaves around its least value; the two grids span [0, _lam_max] afresh.
-    Each stage takes its secant bound (_secant_bound) and runs its live rows
-    in passes of at most _MEMBERSHIP_POINTS points.  After every stage one
-    exit rule applies (see the module docstring): a row whose bound exceeds
-    thr + margin is rejected, with value +inf, else one whose value is <=
-    tol is admitted.  open_ marks the rows neither rule settled; a row
-    that runs every stage after the screen gets the full search's bits.
+    The golden-section route ends a row once the bit value <= t is settled
+    for every cut t.  On a whole-space cone the value is 0 (+inf for an
+    empty K) and Cres is None.
     """
+    Cres = F.f.eval_batch(np.asarray(X, float)) - np.asarray(Y, float)
     B = Cres.shape[0]
+    if dc.whole_space:
+        return None, np.full(B, np.inf if _is_empty(F.K) else 0.0), np.zeros(B)
     c_norm = np.linalg.norm(Cres, axis=1)
     lam_hi = dc._lam_max(c_norm)
-    # how far evaluation error can lift a secant bound above the true
-    # minimum (see the module docstring)
-    margin = _SECANT_MARGIN * (
+    margin = _MEMBER_MARGIN * (
         1.0 + c_norm + lam_hi * (np.linalg.norm(dc.ybar) + dc.delta))
-    best, lb = np.full(B, np.inf), np.full(B, -np.inf)
-    lo, hi = np.zeros(B), np.zeros(B)
+    Kp = as_polyhedron(F.K)
+    table = None if Kp is None else face_table(Kp.C.shape, Kp.C.tobytes())
+    if table is None:
+        vals = _golden_values(F.K, Cres, dc, lam_hi, margin, cuts)
+    else:
+        vals = _face_values(Kp, table, Cres, dc, lam_hi)
+    return Cres, vals, margin
+
+
+def _is_empty(K: ConvexSet) -> bool:
+    if isinstance(K, ProductSet):
+        return any(_is_empty(f) for f in K.factors)
+    return isinstance(K, Polyhedron) and not K.is_feasible()
+
+
+def _face_values(K: Polyhedron, table: FaceTable, Cres: np.ndarray,
+                 dc: DirectionalCone, lam_hi: np.ndarray) -> np.ndarray:
+    """The exact value per row c of Cres.  On face J, z = c + lam ybar has
+    residual z - P_J z = r0 + lam r1 and C P_J z - d = alpha + lam beta.
+    Row i holds where alpha_i + lam beta_i <= _FACE_FEAS (|C_i| size +
+    |d_i|), size = 1 + 2|c| + |t_J| + lam_hi |ybar|, constant in lam so that
+    a row that never holds is not let in far along the ray.  The rows run
+    in passes of at most _FACE_POINTS entries of fixed array operations.
+    """
+    C, d = K.C, K.d
+    m, n = C.shape
+    pad = table.rows < 0
+    N = table.M @ np.where(pad[..., None], 0.0, C[table.rows])  # (F, n, n)
+    t = (table.M @ np.where(pad, 0.0, d[table.rows])[..., None])[..., 0]
+    r1 = N @ dc.ybar                                            # (F, n)
+    beta = (dc.ybar - r1) @ C.T                                 # (F, m)
+    # c -> (N_J c, C (c - N_J c)) for every face J, as one product
+    W = np.concatenate([N, C @ (np.eye(n) - N)], axis=1)
+    W = W.transpose(2, 0, 1).reshape(n, -1)
+    shift = t @ C.T - d
+    row_norm, t_norm = np.linalg.norm(C, axis=1), np.linalg.norm(t, axis=1)
+    s, delta = np.linalg.norm(r1, axis=1), dc.delta
+    nf = table.rows.shape[0]
+    size = (1.0 + 2.0 * np.linalg.norm(Cres, axis=1)
+            + lam_hi * np.linalg.norm(dc.ybar))
+    out = np.empty(Cres.shape[0])
+    step = max(1, _FACE_POINTS // (nf * (n + m + 1)))
+    for a in range(0, Cres.shape[0], step):
+        R = row_matmul(Cres[a:a + step], W).reshape(-1, nf, n + m)
+        r0 = R[..., :n] - t
+        sz = size[a:a + step, None, None] + t_norm[:, None]
+        alpha = R[..., n:] + shift - _FACE_FEAS * (row_norm * sz + np.abs(d))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = -alpha / beta
+            hi = np.where(beta > 0.0, ratio, np.inf).min(-1, initial=np.inf)
+            lo = np.where(beta < 0.0, ratio, 0.0).max(-1, initial=0.0)
+            ok = (lo <= hi) & ~np.any((beta == 0.0) & (alpha > 0.0), axis=-1)
+            # |r0 + lam r1| - delta lam is least at lam0 + u, lam0 the foot
+            # of the line, or falls on where delta >= |r1|
+            b = np.sum(r0 * r1, axis=-1)
+            lam0 = -b / (s * s)
+            h = np.linalg.norm(r0 + lam0[..., None] * r1, axis=-1)
+            star = np.where(s > delta, lam0 + delta * h / (
+                s * np.sqrt(s * s - delta * delta)),
+                np.inf if delta > 0.0 else 0.0)
+            lam = np.clip(star, lo, hi)
+            g = np.linalg.norm(r0 + lam[..., None] * r1, axis=-1) - delta * lam
+            # an interval unbounded above: phi falls without end, or toward
+            # b / |r1| where delta = |r1|
+            g = np.where(np.isinf(lam), np.where(delta > s, -np.inf, b / s),
+                         g)
+        out[a:a + step] = np.where(ok, g, np.inf).min(axis=-1)
+    return np.maximum(out, 0.0)
+
+
+def _golden_values(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
+                   lam_hi: np.ndarray, margin: np.ndarray,
+                   cuts: tuple) -> np.ndarray:
+    """[min over lam in [0, lam_hi] of phi]+ per row c of Cres, by golden
+    section (geometry.golden_step), phi(0) included.  A row leaves once,
+    for every cut t, its best value is <= t or its bound exceeds t +
+    margin, and keeps its best value, which gives those bits.
+    """
+    lip = float(np.linalg.norm(dc.ybar)) + dc.delta
+
+    def phi(lam, rows):
+        pts = Cres[rows] + lam[:, None] * dc.ybar[None, :]
+        return K.distance_batch(pts) - lam * dc.delta
+
+    B = Cres.shape[0]
     live = np.arange(B)
-    stages = [_SEARCH_GRID] + [_ZOOM_GRID] * _ZOOM_ROUNDS
-    if thr < np.inf:
-        stages.insert(0, _SCREEN_GRID)
-    for grid in stages:
-        if grid is not _ZOOM_GRID:           # afresh over [0, _lam_max]
-            best[live], lo[live], hi[live] = np.inf, 0.0, lam_hi[live]
-        step = max(1, _MEMBERSHIP_POINTS // grid.size)
-        for a in range(0, live.size, step):
-            r = live[a:a + step]
-            lam = lo[r, None] + (hi[r] - lo[r])[:, None] * grid[None, :]
-            p = _phi(K, Cres[r], dc, lam)
-            lb[r] = np.maximum(lb[r], _secant_bound(lam, p, margin[r]))
-            v = np.maximum(p, 0.0)
-            rows = np.arange(r.size)
-            i = np.argmin(v, axis=1)
-            best[r] = np.minimum(best[r], v[rows, i])
-            lo[r] = lam[rows, np.maximum(i - 1, 0)]
-            hi[r] = lam[rows, np.minimum(i + 1, grid.size - 1)]
-        out = lb[live] > thr + margin[live]
-        best[live[out]] = np.inf
-        if tol is not None:
-            out |= best[live] <= tol
-        live = live[~out]
-        if not live.size:
-            break
-    open_ = np.zeros(B, dtype=bool)
-    open_[live] = True
-    return best, open_
-
-
-def _secant_bound(lam: np.ndarray, phi: np.ndarray,
-                  margin: np.ndarray) -> np.ndarray:
-    """Lower bound on min over lam >= 0 of a convex phi, per row, from its
-    values phi at the increasing points lam, both of shape (B, N), N >= 3.
-
-    -inf where the bound does not reach past the points at either end, and
-    where an interval has zero width or a value is NaN.  See the module
-    docstring for the argument.
-    """
-    gap = np.diff(lam, axis=1)                       # (B, N-1) widths
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.diff(phi, axis=1) / gap           # secant slopes
-    # on interval [l_i, l_i+1], with u = lam - l_i, phi lies above the
-    # secant of the interval to its left, a + b u, and of the one to its
-    # right; an end interval has one neighbour, which stands for both
-    a_left, b_left = phi[:, 1:-1], slope[:, :-1]     # intervals 1..N-2
-    a_right = phi[:, 1:-1] - slope[:, 1:] * gap[:, :-1]  # intervals 0..N-3
-    b_right = slope[:, 1:]
-    a_l = np.concatenate([a_right[:, :1], a_left], axis=1)
-    b_l = np.concatenate([b_right[:, :1], b_left], axis=1)
-    a_r = np.concatenate([a_right, a_left[:, -1:]], axis=1)
-    b_r = np.concatenate([b_right, b_left[:, -1:]], axis=1)
-    # the max of two lines is least at an end of the interval or where
-    # they cross; the clipped crossing is in the interval, so the least of
-    # the three is the exact minimum of the max
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = (a_l - a_r) / (b_r - b_l)
-    cross = np.clip(np.nan_to_num(cross, nan=0.0), 0.0, gap)
-    lb = np.full(a_l.shape, np.inf)
-    for u in (np.zeros_like(gap), gap, cross):
-        lb = np.minimum(lb, np.maximum(a_l + b_l * u, a_r + b_r * u))
-    # past the last point phi stays above the last secant, so above its
-    # last value where that secant rises, and before the first point above
-    # its first value where the first secant falls; each must move by more
-    # than twice the largest evaluation error the margin allows for
-    # (margin / 15.4).  Nothing lies before a first point at lam = 0.
-    rising = phi[:, -1] - phi[:, -2] >= margin / 4.0
-    falling = phi[:, 0] - phi[:, 1] >= margin / 4.0
-    tail = np.where(rising, phi[:, -1], -np.inf)
-    head = np.where(lam[:, 0] <= 0.0, np.inf,
-                    np.where(falling, phi[:, 0], -np.inf))
-    lb = np.minimum(np.minimum(lb.min(axis=1), tail), head)
-    undefined = np.isnan(lb) | ~np.all(gap > 0.0, axis=1)
-    return np.where(undefined, -np.inf, lb)
-
-
-def _membership_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
-                       dc: DirectionalCone, thr: float = np.inf,
-                       tol: float | None = None):
-    """The staged scale search (_scale_search) on the rows c = f(x) - y.
-
-    Returns (Cres, values, open_).  On a whole-space cone the value is
-    exact, 0 or +inf for an empty K, no row is open and Cres is None.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Cres = F.f.eval_batch(X) - Y
-    if dc.whole_space:
-        empty = isinstance(F.K, Polyhedron) and not F.K.is_feasible()
-        B = Cres.shape[0]
-        return None, np.full(B, np.inf if empty else 0.0), np.zeros(B, bool)
-    return (Cres, *_scale_search(F.K, Cres, dc, thr, tol))
+    S = np.array(golden_start(lambda lam: phi(lam, live), np.zeros(B),
+                              lam_hi))
+    best = np.minimum(phi(np.zeros(B), live), S[4:].min(axis=0))
+    for _ in range(GOLDEN_ITERS):
+        if cuts:
+            v = best[live]
+            lower = v - lip * (S[1, live] - S[0, live])
+            open_ = np.zeros(live.size, dtype=bool)
+            for t in cuts:
+                open_ |= (v > t) & (lower <= t + margin[live])
+            live = live[open_]
+            if not live.size:
+                break
+        S[:, live] = golden_step(lambda lam: phi(lam, live), *S[:, live])
+        best[live] = np.minimum(best[live], S[4:, live].min(axis=0))
+    return np.maximum(best, 0.0)
 
 
 def _alternate(K: ConvexSet, Cres: np.ndarray,
@@ -938,43 +889,28 @@ def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
                       dc: DirectionalCone):
     """min over z in the cone of d(K, f(x) - y + z), batched.
 
-    Returns (values, certified): the value is the smaller of the alternating
-    estimate and the scale-search estimate, certified where they agree.
-    Every row runs both routes in full, with no screen (thr = inf), so this
-    is the reference the decision kernel is tested against.  Callers that
-    need only the decision value <= tol use _member_mask, which gives the
-    same bits, except that it also admits a row on the screen's own
-    certificate (a screen point with phi <= tol) should both routes here
-    miss it.
+    Returns (values, certified): the smaller of the kernel's value (no cut)
+    and the alternating route's, certified where they agree.  The decision
+    tests hold _member_mask to it.
     """
-    Cres, v_grid, _ = _membership_search(F, X, Y, dc)
+    Cres, v_kernel, _ = _membership_search(F, X, Y, dc)
     if Cres is None:
-        return v_grid, np.ones(v_grid.size, dtype=bool)
+        return v_kernel, np.ones(v_kernel.size, dtype=bool)
     v_alt = _alternate(F.K, Cres, dc)
-    vals = np.minimum(v_grid, v_alt)
-    certified = np.abs(v_grid - v_alt) <= 1e-6 * (1.0 + vals)
+    vals = np.minimum(v_kernel, v_alt)
+    certified = np.abs(v_kernel - v_alt) <= 1e-6 * (1.0 + vals)
     return vals, certified
 
 
 def _member_mask(F: MultiMap, X: np.ndarray, Y: np.ndarray,
                  dc: DirectionalCone, tol: float) -> np.ndarray:
-    """membership_values(F, X, Y, dc)[0] <= tol, bit for bit, with each
-    row decided as soon as its decision is certain; only the screen's own
-    certificate (1) could admit a row that both of those routes miss.
-
-    1. The staged scale search (_scale_search at thr = tol) rejects a row
-       once its secant bound exceeds tol + margin, and admits one once its
-       value is <= tol: on the screen, phi(lam) <= tol at one lam >= 0
-       certifies membership; after it, the full search reaches that value
-       too, and membership_values takes the smaller of the two routes.
-    2. Only the rows the search leaves open run the alternating route
-       (_alternate), whose value then decides them.
-
-    Every route is row-independent, so a row gets the same value in a
-    subset as in the full batch.
+    """The decision value <= tol per row: the kernel's value (cut at tol)
+    admits at tol and rejects above tol + margin, and the alternating route
+    decides the rows between.  Row-independent, as both routes are.
     """
-    Cres, vals, open_ = _membership_search(F, X, Y, dc, tol, tol)
+    Cres, vals, margin = _membership_search(F, X, Y, dc, (tol,))
     member = vals <= tol
+    open_ = ~member & (vals - margin <= tol)
     if open_.any():
         member[open_] = _alternate(F.K, Cres[open_], dc) <= tol
     return member
@@ -999,10 +935,9 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
     closure probe: 32 directions at radii tol * 2^-k, k = 0..4, each with
     the y of the row it probes.  Points whose membership residual already
     exceeds what a tol-step could close are rejected without probing.
-    Membership is the staged scale search (_scale_search), admitting at
-    tol, and rejecting at thr = max(tol, reach) on the rows of X and at
-    thr = tol on the probes: a rejected row's routes both lie above thr,
-    so its member and shell bits are those its full value gives.
+    The bits value <= tol and value <= reach come straight from the
+    membership kernel (_membership_search, cut at both on the rows of X
+    and at tol on the probes).
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(y, dtype=float)
@@ -1020,7 +955,7 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
             np.stack([X.min(axis=0) - tol, X.max(axis=0) + tol], axis=1)
         )
     reach = tol * (1.0 + lipschitz) * 1.001
-    _, vals, _ = _membership_search(F, X, Y, dc, np.fmax(tol, reach), tol)
+    _, vals, _ = _membership_search(F, X, Y, dc, (tol, reach))
     member = vals <= tol
     shell = (~member) & (vals <= reach)
     if np.any(shell):
@@ -1030,7 +965,7 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
         idx = np.where(shell)[0]
         P = (X[idx][:, None, :] + offs[None, :, :]).reshape(-1, F.dim_in)
         Yp = np.repeat(Y[idx], offs.shape[0], axis=0)
-        _, pv, _ = _membership_search(F, P, Yp, dc, tol, tol)
+        _, pv, _ = _membership_search(F, P, Yp, dc, (tol,))
         member[idx] = np.any(pv.reshape(idx.size, -1) <= tol, axis=1)
     out = np.full(X.shape[0], np.inf)
     if np.any(member):

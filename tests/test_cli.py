@@ -237,6 +237,32 @@ def test_malformed_file_writes_no_report(capsys, tmp_path):
     assert not rep.exists()
 
 
+def test_empty_product_factor_is_an_input_error(capsys, tmp_path):
+    # K = Ball x an empty polyhedron is empty, as an empty Polyhedron is:
+    # y0 is not in F(x0), an input error with no report, not a crash in
+    # the projection
+    exported = tmp_path / "hp.json"
+    code, _, _ = run(capsys, ["instances", "--export",
+                              "halfplane_directional", "--out",
+                              str(exported)])
+    assert code == 0
+    data = json.loads(exported.read_text())
+    empty = {"kind": "polyhedron", "C": [[1.0], [-1.0]], "d": [-2.0, -2.0]}
+    rep = tmp_path / "report.json"
+    for K in ({"kind": "product",
+               "factors": [{"kind": "ball", "center": [0.0], "radius": 0.3},
+                           empty]},
+              {"kind": "polyhedron", "C": [[1.0, 0.0], [-1.0, 0.0]],
+               "d": [-2.0, -2.0]}):
+        data["K"] = K
+        exported.write_text(json.dumps(data))
+        code, _, err = run(capsys, ["modulus", str(exported), "--out",
+                                    str(rep)])
+        assert code == 2, K["kind"]
+        assert "input error: y0 is not in F(x0)" in err
+        assert not rep.exists()
+
+
 def test_lattice_cap_is_guard_exit(capsys):
     code, _, err = run(capsys, ["oracle-check", "identity2", "--points-x",
                                 "999"])

@@ -80,6 +80,13 @@ def test_empty_polyhedron_still_raises_and_has_infinite_distance():
     with pytest.raises(EmptySet):
         P.project_batch(np.array([[0.5], [3.0]]))
     assert np.all(np.isinf(P.distance_batch(np.array([[0.5], [3.0]]))))
+    # a product with an empty factor is empty too: its distance is +inf on
+    # every row, and its projection raises
+    prod = ProductSet([Ball(np.zeros(1), 1.0), P])
+    pts = np.array([[0.0, 0.5], [4.0, 3.0]])
+    assert np.all(np.isinf(prod.distance_batch(pts)))
+    with pytest.raises(EmptySet):
+        prod.project_batch(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +423,90 @@ def test_golden_min_on_parabola():
     arg, val = golden_min(lambda t: (t - 0.7) ** 2 + 0.25, 0.0, 5.0)
     assert arg == pytest.approx(0.7, abs=1e-6)
     assert val == pytest.approx(0.25, abs=1e-9)
+
+
+def reference_golden_min(fn, lo, hi):
+    """golden_min as one loop, before its steps were split out
+    (golden_start, golden_step): the reference for its bits."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a = np.asarray(lo, dtype=float).copy()
+    b = np.asarray(hi, dtype=float).copy()
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(48):
+        left = f1 < f2
+        b = np.where(left, x2, b)
+        a = np.where(left, a, x1)
+        x1_new = np.where(left, b - invphi * (b - a), x2)
+        x2_new = np.where(left, x1, a + invphi * (b - a))
+        fv = fn(np.where(left, x1_new, x2_new))
+        f1, f2 = np.where(left, fv, f2), np.where(left, f1, fv)
+        x1, x2 = x1_new, x2_new
+    return np.where(f1 < f2, x1, x2), np.minimum(f1, f2)
+
+
+def test_golden_steps_keep_the_loop_bits():
+    gen = np.random.default_rng(3)
+    P = gen.standard_normal((50, 3))
+    dc = DirectionalCone([1.0, 0.5, -0.2], 0.4)
+    lo, hi = np.zeros(50), dc._lam_max(np.linalg.norm(P, axis=1))
+
+    def g(lam):
+        return (np.linalg.norm(P - lam[:, None] * dc.ybar, axis=1)
+                - lam * dc.delta)
+
+    for got, want in zip(golden_min(g, lo, hi),
+                         reference_golden_min(g, lo, hi)):
+        assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Face tables.
+
+def test_face_table_lists_the_independent_row_subsets():
+    # halfplane_directional's K = {0} x (-inf, 0]: rows x <= 0, -x <= 0
+    # and y <= 0, of which {0, 1} is dependent
+    K = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
+                   np.zeros(3))
+    table = geometry.face_table(K.C.shape, K.C.tobytes())
+    assert table.rows.tolist() == [[-1, -1], [0, -1], [1, -1], [2, -1],
+                                   [0, 2], [1, 2]]
+    assert table.M.shape == (6, 2, 2)
+    assert geometry.face_table(K.C.shape, K.C.copy().tobytes()) is table
+    # the subsets are counted before any rank test: 300 copies of one row
+    # in R^1 have two independent subsets, but 301 subsets of at most one
+    # row; 22 rows in R^2 make 254 subsets, 23 make 277
+    gen = np.random.default_rng(0)
+    assert geometry.FACE_CAP == 256
+    assert geometry.face_table((300, 1), np.ones(300).tobytes()) is None
+    for m, fits in ((22, True), (23, False)):
+        C = gen.standard_normal((m, 2))
+        table = geometry.face_table(C.shape, C.tobytes())
+        assert (table is not None) == fits, m
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+def test_every_nearest_point_is_a_face_projection(dim, extra, seed):
+    # each row of M projects onto its face's affine set, and the nearest
+    # point of K to z is the projection of the face it lies on
+    gen = np.random.default_rng(seed)
+    K = bounded_random_polyhedron(gen, dim, extra)
+    table = geometry.face_table(K.C.shape, K.C.tobytes())
+    Z = gen.uniform(-8.0, 8.0, (30, dim))
+    Q = K.project_batch(Z)
+    gap = np.full(30, np.inf)
+    for J, M in zip(table.rows, table.M):
+        J = J[J >= 0]
+        P = Z - (M[:, :J.size] @ (K.C[J] @ Z.T - K.d[J][:, None])).T
+        assert np.allclose(P @ K.C[J].T, K.d[J], atol=1e-9)
+        # z - P lies in the span of the rows of J
+        if J.size < dim:
+            null = np.linalg.svd(K.C[J])[2][J.size:] if J.size else np.eye(dim)
+            assert np.allclose((Z - P) @ null.T, 0.0, atol=1e-9)
+        gap = np.minimum(gap, np.linalg.norm(P - Q, axis=1))
+    assert np.all(gap <= 1e-7 * (1.0 + np.linalg.norm(Z, axis=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Set-valued map metrics: images, preimages, membership, envelope."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,15 +9,18 @@ from hypothesis import strategies as st
 
 from regcert.errors import DimensionMismatch
 from regcert.geometry import (
+    GOLDEN_ITERS,
     TOL_MEMBER,
     Ball,
     DirectionalCone,
     Polyhedron,
     ProductSet,
     Singleton,
+    face_table,
 )
 from regcert import multimap
 from regcert.instances import builtin
+from regcert.problems import load_problem
 from regcert.multimap import (
     AffineMap,
     MultiMap,
@@ -28,8 +33,6 @@ from regcert.multimap import (
     image_distance_batch,
     _member_mask,
     _probe_directions,
-    _scale_search,
-    _secant_bound,
     membership_values,
     preimage_distance,
     preimage_distance_batch,
@@ -661,97 +664,12 @@ def test_range_screen_skips_rows_without_a_preimage():
 # ---------------------------------------------------------------------------
 # Directional membership.
 
-def reference_scale_search(K, Cres, dc, bound=False,
-                           grid=multimap._SEARCH_GRID,
-                           zooms=multimap._ZOOM_ROUNDS, tol=None):
-    """The scale search as it was before its stages ran as one loop, the
-    reference the staged search (_scale_search) must match bit for bit.
-
-    One call runs one grid and its zoom rounds, the rows in passes of at
-    most _MEMBERSHIP_POINTS grid points.  bound=True returns (values, lb,
-    margin), the best secant bound of the grid and its rounds; the screen
-    is this bound on _SCREEN_GRID with no zoom round.  With tol a row leaves
-    before a zoom round once its value is <= tol or, with bound=True, its
-    bound exceeds tol + margin.
-    """
-    out = np.empty((3 if bound else 1, Cres.shape[0]))
-    step = max(1, multimap._MEMBERSHIP_POINTS // grid.size)
-    t = np.linspace(0.0, 1.0, 17)
-    for a in range(0, Cres.shape[0], step):
-        C = Cres[a:a + step]
-        c_norm = np.linalg.norm(C, axis=1)
-        lam_hi = dc._lam_max(c_norm)
-        margin = multimap._SECANT_MARGIN * (
-            1.0 + c_norm + lam_hi * (np.linalg.norm(dc.ybar) + dc.delta))
-        best = np.full(C.shape[0], np.inf)
-        lb = np.full(C.shape[0], -np.inf)
-        live = np.arange(C.shape[0])
-        lam = lam_hi[:, None] * grid[None, :]
-        for zoom in range(zooms + 1):
-            if zoom:
-                if tol is not None:
-                    keep = ~(best[live] <= tol)
-                    if bound:
-                        keep &= ~(lb[live] > tol + margin[live])
-                    live, lo, hi = live[keep], lo[keep], hi[keep]
-                    if not live.size:
-                        break
-                lam = lo[:, None] + (hi - lo)[:, None] * t[None, :]
-            p = multimap._phi(K, C[live], dc, lam)
-            if bound:
-                lb[live] = np.maximum(lb[live],
-                                      _secant_bound(lam, p, margin[live]))
-            v = np.maximum(p, 0.0)
-            rows = np.arange(live.size)
-            i = np.argmin(v, axis=1)
-            best[live] = np.minimum(best[live], v[rows, i])
-            lo = lam[rows, np.maximum(i - 1, 0)]
-            hi = lam[rows, np.minimum(i + 1, lam.shape[1] - 1)]
-        out[:, a:a + step] = (best, lb, margin) if bound else (best,)
-    return tuple(out) if bound else out[0]
-
-
-def reference_screened_search(F, X, Y, dc, thr, bound=False, tol=None):
-    """The membership kernel as it was before its stages ran as one loop:
-    the screen at thr (admitting at tol), then reference_scale_search on
-    the rows it leaves open.  Returns (Cres, values), with bound=True
-    (Cres, values, lb, margin).  thr = inf screens nothing."""
-    Cres = F.f.eval_batch(np.asarray(X, float)) - np.asarray(Y, float)
-    B = Cres.shape[0]
-    if dc.whole_space:
-        empty = isinstance(F.K, Polyhedron) and not F.K.is_feasible()
-        vals = np.full(B, np.inf if empty else 0.0)
-        return (None, vals, vals, np.zeros(B)) if bound else (None, vals)
-    vals = np.full(B, np.inf)
-    lb, margin = np.full(B, -np.inf), np.zeros(B)
-    idx = np.arange(B)
-    if thr < np.inf:
-        screen, lb, margin = reference_scale_search(
-            F.K, Cres, dc, bound=True, grid=multimap._SCREEN_GRID, zooms=0)
-        open_ = lb <= thr + margin
-        if tol is not None:
-            admit = open_ & (screen <= tol)
-            vals[admit] = screen[admit]
-            open_ &= ~admit
-        idx = np.flatnonzero(open_)
-    if idx.size and bound:
-        vals[idx], lb[idx], margin[idx] = reference_scale_search(
-            F.K, Cres[idx], dc, bound=True, tol=tol)
-    elif idx.size:
-        vals[idx] = reference_scale_search(F.K, Cres[idx], dc, tol=tol)
-    return (Cres, vals, lb, margin) if bound else (Cres, vals)
-
-
-def reference_member_mask(F, X, Y, dc, tol, retire=True):
-    """_member_mask on the reference kernel; retire=False runs every zoom
-    round on every row the screen leaves open."""
-    Cres, vals, lb, margin = reference_screened_search(
-        F, X, Y, dc, tol, bound=True, tol=tol if retire else None)
-    member = vals <= tol
-    rest = np.flatnonzero((vals > tol) & (lb <= tol + margin))
-    if rest.size:
-        member[rest] = multimap._alternate(F.K, Cres[rest], dc) <= tol
-    return member
+def _phi_grid(F, Cres, dc, lam):
+    """phi(lam) = d(K, c + lam ybar) - lam delta on a (B, N) lam array,
+    row c of Cres with row of lam."""
+    pts = Cres[:, None, :] + lam[..., None] * dc.ybar[None, None, :]
+    d = F.K.distance_batch(pts.reshape(-1, Cres.shape[1])).reshape(lam.shape)
+    return d - lam * dc.delta
 
 
 def _probe_points(F, X, Y, tol):
@@ -762,27 +680,6 @@ def _probe_points(F, X, Y, tol):
                                                                   F.dim_in)
     P = (X[:, None, :] + offs[None, :, :]).reshape(-1, F.dim_in)
     return P, np.repeat(Y, len(offs), axis=0)
-
-
-def reference_envelope_batch(F, dc, X, Y, tol, lipschitz):
-    """envelope_batch (one y per row) on the reference kernel, whose rows
-    never retired on the bound.  Returns the values, the shell rows and the
-    membership bits of their probes."""
-    reach = tol * (1.0 + lipschitz) * 1.001
-    _, vals = reference_screened_search(F, X, Y, dc, np.fmax(tol, reach),
-                                        tol=tol)
-    member = vals <= tol
-    shell = ~member & (vals <= reach)
-    probes = np.zeros(0, dtype=bool)
-    if np.any(shell):
-        P, Yp = _probe_points(F, X[shell], Y[shell], tol)
-        _, pv = reference_screened_search(F, P, Yp, dc, tol, tol=tol)
-        probes = pv <= tol
-        member[shell] = np.any(probes.reshape(shell.sum(), -1), axis=1)
-    out = np.full(X.shape[0], np.inf)
-    if np.any(member):
-        out[member] = image_distance_batch(F, X[member], Y[member])
-    return out, shell, probes
 
 
 def test_membership_plain_cases():
@@ -806,6 +703,18 @@ def test_membership_whole_space_cone():
     vals, certified = membership_values(F, np.zeros((3, 2)),
                                         np.ones((3, 2)), dc)
     assert np.all(vals == 0.0) and np.all(certified)
+    # over an empty K no point is a member, whatever the cone: a product
+    # with an empty polyhedral factor reads +inf like an empty Polyhedron
+    empty = Polyhedron(np.array([[1.0], [-1.0]]), np.array([-2.0, -2.0]))
+    for K in (ProductSet([Ball(np.zeros(1), 1.0), empty]),
+              Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                         np.array([-2.0, -2.0]))):
+        F = MultiMap(AffineMap(np.eye(2), np.zeros(2)), K)
+        for cone in (dc, DirectionalCone([0.0, 1.0], 0.2)):
+            X, Y = np.zeros((3, 2)), np.ones((3, 2))
+            _, vals, _ = multimap._membership_search(F, X, Y, cone)
+            assert np.all(vals == np.inf), (K, cone)
+            assert not _member_mask(F, X, Y, cone, TOL_MEMBER).any()
 
 
 def test_membership_dual_routes_agree():
@@ -818,20 +727,24 @@ def test_membership_dual_routes_agree():
     # the alternating route can hit its iteration cap on near-boundary
     # points, leaving them uncertified; the bulk must still agree
     assert np.mean(certified) > 0.9
-    # the scale search is only one of the two estimates, so it can only be
-    # larger than the combined value
-    v_grid, _ = _scale_search(F.K, F.f.eval_batch(X) - Y, dc)
-    assert np.all(v_grid >= vals - 1e-12)
-    assert np.all(v_grid[certified] - vals[certified]
+    # the kernel's value is only one of the two estimates, so it can only
+    # be larger than the combined value
+    _, v_kernel, _ = multimap._membership_search(F, X, Y, dc)
+    assert np.all(v_kernel >= vals - 1e-12)
+    assert np.all(v_kernel[certified] - vals[certified]
                   <= 1e-6 * (1.0 + vals[certified]))
 
 
 def _membership_cases():
     """(F, dc) pairs for the decision kernel: the registry's halfplane, a
-    skew polyhedron, a ball, a product, and a K that contains the ray along
-    ybar (phi keeps falling past the grid, so the screen gives no bound)."""
+    skew polyhedron, the skew wedge of tools/rotated_halfplane.json, a K
+    that contains the ray along ybar (phi falls without end), and two K
+    with no polyhedral form, a ball and a product with a ball factor,
+    which take the golden-section route."""
     gen = np.random.default_rng(2024)
     halfplane_dir = builtin("halfplane_directional")
+    wedge = load_problem(str(Path(__file__).resolve().parents[1] / "tools"
+                             / "rotated_halfplane.json"))
     skew = Polyhedron(gen.standard_normal((4, 2)), gen.uniform(0.2, 1.0, 4))
     slab = ProductSet([Ball(np.zeros(1), 0.3),
                        Polyhedron(np.array([[1.0, 1.0], [-1.0, 0.5]]),
@@ -841,6 +754,7 @@ def _membership_cases():
         "skew_polyhedron": (MultiMap(AffineMap(gen.standard_normal((2, 2)),
                                                np.zeros(2)), skew),
                             DirectionalCone([0.6, 0.8], 0.3)),
+        "skew_wedge": (wedge.F, wedge.dc),
         "ball": (MultiMap(AffineMap(np.eye(2), np.zeros(2)),
                           Ball([0.5, -0.2], 0.7)),
                  DirectionalCone([1.0, 0.2], 0.5)),
@@ -854,17 +768,12 @@ def _membership_cases():
     }
 
 
-def _screen_bound(K, Cres, dc):
-    """The screen's secant bound and its margin, per row of Cres."""
-    _, lb, margin = reference_scale_search(K, Cres, dc, bound=True,
-                                           grid=multimap._SCREEN_GRID,
-                                           zooms=0)
-    return lb, margin
+_GOLDEN_CASES = ("ball", "product")
 
 
 def _membership_rows(F, gen, rows):
     # half the rows anywhere, half within 1e-8 .. 1e-4 of F(x), so that
-    # rows near the tolerance reach every stage of the kernel
+    # some rows lie near the tolerance and some within the margin of it
     X = gen.uniform(-2.0, 2.0, (rows, F.dim_in))
     Y = gen.uniform(-2.0, 2.0, (rows, F.dim_out))
     near = np.arange(rows) % 2 == 1
@@ -875,14 +784,11 @@ def _membership_rows(F, gen, rows):
     return X, Y
 
 
-def _split_tolerances(F, X, Y, dc):
-    """Tolerances halfway between the two routes on up to three rows where
-    the alternating route is lower: each leaves that row's decision to the
-    alternating route."""
-    vals, _ = membership_values(F, X, Y, dc)
-    v_grid = reference_scale_search(F.K, F.f.eval_batch(X) - Y, dc)
-    split = np.flatnonzero(vals < v_grid)[:3]
-    return list((vals[split] + v_grid[split]) / 2)
+def _band_tolerances(values, margin):
+    """Tolerances that put up to three rows of positive value within the
+    margin above tol, where the alternating route decides them."""
+    band = np.flatnonzero(values > 0.0)[:3]
+    return list(values[band] - margin[band] / 2)
 
 
 @settings(max_examples=15, deadline=None)
@@ -892,445 +798,120 @@ def _split_tolerances(F, X, Y, dc):
 @example("halfplane_directional", 0)
 @example("ray_along_ybar", 0)
 def test_member_mask_is_the_membership_decision(name, seed):
+    # _member_mask decides each row as membership_values does, and runs
+    # the alternating route on exactly the rows whose kernel value lies
+    # above tol by at most the margin
     F, dc = _membership_cases()[name]
-    gen = np.random.default_rng(seed)
-    X, Y = _membership_rows(F, gen, 60)
+    X, Y = _membership_rows(F, np.random.default_rng(seed), 60)
     if name == "halfplane_directional":
         # c = f(x) - y = (-0.3, -1.4) lies below K = {0} x (-inf, 0]: phi
         # falls at slope delta up to lam = 1.4, then bottoms out at
-        # 0.3 sqrt(1 - delta^2) - 1.4 delta ~ 0.0139, a dip the screen's
-        # nine points straddle and the scale search's points resolve
+        # 0.3 sqrt(1 - delta^2) - 1.4 delta ~ 0.0139
         X, Y = np.vstack([X, [[1.0]]]), np.vstack([Y, [[1.3, 1.4]]])
     vals, _ = membership_values(F, X, Y, dc)
-    Cres = F.f.eval_batch(X) - Y
-    for tol in [TOL_MEMBER, 1e-5, 1e-2, *_split_tolerances(F, X, Y, dc)]:
-        mask = _member_mask(F, X, Y, dc, tol)
+    _, v, margin = multimap._membership_search(F, X, Y, dc)
+    alternated = []
+    alternate = multimap._alternate
+    for tol in [TOL_MEMBER, 1e-5, 1e-2, *_band_tolerances(v, margin)]:
+        alternated.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multimap, "_alternate", lambda K, C, dc: (
+                alternated.append(C.shape[0]) or alternate(K, C, dc)))
+            mask = _member_mask(F, X, Y, dc, tol)
         assert mask.tobytes() == (vals <= tol).tobytes(), tol
-    # neither the screen's bound nor the scale search's exceeds the full
-    # value by more than the stated margin, and neither gives a bound where
-    # phi falls without end
-    lb, margin = _screen_bound(F.K, Cres, dc)
-    full, search_lb, search_margin = reference_scale_search(F.K, Cres, dc,
-                                                            bound=True)
-    assert search_margin.tobytes() == margin.tobytes()
-    # with no tol the kernel gives the full search's values on the rows
-    # that no stage's bound rejects at thr, and +inf on the others, which
-    # alone it leaves settled
-    thr = TOL_MEMBER
-    shut = (lb > thr + margin) | (search_lb > thr + margin)
-    kernel, open_ = _scale_search(F.K, Cres, dc, thr)
-    assert kernel.tobytes() == np.where(shut, np.inf, full).tobytes()
-    assert open_.tobytes() == (~shut).tobytes()
-    assert np.all(lb <= vals + margin)
-    assert np.all(search_lb <= vals + margin)
-    if name == "ray_along_ybar":
-        assert np.all(lb == -np.inf) and np.all(search_lb == -np.inf)
+        _, v_cut, m_cut = multimap._membership_search(F, X, Y, dc, (tol,))
+        n_between = int(np.sum((v_cut > tol) & (v_cut - m_cut <= tol)))
+        assert alternated == ([n_between] if n_between else []), tol
     if name == "halfplane_directional":
-        # the search's bound rejects the row added above, which the screen
-        # leaves open
-        assert lb[-1] <= thr + margin[-1] < search_lb[-1]
+        want = 0.3 * np.sqrt(1.0 - dc.delta ** 2) - 1.4 * dc.delta
+        assert v[-1] == pytest.approx(want, rel=1e-12, abs=0.0)
+    if name == "ray_along_ybar":
+        assert np.all(v == 0.0)
 
 
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from(sorted(_membership_cases())),
-       st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([multimap._MEMBERSHIP_POINTS, 320]))
-@example("halfplane_directional", 0, 320)
-def test_member_mask_is_the_full_search_mask(name, seed, points):
-    # rows that leave the scale search once settled take the decisions
-    # of the full search, whether a grid pass holds the default 128 rows
-    # or 5
+       st.integers(0, 2 ** 32 - 1))
+@example("product", 0)
+def test_member_mask_is_the_full_search_mask(name, seed):
+    # rows that leave the golden-section search once their cut is settled
+    # take the decisions that the full search (no cut) gives; the exact
+    # route ignores the cut
     F, dc = _membership_cases()[name]
     X, Y = _membership_rows(F, np.random.default_rng(seed), 60)
-    tols = [TOL_MEMBER, 1e-5, 1e-2, *_split_tolerances(F, X, Y, dc)]
-    refs = [reference_member_mask(F, X, Y, dc, tol, retire=False)
-            for tol in tols]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multimap, "_MEMBERSHIP_POINTS", points)
-        for tol, ref in zip(tols, refs):
-            mask = _member_mask(F, X, Y, dc, tol)
-            assert mask.tobytes() == ref.tobytes(), (name, tol)
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.sampled_from(sorted(_membership_cases())),
-       st.integers(0, 2 ** 32 - 1), st.sampled_from([TOL_MEMBER, 1e-3]))
-@example("halfplane_directional", 0, 1e-3)
-def test_staged_search_keeps_the_reference_bits(name, seed, tol):
-    # the decisions of _member_mask at tol, the envelope's row and probe
-    # bits at its shell threshold, and the unscreened values of
-    # membership_values are the reference kernel's, bit for bit
-    F, dc = _membership_cases()[name]
-    gen = np.random.default_rng(seed)
-    X, Y = _membership_rows(F, gen, 30)
-    Xe, Ye = _envelope_rows(F, gen, 30, tol)
-    X, Y = np.vstack([X, Xe]), np.vstack([Y, Ye])
-    Cres = F.f.eval_batch(X) - Y
-    vals, certified = membership_values(F, X, Y, dc)
-    v_grid = reference_scale_search(F.K, Cres, dc)
-    v_alt = multimap._alternate(F.K, Cres, dc)
-    assert vals.tobytes() == np.minimum(v_grid, v_alt).tobytes()
-    assert certified.tobytes() == (np.abs(v_grid - v_alt)
-                                   <= 1e-6 * (1.0 + vals)).tobytes()
-    mask = _member_mask(F, X, Y, dc, tol)
-    assert mask.tobytes() == reference_member_mask(F, X, Y, dc,
-                                                   tol).tobytes()
-    lip = 1.5
-    reach = tol * (1.0 + lip) * 1.001
-    _, ref_rows = reference_screened_search(F, X, Y, dc, max(tol, reach),
-                                            tol=tol)
-    _, rows, _ = multimap._membership_search(F, X, Y, dc, max(tol, reach),
-                                             tol)
-    for t in (tol, reach):
-        assert (rows <= t).tobytes() == (ref_rows <= t).tobytes()
-    env = envelope_batch(F, dc, X, Y, tol, lip)
-    ref, shell, probes = reference_envelope_batch(F, dc, X, Y, tol, lip)
-    assert env.tobytes() == ref.tobytes()
-    if shell.any():
-        P, Yp = _probe_points(F, X[shell], Y[shell], tol)
-        _, pv, _ = multimap._membership_search(F, P, Yp, dc, tol, tol)
-        assert (pv <= tol).tobytes() == probes.tobytes()
-
-
-def _screen_decisions(K, Cres, dc, thr, tol):
-    """Rows the screen at thr admits at tol and rows it rejects."""
-    v, lb, margin = reference_scale_search(K, Cres, dc, bound=True,
-                                           grid=multimap._SCREEN_GRID,
-                                           zooms=0)
-    reject = lb > thr + margin
-    return ~reject & (v <= tol), reject
+    Cres, v, margin = multimap._membership_search(F, X, Y, dc)
+    for tol in [TOL_MEMBER, 1e-5, 1e-2, *_band_tolerances(v, margin)]:
+        ref = v <= tol
+        between = ~ref & (v - margin <= tol)
+        if between.any():
+            ref[between] = multimap._alternate(F.K, Cres[between], dc) <= tol
+        mask = _member_mask(F, X, Y, dc, tol)
+        assert mask.tobytes() == ref.tobytes(), (name, tol)
 
 
 def test_zoom_rounds_run_only_open_rows():
-    # _phi passes counted by lam width: 9 the screen, 64 the scale search's
-    # grid, 17 a zoom round
-    F, dc = _membership_cases()["halfplane_directional"]
-    X, Y = _membership_rows(F, np.random.default_rng(0), 60)
-    vals, _ = membership_values(F, X, Y, dc)
-    Cres = F.f.eval_batch(X) - Y
-    passes, alternated = [], []
-    phi, alternate = multimap._phi, multimap._alternate
+    # each golden-section step zooms the brackets of the rows still open:
+    # a row leaves once its cut is settled, rows whose c lies in K leave
+    # on phi(0) before any step, and with no cut every row runs every step
+    steps = []
+    step = multimap.golden_step
 
-    def counting_phi(K, Cres, dc, lam):
-        passes.append(lam.shape)
-        return phi(K, Cres, dc, lam)
+    def counting(fn, *state):
+        steps.append(state[0].size)
+        return step(fn, *state)
 
-    def counting_alternate(K, Cres, dc):
-        alternated.append(Cres.shape[0])
-        return alternate(K, Cres, dc)
-
-    def run(rows, tol):
-        """Screen, grid and zoom pass sizes of _member_mask on the rows."""
-        passes.clear()
-        alternated.clear()
+    def run(F, dc, X, Y, cuts):
+        steps.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(multimap, "_phi", counting_phi)
-            mp.setattr(multimap, "_alternate", counting_alternate)
-            mask = _member_mask(F, X[rows], Y[rows], dc, tol)
-        assert mask.tobytes() == (vals[rows] <= tol).tobytes(), tol
-        return tuple([n for n, width in passes if width == w]
-                     for w in (9, 64, 17))
+            mp.setattr(multimap, "golden_step", counting)
+            return multimap._membership_search(F, X, Y, dc, cuts)[1]
 
-    def open_after(rows, zooms, tol):
-        """How many of the rows the full search leaves undecided after
-        the given number of zoom rounds."""
-        v, lb, margin = reference_scale_search(F.K, Cres[rows], dc,
-                                               bound=True, zooms=zooms)
-        return int(np.sum((v > tol) & (lb <= tol + margin)))
-
-    # the grid pass sees exactly the rows the screen neither admits nor
-    # rejects, and each zoom round exactly the rows the rounds before it
-    # leave undecided, where the full search gives each of them every row
-    # of the grid pass
-    admit, reject = _screen_decisions(F.K, Cres, dc, TOL_MEMBER, TOL_MEMBER)
-    searched = np.flatnonzero(~admit & ~reject)
-    assert admit.sum() > 0 and reject.sum() > 0 and searched.size > 0
-    screen, grid, zoom = run(np.arange(60), TOL_MEMBER)
-    assert screen == [60] and grid == [searched.size]
-    expected = [open_after(searched, k, TOL_MEMBER)
-                for k in range(multimap._ZOOM_ROUNDS)]
-    assert zoom == [n for n in expected if n] and sum(zoom) > 0
-    # rows the grid pass settles, some admitted and some rejected by its
-    # bound, make no 17-point pass and never reach the alternating route
-    v, lb, margin = reference_scale_search(F.K, Cres[searched], dc,
-                                           bound=True, zooms=0)
-    grid_admit = v <= TOL_MEMBER
-    grid_reject = ~grid_admit & (lb > TOL_MEMBER + margin)
-    assert np.any(grid_admit) and np.any(grid_reject)
-    settled = searched[grid_admit | grid_reject]
-    screen, grid, zoom = run(settled, TOL_MEMBER)
-    assert (screen, grid, zoom) == ([settled.size], [settled.size], [])
-    assert alternated == []
-    # at a split tolerance the alternating route decides the rows the
-    # search leaves open
-    tols = _split_tolerances(F, X, Y, dc)
-    assert tols
-    for tol in tols:
-        run(np.arange(60), tol)
-        assert len(alternated) == 1 and alternated[0] > 0, tol
-
-
-def test_undecided_rows_skip_a_second_scale_search():
-    # at a split tolerance the scale search runs once: its screen sees
-    # every row, its grid exactly the rows the screen neither admits nor
-    # rejects, and the alternating route alone decides the rows it leaves
-    # undecided
-    searched, passes = [], []
-    search, phi = multimap._scale_search, multimap._phi
-
-    def counting(K, Cres, dc, *args):
-        searched.append(Cres.shape[0])
-        return search(K, Cres, dc, *args)
-
-    def counting_phi(K, Cres, dc, lam):
-        passes.append(lam.shape)
-        return phi(K, Cres, dc, lam)
-
-    n_split = n_searched = 0
-    for name, (F, dc) in sorted(_membership_cases().items()):
-        for seed in (0, 1):
-            X, Y = _membership_rows(F, np.random.default_rng(seed), 60)
-            vals, _ = membership_values(F, X, Y, dc)
-            Cres = F.f.eval_batch(X) - Y
-            for tol in _split_tolerances(F, X, Y, dc):
-                n_split += 1
-                admit, reject = _screen_decisions(F.K, Cres, dc, tol, tol)
-                n_open = int(np.sum(~admit & ~reject))
-                n_searched += n_open
-                searched.clear()
-                passes.clear()
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(multimap, "_scale_search", counting)
-                    mp.setattr(multimap, "_phi", counting_phi)
-                    mask = _member_mask(F, X, Y, dc, tol)
-                assert searched == [len(X)], name
-                expected = [(len(X), 9)]
-                if n_open:
-                    expected.append((n_open, 64))
-                assert [p for p in passes if p[1] != 17] == expected, name
-                assert mask.tobytes() == (vals <= tol).tobytes(), name
-    assert n_split > 0 and n_searched > 0
-
-
-def test_screen_admitted_rows_skip_the_scale_search():
-    # a batch made only of rows the screen admits makes one _scale_search
-    # call and no 64-point or 17-point _phi pass, in _member_mask and in
-    # envelope_batch on its rows and on its probes
-    calls, widths, alternated = [], [], []
-    search, phi = multimap._scale_search, multimap._phi
-    alternate = multimap._alternate
-
-    def counting_search(K, Cres, dc, *args):
-        calls.append(Cres.shape[0])
-        return search(K, Cres, dc, *args)
-
-    def counting_phi(K, Cres, dc, lam):
-        widths.append(lam.shape[1])
-        return phi(K, Cres, dc, lam)
-
-    def counted(fn, *args):
-        calls.clear()
-        widths.clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(multimap, "_scale_search", counting_search)
-            mp.setattr(multimap, "_phi", counting_phi)
-            mp.setattr(multimap, "_alternate",
-                       lambda *a: alternated.append(a) or alternate(*a))
-            return fn(*args)
-
-    def certified_alone(F, dc, X, Y, tol):
-        # each admitted row, alone, has a screen point with phi <= tol
-        Cres = F.f.eval_batch(X) - Y
-        lam = dc._lam_max(np.linalg.norm(Cres, axis=1))[:, None]
-        for i in range(len(X)):
-            p = phi(F.K, Cres[i:i + 1], dc, lam[i:i + 1]
-                    * multimap._SCREEN_GRID[None, :])
-            assert p.min() <= tol, i
-
-    lip = 1.5
-    for name, (F, dc) in sorted(_membership_cases().items()):
-        X, Y = _membership_rows(F, np.random.default_rng(3), 60)
-        Cres = F.f.eval_batch(X) - Y
-        for tol, thr in ((TOL_MEMBER, TOL_MEMBER),
-                         (1e-3, 1e-3 * (1.0 + lip) * 1.001)):
-            admit, _ = _screen_decisions(F.K, Cres, dc, thr, tol)
-            rows = np.flatnonzero(admit)
-            assert rows.size > 0, (name, tol)
-            if tol == TOL_MEMBER:
-                mask = counted(_member_mask, F, X[rows], Y[rows], dc, tol)
-                assert np.all(mask) and alternated == []
-            else:
-                env = counted(envelope_batch, F, dc, X[rows], Y[rows], tol,
-                              lip)
-                assert env.tobytes() == image_distance_batch(
-                    F, X[rows], Y[rows]).tobytes()
-            assert calls == [rows.size], (name, tol)
-            assert widths == [9], (name, tol)
-            certified_alone(F, dc, X[rows], Y[rows], tol)
-    # the probes: y = 1.5 tol lies outside the tube at the local maximum
-    # x = 0 of f(x) = -1e6 x^2, while f falls far below y at every probe,
-    # and with delta near |ybar| the screen's nine points admit each of
-    # them.  The row runs every stage, its 160 probes only the screen.
-    tol = 1e-3
-    F = MultiMap(PolynomialMap(1, [[(-1e6, (2,))]]), Singleton([0.0]))
-    dc = DirectionalCone([1.0], 0.99)
-    X, Y = np.zeros((1, 1)), np.full((1, 1), -1.5 * tol)
-    env = counted(envelope_batch, F, dc, X, Y, tol, lip)
-    assert calls == [1, 160]
-    assert widths == [9, 64] + [17] * multimap._ZOOM_ROUNDS + [9]
-    assert env.tobytes() == image_distance_batch(F, X, Y).tobytes()
-    P, Yp = _probe_points(F, X, Y, tol)
-    certified_alone(F, dc, P, Yp, tol)
-
-
-def test_envelope_rows_retire_on_the_shell_threshold():
-    # on the ball case, c = f(x) - y = (-0.5, -2.2) has membership value
-    # ~0.165, far above the shell radius reach ~2.5e-3 at tol 1e-3.  The
-    # screen's nine points leave it open; the 64-point grid's bound rejects
-    # it at max(tol, reach), so it runs no 17-point pass and no probe, and
-    # its envelope value is +inf, as the reference's full search gives it
-    F, dc = _membership_cases()["ball"]
-    X, Y = np.zeros((1, 2)), np.array([[0.5, 2.2]])
-    tol, lip = 1e-3, 1.5
-    reach = tol * (1.0 + lip) * 1.001
-    Cres = F.f.eval_batch(X) - Y
-    lb, margin = _screen_bound(F.K, Cres, dc)
-    v, grid_lb, _ = reference_scale_search(F.K, Cres, dc, bound=True,
-                                           zooms=0)
-    assert lb[0] <= reach + margin[0] < grid_lb[0] and v[0] > reach
-    widths = []
-    phi = multimap._phi
-
-    def counting_phi(K, Cres, dc, lam):
-        widths.append(lam.shape[1])
-        return phi(K, Cres, dc, lam)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multimap, "_phi", counting_phi)
-        env = envelope_batch(F, dc, X, Y, tol, lip)
-    assert widths == [9, 64]
-    ref, shell, _ = reference_envelope_batch(F, dc, X, Y, tol, lip)
-    assert env.tobytes() == ref.tobytes() and env[0] == np.inf
-    assert not shell.any()
-
-
-def _synthetic_phi(values):
-    """A stand-in for _phi: values(lam, lam_star) per row, with lam_star
-    the row's fifth screen point, which lies between two grid points."""
-    def phi(K, Cres, dc, lam):
-        lam_hi = dc._lam_max(np.linalg.norm(Cres, axis=1))[:, None]
-        return values(lam, lam_hi * multimap._SCREEN_GRID[4])
-    return phi
-
-
-def test_grid_starts_afresh_after_the_screen():
-    # phi = |lam - lam_star| + 0.5 has its least value, 0.5, on a screen
-    # point that no later stage evaluates.  The row stays open (value above
-    # tol, bound below thr), and the grid starts with a fresh value, so the
-    # screened search returns the unscreened search's value, not 0.5
-    F, dc = _membership_cases()["halfplane_directional"]
-    Cres = np.array([[0.3, -1.0], [-0.2, 0.5]])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multimap, "_phi", _synthetic_phi(
-            lambda lam, star: np.abs(lam - star) + 0.5))
-        vals, open_ = _scale_search(F.K, Cres, dc, 1.0, 0.1)
-        ref = reference_scale_search(F.K, Cres, dc)
-    assert np.all(open_) and np.all(ref > 0.5)
-    assert vals.tobytes() == ref.tobytes()
-
-
-def test_rejection_wins_a_tie():
-    # measured phi values that break convexity: 1 + lam / lam_max but 0 on
-    # one screen point.  The neighbours' secants put the bound near 1,
-    # above thr + margin, while the value 0 is within tol; the row is
-    # rejected
-    F, dc = _membership_cases()["halfplane_directional"]
-    Cres = np.array([[0.3, -1.0]])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multimap, "_phi", _synthetic_phi(
-            lambda lam, star: np.where(
-                lam == star, 0.0,
-                1.0 + lam / (star / multimap._SCREEN_GRID[4]))))
-        _, lb, margin = reference_scale_search(
-            F.K, Cres, dc, bound=True, grid=multimap._SCREEN_GRID, zooms=0)
-        assert lb[0] > 0.5 + margin[0]
-        vals, open_ = _scale_search(F.K, Cres, dc, 0.5, 0.1)
-    assert vals[0] == np.inf and not open_[0]
-
-
-def test_secant_bound_on_a_parabola():
-    # phi(lam) = (lam - 1)^2 - 0.5, least value -0.5 at lam = 1, sampled
-    # on nine even points of a bracket per row
-    brackets = {"from zero, holds the minimizer": (0.0, 3.0, True),
-                "above zero, holds the minimizer": (0.5, 1.5, True),
-                "right of the minimizer: the head rises": (1.5, 3.0, False),
-                "left of the minimizer: the tail falls": (0.2, 0.8, False),
-                "of zero width": (1.0, 1.0, False)}
-    lam = np.array([np.linspace(lo, hi, 9) for lo, hi, _ in
-                    brackets.values()])
-    phi = (lam - 1.0) ** 2 - 0.5
-    lb = _secant_bound(lam, phi, np.full(lam.shape[0], 1e-9))
-    # with spacing h the neighbours' secants sit within h^2 of phi
-    for (name, (lo, hi, bounded)), b in zip(brackets.items(), lb):
-        h = (hi - lo) / 8
-        assert (-0.5 - h * h < b <= -0.5) if bounded else b == -np.inf, name
-    # an end secant that moves by less than margin / 4 gives no bound, and
-    # neither does a NaN value
-    assert _secant_bound(lam[1:2], phi[1:2], np.array([1.0]))[0] == -np.inf
-    phi[0, 4] = np.nan
-    assert _secant_bound(lam[:1], phi[:1], np.array([1e-9]))[0] == -np.inf
+    for name in _GOLDEN_CASES:
+        F, dc = _membership_cases()[name]
+        X, Y = _membership_rows(F, np.random.default_rng(5), 60)
+        full = run(F, dc, X, Y, ())
+        assert steps == [60] * GOLDEN_ITERS, name
+        cut = run(F, dc, X, Y, (TOL_MEMBER,))
+        assert steps[0] < 60 and len(steps) <= GOLDEN_ITERS, name
+        assert all(a >= b for a, b in zip(steps, steps[1:])), name
+        assert ((cut <= TOL_MEMBER).tobytes()
+                == (full <= TOL_MEMBER).tobytes()), name
+        inside = F.f.eval_batch(X) - F.K.project_batch(F.f.eval_batch(X) - Y)
+        vals = run(F, dc, X, inside, (TOL_MEMBER,))
+        assert steps == [] and np.all(vals <= TOL_MEMBER), name
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(sorted(_membership_cases())),
-       st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 5]),
-       st.sampled_from([None, TOL_MEMBER, 1e-2]))
-@example("halfplane_directional", 0, 5, 1e-2)
-def test_scale_search_bound_rows_are_batch_independent(name, seed, chunk,
-                                                       tol):
-    # a row's value and open bit are the same bits alone, in a batch and
-    # across chunk boundaries.  With no tol (thr = inf) every row runs
-    # every stage but the screen and gets the full search's value.  With a
-    # tol (thr = tol) a row leaves the search once settled: one that runs
-    # every stage and is not rejected gets the full search's bits, and
-    # every row gets the reference kernel's decisions
+       st.integers(0, 2 ** 32 - 1))
+def test_value_lies_below_phi_and_the_alternating_route(name, seed):
+    # on every case: the value is at most phi on a dense lam grid over the
+    # scale cap plus the margin, the alternating route (an upper bound)
+    # never falls more than the margin below it, and a nonempty K gives
+    # no +inf
     F, dc = _membership_cases()[name]
-    gen = np.random.default_rng(seed)
-    X, Y = _membership_rows(F, gen, 12)
-    Cres = F.f.eval_batch(X) - Y
-    thr = np.inf if tol is None else tol
-    full = reference_scale_search(F.K, Cres, dc)
-    whole = _scale_search(F.K, Cres, dc, thr, tol)
-    if tol is None:
-        assert whole[0].tobytes() == full.tobytes() and whole[1].all()
-    else:
-        _, vals, lb, margin = reference_screened_search(
-            F, X, Y, dc, tol, bound=True, tol=tol)
-        admit = vals <= tol
-        reject = ~admit & (lb > tol + margin)
-        assert (whole[0] <= tol).tobytes() == admit.tobytes()
-        assert (~whole[1] & ~(whole[0] <= tol)).tobytes() == reject.tobytes()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multimap, "_MEMBERSHIP_POINTS",
-                   chunk * multimap._SEARCH_GRID.size)
-        chunked = _scale_search(F.K, Cres, dc, thr, tol)
-    passes = []
-    phi = multimap._phi
+    X, Y = _membership_rows(F, np.random.default_rng(seed), 40)
+    Cres, v, margin = multimap._membership_search(F, X, Y, dc)
+    grid = np.concatenate([[0.0], np.geomspace(1e-7, 1.0, 400)])
+    lam = dc._lam_max(np.linalg.norm(Cres, axis=1))[:, None] * grid
+    phi = np.maximum(_phi_grid(F, Cres, dc, lam).min(axis=1), 0.0)
+    assert np.all(v <= phi + margin)
+    assert np.all(multimap._alternate(F.K, Cres, dc) >= v - margin)
+    assert np.all(np.isfinite(v))
 
-    def counting(K, C, dc, lam):
-        passes.append(lam.shape)
-        return phi(K, C, dc, lam)
 
-    stages = 1 + multimap._ZOOM_ROUNDS + (tol is not None)
-    for i in range(12):
-        passes.clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(multimap, "_phi", counting)
-            alone = _scale_search(F.K, Cres[i:i + 1], dc, thr, tol)
-        for a, w, c in zip(alone, whole, chunked):
-            assert a.tobytes() == w[i:i + 1].tobytes() == c[i:i + 1].tobytes()
-        if len(passes) == stages and alone[0][0] < np.inf:
-            assert alone[0].tobytes() == full[i:i + 1].tobytes(), i
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(sorted(set(_membership_cases()) - set(_GOLDEN_CASES))),
+       st.integers(0, 2 ** 32 - 1))
+def test_exact_values_agree_with_the_golden_fallback(name, seed):
+    # on polyhedral K the face kernel and the golden-section search (the
+    # route a K without a face table takes) agree within the margin
+    F, dc = _membership_cases()[name]
+    X, Y = _membership_rows(F, np.random.default_rng(seed), 40)
+    Cres, exact, margin = multimap._membership_search(F, X, Y, dc)
+    lam_hi = dc._lam_max(np.linalg.norm(Cres, axis=1))
+    golden = multimap._golden_values(F.K, Cres, dc, lam_hi, margin, ())
+    assert np.all(np.abs(golden - exact) <= margin)
 
 
 @settings(max_examples=8, deadline=None)
@@ -1338,19 +919,55 @@ def test_scale_search_bound_rows_are_batch_independent(name, seed, chunk,
        st.integers(0, 2 ** 32 - 1))
 def test_membership_rows_are_batch_independent(name, seed):
     # each row, run alone, gets the bits of its value and of its certified
-    # flag that it gets in the batch, and of its scale-search value
+    # flag that it gets in the batch, of its kernel value with and
+    # without a cut, and of its decision
     F, dc = _membership_cases()[name]
     gen = np.random.default_rng(seed)
     X, Y = _membership_rows(F, gen, 12)
     vals, certified = membership_values(F, X, Y, dc)
-    v_grid, _ = _scale_search(F.K, F.f.eval_batch(X) - Y, dc)
+    kernel = [multimap._membership_search(F, X, Y, dc, cuts)[1]
+              for cuts in ((), (TOL_MEMBER,))]
+    mask = _member_mask(F, X, Y, dc, TOL_MEMBER)
     for i in range(12):
         one = slice(i, i + 1)
         v, c = membership_values(F, X[one], Y[one], dc)
         assert v.tobytes() == vals[one].tobytes(), i
         assert c.tobytes() == certified[one].tobytes(), i
-        g, _ = _scale_search(F.K, F.f.eval_batch(X[one]) - Y[one], dc)
-        assert g.tobytes() == v_grid[one].tobytes(), i
+        for cuts, k in zip(((), (TOL_MEMBER,)), kernel):
+            _, alone, _ = multimap._membership_search(F, X[one], Y[one], dc,
+                                                      cuts)
+            assert alone.tobytes() == k[one].tobytes(), (i, cuts)
+        alone = _member_mask(F, X[one], Y[one], dc, TOL_MEMBER)
+        assert alone.tobytes() == mask[one].tobytes(), i
+
+
+@pytest.mark.parametrize("rows", [1, 5], ids=["rows1", "rows5"])
+def test_membership_chunk_boundaries_move_no_bit(rows):
+    # passes of _FACE_POINTS entries split the face kernel after every 1
+    # or 5 rows; the values, the decisions and the envelope keep the bits
+    # of the default passes
+    for name, (F, dc) in sorted(_membership_cases().items()):
+        if name in _GOLDEN_CASES:
+            continue
+        gen = np.random.default_rng(29)
+        X, Y = _membership_rows(F, gen, 30)
+        Xe, Ye = _envelope_rows(F, gen, 40, 1e-3)
+        _, vals, margin = multimap._membership_search(F, X, Y, dc)
+        tols = [TOL_MEMBER, 1e-2, *_band_tolerances(vals, margin)]
+        masks = [_member_mask(F, X, Y, dc, tol) for tol in tols]
+        env = envelope_batch(F, dc, Xe, Ye, 1e-3, 1.5)
+        C = as_polyhedron(F.K).C
+        per_row = (face_table(C.shape, C.tobytes()).rows.shape[0]
+                   * (C.shape[1] + C.shape[0] + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multimap, "_FACE_POINTS", rows * per_row)
+            _, chunked, _ = multimap._membership_search(F, X, Y, dc)
+            assert chunked.tobytes() == vals.tobytes(), name
+            for tol, mask in zip(tols, masks):
+                chunked = _member_mask(F, X, Y, dc, tol)
+                assert chunked.tobytes() == mask.tobytes(), (name, tol)
+            chunked = envelope_batch(F, dc, Xe, Ye, 1e-3, 1.5)
+            assert chunked.tobytes() == env.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -1391,9 +1008,9 @@ def test_envelope_matches_membership_five_hundred_samples(make, dc):
 
 
 def _unscreened_envelope(F, dc, X, Y, tol, lipschitz):
-    """The envelope built from the unscreened scale-search values of every
-    row and every probe.  Returns it with the shell and hit row counts."""
-    vals = reference_scale_search(F.K, F.f.eval_batch(X) - Y, dc)
+    """The envelope built from the kernel values with no cut, of every row
+    and every probe.  Returns it with the shell and hit row counts."""
+    _, vals, _ = multimap._membership_search(F, X, Y, dc)
     member = vals <= tol
     out = np.full(X.shape[0], np.inf)
     out[member] = image_distance_batch(F, X[member], Y[member])
@@ -1402,7 +1019,7 @@ def _unscreened_envelope(F, dc, X, Y, tol, lipschitz):
     if shell.size == 0:
         return out, 0, 0
     P, Yp = _probe_points(F, X[shell], Y[shell], tol)
-    pv = reference_scale_search(F.K, F.f.eval_batch(P) - Yp, dc)
+    _, pv, _ = multimap._membership_search(F, P, Yp, dc)
     hit = shell[np.any(pv.reshape(shell.size, -1) <= tol, axis=1)]
     out[hit] = image_distance_batch(F, X[hit], Y[hit])
     return out, shell.size, hit.size
@@ -1422,10 +1039,11 @@ def _envelope_rows(F, gen, rows, tol):
 
 
 def test_screened_envelope_is_the_unscreened_envelope():
-    # the screen only skips the scale search on rows whose decisions it
-    # has already settled, so the envelope keeps every bit; one y per row.
-    # Across the cases some rows must reach the shell, and some of those
-    # must stay outside after probing.
+    # the cuts at tol and reach only end the golden-section search of rows
+    # whose two bits are settled, so the envelope keeps every bit of the
+    # one built from uncut values; one y per row.  Across the cases some
+    # rows must reach the shell, and some of those must stay outside
+    # after probing.
     shells = hits = 0
     for name, (F, dc) in sorted(_membership_cases().items()):
         gen = np.random.default_rng(17)
@@ -1438,6 +1056,30 @@ def test_screened_envelope_is_the_unscreened_envelope():
             shells += n_shell
             hits += n_hit
     assert shells > hits > 0
+
+
+def test_envelope_rows_retire_on_the_shell_threshold():
+    # on the ball case, c = f(x) - y = (-0.5, -2.2) has membership value
+    # ~0.165, far above the shell radius reach ~2.5e-3 at tol 1e-3.  Its
+    # golden-section search ends once its bound exceeds both cuts, long
+    # before the last step, it runs no probe, and its envelope value is
+    # +inf
+    F, dc = _membership_cases()["ball"]
+    X, Y = np.zeros((1, 2)), np.array([[0.5, 2.2]])
+    tol, lip = 1e-3, 1.5
+    reach = tol * (1.0 + lip) * 1.001
+    _, full, _ = multimap._membership_search(F, X, Y, dc)
+    assert full[0] > 0.1
+    steps, searches = [], []
+    step, search = multimap.golden_step, multimap._membership_search
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multimap, "golden_step",
+                   lambda fn, *s: steps.append(1) or step(fn, *s))
+        mp.setattr(multimap, "_membership_search",
+                   lambda *a: searches.append(a[-1]) or search(*a))
+        env = envelope_batch(F, dc, X, Y, tol, lip)
+    assert 0 < len(steps) < GOLDEN_ITERS // 2
+    assert searches == [(tol, reach)] and env[0] == np.inf
 
 
 @settings(max_examples=8, deadline=None)
@@ -1453,34 +1095,6 @@ def test_envelope_rows_are_batch_independent(name, seed):
     for i in range(10):
         one = envelope_batch(F, dc, X[i:i + 1], Y[i], 1e-3, 1.5)
         assert one.tobytes() == env[i:i + 1].tobytes(), i
-
-
-@pytest.mark.parametrize("points", [9, 320],
-                         ids=["screen1-search1", "screen35-search5"])
-def test_membership_chunk_boundaries_move_no_bit(points):
-    # passes of _MEMBERSHIP_POINTS points split the screen after every 1
-    # or 35 rows, the grid after every 1 or 5 and a zoom round after every
-    # 1 or 18; the values and open bits, the decisions and the envelope
-    # keep the bits of the default passes
-    for name, (F, dc) in sorted(_membership_cases().items()):
-        gen = np.random.default_rng(29)
-        X, Y = _membership_rows(F, gen, 30)
-        Xe, Ye = _envelope_rows(F, gen, 40, 1e-3)
-        tols = [TOL_MEMBER, 1e-2, *_split_tolerances(F, X, Y, dc)]
-        searched = multimap._membership_search(F, X, Y, dc, TOL_MEMBER)[1:]
-        masks = [_member_mask(F, X, Y, dc, tol) for tol in tols]
-        env = envelope_batch(F, dc, Xe, Ye, 1e-3, 1.5)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(multimap, "_MEMBERSHIP_POINTS", points)
-            chunked = multimap._membership_search(F, X, Y, dc,
-                                                  TOL_MEMBER)[1:]
-            for a, b in zip(chunked, searched):
-                assert a.tobytes() == b.tobytes(), name
-            for tol, mask in zip(tols, masks):
-                chunked = _member_mask(F, X, Y, dc, tol)
-                assert chunked.tobytes() == mask.tobytes(), (name, tol)
-            chunked = envelope_batch(F, dc, Xe, Ye, 1e-3, 1.5)
-            assert chunked.tobytes() == env.tobytes(), name
 
 
 def test_envelope_rejects_y_of_the_wrong_shape():

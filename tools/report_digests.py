@@ -21,8 +21,10 @@ import tempfile
 from pathlib import Path
 
 # problem files next to this script, copied into each working directory
-PROBLEM, ROUND_K = (Path(__file__).resolve().parent / name
-                    for name in ("rotated_halfplane.json", "round_k.json"))
+PROBLEM, ROUND_K, BALL_HALFLINE = (
+    Path(__file__).resolve().parent / name
+    for name in ("rotated_halfplane.json", "round_k.json",
+                 "ball_halfline.json"))
 
 INSTANCES = ("diag_2_05", "halfplane_directional", "hoffman_2d", "identity2",
              "parabola_eb", "param_scale")
@@ -93,9 +95,8 @@ COMMANDS = (
         # which the exact active-set route leaves to Dykstra (every row
         # converges there; none reaches the least-distance solve)
         (["analyze", PROBLEM.name, "--seed", "3"], "report.json"),
-        # the admissible flag of every pair on the skew K, where Dykstra's
-        # stopping error, DYKSTRA_TOL, is the largest evaluation error the
-        # membership bounds' margin must cover
+        # the admissible flag of every pair on the skew K, from its exact
+        # face values
         (["analyze", PROBLEM.name, "--seed", "3", "--csv", "samples.csv"],
          "samples.csv"),
         # a polynomial map into a ball times a point: the Gauss-Newton
@@ -103,6 +104,15 @@ COMMANDS = (
         # per-sample preimage distance
         (["modulus", ROUND_K.name, "--seed", "3", "--csv", "samples.csv"],
          "samples.csv"),
+        # a directional problem on a ball times a half-line, a K with no
+        # polyhedral form: the membership kernel's golden-section route.
+        # The CSV holds the admissible flag of every pair, and the slope
+        # run's envelope rows reach the closure probes
+        (["modulus", BALL_HALFLINE.name, "--tau", "2", "--seed", "3",
+          "--csv", "samples.csv"], "samples.csv"),
+        (["slope", BALL_HALFLINE.name, "--tau", "2", "--n-points", "6",
+          "--slope-budget", "100", "--tol", "1e-3", "--seed", "3"],
+         "report.json"),
     ]
 )
 
@@ -117,7 +127,7 @@ def digest_lines(checkout: Path) -> list[str]:
     for argv, output in COMMANDS:
         argv = argv + ["--no-timestamp", "--out", "report.json"]
         with tempfile.TemporaryDirectory() as tmp:
-            for problem in (PROBLEM, ROUND_K):
+            for problem in (PROBLEM, ROUND_K, BALL_HALFLINE):
                 shutil.copy(problem, tmp)
             proc = subprocess.run(
                 [sys.executable, "-m", "regcert.cli", *argv], cwd=tmp,
