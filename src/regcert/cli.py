@@ -16,6 +16,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -511,7 +512,10 @@ def _cmd_instances(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing.
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args leaves it as
+    it was, so every call of main can share it."""
     parser = argparse.ArgumentParser(
         prog="regcert",
         description="Estimate and certify metric regularity of "

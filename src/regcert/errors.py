@@ -46,7 +46,8 @@ class GridTooLarge(RegcertError):
 
 
 class SimplexIterationLimit(RegcertError):
-    """Raised when the LP solver hits its iteration cap (internal guard)."""
+    """Raised when the LP simplex or the NNLS hits its iteration cap
+    (internal guard)."""
 
 
 class ProblemFileError(RegcertError):

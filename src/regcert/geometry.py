@@ -17,17 +17,10 @@ sweep leaves in place, with no tolerance.  Points no candidate passes
 systems too large for the chunked pass go to Dykstra's alternating scheme
 (Boyle & Dykstra, 1986) for at most DYKSTRA_MAX_SWEEPS sweeps, and a row it
 leaves above DYKSTRA_TOL to one least-distance solve (Lawson & Hanson,
-1974, ch. 23), exact, or a certificate that its system is empty.  LPs go
-to the HiGHS solver that scipy ships; only their status and optimal value
-are consumed.
-
-scipy.optimize takes longer to import than most commands take to run, so
-it is imported inside the three functions that call it: solve_lp (the
-robinson LP, and so every analyze, and Polyhedron.is_feasible, which the
-membership search asks on a whole-space cone over a polyhedral factor),
-project_onto_generated_cone (the coderivative's cone projections) and
-_least_distance (the rows Dykstra leaves unconverged).  modulus, slope,
-sweep, perturb and oracle-check on the registry never load it.
+1974, ch. 23), exact, or a certificate that its system is empty.  That
+solve and the cone projections share one active-set NNLS (_nnls), and LPs
+go to a dense two-phase simplex with Bland's rule (solve_lp); both are
+exact at the sizes used here and need only NumPy.
 """
 
 from __future__ import annotations
@@ -66,6 +59,7 @@ _ACTIVE_SET_CHUNK = 1 << 16
 _MIN_CHUNK_POINTS = 64
 
 GOLDEN_ITERS = 48
+_EPS = np.finfo(float).eps
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -185,6 +179,84 @@ def dykstra_halfspaces(C, d, P, rhs=None):
     return X, resid
 
 
+def _nnls(A, b):
+    """min |A x - b| over x >= 0 by Lawson & Hanson's active-set method
+    (Solving Least Squares Problems, 1974, ch. 23); returns (x, rnorm).
+
+    The column with the largest gradient entry w_j above its rounding
+    enters the passive set, whose columns are solved by least squares
+    (one column in closed form); a step back toward the last iterate
+    drops the columns that reach zero, at least the one that binds.  A
+    column whose own coefficient would not be positive is rejected
+    instead, so it cannot re-enter at once.  More than 3 n entries raise
+    SimplexIterationLimit.  rnorm is the residual of b's projection onto
+    the span of the columns with x > 0.
+
+    The systems here have a few columns, where a NumPy call costs more
+    than its arithmetic, so the loop runs on Python floats: on G = A^T A
+    and c = A^T b, and on A itself only for a solve on two or more columns.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    G = (A.T @ A).tolist()
+    c = (A.T @ b).tolist()
+    rows, bl = A.tolist(), b.tolist()
+    amax = max(abs(v) for row in rows for v in row)
+    bsum = sum(abs(v) for v in bl)
+    unit = 10.0 * max(m, n) * _EPS * amax
+
+    def solve(cols):
+        """Least-squares coefficients on cols, and the norm of b's part off
+        their span where lstsq reads it off its orthogonal factor, as
+        Lawson & Hanson do, so that its rounding does not grow with the
+        coefficients (0 where the columns span R^m); else None."""
+        if len(cols) < 2:
+            return {j: c[j] / G[j][j] for j in cols}, None
+        sol, res, rank, _ = np.linalg.lstsq(A[:, cols], b, rcond=None)
+        if rank < len(cols):
+            return dict(zip(cols, sol.tolist())), None
+        return (dict(zip(cols, sol.tolist())),
+                math.sqrt(res[0]) if res.size else 0.0)
+
+    x = [0.0] * n
+    passive = []
+    w = list(c)
+    rnorm = None
+    for entries in range(3 * n + 1):
+        # the rounding of w grows with the terms of A x as well as with b
+        tol = unit * (bsum + amax * sum(x))
+        free = [j for j in range(n) if j not in passive and w[j] > tol]
+        if not free:
+            break
+        if entries == 3 * n:
+            raise SimplexIterationLimit(f"NNLS exceeded {3 * n} entries")
+        j = max(free, key=w.__getitem__)
+        z, fit = solve(passive + [j])
+        if not z[j] > 0.0:
+            w[j] = 0.0
+            continue
+        passive.append(j)
+        while True:
+            neg = [k for k in passive if z[k] <= 0.0]
+            if not neg:
+                break
+            step = {k: x[k] / (x[k] - z[k]) for k in neg}
+            k = min(step, key=step.get)
+            x = [xi + step[k] * (z.get(i, 0.0) - xi)
+                 if i in passive and i != k else 0.0
+                 for i, xi in enumerate(x)]
+            passive = [i for i in passive if x[i] > 0.0]
+            z, fit = solve(passive)
+        x = [z.get(i, 0.0) for i in range(n)]
+        rnorm = fit
+        w = [ci - sum(g[k] * x[k] for k in passive) for ci, g in zip(c, G)]
+    if rnorm is None:
+        rnorm = math.sqrt(sum((bi - sum(a[k] * x[k] for k in passive)) ** 2
+                              for bi, a in zip(bl, rows)))
+    return np.array(x), rnorm
+
+
 def _least_distance(C, rhs, P):
     """Nearest points of {z : C z <= rhs_s} to the rows p_s of P, each row
     on its own; returns (Q, empty), Q NaN on empty rows.
@@ -199,8 +271,6 @@ def _least_distance(C, rhs, P):
     the affine hull of the rows with u > 0, which are active there (a
     least-norm solve).
     """
-    from scipy.optimize import nnls
-
     m, n = C.shape
     norm = np.linalg.norm(C, axis=1)
     Cn = C / norm[:, None]
@@ -211,7 +281,7 @@ def _least_distance(C, rhs, P):
     empty = np.zeros(P.shape[0], dtype=bool)
     for s, h in enumerate(H):
         E[n] = h / max(h.max(), 1.0)
-        u, rnorm = nnls(E, e)
+        u, rnorm = _nnls(E, e)
         # the residual is 1 / sqrt(1 + D^2) on a set D scaled units away
         if rnorm <= 1e-12:
             empty[s] = True
@@ -732,12 +802,10 @@ def normal_cone_generators(poly: Polyhedron, k) -> np.ndarray:
 
 def project_onto_generated_cone(G: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Nearest point of cone{rows of G} to y, via nonnegative least squares."""
-    from scipy.optimize import nnls
-
     y = np.asarray(y, dtype=float)
     if G.shape[0] == 0:
         return np.zeros_like(y)
-    coef, _ = nnls(G.T, y)
+    coef, _ = _nnls(G.T, y)
     return G.T @ coef
 
 
@@ -754,29 +822,116 @@ class LpResult:
     value: float | None = None
 
 
-# scipy.optimize.linprog status codes that are results rather than failures
-_LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+# pivots one LP solve may take, over both phases, before it stops with
+# SimplexIterationLimit
+LP_MAX_PIVOTS = 20_000
+# reduced costs and pivot entries count as nonzero above this
+_LP_TOL = 1e-9
+
+
+def _pivot(T, rhs, basis, row, col):
+    """Pivot the tableau on (row, col) in place."""
+    piv = T[row, col]
+    T[row] /= piv
+    rhs[row] /= piv
+    fac = T[:, col].copy()
+    fac[row] = 0.0
+    T -= np.outer(fac, T[row])
+    rhs -= fac * rhs[row]
+    basis[row] = col
+
+
+def _simplex(T, rhs, basis, cost, pivots):
+    """Minimize cost . x over the tableau in place, starting from the
+    feasible basis; returns (pivots so far, unbounded).  Bland's rule
+    (Bland, Math. Oper. Res. 1977) takes the smallest entering index and,
+    among tied ratios, the basic variable of smallest index, so the solve
+    cannot cycle."""
+    while True:
+        reduced = cost - cost[basis] @ T
+        candidates = np.flatnonzero(reduced < -_LP_TOL)
+        if candidates.size == 0:
+            return pivots, False
+        if pivots >= LP_MAX_PIVOTS:
+            raise SimplexIterationLimit(
+                f"simplex exceeded {LP_MAX_PIVOTS} pivots")
+        entering = int(candidates[0])
+        col = T[:, entering]
+        pos = col > _LP_TOL
+        if not np.any(pos):
+            return pivots, True
+        ratios = np.full(col.size, np.inf)
+        ratios[pos] = rhs[pos] / col[pos]
+        ties = np.flatnonzero(ratios <= ratios.min() + 1e-12)
+        _pivot(T, rhs, basis, int(ties[np.argmin(basis[ties])]), entering)
+        # the rounding of a pivot must not leave a basic value below zero
+        np.copyto(rhs, 0.0, where=(rhs < 0.0) & (rhs > -1e-11))
+        pivots += 1
 
 
 def solve_lp(objective, poly: Polyhedron) -> LpResult:
     """Maximize objective . z subject to poly.C z <= poly.d, z free.
 
-    Solved by HiGHS through scipy's linprog (Huangfu & Hall, Math. Prog.
-    Comp. 2018), which is deterministic for a given problem.  Infeasible and
-    unbounded outcomes are ordinary results; a solve that stops for any
-    other reason (iteration limit, numerical trouble) raises
+    Two-phase dense primal simplex.  Free variables are split z = u - w,
+    slacks complete the starting basis, rows with a negative right-hand
+    side are negated and get a phase-1 artificial, and Bland's rule picks
+    both the entering column and the leaving row, so the solve is
+    deterministic and cannot cycle.  Infeasible and unbounded outcomes are
+    ordinary results; more than LP_MAX_PIVOTS pivots raise
     SimplexIterationLimit.
     """
-    from scipy.optimize import linprog
-
     c_obj = as_vector(objective, poly.dim, "objective")
-    res = linprog(-c_obj, A_ub=poly.C, b_ub=poly.d, bounds=(None, None),
-                  method="highs")
-    status = _LP_STATUS.get(res.status)
-    if status is None:
-        raise SimplexIterationLimit(
-            f"LP solver stopped with status {res.status}: {res.message}")
-    if status != "optimal":
-        return LpResult(status)
-    # + 0.0 turns the -0.0 HiGHS reports on zero-value LPs into 0.0
-    return LpResult(status, res.x, float(c_obj @ res.x) + 0.0)
+    A = poly.C
+    m, n = A.shape
+    if m == 0:
+        if not np.any(c_obj):
+            return LpResult("optimal", np.zeros(n), 0.0)
+        return LpResult("unbounded")
+
+    # columns: u (n), w (n), slacks (m), then the phase-1 artificials
+    ncols = 2 * n + m
+    flip = poly.d < 0.0
+    art = np.flatnonzero(flip)
+    T = np.zeros((m, ncols + art.size))
+    T[:, :n] = A
+    T[:, n:2 * n] = -A
+    T[:, 2 * n:ncols] = np.eye(m)
+    rhs = poly.d.copy()
+    T[flip] *= -1.0
+    rhs[flip] *= -1.0
+    basis = np.arange(2 * n, ncols)
+    T[art, ncols + np.arange(art.size)] = 1.0
+    basis[art] = ncols + np.arange(art.size)
+
+    pivots = 0
+    if art.size:
+        cost = np.zeros(T.shape[1])
+        cost[ncols:] = 1.0
+        pivots, unbounded = _simplex(T, rhs, basis, cost, pivots)
+        if unbounded:
+            raise SimplexIterationLimit("phase 1 reported an unbounded ray")
+        left = basis >= ncols
+        if float(np.sum(rhs[left])) > 1e-7:
+            return LpResult("infeasible")
+        # pivot the artificials left at zero out of the basis; a row with
+        # no entry to pivot on is redundant and is dropped
+        keep = np.ones(m, dtype=bool)
+        for i in np.flatnonzero(left):
+            j = int(np.argmax(np.abs(T[i, :ncols])))
+            if abs(T[i, j]) > _LP_TOL:
+                _pivot(T, rhs, basis, i, j)
+            else:
+                keep[i] = False
+        T, rhs, basis = T[keep, :ncols], rhs[keep], basis[keep]
+
+    cost = np.zeros(T.shape[1])
+    cost[:n] = -c_obj          # maximize c.z == minimize -c.(u - w)
+    cost[n:2 * n] = c_obj
+    _, unbounded = _simplex(T, rhs, basis, cost, pivots)
+    if unbounded:
+        return LpResult("unbounded")
+    x = np.zeros(T.shape[1])
+    x[basis] = rhs
+    z = x[:n] - x[n:2 * n]
+    # + 0.0 turns a -0.0 value into 0.0
+    return LpResult("optimal", z, float(c_obj @ z) + 0.0)

@@ -894,7 +894,9 @@ def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
     tests hold _member_mask to it.
     """
     Cres, v_kernel, _ = _membership_search(F, X, Y, dc)
-    if Cres is None:
+    # _alternate projects onto K, which an empty K cannot do; the kernel
+    # reads +inf there
+    if Cres is None or _is_empty(F.K):
         return v_kernel, np.ones(v_kernel.size, dtype=bool)
     v_alt = _alternate(F.K, Cres, dc)
     vals = np.minimum(v_kernel, v_alt)

@@ -476,52 +476,41 @@ def _interiority_lp(M: np.ndarray, offset: np.ndarray, Kp: Polyhedron,
 
     Containing the 2m signed axis points of radius eps forces the whole
     l1 ball of radius eps inside the convex image set, hence interiority.
-    Each axis point gets its own u and k; lam and eps are shared.
+    Each axis point gets its own u; lam and eps are shared.  The point's
+    k = offset + M u - lam*ybar - s*eps*e_i is substituted into C k <= d,
+    so the LP has no k columns and no equality rows.
     """
     m = offset.size
     n = M.shape[1]
+    CM = Kp.C @ M
+    Cy = Kp.C @ ybar
+    slack = Kp.d - Kp.C @ offset
+    nk = Kp.n_rows
     blocks = [(i, s) for i in range(m) for s in (1.0, -1.0)]
-    nb = len(blocks)
-    ncols = 2 + nb * n + nb * m
+    ncols = 2 + len(blocks) * n
     rows, rhs = [], []
-
-    def add(row, val):
-        rows.append(row)
-        rhs.append(float(val))
-
     for bidx, (i, s) in enumerate(blocks):
         ucol = 2 + bidx * n
-        kcol = 2 + nb * n + bidx * m
-        for r in range(m):
-            row = np.zeros(ncols)
-            if r == i:
-                row[0] = s
-            row[1] = ybar[r]
-            row[ucol:ucol + n] = -M[r]
-            row[kcol + r] = 1.0
-            add(row, offset[r])
-            add(-row, -offset[r])
-        for cr, cd in zip(Kp.C, Kp.d):
-            row = np.zeros(ncols)
-            row[kcol:kcol + m] = cr
-            add(row, cd)
-        for j in range(n):
-            row = np.zeros(ncols)
-            row[ucol + j] = 1.0
-            add(row, u_max)
-            add(-row, u_max)
-    row = np.zeros(ncols)
-    row[1] = 1.0
-    add(row, lambda_max)
-    add(-row, 0.0)
-    row = np.zeros(ncols)
-    row[0] = 1.0
-    add(row, u_max)
-    add(-row, 0.0)
-
+        R = np.zeros((nk + 2 * n, ncols))
+        R[:nk, 0] = -s * Kp.C[:, i]
+        R[:nk, 1] = -Cy
+        R[:nk, ucol:ucol + n] = CM
+        R[nk:, ucol:ucol + n] = np.vstack([np.eye(n), -np.eye(n)])
+        rows.append(R)
+        rhs += [slack, np.full(2 * n, float(u_max))]
+    # 0 <= lam <= lambda_max and 0 <= eps <= u_max
+    R = np.zeros((4, ncols))
+    R[[0, 1, 2, 3], [1, 1, 0, 0]] = (1.0, -1.0, 1.0, -1.0)
+    rows.append(R)
+    rhs.append([lambda_max, 0.0, u_max, 0.0])
+    A, rhs = np.vstack(rows), np.concatenate(rhs)
+    # a row with no variable left in it holds at every point or at none;
+    # Polyhedron drops the first kind
+    if np.any((np.linalg.norm(A, axis=1) <= 1e-12) & (rhs < -1e-12)):
+        return 0.0
     obj = np.zeros(ncols)
     obj[0] = 1.0
-    res = solve_lp(obj, Polyhedron(np.array(rows), np.array(rhs)))
+    res = solve_lp(obj, Polyhedron(A, rhs))
     if res.status == "optimal":
         return max(float(res.value), 0.0)
     if res.status == "infeasible":

@@ -13,8 +13,8 @@ def vertex_lp_maximum(objective, poly: Polyhedron) -> float | None:
     """Maximum of objective . z over the polyhedron by vertex enumeration.
 
     Only sound for bounded feasible regions; returns None when no row
-    subset yields a feasible vertex.  Independent of the HiGHS LP solver
-    that `solve_lp` calls.
+    subset yields a feasible vertex.  Independent of the simplex that
+    `solve_lp` runs, and of HiGHS, the tests' second reference.
     """
     objective = np.asarray(objective, dtype=float)
     C, d = poly.C, poly.d

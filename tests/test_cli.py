@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import regcert
+from regcert import cli, geometry
 from regcert.cli import main
 from regcert.geometry import TOL_MEMBER
 from regcert.instances import builtin, registry_names
@@ -271,17 +272,8 @@ def test_lattice_cap_is_guard_exit(capsys):
 
 
 def test_lp_solver_stop_is_guard_exit(capsys, tmp_path, monkeypatch):
-    import scipy.optimize
-    from scipy.optimize import OptimizeResult
-
-    def stopped(*args, **kwargs):
-        # linprog's status 1: the iteration limit was reached
-        return OptimizeResult(status=1, message="Iteration limit reached.",
-                              x=None, fun=None)
-
-    # solve_lp imports linprog when it is called, so the patch goes where
-    # that import reads it
-    monkeypatch.setattr(scipy.optimize, "linprog", stopped)
+    # no pivot allowed: the interiority LP stops at its first pivot
+    monkeypatch.setattr(geometry, "LP_MAX_PIVOTS", 0)
     code, _, err = run(capsys, ["robinson", "identity2", "--no-timestamp"])
     assert code == 3
     assert "internal guard" in err
@@ -507,35 +499,84 @@ def test_entry_point_subprocess():
     assert proc.stdout.strip() == "regcert 0.1.0"
 
 
-def test_scipy_optimize_loads_only_for_an_lp_or_nnls():
-    """Commands that solve no LP and no NNLS never import scipy.optimize;
-    the first robinson LP does.  One fresh process runs them in turn, since
-    this one has imported scipy.optimize already."""
-    steps = [["modulus", "identity2"],
-             ["modulus", "parabola_eb"],
-             ["slope", "diag_2_05", "--tau", "2", "--n-points", "8"],
-             ["sweep", "param_scale", "--tau", "1.1"],
-             ["oracle-check", "identity2", "--points-x", "5",
-              "--points-y", "5"],
-             ["perturb", "--tau", "1", "--delta", "0.5", "--ybar-norm", "1",
-              "--alpha", "0.5", "--L", "0.05"],
-             ["robinson", "identity2"]]
+def _whole_space_problem(path):
+    """hoffman_2d with a whole-space cone (|ybar| < delta): membership asks
+    whether its polyhedral K is empty, an LP."""
+    data = problem_to_dict(instance_problem(builtin("hoffman_2d")))
+    data["direction"] = {"ybar": [0.1, 0.0], "delta": 0.5}
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_commands_run_without_scipy(capsys, tmp_path):
+    """With scipy unimportable, every command keeps its exit code and its
+    report bytes: analyze on every registry instance, and the commands that
+    solve an LP (robinson, a whole-space cone over a polyhedral K) or an
+    NNLS (coderivative), oracle-check and perturb.  One fresh process runs
+    them in turn, each against its own run in this process."""
+    problem = str(_whole_space_problem(tmp_path / "whole.json"))
+    steps = ([["analyze", name, "--seed", "3"] for name in registry_names()]
+             + [["robinson", "halfplane_directional", "--ybar", "0,-1"],
+                ["coderivative", "halfplane_directional", "--delta-ladder",
+                 "0.1", "--samples-per-delta", "200"],
+                ["oracle-check", "identity2", "--points-x", "5",
+                 "--points-y", "5"],
+                ["perturb", "--tau", "1", "--delta", "0.5", "--ybar-norm",
+                 "1", "--alpha", "0.5", "--L", "0.05"],
+                ["modulus", problem, "--budget", "200"]])
+    steps = [argv + ["--no-timestamp", "--out", str(tmp_path / f"{i}.json")]
+             for i, argv in enumerate(steps)]
     probe = ("import contextlib, io, json, sys\n"
-             "import regcert\n"
+             "sys.modules['scipy'] = None\n"
              "from regcert.cli import main\n"
-             "loaded = []\n"
+             "codes = []\n"
              "for argv in json.loads(sys.argv[1]):\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
-             "        code = main(argv)\n"
-             "    loaded.append([argv[0], code,\n"
-             "                   'scipy.optimize' in sys.modules])\n"
-             "print(json.dumps(loaded))\n")
+             "        codes.append(main(argv))\n"
+             "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+             "                               if m.startswith('scipy'))]))\n")
     proc = subprocess.run([sys.executable, "-c", probe, json.dumps(steps)],
                           capture_output=True, text=True,
                           env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert loaded == [[argv[0], 0, argv[0] == "robinson"] for argv in steps]
+    codes, loaded = json.loads(proc.stdout)
+    assert loaded == ["scipy"]   # the blocked entry, never replaced
+    reports = [Path(argv[-1]).read_bytes() for argv in steps]
+    assert [main(argv) for argv in steps] == codes
+    assert [Path(argv[-1]).read_bytes() for argv in steps] == reports
+    # robinson fails on the parabola, which has no interior direction, and
+    # toward -e2 on the halfplane; every other verdict passes
+    assert codes == [0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0]
+
+
+def test_parser_is_built_once_and_parses_like_a_fresh_one(capsys,
+                                                          monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    calls = [["modulus", "identity2", "--budget", "300", "--no-timestamp"],
+             ["robinson", "halfplane_directional", "--ybar", "0,-1",
+              "--no-timestamp"],
+             ["--version"],
+             ["modulus", "identity2", "--no-such-flag"],
+             ["perturb", "--tau", "1", "--delta", "0.5", "--ybar-norm", "1",
+              "--alpha", "0.5", "--L", "0.05", "--no-timestamp"]]
+
+    def outcomes():
+        seen = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    shared = outcomes()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert shared == outcomes()
+    assert [code for code, _, _ in shared] == [0, 1, ("exit", 0),
+                                               ("exit", 2), 0]
+    assert shared[2][1] == f"regcert {regcert.__version__}\n"
+    assert "unrecognized arguments: --no-such-flag" in shared[3][2]
 
 
 def test_closed_stdout_keeps_report_and_exit_code(tmp_path):

@@ -1,4 +1,5 @@
-"""Projections, the LP solver, and cone calculus against independent checks."""
+"""Projections, the LP solver, NNLS and cone calculus against independent
+checks: vertex enumeration, and scipy's HiGHS and NNLS as references."""
 
 import warnings
 
@@ -6,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
 
 from conftest import bounded_random_polyhedron, vertex_lp_maximum
 from regcert import (Ball, DirectionalCone, EmptySet, Polyhedron, ProductSet,
-                     Singleton, normal_cone_generators,
+                     SimplexIterationLimit, Singleton, normal_cone_generators,
                      project_onto_generated_cone, solve_lp)
 from regcert import geometry
 from regcert.geometry import (DYKSTRA_TOL, TOL_ACTIVE, TOL_FEAS,
@@ -544,6 +545,145 @@ def test_lp_matches_vertex_enumeration():
         assert res.value == pytest.approx(want, abs=1e-7)
         checked += 1
     assert checked == 80
+
+
+def _random_lp(gen, kind, dim):
+    """(objective, poly) of one kind, with room around every decision:
+    bounded (a box and random cuts through points near the origin),
+    degenerate (more rows through one vertex than it needs, the objective
+    in their cone, so the vertex is optimal), unbounded (rows whose
+    recession cone holds the objective) or infeasible (a slab with a gap of
+    at least 0.25).  Each may get a redundant copy of one row, scaled, and
+    a pair of opposite rows, an equality that keeps the kind's status."""
+    if kind == "bounded":
+        poly = bounded_random_polyhedron(gen, dim, int(gen.integers(0, 5)))
+        C, d = poly.C, poly.d
+        objective = gen.standard_normal(dim)
+    elif kind == "degenerate":
+        v = gen.uniform(-1.0, 1.0, dim)
+        C = gen.standard_normal((dim + int(gen.integers(1, 4)), dim))
+        d = C @ v
+        C = np.vstack([C, np.eye(dim), -np.eye(dim)])
+        d = np.concatenate([d, np.full(2 * dim, 5.0)])
+        objective = gen.uniform(0.1, 1.0, dim + 1) @ C[:dim + 1]
+    elif kind == "unbounded":
+        ray = gen.standard_normal(dim)
+        ray /= np.linalg.norm(ray)
+        C = gen.standard_normal((int(gen.integers(1, 6)), dim))
+        C -= np.outer(C @ ray + gen.uniform(0.1, 1.0, C.shape[0]), ray)
+        d = gen.uniform(0.0, 2.0, C.shape[0])
+        objective = ray + 0.05 * gen.standard_normal(dim)
+        objective -= min(0.0, objective @ ray - 0.5) * ray
+    else:
+        c = gen.standard_normal(dim)
+        lo = gen.uniform(-1.0, 1.0)
+        C = np.vstack([c, -c, np.eye(dim), -np.eye(dim)])
+        d = np.concatenate([[lo], [-(lo + gen.uniform(0.25, 2.0))],
+                            np.full(2 * dim, 5.0)])
+        objective = gen.standard_normal(dim)
+    if gen.random() < 0.5:
+        i = int(gen.integers(C.shape[0]))
+        scale = gen.uniform(0.5, 2.0)
+        C, d = np.vstack([C, scale * C[i]]), np.append(d, scale * d[i] + 1.0)
+    if kind != "infeasible" and gen.random() < 0.5:
+        # the pair holds a row through a feasible point as an equality: the
+        # optimal vertex, or the origin, which the other kinds keep inside;
+        # on the unbounded kind the row holds the ray
+        anchor = v if kind == "degenerate" else np.zeros(dim)
+        c = gen.standard_normal(dim)
+        if kind == "unbounded":
+            c -= (c @ ray) * ray
+        C = np.vstack([C, c, -c])
+        d = np.append(d, [c @ anchor, -(c @ anchor)])
+    return objective, Polyhedron(C, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["bounded", "degenerate", "unbounded", "infeasible"]),
+       st.integers(1, 4))
+def test_lp_matches_highs_and_vertex_enumeration(seed, kind, dim):
+    objective, poly = _random_lp(np.random.default_rng(seed), kind, dim)
+    res = solve_lp(objective, poly)
+    def highs(c):
+        return linprog(c, A_ub=poly.C, b_ub=poly.d, bounds=(None, None),
+                       method="highs")
+
+    ref = highs(-objective)
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+    # HiGHS can call an unbounded LP infeasible (seed 2124394, unbounded,
+    # dim 3); its own feasibility solve tells the two apart
+    if status == "infeasible" and highs(np.zeros(dim)).status == 0:
+        status = "unbounded"
+    want = {"bounded": "optimal", "degenerate": "optimal"}.get(kind, kind)
+    assert status == want
+    assert res.status == want
+    if res.status != "optimal":
+        return
+    assert res.value == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9)
+    assert np.max(poly.C @ res.optimum - poly.d) <= TOL_FEAS
+    assert res.value == objective @ res.optimum + 0.0
+    assert res.value == pytest.approx(vertex_lp_maximum(objective, poly),
+                                      rel=1e-9, abs=1e-9)
+
+
+def test_lp_pivot_cap_stops_the_solve(monkeypatch):
+    monkeypatch.setattr(geometry, "LP_MAX_PIVOTS", 1)
+    with pytest.raises(SimplexIterationLimit, match="1 pivots"):
+        solve_lp(np.array([1.0, 2.0]), box2())
+    monkeypatch.setattr(geometry, "LP_MAX_PIVOTS", 2)
+    assert solve_lp(np.array([1.0, 2.0]), box2()).value == 3.0
+
+
+def test_lp_without_rows():
+    P = Polyhedron(np.zeros((1, 2)), np.ones(1))
+    assert P.n_rows == 0
+    res = solve_lp(np.zeros(2), P)
+    assert (res.status, res.value) == ("optimal", 0.0)
+    assert solve_lp(np.array([0.0, -1.0]), P).status == "unbounded"
+
+
+# ---------------------------------------------------------------------------
+# NNLS against scipy's.
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from([1e-3, 1.0, 1e3]), st.booleans())
+def test_nnls_matches_scipy(seed, m, n, scale, repeat):
+    gen = np.random.default_rng(seed)
+    A = scale * gen.standard_normal((m, n))
+    b = gen.standard_normal(m) / scale
+    if repeat:
+        A[:, -1] = A[:, 0]
+    x, rnorm = geometry._nnls(A, b)
+    _, want = nnls(A, b)
+    nb = np.linalg.norm(b)
+    assert np.all(x >= 0.0)
+    assert rnorm == pytest.approx(np.linalg.norm(A @ x - b), abs=1e-12 * nb)
+    assert rnorm <= want + 1e-11 * nb
+    # KKT: no column can lower the residual, and the columns in use are
+    # stationary
+    w = A.T @ (b - A @ x)
+    size = np.linalg.norm(A, axis=0) * (nb + np.linalg.norm(A @ x))
+    assert np.all(w <= 1e-11 * size)
+    assert np.all(np.abs(w[x > 0.0]) <= 1e-11 * size[x > 0.0])
+
+
+def test_nnls_certifies_a_square_system_exactly():
+    # the system of test_every_row_is_projected_or_certified_empty at seed
+    # 40340: the least-distance NNLS spans R^3 with coefficients near 5e3,
+    # so the direct residual |E u - e| rounds to 2.4e-12 while b lies in
+    # the span of the passive columns
+    E = np.array([[-0.5960946513087031, 0.9091487642220452,
+                   -0.21253407327356255, 0.9874402051069047,
+                   -0.48237269150290374],
+                  [0.8029141714287746, 0.4164715170495196, 0.977153656134872,
+                   -0.15799316864483123, -0.8759660875240802],
+                  [-1.0190934417984603, 0.5907183115160543,
+                   -0.7696009063176331, 1.0, 0.0713406439378252]])
+    u, rnorm = geometry._nnls(E, np.eye(3)[2])
+    assert rnorm == 0.0
+    assert np.all(u >= 0.0) and np.count_nonzero(u) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -715,6 +715,9 @@ def test_membership_whole_space_cone():
             _, vals, _ = multimap._membership_search(F, X, Y, cone)
             assert np.all(vals == np.inf), (K, cone)
             assert not _member_mask(F, X, Y, cone, TOL_MEMBER).any()
+            # the reference reads the same, with no projection onto K
+            vals, certified = membership_values(F, X, Y, cone)
+            assert np.all(vals == np.inf) and np.all(certified), (K, cone)
 
 
 def test_membership_dual_routes_agree():

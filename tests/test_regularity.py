@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
+
+from regcert import regularity
 
 from regcert.errors import (
     DimensionMismatch,
@@ -14,8 +17,8 @@ from regcert.errors import (
     NotPolyhedral,
 )
 from regcert.geometry import Ball, DirectionalCone, Polyhedron, Singleton
-from regcert.instances import builtin
-from regcert.multimap import AffineMap, MultiMap, default_region
+from regcert.instances import builtin, registry_names
+from regcert.multimap import AffineMap, MultiMap, as_polyhedron, default_region
 from regcert.regularity import (
     CoderivativeEstimate,
     DualPair,
@@ -358,6 +361,119 @@ def test_robinson_condition_is_taken_at_y0():
     res = robinson_condition(inst.F, np.zeros(1), [0.0, 1.0], [0.0, 0.0])
     assert res.holds
     assert res.margin == pytest.approx(1.0, abs=1e-9)
+
+
+def reference_interiority_lp(M, offset, Kp, ybar, lambda_max, u_max):
+    """The interiority LP as it was written before k was substituted out:
+    each signed axis point gets its own u and k, k = offset + M u -
+    lam*ybar - s*eps*e_i as a pair of inequalities per coordinate, C k <= d,
+    solved by HiGHS."""
+    m = offset.size
+    n = M.shape[1]
+    blocks = [(i, s) for i in range(m) for s in (1.0, -1.0)]
+    nb = len(blocks)
+    ncols = 2 + nb * n + nb * m
+    rows, rhs = [], []
+
+    def add(row, val):
+        rows.append(row)
+        rhs.append(float(val))
+
+    for bidx, (i, s) in enumerate(blocks):
+        ucol = 2 + bidx * n
+        kcol = 2 + nb * n + bidx * m
+        for r in range(m):
+            row = np.zeros(ncols)
+            if r == i:
+                row[0] = s
+            row[1] = ybar[r]
+            row[ucol:ucol + n] = -M[r]
+            row[kcol + r] = 1.0
+            add(row, offset[r])
+            add(-row, -offset[r])
+        for cr, cd in zip(Kp.C, Kp.d):
+            row = np.zeros(ncols)
+            row[kcol:kcol + m] = cr
+            add(row, cd)
+        for j in range(n):
+            row = np.zeros(ncols)
+            row[ucol + j] = 1.0
+            add(row, u_max)
+            add(-row, u_max)
+    row = np.zeros(ncols)
+    row[1] = 1.0
+    add(row, lambda_max)
+    add(-row, 0.0)
+    row = np.zeros(ncols)
+    row[0] = 1.0
+    add(row, u_max)
+    add(-row, 0.0)
+
+    obj = np.zeros(ncols)
+    obj[0] = -1.0
+    res = linprog(obj, A_ub=np.array(rows), b_ub=np.array(rhs),
+                  bounds=(None, None), method="highs")
+    if res.status == 0:
+        return max(float(res.x[0]) + 0.0, 0.0)
+    if res.status == 2:
+        return 0.0
+    assert res.status == 3, res.message
+    return float(u_max)
+
+
+def _interiority_args(F, x0, y0, ybar):
+    return (F.f.jacobian(x0), F.f(x0) - y0, as_polyhedron(F.K), ybar,
+            regularity._LAMBDA_MAX, regularity._U_MAX)
+
+
+def test_interiority_lp_keeps_the_k_column_margins():
+    # every polyhedral registry instance at ybar = 0, +-e_i and its own
+    # direction: the substituted LP gives the former margin, bit for bit
+    checked = 0
+    for name in registry_names():
+        inst = builtin(name)
+        if as_polyhedron(inst.F.K) is None:
+            continue
+        m = inst.F.dim_out
+        dirs = [np.zeros(m)] + [s * e for e in np.eye(m) for s in (1.0, -1.0)]
+        if inst.dc is not None:
+            dirs.append(inst.dc.ybar)
+        for ybar in dirs:
+            args = _interiority_args(inst.F, inst.x0, inst.y0, ybar)
+            assert (regularity._interiority_lp(*args)
+                    == reference_interiority_lp(*args)), (name, ybar)
+            checked += 1
+    assert checked == 29
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from(["random", "zero", "rank-one"]), st.booleans())
+def test_interiority_lp_matches_the_k_column_lp(seed, m, n, jacobian,
+                                                axis_rows):
+    # random affine-polyhedral problems: a Jacobian that is random, zero or
+    # of rank one, K bounded or not and sometimes empty, with skew rows or
+    # signed unit rows, ybar random or zero.  A zero Jacobian and ybar with
+    # unit rows leave substituted rows with no variable in them
+    gen = np.random.default_rng(seed)
+    M = {"random": gen.standard_normal((m, n)),
+         "zero": np.zeros((m, n)),
+         "rank-one": np.outer(gen.standard_normal(m),
+                              gen.standard_normal(n))}[jacobian]
+    k = int(gen.integers(1, 2 * m + 2))
+    if axis_rows:
+        C = np.eye(m)[gen.integers(m, size=k)] * gen.choice([-1.0, 1.0],
+                                                            (k, 1))
+    else:
+        C = gen.standard_normal((k, m))
+    d = gen.uniform(-0.5, 2.0, k)
+    Kp = Polyhedron(C, d)
+    offset = gen.uniform(-2.0, 2.0, m)
+    ybar = gen.standard_normal(m) if gen.random() < 0.7 else np.zeros(m)
+    args = (M, offset, Kp, ybar, regularity._LAMBDA_MAX, regularity._U_MAX)
+    got = regularity._interiority_lp(*args)
+    want = reference_interiority_lp(*args)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def test_interiority_needs_polyhedral_k():

@@ -21,10 +21,10 @@ import tempfile
 from pathlib import Path
 
 # problem files next to this script, copied into each working directory
-PROBLEM, ROUND_K, BALL_HALFLINE = (
+PROBLEM, ROUND_K, BALL_HALFLINE, ROBINSON_4D = (
     Path(__file__).resolve().parent / name
     for name in ("rotated_halfplane.json", "round_k.json",
-                 "ball_halfline.json"))
+                 "ball_halfline.json", "robinson_4d.json"))
 
 INSTANCES = ("diag_2_05", "halfplane_directional", "hoffman_2d", "identity2",
              "parabola_eb", "param_scale")
@@ -113,6 +113,10 @@ COMMANDS = (
         (["slope", BALL_HALFLINE.name, "--tau", "2", "--n-points", "6",
           "--slope-budget", "100", "--tol", "1e-3", "--seed", "3"],
          "report.json"),
+        # an affine map of rank 2 in R^4 into a skew polyhedron with six
+        # rows: an interiority LP of 34 columns and 116 rows, larger than
+        # any registry one (10 columns), whose simplex takes 22 pivots
+        (["robinson", ROBINSON_4D.name, "--seed", "3"], "report.json"),
     ]
 )
 
@@ -127,7 +131,7 @@ def digest_lines(checkout: Path) -> list[str]:
     for argv, output in COMMANDS:
         argv = argv + ["--no-timestamp", "--out", "report.json"]
         with tempfile.TemporaryDirectory() as tmp:
-            for problem in (PROBLEM, ROUND_K, BALL_HALFLINE):
+            for problem in (PROBLEM, ROUND_K, BALL_HALFLINE, ROBINSON_4D):
                 shutil.copy(problem, tmp)
             proc = subprocess.run(
                 [sys.executable, "-m", "regcert.cli", *argv], cwd=tmp,
