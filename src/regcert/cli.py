@@ -32,7 +32,8 @@ from .errors import (DimensionMismatch, GridTooLarge, InvalidParameter,
                      SimplexIterationLimit, UnknownInstance)
 from .geometry import TOL_FEAS, TOL_MEMBER
 from .instances import builtin, registry_names
-from .multimap import as_polyhedron, default_region, image_distance_batch
+from .multimap import (MultiMap, as_polyhedron, default_region,
+                       image_distance_batch, preimage_projection_batch)
 from .oracle import Grid, grid_modulus
 from .problems import (ANALYSIS_OPS, SCHEMA_VERSION, Problem,
                        canonical_json, instance_problem, load_problem,
@@ -42,7 +43,7 @@ from .regularity import (NORM_CHOICE, SLOPE_SLACK, RegularityQuery,
                          empirical_directional_modulus, parametric_sweep,
                          perturbation_bound, robinson_condition,
                          slope_criterion)
-from .slopes import Field, error_bound_certificate
+from .slopes import Field, Foot, error_bound_certificate
 
 _GUARDS = (GridTooLarge, SimplexIterationLimit)
 
@@ -222,9 +223,22 @@ def _run_sweep(problem, q, params, args, collect):
     return result, _within_target(res.uniform_modulus, params), None
 
 
+def _preimage_foot(F: MultiMap, y0: np.ndarray) -> Foot:
+    """xbar -> its nearest point of F^{-1}(y0), the zero set of the
+    residual field, by the exact projection."""
+    def foot(xbar: np.ndarray):
+        P, dist = preimage_projection_batch(F, y0[None, :], xbar[None, :])
+        return (None if np.isinf(dist[0]) else P[0]), float(dist[0])
+
+    return foot
+
+
 def _run_error_bound(problem, q, params, args, collect):
+    # a polynomial f keeps the ray search: Gauss-Newton bounds the
+    # distance neither way
+    foot = _preimage_foot(q.F, q.y0) if q.F.exact_preimage else None
     cert = error_bound_certificate(_residual_field(q), region=q.region,
-                                   **params)
+                                   foot=foot, **params)
     result = {"f_value": cert.f_value, "d_sublevel": cert.d_sublevel,
               "slope_inf": cert.slope_inf,
               "n_slope_points": cert.n_slope_points,

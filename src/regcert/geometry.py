@@ -499,7 +499,8 @@ class Polyhedron(ConvexSet):
     empty-set encoding and are rejected at construction; zero rows with
     d >= 0 are dropped as vacuous.  Feasibility of the remaining system is
     decided lazily by a zero-objective LP and cached, and so is a
-    projection's certificate that the system is empty.
+    projection's certificate that the system is empty, which later
+    projections and distances reuse.
     """
 
     def __init__(self, C, d):
@@ -546,11 +547,12 @@ class Polyhedron(ConvexSet):
         return self._feasible
 
     def project_batch(self, P: np.ndarray) -> np.ndarray:
-        Q, empty = project_halfspaces(self.C, self.d, _rows(P))
-        if np.any(empty):
+        if self._feasible is not False:
+            Q, empty = project_halfspaces(self.C, self.d, _rows(P))
+            if not np.any(empty):
+                return Q
             self._feasible = False
-            raise EmptySet("cannot project onto an empty polyhedron")
-        return Q
+        raise EmptySet("cannot project onto an empty polyhedron")
 
     def distance_batch(self, P: np.ndarray) -> np.ndarray:
         P = _rows(P)

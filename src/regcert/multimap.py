@@ -60,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotPolyhedral
 from .geometry import (
     GOLDEN_ITERS,
     TOL_FEAS,
@@ -431,28 +431,47 @@ def preimage_distance_batch(F: MultiMap, Y: np.ndarray,
     Y = np.asarray(Y, dtype=float)
     if not F.exact_preimage:
         return _gauss_newton_preimage(F, Y, X)
+    return preimage_projection_batch(F, Y, X)[1]
+
+
+def preimage_projection_batch(F: MultiMap, Y: np.ndarray, X: np.ndarray):
+    """Nearest points of F^{-1}(y_s) to x_s for paired rows of X and Y, on
+    the exact route (affine f, polyhedral K; F.exact_preimage).
+
+    Projects onto the pulled-back system {x : C A x <= d - C (b - y_s)}.
+    Returns (P, dist): the nearest points, and |x_s - P_s|; a row whose
+    preimage is empty gets a NaN point and +inf.
+    """
     Kp = as_polyhedron(F.K)
+    if Kp is None or not isinstance(F.f, AffineMap):
+        raise NotPolyhedral("the exact preimage route needs an affine f "
+                            "and a polyhedral K")
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
     G = Kp.C @ F.f.A
     # rhs_s = d - C (b - y_s)
     rhs = Kp.d[None, :] - row_matmul(F.f.b[None, :] - Y, Kp.C.T)
     norms = np.linalg.norm(G, axis=1)
     zero = norms <= 1e-12
+    P = X.copy()
     out = np.zeros(X.shape[0])
     # a zero pulled-back row states a pure condition on y: violated -> empty
     if np.any(zero):
         infeasible = np.any(rhs[:, zero] < -TOL_FEAS, axis=1)
         out[infeasible] = np.inf
+        P[infeasible] = np.nan
     else:
         infeasible = np.zeros(X.shape[0], dtype=bool)
     live = ~infeasible
     Gnz = G[~zero]
     if Gnz.shape[0] == 0 or not np.any(live):
-        return out
+        return P, out
     U, empty = project_halfspaces(Gnz, rhs[live][:, ~zero], X[live])
     dist = np.linalg.norm(X[live] - U, axis=1)
     dist[empty] = np.inf
+    P[live] = U
     out[live] = dist
-    return out
+    return P, out
 
 
 def preimage_distance(F: MultiMap, y, x) -> float:
@@ -764,9 +783,9 @@ def _membership_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
 
 
 def _is_empty(K: ConvexSet) -> bool:
-    if isinstance(K, ProductSet):
-        return any(_is_empty(f) for f in K.factors)
-    return isinstance(K, Polyhedron) and not K.is_feasible()
+    """Emptiness as the projection decides it, the test every distance to
+    K reads, so a whole-space cone and a proper one agree on K."""
+    return bool(np.isinf(K.distance_batch(np.zeros((1, K.dim))))[0])
 
 
 def _face_values(K: Polyhedron, table: FaceTable, Cres: np.ndarray,

@@ -22,15 +22,19 @@ construction.  The global estimator's candidate set contains a full local
 ladder, so local <= global holds for the estimates themselves, matching the
 ordering of the quantities they approximate.
 
-The error-bound certificate combines the two: an upper estimate of the
-distance to the sublevel set {f <= 0} and a lower estimate of the slope
-infimum over the strict ball around the reference point, checked against
-f at the point.  It batches both halves: all its slope candidates go
-through one global-slope pass (_global_slopes: the region samples and
-lattice nodes evaluated once, one stacked coordinate ascent over every
-centre), and its boundary hits descend together (_direction_descent).
-Under the field contract each candidate and each hit gets the same bits as
-it would alone.
+The error-bound certificate combines the two: the distance to the
+sublevel set {f <= 0} and a lower estimate of the slope infimum over the
+strict ball around the reference point, checked against f at the point.
+A caller that knows the sublevel set passes its foot, the nearest point
+and the distance: the CLI does for affine f with polyhedral K, where
+{f <= 0} is the preimage F^{-1}(y0) and its exact projection gives the
+distance up to rounding.  Otherwise the certificate finds the set by a ray
+search (_ray_foot), whose distance is an upper estimate.  It batches both
+halves: all its slope candidates go through one global-slope pass
+(_global_slopes: the region samples and lattice nodes evaluated once, one
+stacked coordinate ascent over every centre), and its boundary hits
+descend together (_direction_descent).  Under the field contract each
+candidate and each hit gets the same bits as it would alone.
 
 The descent is a pattern search whose rounds run in speculative waves: a
 hit runs several rounds at once, each assuming the ones before it found
@@ -55,6 +59,8 @@ from .errors import DimensionMismatch, InSet, InvalidParameter
 from .multimap import SearchRegion
 
 Field = Callable[[np.ndarray], np.ndarray]
+# xbar -> (nearest point of the sublevel set or None, distance to it)
+Foot = Callable[[np.ndarray], tuple]
 # one field per centre: row i of U is evaluated with the field of centre
 # owner[i]
 CentreField = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -293,7 +299,9 @@ def _global_slopes(f: Field | CentreField, X: np.ndarray,
 class ErrorBoundCertificate:
     """Numerical check of the slope error bound at xbar.
 
-    d_sublevel is an upper estimate of d(xbar, {f <= 0}); slope_inf a lower
+    d_sublevel is d(xbar, {f <= 0}): exact up to rounding when the caller
+    gives the sublevel foot (the CLI does for affine f with polyhedral K),
+    otherwise an upper estimate from the ray search.  slope_inf is a lower
     estimate of the slope infimum over the strict ball; holds records
     slope_inf * d_sublevel <= f(xbar) up to a 1e-6 relative slack.
     """
@@ -508,6 +516,31 @@ def _direction_descent(f: Field, xbar, W, d):
     return W, best_d
 
 
+def _ray_foot(f: Field, xbar, U, fU):
+    """(point, distance) of the nearest sublevel point the ray search
+    finds, (None, inf) if no row of U has f <= 0.
+
+    The segments to the eight nearest feasible samples are bisected, the
+    three nearest hits are polished along the field gradient and then
+    descend together over ray directions."""
+    feas = np.where(fU <= 0.0)[0]
+    boundary_witness = None
+    d_S = np.inf
+    if feas.size:
+        dists = np.linalg.norm(U[feas] - xbar[None, :], axis=1)
+        near = feas[np.argsort(dists, kind="stable")[:8]]
+        hits = sorted(_segment_hits(f, xbar, U[near] - xbar[None, :]),
+                      key=lambda pair: pair[1])
+        polished = [_polish_boundary(f, xbar, w, d) for w, d in hits[:3]]
+        W, D = _direction_descent(f, xbar, [w for w, _ in polished],
+                                  [d for _, d in polished])
+        for w2, d2 in zip(W, D):
+            if d2 < d_S:
+                d_S = float(d2)
+                boundary_witness = w2
+    return boundary_witness, d_S
+
+
 def _low_slope_probes(f: Field, xbar, f_val, d_S, region: SearchRegion):
     """Points inside the strict ball screened for small descent rates.
 
@@ -534,7 +567,8 @@ def _low_slope_probes(f: Field, xbar, f_val, d_S, region: SearchRegion):
 
 def error_bound_certificate(f: Field, xbar, region: SearchRegion,
                             max_slope_points: int = 16,
-                            slope_budget: int = 300) -> ErrorBoundCertificate:
+                            slope_budget: int = 300,
+                            foot: Foot | None = None) -> ErrorBoundCertificate:
     """Check the error bound f(xbar) >= slope_inf * d(xbar, {f <= 0}).
 
     Raises InSet when f(xbar) <= 0 (the bound is about points outside the
@@ -543,6 +577,10 @@ def error_bound_certificate(f: Field, xbar, region: SearchRegion,
     slope infimum runs over sampled points strictly closer to xbar than the
     sublevel set, with the strict ball realized as the closed ball shrunk
     by a 1e-9 relative margin.
+
+    foot, when given, maps xbar to its nearest point of {f <= 0} (None if
+    the set is empty) and the distance to it (+inf then), and takes the
+    place of the ray search for the sublevel set.
     """
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     dim = region.box.shape[0]
@@ -558,21 +596,10 @@ def error_bound_certificate(f: Field, xbar, region: SearchRegion,
     U = np.vstack([region.uniform_samples("eb-sublevel", region.sample_budget),
                    region.grid_nodes()])
     fU = f(U)
-    feas = np.where(fU <= 0.0)[0]
-    boundary_witness = None
-    d_S = np.inf
-    if feas.size:
-        dists = np.linalg.norm(U[feas] - xbar[None, :], axis=1)
-        near = feas[np.argsort(dists, kind="stable")[:8]]
-        hits = sorted(_segment_hits(f, xbar, U[near] - xbar[None, :]),
-                      key=lambda pair: pair[1])
-        polished = [_polish_boundary(f, xbar, w, d) for w, d in hits[:3]]
-        W, D = _direction_descent(f, xbar, [w for w, _ in polished],
-                                  [d for _, d in polished])
-        for w2, d2 in zip(W, D):
-            if d2 < d_S:
-                d_S = float(d2)
-                boundary_witness = w2
+    if foot is None:
+        boundary_witness, d_S = _ray_foot(f, xbar, U, fU)
+    else:
+        boundary_witness, d_S = foot(xbar)
 
     sub = SearchRegion(region.box,
                        min(region.grid_resolution, 7),

@@ -5,19 +5,27 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import regcert
-from regcert import cli, geometry
+from regcert import cli, geometry, slopes
 from regcert.cli import main
+from regcert.errors import RegcertError
 from regcert.geometry import TOL_MEMBER
 from regcert.instances import builtin, registry_names
+from regcert.multimap import (AffineMap, MultiMap, SearchRegion,
+                              image_distance_batch, preimage_distance)
 from regcert.problems import (ANALYSIS_OPS, instance_problem, load_problem,
                               parse_problem, problem_to_dict, samples_csv)
 from regcert.regularity import RegularityQuery, empirical_directional_modulus
+from regcert.slopes import error_bound_certificate
 
 
 def run(capsys, argv):
@@ -404,6 +412,151 @@ def test_wrong_length_error_bound_point_is_a_reported_error(capsys,
     assert records[1]["error"]["type"] == "DimensionMismatch"
 
 
+# ---------------------------------------------------------------------------
+# The error-bound certificate's sublevel foot: for affine f with polyhedral
+# K the CLI takes it from the exact preimage projection, with no ray search.
+
+@contextmanager
+def _no_ray_search():
+    def refuse(*args):
+        raise AssertionError("the ray search ran")
+
+    with mock.patch.object(slopes, "_segment_hits", refuse), \
+            mock.patch.object(slopes, "_direction_descent", refuse):
+        yield
+
+
+def test_foot_route_reports_the_same_input_errors(capsys, tmp_path):
+    # a wrong-length xbar and one inside the preimage raise before the
+    # foot is asked, as they do before the ray search
+    problem = instance_problem(builtin("hoffman_2d"))
+    data = problem_to_dict(problem)
+    data["analyses"] = [{"op": "error_bound", "xbar": [0.6]},
+                        {"op": "error_bound", "xbar": [-0.5, -0.5]}]
+    path = tmp_path / "hoffman.json"
+    path.write_text(json.dumps(data))
+    rep = tmp_path / "report.json"
+    feet = []
+
+    def certificate(*args, foot=None, **kwargs):
+        feet.append(foot)
+        return error_bound_certificate(*args, foot=foot, **kwargs)
+
+    with mock.patch.object(cli, "error_bound_certificate", certificate), \
+            mock.patch.object(cli, "preimage_projection_batch",
+                              side_effect=AssertionError("foot asked")):
+        code, out, _ = run(capsys, ["analyze", str(path), "--budget", "100",
+                                    "--no-timestamp", "--out", str(rep)])
+    assert code == 1
+    assert len(feet) == 2 and all(foot is not None for foot in feet)
+    field = cli._residual_field(RegularityQuery(problem.F, problem.x0,
+                                                problem.y0))
+    expected = []
+    for spec in data["analyses"]:
+        with pytest.raises(RegcertError) as exc:
+            error_bound_certificate(field, spec["xbar"], problem.region)
+        expected.append({"type": type(exc.value).__name__,
+                         "message": str(exc.value)})
+    assert [e["type"] for e in expected] == ["DimensionMismatch", "InSet"]
+    records = json.loads(rep.read_text())["analyses"]
+    assert [r["error"] for r in records] == expected
+    for e in expected:
+        assert f"error_bound: ERROR {e['type']}: {e['message']}" in out
+
+
+def test_hoffman_foot_certificate_is_the_ray_search_bit_for_bit():
+    # the exact foot of (0.6, 0.8) is the corner (0, 0), which the ray
+    # search reaches exactly, so every bit of the certificate agrees
+    inst = builtin("hoffman_2d")
+    for seed, budget in ((1, 100), (7, 300), (12345, 300), (3, 2000)):
+        problem = instance_problem(inst, sample_budget=budget, seed=seed)
+        q = RegularityQuery(problem.F, problem.x0, problem.y0,
+                            region=problem.region)
+        ray = error_bound_certificate(cli._residual_field(q), [0.6, 0.8],
+                                      q.region)
+        with _no_ray_search():
+            result, holds, _ = cli._run_error_bound(
+                problem, q, {"xbar": [0.6, 0.8]}, None, False)
+        got = (np.array([result["f_value"], result["d_sublevel"],
+                         result["slope_inf"]]).tobytes(),
+               result["boundary_witness"].tobytes(),
+               result["n_slope_points"], holds)
+        assert got == (np.array([ray.f_value, ray.d_sublevel,
+                                 ray.slope_inf]).tobytes(),
+                       ray.boundary_witness.tobytes(),
+                       ray.n_slope_points, ray.holds), (seed, budget)
+        assert result["d_sublevel"] == 1.0
+
+
+def _affine_polyhedral(seed: int, kind: str, pure: str):
+    """A random affine map into an orthant or a skew polyhedron, with x0 in
+    the preimage of y0 = 0.  The skew K is a turned orthant, shifted:
+    orthogonal rows keep the field's projections onto K short.  With
+    pure != "plain" one output is ignored by f, and its row of K is a
+    condition on y alone (a zero pulled-back row), which y0 meets."""
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(1, 4))
+    A = gen.standard_normal((n, n))
+    if kind == "orthant":
+        C, d = np.eye(n), np.zeros(n)
+    else:
+        C = np.linalg.qr(gen.standard_normal((n, n)))[0]
+        d = gen.uniform(0.0, 0.5, n)
+    x0 = gen.uniform(-0.5, 0.5, n)
+    b = -(A @ x0)
+    if pure != "plain":
+        A, b = np.vstack([A, np.zeros(n)]), np.append(b, -0.2)
+        C = np.block([[C, np.zeros((C.shape[0], 1))],
+                      [np.zeros((1, n)), np.ones((1, 1))]])
+        d = np.append(d, 0.0)
+    F = MultiMap(AffineMap(A, b), geometry.Polyhedron(C, d))
+    return F, x0, gen
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["orthant", "skew"]),
+       st.sampled_from(["plain", "zero_row", "empty"]))
+def test_error_bound_foot_is_the_exact_preimage_projection(seed, kind, pure):
+    F, x0, gen = _affine_polyhedral(seed, kind, pure)
+    n = F.dim_in
+    y0 = np.zeros(F.dim_out)
+    region = SearchRegion(np.array([[-1.25, 1.25]] * n), 5, 200, seed % 97)
+    q = RegularityQuery(F, x0, y0, region=region)
+    field = cli._residual_field(q)
+    X = gen.uniform(-1.2, 1.2, size=(50, n))
+    far = np.flatnonzero(field(X) > 0.05)
+    assume(far.size)
+    xbar = X[far[0]]
+
+    ray = error_bound_certificate(field, xbar, region)
+    with _no_ray_search():
+        result, _, _ = cli._run_error_bound(None, q, {"xbar": xbar.tolist()},
+                                            None, False)
+    d, w = result["d_sublevel"], result["boundary_witness"]
+    assert d == preimage_distance(F, y0, xbar)
+    assert np.linalg.norm((w - xbar)[None, :], axis=1)[0] == d
+    assert field(w[None, :])[0] <= 1e-9
+    assert d <= ray.d_sublevel * (1.0 + 1e-9)
+
+    if pure == "empty":
+        # y1 breaks the condition on y: its preimage is empty, the foot is
+        # (None, inf), and the certificate is the ray search's, which
+        # finds no sample with f <= 0
+        y1 = y0.copy()
+        y1[-1] = -0.5
+        foot = cli._preimage_foot(F, y1)
+        assert foot(xbar) == (None, np.inf)
+        assert preimage_distance(F, y1, xbar) == np.inf
+
+        def field1(X):
+            return image_distance_batch(F, X, np.tile(y1, (X.shape[0], 1)))
+
+        with _no_ray_search():
+            got = error_bound_certificate(field1, xbar, region, foot=foot)
+            ref = error_bound_certificate(field1, xbar, region)
+        assert got == ref and got.d_sublevel == np.inf
+
+
 def test_analysis_parameters_follow_the_op_table(capsys, tmp_path):
     rep = tmp_path / "report.json"
 
@@ -501,7 +654,7 @@ def test_entry_point_subprocess():
 
 def _whole_space_problem(path):
     """hoffman_2d with a whole-space cone (|ybar| < delta): membership asks
-    whether its polyhedral K is empty, an LP."""
+    whether its polyhedral K is empty, a projection."""
     data = problem_to_dict(instance_problem(builtin("hoffman_2d")))
     data["direction"] = {"ybar": [0.1, 0.0], "delta": 0.5}
     path.write_text(json.dumps(data))
@@ -511,8 +664,8 @@ def _whole_space_problem(path):
 def test_commands_run_without_scipy(capsys, tmp_path):
     """With scipy unimportable, every command keeps its exit code and its
     report bytes: analyze on every registry instance, and the commands that
-    solve an LP (robinson, a whole-space cone over a polyhedral K) or an
-    NNLS (coderivative), oracle-check and perturb.  One fresh process runs
+    solve an LP (robinson) or an NNLS (coderivative), oracle-check, perturb
+    and a modulus over a whole-space cone.  One fresh process runs
     them in turn, each against its own run in this process."""
     problem = str(_whole_space_problem(tmp_path / "whole.json"))
     steps = ([["analyze", name, "--seed", "3"] for name in registry_names()]

@@ -2,6 +2,7 @@
 checks: vertex enumeration, and scipy's HiGHS and NNLS as references."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,6 +89,11 @@ def test_empty_polyhedron_still_raises_and_has_infinite_distance():
     assert np.all(np.isinf(prod.distance_batch(pts)))
     with pytest.raises(EmptySet):
         prod.project_batch(pts)
+    # the factor keeps its certificate, so a second product distance
+    # projects nothing (membership's emptiness test reads it on every call)
+    with mock.patch.object(geometry, "project_halfspaces",
+                           side_effect=AssertionError("projected again")):
+        assert np.all(np.isinf(prod.distance_batch(pts)))
 
 
 # ---------------------------------------------------------------------------

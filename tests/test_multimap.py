@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regcert.errors import DimensionMismatch
+from regcert.errors import DimensionMismatch, NotPolyhedral
 from regcert.geometry import (
     GOLDEN_ITERS,
     TOL_MEMBER,
@@ -36,6 +36,7 @@ from regcert.multimap import (
     membership_values,
     preimage_distance,
     preimage_distance_batch,
+    preimage_projection_batch,
 )
 
 
@@ -191,6 +192,12 @@ def test_preimage_of_an_empty_pulled_back_system_is_infinite():
     assert got[0] == np.inf
     assert got[1] == pytest.approx(0.7, abs=1e-9)
     assert got[2] == pytest.approx(0.2, abs=1e-9)
+    # the nearest points behind those distances: none for the empty row
+    P, dist = preimage_projection_batch(F, Y, np.array([[0.3], [0.3],
+                                                        [0.3]]))
+    assert dist.tobytes() == got.tobytes()
+    assert np.isnan(P[0, 0])
+    assert P[1:, 0] == pytest.approx([1.0, 0.5], abs=1e-9)
 
 
 def test_preimage_batch_matches_scalar():
@@ -242,6 +249,8 @@ def test_polynomial_preimage_agrees_with_exact_affine_route():
     # pullback and must fall back to the iterative search
     exact, poly = linear_as_polynomial()
     assert exact.exact_preimage and not poly.exact_preimage
+    with pytest.raises(NotPolyhedral):
+        preimage_projection_batch(poly, np.zeros((1, 2)), np.zeros((1, 2)))
     gen = np.random.default_rng(11)
     for _ in range(12):
         x = gen.uniform(-1.5, 1.5, size=2)
@@ -704,14 +713,20 @@ def test_membership_whole_space_cone():
                                         np.ones((3, 2)), dc)
     assert np.all(vals == 0.0) and np.all(certified)
     # over an empty K no point is a member, whatever the cone: a product
-    # with an empty polyhedral factor reads +inf like an empty Polyhedron
+    # with an empty polyhedral factor reads +inf like an empty Polyhedron.
+    # {x <= 0, -x <= -1e-8} is empty by less than the simplex's phase-1
+    # tolerance, so only the projection, which every distance reads,
+    # certifies it empty
     empty = Polyhedron(np.array([[1.0], [-1.0]]), np.array([-2.0, -2.0]))
     for K in (ProductSet([Ball(np.zeros(1), 1.0), empty]),
               Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                         np.array([-2.0, -2.0]))):
-        F = MultiMap(AffineMap(np.eye(2), np.zeros(2)), K)
-        for cone in (dc, DirectionalCone([0.0, 1.0], 0.2)):
-            X, Y = np.zeros((3, 2)), np.ones((3, 2))
+                         np.array([-2.0, -2.0])),
+              Polyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, -1e-8]))):
+        n = K.dim
+        F = MultiMap(AffineMap(np.eye(n), np.zeros(n)), K)
+        for cone in (DirectionalCone(np.zeros(n), 1.0),
+                     DirectionalCone(np.eye(n)[-1], 0.2)):
+            X, Y = np.zeros((3, n)), np.ones((3, n))
             _, vals, _ = multimap._membership_search(F, X, Y, cone)
             assert np.all(vals == np.inf), (K, cone)
             assert not _member_mask(F, X, Y, cone, TOL_MEMBER).any()

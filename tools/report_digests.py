@@ -21,10 +21,12 @@ import tempfile
 from pathlib import Path
 
 # problem files next to this script, copied into each working directory
-PROBLEM, ROUND_K, BALL_HALFLINE, ROBINSON_4D = (
+PROBLEMS = tuple(
     Path(__file__).resolve().parent / name
     for name in ("rotated_halfplane.json", "round_k.json",
-                 "ball_halfline.json", "robinson_4d.json"))
+                 "ball_halfline.json", "robinson_4d.json",
+                 "skew_foot_4d.json"))
+PROBLEM, ROUND_K, BALL_HALFLINE, ROBINSON_4D, SKEW_FOOT_4D = PROBLEMS
 
 INSTANCES = ("diag_2_05", "halfplane_directional", "hoffman_2d", "identity2",
              "parabola_eb", "param_scale")
@@ -71,8 +73,10 @@ COMMANDS = (
           "7", "--seed", "3"], "report.json"),
         (["perturb", "--tau", "1", "--delta", "0.5", "--ybar-norm", "1",
           "--alpha", "0.5", "--L", "0.05"], "report.json"),
-        # the error-bound certificate the slope tests replay: a 300-sample
-        # region, on which the boundary hits improve inside descent waves
+        # the error-bound certificate the slope tests replay through the
+        # ray search, whose boundary hits improve inside descent waves on
+        # this 300-sample region; the CLI takes its foot from the exact
+        # preimage projection, with the same bits
         (["analyze", "hoffman_2d", "--budget", "300", "--seed", "12345"],
          "report.json"),
         (["analyze", "identity2", "--seed", "3", "--csv", "samples.csv"],
@@ -117,6 +121,10 @@ COMMANDS = (
         # rows: an interiority LP of 34 columns and 116 rows, larger than
         # any registry one (10 columns), whose simplex takes 22 pivots
         (["robinson", ROBINSON_4D.name, "--seed", "3"], "report.json"),
+        # an affine map into a skew polyhedron in R^4: the error-bound
+        # foot is a corner of three rows off the sample lattice, which the
+        # exact preimage projection gives and the ray search overshoots
+        (["analyze", SKEW_FOOT_4D.name, "--seed", "3"], "report.json"),
     ]
 )
 
@@ -131,7 +139,7 @@ def digest_lines(checkout: Path) -> list[str]:
     for argv, output in COMMANDS:
         argv = argv + ["--no-timestamp", "--out", "report.json"]
         with tempfile.TemporaryDirectory() as tmp:
-            for problem in (PROBLEM, ROUND_K, BALL_HALFLINE, ROBINSON_4D):
+            for problem in PROBLEMS:
                 shutil.copy(problem, tmp)
             proc = subprocess.run(
                 [sys.executable, "-m", "regcert.cli", *argv], cwd=tmp,
