@@ -2,11 +2,12 @@
 
 Recomputes what the fast estimators sample -- preimage distances, descent
 slopes, the regularity ratio sup -- by exhaustive scans over rectangular
-lattices.  Set distances go through an axis-box clamp (plus the closed-form
-ball formula, plus documented cyclic-sweep upper bounds for skew polyhedra)
-instead of the projection machinery the estimators use, so agreement is an
-independent check rather than a tautology.  Dimension and lattice-size caps
-guard against accidental blowup; no tuning beyond them.
+lattices.  Set distances go through an axis-box clamp, the closed-form
+ball formula and, for skew polyhedra, a minimum over the faces of K, each
+polyhedral form cached per (C, d) apart from geometry's caches, instead of
+the projection machinery the estimators use, so agreement is an
+independent check rather than a tautology.  Dimension and lattice-size
+caps guard against accidental blowup; no tuning beyond them.
 
 grid_modulus makes one pass over the y lattice in blocks of targets, each
 holding at most _CHUNK_ROWS (target, u) pairs.  A block's image distances,
@@ -18,20 +19,11 @@ candidate groups and the blocked distances of the nearest-point search,
 which keep np.linalg.norm's summation order.  Each row's value is the one
 it would get alone, bit for bit, and the sup takes the targets' ratios in
 lattice order, so max sees them in the order a per-target loop would.
-
-The stacked callers (the image distances, the membership scan and the
-pool rounds' hit test) build their points axis-major, as C-contiguous
-(dim, rows) arrays, and pass the transposed view to clamp_distance_batch.
-Its box path then clamps one contiguous column per axis against scalar
-bounds and sums the squares left to right, which is the order
-np.linalg.norm(axis=1) sums at most 3 axes in, so the distances are the
-row-wise norm's bit for bit.  A polyhedron's box form is derived once per
-(C, d) and cached here, apart from geometry's caches, so the oracle's
-routes stay independent of the estimators'.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from functools import lru_cache
 
@@ -63,8 +55,8 @@ _MAX_AXIS_POINTS = 201
 _MAX_LATTICE = 10_000_000
 _MAX_PAIRS = 20_000_000
 _CHUNK_ROWS = 8_192
-_SWEEP_PASSES = 60
-_SWEEP_EXTRA = 6000
+_FACE_TOL = 1e-10
+_FACE_SINGULAR = 1e-6
 _POOL_ROUNDS = 7
 _POOL_CENTERS = 96
 
@@ -170,6 +162,30 @@ def _polyhedron_box(shape: tuple, C_data: bytes, d_data: bytes):
     return form
 
 
+@lru_cache(maxsize=64)
+def _polyhedron_faces(shape: tuple, C_data: bytes, d_data: bytes):
+    """(P, q, U, e): U z <= e is the system the bytes hold with unit rows,
+    and z @ P[k] + q[k] is the nearest point of {U_J z = e_J} for the k-th
+    set J of at most dim rows whose unit rows have their least singular
+    value above _FACE_SINGULAR.  The nearest point of a nonempty K is one
+    of these, as its multipliers can be taken on independent rows."""
+    C = np.frombuffer(C_data).reshape(shape)
+    norms = np.linalg.norm(C, axis=1)   # Polyhedron drops zero rows
+    U, e = C / norms[:, None], np.frombuffer(d_data) / norms
+    n = shape[1]
+    P, q = [np.eye(n)], [np.zeros(n)]
+    for k in range(1, n + 1):
+        for J in map(list, itertools.combinations(range(shape[0]), k)):
+            if np.linalg.svd(U[J], compute_uv=False)[-1] > _FACE_SINGULAR:
+                M = np.linalg.pinv(U[J])   # U_J^T (U_J U_J^T)^-1
+                P.append(np.eye(n) - (M @ U[J]).T)
+                q.append(M @ e[J])
+    faces = (np.array(P), np.array(q), U, e)
+    for a in faces:   # every caller of the cache shares these arrays
+        a.setflags(write=False)
+    return faces
+
+
 def _box_form(K: ConvexSet):
     """(lo, hi) bounds when K is an axis-aligned box, else None.  A
     polyhedron's form is derived once per (C, d) and returned read-only."""
@@ -183,9 +199,10 @@ def _box_form(K: ConvexSet):
 def clamp_distance_batch(K: ConvexSet, Z: np.ndarray) -> np.ndarray:
     """d(K, z) per row, by clamp composition where the shape allows.
 
-    Exact for boxes (clamp), singletons, balls, and products of those; for
-    a polyhedron with skew rows it falls back to cyclic halfspace sweeps
-    and returns a certified upper bound (travel plus residual slack).
+    Exact for boxes (clamp), singletons, balls, and products of those.  A
+    skew polyhedron, at most 3-D, takes the least distance to a face point
+    that lies in K up to _FACE_TOL (1 + |z|), plus its largest violation;
+    it raises EmptySet where no face point of a finite row lies in K.
 
     A box distance runs one axis at a time with scalar bounds: w = z_j -
     min(max(z_j, lo_j), hi_j), squared in place and summed over j left to
@@ -234,38 +251,20 @@ def _clamp_distance(K: ConvexSet, Z: np.ndarray) -> np.ndarray:
         return np.sqrt(acc, out=acc)
     if not isinstance(K, Polyhedron):
         raise InvalidParameter(f"no oracle distance for {type(K).__name__}")
-    sq = np.einsum("ij,ij->i", K.C, K.C)
-    live = sq > 1e-300
-    C, d, s = K.C[live], K.d[live], sq[live]
-
-    def sweep(W, passes):
-        for _ in range(passes):
-            for row, rhs, ss in zip(C, d, s):
-                viol = np.maximum(row_matmul(W, row) - rhs, 0.0) / ss
-                W -= viol[:, None] * row[None, :]
-        return W
-
-    def max_violation(W):
-        out = np.zeros(W.shape[0])
-        for row, rhs, ss in zip(C, d, s):
-            viol = np.maximum(row_matmul(W, row) - rhs, 0.0)
-            np.maximum(out, viol / np.sqrt(ss), out=out)
-        return out
-
-    W = sweep(Z.copy(), _SWEEP_PASSES)
-    scale = 1.0 + np.linalg.norm(Z, axis=1)
-    slack = max_violation(W)
-    # thin-angle corners converge slowly; keep sweeping the stalled points
-    # until their residual is negligible, else the slack term undercovers
-    # the remaining distance and the bound loses its one-sidedness
-    stuck = slack > 1e-12 * scale
-    budget = _SWEEP_EXTRA
-    while np.any(stuck) and budget > 0:
-        W[stuck] = sweep(W[stuck], 50)
-        budget -= 50
-        slack[stuck] = max_violation(W[stuck])
-        stuck = slack > 1e-12 * scale
-    return np.linalg.norm(Z - W, axis=1) + slack
+    if K.dim > 3:
+        raise InvalidParameter("skew oracle distances are capped at dim 3")
+    P, q, U, e = _polyhedron_faces(K.C.shape, K.C.tobytes(), K.d.tobytes())
+    tol = _FACE_TOL * (1.0 + np.linalg.norm(Z, axis=1))
+    # NaN, which np.minimum keeps, where a row has a non-finite entry
+    best = np.where(np.isfinite(Z).all(axis=1), np.inf, np.nan)
+    for Pk, qk in zip(P, q):
+        W = row_matmul(Z, Pk) + qk
+        viol = np.max(row_matmul(W, U.T) - e, axis=1, initial=0.0)
+        val = np.linalg.norm(Z - W, axis=1) + viol
+        np.minimum(best, np.where(viol <= tol, val, np.inf), out=best)
+    if np.any(np.isinf(best)):
+        raise EmptySet("no face of the skew K holds a point of K")
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -251,20 +251,51 @@ def test_grid_modulus_derives_the_box_form_once(monkeypatch):
     assert calls == [(2, 2)]
 
 
-def test_clamp_distance_skew_is_certified_upper_bound():
-    # cyclic sweeps land at a feasible point, not the nearest one, so the
-    # guarantee is one-sided: never below the true distance, zero inside
+def test_clamp_distance_skew_matches_the_exact_distance():
+    # the least distance over K's faces is the distance itself, zero inside
     gen = np.random.default_rng(17)
     for _ in range(20):
         dim = int(gen.integers(2, 4))
         poly = bounded_random_polyhedron(gen, dim, extra_rows=3)
         Z = gen.uniform(-6, 6, size=(50, dim))
-        ub = clamp_distance_batch(poly, Z)
+        got = clamp_distance_batch(poly, Z)
         exact = poly.distance_batch(Z)
-        assert np.all(np.isfinite(ub))
-        assert np.all(ub >= exact - 1e-9)
-        inside = exact <= 1e-12
-        assert np.all(ub[inside] <= 1e-9)
+        assert np.all(np.abs(got - exact)
+                      <= 1e-9 * (1.0 + np.linalg.norm(Z, axis=1)))
+
+
+def test_clamp_distance_skew_is_capped_at_dimension_3():
+    gen = np.random.default_rng(3)
+    poly = bounded_random_polyhedron(gen, 4, extra_rows=2)
+    with pytest.raises(InvalidParameter):
+        clamp_distance_batch(poly, np.zeros((2, 4)))
+
+
+def test_clamp_distance_empty_skew_raises_every_call():
+    # x + y <= -1 and -x - y <= -1 cross; no face holds a point of K
+    K = Polyhedron(np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                   np.array([-1.0, -1.0]))
+    for Z in ([[0.0, 0.0]], [[0.0, 0.0], [3.0, 1.0]],
+              [[np.inf, 0.0], [3.0, 1.0]]):
+        with pytest.raises(EmptySet), np.errstate(invalid="ignore"):
+            clamp_distance_batch(K, Z)
+
+
+def test_clamp_distance_skew_non_finite_rows_are_positive_nan():
+    # a row with a non-finite entry has no face point to measure from; it
+    # reads NaN, sign bit cleared, alone and in a batch, on an empty K too
+    empty = Polyhedron(np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                       np.array([-1.0, -1.0]))
+    Z = np.array([[1.0, 0.0], [np.inf, 1.0], [-np.inf, 0.0],
+                  [-np.nan, 1.0]])
+    with np.errstate(invalid="ignore"):
+        batch = clamp_distance_batch(SKEW, Z)
+        alone = [clamp_distance_batch(SKEW, z[None, :]) for z in Z]
+        bad = clamp_distance_batch(empty, Z[1:])
+    assert batch[0] == pytest.approx(1.0, abs=1e-12)   # from the apex
+    assert np.all(np.isnan(batch[1:])) and not np.any(np.signbit(batch))
+    assert np.concatenate(alone).tobytes() == batch.tobytes()
+    assert bad.tobytes() == batch[1:].tobytes()
 
 
 def test_clamp_distance_skew_rows_are_batch_independent():
@@ -286,8 +317,8 @@ def test_clamp_distance_unsupported_set():
 # ---------------------------------------------------------------------------
 # Directional membership scan.
 
-# a thin wedge around the negative first axis with a skew cap: the cyclic
-# sweeps, not the box clamp, give its distances
+# a thin wedge around the negative first axis with a skew cap: the face
+# enumeration, not the box clamp, gives its distances
 SKEW = Polyhedron(np.array([[0.1, -1.0], [0.1, 1.0], [-1.0, 0.3]]),
                   np.array([0.0, 0.0, 1.0]))
 MEMBERSHIP_SETS = {
@@ -304,8 +335,10 @@ def _onto(K):
     return MultiMap(AffineMap(np.eye(K.dim), np.zeros(K.dim)), K)
 
 
-def _membership_by_scale(F, diff, ybar, delta):
-    # reference: one clamp call per scale, the loop the stacked scan replaced
+def _membership_by_scale(F, diff, ybar, delta,
+                         distance=clamp_distance_batch):
+    # reference: one clamp call per scale, the loop the stacked scan
+    # replaced; distance(K, Z) gives the set distances
     ny = float(np.linalg.norm(ybar))
     B = diff.shape[0]
     hi = 10.0 * (np.linalg.norm(diff, axis=1) + 1.0) / max(ny - delta, 1e-12)
@@ -313,7 +346,7 @@ def _membership_by_scale(F, diff, ybar, delta):
         * hi[:, None]
     vals = np.empty_like(S)
     for j in range(S.shape[1]):
-        resid = clamp_distance_batch(F.K, diff + S[:, j, None] * ybar)
+        resid = distance(F.K, diff + S[:, j, None] * ybar)
         vals[:, j] = np.maximum(resid - delta * S[:, j], 0.0)
     arg = np.argmin(vals, axis=1)
     best = vals[np.arange(B), arg]
@@ -321,7 +354,7 @@ def _membership_by_scale(F, diff, ybar, delta):
     hi_s = S[np.arange(B), np.minimum(arg + 1, S.shape[1] - 1)]
     Z = lo_s[:, None] + (hi_s - lo_s)[:, None] * np.linspace(0, 1, 33)[None, :]
     for j in range(Z.shape[1]):
-        resid = clamp_distance_batch(F.K, diff + Z[:, j, None] * ybar)
+        resid = distance(F.K, diff + Z[:, j, None] * ybar)
         np.minimum(best, np.maximum(resid - delta * Z[:, j], 0.0), out=best)
     return best
 
@@ -333,10 +366,15 @@ def test_oracle_membership_frozen_values():
     assert np.array_equal(box, [
         0.0, 0.30413812651491096, 0.3819183617637634, 0.7797967963799353,
         0.0, 0.9219544457292886])
-    skew = _oracle_membership(_onto(SKEW), DIFF6, np.array([-1.0, 0.0]), 0.05)
+    ybar = np.array([-1.0, 0.0])
+    skew = _oracle_membership(_onto(SKEW), DIFF6, ybar, 0.05)
     assert np.array_equal(skew, [
-        0.3448654297658415, 0.1540102608621315, 0.0, 0.7942396481407533,
-        0.0, 0.49441180492200154])
+        0.3448654297658415, 0.15161518512558933, 0.0, 0.7942396481407534,
+        0.0, 0.48873989787693456])
+    # the same scan on geometry's projection distances
+    ref = _membership_by_scale(_onto(SKEW), DIFF6, ybar, 0.05,
+                               lambda K, Z: K.distance_batch(Z))
+    assert np.allclose(skew, ref, rtol=0.0, atol=1e-9)
 
 
 @settings(max_examples=24, deadline=None)

@@ -25,8 +25,9 @@ PROBLEMS = tuple(
     Path(__file__).resolve().parent / name
     for name in ("rotated_halfplane.json", "round_k.json",
                  "ball_halfline.json", "robinson_4d.json",
-                 "skew_foot_4d.json"))
-PROBLEM, ROUND_K, BALL_HALFLINE, ROBINSON_4D, SKEW_FOOT_4D = PROBLEMS
+                 "skew_foot_4d.json", "skew_wedge.json"))
+(PROBLEM, ROUND_K, BALL_HALFLINE, ROBINSON_4D, SKEW_FOOT_4D,
+ SKEW_WEDGE) = PROBLEMS
 
 INSTANCES = ("diag_2_05", "halfplane_directional", "hoffman_2d", "identity2",
              "parabola_eb", "param_scale")
@@ -67,10 +68,14 @@ COMMANDS = (
         # the oracle's preimage-pool hit test on a full-dimensional preimage
         (["oracle-check", "hoffman_2d", "--points-x", "15", "--points-y",
           "7", "--seed", "3"], "report.json"),
-        # the oracle's directional membership scan on a skew K, where the
-        # cyclic halfspace sweeps give the set distances
+        # the oracle's directional membership scan on a skew K, whose set
+        # distances come from its face enumeration
         (["oracle-check", PROBLEM.name, "--points-x", "15", "--points-y",
           "7", "--seed", "3"], "report.json"),
+        # the same on a thin skew wedge, where cyclic halfspace projection
+        # lands up to 8% above the distance near the apex
+        (["oracle-check", SKEW_WEDGE.name, "--points-x", "13",
+          "--points-y", "7", "--seed", "3"], "report.json"),
         (["perturb", "--tau", "1", "--delta", "0.5", "--ybar-norm", "1",
           "--alpha", "0.5", "--L", "0.05"], "report.json"),
         # the error-bound certificate the slope tests replay through the
