@@ -775,7 +775,8 @@ def face_table(shape: tuple, data: bytes) -> FaceTable | None:
             rows.append(list(J) + [-1] * (k - size))
             M.append(MJ)
     # every caller of the cache shares these arrays
-    table = FaceTable(np.array(rows, dtype=int).reshape(-1, k), np.array(M))
+    table = FaceTable(np.array(rows, dtype=int).reshape(len(rows), k),
+                      np.array(M))
     for a in (table.rows, table.M):
         a.setflags(write=False)
     return table

@@ -34,13 +34,18 @@ problem, 1996, over K's faces).  d(K, z) is the least |z - P_J z| over the
 faces J whose projection P_J z lies in K (geometry.FaceTable).  Along the
 ray P_J z is affine in lam, it lies in K on an interval that one ratio
 test over K's rows finds, and there phi is sqrt(quadratic) - delta lam,
-least at its stationary point clipped to the interval.  The ratio test
-holds a row within _FACE_FEAS = 1e-12 times the size of its terms, or
-rounding fails every face of opposite rows; the value can fall below the
-distance by about as much.  Every other K runs a golden-section search on
-[0, _lam_max] (_golden_values), where phi is convex (Rockafellar, Convex
-Analysis, sec. 24), so the bracket keeps a minimizer, and (|ybar| +
-delta)-Lipschitz, so best - (|ybar| + delta) * width bounds the minimum.
+least at its stationary point clipped to the interval.  What the faces
+need of K and the cone is derived once per (K, cone) and cached
+(_face_data).  Each pass lays K's coordinates, rows and faces along a
+leading axis, so every min, max and sum over them is an elementwise chain
+over (face, row) slabs; the sums round as np.sum rounds them over a last
+axis (_coord_sum).  The ratio test holds a row within _FACE_FEAS = 1e-12
+times the size of its terms, or rounding fails every face of opposite
+rows; the value can fall below the distance by about as much.  Every
+other K runs a golden-section search on [0, _lam_max] (_golden_values),
+where phi is convex (Rockafellar, Convex Analysis, sec. 24), so the
+bracket keeps a minimizer, and (|ybar| + delta)-Lipschitz, so best -
+(|ybar| + delta) * width bounds the minimum.
 
 The margin, 1e-6 (1 + |c| + lam_max (|ybar| + delta)), covers that
 tolerance and an evaluation error of phi up to about 1e-7 times that size
@@ -68,7 +73,6 @@ from .geometry import (
     Ball,
     ConvexSet,
     DirectionalCone,
-    FaceTable,
     Polyhedron,
     ProductSet,
     Singleton,
@@ -774,11 +778,13 @@ def _membership_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
     margin = _MEMBER_MARGIN * (
         1.0 + c_norm + lam_hi * (np.linalg.norm(dc.ybar) + dc.delta))
     Kp = as_polyhedron(F.K)
-    table = None if Kp is None else face_table(Kp.C.shape, Kp.C.tobytes())
-    if table is None:
+    faces = None if Kp is None else _face_data(
+        Kp.C.shape, Kp.C.tobytes(), Kp.d.tobytes(), dc.ybar.tobytes(),
+        dc.delta)
+    if faces is None:
         vals = _golden_values(F.K, Cres, dc, lam_hi, margin, cuts)
     else:
-        vals = _face_values(Kp, table, Cres, dc, lam_hi)
+        vals = _face_values(faces, Cres, dc, lam_hi)
     return Cres, vals, margin
 
 
@@ -788,58 +794,94 @@ def _is_empty(K: ConvexSet) -> bool:
     return bool(np.isinf(K.distance_batch(np.zeros((1, K.dim))))[0])
 
 
-def _face_values(K: Polyhedron, table: FaceTable, Cres: np.ndarray,
-                 dc: DirectionalCone, lam_hi: np.ndarray) -> np.ndarray:
-    """The exact value per row c of Cres.  On face J, z = c + lam ybar has
-    residual z - P_J z = r0 + lam r1 and C P_J z - d = alpha + lam beta.
-    Row i holds where alpha_i + lam beta_i <= _FACE_FEAS (|C_i| size +
-    |d_i|), size = 1 + 2|c| + |t_J| + lam_hi |ybar|, constant in lam so that
-    a row that never holds is not let in far along the ray.  The rows run
-    in passes of at most _FACE_POINTS entries of fixed array operations.
-    """
-    C, d = K.C, K.d
-    m, n = C.shape
+@lru_cache(maxsize=64)
+def _face_data(shape: tuple, c_data: bytes, d_data: bytes, ybar_data: bytes,
+               delta: float) -> tuple | None:
+    """What _face_values reads of K = {C z <= d} and the cone (ybar, delta),
+    from their bytes, or None where C has no face table.  Per-face arrays
+    come faces down, one (faces, 1) slab per coordinate or row of K."""
+    table = face_table(shape, c_data)
+    if table is None:
+        return None
+    C = np.frombuffer(c_data).reshape(shape)
+    d, ybar = np.frombuffer(d_data), np.frombuffer(ybar_data)
+    m, n = shape
     pad = table.rows < 0
     N = table.M @ np.where(pad[..., None], 0.0, C[table.rows])  # (F, n, n)
     t = (table.M @ np.where(pad, 0.0, d[table.rows])[..., None])[..., 0]
-    r1 = N @ dc.ybar                                            # (F, n)
-    beta = (dc.ybar - r1) @ C.T                                 # (F, m)
+    r1 = N @ ybar                                               # (F, n)
+    beta = (ybar - r1) @ C.T                                    # (F, m)
     # c -> (N_J c, C (c - N_J c)) for every face J, as one product
     W = np.concatenate([N, C @ (np.eye(n) - N)], axis=1)
     W = W.transpose(2, 0, 1).reshape(n, -1)
     shift = t @ C.T - d
     row_norm, t_norm = np.linalg.norm(C, axis=1), np.linalg.norm(t, axis=1)
-    s, delta = np.linalg.norm(r1, axis=1), dc.delta
-    nf = table.rows.shape[0]
+    s = np.linalg.norm(r1, axis=1)
+    with np.errstate(invalid="ignore"):
+        rate = s * np.sqrt(s * s - delta * delta)
+    data = (W, t.T[..., None], r1.T[..., None], beta.T[..., None],
+            shift.T[..., None], row_norm[:, None, None],
+            np.abs(d)[:, None, None], t_norm[:, None], s[:, None],
+            rate[:, None])
+    # every caller of the cache shares these arrays
+    for a in data:
+        a.setflags(write=False)
+    return data
+
+
+def _coord_sum(P: np.ndarray) -> np.ndarray:
+    """The sum of P over its leading axis, rounded as np.sum rounds it over
+    a contiguous last axis: left to right from +0.0 below 8 terms, pairwise
+    from 8 on."""
+    if P.shape[0] < 8:
+        return np.add.reduce(P, axis=0, initial=0.0)
+    return np.ascontiguousarray(np.moveaxis(P, 0, -1)).sum(axis=-1)
+
+
+def _face_values(faces: tuple, Cres: np.ndarray, dc: DirectionalCone,
+                 lam_hi: np.ndarray) -> np.ndarray:
+    """The exact value per row c of Cres, from the _face_data of K and dc.
+    On face J, z = c + lam ybar has residual z - P_J z = r0 + lam r1 and
+    C P_J z - d = alpha + lam beta.  Row i holds where alpha_i + lam beta_i
+    <= _FACE_FEAS (|C_i| size + |d_i|), size = 1 + 2|c| + |t_J| + lam_hi
+    |ybar|, constant in lam so that a row that never holds is not let in far
+    along the ray.  The rows run in passes of at most _FACE_POINTS entries,
+    each laid out (coordinate or row of K, face, row of Cres), so that every
+    reduction runs down the leading axis as an elementwise chain.
+    """
+    W, t, r1, beta, shift, row_norm, abs_d, t_norm, s, rate = faces
+    (m, nf, _), n, delta = beta.shape, Cres.shape[1], dc.delta
     size = (1.0 + 2.0 * np.linalg.norm(Cres, axis=1)
             + lam_hi * np.linalg.norm(dc.ybar))
     out = np.empty(Cres.shape[0])
     step = max(1, _FACE_POINTS // (nf * (n + m + 1)))
     for a in range(0, Cres.shape[0], step):
-        R = row_matmul(Cres[a:a + step], W).reshape(-1, nf, n + m)
-        r0 = R[..., :n] - t
-        sz = size[a:a + step, None, None] + t_norm[:, None]
-        alpha = R[..., n:] + shift - _FACE_FEAS * (row_norm * sz + np.abs(d))
+        R = row_matmul(Cres[a:a + step], W).reshape(-1, nf, n + m).T.copy()
+        # the pass's own copy of R holds r0 and alpha
+        r0, alpha = R[:n], R[n:]
+        r0 -= t
+        sz = size[a:a + step] + t_norm
+        alpha += shift
+        alpha -= _FACE_FEAS * (row_norm * sz + abs_d)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = -alpha / beta
-            hi = np.where(beta > 0.0, ratio, np.inf).min(-1, initial=np.inf)
-            lo = np.where(beta < 0.0, ratio, 0.0).max(-1, initial=0.0)
-            ok = (lo <= hi) & ~np.any((beta == 0.0) & (alpha > 0.0), axis=-1)
+            hi = np.where(beta > 0.0, ratio, np.inf).min(0, initial=np.inf)
+            lo = np.where(beta < 0.0, ratio, 0.0).max(0, initial=0.0)
+            ok = (lo <= hi) & ~np.any((beta == 0.0) & (alpha > 0.0), axis=0)
             # |r0 + lam r1| - delta lam is least at lam0 + u, lam0 the foot
             # of the line, or falls on where delta >= |r1|
-            b = np.sum(r0 * r1, axis=-1)
+            b = _coord_sum(r0 * r1)
             lam0 = -b / (s * s)
-            h = np.linalg.norm(r0 + lam0[..., None] * r1, axis=-1)
-            star = np.where(s > delta, lam0 + delta * h / (
-                s * np.sqrt(s * s - delta * delta)),
-                np.inf if delta > 0.0 else 0.0)
+            h = np.sqrt(_coord_sum((r0 + lam0 * r1) ** 2))
+            star = np.where(s > delta, lam0 + delta * h / rate,
+                            np.inf if delta > 0.0 else 0.0)
             lam = np.clip(star, lo, hi)
-            g = np.linalg.norm(r0 + lam[..., None] * r1, axis=-1) - delta * lam
+            g = np.sqrt(_coord_sum((r0 + lam * r1) ** 2)) - delta * lam
             # an interval unbounded above: phi falls without end, or toward
             # b / |r1| where delta = |r1|
             g = np.where(np.isinf(lam), np.where(delta > s, -np.inf, b / s),
                          g)
-        out[a:a + step] = np.where(ok, g, np.inf).min(axis=-1)
+        out[a:a + step] = np.where(ok, g, np.inf).min(axis=0)
     return np.maximum(out, 0.0)
 
 

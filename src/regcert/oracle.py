@@ -259,8 +259,14 @@ def _clamp_distance(K: ConvexSet, Z: np.ndarray) -> np.ndarray:
     best = np.where(np.isfinite(Z).all(axis=1), np.inf, np.nan)
     for Pk, qk in zip(P, q):
         W = row_matmul(Z, Pk) + qk
-        viol = np.max(row_matmul(W, U.T) - e, axis=1, initial=0.0)
-        val = np.linalg.norm(Z - W, axis=1) + viol
+        # the largest violation and |z - w|, column by column from 0, as
+        # the box route sums its axes
+        viol, acc = 0.0, 0.0
+        for col in (row_matmul(W, U.T) - e).T:
+            viol = np.maximum(viol, col)
+        for z, w in zip(Z.T, W.T):
+            acc = acc + (z - w) ** 2
+        val = np.sqrt(acc) + viol
         np.minimum(best, np.where(viol <= tol, val, np.inf), out=best)
     if np.any(np.isinf(best)):
         raise EmptySet("no face of the skew K holds a point of K")

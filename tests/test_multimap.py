@@ -17,6 +17,7 @@ from regcert.geometry import (
     ProductSet,
     Singleton,
     face_table,
+    row_matmul,
 )
 from regcert import multimap
 from regcert.instances import builtin
@@ -986,6 +987,133 @@ def test_membership_chunk_boundaries_move_no_bit(rows):
                 assert chunked.tobytes() == mask.tobytes(), (name, tol)
             chunked = envelope_batch(F, dc, Xe, Ye, 1e-3, 1.5)
             assert chunked.tobytes() == env.tobytes(), name
+
+
+def reference_face_values(K, table, Cres, dc, lam_hi):
+    """The face kernel with its face data built on every call and its
+    reductions over a last axis, verbatim but for the module names: the
+    reference of test_face_kernel_keeps_the_reference_bits."""
+    C, d = K.C, K.d
+    m, n = C.shape
+    pad = table.rows < 0
+    N = table.M @ np.where(pad[..., None], 0.0, C[table.rows])  # (F, n, n)
+    t = (table.M @ np.where(pad, 0.0, d[table.rows])[..., None])[..., 0]
+    r1 = N @ dc.ybar                                            # (F, n)
+    beta = (dc.ybar - r1) @ C.T                                 # (F, m)
+    # c -> (N_J c, C (c - N_J c)) for every face J, as one product
+    W = np.concatenate([N, C @ (np.eye(n) - N)], axis=1)
+    W = W.transpose(2, 0, 1).reshape(n, -1)
+    shift = t @ C.T - d
+    row_norm, t_norm = np.linalg.norm(C, axis=1), np.linalg.norm(t, axis=1)
+    s, delta = np.linalg.norm(r1, axis=1), dc.delta
+    nf = table.rows.shape[0]
+    size = (1.0 + 2.0 * np.linalg.norm(Cres, axis=1)
+            + lam_hi * np.linalg.norm(dc.ybar))
+    out = np.empty(Cres.shape[0])
+    step = max(1, multimap._FACE_POINTS // (nf * (n + m + 1)))
+    for a in range(0, Cres.shape[0], step):
+        R = row_matmul(Cres[a:a + step], W).reshape(-1, nf, n + m)
+        r0 = R[..., :n] - t
+        sz = size[a:a + step, None, None] + t_norm[:, None]
+        alpha = (R[..., n:] + shift
+                 - multimap._FACE_FEAS * (row_norm * sz + np.abs(d)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = -alpha / beta
+            hi = np.where(beta > 0.0, ratio, np.inf).min(-1, initial=np.inf)
+            lo = np.where(beta < 0.0, ratio, 0.0).max(-1, initial=0.0)
+            ok = (lo <= hi) & ~np.any((beta == 0.0) & (alpha > 0.0), axis=-1)
+            # |r0 + lam r1| - delta lam is least at lam0 + u, lam0 the foot
+            # of the line, or falls on where delta >= |r1|
+            b = np.sum(r0 * r1, axis=-1)
+            lam0 = -b / (s * s)
+            h = np.linalg.norm(r0 + lam0[..., None] * r1, axis=-1)
+            star = np.where(s > delta, lam0 + delta * h / (
+                s * np.sqrt(s * s - delta * delta)),
+                np.inf if delta > 0.0 else 0.0)
+            lam = np.clip(star, lo, hi)
+            g = np.linalg.norm(r0 + lam[..., None] * r1, axis=-1) - delta * lam
+            # an interval unbounded above: phi falls without end, or toward
+            # b / |r1| where delta = |r1|
+            g = np.where(np.isinf(lam), np.where(delta > s, -np.inf, b / s),
+                         g)
+        out[a:a + step] = np.where(ok, g, np.inf).min(axis=-1)
+    return np.maximum(out, 0.0)
+
+
+def _face_kernel_case(gen, m, n, rounded, zero_d):
+    """A polyhedron of m rows in R^n, rounded to small integers (exact
+    zeros, parallel and zero rows) or not, and a nonzero ybar."""
+    C = gen.standard_normal((m, n)) * (2.0 if rounded else 1.0)
+    d = np.zeros(m) if zero_d else gen.standard_normal(m)
+    ybar = gen.standard_normal(n) * (2.0 if rounded else 1.0)
+    if rounded:
+        C, d, ybar = np.round(C), np.round(d), np.round(ybar)
+        ybar[0] = ybar[0] or 1.0
+    # Polyhedron drops a zero row, which needs d >= 0
+    d[~C.any(axis=1)] = np.abs(d[~C.any(axis=1)])
+    return Polyhedron(C, d), ybar
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.booleans(), st.booleans(),
+       st.sampled_from(["zero", "below_r1", "at_r1", "at_ybar", "above"]),
+       st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+@example(3, 2, True, True, "below_r1", 2, 0)   # 3 rows in R^2, 3-4 passes
+@example(8, 8, False, False, "zero", 1, 1)     # 256 faces, pairwise sums
+def test_face_kernel_keeps_the_reference_bits(m, n, rounded, zero_d,
+                                              delta_at, pass_rows, seed):
+    # the cached, leading-axis kernel gives every bit of the reference on
+    # polyhedra up to 8 rows in up to 8 dimensions, n >= 8 summing pairwise
+    # as np.sum does; delta is 0, below or at some face's |r1|, at |ybar|
+    # (the cone's edge) or above it; rows run from 1e-6 to 1e2 in passes
+    # of pass_rows rows, and batches end before, at and after a boundary
+    gen = np.random.default_rng(seed)
+    K, ybar = _face_kernel_case(gen, m, n, rounded, zero_d)
+    table = face_table(K.C.shape, K.C.tobytes())
+    # |r1| = |N_J ybar| per face, as the kernel derives it
+    pad = table.rows < 0
+    N = table.M @ np.where(pad[..., None], 0.0, K.C[table.rows])
+    s = np.linalg.norm(N @ ybar, axis=1)
+    s = s[s > 0.0] if np.any(s > 0.0) else np.ones(1)
+    y_norm = float(np.linalg.norm(ybar))
+    delta = {"zero": 0.0, "below_r1": 0.5 * s.min(), "at_r1": s.max(),
+             "at_ybar": y_norm, "above": 1.5 * y_norm}[delta_at]
+    dc = DirectionalCone(ybar, delta)
+    faces = multimap._face_data(K.C.shape, K.C.tobytes(), K.d.tobytes(),
+                                dc.ybar.tobytes(), dc.delta)
+    per_row = table.rows.shape[0] * (n + K.C.shape[0] + 1)
+    rows = 3 * pass_rows + int(gen.integers(-1, 2))
+    Cres = (gen.standard_normal((rows, n))
+            * 10.0 ** gen.uniform(-6.0, 2.0, (rows, 1)))
+    if rounded:
+        Cres = np.round(Cres)
+    lam_hi = dc._lam_max(np.linalg.norm(Cres, axis=1))
+    for points in (multimap._FACE_POINTS, pass_rows * per_row):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multimap, "_FACE_POINTS", points)
+            want = reference_face_values(K, table, Cres, dc, lam_hi)
+            got = multimap._face_values(faces, Cres, dc, lam_hi)
+        assert got.tobytes() == want.tobytes(), (points, delta_at)
+
+
+def test_rowless_polyhedron_is_the_whole_space():
+    # a K whose rows are all zero keeps none: its face table is the one
+    # face J = {}, and both membership routes read 0 on every cone
+    K = Polyhedron(np.array([[0.0, 0.0]]), np.array([1.0]))
+    table = face_table(K.C.shape, K.C.tobytes())
+    assert table.rows.shape == (1, 0) and table.M.shape == (1, 2, 0)
+    F = MultiMap(AffineMap(np.eye(2), np.zeros(2)), K)
+    X, Y = np.zeros((4, 2)), np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 0.0],
+                                       [1e3, -1e3]])
+    for dc in (DirectionalCone([0.0, 1.0], 0.0),
+               DirectionalCone([0.0, 1.0], 0.2),
+               DirectionalCone([0.6, 0.8], 1.0)):
+        Cres, exact, _ = multimap._membership_search(F, X, Y, dc)
+        assert np.all(exact == 0.0), dc
+        assert np.all(multimap._alternate(K, Cres, dc) == 0.0), dc
+        vals, certified = membership_values(F, X, Y, dc)
+        assert np.all(vals == 0.0) and np.all(certified), dc
+        assert _member_mask(F, X, Y, dc, TOL_MEMBER).all(), dc
 
 
 # ---------------------------------------------------------------------------
