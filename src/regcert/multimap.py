@@ -144,7 +144,12 @@ class AffineMap(SmoothMap):
         return self.A.shape[0]
 
     def eval_batch(self, X):
-        return row_matmul(X, self.A.T) + self.b[None, :]
+        # b is added one column at a time, each a pass along the batch;
+        # every entry is the same sum as with b broadcast along the rows
+        Y = row_matmul(X, self.A.T)
+        for j, bj in enumerate(self.b):
+            Y[:, j] += bj
+        return Y
 
     def jacobian_batch(self, X):
         X = np.asarray(X, dtype=float)
@@ -774,9 +779,9 @@ def _membership_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
     if dc.whole_space:
         return None, np.full(B, np.inf if _is_empty(F.K) else 0.0), np.zeros(B)
     c_norm = np.linalg.norm(Cres, axis=1)
+    y_norm = np.linalg.norm(dc.ybar)
     lam_hi = dc._lam_max(c_norm)
-    margin = _MEMBER_MARGIN * (
-        1.0 + c_norm + lam_hi * (np.linalg.norm(dc.ybar) + dc.delta))
+    margin = _MEMBER_MARGIN * (1.0 + c_norm + lam_hi * (y_norm + dc.delta))
     Kp = as_polyhedron(F.K)
     faces = None if Kp is None else _face_data(
         Kp.C.shape, Kp.C.tobytes(), Kp.d.tobytes(), dc.ybar.tobytes(),
@@ -784,7 +789,7 @@ def _membership_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
     if faces is None:
         vals = _golden_values(F.K, Cres, dc, lam_hi, margin, cuts)
     else:
-        vals = _face_values(faces, Cres, dc, lam_hi)
+        vals = _face_values(faces, Cres, dc, lam_hi, c_norm, y_norm)
     return Cres, vals, margin
 
 
@@ -839,8 +844,11 @@ def _coord_sum(P: np.ndarray) -> np.ndarray:
 
 
 def _face_values(faces: tuple, Cres: np.ndarray, dc: DirectionalCone,
-                 lam_hi: np.ndarray) -> np.ndarray:
-    """The exact value per row c of Cres, from the _face_data of K and dc.
+                 lam_hi: np.ndarray, c_norm: np.ndarray,
+                 y_norm: float) -> np.ndarray:
+    """The exact value per row c of Cres, from the _face_data of K and dc,
+    with c_norm = |c| per row and y_norm = |ybar|, as np.linalg.norm gives
+    them.
     On face J, z = c + lam ybar has residual z - P_J z = r0 + lam r1 and
     C P_J z - d = alpha + lam beta.  Row i holds where alpha_i + lam beta_i
     <= _FACE_FEAS (|C_i| size + |d_i|), size = 1 + 2|c| + |t_J| + lam_hi
@@ -851,8 +859,7 @@ def _face_values(faces: tuple, Cres: np.ndarray, dc: DirectionalCone,
     """
     W, t, r1, beta, shift, row_norm, abs_d, t_norm, s, rate = faces
     (m, nf, _), n, delta = beta.shape, Cres.shape[1], dc.delta
-    size = (1.0 + 2.0 * np.linalg.norm(Cres, axis=1)
-            + lam_hi * np.linalg.norm(dc.ybar))
+    size = 1.0 + 2.0 * c_norm + lam_hi * y_norm
     out = np.empty(Cres.shape[0])
     step = max(1, _FACE_POINTS // (nf * (n + m + 1)))
     for a in range(0, Cres.shape[0], step):

@@ -24,6 +24,7 @@ lattice order, so max sees them in the order a per-target loop would.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from functools import lru_cache
 
@@ -57,6 +58,7 @@ _MAX_PAIRS = 20_000_000
 _CHUNK_ROWS = 8_192
 _FACE_TOL = 1e-10
 _FACE_SINGULAR = 1e-6
+_MAX_FACE_SETS = 1_000
 _POOL_ROUNDS = 7
 _POOL_CENTERS = 96
 
@@ -168,7 +170,14 @@ def _polyhedron_faces(shape: tuple, C_data: bytes, d_data: bytes):
     and z @ P[k] + q[k] is the nearest point of {U_J z = e_J} for the k-th
     set J of at most dim rows whose unit rows have their least singular
     value above _FACE_SINGULAR.  The nearest point of a nonempty K is one
-    of these, as its multipliers can be taken on independent rows."""
+    of these, as its multipliers can be taken on independent rows.  More
+    than _MAX_FACE_SETS row sets raise InvalidParameter before any is
+    enumerated: at most 18 rows of a K in R^3, 44 in R^2."""
+    sets = sum(math.comb(shape[0], k) for k in range(1, shape[1] + 1))
+    if sets > _MAX_FACE_SETS:
+        raise InvalidParameter(
+            f"{sets} row sets of a skew K with {shape[0]} rows in "
+            f"R^{shape[1]} above the cap {_MAX_FACE_SETS}")
     C = np.frombuffer(C_data).reshape(shape)
     norms = np.linalg.norm(C, axis=1)   # Polyhedron drops zero rows
     U, e = C / norms[:, None], np.frombuffer(d_data) / norms
@@ -200,9 +209,10 @@ def clamp_distance_batch(K: ConvexSet, Z: np.ndarray) -> np.ndarray:
     """d(K, z) per row, by clamp composition where the shape allows.
 
     Exact for boxes (clamp), singletons, balls, and products of those.  A
-    skew polyhedron, at most 3-D, takes the least distance to a face point
-    that lies in K up to _FACE_TOL (1 + |z|), plus its largest violation;
-    it raises EmptySet where no face point of a finite row lies in K.
+    skew polyhedron, at most 3-D and with at most _MAX_FACE_SETS row sets,
+    takes the least distance to a face point that lies in K up to
+    _FACE_TOL (1 + |z|), plus its largest violation; it raises EmptySet
+    where no face point of a finite row lies in K.
 
     A box distance runs one axis at a time with scalar bounds: w = z_j -
     min(max(z_j, lo_j), hi_j), squared in place and summed over j left to
@@ -321,7 +331,11 @@ def _nearest(A: np.ndarray, B: np.ndarray) -> tuple:
     dimensions the oracle allows, so distances match norm bit for bit.
     Work runs on (rows of A, block of B) arrays of at most _CHUNK_ROWS
     elements; a later block replaces the running best only when strictly
-    nearer, so ties go to the lowest index, as with argmin.
+    nearer, so ties go to the lowest index, as with argmin.  B may be the
+    transpose of a C-contiguous (dim, rows) array, as _preimage_pool
+    passes its coordinate-major pools, so that a block reads each
+    coordinate as one contiguous row; the values do not depend on B's
+    layout.
     """
     idx = np.zeros(A.shape[0], dtype=np.intp)
     dist = np.full(A.shape[0], np.inf)
@@ -332,9 +346,9 @@ def _nearest(A: np.ndarray, B: np.ndarray) -> tuple:
         r = np.arange(Q.shape[0])
         for b in range(0, B.shape[0], per):
             blk = B[b:b + per]
-            sq = (Q[:, 0, None] - blk[None, :, 0]) ** 2
+            sq = (Q[:, 0, None] - blk[:, 0]) ** 2
             for k in range(1, A.shape[1]):
-                sq += (Q[:, k, None] - blk[None, :, k]) ** 2
+                sq += (Q[:, k, None] - blk[:, k]) ** 2
             d = np.sqrt(sq, out=sq)
             j = np.argmin(d, axis=1)
             d = d[r, j]
@@ -369,7 +383,7 @@ def _target_distances(K: ConvexSet, fX: np.ndarray,
 def _preimage_pool(F: MultiMap, V: np.ndarray, g: Grid, G: np.ndarray,
                    fG: np.ndarray, US: list, L: float) -> list:
     """Refined lattice approximations of the preimages of the rows of V, as
-    one point pool per target (None where stage one is empty).
+    one (P, n) point pool per target (None where stage one is empty).
 
     Stage one keeps every lattice point feasible at the step-scaled
     tolerance; each round then halves the spacing and rebuilds a target's
@@ -382,6 +396,10 @@ def _preimage_pool(F: MultiMap, V: np.ndarray, g: Grid, G: np.ndarray,
     as many whole grids at a time as _CHUNK_ROWS rows hold; only a hit
     mask is kept for all of them.  G is g's lattice and fG = f(G); L
     bounds the Lipschitz constant of f over g.box.
+
+    Through the rounds a pool is held coordinate-major, as an (n, P)
+    array, and candidates and rebuilt pools are filled one coordinate at a
+    time, each point the same center + step sum as in a row-major pool.
     """
     n = g.dim
 
@@ -393,35 +411,40 @@ def _preimage_pool(F: MultiMap, V: np.ndarray, g: Grid, G: np.ndarray,
 
     spacing = g.spacing
     feas = _target_distances(F.K, fG, V) <= tol_at(spacing)
-    pools = [G[row] if row.any() else None for row in feas]
+    GT = np.ascontiguousarray(G.T)
+    pools = [GT[:, row] if row.any() else None for row in feas]
     live = [t for t, pool in enumerate(pools) if pool is not None]
     offs = np.stack([m.ravel() for m in np.meshgrid(
-        *([np.linspace(-4.0, 4.0, 17)] * n), indexing="ij")], axis=1)
-    per = offs.shape[0]
+        *([np.linspace(-4.0, 4.0, 17)] * n), indexing="ij")])
+    per = offs.shape[1]
     group = max(1, _CHUNK_ROWS // per)
     for _ in range(_POOL_ROUNDS):
         if not live:
             break
         centers = []
         for t in live:
-            nearest, _ = _nearest(US[t], pools[t])
-            centers.append(pools[t][np.unique(nearest)[:_POOL_CENTERS]])
-        sizes = [c.shape[0] for c in centers]
+            nearest, _ = _nearest(US[t], pools[t].T)
+            centers.append(pools[t][:, np.unique(nearest)[:_POOL_CENTERS]])
+        sizes = [c.shape[1] for c in centers]
         owner = np.repeat(live, sizes)
         ends = np.cumsum(sizes)
-        centers = np.concatenate(centers, axis=0)
+        centers = np.concatenate(centers, axis=1)
         spacing = spacing / 2.0
         tol = tol_at(spacing)
-        step = offs * spacing
+        step = offs * spacing[:, None]
         # hit[c, o]: is center c moved by step o feasible at tol
-        hit = np.empty((centers.shape[0], per), dtype=bool)
-        for c in range(0, centers.shape[0], group):
-            cand = (centers[c:c + group, None, :] + step).reshape(-1, n)
+        hit = np.empty((centers.shape[1], per), dtype=bool)
+        for c in range(0, centers.shape[1], group):
+            nc = min(group, centers.shape[1] - c)
+            cand = np.empty((nc, per, n))
+            for j in range(n):
+                np.add(centers[j, c:c + nc, None], step[j], out=cand[:, :, j])
             diff = np.subtract(
-                F.f.eval_batch(cand).T.reshape(F.dim_out, -1, per),
-                V[owner[c:c + group]].T[:, :, None], order="C")
-            hit[c:c + group] = (_clamp_rows(F.K, diff.reshape(F.dim_out, -1).T)
-                                <= tol).reshape(-1, per)
+                F.f.eval_batch(cand.reshape(-1, n)).T.reshape(
+                    F.dim_out, nc, per),
+                V[owner[c:c + nc]].T[:, :, None], order="C")
+            hit[c:c + nc] = (_clamp_rows(F.K, diff.reshape(F.dim_out, -1).T)
+                             <= tol).reshape(nc, per)
         kept = []
         for t, lo, hi in zip(live, ends - sizes, ends):
             k = np.flatnonzero(hit[lo:hi])
@@ -429,10 +452,15 @@ def _preimage_pool(F: MultiMap, V: np.ndarray, g: Grid, G: np.ndarray,
                 continue
             if k.size > 4096:
                 k = k[:: k.size // 4096 + 1]
-            pools[t] = centers[lo + k // per] + step[k % per]
+            ci, oi = lo + k // per, k % per
+            pool = np.empty((n, k.size))
+            for j in range(n):
+                np.add(centers[j][ci], step[j][oi], out=pool[j])
+            pools[t] = pool
             kept.append(t)
         live = kept
-    return pools
+    return [None if pool is None else np.ascontiguousarray(pool.T)
+            for pool in pools]
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import rng
 from .errors import DimensionMismatch, InSet, InvalidParameter
-from .multimap import SearchRegion
+from .multimap import SearchRegion, _coord_sum
 
 Field = Callable[[np.ndarray], np.ndarray]
 # xbar -> (nearest point of the sublevel set or None, distance to it)
@@ -101,12 +101,33 @@ class SlopeEstimate:
     mode: str = "local"
 
 
+def _distances(Y, x):
+    """|Y - x| over the last axis of Y, x broadcast against it.
+
+    The squared differences are taken one coordinate at a time, each a pass
+    along the points, and summed by multimap._coord_sum's rule: left to
+    right below 8 coordinates, pairwise from 8.  That is how
+    np.linalg.norm(Y - x, axis=-1) sums a contiguous last axis, so each
+    distance has its bits; only the sign of a NaN may differ, as NumPy's
+    add keeps one NaN operand or the other by array length."""
+    n = Y.shape[-1]
+    if n >= 8:
+        return np.sqrt(_coord_sum(np.stack(
+            [(Y[..., j] - x[..., j]) ** 2 for j in range(n)])))
+    # the first square is +0.0 plus itself, bit for bit
+    acc = (Y[..., 0] - x[..., 0]) ** 2
+    for j in range(1, n):
+        acc += (Y[..., j] - x[..., j]) ** 2
+    return np.sqrt(acc, out=acc)
+
+
 def _ratios(x, fx, Y, fY):
     """Descent ratios [fx - fY]+ / |x - Y| over the last axis of Y.
 
     x and fx broadcast against Y and fY, so one call scores one centre or a
-    stack of them; a Y within _MIN_STEP_DIST of its x scores -inf."""
-    dist = np.linalg.norm(Y - x, axis=-1)
+    stack of them; a Y within _MIN_STEP_DIST of its x scores -inf, as does
+    a NaN distance."""
+    dist = _distances(Y, x)
     drop = np.maximum(fx - fY, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(dist >= _MIN_STEP_DIST, drop / dist, -np.inf)
@@ -131,7 +152,12 @@ def _coordinate_ascent(g: CentreField, X: np.ndarray, fx: np.ndarray,
     moves = np.concatenate([eye, -eye], axis=0)
     cand_owner = np.repeat(owner, 2 * n)
     for _ in range(_ASCENT_STEPS):
-        cand = Y[:, None, :] + h[:, None, None] * moves[None, :, :]
+        # Y + h * move, one coordinate at a time
+        cand = np.empty((C, 2 * n, n))
+        for j in range(n):
+            col = cand[:, :, j]
+            np.multiply(h[:, None], moves[:, j], out=col)
+            np.add(Y[:, j, None], col, out=col)
         fc = g(cand.reshape(C * 2 * n, n), cand_owner).reshape(C, 2 * n)
         r = _ratios(X[:, None, :], fx[:, None], cand, fc)
         bi = np.argmax(r, axis=1)

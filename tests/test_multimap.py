@@ -103,6 +103,37 @@ def test_affine_rows_are_batch_independent(dim_in, dim_out, rows, seed):
                 == dist[one].tobytes()), i
 
 
+def _affine_eval_reference(f, X):
+    # reference: AffineMap.eval_batch before it added b one column at a time
+    return row_matmul(X, f.A.T) + f.b[None, :]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_affine_eval_keeps_the_broadcast_bits(seed):
+    # signed zeros in A, b and X, infinities in X (inf * 0 gives NaN in the
+    # product), and batches of 0, 1, 2 and 57 rows
+    gen = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -2.5])
+    for dim_out in range(1, 5):
+        for dim_in in range(1, 5):
+            A = gen.standard_normal((dim_out, dim_in))
+            A[gen.random(A.shape) < 0.3] = -0.0
+            A[gen.random(A.shape) < 0.2] = 0.0
+            b = gen.standard_normal(dim_out)
+            b[gen.random(dim_out) < 0.4] = gen.choice([0.0, -0.0])
+            f = AffineMap(A, b)
+            for rows in (0, 1, 2, 57):
+                X = gen.standard_normal((rows, dim_in))
+                hit = gen.random(X.shape) < 0.2
+                X[hit] = gen.choice(special, int(hit.sum()))
+                with np.errstate(invalid="ignore"):
+                    got = f.eval_batch(X)
+                    want = _affine_eval_reference(f, X)
+                assert got.shape == want.shape == (rows, dim_out)
+                assert got.tobytes() == want.tobytes(), (dim_out, dim_in,
+                                                         rows)
+
+
 def test_polynomial_eval_and_jacobian_match_finite_differences():
     # outputs: (x0^2 x1 + 3 x1, x0 - x1^3)
     m = PolynomialMap(2, [
@@ -928,7 +959,8 @@ def test_exact_values_agree_with_the_golden_fallback(name, seed):
     F, dc = _membership_cases()[name]
     X, Y = _membership_rows(F, np.random.default_rng(seed), 40)
     Cres, exact, margin = multimap._membership_search(F, X, Y, dc)
-    lam_hi = dc._lam_max(np.linalg.norm(Cres, axis=1))
+    c_norm = np.linalg.norm(Cres, axis=1)
+    lam_hi = dc._lam_max(c_norm)
     golden = multimap._golden_values(F.K, Cres, dc, lam_hi, margin, ())
     assert np.all(np.abs(golden - exact) <= margin)
 
@@ -1087,12 +1119,14 @@ def test_face_kernel_keeps_the_reference_bits(m, n, rounded, zero_d,
             * 10.0 ** gen.uniform(-6.0, 2.0, (rows, 1)))
     if rounded:
         Cres = np.round(Cres)
-    lam_hi = dc._lam_max(np.linalg.norm(Cres, axis=1))
+    c_norm = np.linalg.norm(Cres, axis=1)
+    lam_hi = dc._lam_max(c_norm)
     for points in (multimap._FACE_POINTS, pass_rows * per_row):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(multimap, "_FACE_POINTS", points)
             want = reference_face_values(K, table, Cres, dc, lam_hi)
-            got = multimap._face_values(faces, Cres, dc, lam_hi)
+            got = multimap._face_values(faces, Cres, dc, lam_hi, c_norm,
+                                        np.linalg.norm(dc.ybar))
         assert got.tobytes() == want.tobytes(), (points, delta_at)
 
 

@@ -271,6 +271,27 @@ def test_clamp_distance_skew_is_capped_at_dimension_3():
         clamp_distance_batch(poly, np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("dim, rows", [(2, 44), (3, 18)])
+def test_clamp_distance_skew_face_sets_are_capped(monkeypatch, dim, rows):
+    # rows spans at most 1,000 sets of at most dim rows, one more row spans
+    # more; past the cap the call raises, every call, before any set is
+    # enumerated
+    gen = np.random.default_rng(dim)
+    at_cap = bounded_random_polyhedron(gen, dim, extra_rows=rows - 2 * dim)
+    past = bounded_random_polyhedron(gen, dim, extra_rows=rows + 1 - 2 * dim)
+    assert [K.C.shape[0] for K in (at_cap, past)] == [rows, rows + 1]
+    Z = gen.uniform(-6, 6, size=(5, dim))
+    assert np.all(np.isfinite(clamp_distance_batch(at_cap, Z)))
+
+    def unreachable(*args):
+        raise AssertionError("row sets enumerated past the cap")
+
+    monkeypatch.setattr(oracle.itertools, "combinations", unreachable)
+    for _ in range(2):
+        with pytest.raises(InvalidParameter, match="above the cap 1000"):
+            clamp_distance_batch(past, Z)
+
+
 def test_clamp_distance_empty_skew_raises_every_call():
     # x + y <= -1 and -x - y <= -1 cross; no face holds a point of K
     K = Polyhedron(np.array([[1.0, 1.0], [-1.0, -1.0]]),
@@ -771,3 +792,137 @@ def test_grid_modulus_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+# ---------------------------------------------------------------------------
+# Coordinate-major pool rounds against the row-major code they replaced.
+
+def _nearest_reference(A, B):
+    # reference: _nearest as it read row-major pools, blocked by the
+    # module's (possibly patched) _CHUNK_ROWS
+    _CHUNK_ROWS = oracle._CHUNK_ROWS
+    idx = np.zeros(A.shape[0], dtype=np.intp)
+    dist = np.full(A.shape[0], np.inf)
+    rows = max(1, min(A.shape[0], _CHUNK_ROWS))
+    per = _CHUNK_ROWS // rows
+    for a in range(0, A.shape[0], rows):
+        Q = A[a:a + rows]
+        r = np.arange(Q.shape[0])
+        for b in range(0, B.shape[0], per):
+            blk = B[b:b + per]
+            sq = (Q[:, 0, None] - blk[None, :, 0]) ** 2
+            for k in range(1, A.shape[1]):
+                sq += (Q[:, k, None] - blk[None, :, k]) ** 2
+            d = np.sqrt(sq, out=sq)
+            j = np.argmin(d, axis=1)
+            d = d[r, j]
+            better = d < dist[a:a + rows]
+            idx[a:a + rows][better] = j[better] + b
+            dist[a:a + rows][better] = d[better]
+    return idx, dist
+
+
+def _preimage_pool_reference(F, V, g, G, fG, US, L):
+    # reference: _preimage_pool with (P, n) row-major pools, candidates
+    # built as centers[:, None, :] + step and pools rebuilt row by row
+    _CHUNK_ROWS = oracle._CHUNK_ROWS
+    n = g.dim
+
+    def tol_at(spacing):
+        return max(oracle.TOL_FEAS,
+                   0.6 * L * float(spacing.max()) * np.sqrt(n))
+
+    spacing = g.spacing
+    feas = oracle._target_distances(F.K, fG, V) <= tol_at(spacing)
+    pools = [G[row] if row.any() else None for row in feas]
+    live = [t for t, pool in enumerate(pools) if pool is not None]
+    offs = np.stack([m.ravel() for m in np.meshgrid(
+        *([np.linspace(-4.0, 4.0, 17)] * n), indexing="ij")], axis=1)
+    per = offs.shape[0]
+    group = max(1, _CHUNK_ROWS // per)
+    for _ in range(oracle._POOL_ROUNDS):
+        if not live:
+            break
+        centers = []
+        for t in live:
+            nearest, _ = _nearest_reference(US[t], pools[t])
+            centers.append(
+                pools[t][np.unique(nearest)[:oracle._POOL_CENTERS]])
+        sizes = [c.shape[0] for c in centers]
+        owner = np.repeat(live, sizes)
+        ends = np.cumsum(sizes)
+        centers = np.concatenate(centers, axis=0)
+        spacing = spacing / 2.0
+        tol = tol_at(spacing)
+        step = offs * spacing
+        hit = np.empty((centers.shape[0], per), dtype=bool)
+        for c in range(0, centers.shape[0], group):
+            cand = (centers[c:c + group, None, :] + step).reshape(-1, n)
+            diff = np.subtract(
+                F.f.eval_batch(cand).T.reshape(F.dim_out, -1, per),
+                V[owner[c:c + group]].T[:, :, None], order="C")
+            hit[c:c + group] = (
+                oracle._clamp_rows(F.K, diff.reshape(F.dim_out, -1).T)
+                <= tol).reshape(-1, per)
+        kept = []
+        for t, lo, hi in zip(live, ends - sizes, ends):
+            k = np.flatnonzero(hit[lo:hi])
+            if k.size == 0:
+                continue
+            if k.size > 4096:
+                k = k[:: k.size // 4096 + 1]
+            pools[t] = centers[lo + k // per] + step[k % per]
+            kept.append(t)
+        live = kept
+    return pools
+
+
+@pytest.mark.parametrize("rows", [7, 257, 8192])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nearest_reads_coordinate_major_pools_bit_for_bit(monkeypatch, n,
+                                                          rows):
+    # exact ties, every point twice, queries on and between lattice points;
+    # B row-major and as the transpose of a coordinate-major pool
+    side = {1: 300, 2: 17, 3: 7}[n]
+    lattice = np.stack([m.ravel() for m in np.meshgrid(
+        *([np.arange(side, dtype=float) * 0.1] * n), indexing="ij")], axis=1)
+    B = np.concatenate([lattice, lattice[::-1]])
+    gen = np.random.default_rng(10 + n)
+    A = np.concatenate([
+        lattice[gen.integers(0, lattice.shape[0], 20)],
+        lattice[gen.integers(0, lattice.shape[0], 20)] + 0.05,
+        gen.uniform(-0.5, 0.1 * side + 0.5, size=(20, n))])
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", rows)
+    want_idx, want_dist = _nearest_reference(A, B)
+    for pool in (B, np.ascontiguousarray(B.T).T):
+        idx, dist = _nearest(A, pool)
+        assert np.array_equal(idx, want_idx)
+        assert dist.tobytes() == want_dist.tobytes()
+
+
+@pytest.mark.parametrize("rows", [7, 257, 300])
+@pytest.mark.parametrize("name", sorted(MODULUS_CASES))
+def test_coordinate_major_pools_keep_the_row_major_bits(monkeypatch, name,
+                                                        rows):
+    # every pool grid_modulus builds, under budgets that split the
+    # candidate groups and the nearest-point blocks, is the reference's
+    # bit for bit, as a C-contiguous (P, n) array; "cube directional" has
+    # admissible pairs only on a finer x lattice
+    pool = oracle._preimage_pool
+    blocks = []
+
+    def both(F, V, g, G, fG, US, L):
+        got = pool(F, V, g, G, fG, US, L)
+        want = _preimage_pool_reference(F, V, g, G, fG, US, L)
+        assert [None if p is None else
+                (p.shape, p.flags.c_contiguous, p.tobytes()) for p in got] \
+            == [None if p is None else (p.shape, True, p.tobytes())
+                for p in want]
+        blocks.append(sum(p is not None for p in got))
+        return got
+
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", rows)
+    monkeypatch.setattr(oracle, "_preimage_pool", both)
+    points = (7, 3) if name == "cube directional" else None
+    _outcome(grid_modulus, *modulus_case(name, points=points))
+    assert sum(blocks) > 0

@@ -148,6 +148,99 @@ def test_witnesses_reproduce_reported_ratios():
 
 
 # ---------------------------------------------------------------------------
+# Coordinate-at-a-time distances and ascent moves against the code they
+# replaced.
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300,
+                     -1e-300, 1.0, -2.5])
+
+
+def _with_specials(gen, shape, share=0.25):
+    A = np.array(gen.standard_normal(shape)
+                 * 10.0 ** gen.uniform(-3.0, 3.0, shape))
+    hit = gen.random(shape) < share
+    A[hit] = gen.choice(_SPECIAL, int(hit.sum()))
+    return A
+
+
+def _ratios_reference(x, fx, Y, fY):
+    # reference: _ratios with np.linalg.norm over the last axis
+    dist = np.linalg.norm(Y - x, axis=-1)
+    drop = np.maximum(fx - fY, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dist >= slopes._MIN_STEP_DIST, drop / dist, -np.inf)
+
+
+def _coordinate_ascent_reference(g, X, fx, owner, Y0, h0):
+    # reference: _coordinate_ascent with the moves built by broadcasting
+    Y = Y0.copy()
+    h = h0.copy()
+    X, fx = X[owner], fx[owner]
+    best = _ratios_reference(X, fx, Y, g(Y, owner))
+    C, n = Y.shape
+    eye = np.eye(n)
+    moves = np.concatenate([eye, -eye], axis=0)
+    cand_owner = np.repeat(owner, 2 * n)
+    for _ in range(slopes._ASCENT_STEPS):
+        cand = Y[:, None, :] + h[:, None, None] * moves[None, :, :]
+        fc = g(cand.reshape(C * 2 * n, n), cand_owner).reshape(C, 2 * n)
+        r = _ratios_reference(X[:, None, :], fx[:, None], cand, fc)
+        bi = np.argmax(r, axis=1)
+        bv = r[np.arange(C), bi]
+        gain = bv > best
+        Y[gain] = cand[gain, bi[gain]]
+        best[gain] = bv[gain]
+        h = np.where(gain, h, 0.5 * h)
+    return Y, best
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_distances_match_the_row_norm_bit_for_bit(n):
+    # below 8 coordinates the squares are summed left to right, from 8 on
+    # pairwise; a NaN distance stays NaN, its sign bit not pinned
+    gen = np.random.default_rng(n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for Y, x in [(_with_specials(gen, (rows, n)),
+                      _with_specials(gen, (n,)))
+                     for rows in (0, 1, 2, 9, 64)] + [
+                (_with_specials(gen, (40, n)),
+                 _with_specials(gen, (5, 1, n))),
+                (_with_specials(gen, (5, 3, 7, n)),
+                 _with_specials(gen, (5, 1, 1, n)))]:
+            want = np.linalg.norm(Y - x, axis=-1)
+            got = slopes._distances(Y, x)
+            nan = np.isnan(want)
+            assert got.shape == want.shape
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+            fx = _with_specials(gen, x.shape[:-1])
+            fY = _with_specials(gen, want.shape)
+            assert (slopes._ratios(x, fx, Y, fY).tobytes()
+                    == _ratios_reference(x, fx, Y, fY).tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coordinate_ascent_keeps_the_broadcast_bits(n):
+    # signed zeros in the starts meet the +-0.0 entries of the moves; a
+    # per-centre field, as the certificate's slope pass uses
+    gen = np.random.default_rng(30 + n)
+    X = gen.standard_normal((4, n))
+    W = gen.standard_normal((4, n))
+
+    def g(U, owner):
+        return np.abs(U - W[owner]).sum(axis=1) - 0.3 * U[:, 0]
+
+    fx = g(X, np.arange(4))
+    owner = gen.integers(0, 4, 37)
+    Y0 = X[owner] + gen.uniform(-1.0, 1.0, (37, n))
+    Y0[gen.random(Y0.shape) < 0.2] = -0.0
+    h0 = gen.uniform(0.01, 0.5, 37)
+    got = slopes._coordinate_ascent(g, X, fx, owner, Y0, h0)
+    want = _coordinate_ascent_reference(g, X, fx, owner, Y0, h0)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+# ---------------------------------------------------------------------------
 # Invariants.
 
 def test_slope_scales_linearly():
