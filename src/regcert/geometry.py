@@ -58,9 +58,7 @@ _ACTIVE_SET_CHUNK = 1 << 16
 # grows linearly in the rows, plus one check per pair of rows on one axis)
 _MIN_CHUNK_POINTS = 64
 
-GOLDEN_ITERS = 48
 _EPS = np.finfo(float).eps
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -453,42 +451,6 @@ def project_halfspaces(C, rhs, P):
     return Q, empty
 
 
-def golden_start(fn, lo, hi):
-    """Golden-section state on per-row brackets: (a, b, x1, x2, f1, f2)."""
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    return a, b, x1, x2, fn(x1), fn(x2)
-
-
-def golden_step(fn, a, b, x1, x2, f1, f2):
-    """One golden-section step on the state of golden_start, evaluating one
-    new point per row with fn; returns the new state."""
-    left = f1 < f2
-    b = np.where(left, x2, b)
-    a = np.where(left, a, x1)
-    x1_new = np.where(left, b - _INVPHI * (b - a), x2)
-    x2_new = np.where(left, x1, a + _INVPHI * (b - a))
-    fv = fn(np.where(left, x1_new, x2_new))
-    return (a, b, x1_new, x2_new, np.where(left, fv, f2),
-            np.where(left, f1, fv))
-
-
-def golden_min(fn, lo, hi):
-    """Vectorized golden-section minimizer over per-point brackets.
-
-    fn maps abscissae (B,) to values (B,) and must be unimodal on [lo, hi],
-    which holds for the convex sections this is used on.  Fixed iteration
-    count, so identical inputs give identical outputs.  Returns (argmin, min).
-    """
-    state = golden_start(fn, lo, hi)
-    for _ in range(GOLDEN_ITERS):
-        state = golden_step(fn, *state)
-    _, _, x1, x2, f1, f2 = state
-    return np.where(f1 < f2, x1, x2), np.minimum(f1, f2)
-
-
 # ---------------------------------------------------------------------------
 # Set variants.
 
@@ -622,9 +584,9 @@ class DirectionalCone(ConvexSet):
 
     For ||ybar|| < delta the generating ball holds the origin in its interior
     and the union is the whole space, which recovers the undirected case.
-    The distance section g(lam) = ||p - lam ybar|| - lam delta is convex, so
-    a golden-section search over lam >= 0 finds its minimum; the distance is
-    the positive part of that minimum.
+    Otherwise its closure is a revolution cone around ybar (the origin alone
+    where ybar = 0), whose projection has a closed form; the distance is the
+    one ConvexSet derives from that projection.
     """
 
     def __init__(self, ybar, delta):
@@ -644,28 +606,10 @@ class DirectionalCone(ConvexSet):
     def whole_space(self) -> bool:
         return float(np.linalg.norm(self.ybar)) < self.delta
 
-    def _lam_max(self, norms: np.ndarray) -> np.ndarray:
-        denom = max(float(np.linalg.norm(self.ybar)) - self.delta, 1e-12)
-        return 10.0 * (norms + 1.0) / denom
-
-    def _best_lambda(self, P: np.ndarray):
-        P = _rows(P)
-
-        def g(lams):
-            diff = P - lams[:, None] * self.ybar[None, :]
-            return np.linalg.norm(diff, axis=1) - lams * self.delta
-
-        lam, val = golden_min(g, np.zeros(P.shape[0]),
-                              self._lam_max(np.linalg.norm(P, axis=1)))
-        at_zero = g(np.zeros(P.shape[0]))
-        pick0 = at_zero <= val
-        return np.where(pick0, 0.0, lam), np.where(pick0, at_zero, val)
-
     def project_batch(self, P: np.ndarray) -> np.ndarray:
         # The union of balls is the revolution cone {z : <z, u> >= ||z|| cos t}
         # around u = ybar/||ybar|| with sin t = delta/||ybar||, so projection
-        # splits into axis and radial components with a closed form; the
-        # golden-section distance route above stays as the independent check.
+        # splits into axis and radial components with a closed form.
         P = _rows(P)
         if self.whole_space:
             return P.copy()
@@ -687,13 +631,6 @@ class DirectionalCone(ConvexSet):
             vhat = perp[edge] / t[edge, None]
             Q[edge] = s[edge, None] * (cos_t * u[None, :] + sin_t * vhat)
         return Q
-
-    def distance_batch(self, P: np.ndarray) -> np.ndarray:
-        P = _rows(P)
-        if self.whole_space:
-            return np.zeros(P.shape[0])
-        _, val = self._best_lambda(P)
-        return np.maximum(val, 0.0)
 
 
 class ProductSet(ConvexSet):

@@ -41,20 +41,32 @@ leading axis, so every min, max and sum over them is an elementwise chain
 over (face, row) slabs; the sums round as np.sum rounds them over a last
 axis (_coord_sum).  The ratio test holds a row within _FACE_FEAS = 1e-12
 times the size of its terms, or rounding fails every face of opposite
-rows; the value can fall below the distance by about as much.  Every
-other K runs a golden-section search on [0, _lam_max] (_golden_values),
-where phi is convex (Rockafellar, Convex Analysis, sec. 24), so the
-bracket keeps a minimizer, and (|ybar| + delta)-Lipschitz, so best -
-(|ybar| + delta) * width bounds the minimum.
+rows; the value can fall below the distance by about as much.  The size
+takes lam up to lam_hi = 10 (1 + |c|) / (|ybar| - delta), with the gap
+read as at least 1e-3 |ybar|, so that a cone near a half-space does not
+let in rows far outside K.
 
-The margin, 1e-6 (1 + |c| + lam_max (|ybar| + delta)), covers that
-tolerance and an evaluation error of phi up to about 1e-7 times that size
-on every route of a polyhedral projection (Dykstra stops within
-DYKSTRA_TOL = 1e-10; the tests hold least-distance points to 1e-7).
-_member_mask admits a row whose value is <= tol, rejects one whose value
-exceeds tol + margin, and lets the alternating route decide the rows
-between.  The envelope reads value <= tol and value <= reach straight from
-the kernel.
+Every other K runs a golden-section search (_golden_values).  phi is
+convex (Rockafellar, Convex Analysis, sec. 24), so a row whose phi(2 hi)
+is not below phi(hi) has a minimizer in [0, 2 hi].  From hi = lam_hi the
+bracket doubles while phi still falls and the row's least value is above
+0, at most 40 times, and 48 golden-section steps (Kiefer, Sequential
+minimax search for a maximum, 1953) then run on every row.  They leave a
+bracket under 2e-10 hi wide, so the least value seen exceeds the minimum
+by less than 2e-10 hi (|ybar| + delta), as phi is (|ybar| + delta)-
+Lipschitz.
+
+The margin, 1e-6 (1 + |c| + hi (|ybar| + delta)), covers the face
+kernel's tolerance, the search's shortfall and an evaluation error of phi
+up to about 1e-7 times that size on every route of a polyhedral
+projection (Dykstra stops within DYKSTRA_TOL = 1e-10; the tests hold
+least-distance points to 1e-7).  hi is lam_hi but where the bracket grew;
+the search reaches 2 hi, whose twice larger error the tenfold factor
+covers.  A row still falling at the last doubling has no proven bracket
+and gets margin +inf.  _member_mask admits a row whose value is <= tol,
+rejects one whose value exceeds tol + margin, and lets the alternating
+route decide the rows between.  The envelope reads value <= tol and value
+<= reach straight from the kernel.
 """
 
 from __future__ import annotations
@@ -67,7 +79,6 @@ import numpy as np
 from . import rng
 from .errors import DimensionMismatch, NotPolyhedral
 from .geometry import (
-    GOLDEN_ITERS,
     TOL_FEAS,
     TOL_MEMBER,
     Ball,
@@ -81,14 +92,21 @@ from .geometry import (
     # checks that tracing patches this name in multimap too
     dykstra_halfspaces,  # noqa: F401
     face_table,
-    golden_start,
-    golden_step,
     project_halfspaces,
     row_matmul,
 )
 
 _ALTERNATION_CAP = 120
 _MEMBER_MARGIN = 1e-6
+# lam_hi's |ybar| - delta is read as at least this share of |ybar|, so that
+# a cone near a half-space does not swell the size terms lam_hi scales
+_GAP_FLOOR = 1e-3
+# the golden bracket's doublings: past 2^40 lam_hi the points c + lam ybar
+# have norms above 1e13 (1 + |c|), where one rounding of phi exceeds
+# 1e-3 (1 + |c|)
+_BRACKET_DOUBLINGS = 40
+GOLDEN_ITERS = 48
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 # the ratio test's feasibility tolerance, relative to the size of its terms
 _FACE_FEAS = 1e-12
 # (row, face, column) entries of one pass of the face kernel, which bound
@@ -767,12 +785,12 @@ def _damped_gauss_newton(F: MultiMap, Y: np.ndarray, U0: np.ndarray,
 # Directional membership: is y in F(x) + cone(B(ybar, delta))?
 
 def _membership_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
-                       dc: DirectionalCone, cuts: tuple = ()):
+                       dc: DirectionalCone):
     """Membership values of the rows c = f(x) - y: (Cres, values, margin).
 
-    The golden-section route ends a row once the bit value <= t is settled
-    for every cut t.  On a whole-space cone the value is 0 (+inf for an
-    empty K) and Cres is None.
+    On a whole-space cone the value is 0 (+inf for an empty K) and Cres is
+    None.  A row whose golden bracket still falls at its last doubling gets
+    margin +inf.
     """
     Cres = F.f.eval_batch(np.asarray(X, float)) - np.asarray(Y, float)
     B = Cres.shape[0]
@@ -780,17 +798,26 @@ def _membership_search(F: MultiMap, X: np.ndarray, Y: np.ndarray,
         return None, np.full(B, np.inf if _is_empty(F.K) else 0.0), np.zeros(B)
     c_norm = np.linalg.norm(Cres, axis=1)
     y_norm = np.linalg.norm(dc.ybar)
-    lam_hi = dc._lam_max(c_norm)
-    margin = _MEMBER_MARGIN * (1.0 + c_norm + lam_hi * (y_norm + dc.delta))
+    lam_hi = _lam_hi(dc, c_norm)
     Kp = as_polyhedron(F.K)
     faces = None if Kp is None else _face_data(
         Kp.C.shape, Kp.C.tobytes(), Kp.d.tobytes(), dc.ybar.tobytes(),
         dc.delta)
     if faces is None:
-        vals = _golden_values(F.K, Cres, dc, lam_hi, margin, cuts)
+        vals, hi = _golden_values(F.K, Cres, dc, lam_hi)
     else:
         vals = _face_values(faces, Cres, dc, lam_hi, c_norm, y_norm)
+        hi = lam_hi
+    margin = _MEMBER_MARGIN * (1.0 + c_norm + hi * (y_norm + dc.delta))
     return Cres, vals, margin
+
+
+def _lam_hi(dc: DirectionalCone, c_norm: np.ndarray) -> np.ndarray:
+    """10 (|c| + 1) / (|ybar| - delta) per row, the gap read as at least
+    _GAP_FLOOR |ybar| (and 1e-12, for ybar = 0, where phi is constant)."""
+    y_norm = float(np.linalg.norm(dc.ybar))
+    gap = max(y_norm - dc.delta, _GAP_FLOOR * y_norm, 1e-12)
+    return 10.0 * (c_norm + 1.0) / gap
 
 
 def _is_empty(K: ConvexSet) -> bool:
@@ -893,37 +920,51 @@ def _face_values(faces: tuple, Cres: np.ndarray, dc: DirectionalCone,
 
 
 def _golden_values(K: ConvexSet, Cres: np.ndarray, dc: DirectionalCone,
-                   lam_hi: np.ndarray, margin: np.ndarray,
-                   cuts: tuple) -> np.ndarray:
-    """[min over lam in [0, lam_hi] of phi]+ per row c of Cres, by golden
-    section (geometry.golden_step), phi(0) included.  A row leaves once,
-    for every cut t, its best value is <= t or its bound exceeds t +
-    margin, and keeps its best value, which gives those bits.
-    """
-    lip = float(np.linalg.norm(dc.ybar)) + dc.delta
+                   lam_hi: np.ndarray):
+    """[min over lam >= 0 of phi]+ per row c of Cres, and each row's hi.
 
-    def phi(lam, rows):
+    phi is convex, so once phi(2 hi) >= phi(hi) a minimizer lies in
+    [0, 2 hi].  From hi = lam_hi a row doubles hi while phi(2 hi) < phi(hi)
+    and its least value is above 0, at most _BRACKET_DOUBLINGS times, and
+    GOLDEN_ITERS golden-section steps (Kiefer, 1953) then run on [0, 2 hi]
+    of every row.  The value is the least phi seen, phi(0) included, so it
+    bounds the minimum from above.  A row still falling after the last
+    doubling has no proven bracket; its hi is returned as +inf.
+    """
+    def phi(lam, rows=slice(None)):
         pts = Cres[rows] + lam[:, None] * dc.ybar[None, :]
         return K.distance_batch(pts) - lam * dc.delta
 
     B = Cres.shape[0]
-    live = np.arange(B)
-    S = np.array(golden_start(lambda lam: phi(lam, live), np.zeros(B),
-                              lam_hi))
-    best = np.minimum(phi(np.zeros(B), live), S[4:].min(axis=0))
+    hi = np.array(lam_hi, dtype=float)
+    f_hi = phi(hi)
+    best = np.minimum(phi(np.zeros(B)), f_hi)
+    grow = np.flatnonzero(best > 0.0)
+    for _ in range(_BRACKET_DOUBLINGS):
+        if not grow.size:
+            break
+        f2 = phi(2.0 * hi[grow], grow)
+        best[grow] = np.minimum(best[grow], f2)
+        falling = f2 < f_hi[grow]
+        grow, f2 = grow[falling], f2[falling]
+        hi[grow] *= 2.0
+        f_hi[grow] = f2
+        grow = grow[best[grow] > 0.0]
+    a, b = np.zeros(B), 2.0 * hi
+    x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    f1, f2 = phi(x1), phi(x2)
+    best = np.minimum(best, np.minimum(f1, f2))
     for _ in range(GOLDEN_ITERS):
-        if cuts:
-            v = best[live]
-            lower = v - lip * (S[1, live] - S[0, live])
-            open_ = np.zeros(live.size, dtype=bool)
-            for t in cuts:
-                open_ |= (v > t) & (lower <= t + margin[live])
-            live = live[open_]
-            if not live.size:
-                break
-        S[:, live] = golden_step(lambda lam: phi(lam, live), *S[:, live])
-        best[live] = np.minimum(best[live], S[4:, live].min(axis=0))
-    return np.maximum(best, 0.0)
+        left = f1 < f2
+        b = np.where(left, x2, b)
+        a = np.where(left, a, x1)
+        x1, x2 = (np.where(left, b - _INVPHI * (b - a), x2),
+                  np.where(left, x1, a + _INVPHI * (b - a)))
+        fv = phi(np.where(left, x1, x2))
+        f1, f2 = np.where(left, fv, f2), np.where(left, f1, fv)
+        best = np.minimum(best, fv)
+    hi[grow] = np.inf
+    return np.maximum(best, 0.0), hi
 
 
 def _alternate(K: ConvexSet, Cres: np.ndarray,
@@ -957,9 +998,9 @@ def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
                       dc: DirectionalCone):
     """min over z in the cone of d(K, f(x) - y + z), batched.
 
-    Returns (values, certified): the smaller of the kernel's value (no cut)
-    and the alternating route's, certified where they agree.  The decision
-    tests hold _member_mask to it.
+    Returns (values, certified): the smaller of the kernel's value and the
+    alternating route's, certified where they agree.  The decision tests
+    hold _member_mask to it.
     """
     Cres, v_kernel, _ = _membership_search(F, X, Y, dc)
     # _alternate projects onto K, which an empty K cannot do; the kernel
@@ -974,11 +1015,11 @@ def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
 
 def _member_mask(F: MultiMap, X: np.ndarray, Y: np.ndarray,
                  dc: DirectionalCone, tol: float) -> np.ndarray:
-    """The decision value <= tol per row: the kernel's value (cut at tol)
-    admits at tol and rejects above tol + margin, and the alternating route
-    decides the rows between.  Row-independent, as both routes are.
+    """The decision value <= tol per row: the kernel's value admits at tol
+    and rejects above tol + margin, and the alternating route decides the
+    rows between.  Row-independent, as both routes are.
     """
-    Cres, vals, margin = _membership_search(F, X, Y, dc, (tol,))
+    Cres, vals, margin = _membership_search(F, X, Y, dc)
     member = vals <= tol
     open_ = ~member & (vals - margin <= tol)
     if open_.any():
@@ -1006,8 +1047,8 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
     the y of the row it probes.  Points whose membership residual already
     exceeds what a tol-step could close are rejected without probing.
     The bits value <= tol and value <= reach come straight from the
-    membership kernel (_membership_search, cut at both on the rows of X
-    and at tol on the probes).
+    membership kernel (_membership_search), on the rows of X and on the
+    probes alike.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(y, dtype=float)
@@ -1025,7 +1066,7 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
             np.stack([X.min(axis=0) - tol, X.max(axis=0) + tol], axis=1)
         )
     reach = tol * (1.0 + lipschitz) * 1.001
-    _, vals, _ = _membership_search(F, X, Y, dc, (tol, reach))
+    _, vals, _ = _membership_search(F, X, Y, dc)
     member = vals <= tol
     shell = (~member) & (vals <= reach)
     if np.any(shell):
@@ -1035,7 +1076,7 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
         idx = np.where(shell)[0]
         P = (X[idx][:, None, :] + offs[None, :, :]).reshape(-1, F.dim_in)
         Yp = np.repeat(Y[idx], offs.shape[0], axis=0)
-        _, pv, _ = _membership_search(F, P, Yp, dc, (tol,))
+        _, pv, _ = _membership_search(F, P, Yp, dc)
         member[idx] = np.any(pv.reshape(idx.size, -1) <= tol, axis=1)
     out = np.full(X.shape[0], np.inf)
     if np.any(member):

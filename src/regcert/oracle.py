@@ -61,6 +61,9 @@ _FACE_SINGULAR = 1e-6
 _MAX_FACE_SETS = 1_000
 _POOL_ROUNDS = 7
 _POOL_CENTERS = 96
+# re-sweeps of a membership row whose least value sits at its last scale,
+# each over twice the scales of the one before
+_SWEEP_DOUBLINGS = 40
 
 
 class Grid:
@@ -507,13 +510,16 @@ def _oracle_membership(F: MultiMap, diff: np.ndarray, ybar: np.ndarray,
                        delta: float) -> np.ndarray:
     """min over a dense scale grid of [d_K(diff + s*ybar) - s*delta]+.
 
-    diff rows are f(u) - v.  One zoom round around the coarse argmin keeps
-    boundary classification honest at lattice tolerances.  Rows run in
-    chunks of _CHUNK_ROWS // 257, each through both stages, so the scale
-    grids and their values stay within the row budget; each stage
-    evaluates every (row, scale) pair of its chunk stacked, with the same
-    elementwise arithmetic as a per-scale loop, so each row's value is
-    what it would be alone.
+    diff rows are f(u) - v.  The grid runs over 0 and 256 geometric scales
+    up to hi = 10 (|diff| + 1) / (|ybar| - delta).  A row whose least
+    value is positive and sits at the last scale doubles hi and sweeps
+    again, at most _SWEEP_DOUBLINGS times.  One zoom round around the
+    coarse argmin keeps boundary classification honest at lattice
+    tolerances.  Rows run in chunks of _CHUNK_ROWS // 257, each through
+    every stage, so the scale grids and their values stay within the row
+    budget; each stage evaluates every (row, scale) pair of its rows
+    stacked, with the same elementwise arithmetic as a per-scale loop, so
+    each row's value is what it would be alone.
     """
     ny = float(np.linalg.norm(ybar))
     base = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 256)])
@@ -527,6 +533,14 @@ def _oracle_membership(F: MultiMap, diff: np.ndarray, ybar: np.ndarray,
         S = base[None, :] * hi[:, None]
         vals = _scale_sweep(F.K, d, ybar, delta, S)
         arg = np.argmin(vals, axis=1)
+        redo = r
+        for _ in range(_SWEEP_DOUBLINGS):
+            redo = redo[(arg[redo] == base.size - 1) & (vals[redo, -1] > 0.0)]
+            if not redo.size:
+                break
+            S[redo] *= 2.0
+            vals[redo] = _scale_sweep(F.K, d[redo], ybar, delta, S[redo])
+            arg[redo] = np.argmin(vals[redo], axis=1)
         best = vals[r, arg]
         lo_s = S[r, np.maximum(arg - 1, 0)]
         hi_s = S[r, np.minimum(arg + 1, S.shape[1] - 1)]

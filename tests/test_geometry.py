@@ -16,8 +16,7 @@ from regcert import (Ball, DirectionalCone, EmptySet, Polyhedron, ProductSet,
                      project_onto_generated_cone, solve_lp)
 from regcert import geometry
 from regcert.geometry import (DYKSTRA_TOL, TOL_ACTIVE, TOL_FEAS,
-                              dykstra_halfspaces, golden_min,
-                              project_halfspaces)
+                              dykstra_halfspaces, project_halfspaces)
 from regcert.multimap import as_polyhedron
 
 
@@ -426,48 +425,6 @@ def test_active_set_pass_matches_the_broadcast_reference(seed, dim, rows,
     assert np.ascontiguousarray(Q[exact]).tobytes() == want[exact].tobytes()
 
 
-def test_golden_min_on_parabola():
-    arg, val = golden_min(lambda t: (t - 0.7) ** 2 + 0.25, 0.0, 5.0)
-    assert arg == pytest.approx(0.7, abs=1e-6)
-    assert val == pytest.approx(0.25, abs=1e-9)
-
-
-def reference_golden_min(fn, lo, hi):
-    """golden_min as one loop, before its steps were split out
-    (golden_start, golden_step): the reference for its bits."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(48):
-        left = f1 < f2
-        b = np.where(left, x2, b)
-        a = np.where(left, a, x1)
-        x1_new = np.where(left, b - invphi * (b - a), x2)
-        x2_new = np.where(left, x1, a + invphi * (b - a))
-        fv = fn(np.where(left, x1_new, x2_new))
-        f1, f2 = np.where(left, fv, f2), np.where(left, f1, fv)
-        x1, x2 = x1_new, x2_new
-    return np.where(f1 < f2, x1, x2), np.minimum(f1, f2)
-
-
-def test_golden_steps_keep_the_loop_bits():
-    gen = np.random.default_rng(3)
-    P = gen.standard_normal((50, 3))
-    dc = DirectionalCone([1.0, 0.5, -0.2], 0.4)
-    lo, hi = np.zeros(50), dc._lam_max(np.linalg.norm(P, axis=1))
-
-    def g(lam):
-        return (np.linalg.norm(P - lam[:, None] * dc.ybar, axis=1)
-                - lam * dc.delta)
-
-    for got, want in zip(golden_min(g, lo, hi),
-                         reference_golden_min(g, lo, hi)):
-        assert got.tobytes() == want.tobytes()
-
-
 # ---------------------------------------------------------------------------
 # Face tables.
 
@@ -741,8 +698,37 @@ def test_projection_distance_consistent():
 
 
 # ---------------------------------------------------------------------------
-# Direction cones: the closed-form projection against the independent
+# Direction cones: the closed-form projection against an independent
 # golden-section distance.
+
+def reference_golden_cone_distance(dc, P):
+    """The cone distance the closed-form projection replaced: the least of
+    g(lam) = |p - lam ybar| - lam delta over lam >= 0 by 48 golden-section
+    steps on [0, 10 (|p| + 1) / (|ybar| - delta)], or g(0), and its
+    positive part."""
+    def g(lam):
+        return (np.linalg.norm(P - lam[:, None] * dc.ybar[None, :], axis=1)
+                - lam * dc.delta)
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    gap = max(float(np.linalg.norm(dc.ybar)) - dc.delta, 1e-12)
+    a = np.zeros(P.shape[0])
+    b = 10.0 * (np.linalg.norm(P, axis=1) + 1.0) / gap
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = g(x1), g(x2)
+    for _ in range(48):
+        left = f1 < f2
+        b = np.where(left, x2, b)
+        a = np.where(left, a, x1)
+        x1_new = np.where(left, b - invphi * (b - a), x2)
+        x2_new = np.where(left, x1, a + invphi * (b - a))
+        fv = g(np.where(left, x1_new, x2_new))
+        f1, f2 = np.where(left, fv, f2), np.where(left, f1, fv)
+        x1, x2 = x1_new, x2_new
+    return np.maximum(np.minimum(g(np.zeros(P.shape[0])),
+                                 np.minimum(f1, f2)), 0.0)
+
 
 def test_cone_projection_agrees_with_golden_distance():
     rng = np.random.default_rng(5)
@@ -753,7 +739,8 @@ def test_cone_projection_agrees_with_golden_distance():
     for dc in cones:
         pts = rng.uniform(-3.0, 3.0, size=(400, dc.dim))
         via_proj = np.linalg.norm(pts - dc.project_batch(pts), axis=1)
-        via_golden = dc.distance_batch(pts)
+        assert dc.distance_batch(pts).tobytes() == via_proj.tobytes()
+        via_golden = reference_golden_cone_distance(dc, pts)
         assert np.max(np.abs(via_proj - via_golden)) < 1e-5
         total += len(pts)
     assert total >= 1000

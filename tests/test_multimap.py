@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from regcert.errors import DimensionMismatch, NotPolyhedral
 from regcert.geometry import (
-    GOLDEN_ITERS,
     TOL_MEMBER,
     Ball,
     DirectionalCone,
@@ -788,9 +787,10 @@ def test_membership_dual_routes_agree():
 def _membership_cases():
     """(F, dc) pairs for the decision kernel: the registry's halfplane, a
     skew polyhedron, the skew wedge of tools/rotated_halfplane.json, a K
-    that contains the ray along ybar (phi falls without end), and two K
-    with no polyhedral form, a ball and a product with a ball factor,
-    which take the golden-section route."""
+    that contains the ray along ybar (phi falls without end), a K 10
+    below a cone with |ybar| = delta (a half-space), and two K with no
+    polyhedral form, a ball and a product with a ball factor, which take
+    the golden-section route."""
     gen = np.random.default_rng(2024)
     halfplane_dir = builtin("halfplane_directional")
     wedge = load_problem(str(Path(__file__).resolve().parents[1] / "tools"
@@ -815,6 +815,10 @@ def _membership_cases():
                                                          [1.0, 0.0]]),
                                                np.array([0.0, 1.0]))),
                            DirectionalCone([0.0, 1.0], 0.1)),
+        "ybar_at_delta": (MultiMap(AffineMap(np.eye(2), np.zeros(2)),
+                                   Polyhedron(np.array([[0.0, 1.0]]),
+                                              np.array([-10.0]))),
+                          DirectionalCone([0.0, 1.0], 1.0)),
     }
 
 
@@ -863,15 +867,14 @@ def test_member_mask_is_the_membership_decision(name, seed):
     alternated = []
     alternate = multimap._alternate
     for tol in [TOL_MEMBER, 1e-5, 1e-2, *_band_tolerances(v, margin)]:
+        n = int(np.sum((v > tol) & (v - margin <= tol)))
         alternated.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(multimap, "_alternate", lambda K, C, dc: (
                 alternated.append(C.shape[0]) or alternate(K, C, dc)))
             mask = _member_mask(F, X, Y, dc, tol)
         assert mask.tobytes() == (vals <= tol).tobytes(), tol
-        _, v_cut, m_cut = multimap._membership_search(F, X, Y, dc, (tol,))
-        n_between = int(np.sum((v_cut > tol) & (v_cut - m_cut <= tol)))
-        assert alternated == ([n_between] if n_between else []), tol
+        assert alternated == ([n] if n else []), tol
     if name == "halfplane_directional":
         want = 0.3 * np.sqrt(1.0 - dc.delta ** 2) - 1.4 * dc.delta
         assert v[-1] == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -884,9 +887,8 @@ def test_member_mask_is_the_membership_decision(name, seed):
        st.integers(0, 2 ** 32 - 1))
 @example("product", 0)
 def test_member_mask_is_the_full_search_mask(name, seed):
-    # rows that leave the golden-section search once their cut is settled
-    # take the decisions that the full search (no cut) gives; the exact
-    # route ignores the cut
+    # the mask is the kernel's value read at tol, with the alternating
+    # route's decision on the rows within the margin above it
     F, dc = _membership_cases()[name]
     X, Y = _membership_rows(F, np.random.default_rng(seed), 60)
     Cres, v, margin = multimap._membership_search(F, X, Y, dc)
@@ -899,51 +901,19 @@ def test_member_mask_is_the_full_search_mask(name, seed):
         assert mask.tobytes() == ref.tobytes(), (name, tol)
 
 
-def test_zoom_rounds_run_only_open_rows():
-    # each golden-section step zooms the brackets of the rows still open:
-    # a row leaves once its cut is settled, rows whose c lies in K leave
-    # on phi(0) before any step, and with no cut every row runs every step
-    steps = []
-    step = multimap.golden_step
-
-    def counting(fn, *state):
-        steps.append(state[0].size)
-        return step(fn, *state)
-
-    def run(F, dc, X, Y, cuts):
-        steps.clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(multimap, "golden_step", counting)
-            return multimap._membership_search(F, X, Y, dc, cuts)[1]
-
-    for name in _GOLDEN_CASES:
-        F, dc = _membership_cases()[name]
-        X, Y = _membership_rows(F, np.random.default_rng(5), 60)
-        full = run(F, dc, X, Y, ())
-        assert steps == [60] * GOLDEN_ITERS, name
-        cut = run(F, dc, X, Y, (TOL_MEMBER,))
-        assert steps[0] < 60 and len(steps) <= GOLDEN_ITERS, name
-        assert all(a >= b for a, b in zip(steps, steps[1:])), name
-        assert ((cut <= TOL_MEMBER).tobytes()
-                == (full <= TOL_MEMBER).tobytes()), name
-        inside = F.f.eval_batch(X) - F.K.project_batch(F.f.eval_batch(X) - Y)
-        vals = run(F, dc, X, inside, (TOL_MEMBER,))
-        assert steps == [] and np.all(vals <= TOL_MEMBER), name
-
-
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(sorted(_membership_cases())),
        st.integers(0, 2 ** 32 - 1))
 def test_value_lies_below_phi_and_the_alternating_route(name, seed):
-    # on every case: the value is at most phi on a dense lam grid over the
-    # scale cap plus the margin, the alternating route (an upper bound)
+    # on every case: the value is at most phi on a dense lam grid reaching
+    # 100 lam_hi plus the margin, the alternating route (an upper bound)
     # never falls more than the margin below it, and a nonempty K gives
     # no +inf
     F, dc = _membership_cases()[name]
     X, Y = _membership_rows(F, np.random.default_rng(seed), 40)
     Cres, v, margin = multimap._membership_search(F, X, Y, dc)
-    grid = np.concatenate([[0.0], np.geomspace(1e-7, 1.0, 400)])
-    lam = dc._lam_max(np.linalg.norm(Cres, axis=1))[:, None] * grid
+    grid = np.concatenate([[0.0], np.geomspace(1e-7, 100.0, 500)])
+    lam = multimap._lam_hi(dc, np.linalg.norm(Cres, axis=1))[:, None] * grid
     phi = np.maximum(_phi_grid(F, Cres, dc, lam).min(axis=1), 0.0)
     assert np.all(v <= phi + margin)
     assert np.all(multimap._alternate(F.K, Cres, dc) >= v - margin)
@@ -955,13 +925,16 @@ def test_value_lies_below_phi_and_the_alternating_route(name, seed):
        st.integers(0, 2 ** 32 - 1))
 def test_exact_values_agree_with_the_golden_fallback(name, seed):
     # on polyhedral K the face kernel and the golden-section search (the
-    # route a K without a face table takes) agree within the margin
+    # route a K without a face table takes) agree within the golden
+    # search's margin
     F, dc = _membership_cases()[name]
     X, Y = _membership_rows(F, np.random.default_rng(seed), 40)
-    Cres, exact, margin = multimap._membership_search(F, X, Y, dc)
+    Cres, exact, _ = multimap._membership_search(F, X, Y, dc)
     c_norm = np.linalg.norm(Cres, axis=1)
-    lam_hi = dc._lam_max(c_norm)
-    golden = multimap._golden_values(F.K, Cres, dc, lam_hi, margin, ())
+    golden, hi = multimap._golden_values(F.K, Cres, dc,
+                                         multimap._lam_hi(dc, c_norm))
+    margin = multimap._MEMBER_MARGIN * (
+        1.0 + c_norm + hi * (np.linalg.norm(dc.ybar) + dc.delta))
     assert np.all(np.abs(golden - exact) <= margin)
 
 
@@ -970,24 +943,22 @@ def test_exact_values_agree_with_the_golden_fallback(name, seed):
        st.integers(0, 2 ** 32 - 1))
 def test_membership_rows_are_batch_independent(name, seed):
     # each row, run alone, gets the bits of its value and of its certified
-    # flag that it gets in the batch, of its kernel value with and
-    # without a cut, and of its decision
+    # flag that it gets in the batch, of its kernel value and margin, and
+    # of its decision
     F, dc = _membership_cases()[name]
     gen = np.random.default_rng(seed)
     X, Y = _membership_rows(F, gen, 12)
     vals, certified = membership_values(F, X, Y, dc)
-    kernel = [multimap._membership_search(F, X, Y, dc, cuts)[1]
-              for cuts in ((), (TOL_MEMBER,))]
+    _, kernel, margin = multimap._membership_search(F, X, Y, dc)
     mask = _member_mask(F, X, Y, dc, TOL_MEMBER)
     for i in range(12):
         one = slice(i, i + 1)
         v, c = membership_values(F, X[one], Y[one], dc)
         assert v.tobytes() == vals[one].tobytes(), i
         assert c.tobytes() == certified[one].tobytes(), i
-        for cuts, k in zip(((), (TOL_MEMBER,)), kernel):
-            _, alone, _ = multimap._membership_search(F, X[one], Y[one], dc,
-                                                      cuts)
-            assert alone.tobytes() == k[one].tobytes(), (i, cuts)
+        _, alone, m = multimap._membership_search(F, X[one], Y[one], dc)
+        assert alone.tobytes() == kernel[one].tobytes(), i
+        assert m.tobytes() == margin[one].tobytes(), i
         alone = _member_mask(F, X[one], Y[one], dc, TOL_MEMBER)
         assert alone.tobytes() == mask[one].tobytes(), i
 
@@ -1120,7 +1091,7 @@ def test_face_kernel_keeps_the_reference_bits(m, n, rounded, zero_d,
     if rounded:
         Cres = np.round(Cres)
     c_norm = np.linalg.norm(Cres, axis=1)
-    lam_hi = dc._lam_max(c_norm)
+    lam_hi = multimap._lam_hi(dc, c_norm)
     for points in (multimap._FACE_POINTS, pass_rows * per_row):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(multimap, "_FACE_POINTS", points)
@@ -1148,6 +1119,99 @@ def test_rowless_polyhedron_is_the_whole_space():
         vals, certified = membership_values(F, X, Y, dc)
         assert np.all(vals == 0.0) and np.all(certified), dc
         assert _member_mask(F, X, Y, dc, TOL_MEMBER).all(), dc
+
+
+def _far_round_k(name):
+    """f the identity on R^2, ybar = (1, 0), delta = 0.5, and K around
+    (1000, 0): a ball, a box or a ball times an interval.  c = 0 lies in
+    the tube (lam near 1000 reaches K), far past lam_hi = 20."""
+    K = {"ball": Ball([1000.0, 0.0], 1.0),
+         "box": Polyhedron(np.vstack([np.eye(2), -np.eye(2)]),
+                           np.array([1001.0, 1.0, -999.0, 1.0])),
+         "product": ProductSet([Ball([1000.0], 1.0),
+                                Polyhedron(np.array([[1.0], [-1.0]]),
+                                           np.ones(2))])}[name]
+    return (MultiMap(AffineMap(np.eye(2), np.zeros(2)), K),
+            DirectionalCone([1.0, 0.0], 0.5))
+
+
+@pytest.mark.parametrize("name", ["ball", "box", "product"])
+def test_member_far_along_the_ray_is_admitted(name):
+    # phi still falls at lam_hi = 20 (969 there); the golden bracket
+    # doubles until phi turns or reaches 0, so every route reads 0, admits
+    # and certifies, and the envelope is the image distance
+    F, dc = _far_round_k(name)
+    X, Y = np.zeros((1, 2)), np.zeros((1, 2))
+    _, v, _ = multimap._membership_search(F, X, Y, dc)
+    assert v[0] == 0.0
+    assert _member_mask(F, X, Y, dc, 1e-9)[0]
+    vals, certified = membership_values(F, X, Y, dc)
+    assert vals[0] == 0.0 and certified[0]
+    assert envelope_batch(F, dc, X, Y, 1e-9, 1.0)[0] == pytest.approx(999.0)
+
+
+def test_row_falling_at_the_doubling_cap_goes_to_the_alternating_route(
+        monkeypatch):
+    # with three doublings the ball's bracket ends at lam = 160, phi still
+    # falling: the value is only an upper bound, the margin +inf, and the
+    # alternating route decides the row
+    monkeypatch.setattr(multimap, "_BRACKET_DOUBLINGS", 3)
+    F, dc = _far_round_k("ball")
+    X, Y = np.zeros((1, 2)), np.zeros((1, 2))
+    _, v, margin = multimap._membership_search(F, X, Y, dc)
+    assert v[0] > 100.0 and margin[0] == np.inf
+    alternated = []
+    alternate = multimap._alternate
+    monkeypatch.setattr(multimap, "_alternate", lambda K, C, dc: (
+        alternated.append(C.shape[0]) or alternate(K, C, dc)))
+    assert _member_mask(F, X, Y, dc, 1e-9)[0] and alternated == [1]
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-11])
+def test_half_space_cone_keeps_a_row_10_outside_out(gap):
+    # K = {z2 <= -10} lies 10 below the cone of ybar = (0, 1) and delta =
+    # 1 - gap, a half-space at gap 0: phi = 10 for every lam, so c = 0
+    # reads 10 on every route, and the face kernel's size term does not
+    # grow with 1 / gap
+    F = MultiMap(AffineMap(np.eye(2), np.zeros(2)),
+                 Polyhedron(np.array([[0.0, 1.0]]), np.array([-10.0])))
+    dc = DirectionalCone([0.0, 1.0], 1.0 - gap)
+    X, Y = np.zeros((1, 2)), np.zeros((1, 2))
+    _, v, _ = multimap._membership_search(F, X, Y, dc)
+    assert v[0] == pytest.approx(10.0, rel=1e-9)
+    assert not _member_mask(F, X, Y, dc, 1e-9)[0]
+    vals, certified = membership_values(F, X, Y, dc)
+    assert vals[0] == pytest.approx(10.0, rel=1e-9) and certified[0]
+    assert envelope_batch(F, dc, X, Y, TOL_MEMBER, 1.0)[0] == np.inf
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["ball", "product"]), st.integers(2, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_member_mask_rejects_no_row_the_alternating_route_admits(kind, n,
+                                                                 seed):
+    # a round K up to 10^3.5 out along ybar, mostly past lam_hi: a row
+    # that the alternating route (an upper bound) puts at or below tol is
+    # never rejected
+    gen = np.random.default_rng(seed)
+    ybar = gen.standard_normal(n)
+    y_norm = np.linalg.norm(ybar)
+    dc = DirectionalCone(ybar, gen.uniform(0.05, 0.95) * y_norm)
+    center = (10.0 ** gen.uniform(0.0, 3.5) * ybar / y_norm
+              + gen.standard_normal(n))
+    radius = gen.uniform(0.1, 2.0)
+    if kind == "ball":
+        K = Ball(center, radius)
+    else:
+        box = Polyhedron(np.vstack([np.eye(n - 1), -np.eye(n - 1)]),
+                         np.concatenate([center[1:], -center[1:]]) + radius)
+        K = ProductSet([Ball(center[:1], radius), box])
+    F = MultiMap(AffineMap(np.eye(n), np.zeros(n)), K)
+    X, Y = np.zeros((40, n)), gen.uniform(-3.0, 3.0, (40, n))
+    alt = multimap._alternate(K, F.f.eval_batch(X) - Y, dc)
+    for tol in (1e-9, TOL_MEMBER, 1e-3):
+        mask = _member_mask(F, X, Y, dc, tol)
+        assert not np.any(~mask & (alt <= tol)), tol
 
 
 # ---------------------------------------------------------------------------
@@ -1188,8 +1252,8 @@ def test_envelope_matches_membership_five_hundred_samples(make, dc):
 
 
 def _unscreened_envelope(F, dc, X, Y, tol, lipschitz):
-    """The envelope built from the kernel values with no cut, of every row
-    and every probe.  Returns it with the shell and hit row counts."""
+    """The envelope built from the kernel values of every row and every
+    probe.  Returns it with the shell and hit row counts."""
     _, vals, _ = multimap._membership_search(F, X, Y, dc)
     member = vals <= tol
     out = np.full(X.shape[0], np.inf)
@@ -1219,11 +1283,10 @@ def _envelope_rows(F, gen, rows, tol):
 
 
 def test_screened_envelope_is_the_unscreened_envelope():
-    # the cuts at tol and reach only end the golden-section search of rows
-    # whose two bits are settled, so the envelope keeps every bit of the
-    # one built from uncut values; one y per row.  Across the cases some
-    # rows must reach the shell, and some of those must stay outside
-    # after probing.
+    # the envelope keeps every bit of the one built from the kernel's
+    # values of every row and every probe; one y per row.  Across the
+    # cases some rows must reach the shell, and some of those must stay
+    # outside after probing.
     shells = hits = 0
     for name, (F, dc) in sorted(_membership_cases().items()):
         gen = np.random.default_rng(17)
@@ -1236,30 +1299,6 @@ def test_screened_envelope_is_the_unscreened_envelope():
             shells += n_shell
             hits += n_hit
     assert shells > hits > 0
-
-
-def test_envelope_rows_retire_on_the_shell_threshold():
-    # on the ball case, c = f(x) - y = (-0.5, -2.2) has membership value
-    # ~0.165, far above the shell radius reach ~2.5e-3 at tol 1e-3.  Its
-    # golden-section search ends once its bound exceeds both cuts, long
-    # before the last step, it runs no probe, and its envelope value is
-    # +inf
-    F, dc = _membership_cases()["ball"]
-    X, Y = np.zeros((1, 2)), np.array([[0.5, 2.2]])
-    tol, lip = 1e-3, 1.5
-    reach = tol * (1.0 + lip) * 1.001
-    _, full, _ = multimap._membership_search(F, X, Y, dc)
-    assert full[0] > 0.1
-    steps, searches = [], []
-    step, search = multimap.golden_step, multimap._membership_search
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multimap, "golden_step",
-                   lambda fn, *s: steps.append(1) or step(fn, *s))
-        mp.setattr(multimap, "_membership_search",
-                   lambda *a: searches.append(a[-1]) or search(*a))
-        env = envelope_batch(F, dc, X, Y, tol, lip)
-    assert 0 < len(steps) < GOLDEN_ITERS // 2
-    assert searches == [(tol, reach)] and env[0] == np.inf
 
 
 @settings(max_examples=8, deadline=None)

@@ -435,6 +435,33 @@ def test_oracle_membership_splits_large_batches(monkeypatch):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("name", ["ball", "box", "product"])
+def test_oracle_membership_sweeps_past_the_last_scale(name, monkeypatch):
+    # K around (1000, 0), ybar = (1, 0), delta = 0.5, diff = 0: the first
+    # sweep ends at hi = 20 with phi still falling (969 there); the scan
+    # doubles hi and sweeps again until the tube reaches K at value 0.
+    # With two doublings it stops short, at a positive upper bound.
+    K = {"ball": Ball(np.array([1000.0, 0.0]), 1.0),
+         "box": Polyhedron(np.vstack([np.eye(2), -np.eye(2)]),
+                           np.array([1001.0, 1.0, -999.0, 1.0])),
+         "product": ProductSet((Ball(np.array([1000.0]), 1.0),
+                                Polyhedron(np.array([[1.0], [-1.0]]),
+                                           np.ones(2))))}[name]
+    ybar = np.array([1.0, 0.0])
+    assert _oracle_membership(_onto(K), np.zeros((1, 2)), ybar, 0.5)[0] == 0.0
+    monkeypatch.setattr(oracle, "_SWEEP_DOUBLINGS", 2)
+    assert _oracle_membership(_onto(K), np.zeros((1, 2)), ybar, 0.5)[0] > 0.0
+
+
+def test_oracle_membership_on_a_half_space_cone():
+    # ybar = (0, 1), delta = 1: the cone is a half-space, and K = {z2 <=
+    # -10} lies 10 below it at every scale
+    K = Polyhedron(np.array([[0.0, 1.0]]), np.array([-10.0]))
+    got = _oracle_membership(_onto(K), np.zeros((1, 2)), np.array([0.0, 1.0]),
+                             1.0)
+    assert got[0] == pytest.approx(10.0, rel=1e-9)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_nearest_matches_broadcast_norm(n):
     # lattice points with exact ties, every point twice so equal rows sit

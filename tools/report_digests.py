@@ -25,9 +25,9 @@ PROBLEMS = tuple(
     Path(__file__).resolve().parent / name
     for name in ("rotated_halfplane.json", "round_k.json",
                  "ball_halfline.json", "robinson_4d.json",
-                 "skew_foot_4d.json", "skew_wedge.json"))
+                 "skew_foot_4d.json", "skew_wedge.json", "ball_cone.json"))
 (PROBLEM, ROUND_K, BALL_HALFLINE, ROBINSON_4D, SKEW_FOOT_4D,
- SKEW_WEDGE) = PROBLEMS
+ SKEW_WEDGE, BALL_CONE) = PROBLEMS
 
 INSTANCES = ("diag_2_05", "halfplane_directional", "hoffman_2d", "identity2",
              "parabola_eb", "param_scale")
@@ -122,6 +122,10 @@ COMMANDS = (
         (["slope", BALL_HALFLINE.name, "--tau", "2", "--n-points", "6",
           "--slope-budget", "100", "--tol", "1e-3", "--seed", "3"],
          "report.json"),
+        # a plain ball with a direction: the golden-section route on a K
+        # with no polyhedral factor, through the modulus and the slope
+        # envelope
+        (["analyze", BALL_CONE.name, "--seed", "3"], "report.json"),
         # an affine map of rank 2 in R^4 into a skew polyhedron with six
         # rows: an interiority LP of 34 columns and 116 rows, larger than
         # any registry one (10 columns), whose simplex takes 22 pivots
