@@ -65,8 +65,8 @@ the search reaches 2 hi, whose twice larger error the tenfold factor
 covers.  A row still falling at the last doubling has no proven bracket
 and gets margin +inf.  _member_mask admits a row whose value is <= tol,
 rejects one whose value exceeds tol + margin, and lets the alternating
-route decide the rows between.  The envelope reads value <= tol and value
-<= reach straight from the kernel.
+route decide the rows between; the envelope decides its rows and its
+closure probes the same way.
 """
 
 from __future__ import annotations
@@ -745,10 +745,10 @@ def _damped_gauss_newton(F: MultiMap, Y: np.ndarray, U0: np.ndarray,
     """Damped Gauss-Newton toward f(u) - y in K, one row per start.
 
     Each row is clipped to its own [lo, hi], takes the least-squares step of
-    its jacobian (the pseudoinverse with lstsq's cutoff) and backtracks by
-    halving until the residual norm falls below rn (1 - 1e-4 t).  A row
-    retires when it converges or no trial decreases.  Returns
-    (U, converged).
+    its jacobian (the pseudoinverse with lstsq's cutoff, in closed form for a
+    1x1 jacobian: _gauss_newton_step) and backtracks by halving until the
+    residual norm falls below rn (1 - 1e-4 t).  A row retires when it
+    converges or no trial decreases.  Returns (U, converged).
     """
     U = np.clip(U0, lo, hi)
     R = _residual(F, U, Y)
@@ -759,9 +759,8 @@ def _damped_gauss_newton(F: MultiMap, Y: np.ndarray, U0: np.ndarray,
         active = active[rn[active] > _GN_TOL]
         if active.size == 0:
             break
-        J = F.f.jacobian_batch(U[active])
-        step = -(np.linalg.pinv(J, rcond=rcond)
-                 @ R[active][:, :, None])[..., 0]
+        step = _gauss_newton_step(F.f.jacobian_batch(U[active]), R[active],
+                                  rcond)
         improved = np.zeros(active.size, dtype=bool)
         trying = np.arange(active.size)
         t = 1.0
@@ -779,6 +778,29 @@ def _damped_gauss_newton(F: MultiMap, Y: np.ndarray, U0: np.ndarray,
             t *= 0.5
         active = active[improved]
     return U, rn <= _GN_TOL
+
+
+def _gauss_newton_step(J: np.ndarray, R: np.ndarray,
+                       rcond: float) -> np.ndarray:
+    """-pinv(J) r per row, for jacobians J (B, m, n) and residuals R (B, m).
+
+    A 1x1 jacobian a takes pinv's arithmetic in closed form: 1 / a where |a|
+    > rcond |a| (so +0 for a = +-0 and +-inf), times r added to +0.0 as
+    matmul sums its one product.  That is pinv's value bit for bit while
+    LAPACK's SVD does not rescale a, |a| in about [2^-459, 2^459]; beyond,
+    the SVD's 1 / |a| may be 2 ulps off the correctly rounded one.  Larger
+    jacobians keep pinv: a 2x2 closed form rounds otherwise, and calling the
+    SVD directly saves little.
+    """
+    if J.shape[1:] == (1, 1):
+        a = J[:, 0, 0]
+        if np.isnan(a).any():
+            # as LAPACK's SVD fails on a NaN entry
+            raise np.linalg.LinAlgError("SVD did not converge")
+        inv = np.divide(1.0, a, out=np.zeros_like(a),
+                        where=np.abs(a) > rcond * np.abs(a))
+        return -(inv * R[:, 0] + 0.0)[:, None]
+    return -(np.linalg.pinv(J, rcond=rcond) @ R[:, :, None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -1015,15 +1037,21 @@ def membership_values(F: MultiMap, X: np.ndarray, Y: np.ndarray,
 
 def _member_mask(F: MultiMap, X: np.ndarray, Y: np.ndarray,
                  dc: DirectionalCone, tol: float) -> np.ndarray:
-    """The decision value <= tol per row: the kernel's value admits at tol
-    and rejects above tol + margin, and the alternating route decides the
-    rows between.  Row-independent, as both routes are.
+    """The decision value <= tol per row (_decide on the kernel's values)."""
+    return _decide(F.K, dc, *_membership_search(F, X, Y, dc), tol)
+
+
+def _decide(K: ConvexSet, dc: DirectionalCone, Cres, vals: np.ndarray,
+            margin: np.ndarray, tol: float) -> np.ndarray:
+    """The decision value <= tol from _membership_search's output: the
+    kernel's value admits at tol and rejects above tol + margin, and the
+    alternating route decides the rows between.  Row-independent, as both
+    routes are.
     """
-    Cres, vals, margin = _membership_search(F, X, Y, dc)
     member = vals <= tol
     open_ = ~member & (vals - margin <= tol)
     if open_.any():
-        member[open_] = _alternate(F.K, Cres[open_], dc) <= tol
+        member[open_] = _alternate(K, Cres[open_], dc) <= tol
     return member
 
 
@@ -1046,9 +1074,9 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
     closure probe: 32 directions at radii tol * 2^-k, k = 0..4, each with
     the y of the row it probes.  Points whose membership residual already
     exceeds what a tol-step could close are rejected without probing.
-    The bits value <= tol and value <= reach come straight from the
-    membership kernel (_membership_search), on the rows of X and on the
-    probes alike.
+    Membership is decided as _member_mask decides it (_decide), on the
+    rows of X and on the probes alike; the shell is the rejected rows
+    whose kernel value is <= reach.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(y, dtype=float)
@@ -1066,9 +1094,9 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
             np.stack([X.min(axis=0) - tol, X.max(axis=0) + tol], axis=1)
         )
     reach = tol * (1.0 + lipschitz) * 1.001
-    _, vals, _ = _membership_search(F, X, Y, dc)
-    member = vals <= tol
-    shell = (~member) & (vals <= reach)
+    Cres, vals, margin = _membership_search(F, X, Y, dc)
+    member = _decide(F.K, dc, Cres, vals, margin, tol)
+    shell = ~member & (vals <= reach)
     if np.any(shell):
         dirs = _probe_directions(F.dim_in)
         radii = tol * 0.5 ** np.arange(5)
@@ -1076,8 +1104,8 @@ def envelope_batch(F: MultiMap, dc: DirectionalCone | None, X: np.ndarray,
         idx = np.where(shell)[0]
         P = (X[idx][:, None, :] + offs[None, :, :]).reshape(-1, F.dim_in)
         Yp = np.repeat(Y[idx], offs.shape[0], axis=0)
-        _, pv, _ = _membership_search(F, P, Yp, dc)
-        member[idx] = np.any(pv.reshape(idx.size, -1) <= tol, axis=1)
+        member[idx] = _member_mask(F, P, Yp, dc, tol).reshape(
+            idx.size, -1).any(axis=1)
     out = np.full(X.shape[0], np.inf)
     if np.any(member):
         out[member] = image_distance_batch(F, X[member], Y[member])

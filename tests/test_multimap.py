@@ -361,6 +361,66 @@ def test_gauss_newton_batch_matches_the_scalar_reference():
             assert np.allclose(batch, ref, rtol=0, atol=1e-12)
 
 
+def _pinv_step(J, R, rcond):
+    """Reference: the step as _damped_gauss_newton took it before the 1x1
+    closed form, through np.linalg.pinv."""
+    return -(np.linalg.pinv(J, rcond=rcond) @ R[:, :, None])[..., 0]
+
+
+_EPS = np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]),
+                          st.floats(1.0, 2.0, exclude_max=True),
+                          st.integers(-400, 400),
+                          st.floats(-1e100, 1e100)),
+                min_size=1, max_size=8))
+@example([(1.0, 1.5, 0, -0.0), (-1.0, 1.0, -400, 0.0),
+          (-1.0, 1.25, 400, -3.0)])
+def test_scalar_gauss_newton_step_is_pinv_bit_for_bit(rows):
+    # |a| in [2^-400, 2^401), inside the range where LAPACK's SVD does not
+    # rescale a 1x1 matrix, so pinv's 1 / |a| is the correctly rounded one;
+    # a product of -0 is summed to +0, as matmul sums it
+    a = np.array([s * np.ldexp(m, e) for s, m, e, _ in rows])
+    R = np.array([[r] for *_, r in rows])
+    step = multimap._gauss_newton_step(a[:, None, None], R, _EPS)
+    assert step.tobytes() == _pinv_step(a[:, None, None], R, _EPS).tobytes()
+
+
+@pytest.mark.parametrize("a", [0.0, -0.0, np.inf, -np.inf])
+def test_scalar_gauss_newton_step_of_a_zero_or_infinite_jacobian(a):
+    # pinv's cutoff drops the singular value: the inverse is +0, and the
+    # step is -(+0 r + 0) whatever the sign of r
+    R = np.array([[1.5], [-1.5], [0.0], [-0.0]])
+    J = np.full((4, 1, 1), a)
+    step = multimap._gauss_newton_step(J, R, _EPS)
+    assert step.tobytes() == _pinv_step(J, R, _EPS).tobytes()
+    assert step.tobytes() == np.full((4, 1), -0.0).tobytes()
+
+
+def test_scalar_gauss_newton_step_raises_on_a_nan_jacobian():
+    J, R = np.array([[[2.0]], [[np.nan]]]), np.ones((2, 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        _pinv_step(J, R, _EPS)
+    with pytest.raises(np.linalg.LinAlgError):
+        multimap._gauss_newton_step(J, R, _EPS)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 2)])
+def test_larger_gauss_newton_steps_go_through_pinv(shape, monkeypatch):
+    gen = np.random.default_rng(5)
+    J = gen.standard_normal((6, *shape))
+    R = gen.standard_normal((6, shape[0]))
+    want = _pinv_step(J, R, 2 * _EPS)
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda *args, **kw: (
+        calls.append(1) or pinv(*args, **kw)))
+    step = multimap._gauss_newton_step(J, R, 2 * _EPS)
+    assert calls == [1] and step.tobytes() == want.tobytes()
+
+
 def _gauss_newton_maps():
     round_K = MultiMap(PolynomialMap(2, [
         [(1.0, (2, 0)), (1.0, (0, 2)), (-1.0, (0, 0))],
@@ -1154,7 +1214,8 @@ def test_row_falling_at_the_doubling_cap_goes_to_the_alternating_route(
         monkeypatch):
     # with three doublings the ball's bracket ends at lam = 160, phi still
     # falling: the value is only an upper bound, the margin +inf, and the
-    # alternating route decides the row
+    # alternating route decides the row, in the envelope too, whose value
+    # is then the image distance
     monkeypatch.setattr(multimap, "_BRACKET_DOUBLINGS", 3)
     F, dc = _far_round_k("ball")
     X, Y = np.zeros((1, 2)), np.zeros((1, 2))
@@ -1165,6 +1226,8 @@ def test_row_falling_at_the_doubling_cap_goes_to_the_alternating_route(
     monkeypatch.setattr(multimap, "_alternate", lambda K, C, dc: (
         alternated.append(C.shape[0]) or alternate(K, C, dc)))
     assert _member_mask(F, X, Y, dc, 1e-9)[0] and alternated == [1]
+    assert envelope_batch(F, dc, X, Y, 1e-9, 1.0)[0] == pytest.approx(999.0)
+    assert alternated == [1, 1]
 
 
 @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-11])

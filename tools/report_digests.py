@@ -25,9 +25,10 @@ PROBLEMS = tuple(
     Path(__file__).resolve().parent / name
     for name in ("rotated_halfplane.json", "round_k.json",
                  "ball_halfline.json", "robinson_4d.json",
-                 "skew_foot_4d.json", "skew_wedge.json", "ball_cone.json"))
+                 "skew_foot_4d.json", "skew_wedge.json", "ball_cone.json",
+                 "cubic_eb.json"))
 (PROBLEM, ROUND_K, BALL_HALFLINE, ROBINSON_4D, SKEW_FOOT_4D,
- SKEW_WEDGE, BALL_CONE) = PROBLEMS
+ SKEW_WEDGE, BALL_CONE, CUBIC_EB) = PROBLEMS
 
 INSTANCES = ("diag_2_05", "halfplane_directional", "hoffman_2d", "identity2",
              "parabola_eb", "param_scale")
@@ -100,6 +101,10 @@ COMMANDS = (
         # runs all 12 pull rounds in one wave from the start
         (["modulus", "parabola_eb", "--budget", "24", "--seed", "3"],
          "report.json"),
+        # f(x) = x^3 - x into a point: the same route on a scalar map whose
+        # derivative crosses 0 inside the region, so the 1x1 steps meet
+        # jacobians near 0 of both signs
+        (["analyze", CUBIC_EB.name, "--seed", "3"], "report.json"),
         # halfplane_directional turned by 30 degrees: a K with skew rows,
         # which the exact active-set route leaves to Dykstra (every row
         # converges there; none reaches the least-distance solve)
