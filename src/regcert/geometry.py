@@ -18,9 +18,10 @@ systems too large for the chunked pass go to Dykstra's alternating scheme
 (Boyle & Dykstra, 1986) for at most DYKSTRA_MAX_SWEEPS sweeps, and a row it
 leaves above DYKSTRA_TOL to one least-distance solve (Lawson & Hanson,
 1974, ch. 23), exact, or a certificate that its system is empty.  That
-solve and the cone projections share one active-set NNLS (_nnls), and LPs
-go to a dense two-phase simplex with Bland's rule (solve_lp); both are
-exact at the sizes used here and need only NumPy.
+solve and the cone projections the exact pass does not certify share one
+active-set NNLS (_nnls), and LPs go to a dense two-phase simplex with
+Bland's rule (solve_lp); both are exact at the sizes used here and need
+only NumPy.
 """
 
 from __future__ import annotations
@@ -404,6 +405,22 @@ def _active_set_pass(s: _AxisSystem, P: np.ndarray, rhs: np.ndarray):
     return PT.T, exact
 
 
+def _exact_pass(C, rhs, P):
+    """_active_set_pass on P in chunks of _ACTIVE_SET_CHUNK doubles, rhs
+    (1, m) or (B, m); returns (Q, exact), no row exact where C is not
+    axis-aligned or a chunk would hold under _MIN_CHUNK_POINTS points."""
+    Q = P.astype(float, copy=True)
+    exact = np.zeros(P.shape[0], dtype=bool)
+    s = _axis_system(C.shape, C.tobytes())
+    step = 0 if s is None else _ACTIVE_SET_CHUNK // s.doubles_per_point()
+    if step >= _MIN_CHUNK_POINTS:
+        for a in range(0, P.shape[0], step):
+            Q[a:a + step], exact[a:a + step] = _active_set_pass(
+                s, P[a:a + step],
+                rhs if rhs.shape[0] == 1 else rhs[a:a + step])
+    return Q, exact
+
+
 def project_halfspaces(C, rhs, P):
     """Project each row of P onto {z : C z <= rhs}; rhs is (m,) or (B, m).
 
@@ -428,19 +445,11 @@ def project_halfspaces(C, rhs, P):
     P = _rows(P)
     B = P.shape[0]
     m = C.shape[0]
-    Q = P.astype(float, copy=True)
     empty = np.zeros(B, dtype=bool)
     if m == 0:
-        return Q, empty
+        return P.astype(float, copy=True), empty
     rhs = np.asarray(rhs, dtype=float).reshape(-1, m)
-    exact = np.zeros(B, dtype=bool)
-    s = _axis_system(C.shape, C.tobytes())
-    step = 0 if s is None else _ACTIVE_SET_CHUNK // s.doubles_per_point()
-    if step >= _MIN_CHUNK_POINTS:
-        for a in range(0, B, step):
-            Q[a:a + step], exact[a:a + step] = _active_set_pass(
-                s, P[a:a + step],
-                rhs if rhs.shape[0] == 1 else rhs[a:a + step])
+    Q, exact = _exact_pass(C, rhs, P)
     back = np.flatnonzero(~exact)
     if back.size:
         rhs = np.broadcast_to(rhs, (B, m))
@@ -722,31 +731,51 @@ def face_table(shape: tuple, data: bytes) -> FaceTable | None:
 # ---------------------------------------------------------------------------
 # Normal cones of polyhedra.
 
-def normal_cone_generators(poly: Polyhedron, k) -> np.ndarray:
-    """Rows of poly.C active at k; these generate the normal cone there.
-
-    Requires k to lie in the polyhedron up to TOL_ACTIVE (NotInSet
-    otherwise).  Returns the raw active rows, shape (n_active, dim); an
-    interior point yields an empty array.
-    """
-    k = as_vector(k, poly.dim, "point")
-    if poly.n_rows == 0:
-        return np.zeros((0, poly.dim))
-    slack = poly.C @ k - poly.d
+def normal_cone_masks(poly: Polyhedron, K) -> np.ndarray:
+    """(B, m) mask of the rows of poly.C active at each row of K, which
+    generate the normal cone there; NotInSet unless every row lies in the
+    polyhedron up to TOL_ACTIVE.  The slacks take a stacked matmul, which
+    NumPy sends to the BLAS kernel of C @ k on one point."""
+    slack = np.matmul(poly.C, _rows(K)[:, :, None])[:, :, 0] - poly.d
     norms = np.linalg.norm(poly.C, axis=1)
     if np.any(slack / norms > TOL_ACTIVE):
         raise NotInSet("point violates the constraint system")
-    active = slack >= -TOL_ACTIVE * norms
-    return poly.C[active].copy()
+    return slack >= -TOL_ACTIVE * norms
+
+
+def normal_cone_generators(poly: Polyhedron, k) -> np.ndarray:
+    """Rows of poly.C active at k, shape (n_active, dim), by
+    normal_cone_masks; an interior point yields an empty array."""
+    return poly.C[normal_cone_masks(poly, as_vector(k, poly.dim, "point"))[0]]
+
+
+def project_onto_generated_cones(C, masks, Y) -> np.ndarray:
+    """Nearest point of cone{C_J}, the rows of the float array C where
+    masks[s], to each row y_s of Y: y - P(y), P the projection onto the
+    polar {z : C_J z <= 0}, by Moreau's decomposition (1962).  The rows of
+    one pattern J take the exact axis-aligned pass together; a row it does
+    not certify (skew C_J) takes an NNLS of its own.  A row gets the same
+    bits alone as in any batch; one with no active row projects to 0."""
+    Y = _rows(Y)
+    P = np.zeros_like(Y)
+    patterns, group = np.unique(masks, axis=0, return_inverse=True)
+    for g, J in enumerate(patterns):
+        if not J.any():
+            continue
+        G = C[J]
+        at = np.flatnonzero(group.reshape(-1) == g)
+        Q, exact = _exact_pass(G, np.zeros((1, G.shape[0])), Y[at])
+        P[at[exact]] = Y[at[exact]] - Q[exact]
+        for s in at[~exact]:
+            P[s] = G.T @ _nnls(G.T, Y[s])[0]
+    return P
 
 
 def project_onto_generated_cone(G: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Nearest point of cone{rows of G} to y, via nonnegative least squares."""
-    y = np.asarray(y, dtype=float)
-    if G.shape[0] == 0:
-        return np.zeros_like(y)
-    coef, _ = _nnls(G.T, y)
-    return G.T @ coef
+    """Nearest point of cone{rows of G} to y (project_onto_generated_cones)."""
+    G = np.asarray(G, dtype=float)
+    return project_onto_generated_cones(
+        G, np.ones((1, G.shape[0]), dtype=bool), y)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ from .geometry import (
     TOL_MEMBER,
     DirectionalCone,
     Polyhedron,
+    _rows,
     as_vector,
-    normal_cone_generators,
-    project_onto_generated_cone,
+    normal_cone_masks,
+    project_onto_generated_cones,
     solve_lp,
 )
 from .multimap import (
@@ -314,6 +315,26 @@ def modulus_from_slopes(q: RegularityQuery, ladder_depth: int = 5,
 # ---------------------------------------------------------------------------
 # Dual pairs and the coderivative criterion.
 
+def _row_dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """u_s . v_s per row (V may be one vector): a matmul over stacks of
+    vectors, which NumPy sends to the BLAS dot a 1-D u @ v takes, so each
+    row gets the bits of its own dot and of np.linalg.norm(u) = sqrt(u . u).
+    """
+    return np.matmul(U[:, None, :], V[..., None])[:, 0, 0]
+
+
+def _dual_valid(Y1: np.ndarray, Y2: np.ndarray, ybar: np.ndarray,
+                delta: float) -> np.ndarray:
+    """Mask of the rows (y1*, y2*) in the dual pair set up to _DUAL_TOL:
+    |y1*| <= 1 + delta, y1* . ybar <= delta, |y2* . ybar| <= delta and
+    |y1* + y2*| = 1."""
+    S = Y1 + Y2
+    return ((np.sqrt(_row_dot(Y1, Y1)) <= 1.0 + delta + _DUAL_TOL)
+            & (_row_dot(Y1, ybar) <= delta + _DUAL_TOL)
+            & (np.abs(_row_dot(Y2, ybar)) <= delta + _DUAL_TOL)
+            & (np.abs(np.sqrt(_row_dot(S, S)) - 1.0) <= _DUAL_TOL))
+
+
 @dataclass
 class DualPair:
     """A point of the dual admissible product set with unit sum norm."""
@@ -323,33 +344,20 @@ class DualPair:
     delta: float
 
     def is_valid(self, ybar) -> bool:
-        ybar = np.asarray(ybar, dtype=float)
-        s = self.y1star + self.y2star
-        return bool(
-            np.linalg.norm(self.y1star) <= 1.0 + self.delta + _DUAL_TOL
-            and float(self.y1star @ ybar) <= self.delta + _DUAL_TOL
-            and abs(float(self.y2star @ ybar)) <= self.delta + _DUAL_TOL
-            and abs(float(np.linalg.norm(s)) - 1.0) <= _DUAL_TOL
-        )
+        return bool(_dual_valid(_rows(self.y1star), _rows(self.y2star),
+                                np.asarray(ybar, dtype=float),
+                                self.delta)[0])
 
 
-def sample_dual_pairs(ybar, delta: float, budget: int, seed: int = 0,
-                      label: str = "dual") -> list[DualPair]:
-    """Sample the dual pair set by parametrizing the unit sum first.
-
-    Draw w on the unit sphere and y2star in the slab-ball intersection by
-    rejection, then set y1star = w - y2star and keep the pair when it lands
-    in its constraint set.  Every emitted pair passes full re-validation;
-    fewer than budget pairs may come back.
-    """
-    ybar = as_vector(ybar, name="ybar")
-    delta = float(delta)
+def _dual_pair_arrays(ybar: np.ndarray, delta: float, budget: int,
+                      seed: int, label: str):
+    """sample_dual_pairs as arrays (Y1, Y2), ybar a vector."""
     if delta < 0:
         raise InvalidParameter("delta must be nonnegative")
     if budget < 1:
         raise InvalidParameter("budget must be positive")
     dim = ybar.size
-    pairs = []
+    Y1, Y2 = [], []
     for bi in range(rng.block_count(budget)):
         nb = rng.block_size(budget, bi)
         w = rng.sphere_points(rng.stream(seed, label + "-w", bi),
@@ -367,12 +375,39 @@ def sample_dual_pairs(ybar, delta: float, budget: int, seed: int = 0,
         y1 = w - y2
         keep = (got
                 & (np.linalg.norm(y1, axis=1) <= 1.0 + delta)
-                & ((y1 @ ybar) <= delta))
-        for i in np.where(keep)[0]:
-            pair = DualPair(y1[i].copy(), y2[i].copy(), delta)
-            if pair.is_valid(ybar):
-                pairs.append(pair)
-    return pairs
+                & ((y1 @ ybar) <= delta) & _dual_valid(y1, y2, ybar, delta))
+        Y1.append(y1[keep])
+        Y2.append(y2[keep])
+    return np.concatenate(Y1), np.concatenate(Y2)
+
+
+def sample_dual_pairs(ybar, delta: float, budget: int, seed: int = 0,
+                      label: str = "dual") -> list[DualPair]:
+    """Sample the dual pair set by parametrizing the unit sum first.
+
+    Draw w on the unit sphere and y2star in the slab-ball intersection by
+    rejection, then set y1star = w - y2star and keep the pair when it lands
+    in its constraint set.  Every emitted pair passes full re-validation;
+    fewer than budget pairs may come back.
+    """
+    delta = float(delta)
+    Y1, Y2 = _dual_pair_arrays(as_vector(ybar, name="ybar"), delta, budget,
+                               seed, label)
+    return [DualPair(y1, y2, delta) for y1, y2 in zip(Y1, Y2)]
+
+
+def _pair_values(f, X, P1, P2, ybar, delta: float):
+    """(rows, values): ||J(x)^T s|| at the rows of X whose cone-projected
+    pair (P1, P2) has a sum off 0 and stays valid, rescaled to a unit sum
+    s, in the arithmetic of a 1-D norm and J.T @ s on each row."""
+    S = P1 + P2
+    ns = np.sqrt(_row_dot(S, S))[:, None]
+    live = np.flatnonzero(ns[:, 0] >= 1e-9)
+    live = live[_dual_valid(P1[live] / ns[live], P2[live] / ns[live], ybar,
+                            delta)]
+    V = np.matmul(np.swapaxes(f.jacobian_batch(X[live]), 1, 2),
+                  (S[live] / ns[live])[:, :, None])[:, :, 0]
+    return live, np.sqrt(_row_dot(V, V))
 
 
 @dataclass
@@ -402,7 +437,10 @@ def coderivative_criterion(q: RegularityQuery,
     k0 = f(x0) - y0, and dual pairs with unit sum; push each dual vector
     into the normal cone at its base point (nonnegative combinations of
     active rows), rescale the sum back to unit norm, re-validate the
-    constraints, and record ||J(x)^T (y1* + y2*)||.
+    constraints, and record ||J(x)^T (y1* + y2*)||.  A rung is one array
+    pass (project_onto_generated_cones, _pair_values) with the bits of a
+    loop over the pairs.  NoAdmissibleSamples when no pair survives on any
+    rung.
     """
     Kp = as_polyhedron(q.F.K)
     if Kp is None:
@@ -412,44 +450,28 @@ def coderivative_criterion(q: RegularityQuery,
     ybar = q.dc.ybar
     k0 = Kp.project(q.F.f(q.x0) - q.y0)
     scale = 0.05 * (1.0 + float(np.linalg.norm(k0)))
-    inf_value = np.inf
     per_delta = []
-    n_total = 0
     for di, delta in enumerate(delta_ladder):
-        pairs = sample_dual_pairs(ybar, float(delta), samples_per_delta,
-                                  seed=q.seed, label=f"coder-dual-{di}")
-        if not pairs:
-            per_delta.append((float(delta), np.inf, 0))
-            continue
-        nv = len(pairs)
+        delta = float(delta)
+        Y1, Y2 = _dual_pair_arrays(ybar, delta, samples_per_delta, q.seed,
+                                   f"coder-dual-{di}")
+        nv = Y1.shape[0]
         X = rng.ball_points(rng.stream(q.seed, "coder-x", di), nv, q.x0,
                             0.3 * q.epsilon)
-        noise1 = rng.stream(q.seed, "coder-k1", di).normal(size=(nv, Kp.dim))
-        noise2 = rng.stream(q.seed, "coder-k2", di).normal(size=(nv, Kp.dim))
-        K1 = Kp.project_batch(k0[None, :] + scale * noise1)
-        K2 = Kp.project_batch(k0[None, :] + scale * noise2)
-        level_min = np.inf
-        level_n = 0
-        for j, pair in enumerate(pairs):
-            G1 = normal_cone_generators(Kp, K1[j])
-            G2 = normal_cone_generators(Kp, K2[j])
-            y1p = project_onto_generated_cone(G1, pair.y1star)
-            y2p = project_onto_generated_cone(G2, pair.y2star)
-            s = y1p + y2p
-            ns = float(np.linalg.norm(s))
-            if ns < 1e-9:
-                continue
-            if not DualPair(y1p / ns, y2p / ns, delta).is_valid(ybar):
-                continue
-            val = float(np.linalg.norm(q.F.f.jacobian(X[j]).T @ (s / ns)))
-            level_n += 1
-            if val < level_min:
-                level_min = val
-        per_delta.append((float(delta), float(level_min), level_n))
-        n_total += level_n
-        if level_min < inf_value:
-            inf_value = level_min
-    return CoderivativeEstimate(float(inf_value), per_delta, n_total)
+        noise = np.vstack([
+            rng.stream(q.seed, "coder-k1", di).normal(size=(nv, Kp.dim)),
+            rng.stream(q.seed, "coder-k2", di).normal(size=(nv, Kp.dim))])
+        base = Kp.project_batch(k0[None, :] + scale * noise)
+        P = project_onto_generated_cones(Kp.C, normal_cone_masks(Kp, base),
+                                         np.vstack([Y1, Y2]))
+        live, vals = _pair_values(q.F.f, X, P[:nv], P[nv:], ybar, delta)
+        per_delta.append((delta, float(np.fmin.reduce(vals, initial=np.inf)),
+                          live.size))
+    n_total = sum(n for _, _, n in per_delta)
+    if n_total == 0:
+        raise NoAdmissibleSamples("no dual pair survived on any ladder delta")
+    return CoderivativeEstimate(min(v for _, v, _ in per_delta), per_delta,
+                                n_total)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 
-from regcert import AffineMap, MultiMap, Polyhedron
+from regcert import AffineMap, MultiMap, NotInSet, Polyhedron, geometry
 
 
 def vertex_lp_maximum(objective, poly: Polyhedron) -> float | None:
@@ -73,3 +73,40 @@ def orthant_instance(rng: np.random.Generator):
         if np.linalg.norm(residual) > 0.1:
             return F, xbar
     raise RuntimeError("could not place a probe with positive residual")
+
+
+def reference_normal_cone_generators(poly: Polyhedron, k) -> np.ndarray:
+    """Rows of poly.C active at k, one point at a time: the rule that
+    geometry.normal_cone_masks batched, kept verbatim as its reference."""
+    k = geometry.as_vector(k, poly.dim, "point")
+    if poly.n_rows == 0:
+        return np.zeros((0, poly.dim))
+    slack = poly.C @ k - poly.d
+    norms = np.linalg.norm(poly.C, axis=1)
+    if np.any(slack / norms > geometry.TOL_ACTIVE):
+        raise NotInSet("point violates the constraint system")
+    active = slack >= -geometry.TOL_ACTIVE * norms
+    return poly.C[active].copy()
+
+
+def reference_cone_projection(G: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Nearest point of cone{rows of G} to y by one NNLS.  This is the cone
+    projection that geometry.project_onto_generated_cones replaced, kept
+    verbatim as its reference."""
+    y = np.asarray(y, dtype=float)
+    if G.shape[0] == 0:
+        return np.zeros_like(y)
+    coef, _ = geometry._nnls(G.T, y)
+    return G.T @ coef
+
+
+def random_cone_rows(rng: np.random.Generator, dim: int,
+                     axis_aligned: bool) -> np.ndarray:
+    """Nonzero rows in R^dim: at most one multiple of each signed unit
+    vector, or 1 to 2 dim gaussian rows."""
+    if not axis_aligned:
+        return rng.standard_normal((int(rng.integers(1, 2 * dim + 1)), dim))
+    rows = [sign * rng.choice([0.5, 1.0, 2.0, 3.0]) * np.eye(dim)[axis]
+            for axis in range(dim) for sign in (1.0, -1.0)
+            if rng.random() < 0.6]
+    return np.array(rows or [np.eye(dim)[0]])

@@ -110,6 +110,21 @@ def test_coderivative_command(capsys, tmp_path):
     assert res["n_pairs"] == 69
 
 
+def test_coderivative_without_surviving_pairs_is_an_error(capsys, tmp_path):
+    # delta 0 leaves no dual pair, so there is no minimum to compare with m
+    rep = tmp_path / "cod.json"
+    code, out, _ = run(capsys, ["coderivative", "halfplane_directional",
+                                "--delta-ladder", "0", "--m", "0.8",
+                                "--seed", "3", "--out", str(rep),
+                                "--no-timestamp"])
+    assert code == 1
+    assert "coderivative: ERROR NoAdmissibleSamples" in out
+    assert "PASS" not in out
+    record = json.loads(rep.read_text())["analyses"][0]
+    assert record["error"]["type"] == "NoAdmissibleSamples"
+    assert record["result"] is None and record["holds"] is None
+
+
 def test_robinson_direction_override_fails_honestly(capsys):
     code, out, _ = run(capsys, ["robinson", "halfplane_directional",
                                 "--ybar", "0,-1", "--no-timestamp"])

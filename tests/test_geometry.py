@@ -10,13 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, nnls
 
-from conftest import bounded_random_polyhedron, vertex_lp_maximum
-from regcert import (Ball, DirectionalCone, EmptySet, Polyhedron, ProductSet,
-                     SimplexIterationLimit, Singleton, normal_cone_generators,
-                     project_onto_generated_cone, solve_lp)
+from conftest import (bounded_random_polyhedron, random_cone_rows,
+                      reference_cone_projection,
+                      reference_normal_cone_generators, vertex_lp_maximum)
+from regcert import (Ball, DirectionalCone, EmptySet, NotInSet, Polyhedron,
+                     ProductSet, SimplexIterationLimit, Singleton,
+                     normal_cone_generators, project_onto_generated_cone,
+                     solve_lp)
 from regcert import geometry
 from regcert.geometry import (DYKSTRA_TOL, TOL_ACTIVE, TOL_FEAS,
-                              dykstra_halfspaces, project_halfspaces)
+                              dykstra_halfspaces, normal_cone_masks,
+                              project_halfspaces,
+                              project_onto_generated_cones)
 from regcert.multimap import as_polyhedron
 
 
@@ -799,17 +804,89 @@ def test_normal_generators_empty_in_interior():
 
 
 def test_generated_cone_projection_kkt():
+    # the skew cone takes the NNLS; the axis-aligned ones take the exact
+    # pass onto the polar cone (Moreau), with no NNLS
+    def refuse(*args):
+        raise AssertionError("NNLS ran")
+
     rng = np.random.default_rng(3)
-    G = np.array([[1.0, 0.0], [1.0, 1.0]])
-    for _ in range(50):
-        y = rng.uniform(-3.0, 3.0, size=2)
-        s = project_onto_generated_cone(G, y)
-        resid = y - s
-        # s lies in the cone side; the residual sits in the polar side
-        assert float(resid @ s) == pytest.approx(0.0, abs=1e-7)
-        assert np.all(G @ resid <= 1e-7) or np.linalg.norm(s) > 1e-9
-        # projection shrinks the distance versus any scaled generator
-        for g in G:
-            t = max(float(y @ g) / float(g @ g), 0.0)
-            assert (np.linalg.norm(y - s)
-                    <= np.linalg.norm(y - t * g) + 1e-9)
+    cones = [(np.array([[1.0, 0.0], [1.0, 1.0]]), geometry._nnls)] + [
+        (G, refuse) for G in (np.array([[1.0, 0.0], [0.0, 1.0]]),
+                              np.array([[2.0, 0.0], [0.0, -0.5]]),
+                              np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 3.0]]),
+                              np.array([[0.0, -1.0]]))]
+    for G, nnls in cones:
+        with mock.patch.object(geometry, "_nnls", nnls):
+            for _ in range(50):
+                y = rng.uniform(-3.0, 3.0, size=2)
+                s = project_onto_generated_cone(G, y)
+                resid = y - s
+                # s lies in the cone side; the residual sits in the polar side
+                assert float(resid @ s) == pytest.approx(0.0, abs=1e-7)
+                assert np.all(G @ resid <= 1e-7) or np.linalg.norm(s) > 1e-9
+                # projection shrinks the distance versus any scaled generator
+                for g in G:
+                    t = max(float(y @ g) / float(g @ g), 0.0)
+                    assert (np.linalg.norm(y - s)
+                            <= np.linalg.norm(y - t * g) + 1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), axis_aligned=st.booleans(),
+       dim=st.integers(1, 4), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_cone_projections_match_the_nnls_reference(seed, axis_aligned, dim,
+                                                   scale):
+    # Skew rows take the same NNLS as before.  On axis-aligned rows, a row
+    # whose NNLS fit ends on one column is solved in closed form, and
+    # y - P_polar(y) has the same bits (Sterbenz), unless two rows share a
+    # signed axis and the two routes pick different ones; a fit on more
+    # columns goes through lstsq.  Those differ by up to 4 ulps of max |y_i|.
+    rng = np.random.default_rng(seed)
+    G = random_cone_rows(rng, dim, axis_aligned)
+    Y = scale * rng.standard_normal((16, dim))
+    P = project_onto_generated_cones(G, np.ones((16, G.shape[0]), bool), Y)
+    exact = np.all(np.count_nonzero(G, axis=1) == 1)
+    shared = len({tuple(np.sign(g)) for g in G}) < G.shape[0]
+    for y, p in zip(Y, P):
+        ref = reference_cone_projection(G, y)
+        coef, _ = geometry._nnls(G.T, y)
+        if not exact or (np.count_nonzero(coef > 0) <= 1 and not shared):
+            assert np.array_equal(p, ref)
+        else:
+            assert np.max(np.abs(p - ref)) <= 4 * np.finfo(float).eps * \
+                np.max(np.abs(y))
+
+
+def test_cone_projection_rows_are_batch_independent():
+    # active patterns of axis-aligned rows and of a skew row, mixed
+    rng = np.random.default_rng(5)
+    C = np.vstack([np.eye(2), -2.0 * np.eye(2), [[1.0, 1.0]]])
+    masks = rng.random((60, 5)) < 0.4
+    Y = rng.standard_normal((60, 2))
+    P = project_onto_generated_cones(C, masks, Y)
+    for s in range(60):
+        alone = project_onto_generated_cones(C, masks[s:s + 1], Y[s:s + 1])
+        assert np.array_equal(alone[0], P[s])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), axis_aligned=st.booleans(),
+       dim=st.integers(1, 4))
+def test_normal_cone_masks_keep_the_per_point_rule(seed, axis_aligned, dim):
+    # points on, near and inside the boundary of a polyhedron through p0:
+    # the stacked mask picks the rows the per-point rule picks, alone and
+    # in the stack, and one point outside fails the whole batch
+    rng = np.random.default_rng(seed)
+    C = random_cone_rows(rng, dim, axis_aligned)
+    p0 = rng.uniform(-0.5, 0.5, size=dim)
+    P = Polyhedron(C, C @ p0 + np.where(rng.random(C.shape[0]) < 0.5, 0.0,
+                                        rng.uniform(0.0, 1e-6, C.shape[0])))
+    K = P.project_batch(p0 + rng.choice([1e-8, 1e-3, 1.0])
+                        * rng.standard_normal((24, dim)))
+    masks = normal_cone_masks(P, K)
+    for k, mask in zip(K, masks):
+        assert np.array_equal(P.C[mask], reference_normal_cone_generators(P, k))
+        assert np.array_equal(normal_cone_masks(P, k)[0], mask)
+    far = p0 + 10.0 * C[0] / np.linalg.norm(C[0])
+    with pytest.raises(NotInSet):
+        normal_cone_masks(P, np.vstack([K, far]))

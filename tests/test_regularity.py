@@ -1,12 +1,17 @@
 """Regularity criteria: modulus sampling, slopes, duals, LPs, perturbation."""
 
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from regcert import regularity
+from conftest import (random_cone_rows, reference_cone_projection,
+                      reference_normal_cone_generators)
+from regcert import geometry, regularity
 
 from regcert.errors import (
     DimensionMismatch,
@@ -19,6 +24,7 @@ from regcert.errors import (
 from regcert.geometry import Ball, DirectionalCone, Polyhedron, Singleton
 from regcert.instances import builtin, registry_names
 from regcert.multimap import AffineMap, MultiMap, as_polyhedron, default_region
+from regcert.problems import load_problem
 from regcert.regularity import (
     CoderivativeEstimate,
     DualPair,
@@ -309,6 +315,15 @@ def test_coderivative_halfplane_directional():
     assert est.inf_value >= 0.88
 
 
+def test_coderivative_without_surviving_pairs_raises():
+    # delta 0 leaves no pair with |y2* . ybar| <= delta, and an empty ladder
+    # samples none; a minimum over no pair is no evidence for any m
+    q = query("halfplane_directional")
+    for ladder in ((0.0,), ()):
+        with pytest.raises(NoAdmissibleSamples):
+            coderivative_criterion(q, delta_ladder=ladder)
+
+
 def test_coderivative_needs_direction_and_polyhedron():
     with pytest.raises(InvalidParameter):
         coderivative_criterion(query("identity2", dc=None))
@@ -318,6 +333,199 @@ def test_coderivative_needs_direction_and_polyhedron():
                         region=default_region(np.zeros(2), 1.0, 100, seed=0))
     with pytest.raises(NotPolyhedral):
         coderivative_criterion(q)
+
+
+# ---------------------------------------------------------------------------
+# The batched coderivative pass against the per-pair loop it replaced.  The
+# loop and its validity rule are kept verbatim as the reference, with the
+# per-point generators and NNLS cone projection from conftest.
+
+def _reference_is_valid(y1star, y2star, delta, ybar) -> bool:
+    ybar = np.asarray(ybar, dtype=float)
+    s = y1star + y2star
+    return bool(
+        np.linalg.norm(y1star) <= 1.0 + delta + regularity._DUAL_TOL
+        and float(y1star @ ybar) <= delta + regularity._DUAL_TOL
+        and abs(float(y2star @ ybar)) <= delta + regularity._DUAL_TOL
+        and abs(float(np.linalg.norm(s)) - 1.0) <= regularity._DUAL_TOL
+    )
+
+
+def _reference_coderivative(q, delta_ladder=(0.2, 0.1, 0.05),
+                            samples_per_delta=800):
+    Kp = as_polyhedron(q.F.K)
+    ybar = q.dc.ybar
+    k0 = Kp.project(q.F.f(q.x0) - q.y0)
+    scale = 0.05 * (1.0 + float(np.linalg.norm(k0)))
+    inf_value = np.inf
+    per_delta = []
+    n_total = 0
+    for di, delta in enumerate(delta_ladder):
+        pairs = sample_dual_pairs(ybar, float(delta), samples_per_delta,
+                                  seed=q.seed, label=f"coder-dual-{di}")
+        if not pairs:
+            per_delta.append((float(delta), np.inf, 0))
+            continue
+        nv = len(pairs)
+        X = regularity.rng.ball_points(
+            regularity.rng.stream(q.seed, "coder-x", di), nv, q.x0,
+            0.3 * q.epsilon)
+        noise1 = regularity.rng.stream(q.seed, "coder-k1", di).normal(
+            size=(nv, Kp.dim))
+        noise2 = regularity.rng.stream(q.seed, "coder-k2", di).normal(
+            size=(nv, Kp.dim))
+        K1 = Kp.project_batch(k0[None, :] + scale * noise1)
+        K2 = Kp.project_batch(k0[None, :] + scale * noise2)
+        level_min = np.inf
+        level_n = 0
+        for j, pair in enumerate(pairs):
+            G1 = reference_normal_cone_generators(Kp, K1[j])
+            G2 = reference_normal_cone_generators(Kp, K2[j])
+            y1p = reference_cone_projection(G1, pair.y1star)
+            y2p = reference_cone_projection(G2, pair.y2star)
+            s = y1p + y2p
+            ns = float(np.linalg.norm(s))
+            if ns < 1e-9:
+                continue
+            if not _reference_is_valid(y1p / ns, y2p / ns, delta, ybar):
+                continue
+            val = float(np.linalg.norm(q.F.f.jacobian(X[j]).T @ (s / ns)))
+            level_n += 1
+            if val < level_min:
+                level_min = val
+        per_delta.append((float(delta), float(level_min), level_n))
+        n_total += level_n
+        if level_min < inf_value:
+            inf_value = level_min
+    return CoderivativeEstimate(float(inf_value), per_delta, n_total)
+
+
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+_CODERIVATIVE_CASES = ("axis", "skew", "halfplane_directional", "identity2",
+                       "diag_2_05", "parabola_eb", "rotated_halfplane.json",
+                       "skew_wedge.json", "robinson_4d.json",
+                       "robinson_4d.json ybar=0")
+
+
+def _coderivative_query(case: str, seed: int) -> RegularityQuery:
+    """The query of a case: a random polyhedral K with rows through a point
+    p0 (axis-aligned or skew), a registry instance, or a problem file,
+    robinson_4d also with ybar = 0, where its own direction leaves no pair.
+    A registry instance with no cone of its own gets ybar = 0, delta 0.2."""
+    rng = np.random.default_rng(seed)
+    if case in ("axis", "skew"):
+        dim = int(rng.integers(1, 4))
+        C = random_cone_rows(rng, dim, case == "axis")
+        p0 = rng.uniform(-0.5, 0.5, size=dim)
+        slack = np.where(rng.random(C.shape[0]) < 0.6, 0.0,
+                         rng.uniform(0.0, 0.05, size=C.shape[0]))
+        dim_in = int(rng.integers(1, 4))
+        F = MultiMap(AffineMap(rng.standard_normal((dim, dim_in)),
+                               np.zeros(dim)),
+                     Polyhedron(C, C @ p0 + slack))
+        x0, y0 = np.zeros(dim_in), -p0
+        dc = DirectionalCone(rng.uniform(0.0, 1.0) * rng.standard_normal(dim),
+                             0.2)
+    elif case.endswith(".json") or case.endswith("ybar=0"):
+        problem = load_problem(str(_TOOLS / case.split()[0]))
+        F, x0, y0, dc = problem.F, problem.x0, problem.y0, problem.dc
+        if case.endswith("ybar=0"):
+            dc = DirectionalCone(np.zeros(F.dim_out), 0.2)
+    else:
+        inst = builtin(case)
+        F, x0, y0 = inst.F, inst.x0, inst.y0
+        dc = inst.dc or DirectionalCone(np.zeros(F.dim_out), 0.2)
+    region = default_region(x0, 1.25, 200, seed=seed, grid_resolution=3)
+    return RegularityQuery(F, x0, y0, dc=dc, region=region)
+
+
+# Where the reference fit some cone on two or more columns, its lstsq lands
+# a few ulps of |y| off the exact pass, and J^T s can cancel to a value far
+# below |J|: the routes may differ by this many ulps of max(1, |J(x0)|_2).
+# 170 differing values over 150 seeds of four cases stayed within 0.75.
+_CODERIVATIVE_ULPS = 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(_CODERIVATIVE_CASES),
+       seed=st.integers(0, 2 ** 16))
+def test_batched_coderivative_matches_the_per_pair_loop(case, seed):
+    """Counts agree always.  Values agree bit for bit where every NNLS of
+    the reference ended on at most one column (a closed-form fit, which
+    y - P_polar(y) reproduces), and within _CODERIVATIVE_ULPS elsewhere."""
+    q = _coderivative_query(case, seed)
+    columns = []
+    nnls = geometry._nnls
+
+    def counted(A, b):
+        x, rnorm = nnls(A, b)
+        columns.append(int(np.count_nonzero(x > 0.0)))
+        return x, rnorm
+
+    with mock.patch.object(geometry, "_nnls", counted):
+        ref = _reference_coderivative(q, samples_per_delta=400)
+    if ref.n_pairs == 0:
+        with pytest.raises(NoAdmissibleSamples):
+            coderivative_criterion(q, samples_per_delta=400)
+        return
+    est = coderivative_criterion(q, samples_per_delta=400)
+    assert est.n_pairs == ref.n_pairs
+    assert [(d, n) for d, _, n in est.per_delta] == \
+        [(d, n) for d, _, n in ref.per_delta]
+    got = [est.inf_value] + [v for _, v, _ in est.per_delta]
+    want = [ref.inf_value] + [v for _, v, _ in ref.per_delta]
+    if max(columns, default=0) <= 1:
+        assert got == want
+    else:
+        tol = _CODERIVATIVE_ULPS * np.finfo(float).eps * max(
+            1.0, np.linalg.norm(q.F.f.jacobian(q.x0), 2))
+        assert all(a == b or abs(a - b) <= tol for a, b in zip(got, want))
+
+
+def test_coderivative_pair_rows_are_batch_independent():
+    # a dual pair's cone projection and value are the same alone as in the
+    # full stack of its rung
+    q = _coderivative_query("halfplane_directional", 3)
+    Kp = as_polyhedron(q.F.K)
+    rng = np.random.default_rng(3)
+    Y1, Y2 = regularity._dual_pair_arrays(q.dc.ybar, 0.2, 400, 3, "batch")
+    nv = Y1.shape[0]
+    base = Kp.project_batch(0.05 * rng.standard_normal((2 * nv, 2)))
+    masks = geometry.normal_cone_masks(Kp, base)
+    Y = np.vstack([Y1, Y2])
+    P = geometry.project_onto_generated_cones(Kp.C, masks, Y)
+    X = rng.uniform(-0.5, 0.5, size=(nv, 1))
+    live, vals = regularity._pair_values(q.F.f, X, P[:nv], P[nv:],
+                                         q.dc.ybar, 0.2)
+    assert live.size > 50
+    for j in range(nv):
+        rows = [j, nv + j]
+        alone = geometry.project_onto_generated_cones(Kp.C, masks[rows],
+                                                      Y[rows])
+        assert np.array_equal(alone, P[rows])
+        one, val = regularity._pair_values(q.F.f, X[j:j + 1], alone[:1],
+                                           alone[1:], q.dc.ybar, 0.2)
+        assert one.size == int(j in live)
+        if one.size:
+            assert val[0] == vals[np.searchsorted(live, j)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4),
+       delta=st.sampled_from([0.0, 0.05, 0.2]))
+def test_dual_pair_validity_keeps_the_per_pair_rule(seed, dim, delta):
+    # pairs around each edge of the rule: the batched test gives the
+    # per-pair verdict on every row, alone and in a stack
+    rng = np.random.default_rng(seed)
+    ybar = rng.standard_normal(dim) * rng.choice([0.0, 1.0])
+    w = rng.standard_normal((32, dim))
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    Y2 = rng.standard_normal((32, dim)) * rng.uniform(0.0, 0.3, (32, 1))
+    Y1 = (w - Y2) * (1.0 + rng.choice([0.0, 1e-9, 1e-10, -1e-10], (32, 1)))
+    stacked = regularity._dual_valid(Y1, Y2, ybar, delta)
+    for y1, y2, ok in zip(Y1, Y2, stacked):
+        assert ok == _reference_is_valid(y1, y2, delta, ybar)
+        assert DualPair(y1, y2, delta).is_valid(ybar) == ok
 
 
 # ---------------------------------------------------------------------------
