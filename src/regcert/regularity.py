@@ -53,6 +53,7 @@ from .slopes import _global_slopes
 NORM_CHOICE = "max of componentwise euclidean norms on X x Y"
 SLOPE_SLACK = 0.05
 _MIN_IMAGE = 1e-12
+_PASS_BLOCKS = 8   # sample blocks per batched modulus pass (4,096 pairs)
 _DUAL_ATTEMPTS = 16
 _DUAL_TOL = 1e-9
 _LAMBDA_MAX = 10.0  # box bounds of the interiority LP
@@ -127,10 +128,10 @@ def _admissible_mask(q: RegularityQuery, X: np.ndarray, Y: np.ndarray):
     return adm, img
 
 
-def _pair_block(q: RegularityQuery, label: str, index: int, radius: float,
-                count: int):
-    """Pairs of block index of the label's stream in B(x0, radius) x
-    B(y0, radius), with their image distances and admissibility mask.
+def _pair_points(q: RegularityQuery, label: str, index: int, radius: float,
+                 count: int):
+    """Pairs (X, Y) of block index of the label's stream in B(x0, radius) x
+    B(y0, radius).
 
     A full rng.BLOCK is drawn and the first count pairs kept, so a larger
     budget only appends pairs.
@@ -139,20 +140,38 @@ def _pair_block(q: RegularityQuery, label: str, index: int, radius: float,
                         rng.BLOCK, q.x0, radius)[:count]
     Y = rng.ball_points(rng.stream(q.seed, label + "-y", index),
                         rng.BLOCK, q.y0, radius)[:count]
+    return X, Y
+
+
+def _modulus_pass(q: RegularityQuery, blocks, collect: bool):
+    """The pairs of the sample blocks `blocks` (ascending, contiguous),
+    each drawn from its own stream, judged as one batch.
+
+    Each row's admissibility and preimage distance is the one it gets in a
+    batch of its own, so the pass has the bits of a loop over the blocks.
+    Returns X, Y, img, pre, ratio, adm in block order.
+    """
+    budget = q.region.sample_budget
+    drawn = [_pair_points(q, "modulus", bi, q.epsilon,
+                          rng.block_size(budget, bi)) for bi in blocks]
+    if len(drawn) == 1:
+        [(X, Y)] = drawn
+    else:
+        X, Y = (np.concatenate(part) for part in zip(*drawn))
     adm, img = _admissible_mask(q, X, Y)
-    return X, Y, img, adm
-
-
-def _modulus_block(q: RegularityQuery, bi: int, collect: bool):
-    nb = rng.block_size(q.region.sample_budget, bi)
-    X, Y, img, adm = _pair_block(q, "modulus", bi, q.epsilon, nb)
-    pre = np.full(nb, np.nan)
-    need = np.ones(nb, dtype=bool) if collect else adm
+    pre = np.full(X.shape[0], np.nan)
+    need = np.ones(X.shape[0], dtype=bool) if collect else adm
     if np.any(need):
         pre[need] = preimage_distance_batch(q.F, Y[need], X[need])
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(img > _MIN_IMAGE, pre / img, np.nan)
     return X, Y, img, pre, ratio, adm
+
+
+def _check_threads(threads: int) -> int:
+    if threads < 1:
+        raise InvalidParameter("threads must be at least 1")
+    return int(threads)
 
 
 def empirical_directional_modulus(q: RegularityQuery, threads: int = 1,
@@ -165,16 +184,29 @@ def empirical_directional_modulus(q: RegularityQuery, threads: int = 1,
     so the estimate is nondecreasing in the budget for a fixed seed and
     independent of the thread count.
 
+    The blocks are judged in batched passes of at most _PASS_BLOCKS blocks
+    each: the block list splits into max(threads, ceil(blocks /
+    _PASS_BLOCKS)) contiguous passes, at most one per block, which threads
+    run side by side.  A row is judged the same in any batch, so every
+    split gives the bits of a block-by-block loop, and the witness is the
+    first maximum in block order.
+
     Raises NoAdmissibleSamples when the filter rejects the whole budget.
     """
+    threads = _check_threads(threads)
     budget = q.region.sample_budget
     nblocks = rng.block_count(budget)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as ex:
-            results = list(ex.map(lambda bi: _modulus_block(q, bi, collect),
-                                  range(nblocks)))
+    npasses = min(nblocks, max(threads, -(-nblocks // _PASS_BLOCKS)))
+    passes = np.array_split(np.arange(nblocks), npasses)
+
+    def run(blocks):
+        return _modulus_pass(q, blocks, collect)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            results = list(ex.map(run, passes))
     else:
-        results = [_modulus_block(q, bi, collect) for bi in range(nblocks)]
+        results = map(run, passes)
 
     sup = -np.inf
     witness = None
@@ -210,8 +242,9 @@ def _admissible_pairs(q: RegularityQuery, label: str, count: int):
     out = []
     budget = q.region.sample_budget
     for bi in range(rng.block_count(budget)):
-        X, Y, _, adm = _pair_block(q, label, bi, q.epsilon,
-                                   rng.block_size(budget, bi))
+        X, Y = _pair_points(q, label, bi, q.epsilon,
+                            rng.block_size(budget, bi))
+        adm, _ = _admissible_mask(q, X, Y)
         out += zip(X[adm], Y[adm])
         if len(out) >= count:
             break
@@ -297,7 +330,8 @@ def modulus_from_slopes(q: RegularityQuery, ladder_depth: int = 5,
     levels = []
     for k in range(ladder_depth):
         r = q.epsilon * 0.5 ** k
-        X, Y, img, adm = _pair_block(q, "mfs", k, r, rng.BLOCK)
+        X, Y = _pair_points(q, "mfs", k, r, rng.BLOCK)
+        adm, img = _admissible_mask(q, X, Y)
         keep = adm & (img >= 0.05 * r)
         pairs = list(zip(X[keep], Y[keep]))[:pairs_per_level]
         if pairs:
@@ -610,6 +644,7 @@ def parametric_sweep(family, p_grid, q_template: RegularityQuery,
                      threads: int = 1) -> SweepResult:
     """Run the empirical modulus for every p; the uniform modulus must
     dominate each of them.  Per-p failures re-raise with p attached."""
+    _check_threads(threads)
     per_p = []
     uniform = 0.0
     for p in p_grid:

@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 
 from conftest import (random_cone_rows, reference_cone_projection,
                       reference_normal_cone_generators)
-from regcert import geometry, regularity
+from regcert import geometry, regularity, rng
 
 from regcert.errors import (
     DimensionMismatch,
@@ -23,7 +23,9 @@ from regcert.errors import (
 )
 from regcert.geometry import Ball, DirectionalCone, Polyhedron, Singleton
 from regcert.instances import builtin, registry_names
-from regcert.multimap import AffineMap, MultiMap, as_polyhedron, default_region
+from regcert.multimap import (AffineMap, MultiMap, _member_mask, as_polyhedron,
+                              default_region, image_distance_batch,
+                              preimage_distance_batch)
 from regcert.problems import load_problem
 from regcert.regularity import (
     CoderivativeEstimate,
@@ -190,6 +192,161 @@ def test_halfplane_plain_mode_sees_empty_preimages():
     est = empirical_directional_modulus(query("halfplane_directional",
                                               dc=None))
     assert est.sup_ratio == np.inf
+
+
+def reference_modulus(q, collect=False):
+    """The block-by-block estimator the batched passes replaced: each
+    sample block drawn, filtered and sent to the preimage route on its own,
+    the sup taken block by block with a strict >.  Returns the outcome that
+    test_batched_modulus_matches_the_block_loop compares."""
+    budget = q.region.sample_budget
+    sup, witness, n_adm, records = -np.inf, None, 0, []
+    for bi in range(rng.block_count(budget)):
+        nb = rng.block_size(budget, bi)
+        X = rng.ball_points(rng.stream(q.seed, "modulus-x", bi), rng.BLOCK,
+                            q.x0, q.epsilon)[:nb]
+        Y = rng.ball_points(rng.stream(q.seed, "modulus-y", bi), rng.BLOCK,
+                            q.y0, q.epsilon)[:nb]
+        img = image_distance_batch(q.F, X, Y)
+        adm = (img > regularity._MIN_IMAGE) & (img < q.epsilon)
+        if q.dc is not None and np.any(adm):
+            adm[adm] = _member_mask(q.F, X[adm], Y[adm], q.dc, q.tol_member)
+        pre = np.full(nb, np.nan)
+        need = np.ones(nb, dtype=bool) if collect else adm
+        if np.any(need):
+            pre[need] = preimage_distance_batch(q.F, Y[need], X[need])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.where(img > regularity._MIN_IMAGE, pre / img, np.nan)
+        n_adm += int(adm.sum())
+        records += [(X[i].tobytes(), Y[i].tobytes(), img[i].tobytes(),
+                     pre[i].tobytes(), ratio[i].tobytes(), bool(adm[i]))
+                    for i in range(nb)] if collect else []
+        if np.any(adm):
+            r = np.where(adm, ratio, -np.inf)
+            i = int(np.argmax(r))
+            if r[i] > sup:
+                sup, witness = float(r[i]), (X[i].tobytes(), Y[i].tobytes())
+    if n_adm == 0:
+        return NoAdmissibleSamples
+    return sup.hex(), witness, n_adm, records
+
+
+def _batched_outcome(q, threads, collect):
+    try:
+        est = empirical_directional_modulus(q, threads=threads,
+                                            collect=collect)
+    except NoAdmissibleSamples:
+        return NoAdmissibleSamples
+    records = [(s["x"].tobytes(), s["y"].tobytes(),
+                np.float64(s["image_dist"]).tobytes(),
+                np.float64(s["preimage_dist"]).tobytes(),
+                np.float64(s["ratio"]).tobytes(), s["admissible"])
+               for s in est.samples] if collect else []
+    witness = tuple(v.tobytes() for v in est.worst_witness)
+    return est.sup_ratio.hex(), witness, est.n_admissible, records
+
+
+def _modulus_problem(name):
+    """(F, x0, y0, dc) of a registry instance or a problem file.  round_k
+    gets a thin cone along ybar = (1, 0), so its pairs take the round K's
+    golden-section membership and only a few reach its slow Gauss-Newton
+    preimage route."""
+    if name.endswith(".json"):
+        p = load_problem(str(_TOOLS / name))
+    else:
+        p = builtin(name)
+    if name == "round_k.json":
+        return p.F, p.x0, p.y0, DirectionalCone([1.0, 0.0], 0.1)
+    return p.F, p.x0, p.y0, p.dc
+
+
+# (problem, collect, most blocks): an affine map into an axis-aligned
+# polyhedron, a skew wedge (the Dykstra route), the directional halfplane
+# and the Gauss-Newton route, collected or not, and a round K.  round_k's
+# Gauss-Newton preimages cost 0.2-0.5 s a call even on 8 rows, so it runs
+# up to 2 blocks (one stacked pass at threads=1) and uncollected: collect
+# only widens the preimage call to every row, the same route parabola_eb's
+# collected runs check.
+_BATCHED_MODULUS_CASES = [
+    (name, collect, 20)
+    for name in ("hoffman_2d", "skew_wedge.json", "halfplane_directional",
+                 "parabola_eb")
+    for collect in (False, True)] + [("round_k.json", False, 2)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from(_BATCHED_MODULUS_CASES), data=st.data(),
+       threads=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1))
+def test_batched_modulus_matches_the_block_loop(case, data, threads, seed):
+    # the passes stack up to eight blocks into one admissibility and
+    # preimage batch; every row, the sup, its witness and the count keep
+    # the bits of the block-by-block loop at any thread count, with a
+    # partial last block or a full one
+    name, collect, blocks = case
+    budget = data.draw(st.one_of(
+        st.integers(1, blocks * rng.BLOCK),
+        st.integers(1, blocks).map(lambda b: b * rng.BLOCK)), label="budget")
+    F, x0, y0, dc = _modulus_problem(name)
+    region = default_region(x0, 1.25, budget, seed=seed, grid_resolution=7)
+    q = RegularityQuery(F, x0, y0, dc=dc, region=region)
+    assert (_batched_outcome(q, threads, collect)
+            == reference_modulus(q, collect))
+
+
+def test_modulus_passes_stay_within_eight_blocks(monkeypatch):
+    seen = {"adm": [], "pre": []}
+    admissible, preimage = (regularity._admissible_mask,
+                            regularity.preimage_distance_batch)
+
+    def spy_adm(q, X, Y):
+        seen["adm"].append(X)
+        return admissible(q, X, Y)
+
+    def spy_pre(F, Y, X):
+        seen["pre"].append(X.shape[0])
+        return preimage(F, Y, X)
+
+    monkeypatch.setattr(regularity, "_admissible_mask", spy_adm)
+    monkeypatch.setattr(regularity, "preimage_distance_batch", spy_pre)
+    # budget 20,000 is 40 blocks, five passes of 8; 9 blocks need two
+    # passes, of 5 and 4 blocks; a pass's rows are the sum of its blocks'
+    full = 8 * rng.BLOCK
+    for budget, sizes in ((20000, [20000 - 4 * full] + [full] * 4),
+                          (9 * rng.BLOCK, [4 * rng.BLOCK, 5 * rng.BLOCK])):
+        for threads in (1, 2):
+            empirical_directional_modulus(
+                query("halfplane_directional", seed=42, budget=budget),
+                threads=threads)
+            # sorted: on two threads the passes may start in either order
+            assert sorted(X.shape[0] for X in seen["adm"]) == sizes
+            assert len(seen["pre"]) == len(sizes)
+            assert max(seen["pre"]) <= full
+            seen["adm"].clear()
+            seen["pre"].clear()
+    # a one-block budget makes one call on the block's own draw, a view of
+    # the drawn rows, not a stacked copy
+    for name, budget in (("parabola_eb", 24), ("hoffman_2d", 256),
+                         ("halfplane_directional", 300),
+                         ("halfplane_directional", rng.BLOCK)):
+        q = query(name, seed=5, budget=budget)
+        for threads in (1, 3):
+            empirical_directional_modulus(q, threads=threads)
+            [X] = seen["adm"]
+            assert X.shape[0] == budget
+            assert X.base is not None and X.base.shape[0] == rng.BLOCK
+            assert len(seen["pre"]) == 1
+            seen["adm"].clear()
+            seen["pre"].clear()
+
+
+def test_modulus_and_sweep_reject_threads_below_one():
+    inst = builtin("param_scale")
+    q = query("param_scale", budget=300)
+    for threads in (0, -3):
+        with pytest.raises(InvalidParameter, match="threads"):
+            empirical_directional_modulus(q, threads=threads)
+        with pytest.raises(InvalidParameter, match="threads"):
+            parametric_sweep(inst.family, inst.p_grid, q, threads=threads)
 
 
 # ---------------------------------------------------------------------------
