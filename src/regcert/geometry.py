@@ -7,21 +7,18 @@ Every variant supports nearest-point projection and distance; polyhedra
 additionally expose active-row normal cone generators and an LP.
 
 Projections onto polyhedra are exact where the rows are axis-aligned, as
-every registry K and its pullbacks through diagonal maps are: the nearest
-point is the KKT point of one active set (Nocedal & Wright, Numerical
-Optimization, ch. 16), such a set binds at most one row per axis, and
-project_halfspaces tries every candidate of every axis at once and keeps,
-per axis, the first whose point and nonnegative multiplier one Dykstra
-sweep leaves in place, with no tolerance.  Points no candidate passes
-(rounding on paired rows, an empty system), systems with skew rows, and
-systems too large for the chunked pass go to Dykstra's alternating scheme
-(Boyle & Dykstra, 1986) for at most DYKSTRA_MAX_SWEEPS sweeps, and a row it
-leaves above DYKSTRA_TOL to one least-distance solve (Lawson & Hanson,
-1974, ch. 23), exact, or a certificate that its system is empty.  That
-solve and the cone projections the exact pass does not certify share one
-active-set NNLS (_nnls), and LPs go to a dense two-phase simplex with
-Bland's rule (solve_lp); both are exact at the sizes used here and need
-only NumPy.
+every registry K and its pullbacks through diagonal maps are: such a system
+is a product of intervals, and project_halfspaces clamps each coordinate to
+its axis's interval (Nocedal & Wright, Numerical Optimization, ch. 16),
+with no tolerance.  Points whose bounds cross (an empty system, or an
+equality pair that rounding crosses) and systems with skew rows go to
+Dykstra's alternating scheme (Boyle & Dykstra, 1986) for at most
+DYKSTRA_MAX_SWEEPS sweeps, and a row it leaves above DYKSTRA_TOL to one
+least-distance solve (Lawson & Hanson, 1974, ch. 23), exact, or a
+certificate that its system is empty.  That solve and the cone projections
+the clamp does not certify share one active-set NNLS (_nnls), and LPs go
+to a dense two-phase simplex with Bland's rule (solve_lp); both are exact
+at the sizes used here and need only NumPy.
 """
 
 from __future__ import annotations
@@ -50,14 +47,6 @@ TOL_ACTIVE = 1e-7
 # Dykstra's stopping tolerance and sweep cap
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_SWEEPS = 300
-
-# doubles of temporaries that one chunk of the active-set pass may hold, so
-# that large batches do not grow the peak memory
-_ACTIVE_SET_CHUNK = 1 << 16
-# a system whose chunks would hold fewer points than this goes to Dykstra
-# whole, so the chunk loop never degrades to a few points a step (the pass
-# grows linearly in the rows, plus one check per pair of rows on one axis)
-_MIN_CHUNK_POINTS = 64
 
 _EPS = np.finfo(float).eps
 
@@ -292,45 +281,33 @@ def _least_distance(C, rhs, P):
 
 
 # ---------------------------------------------------------------------------
-# Exact projection by active-set enumeration, with Dykstra as the fallback.
+# Exact projection onto axis-aligned systems by a clamp, with Dykstra as the
+# fallback.
 
 @dataclass(frozen=True)
 class _AxisSystem:
     """An axis-aligned system: row i reads c[i] z[axis[i]] <= rhs_i.
 
-    Its active sets factor over the axes that hold rows: a KKT point binds
-    at most one row per axis, and the rows of one axis see no other
-    coordinate.  The rows are kept sorted by axis, stably (order[r] is the
-    row of C at position r; c and row_sq are columns), so each axis holds a
-    run of positions, in row order.  Each axis has its own candidates: no
-    row first, then its rows in order.  A row candidate is checked against
-    every other row of its axis: pair p puts row pair_i[p] against row
-    pair_j[p], grouped by axis and then by pair_i.  groups holds, per axis,
-    (axis, first row, end of rows, first pair, end of pairs).
+    Such a system is a product of intervals, one per axis that holds rows,
+    so its projection clamps each coordinate.  The rows are kept sorted by
+    axis, stably (order[r] is the row of C at position r; c and row_sq are
+    columns), so each of those axes, listed in axes, holds the run of
+    positions from starts[k] to the next start.
     """
 
     order: np.ndarray
     axis: np.ndarray
     c: np.ndarray
     row_sq: np.ndarray
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    groups: tuple
-
-    def doubles_per_point(self) -> int:
-        """Doubles of temporaries the pass holds per projected point, at
-        most: about five per row, three per same-axis pair and four per
-        axis."""
-        return (5 * self.c.size + 3 * self.pair_i.size
-                + 4 * len(self.groups))
+    axes: np.ndarray
+    starts: np.ndarray
 
 
 @lru_cache(maxsize=64)
 def _axis_system(shape: tuple, data: bytes) -> _AxisSystem | None:
-    """The candidates of C, or None when some row of C is not a nonzero
-    multiple of a coordinate vector."""
+    """The runs of C, or None when some row of C is not a nonzero multiple
+    of a coordinate vector."""
     C = np.frombuffer(data).reshape(shape)
-    m, _ = shape
     nonzero = C != 0.0
     if not np.all(nonzero.sum(axis=1) == 1):
         return None
@@ -338,87 +315,54 @@ def _axis_system(shape: tuple, data: bytes) -> _AxisSystem | None:
     order = np.argsort(axis, kind="stable")
     axis = axis[order]
     c = C[order, axis][:, None]
-    pair_i, pair_j = np.nonzero((axis[:, None] == axis[None, :])
-                                & ~np.eye(m, dtype=bool))
-    axes, sizes = np.unique(axis, return_counts=True)
-    rows = np.cumsum(np.concatenate([[0], sizes])).tolist()
-    pairs = np.cumsum(np.concatenate([[0], sizes * (sizes - 1)])).tolist()
-    groups = tuple(zip(axes.tolist(), rows[:-1], rows[1:], pairs[:-1],
-                       pairs[1:]))
+    axes, starts = np.unique(axis, return_index=True)
     # every caller of the cache shares these arrays
-    arrays = (order, axis, c, c * c, pair_i, pair_j)
+    arrays = (order, axis, c, c * c, axes, starts)
     for a in arrays:
         a.setflags(write=False)
-    return _AxisSystem(*arrays, groups)
+    return _AxisSystem(*arrays)
 
 
-def _active_set_pass(s: _AxisSystem, P: np.ndarray, rhs: np.ndarray):
-    """Every candidate on every row of P at once; returns (Q, exact).
+def _clamp_pass(C, rhs, P):
+    """Each row of P clamped to the intervals of an axis-aligned C, rhs
+    (1, m) or (B, m); returns (Q, exact), no row exact where C is not
+    axis-aligned.
 
-    With lam_i = (c_i p - rhs_i) / c_i^2, row i as candidate moves its
-    coordinate to z_i = p - lam_i c_i.  A candidate passes when that
-    coordinate and the multipliers alpha (lam_i on the candidate row, 0 on
-    the other rows of its axis) are a fixed point of one Dykstra sweep:
-    every row j maps z + alpha_j c_j back to z with multiplier alpha_j.
-    That is the KKT system in Dykstra's own arithmetic: rows off the
-    active set hold with no tolerance, the active row binds, and
-    alpha >= 0.  Spelled out, row i's own round trip is Y = z_i + lam_i c_i,
-    mu = max((c_i Y - rhs_i) / c_i^2, 0), mu == lam_i and Y - mu c_i ==
-    z_i; another row j of the axis keeps z_i iff (c_j z_i - rhs_j) / c_j^2
-    <= 0, one check per same-axis pair; and "no row" keeps p iff every row
-    of the axis has lam_j <= 0.  Each axis takes its first candidate that
-    passes, and a point is exact when every axis has one; Q means nothing
-    on the other points.  Without two rows on one side of an axis, the
-    first sweep of Dykstra reaches that same state, so the point is the
-    one Dykstra stops at, bit for bit.
+    With lam_i = (c_i p - rhs_i) / c_i^2, row i puts the bound
+    z_i = p - lam_i c_i on its coordinate, from above where c_i > 0 and
+    from below where c_i < 0.  Each axis takes hi, the least upper bound
+    (+inf without one), and lo, the greatest lower bound (-inf without
+    one), and its coordinate is p clamped to [lo, hi] (Nocedal & Wright,
+    Numerical Optimization, ch. 16).  A row is exact when lo <= hi on
+    every axis; Q means nothing on the others, whose bounds cross (an empty
+    system, or an equality pair that rounding crosses).
 
-    The work runs on (rows, batch) arrays, so every elementwise step and
-    every reduction sweeps the batch contiguously; only the pick of each
-    axis's candidate loops, over the axes.
+    Each z_i is where a Dykstra step on row i moves a p that violates it,
+    so where a round trip of the sweep leaves it in place, Dykstra stops at
+    the same point, bit for bit; on equality pairs rounding often moves
+    it, and Dykstra stops some ulps away.  Ties: where several rows bound
+    one side, the least (or greatest) z binds whatever the row order, and
+    the z of another row that holds there in floats lies within a few
+    eps (|p| + |z|) of it.
+
+    Every step is elementwise IEEE arithmetic or a min or max, which
+    rounds nothing (no z is -0.0), so a row gets the same bits alone as
+    in any batch and on any BLAS.  The work runs on (rows, batch) arrays,
+    so every step sweeps the batch contiguously.
     """
-    B = P.shape[0]
+    s = _axis_system(C.shape, C.tobytes())
+    if s is None:
+        return P.astype(float, copy=True), np.zeros(P.shape[0], dtype=bool)
     # + 0.0 turns -0.0 into 0.0, as the first step of a Dykstra sweep does
     PT = P.T + 0.0
     Pa = PT[s.axis]
     R = rhs.T[s.order]
     lam = (Pa * s.c - R) / s.row_sq
     z = Pa - lam * s.c
-    Y = z + lam * s.c
-    mu = np.maximum((Y * s.c - R) / s.row_sq, 0.0)
-    ok = (mu == lam) & (Y - mu * s.c == z)
-    if s.pair_i.size:
-        j = s.pair_j
-        held = (z[s.pair_i] * s.c[j] - R[j]) / s.row_sq[j] <= 0.0
-    exact = np.ones(B, dtype=bool)
-    for a, r0, r1, p0, p1 in s.groups:
-        if r1 - r0 == 1:
-            none = lam[r0] <= 0.0
-            exact &= none | ok[r0]
-            PT[a] = np.where(none, PT[a], z[r0])
-            continue
-        mine = ok[r0:r1] & np.logical_and.reduce(
-            held[p0:p1].reshape(r1 - r0, -1, B), axis=1)
-        none = np.logical_and.reduce(lam[r0:r1] <= 0.0, axis=0)
-        exact &= none | np.logical_or.reduce(mine, axis=0)
-        first = r0 + mine.argmax(axis=0)
-        PT[a] = np.where(none, PT[a], z[first, np.arange(B)])
-    return PT.T, exact
-
-
-def _exact_pass(C, rhs, P):
-    """_active_set_pass on P in chunks of _ACTIVE_SET_CHUNK doubles, rhs
-    (1, m) or (B, m); returns (Q, exact), no row exact where C is not
-    axis-aligned or a chunk would hold under _MIN_CHUNK_POINTS points."""
-    Q = P.astype(float, copy=True)
-    exact = np.zeros(P.shape[0], dtype=bool)
-    s = _axis_system(C.shape, C.tobytes())
-    step = 0 if s is None else _ACTIVE_SET_CHUNK // s.doubles_per_point()
-    if step >= _MIN_CHUNK_POINTS:
-        for a in range(0, P.shape[0], step):
-            Q[a:a + step], exact[a:a + step] = _active_set_pass(
-                s, P[a:a + step],
-                rhs if rhs.shape[0] == 1 else rhs[a:a + step])
-    return Q, exact
+    hi = np.minimum.reduceat(np.where(s.c > 0.0, z, np.inf), s.starts)
+    lo = np.maximum.reduceat(np.where(s.c < 0.0, z, -np.inf), s.starts)
+    PT[s.axes] = np.minimum(np.maximum(PT[s.axes], lo), hi)
+    return PT.T, np.all(lo <= hi, axis=0)
 
 
 def project_halfspaces(C, rhs, P):
@@ -426,20 +370,15 @@ def project_halfspaces(C, rhs, P):
 
     Returns (Q, empty): the nearest points, and the rows whose system is
     empty, where Q is NaN.  On an axis-aligned C (every row a nonzero
-    multiple of a coordinate vector) a row is exact when each axis has a
-    candidate active row, or none, that one Dykstra sweep leaves in place
-    (see _active_set_pass): the point is then the nearest point up to
-    rounding, and lam >= 0 is its KKT certificate.  Every other row goes to
-    dykstra_halfspaces, and so does the whole batch when C is not
-    axis-aligned, where the binding rows round and most points would fail
-    the test, or when a chunk of _ACTIVE_SET_CHUNK doubles would hold
-    fewer than _MIN_CHUNK_POINTS points.  The pass checks each row against
-    every other row of its axis, so its temporaries grow with the square
-    of the rows on one axis (_AxisSystem.doubles_per_point): 18 rows on a
-    single axis still fit, 19 do not.  A row Dykstra leaves above
-    DYKSTRA_TOL, as every row of an empty system, goes to _least_distance.
-    Every step is per point, so a row gets the same bits alone as in any
-    batch.
+    multiple of a coordinate vector) the system is a product of intervals
+    and a row takes the clamp of _clamp_pass, exact up to the rounding of
+    its bounds, for any number of rows on an axis.  A row whose bounds
+    cross, and every row when C is not axis-aligned, goes to
+    dykstra_halfspaces, and a row Dykstra leaves above DYKSTRA_TOL, as
+    every row of an empty system, to _least_distance, which projects it or
+    certifies its system empty.  So an equality pair that rounding crosses
+    by an ulp still gets its point.  Every step is per point, so a row
+    gets the same bits alone as in any batch.
     """
     C = np.ascontiguousarray(C, dtype=float)
     P = _rows(P)
@@ -449,7 +388,7 @@ def project_halfspaces(C, rhs, P):
     if m == 0:
         return P.astype(float, copy=True), empty
     rhs = np.asarray(rhs, dtype=float).reshape(-1, m)
-    Q, exact = _exact_pass(C, rhs, P)
+    Q, exact = _clamp_pass(C, rhs, P)
     back = np.flatnonzero(~exact)
     if back.size:
         rhs = np.broadcast_to(rhs, (B, m))
@@ -524,18 +463,6 @@ class Polyhedron(ConvexSet):
                 return Q
             self._feasible = False
         raise EmptySet("cannot project onto an empty polyhedron")
-
-    def distance_batch(self, P: np.ndarray) -> np.ndarray:
-        P = _rows(P)
-        if self.n_rows == 0:
-            return np.zeros(P.shape[0])
-        if self._feasible is False:
-            return np.full(P.shape[0], np.inf)
-        try:
-            Q = self.project_batch(P)
-        except EmptySet:
-            return np.full(P.shape[0], np.inf)
-        return np.linalg.norm(P - Q, axis=1)
 
 
 class Ball(ConvexSet):
@@ -753,9 +680,10 @@ def project_onto_generated_cones(C, masks, Y) -> np.ndarray:
     """Nearest point of cone{C_J}, the rows of the float array C where
     masks[s], to each row y_s of Y: y - P(y), P the projection onto the
     polar {z : C_J z <= 0}, by Moreau's decomposition (1962).  The rows of
-    one pattern J take the exact axis-aligned pass together; a row it does
-    not certify (skew C_J) takes an NNLS of its own.  A row gets the same
-    bits alone as in any batch; one with no active row projects to 0."""
+    one pattern J take the clamp pass together; a row it does not certify
+    (skew C_J, or bounds that rounding crosses) takes an NNLS of its own.
+    A row gets the same bits alone as in any batch; one with no active row
+    projects to 0."""
     Y = _rows(Y)
     P = np.zeros_like(Y)
     patterns, group = np.unique(masks, axis=0, return_inverse=True)
@@ -764,7 +692,7 @@ def project_onto_generated_cones(C, masks, Y) -> np.ndarray:
             continue
         G = C[J]
         at = np.flatnonzero(group.reshape(-1) == g)
-        Q, exact = _exact_pass(G, np.zeros((1, G.shape[0])), Y[at])
+        Q, exact = _clamp_pass(G, np.zeros((1, G.shape[0])), Y[at])
         P[at[exact]] = Y[at[exact]] - Q[exact]
         for s in at[~exact]:
             P[s] = G.T @ _nnls(G.T, Y[s])[0]

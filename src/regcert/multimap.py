@@ -616,8 +616,9 @@ def _outer_box(K: ConvexSet):
 
     Exact for a Singleton and a Ball, per factor for a ProductSet.  A
     Polyhedron gets the bounds of its axis-aligned rows, widened by 1e-7:
-    the active-set route and the least-distance solve meet them up to
-    rounding, and a converged Dykstra row within DYKSTRA_TOL.  Other rows
+    the clamp onto an axis-aligned system and the least-distance solve
+    meet them up to rounding, and a converged Dykstra row, which takes the
+    points whose bounds cross, within DYKSTRA_TOL.  Other rows
     are ignored, so the box stays outer, and bounds that cross give no box
     at all (an empty K is left to the projection to report).  Any other
     set is unbounded.

@@ -106,7 +106,7 @@ COMMANDS = (
         # jacobians near 0 of both signs
         (["analyze", CUBIC_EB.name, "--seed", "3"], "report.json"),
         # halfplane_directional turned by 30 degrees: a K with skew rows,
-        # which the exact active-set route leaves to Dykstra (every row
+        # which the axis-aligned clamp leaves to Dykstra (every row
         # converges there; none reaches the least-distance solve)
         (["analyze", PROBLEM.name, "--seed", "3"], "report.json"),
         # the admissible flag of every pair on the skew K, from its exact
