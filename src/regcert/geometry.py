@@ -252,12 +252,13 @@ def _least_distance(C, rhs, P):
     With unit rows C and h = C p - rhs, the step w = z - p solves
     min |w| subject to -C w >= h, which Lawson & Hanson solve by one NNLS,
     [-C^T; h^T] u ~ e_{n+1}.  A zero residual leaves u >= 0 with C^T u = 0
-    and rhs . u = -1, which certifies the system empty; a residual r gives
-    the nearest point p - r[:n] / r[n].  That quotient loses digits as the
-    distance grows, so h is divided by its largest violation when that
-    exceeds 1, and the point is taken instead as the projection of p onto
-    the affine hull of the rows with u > 0, which are active there (a
-    least-norm solve).
+    and rhs . u = -1, which certifies the system empty; the computed
+    residual rounds at about eps sum(u), so it counts as zero below
+    1e-12 (1 + sum(u)).  A residual r gives the nearest point
+    p - r[:n] / r[n].  That quotient loses digits as the distance grows,
+    so h is divided by its largest violation when that exceeds 1, and the
+    point is taken instead as the projection of p onto the affine hull of
+    the rows with u > 0, which are active there (a least-norm solve).
     """
     m, n = C.shape
     norm = np.linalg.norm(C, axis=1)
@@ -271,7 +272,7 @@ def _least_distance(C, rhs, P):
         E[n] = h / max(h.max(), 1.0)
         u, rnorm = _nnls(E, e)
         # the residual is 1 / sqrt(1 + D^2) on a set D scaled units away
-        if rnorm <= 1e-12:
+        if rnorm <= 1e-12 * (1.0 + u.sum()):
             empty[s] = True
             Q[s] = np.nan
             continue

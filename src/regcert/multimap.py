@@ -520,7 +520,6 @@ _GN_MAX_CORNERS = 64
 _GN_GRID_CAP = 4096
 _GN_GRID_RESOLUTION = 9   # nodes per axis of the fallback start's grid
 _GN_PULL = np.geomspace(1.0, 0.02, 12)
-_GN_PULL_ROWS = 256       # starts a pull wave aims at
 
 
 def _gauss_newton_preimage(F: MultiMap, Y: np.ndarray,
@@ -654,15 +653,12 @@ def _gauss_newton_rows(F: MultiMap, Y: np.ndarray, X: np.ndarray,
     f(u) - y_s in K starts once more from the grid node (cap 4096) of least
     residual.  The nearest solution found is then pulled toward x_s in 12
     rounds along the segment, each round starting from the incumbent the
-    last one left.  The rounds run in waves: each live row runs its next L
-    rounds in one search, all from its incumbent, with L the rounds left
-    but at most max(1, _GN_PULL_ROWS // live), so a wave searches about
-    256 starts and over 128 live rows go one round a wave.  A row keeps its
-    rounds up to its first that improves and resumes after it; the later
-    ones started from a stale incumbent and are dropped.  So every kept
-    round starts where the one-round-at-a-time loop would, and since rows
-    share no arithmetic, each value is the same alone as in any batch and
-    at any L.
+    last one left.  The rounds run in waves: each live row runs all its
+    remaining rounds in one search, all from its incumbent.  A row keeps
+    its rounds up to its first that improves and resumes after it; the
+    later ones started from a stale incumbent and are dropped.  So every
+    kept round starts where the one-round-at-a-time loop would, and since
+    rows share no arithmetic, each value is the same alone as in any batch.
     """
     B, n = X.shape
     bits = (np.arange(min(1 << n, _GN_MAX_CORNERS))[:, None]
@@ -696,7 +692,7 @@ def _gauss_newton_rows(F: MultiMap, Y: np.ndarray, X: np.ndarray,
     live = np.flatnonzero(np.isfinite(d_best))
     k = np.zeros(live.size, dtype=int)                     # next round
     while live.size:
-        L = min(_GN_PULL.size - k.min(), max(1, _GN_PULL_ROWS // live.size))
+        L = _GN_PULL.size - k.min()
         rounds = k[:, None] + np.arange(L)                 # (live, L)
         tried = rounds < _GN_PULL.size
         rows = np.broadcast_to(live[:, None], rounds.shape)[tried]

@@ -55,7 +55,8 @@ def orthant_instance(rng: np.random.Generator):
 
     The offset is built around a strictly feasible anchor, so the solution
     set is nonempty and within 1.5 of the probe in every coordinate; the
-    probe itself has residual norm above 0.1.
+    probe itself has residual norm above 0.1.  An instance where 500 draws
+    place no such probe is drawn again from the same generator.
     """
     dim_in = int(rng.integers(1, 4))
     dim_out = int(rng.integers(1, 4))
@@ -72,7 +73,30 @@ def orthant_instance(rng: np.random.Generator):
         residual = np.maximum(A @ xbar + b, 0.0)
         if np.linalg.norm(residual) > 0.1:
             return F, xbar
-    raise RuntimeError("could not place a probe with positive residual")
+    return orthant_instance(rng)
+
+
+def axis_clamp_case(seed: int, dim: int, rows: int, per_row_rhs: bool):
+    """(C, rhs, P, axis): axis-aligned rows, several to an axis and to a
+    side, with coefficients that round, and 40 points, some on the bounds
+    and some with signed zero coordinates.  rhs is (40, rows) or (1, rows),
+    drawn at random, so many systems are empty on some axis."""
+    gen = np.random.default_rng(seed)
+    B = 40
+    C = np.zeros((rows, dim))
+    axis = gen.integers(0, dim, rows)
+    C[np.arange(rows), axis] = (gen.choice([-1.0, 1.0], rows)
+                                * gen.choice([1.0, 3.0, 0.7, 0.1, 2.5], rows))
+    rhs = gen.uniform(-0.5, 1.0, (B if per_row_rhs else 1, rows))
+    rhs[gen.random(rhs.shape) < 0.2] = 0.0
+    P = 2.0 * gen.standard_normal((B, dim))
+    on = np.flatnonzero(gen.random(B) < 0.3)
+    row = gen.integers(0, rows, on.size)
+    P[on, axis[row]] = (rhs[on if per_row_rhs else 0, row]
+                        / C[row, axis[row]])
+    P[gen.random(P.shape) < 0.15] = 0.0
+    P[gen.random(P.shape) < 0.15] = -0.0
+    return C, rhs, P, axis
 
 
 def reference_normal_cone_generators(poly: Polyhedron, k) -> np.ndarray:

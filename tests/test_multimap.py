@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import axis_clamp_case
 from regcert.errors import DimensionMismatch, NotPolyhedral
 from regcert.geometry import (
     TOL_MEMBER,
@@ -229,6 +230,21 @@ def test_preimage_of_an_empty_pulled_back_system_is_infinite():
     assert dist.tobytes() == got.tobytes()
     assert np.isnan(P[0, 0])
     assert P[1:, 0] == pytest.approx([1.0, 0.5], abs=1e-9)
+
+
+def test_preimage_crossed_by_a_rounding_certificate_is_infinite():
+    # f(x) = C x into K = {z <= d}, with C, rhs and the 40 points x of
+    # the clamp property's example (122175, 2, 5, False), d = rhs + 0.01
+    # e_5 and y = rhs - d: y0 = 0 lies in F((0, -0.144)), but F^-1(y) =
+    # {x : C x <= rhs} is empty, bounding x2 below by -0.14542 and above
+    # by -0.14631.  The least-distance NNLS certifies it with multipliers
+    # near 4e3, whose residual rounds to 1.1e-12-1.8e-12.
+    C, rhs, X, _ = axis_clamp_case(122175, 2, 5, False)
+    d = rhs[0] + np.array([0.0, 0.0, 0.0, 0.0, 0.01])
+    F = MultiMap(AffineMap(C, np.zeros(5)), Polyhedron(np.eye(5), d))
+    assert image_distance(F, [0.0, -0.144], np.zeros(5)) == 0.0
+    Y = np.broadcast_to(rhs - d, (X.shape[0], 5))
+    assert np.all(preimage_distance_batch(F, Y, X) == np.inf)
 
 
 def test_preimage_batch_matches_scalar():
@@ -503,8 +519,8 @@ def sequential_gauss_newton_rows(F, Y, X, boxes, lo, hi, improved=None):
 @example("parabola_eb", 300, 0)
 @example("round_K", 20, 0)
 def test_pull_waves_match_the_sequential_rounds(name, rows, seed):
-    # 20 rows run every round in one 12-round wave, 300 rows (over 128
-    # live) one round a wave; either way the bits of the sequential loop
+    # every wave runs all remaining rounds of every live row, in a batch
+    # of 1, 20 or 300 rows; in each the bits of the sequential loop
     gen = np.random.default_rng(seed)
     F = _gauss_newton_maps().get(name) or _random_polynomial_problem(gen,
                                                                      name)
@@ -529,9 +545,8 @@ _IMPROVING_ROWS = (
 
 @pytest.mark.parametrize("name, x, y, rounds", _IMPROVING_ROWS)
 def test_pull_waves_keep_each_improving_round(name, x, y, rounds):
-    # alone (one 12-round wave) and among 299 other rows (one round a
-    # wave), the row takes the sequential loop's value; the loop shows it
-    # improves at exactly these rounds
+    # alone and among 299 other rows, the row takes the sequential loop's
+    # value; the loop shows it improves at exactly these rounds
     F = _gauss_newton_maps()[name]
     gen = np.random.default_rng(3)
     X = np.concatenate([[x], gen.uniform(-1.5, 1.5, (299, F.dim_in))])
@@ -545,24 +560,25 @@ def test_pull_waves_keep_each_improving_round(name, x, y, rounds):
 
 
 def test_small_batch_pulls_in_one_wave():
-    # 21 rows with y = x^2 on parabola_eb: every row converges at its
+    # B rows with y = x^2 on parabola_eb: every row converges at its
     # first start and no pull round improves, so the search is the first
-    # stage (4 starts a row) and one 12-round wave
+    # stage (4 starts a row) and one 12-round wave, however many rows
     F = _gauss_newton_maps()["parabola_eb"]
-    X = np.linspace(0.5, 1.5, 21)[:, None]
-    Y = X ** 2
-    calls = []
     search = multimap._damped_gauss_newton
+    for B in (21, 300):
+        X = np.linspace(0.5, 1.5, B)[:, None]
+        Y = X ** 2
+        calls = []
 
-    def counting(F, Yrows, *args):
-        calls.append(Yrows.shape[0])
-        return search(F, Yrows, *args)
+        def counting(F, Yrows, *args):
+            calls.append(Yrows.shape[0])
+            return search(F, Yrows, *args)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multimap, "_damped_gauss_newton", counting)
-        d = multimap._gauss_newton_rows(F, Y, X, *_search_boxes(X))
-    assert calls == [21 * 4, 21 * 12]
-    assert np.all(d == 0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multimap, "_damped_gauss_newton", counting)
+            d = multimap._gauss_newton_rows(F, Y, X, *_search_boxes(X))
+        assert calls == [B * 4, B * 12]
+        assert np.all(d == 0.0)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

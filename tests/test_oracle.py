@@ -25,7 +25,8 @@ from regcert.geometry import (
     Singleton,
 )
 from regcert.instances import builtin
-from regcert.multimap import AffineMap, MultiMap, default_region
+from regcert.multimap import (AffineMap, MultiMap, SearchRegion, default_region,
+                              image_distance_batch, preimage_distance)
 from regcert.oracle import (
     _CHUNK_ROWS,
     Grid,
@@ -37,6 +38,7 @@ from regcert.oracle import (
     grid_preimage_distance,
 )
 from regcert.regularity import RegularityQuery
+from regcert.slopes import global_slope
 
 from conftest import bounded_random_polyhedron
 
@@ -504,6 +506,24 @@ def test_grid_preimage_frozen_values():
                                   g2) == pytest.approx(5.0, abs=1e-12)
 
 
+def test_grid_preimage_brackets_the_exact_distance_on_hoffman_2d():
+    # F^-1(y) = {u <= y}: every feasible lattice point lies in it (up to
+    # TOL_FEAS), so the oracle reads no nearer than the exact projection,
+    # and the nearest point rounded down to the lattice is feasible, so it
+    # reads at most one lattice diagonal farther
+    F = builtin("hoffman_2d").F
+    g = Grid(np.tile([[-3.0, 3.0]], (2, 1)), 61)
+    gen = np.random.default_rng(0)
+    for _ in range(20):
+        x, y = gen.uniform(-2.0, 2.0, 2), gen.uniform(-1.5, 1.5, 2)
+        exact = preimage_distance(F, y, x)
+        grid = grid_preimage_distance(F, y, x, g)
+        assert exact - oracle.TOL_FEAS <= grid
+        assert grid <= exact + np.sqrt(2.0) * g.step
+        if np.all(x <= y):
+            assert exact == grid == 0.0
+
+
 def test_grid_preimage_warns_when_lattice_misses():
     # the preimage {(0.05, 0.05)} falls between lattice points while the
     # interiority check says a solution exists
@@ -546,6 +566,34 @@ def test_grid_slope_parabola_step_accurate():
         g = Grid(np.array([[-2.0, 2.0]]), pts)
         assert grid_global_slope(f, [1.0], g) == pytest.approx(2.0 - g.step,
                                                               abs=1e-9)
+
+
+def test_global_slope_meets_the_grid_oracle_on_hoffman_2d():
+    # the residual field |x_+| has slope 1 off the orthant.  Both values
+    # are maxima of descent ratios, so neither exceeds 1; the estimator
+    # samples the oracle's own lattice, so it reads no lower than the
+    # oracle (up to the rounding of the ratios); and the lattice node u
+    # nearest the foot p = x - x_+ gives the oracle at least
+    # (D - e) / (D + e), D = |x_+| and e = |u - p| at most half a lattice
+    # diagonal, since |u_+| <= e
+    F = builtin("hoffman_2d").F
+
+    def f(X):
+        return image_distance_batch(F, X, np.zeros_like(X))
+
+    box = np.tile([[-3.0, 3.0]], (2, 1))
+    g = Grid(box, 61)
+    e = np.sqrt(2.0) * g.step / 2.0
+    gen = np.random.default_rng(0)
+    for _ in range(10):
+        x = gen.uniform(-1.0, 2.0, 2)
+        D = float(np.linalg.norm(np.maximum(x, 0.0)))
+        if D < 0.3:
+            continue
+        grid = grid_global_slope(f, x, g)
+        est = global_slope(f, x, SearchRegion(box, 61, 300, 7)).value
+        assert (D - e) / (D + e) <= grid <= est + 1e-12
+        assert 1.0 - 1e-9 <= est <= 1.0 + 1e-12
 
 
 def test_grid_slope_guards():

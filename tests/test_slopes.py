@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import orthant_instance
@@ -538,6 +538,7 @@ def _descent_case(name, gen):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(BISECT_FIELDS) + ["orthant", "hoffman_corner"]),
        st.sampled_from([1, 12, 48, 10 ** 6]), st.integers(0, 2 ** 32 - 1))
+@example("orthant", 48, 3118)
 def test_descent_waves_are_the_round_loop_bit_for_bit(name, target, seed):
     # a target of one trial direction runs one round a wave (L = 1); the
     # larger ones run several, up to every round left in one wave

@@ -97,8 +97,7 @@ COMMANDS = (
           "--seed", "3"], "report.json"),
         (["modulus", "parabola_eb", "--tau", "10", "--budget", "300",
           "--seed", "3", "--csv", "samples.csv"], "samples.csv"),
-        # a small batch of the same route: few enough live rows that each
-        # runs all 12 pull rounds in one wave from the start
+        # a small batch of the same route: 12 searched rows
         (["modulus", "parabola_eb", "--budget", "24", "--seed", "3"],
          "report.json"),
         # f(x) = x^3 - x into a point: the same route on a scalar map whose
